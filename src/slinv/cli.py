@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .budget import BudgetExhausted, Deadline
 from .exact import Partition, format_scalar
-from .kron import exponent_monoid, k_rect, kronecker, pleth_upper_bound, sl_invariant_bound
+from .kron import _route, exponent_monoid, k_rect, kronecker, pleth_upper_bound, sl_invariant_bound
 from .latin import (
     parse_checkpoint,
     serialize_checkpoint,
@@ -213,28 +213,43 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_kronecker(args) -> int:
+    deadline = Deadline(args.budget)
     lam, mu, nu = (_parse_partition(t) for t in (args.lam, args.mu, args.nu))
     try:
-        value = kronecker(lam, mu, nu)
+        value = kronecker(lam, mu, nu, deadline=deadline)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    _emit(args, value, {"lam": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts)})
+    except BudgetExhausted:
+        print("budget exhausted during the Kronecker coefficient", file=sys.stderr)
+        return EXIT_BUDGET
+    _emit(args, value, {"lam": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts),
+                        "route": _route((lam.parts, mu.parts, nu.parts))})
     return EXIT_OK
 
 
 def _cmd_krect(args) -> int:
+    deadline = Deadline(args.budget)
+    deltas = range(args.delta + 1) if args.table else (args.delta,)
+    values = {}
+    try:
+        for d in deltas:
+            values[d] = k_rect(args.m, d, deadline=deadline)
+    except BudgetExhausted:
+        print(f"budget exhausted at delta {d} ({len(values)} of {len(deltas)} values computed)",
+              file=sys.stderr)
+        return EXIT_BUDGET
+    route = _route((Partition.rectangle(args.m, args.delta).parts,) * 3)
     if args.table:
-        values = {d: k_rect(args.m, d) for d in range(args.delta + 1)}
         if args.json:
             print(json.dumps({"value": str(values[args.delta]),
-                              "meta": {"m": args.m, "table": {str(d): v for d, v in values.items()}}},
+                              "meta": {"m": args.m, "route": route,
+                                       "table": {str(d): v for d, v in values.items()}}},
                              sort_keys=True))
         else:
             for d, v in values.items():
                 print(f"delta {d} k {v}")
         return EXIT_OK
-    value = k_rect(args.m, args.delta)
-    _emit(args, value, {"m": args.m, "delta": args.delta})
+    _emit(args, values[args.delta], {"m": args.m, "delta": args.delta, "route": route})
     return EXIT_OK
 
 

@@ -1,7 +1,7 @@
 """Symmetric-group characters, Kronecker coefficients, degree monoids, and
 subset-family upper bounds on invariant-space dimensions.
 
-Two independent exact routes produce Kronecker coefficients:
+Three independent exact routes produce Kronecker coefficients:
 
 * a class sum: enumerate cycle types of S_N once, carrying a vector of
   border-strip character coefficients for each of the three shapes
@@ -10,20 +10,30 @@ Two independent exact routes produce Kronecker coefficients:
 * a coupled strip recursion: remove one border strip of equal length from
   all three shapes at once and divide by the remaining size, memoized on
   the unordered shape triple.  Every memoized value is itself a Kronecker
-  coefficient, so nonnegativity and divisibility are asserted at each node.
+  coefficient, so nonnegativity and divisibility are asserted at each node;
+* a Littlewood-Richardson route for shapes of at most 3 rows: Jacobi-Trudi
+  on s_nu and the expansion of s_lam * h_alpha (Garsia-Remmel 1985) give
+  g(lam, mu, nu) = sum over sigma in S_3 of sgn(sigma) times
+  sum over lam^i of size alpha_i(sigma) of c^lam_{lam^1 lam^2 lam^3} c^mu_{lam^1 lam^2 lam^3},
+  with alpha_i(sigma) = nu_i - i + sigma(i).  A 3-row LR coefficient counts
+  the integers in one interval, and a rectangle R collapses the triple LR
+  coefficient to a single one: c^R_{lam^1 lam^2 lam^3} = c^{(lam^3)^c}_{lam^1 lam^2}.
 
-Both are exact; `kronecker` picks the cheaper route from partition-count
-estimates, and the test suite cross-checks them against each other.
+`kronecker` picks the LR route when all three shapes have at most 3 rows
+and at least two are rectangles (so k_rect(m <= 3, delta)), and otherwise
+the cheaper of the other two from partition-count estimates; the test suite
+cross-checks all three routes against each other.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .budget import as_deadline
+from .budget import Deadline, as_deadline
 from .exact import Partition, partition_count
 
 PartitionLike = Union[Partition, Iterable[int]]
@@ -36,6 +46,9 @@ _SHAPES: list[tuple[int, ...]] = []
 _SIZES: list[int] = []
 _SID: dict[tuple[int, ...], int] = {}
 _STRIPS: list[Optional[dict[int, tuple[tuple[int, int], ...]]]] = []
+# Triple-memo keys pack three shape ids into 21 bits each; past this many
+# interned shapes two different triples would share a key.
+_SID_LIMIT = 1 << 21
 
 
 def _sid(shape: tuple[int, ...]) -> int:
@@ -43,6 +56,9 @@ def _sid(shape: tuple[int, ...]) -> int:
     if got is not None:
         return got
     sid = len(_SHAPES)
+    if sid >= _SID_LIMIT:
+        raise OverflowError(
+            f"{_SID_LIMIT} shapes interned: the triple-memo key packing (21 bits per id) is exhausted")
     _SID[shape] = sid
     _SHAPES.append(shape)
     _SIZES.append(sum(shape))
@@ -125,6 +141,10 @@ def character_value(lam: PartitionLike, rho: PartitionLike) -> int:
 
 _TRIPLE_MEMO: dict[int, int] = {}
 
+# The deadline of the `kronecker` call in progress.  `kronecker` sets it for
+# the length of the call; each route polls it every few thousand nodes.
+_DEADLINE: ContextVar[Deadline] = ContextVar("kron_deadline", default=Deadline(None))
+
 # Dispatch threshold on the estimated coupled-recursion state count.
 TRIPLE_STATE_LIMIT = 30_000_000
 
@@ -147,6 +167,8 @@ def _triple(a: int, b: int, c: int) -> int:
 def _triple_compute(a: int, b: int, c: int, key: int) -> int:
     # callers guarantee a <= b <= c and a cache miss on key
     memo = _TRIPLE_MEMO
+    if not len(memo) & 1023:  # one memo entry per computed node
+        _DEADLINE.get().check()
     s = _SIZES[a]
     if s == 0:
         memo[key] = 1
@@ -218,11 +240,16 @@ def _classsum(ids: tuple[int, ...]) -> int:
             uniq.append((sid, 1))
     nfact = math.factorial(n)
     empty = _sid(())
+    dl = _DEADLINE.get()
     total = 0
+    nodes = 0
 
     def descend(remaining: int, max_part: int, z: int, last: int, run: int,
                 vecs: list[dict[int, int]]) -> None:
-        nonlocal total
+        nonlocal total, nodes
+        nodes += 1
+        if not nodes & 4095:
+            dl.check()
         if remaining == 0:
             term = nfact // z
             for (sid_, mult), vec in zip(uniq, vecs):
@@ -290,13 +317,126 @@ def triple_state_estimate(lam: PartitionLike, mu: PartitionLike, nu: PartitionLi
     return sum(ca[s] * cb[s] * cc[s] for s in range(top))
 
 
+# (sigma, sgn sigma) for sigma in S_3, sigma as 0-based images
+_S3 = (((0, 1, 2), 1), ((1, 0, 2), -1), ((0, 2, 1), -1),
+       ((2, 1, 0), -1), ((1, 2, 0), 1), ((2, 0, 1), 1))
+
+
+def _lr3(nu: tuple[int, int, int], lam: tuple[int, int, int], mu: tuple[int, int, int]) -> int:
+    """Littlewood-Richardson coefficient c^nu_{lam mu} of 3-part shapes, |nu| = |lam| + |mu|.
+
+    An LR tableau of shape nu/lam and content mu has a_ij entries j in row i:
+    row 1 holds only 1s and row 2 only 1s and 2s, so a11, a22, a31, a32,
+    a33 are fixed by t = a21.  Column strictness and the lattice condition
+    are linear in t, and the coefficient is the number of integers t in
+    the resulting interval.
+    """
+    n1, n2, n3 = nu
+    l1, l2, l3 = lam
+    m1, m2, m3 = mu
+    a11 = n1 - l1
+    d2 = n2 - l2  # a21 + a22
+    if a11 < 0 or d2 < 0 or n3 < l3:
+        return 0
+    lo = max(0, d2 - m2, d2 - a11, m2 - a11, l3 + m1 - a11 - l2, n3 - m3 - l2)
+    hi = min(d2 - m3, m1 - a11, l1 - l2)
+    return hi - lo + 1 if hi >= lo else 0
+
+
+def _boxed(n: int, box: tuple[int, int, int]) -> list[tuple[int, int, int]]:
+    """Partitions of n into at most 3 parts inside `box`, padded to 3 parts."""
+    b1, b2, b3 = box
+    out = []
+    for p1 in range(min(n, b1), -1, -1):
+        for p2 in range(min(p1, b2, n - p1), -1, -1):
+            p3 = n - p1 - p2
+            if p3 > p2:
+                break
+            if p3 <= b3:
+                out.append((p1, p2, p3))
+    return out
+
+
+def _cut(lam: tuple[int, int, int], inner: tuple[int, int, int]) -> dict[tuple[int, int, int], int]:
+    """{tau: c^lam_{tau inner}} over the nonzero coefficients.
+
+    Then c^lam_{lam1 lam2 inner} = sum over tau of c^lam_{tau inner} c^tau_{lam1 lam2};
+    for a rectangle lam the only tau is the complement of `inner` in lam.
+    """
+    out = {}
+    for tau in _boxed(sum(lam) - sum(inner), lam):
+        c = _lr3(lam, tau, inner)
+        if c:
+            out[tau] = c
+    return out
+
+
+def _lr_route(shapes: tuple[tuple[int, ...], ...]) -> int:
+    """Kronecker coefficient of three shapes of at most 3 rows via Jacobi-Trudi and LR."""
+    if any(len(s) > 3 for s in shapes):
+        raise ValueError("the LR route needs shapes with at most 3 rows")
+    # non-rectangles last, so that nu takes one and lam, mu collapse where they can
+    lam, mu, nu = (s + (0,) * (3 - len(s)) for s in sorted(shapes, key=lambda s: len(set(s)) > 1))
+    meet = tuple(map(min, lam, mu))
+    dl = _DEADLINE.get()
+    total = 0
+    for sigma, sign in _S3:
+        a1, a2, a3 = (nu[i] - i + sigma[i] for i in range(3))
+        if min(a1, a2, a3) < 0:
+            continue
+        acc = 0
+        for inner in _boxed(a3, meet):
+            cut_lam, cut_mu = _cut(lam, inner), _cut(mu, inner)
+            if not cut_lam or not cut_mu:
+                continue
+            same = cut_lam == cut_mu
+            box = tuple(min(max(t[i] for t in cut_lam), max(t[i] for t in cut_mu)) for i in range(3))
+            firsts, seconds = _boxed(a1, box), _boxed(a2, box)
+            for first in firsts:
+                dl.check()
+                for second in seconds:
+                    c_lam = 0
+                    for tau, w in cut_lam.items():
+                        c_lam += w * _lr3(tau, first, second)
+                    if not c_lam:
+                        continue
+                    if same:
+                        acc += c_lam * c_lam
+                        continue
+                    c_mu = 0
+                    for tau, w in cut_mu.items():
+                        c_mu += w * _lr3(tau, first, second)
+                    acc += c_lam * c_mu
+        total += sign * acc
+    if total < 0:
+        raise AssertionError(f"negative Kronecker value {total}")
+    return total
+
+
+def _route(shapes: tuple[tuple[int, ...], ...]) -> str:
+    """The route `kronecker(method="auto")` takes for three shapes of one size.
+
+    'lr' when every shape has at most 3 rows and at least two are
+    rectangles (both triple LR coefficients then collapse to single ones);
+    otherwise 'triple' or 'class' by the coupled-recursion state estimate.
+    """
+    if all(len(s) <= 3 for s in shapes) and sum(len(set(s)) <= 1 for s in shapes) >= 2:
+        return "lr"
+    states = triple_state_estimate(*shapes)
+    if states <= TRIPLE_STATE_LIMIT and states <= 60 * partition_count(sum(shapes[0])):
+        return "triple"
+    return "class"
+
+
 def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike,
-              method: str = "auto") -> int:
+              method: str = "auto", deadline=None) -> int:
     """Kronecker coefficient of three partitions of the same N, exactly.
 
     Equal to the class sum over cycle types rho of
     chi_lam(rho) chi_mu(rho) chi_nu(rho) / z_rho, a nonnegative integer.
-    method: 'auto' (cost-based), 'triple', or 'class'.
+    method: 'auto' (see `_route`), 'lr' (shapes of at most 3 rows),
+    'triple', or 'class'.  deadline: None, seconds, or a Deadline, polled
+    inside the route; BudgetExhausted when it passes.
     """
     shapes = tuple(_as_shape(p) for p in (lam, mu, nu))
     sizes = {sum(s) for s in shapes}
@@ -304,17 +444,20 @@ def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike,
         raise ValueError(f"partitions must have equal sizes, got {sorted(sizes)}")
     if sizes == {0}:
         return 1
-    ids = tuple(_sid(s) for s in shapes)
-    if method == "triple":
-        return _triple(*ids)
-    if method == "class":
-        return _classsum(ids)
-    if method != "auto":
+    if method == "auto":
+        method = _route(shapes)
+    if method not in ("lr", "triple", "class"):
         raise ValueError(f"unknown method {method!r}")
-    states = triple_state_estimate(*shapes)
-    if states <= TRIPLE_STATE_LIMIT and states <= 60 * partition_count(next(iter(sizes))):
-        return _triple(*ids)
-    return _classsum(ids)
+    token = _DEADLINE.set(as_deadline(deadline))
+    try:
+        if method == "lr":
+            return _lr_route(shapes)
+        ids = tuple(_sid(s) for s in shapes)
+        if method == "triple":
+            return _triple(*ids)
+        return _classsum(ids)
+    finally:
+        _DEADLINE.reset(token)
 
 
 def kronecker_class_sum(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike) -> int:
@@ -322,12 +465,12 @@ def kronecker_class_sum(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike
     return kronecker(lam, mu, nu, method="class")
 
 
-def k_rect(m: int, delta: int) -> int:
+def k_rect(m: int, delta: int, deadline=None) -> int:
     """Kronecker coefficient of three m x delta rectangles."""
     if m < 1 or delta < 0:
         raise ValueError("need m >= 1 and delta >= 0")
     rect = Partition.rectangle(m, delta)
-    return kronecker(rect, rect, rect)
+    return kronecker(rect, rect, rect, deadline=deadline)
 
 
 # ----------------------------------------------------------------------------
@@ -392,7 +535,7 @@ def exponent_monoid(m: int, delta_max: int = 12, deadline=None) -> MonoidReport:
             positive.append(delta)
             pos_set.add(delta)
             continue
-        k = k_rect(m, delta)
+        k = k_rect(m, delta, deadline=dl)
         values[delta] = k
         if k > 0:
             positive.append(delta)

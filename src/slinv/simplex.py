@@ -98,10 +98,12 @@ def solve_equality_feasibility(A: Sequence[Sequence[object]], b: Sequence[object
         for i, var in enumerate(basis):
             if var < ncols:
                 x[var] = tab[i][width]
-        assert all(v >= 0 for v in x)
+        if any(v < 0 for v in x):
+            raise AssertionError("feasible point has a negative entry")
         for i in range(len(A)):
             lhs = sum(as_scalar(A[i][j]) * x[j] for j in range(ncols))
-            assert lhs == as_scalar(b[i]), "feasible point fails verification"
+            if lhs != as_scalar(b[i]):
+                raise AssertionError("feasible point fails verification")
         return FeasibilityResult(True, x=tuple(x))
 
     # infeasible: the simplex multipliers give a Farkas certificate.
@@ -109,8 +111,10 @@ def solve_equality_feasibility(A: Sequence[Sequence[object]], b: Sequence[object
     y = [Fraction(1) - z[ncols + i] for i in range(nrows)]
     y = [-v if flipped[i] else v for i, v in enumerate(y)]
     ytb = sum(y[i] * as_scalar(b[i]) for i in range(nrows))
-    assert ytb > 0, "Farkas certificate fails y.b > 0"
+    if ytb <= 0:
+        raise AssertionError("Farkas certificate fails y.b > 0")
     for j in range(ncols):
         col = sum(y[i] * as_scalar(A[i][j]) for i in range(nrows))
-        assert col <= 0, "Farkas certificate fails y.A <= 0"
+        if col > 0:
+            raise AssertionError("Farkas certificate fails y.A <= 0")
     return FeasibilityResult(False, farkas=tuple(y))

@@ -124,7 +124,8 @@ def periods(obj: NamedObject) -> PeriodReport:
         b = m * a // D
         a_reduced = a * math.gcd(D, m) // D
         report = PeriodReport(obj, a, b, a_reduced, True, source)
-        assert D * report.b == m * report.a
+        if D * report.b != m * report.a:
+            raise AssertionError(f"periods violate D*b = m*a: D = {D}, a = {a}, b = {report.b}")
         return report
     m = obj.tensor_axis_dim()
     return PeriodReport(obj, a, m * a, None, False, source)
@@ -179,7 +180,8 @@ def minimal_degree_report(obj: NamedObject, budget: float | None = None) -> Mini
         D, m = obj.D, obj.m
         if D % 2 == 0:
             value = eval_generic_invariant(D, m, form_to_tensor(named_form("power-sum", D=D, m=m)), deadline=dl)
-            assert value == math.factorial(m)
+            if value != math.factorial(m):
+                raise AssertionError(f"generic invariant at the power sum is {value}, not {m}!")
             return MinimalDegreeReport(obj, m, m, "generic degree-m invariant is nonzero at the power sum", value)
         if 2 * m <= binomial(2 * D, D):
             return MinimalDegreeReport(
@@ -444,16 +446,19 @@ def polystable_form_support(w: SparseForm) -> SupportCertificate:
     if res.feasible:
         witness = {alpha: c for alpha, c in zip(support, res.x) if c != 0}
         recombined = [sum(c * alpha[i] for alpha, c in witness.items()) for i in range(m)]
-        assert recombined == b
+        if recombined != b:
+            raise AssertionError("witness does not recombine to the all-ones vector")
         return SupportCertificate(True, witness=witness)
     y = res.farkas
     # shift to a trace-zero separating vector: mu = -y + (sum y / m) stays
     # strictly positive on the support since <alpha, y> <= 0 < -sum y there.
     total = sum(y)
     mu = tuple(-y[i] + Fraction(total, m) for i in range(m))
-    assert sum(mu) == 0
+    if sum(mu) != 0:
+        raise AssertionError("separating vector does not sum to 0")
     values = [sum(alpha[i] * mu[i] for i in range(m)) for alpha in support]
-    assert all(v >= 0 for v in values) and any(v > 0 for v in values)
+    if any(v < 0 for v in values) or not any(v > 0 for v in values):
+        raise AssertionError("separating vector is not >= 0 on the support and > 0 somewhere")
     return SupportCertificate(False, separating=(mu,))
 
 
@@ -474,11 +479,13 @@ def polystable_tensor_support(w: SparseTensor) -> SupportCertificate:
     res = solve_equality_feasibility(A, b)
     if res.feasible:
         witness = {p: c for p, c in zip(support, res.x) if c != 0}
-        assert sum(witness.values()) == 1
+        if sum(witness.values()) != 1:
+            raise AssertionError("witness is not a distribution")
         for axis in range(3):
             for value in range(1, m + 1):
                 marg = sum(c for p, c in witness.items() if p[axis] == value)
-                assert marg == Fraction(1, m)
+                if marg != Fraction(1, m):
+                    raise AssertionError(f"witness marginal {marg} on axis {axis} is not 1/{m}")
         return SupportCertificate(True, witness=witness)
     y = res.farkas
     # -y gives weights with sum_axes <= 0 pointwise violated the other way:
@@ -491,8 +498,10 @@ def polystable_tensor_support(w: SparseTensor) -> SupportCertificate:
         vectors.append(tuple(x - Fraction(axis_total, m) for x in axis_vec))
     mu, nu, pi = vectors
     values = [mu[p[0] - 1] + nu[p[1] - 1] + pi[p[2] - 1] for p in support]
-    assert sum(mu) == 0 and sum(nu) == 0 and sum(pi) == 0
-    assert all(v >= 0 for v in values) and any(v > 0 for v in values)
+    if sum(mu) != 0 or sum(nu) != 0 or sum(pi) != 0:
+        raise AssertionError("separating vectors do not sum to 0")
+    if any(v < 0 for v in values) or not any(v > 0 for v in values):
+        raise AssertionError("separating vectors are not >= 0 on the support and > 0 somewhere")
     return SupportCertificate(False, separating=(mu, nu, pi))
 
 

@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from slinv.cli import main
 from slinv.spaces import serialize_form, serialize_tensor, determinant_form, form_to_tensor, power_sum_form
@@ -79,6 +82,45 @@ def test_count_annuli_and_tables(capsys):
 def test_kronecker_verb(capsys):
     code, out, _ = run(capsys, "kronecker", "--lam", "3,3,3", "--mu", "3,3,3", "--nu", "3,3,3")
     assert code == 0 and out.strip() == "1"
+
+
+@pytest.mark.parametrize("lam, mu, nu, value, route", [
+    ("3,3,3", "3,3,3", "3,3,3", "1", "lr"),
+    ("3,3,2,1", "3,3,3", "4,3,2", "3", "triple"),
+    ("5,3,2,1,1", "5,3,2,1,1", "5,3,2,1,1", "945", "class"),
+])
+def test_kronecker_json_reports_route(capsys, lam, mu, nu, value, route):
+    shapes = ("--lam", lam, "--mu", mu, "--nu", nu)
+    code, out, _ = run(capsys, "kronecker", *shapes, "--json")
+    assert code == 0 and json.loads(out) == {
+        "value": value, "meta": {"lam": _parts(lam), "mu": _parts(mu), "nu": _parts(nu), "route": route}}
+    code, out, _ = run(capsys, "kronecker", *shapes)
+    assert code == 0 and out == value + "\n"
+
+
+def _parts(text):
+    return [int(x) for x in text.split(",")]
+
+
+def test_krect_json_reports_route(capsys):
+    code, out, _ = run(capsys, "krect", "--m", "3", "--delta", "6", "--json")
+    assert code == 0 and json.loads(out) == {"value": "3", "meta": {"m": 3, "delta": 6, "route": "lr"}}
+    code, out, _ = run(capsys, "krect", "--m", "4", "--delta", "3", "--table", "--json")
+    assert code == 0 and json.loads(out) == {
+        "value": "1", "meta": {"m": 4, "route": "triple", "table": {"0": 1, "1": 0, "2": 1, "3": 1}}}
+
+
+@pytest.mark.parametrize("argv", [
+    ("krect", "--m", "3", "--delta", "60"),
+    ("krect", "--m", "3", "--delta", "60", "--table"),
+    ("kronecker", "--lam", "12,12,12,12", "--mu", "12,12,12,12", "--nu", "12,12,12,12"),
+])
+def test_kronecker_verbs_honour_budget(capsys, argv):
+    # each verb runs for minutes without a budget
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv, "--budget", "0.5")
+    assert code == 3 and out == "" and "budget exhausted" in err
+    assert time.monotonic() - started < 5
 
 
 def test_monoid_verb(capsys):

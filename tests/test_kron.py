@@ -1,10 +1,14 @@
 import itertools
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
-from slinv.exact import Partition, partition_tuples, partitions_of
+from slinv import kron
+from slinv.budget import BudgetExhausted, Deadline
+from slinv.exact import Partition, centralizer_order, partition_tuples, partitions_of
 from slinv.kron import (
     character_value,
     exponent_monoid,
@@ -70,6 +74,85 @@ def test_kronecker_routes_agree():
     for _ in range(10):
         lam, mu, nu = (rng.choice(parts7) for _ in range(3))
         assert kronecker(lam, mu, nu, method="triple") == kronecker_class_sum(lam, mu, nu)
+
+
+def _three_rows(n):
+    return [p for p in partition_tuples(n) if len(p) <= 3]
+
+
+def test_lr_coefficient_against_characters():
+    # c^nu_{lam mu} = sum over rho |- |lam|, pi |- |mu| of chi_lam(rho) chi_mu(pi) chi_nu(rho u pi) / (z_rho z_pi)
+    pad = lambda s: tuple(s) + (0,) * (3 - len(s))
+    for a, b in itertools.product(range(5), repeat=2):
+        for lam, mu, nu in itertools.product(_three_rows(a), _three_rows(b), _three_rows(a + b)):
+            expected = sum(Fraction(character_value(lam, rho) * character_value(mu, pi)
+                                    * character_value(nu, sorted(rho + pi, reverse=True)),
+                                    centralizer_order(rho) * centralizer_order(pi))
+                           for rho in partition_tuples(a) for pi in partition_tuples(b))
+            assert kron._lr3(pad(nu), pad(lam), pad(mu)) == expected, (nu, lam, mu)
+
+
+def test_lr_route_agrees_with_both_routes():
+    for n in range(9):
+        for lam, mu, nu in itertools.product(_three_rows(n), repeat=3):
+            value = kronecker(lam, mu, nu, method="lr")
+            assert value == kronecker(lam, mu, nu, method="triple"), (lam, mu, nu)
+            assert value == kronecker_class_sum(lam, mu, nu), (lam, mu, nu)
+
+
+def test_k_rect_three_rows_takes_lr_and_matches_triple():
+    for delta in range(1, 11):
+        rect = (delta,) * 3
+        assert kron._route((rect,) * 3) == "lr"
+        assert k_rect(3, delta) == kronecker(rect, rect, rect, method="triple")
+
+
+def test_route_selection():
+    assert kron._route(((4, 4), (4, 4), (3, 3, 2))) == "lr"
+    assert kron._route(((4, 4), (5, 3), (3, 3, 2))) == "triple"
+    assert kron._route(((2, 2, 2, 2),) * 3) == "triple"
+    assert kron._route(((5, 3, 2, 1, 1),) * 3) == "class"
+
+
+def test_lr_route_rejects_four_rows():
+    with pytest.raises(ValueError):
+        kronecker((1, 1, 1, 1), (2, 2), (2, 2), method="lr")
+    with pytest.raises(ValueError):
+        kronecker((2, 1), (2, 1), (2, 1), method="simplex")
+
+
+@pytest.mark.parametrize("method, shape", [("lr", (60, 60, 60)), ("triple", (12, 12, 12, 12)),
+                                           ("class", (7,) * 7)])
+def test_routes_poll_the_deadline(method, shape):
+    # each computation runs for minutes without a budget
+    started = time.monotonic()
+    with pytest.raises(BudgetExhausted):
+        kronecker(shape, shape, shape, method=method, deadline=0.2)
+    assert time.monotonic() - started < 5
+
+
+class _CountingDeadline(Deadline):
+    def __init__(self):
+        super().__init__(None)
+        self.checks = 0
+
+    def check(self):
+        self.checks += 1
+
+
+def test_exponent_monoid_passes_its_deadline_into_each_delta():
+    dl = _CountingDeadline()
+    exponent_monoid(3, 4, deadline=dl)
+    assert dl.checks > 4  # more than the one check per delta of the scan itself
+
+
+def test_shape_interning_guard(monkeypatch):
+    monkeypatch.setattr(kron, "_SID_LIMIT", len(kron._SHAPES))
+    n = 1 + max(sum(s) for s in kron._SHAPES)  # every partition of n is new
+    with pytest.raises(OverflowError):
+        kronecker((n,), (n,), (n - 1, 1), method="triple")
+    known = kron._SHAPES[-1]
+    assert kron._sid(known) == len(kron._SHAPES) - 1
 
 
 def test_kronecker_fully_symmetric():

@@ -1,6 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +204,26 @@ def test_polystable_tensor_certificates():
     assert sum(mu) == sum(nu) == sum(pi) == 0
     values = [mu[0] + nu[0] + pi[0], mu[0] + nu[0] + pi[1]]
     assert all(v >= 0 for v in values) and any(v > 0 for v in values)
+
+
+def test_certificate_checks_survive_optimized_mode():
+    # python -O strips assert statements; a solver returning a bogus feasible
+    # point must still be caught by the certificate check
+    script = textwrap.dedent("""
+        import slinv.theory as theory
+        from slinv.simplex import FeasibilityResult
+        from slinv.spaces import product_form
+        assert False, "assert statements are active"
+        theory.solve_equality_feasibility = lambda A, b: FeasibilityResult(True, x=(0,) * len(A[0]))
+        theory.polystable_form_support(product_form(3))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines()[-1] == (
+        "AssertionError: witness does not recombine to the all-ones vector")
 
 
 def test_polystable_rejects_zero_input():
