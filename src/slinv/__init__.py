@@ -8,7 +8,7 @@ integers for signed counts.
 """
 
 from .budget import BudgetExhausted, Deadline
-from .exact import ExactScalar, Partition, Permutation, centralizer_order, multinomial, partitions_of, perm_sign
+from .exact import ExactScalar, Partition, centralizer_order, multinomial, partitions_of, perm_sign
 from .kron import (
     MonoidReport,
     character_value,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -89,23 +90,51 @@ def _emit(args, value, meta: dict) -> None:
         print(rendered)
 
 
-def _load_checkpoint(args) -> dict[str, int] | None:
-    if not getattr(args, "checkpoint", None):
-        return None
+CHECKPOINT_VERSION = 2
+
+
+def _checkpoint_header(args) -> str:
+    """First line of a checkpoint file: format version, structure, parameters, weighting."""
+    params = " ".join(f"{name}={getattr(args, name)}" for name in ("n", "m", "d") if hasattr(args, name))
+    weighting = getattr(args, "weighting", "sign")
+    return f"slinv-checkpoint {CHECKPOINT_VERSION} {args.structure} {params} weighting={weighting}"
+
+
+def _read_checkpoint(args) -> dict[str, int]:
+    """Finished subtrees of this count from the checkpoint file ({} when it does not exist yet)."""
     path = Path(args.checkpoint)
-    if path.exists():
-        return parse_checkpoint(path.read_text(encoding="utf-8"))
-    return {}
+    if not path.exists():
+        return {}
+    header, newline, body = path.read_text(encoding="utf-8").partition("\n")
+    if header != _checkpoint_header(args):
+        raise CliError(f"checkpoint {path} belongs to another count: header {header!r}, "
+                       f"expected {_checkpoint_header(args)!r}")
+    return parse_checkpoint(newline + body)  # the blank first line keeps error line numbers those of the file
 
 
 def _write_checkpoint(args, completed: dict[str, int]) -> None:
-    if getattr(args, "checkpoint", None) and completed is not None:
-        merged = {}
-        path = Path(args.checkpoint)
-        if path.exists():
-            merged.update(parse_checkpoint(path.read_text(encoding="utf-8")))
-        merged.update(completed)
-        path.write_text(serialize_checkpoint(merged), encoding="utf-8")
+    """Replace the checkpoint file atomically; `completed` includes every subtree it was resumed from."""
+    path = Path(args.checkpoint)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(_checkpoint_header(args) + "\n" + serialize_checkpoint(completed), encoding="utf-8")
+    os.replace(tmp, path)
+
+
+def _load_form(args):
+    if args.file:
+        return parse_form(Path(args.file).read_text(encoding="utf-8"))
+    if not args.kind:
+        raise CliError("need --kind or --file")
+    return named_form(args.kind, m=args.m, D=args.D, n=args.n)
+
+
+def _load_tensor(args):
+    if args.file:
+        return parse_tensor(Path(args.file).read_text(encoding="utf-8"))
+    if not args.kind:
+        raise CliError("need --kind or --file")
+    kind = {"unit": "unit-tensor", "matmul": "matmul-tensor"}.get(args.kind, args.kind)
+    return named_tensor(kind, m=args.m, n=args.n)
 
 
 def _require_budget(args, what: str) -> None:
@@ -123,14 +152,9 @@ def _require_budget(args, what: str) -> None:
 def _cmd_invariant(args) -> int:
     deadline = Deadline(args.budget)
     if args.target == "form":
-        if args.file:
-            form = parse_form(Path(args.file).read_text(encoding="utf-8"))
-        else:
-            if not args.kind:
-                raise CliError("need --kind or --file")
-            if args.kind in ("determinant", "permanent") and args.n is not None and args.n >= 3:
-                _require_budget(args, f"evaluating the degree-{args.n} invariant of {args.kind}_{args.n}")
-            form = named_form(args.kind, m=args.m, D=args.D, n=args.n)
+        if not args.file and args.kind in ("determinant", "permanent") and args.n is not None and args.n >= 3:
+            _require_budget(args, f"evaluating the degree-{args.n} invariant of {args.kind}_{args.n}")
+        form = _load_form(args)
         tensor = form_to_tensor(form)
         if args.cyclic:
             if form.D != form.m:
@@ -143,13 +167,7 @@ def _cmd_invariant(args) -> int:
         _emit(args, value, meta)
         return EXIT_OK
 
-    if args.file:
-        tensor = parse_tensor(Path(args.file).read_text(encoding="utf-8"))
-    else:
-        if not args.kind:
-            raise CliError("need --kind or --file")
-        kind = {"unit": "unit-tensor", "matmul": "matmul-tensor"}.get(args.kind, args.kind)
-        tensor = named_tensor(kind, m=args.m, n=args.n)
+    tensor = _load_tensor(args)
     if args.format:
         n1, n2, n3 = args.format
         value = eval_tensor_invariant_format(n1, n2, n3, tensor, deadline=deadline)
@@ -179,7 +197,7 @@ def _cmd_eval_tableau(args) -> int:
 
 def _cmd_count(args) -> int:
     deadline = Deadline(args.budget)
-    checkpoint = _load_checkpoint(args)
+    checkpoint = _read_checkpoint(args) if args.checkpoint else None
     workers = args.threads
     started = time.monotonic()
     try:
@@ -201,7 +219,8 @@ def _cmd_count(args) -> int:
                 args.n, args.weighting, workers=workers, deadline=deadline, checkpoint=checkpoint)
             meta = {"structure": "admissible-tables", "n": args.n, "weighting": args.weighting}
     except BudgetExhausted as exc:
-        _write_checkpoint(args, exc.completed)
+        if args.checkpoint:
+            _write_checkpoint(args, exc.completed)
         done = len(exc.completed or {})
         print(f"budget exhausted after {time.monotonic() - started:.1f}s "
               f"({done} subtrees finished{' and checkpointed' if args.checkpoint else ''})",
@@ -384,27 +403,14 @@ def _cmd_normality(args) -> int:
 
 def _cmd_polystable(args) -> int:
     if args.target == "form":
-        if args.file:
-            form = parse_form(Path(args.file).read_text(encoding="utf-8"))
-        else:
-            if not args.kind:
-                raise CliError("need --kind or --file")
-            form = named_form(args.kind, m=args.m, D=args.D, n=args.n)
-        cert = polystable_form_support(form)
+        cert = polystable_form_support(_load_form(args))
         witness = None
         if cert.witness is not None:
             witness = {" ".join(str(a) for a in alpha): format_scalar(c) for alpha, c in sorted(cert.witness.items())}
         separating = None if cert.separating is None else [
             [format_scalar(x) for x in vec] for vec in cert.separating]
     else:
-        if args.file:
-            tensor = parse_tensor(Path(args.file).read_text(encoding="utf-8"))
-        else:
-            if not args.kind:
-                raise CliError("need --kind or --file")
-            kind = {"unit": "unit-tensor", "matmul": "matmul-tensor"}.get(args.kind, args.kind)
-            tensor = named_tensor(kind, m=args.m, n=args.n)
-        cert = polystable_tensor_support(tensor)
+        cert = polystable_tensor_support(_load_tensor(args))
         witness = None
         if cert.witness is not None:
             witness = {" ".join(str(i) for i in p): format_scalar(c) for p, c in sorted(cert.witness.items())}
@@ -566,16 +572,7 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except ValueError as exc:
+    except (CliError, ParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except BudgetExhausted:

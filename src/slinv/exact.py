@@ -37,45 +37,6 @@ def format_scalar(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of [n], stored 1-based as the tuple of images."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self∘other)(i) = self(other(i))."""
-        if other.size != self.size:
-            raise ValueError("size mismatch")
-        return Permutation(tuple(self(other(i)) for i in range(1, self.size + 1)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.size
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(tuple(inv))
-
-    @property
-    def sign(self) -> int:
-        return perm_sign(self)
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-
 def sequence_sign(seq: Sequence[int]) -> int:
     """Parity of a sequence of distinct comparable values, +1 or -1.
 
@@ -92,9 +53,8 @@ def sequence_sign(seq: Sequence[int]) -> int:
     return -1 if inversions & 1 else 1
 
 
-def perm_sign(p: Union[Permutation, Sequence[int]]) -> int:
-    """Sign of a permutation given as a Permutation or a 1-based image tuple."""
-    images = p.images if isinstance(p, Permutation) else tuple(p)
+def perm_sign(images: Sequence[int]) -> int:
+    """Sign of a permutation given as its 1-based image sequence."""
     if sorted(images) != list(range(1, len(images) + 1)):
         raise ValueError(f"not a permutation: {images}")
     return sequence_sign(images)

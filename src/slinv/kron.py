@@ -526,8 +526,9 @@ def exponent_monoid(m: int, delta_max: int = 12, deadline=None) -> MonoidReport:
     for delta in range(1, delta_max + 1):
         dl.check()
         rect = Partition.rectangle(m, delta)
-        states = triple_state_estimate(rect, rect, rect)
-        cheap = states <= _CHEAP_TRIPLE_STATES or partition_count(m * delta) <= _CHEAP_CLASSES
+        cheap = (_route((rect.parts,) * 3) == "lr"
+                 or triple_state_estimate(rect, rect, rect) <= _CHEAP_TRIPLE_STATES
+                 or partition_count(m * delta) <= _CHEAP_CLASSES)
         inferable = any(delta - a in pos_set for a in pos_set if 0 < a < delta)
         if not cheap and inferable:
             values[delta] = None

@@ -1,36 +1,93 @@
 """Signed enumeration of column-signed Latin squares, Latin annuli, Latin
-cubes, and admissible tables.
+cubes, and admissible tables, on one signed label-placement kernel.
 
-Every counter returns (#even) - (#odd) as an exact Python int.  They all
-follow the same pattern: backtracking in a fixed canonical cell order with
-per-line bitmask constraint propagation, and permutation signs accumulated
-incrementally as inversion counts against the already-placed prefix of
-each line.  The enumeration is split into top-level subtrees (the choices
-for the first column / first row / first slice row), which is what the
-optional checkpointing and worker parallelism operate on; results merge by
-integer addition, so parallel output is identical to serial output.
+Every counter returns (#even) - (#odd) as an exact Python int, and every
+one of them, like the generic form and tensor invariants, is the same sum:
+a fixed sequence of steps, each placing a tuple of labels on a tuple of
+lines.  No label may repeat on a line; a signed line contributes the sign
+of the permutation its labels form in placement order, accumulated as
+inversions against the labels already on it; each placement carries an
+integer weight.  `_signed_dfs` evaluates that sum by backtracking, with
+all line masks packed into one integer, so a candidate costs one test for
+reuse and one popcount for its inversions.
+
+The enumeration is split into top-level subtrees (the choices for the
+first column / first row / first points), which is what checkpointing and
+worker parallelism operate on; a subtree is the same step sequence with a
+single candidate at its fixed steps.  Results merge by integer addition,
+so parallel output is identical to serial output.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
+import math
 from multiprocessing import Pool
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
-from .budget import BudgetExhausted, as_deadline
+from .budget import BudgetExhausted, Deadline, as_deadline
 from .exact import perm_sign
 
 _CHECK_MASK = 0x3FF  # deadline polling period in DFS nodes
 
 
-def _expired(deadline_at: Optional[float]) -> bool:
-    return deadline_at is not None and time.monotonic() > deadline_at
+def _signed_dfs(steps: Sequence[tuple], deadline: Deadline) -> int:
+    """Sum over all placements of sign * product of candidate weights.
+
+    steps[t] = (lines, signed, candidates); a candidate (labels, weight)
+    puts the positive integer labels[k] on line lines[k] and multiplies the
+    term by the integer weight.  A placement picks one candidate per step
+    such that no line receives a label twice; its sign is (-1)^(inversions
+    on the lines whose signed[k] is true), each line read in step order.
+    """
+    width = 1 + max((max(labels) for _, _, cands in steps for labels, _ in cands), default=0)
+    segment = (1 << width) - 1
+    # Line l owns bits l*width .. l*width + width - 1 of the packed state.  Per
+    # step: (bits the candidate sets, bits whose presence is an inversion, weight).
+    plan = []
+    for lines, signed, cands in steps:
+        packed = []
+        for labels, weight in cands:
+            bits = above = 0
+            for line, flag, label in zip(lines, signed, labels):
+                bits |= 1 << (line * width + label)
+                if flag:
+                    above |= (segment & -(2 << label)) << (line * width)
+            packed.append((bits, above, weight))
+        plan.append(packed)
+    last = len(plan) - 1
+    total = 0
+    nodes = 0
+
+    def fill(t: int, state: int, inv: int, w: int) -> None:
+        nonlocal total, nodes
+        nodes += 1
+        if not nodes & _CHECK_MASK:
+            deadline.check()
+        if t == last:  # add the leaves here, saving one call per leaf
+            for bits, above, weight in plan[t]:
+                if not state & bits:
+                    if (inv + (state & above).bit_count()) & 1:
+                        total -= w * weight
+                    else:
+                        total += w * weight
+            return
+        for bits, above, weight in plan[t]:
+            if not state & bits:
+                fill(t + 1, state | bits, inv + (state & above).bit_count(), w * weight)
+
+    fill(0, 0, 0, 1)
+    return total
 
 
-def _above(mask: int, value: int) -> int:
-    """Number of set bits in `mask` at positions strictly greater than `value`."""
-    return (mask >> (value + 1)).bit_count()
+def _integer_weights(entries: dict) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """(den, candidates): the rational entries scaled by their common denominator.
+
+    A placement multiplies one weight per step, so the kernel's integer sum
+    over s steps divided by den**s is the rational sum.
+    """
+    den = math.lcm(*(w.denominator for w in entries.values()))
+    return den, [(idx, int(w * den)) for idx, w in entries.items()]
 
 
 # ----------------------------------------------------------------------------
@@ -38,186 +95,54 @@ def _above(mask: int, value: int) -> int:
 # ----------------------------------------------------------------------------
 
 
-def _squares_subtree(n: int, col0: tuple[int, ...], deadline_at: Optional[float]) -> int:
-    """Signed count of Latin squares of order n whose first column is col0."""
-    row_used = [1 << col0[r] for r in range(n)]
-    inv0 = 0
-    seen = 0
-    for v in col0:
-        inv0 += _above(seen, v)
-        seen |= 1 << v
-    total = 0
-    nodes = 0
+def _latin_subtree(lines: tuple[tuple[int, ...], ...], col0: tuple[int, ...], deadline: Deadline) -> int:
+    """Signed count of column-signed Latin arrays whose first column is col0.
 
-    def fill(col: int, row: int, col_used: int, inv: int) -> None:
-        nonlocal total, nodes
-        if col == n:
-            total += -1 if inv & 1 else 1
-            return
-        nodes += 1
-        if (nodes & _CHECK_MASK) == 0 and _expired(deadline_at):
-            raise BudgetExhausted()
-        if row == n:
-            fill(col + 1, 0, 0, inv)
-            return
-        free = ~(row_used[row] | col_used)
-        for v in range(1, n + 1):
-            bit = 1 << v
-            if free & bit:
-                row_used[row] |= bit
-                fill(col, row + 1, col_used | bit, inv + _above(col_used, v))
-                row_used[row] &= ~bit
-
-    fill(1, 0, 0, inv0)
-    return total
+    The array has len(col0) rows and len(lines) columns; cell (r, c) lies on
+    its column, which is signed, and on the unsigned line lines[c][r]: its
+    row for squares, its wrap-around diagonal for annuli.
+    """
+    m = len(col0)
+    first_column = 1 + max(map(max, lines))
+    every = [((v, v), 1) for v in range(1, m + 1)]
+    steps = [((lines[c][r], first_column + c), (False, True),
+              every if c else [((col0[r], col0[r]), 1)])
+             for c in range(len(lines)) for r in range(m)]
+    return _signed_dfs(steps, deadline)
 
 
-def _annuli_subtree(m: int, d: int, col0: tuple[int, ...], deadline_at: Optional[float]) -> int:
-    """Signed count of m x d Latin annuli whose first column is col0."""
-    diag_used = [0] * d  # diagonal of cell (row k, col j), 0-based: (j - k) mod d
-    for k, v in enumerate(col0):
-        diag_used[(0 - k) % d] |= 1 << v
-    inv0 = 0
-    seen = 0
-    for v in col0:
-        inv0 += _above(seen, v)
-        seen |= 1 << v
-    total = 0
-    nodes = 0
-
-    def fill(col: int, row: int, col_used: int, inv: int) -> None:
-        nonlocal total, nodes
-        if col == d:
-            total += -1 if inv & 1 else 1
-            return
-        nodes += 1
-        if (nodes & _CHECK_MASK) == 0 and _expired(deadline_at):
-            raise BudgetExhausted()
-        if row == m:
-            fill(col + 1, 0, 0, inv)
-            return
-        diag = (col - row) % d
-        free = ~(diag_used[diag] | col_used)
-        for v in range(1, m + 1):
-            bit = 1 << v
-            if free & bit:
-                diag_used[diag] |= bit
-                fill(col, row + 1, col_used | bit, inv + _above(col_used, v))
-                diag_used[diag] &= ~bit
-
-    fill(1, 0, 0, inv0)
-    return total
-
-
-def _cube_points(n: int) -> list[tuple[int, int, int]]:
-    return [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
-
-
-def _cubes_subtree(n: int, first_labels: tuple[int, ...], deadline_at: Optional[float]) -> int:
+def _cubes_subtree(n: int, first_labels: tuple[int, ...], deadline: Deadline) -> int:
     """Signed count of Latin cubes of size n whose first n points carry first_labels.
 
     Points are taken in lexicographic order on [n]^3; the first n points are
     (1,1,1..n).  The sign is the product of the 3n slice-permutation signs,
     each slice read in the induced lexicographic order.
     """
-    points = _cube_points(n)
-    x_used = [0] * n
-    y_used = [0] * n
-    z_used = [0] * n
-    inv = 0
-    for (x, y, z), lab in zip(points, first_labels):
-        inv += _above(x_used[x], lab) + _above(y_used[y], lab) + _above(z_used[z], lab)
-        bit = 1 << lab
-        x_used[x] |= bit
-        y_used[y] |= bit
-        z_used[z] |= bit
-    total = 0
-    nodes = 0
-    nsq = n * n
-    npts = len(points)
-
-    def fill(t: int, inv: int) -> None:
-        nonlocal total, nodes
-        if t == npts:
-            total += -1 if inv & 1 else 1
-            return
-        nodes += 1
-        if (nodes & _CHECK_MASK) == 0 and _expired(deadline_at):
-            raise BudgetExhausted()
-        x, y, z = points[t]
-        ux, uy, uz = x_used[x], y_used[y], z_used[z]
-        free = ~(ux | uy | uz)
-        for lab in range(1, nsq + 1):
-            bit = 1 << lab
-            if free & bit:
-                x_used[x] = ux | bit
-                y_used[y] = uy | bit
-                z_used[z] = uz | bit
-                fill(t + 1, inv + _above(ux, lab) + _above(uy, lab) + _above(uz, lab))
-        x_used[x], y_used[y], z_used[z] = ux, uy, uz
-
-    fill(len(first_labels), inv)
-    return total
+    every = [((lab, lab, lab), 1) for lab in range(1, n * n + 1)]
+    steps = [((x, n + y, 2 * n + z), (True, True, True),
+              [((first_labels[t],) * 3, 1)] if t < len(first_labels) else every)
+             for t, (x, y, z) in enumerate(itertools.product(range(n), repeat=3))]
+    return _signed_dfs(steps, deadline)
 
 
-def _tables_subtree(
-    n: int, weighting: str, first_row: tuple[int, int], deadline_at: Optional[float]
-) -> int:
+def _tables_subtree(n: int, weighting: str, first_row: tuple[int, int], deadline: Deadline) -> int:
     """Signed count of admissible tables with a fixed first row pair.
 
-    first_row = (index into Sn for S's row 1, index for T's row 1).
+    first_row = (index into Sn for S's row 1, index for T's row 1).  A row
+    pair (sigma, tau) puts the code (sigma(j) - 1) * n + tau(j) on column j.
     """
     perms = list(itertools.permutations(range(1, n + 1)))
-    signs = [perm_sign(p) for p in perms]
-    use_row_sign = weighting == "det"
-    nsq = n * n
-    col_used = [0] * n
-    s0, t0 = first_row
-    sigma0, tau0 = perms[s0], perms[t0]
-    inv = 0
-    row_sign0 = signs[s0] * signs[t0] if use_row_sign else 1
-    for j in range(n):
-        code = (sigma0[j] - 1) * n + tau0[j]
-        inv += _above(col_used[j], code)
-        col_used[j] |= 1 << code
-    total = 0
-    nodes = 0
-
-    def fill(i: int, row_sign: int, inv: int) -> None:
-        nonlocal total, nodes
-        if i == nsq:
-            sign = row_sign * (-1 if inv & 1 else 1)
-            total += sign
-            return
-        nodes += 1
-        if (nodes & _CHECK_MASK) == 0 and _expired(deadline_at):
-            raise BudgetExhausted()
-        for si, sigma in enumerate(perms):
-            for ti, tau in enumerate(perms):
-                codes = [(sigma[j] - 1) * n + tau[j] for j in range(n)]
-                ok = True
-                add_inv = 0
-                for j in range(n):
-                    if col_used[j] & (1 << codes[j]):
-                        ok = False
-                        break
-                    add_inv += _above(col_used[j], codes[j])
-                if not ok:
-                    continue
-                for j in range(n):
-                    col_used[j] |= 1 << codes[j]
-                rs = row_sign * signs[si] * signs[ti] if use_row_sign else row_sign
-                fill(i + 1, rs, inv + add_inv)
-                for j in range(n):
-                    col_used[j] &= ~(1 << codes[j])
-
-    fill(1, row_sign0, inv)
-    return total
+    rows = [(tuple((sigma[j] - 1) * n + tau[j] for j in range(n)),
+             perm_sign(sigma) * perm_sign(tau) if weighting == "det" else 1)
+            for sigma in perms for tau in perms]
+    columns = (tuple(range(n)), (True,) * n)
+    first = rows[first_row[0] * len(perms) + first_row[1]]
+    return _signed_dfs([(*columns, [first])] + [(*columns, rows)] * (n * n - 1), deadline)
 
 
 _SUBTREE_FNS: dict[str, Callable[..., int]] = {
-    "squares": _squares_subtree,
-    "annuli": _annuli_subtree,
+    "squares": _latin_subtree,
+    "annuli": _latin_subtree,
     "cubes": _cubes_subtree,
     "tables": _tables_subtree,
 }
@@ -235,20 +160,24 @@ def _run_tasks(
     kind: str,
     tasks: list[tuple[str, tuple]],
     workers: int,
-    deadline_at: Optional[float],
+    deadline: Deadline,
     checkpoint: Optional[dict[str, int]],
 ) -> int:
     """Run subtree tasks (serially or on a pool) and sum their signed counts.
 
     `checkpoint` maps canonical prefixes to finished subtree counts and is
-    consulted before computing; on budget exhaustion the raise carries every
-    completed subtree so the caller can persist them.
+    consulted before computing; a prefix that is not one of `tasks` raises
+    ValueError.  On budget exhaustion the raise carries every completed
+    subtree so the caller can persist them.
     """
     completed: dict[str, int] = dict(checkpoint or {})
+    stray = completed.keys() - {key for key, _ in tasks}
+    if stray:
+        raise ValueError(f"checkpoint subtree {min(stray)} is not part of this count")
     todo = [(key, args) for key, args in tasks if key not in completed]
     if workers <= 1 or len(todo) <= 1:
         for key, args in todo:
-            if _expired(deadline_at):
+            if deadline.expired():
                 raise BudgetExhausted(completed=completed)
             try:
                 completed[key] = _SUBTREE_FNS[kind](*args)
@@ -283,8 +212,9 @@ def signed_latin_squares(
     if n < 1:
         raise ValueError("need n >= 1")
     dl = as_deadline(deadline)
-    tasks = [(_prefix_key(p), (n, p, dl.at)) for p in itertools.permutations(range(1, n + 1))]
-    return _run_tasks("squares", tasks, workers, dl.at, checkpoint)
+    rows = (tuple(range(n)),) * n
+    tasks = [(_prefix_key(p), (rows, p, dl)) for p in itertools.permutations(range(1, n + 1))]
+    return _run_tasks("squares", tasks, workers, dl, checkpoint)
 
 
 def signed_latin_annuli(
@@ -303,8 +233,9 @@ def signed_latin_annuli(
     if m < 1 or d < m:
         raise ValueError("need 1 <= m <= d")
     dl = as_deadline(deadline)
-    tasks = [(_prefix_key(p), (m, d, p, dl.at)) for p in itertools.permutations(range(1, m + 1))]
-    return _run_tasks("annuli", tasks, workers, dl.at, checkpoint)
+    diagonals = tuple(tuple((c - r) % d for r in range(m)) for c in range(d))
+    tasks = [(_prefix_key(p), (diagonals, p, dl)) for p in itertools.permutations(range(1, m + 1))]
+    return _run_tasks("annuli", tasks, workers, dl, checkpoint)
 
 
 def signed_latin_cubes(
@@ -313,25 +244,20 @@ def signed_latin_cubes(
     workers: int = 1,
     deadline=None,
     checkpoint: Optional[dict[str, int]] = None,
-    force_enumerate: bool = False,
 ) -> int:
     """(# even) - (# odd) Latin cubes of size n, sign over all 3n slices.
 
     For odd n >= 3 the swap of two fixed symbols is a sign-reversing
     involution (each of the 3n slices picks up one transposition), so the
-    count is 0 without enumeration; pass force_enumerate=True to count
-    anyway.  n = 1 has a single, even cube.
+    count is 0 without enumeration.  n = 1 has a single, even cube.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if n % 2 == 1 and n >= 3 and not force_enumerate:
+    if n % 2 == 1 and n >= 3:
         return 0
     dl = as_deadline(deadline)
-    nsq = n * n
-    tasks = []
-    for labels in itertools.permutations(range(1, nsq + 1), n):
-        tasks.append((_prefix_key(labels), (n, labels, dl.at)))
-    return _run_tasks("cubes", tasks, workers, dl.at, checkpoint)
+    tasks = [(_prefix_key(labels), (n, labels, dl)) for labels in itertools.permutations(range(1, n * n + 1), n)]
+    return _run_tasks("cubes", tasks, workers, dl, checkpoint)
 
 
 def signed_admissible_tables(
@@ -353,12 +279,9 @@ def signed_admissible_tables(
     if weighting not in ("det", "per"):
         raise ValueError("weighting must be 'det' or 'per'")
     dl = as_deadline(deadline)
-    nperm = len(list(itertools.permutations(range(1, n + 1))))
-    tasks = []
-    for si in range(nperm):
-        for ti in range(nperm):
-            tasks.append((f"{si}/{ti}", (n, weighting, (si, ti), dl.at)))
-    return _run_tasks("tables", tasks, workers, dl.at, checkpoint)
+    nperm = math.factorial(n)
+    tasks = [(f"{si}/{ti}", (n, weighting, (si, ti), dl)) for si in range(nperm) for ti in range(nperm)]
+    return _run_tasks("tables", tasks, workers, dl, checkpoint)
 
 
 # -- checkpoint file format ----------------------------------------------------

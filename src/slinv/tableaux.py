@@ -8,6 +8,13 @@ on order-D cubic tensors: a sum over s-tuples of permutations of [m],
 signed by the product of the permutation signs, of products of d tensor
 entries.  Scaling by any g in GL_m multiplies the value by det(g)^s,
 which is what makes these useful as special-linear invariants.
+
+The generic tableau (symbol i in every cell of row i) has one tensor
+factor per row, so its invariant is a signed label-placement sum: step i
+places a support element of the tensor across all D columns at once.  It
+runs on the shared kernel `latin._signed_dfs`.  A general tableau keeps
+its own cell-by-cell walk, because a tensor factor is known only once its
+last occurrence is placed, which can be many columns later.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .budget import as_deadline
 from .exact import binomial, sequence_sign
+from .latin import _integer_weights, _signed_dfs
 from .spaces import ParseError, SparseTensor
 
 
@@ -220,82 +228,22 @@ def eval_tableau_invariant(T: Tableau, v: SparseTensor, deadline=None) -> Fracti
     return total
 
 
-def _is_relabel_invariant(v: SparseTensor, m: int) -> bool:
-    """True when v is fixed by every simultaneous relabeling of all indices."""
-    swaps = [(a, a + 1) for a in range(1, m)]  # adjacent transpositions generate
-    for a, b in swaps:
-        relabel = {a: b, b: a}
-        for idx, value in v.entries.items():
-            moved = tuple(relabel.get(x, x) for x in idx)
-            if v.entries.get(moved) != value:
-                return False
-    return True
-
-
-def eval_generic_invariant(
-    D: int, m: int, v: SparseTensor, deadline=None, symmetry_reduction: bool = False
-) -> Fraction:
+def eval_generic_invariant(D: int, m: int, v: SparseTensor, deadline=None) -> Fraction:
     """Exact value of the degree-m generic invariant on order-D tensors over C^m.
 
     Fast path for the all-i-in-row-i tableau: rather than walking columns,
-    assemble for each i = 1..m the full D-tuple of column images directly
-    from the nonzero entries of v, with one injectivity bitmask per column.
+    step i = 1..m places a whole support element nu of v at once, nu[j]
+    becoming the image of i under the j-th column permutation.  That is the
+    signed label-placement sum of `latin._signed_dfs` with the D column
+    permutations as signed lines and the entries of v as weights.
     Identical results to eval_tableau_invariant on the generic tableau.
-
-    symmetry_reduction folds the simultaneous-relabeling orbit: the first
-    index of the first factor is pinned and the sum scaled by m.  Only
-    legal when D is even and v is invariant under relabeling all indices
-    at once (checked; the relabeling twists each term by sign^D, so odd D
-    would need signed orbit bookkeeping instead of a plain factor).
     """
-    dl = as_deadline(deadline)
     if D < 1 or m < 1:
         raise ValueError("need D >= 1 and m >= 1")
     _check_cubic(v, D, m)
-    support = sorted(v.entries.items())
-    if not support:
-        return Fraction(0)
-    if symmetry_reduction:
-        if D % 2 != 0:
-            raise ValueError("symmetry reduction needs even order D")
-        if not _is_relabel_invariant(v, m):
-            raise ValueError("symmetry reduction needs a relabeling-invariant tensor")
-
-    used = [0] * D  # bitmask of already-used images per column permutation
-    sigma = [[0] * m for _ in range(D)]
-    total = Fraction(0)
-    node_counter = 0
-
-    def dfs(i: int, product: Fraction) -> None:
-        nonlocal total, node_counter
-        node_counter += 1
-        if node_counter % 4096 == 0:
-            dl.check()
-        if i == m:
-            sign = 1
-            for j in range(D):
-                sign *= sequence_sign(sigma[j])
-            total += sign * product
-            return
-        for nu, w in support:
-            if i == 0 and symmetry_reduction and nu[0] != 1:
-                continue  # pin sigma_1(1); the m relabel-orbit copies are equal
-            ok = True
-            for j in range(D):
-                if used[j] & (1 << nu[j]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for j in range(D):
-                used[j] |= 1 << nu[j]
-                sigma[j][i] = nu[j]
-            dfs(i + 1, product * w)
-            for j in range(D):
-                used[j] &= ~(1 << nu[j])
-
-    dfs(0, Fraction(1))
-    return m * total if symmetry_reduction else total
+    den, support = _integer_weights(v.entries)
+    step = (tuple(range(D)), (True,) * D, support)
+    return Fraction(_signed_dfs([step] * m, as_deadline(deadline)), den**m)
 
 
 def eval_cyclic_invariant(D: int, v: SparseTensor, deadline=None) -> Fraction:

@@ -5,8 +5,11 @@ triples of labelings of the point cube [n]^3 (one labeling per tensor
 factor), each weighted by the product of its slice-permutation signs and
 by the product of tensor entries over all points.  A labeling whose
 restriction to some axis slice fails to be a bijection contributes sign 0,
-so the enumeration couples the three labelings point by point and prunes
-on zero entries first and broken slice-bijectivity second.
+so the enumeration couples the three labelings point by point: each point
+is one step of the signed label-placement kernel `latin._signed_dfs`,
+placing a support element (a, b, c) of the tensor on the point's x-, y-
+and z-slice, all three signed, weighted by the entry.  Only support
+elements are candidates, so zero entries never enter the search.
 
 The total order on points is lexicographic in (x, y, z); it fixes how each
 slice is read off as a permutation.  Changing it could flip the overall
@@ -19,13 +22,14 @@ import itertools
 from fractions import Fraction
 from .budget import as_deadline
 from .exact import sequence_sign
+from .latin import _integer_weights, _signed_dfs
 from .spaces import SparseTensor, pair_index
 
-_CHECK_MASK = 0xFFF
 
-
-def _above(mask: int, value: int) -> int:
-    return (mask >> (value + 1)).bit_count()
+def _point_steps(n1: int, n2: int, n3: int, candidates: list) -> list:
+    """One kernel step per point (x, y, z), in lexicographic order, on its x-, y- and z-slice."""
+    return [((x, n1 + y, n1 + n2 + z), (True, True, True), candidates)
+            for x, y, z in itertools.product(range(n1), range(n2), range(n3))]
 
 
 def eval_tensor_invariant_format(
@@ -42,40 +46,9 @@ def eval_tensor_invariant_format(
     d1, d2, d3 = n2 * n3, n1 * n3, n1 * n2
     if w.order != 3 or w.shape != (d1, d2, d3):
         raise ValueError(f"tensor shape {w.shape} does not match ({d1}, {d2}, {d3})")
-    support = sorted(w.entries.items())
-    if not support:
-        return Fraction(0)
-    dl = as_deadline(deadline)
-
-    points = [(x, y, z) for x in range(n1) for y in range(n2) for z in range(n3)]
-    npts = len(points)
-    a_used = [0] * n1  # labels of the first labeling per x-slice
-    b_used = [0] * n2
-    c_used = [0] * n3
-    total = Fraction(0)
-    nodes = 0
-
-    def fill(t: int, inv: int, product: Fraction) -> None:
-        nonlocal total, nodes
-        if t == npts:
-            total += product if inv % 2 == 0 else -product
-            return
-        nodes += 1
-        if (nodes & _CHECK_MASK) == 0:
-            dl.check()
-        x, y, z = points[t]
-        ux, uy, uz = a_used[x], b_used[y], c_used[z]
-        for (a, b, c), value in support:
-            if (ux >> a) & 1 or (uy >> b) & 1 or (uz >> c) & 1:
-                continue
-            a_used[x] = ux | (1 << a)
-            b_used[y] = uy | (1 << b)
-            c_used[z] = uz | (1 << c)
-            fill(t + 1, inv + _above(ux, a) + _above(uy, b) + _above(uz, c), product * value)
-        a_used[x], b_used[y], c_used[z] = ux, uy, uz
-
-    fill(0, 0, Fraction(1))
-    return total
+    den, support = _integer_weights(w.entries)
+    total = _signed_dfs(_point_steps(n1, n2, n3, support), as_deadline(deadline))
+    return Fraction(total, den ** (n1 * n2 * n3))
 
 
 def eval_tensor_invariant(n: int, w: SparseTensor, deadline=None) -> Fraction:
@@ -86,49 +59,17 @@ def eval_tensor_invariant(n: int, w: SparseTensor, deadline=None) -> Fraction:
 def eval_tensor_invariant_matmul(n: int, deadline=None) -> int:
     """The cubic invariant evaluated at the size-n matrix multiplication tensor.
 
-    Independent of the generic evaluator: parametrizes the labelings by
-    coordinate maps mu, nu, pi: [n]^3 -> [n] (the tensor's support couples
-    consecutive labelings through shared coordinates) and enumerates those
-    directly with per-slice pair-bijectivity bitmasks.  Always an integer.
+    Independent of the generic evaluator's candidate set: parametrizes the
+    labelings by coordinate maps mu, nu, pi: [n]^3 -> [n] (the tensor's
+    support couples consecutive labelings through shared coordinates), so
+    each point takes one of the n^3 triples (mu, nu, pi) and puts the pair
+    codes (mu, nu), (nu, pi), (pi, mu) on its three slices.  Always an integer.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    dl = as_deadline(deadline)
-    points = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
-    npts = len(points)
-    x_used = [0] * n  # pair codes (mu, nu) per x-slice
-    y_used = [0] * n  # pair codes (nu, pi) per y-slice
-    z_used = [0] * n  # pair codes (pi, mu) per z-slice
-    triples = [
-        (mu, nu, pi, pair_index(mu, nu, n), pair_index(nu, pi, n), pair_index(pi, mu, n))
-        for mu in range(1, n + 1)
-        for nu in range(1, n + 1)
-        for pi in range(1, n + 1)
-    ]
-    total = 0
-    nodes = 0
-
-    def fill(t: int, inv: int) -> None:
-        nonlocal total, nodes
-        if t == npts:
-            total += -1 if inv & 1 else 1
-            return
-        nodes += 1
-        if (nodes & _CHECK_MASK) == 0:
-            dl.check()
-        x, y, z = points[t]
-        ux, uy, uz = x_used[x], y_used[y], z_used[z]
-        for mu, nu, pi, xc, yc, zc in triples:
-            if (ux >> xc) & 1 or (uy >> yc) & 1 or (uz >> zc) & 1:
-                continue
-            x_used[x] = ux | (1 << xc)
-            y_used[y] = uy | (1 << yc)
-            z_used[z] = uz | (1 << zc)
-            fill(t + 1, inv + _above(ux, xc) + _above(uy, yc) + _above(uz, zc))
-        x_used[x], y_used[y], z_used[z] = ux, uy, uz
-
-    fill(0, 0)
-    return total
+    triples = [((pair_index(mu, nu, n), pair_index(nu, pi, n), pair_index(pi, mu, n)), 1)
+               for mu, nu, pi in itertools.product(range(1, n + 1), repeat=3)]
+    return _signed_dfs(_point_steps(n, n, n, triples), as_deadline(deadline))
 
 
 def brute_tensor_invariant_format(n1: int, n2: int, n3: int, w: SparseTensor) -> Fraction:

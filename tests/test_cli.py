@@ -201,3 +201,37 @@ def test_threads_flag_identical_output(capsys):
     code2, out2, _ = run(capsys, "count", "latin-squares", "3", "--threads", "2")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_checkpoint_of_another_count_exits_two(tmp_path, capsys):
+    ckpt = tmp_path / "annuli.ckpt"
+    code, _, _ = run(capsys, "count", "latin-annuli", "3", "4", "--budget", "0", "--checkpoint", str(ckpt))
+    assert code == 3
+    # the true annuli subtree 1,2,3; squares of order 3 share the key, and their count is 0
+    ckpt.write_text(ckpt.read_text(encoding="utf-8") + "subtree 1,2,3 4\n", encoding="utf-8")
+    code, out, err = run(capsys, "count", "latin-squares", "3", "--checkpoint", str(ckpt))
+    assert code == 2 and out == "" and "latin-annuli" in err
+    code, out, _ = run(capsys, "count", "latin-annuli", "3", "4", "--checkpoint", str(ckpt))
+    assert code == 0 and out == "24\n"
+
+
+@pytest.mark.parametrize("text", [
+    "subtree 1,2,3 24\n",  # no header: written by another format version
+    "slinv-checkpoint 2 admissible-tables n=3 weighting=det\n",
+    "slinv-checkpoint 2 latin-squares n=3 weighting=sign\nsubtree 1,2,3,4 5\n",  # not a subtree of n = 3
+])
+def test_checkpoint_mismatch_or_stray_subtree_exits_two(tmp_path, capsys, text):
+    ckpt = tmp_path / "squares.ckpt"
+    ckpt.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "count", "latin-squares", "3", "--checkpoint", str(ckpt))
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_checkpoint_resume_after_budget(tmp_path, capsys):
+    ckpt = tmp_path / "squares.ckpt"
+    code, _, _ = run(capsys, "count", "latin-squares", "4", "--budget", "0", "--checkpoint", str(ckpt))
+    assert code == 3
+    assert ckpt.read_text(encoding="utf-8") == "slinv-checkpoint 2 latin-squares n=4 weighting=sign\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["squares.ckpt"]  # no temporary file left
+    code, out, _ = run(capsys, "count", "latin-squares", "4", "--checkpoint", str(ckpt))
+    assert code == 0 and out == "576\n"

@@ -214,6 +214,13 @@ def test_exponent_monoid_small_m():
     assert report.e_prime == 2
 
 
+def test_exponent_monoid_computes_every_lr_route_value():
+    # m = 3 rectangles take the LR route, which is cheap at every delta, so nothing is inferred
+    report = exponent_monoid(3, 16)
+    assert report.inferred == ()
+    assert report.values == {d: k_rect(3, d) for d in range(17)}
+
+
 def test_exponent_monoid_m2_caveat():
     report = exponent_monoid(2, 6)
     assert report.gaps == (1, 3, 5)

@@ -129,9 +129,49 @@ def test_checkpoint_roundtrip_and_resume():
 
 
 def _squares_subtree_value(n, prefix):
-    from slinv.latin import _squares_subtree
+    from slinv.latin import _latin_subtree
 
-    return _squares_subtree(n, prefix, None)
+    return _latin_subtree((tuple(range(n)),) * n, prefix, Deadline(None))
+
+
+def _count_by_columns(lines, m, col0):
+    """Signed count of column-signed Latin arrays placed one whole column at a time.
+
+    Independent of the cell-by-cell kernel: column c is a permutation of
+    [m] and may not repeat a symbol on any line lines[c][r].
+    """
+    perms = [(p, sequence_sign(p)) for p in itertools.permutations(range(1, m + 1))]
+
+    def extend(c, taken, sign):
+        if c == len(lines):
+            return sign
+        total = 0
+        for p, s in perms if c else [(col0, sequence_sign(col0))]:
+            cells = {(lines[c][r], v) for r, v in enumerate(p)}
+            if not cells & taken:
+                total += extend(c + 1, taken | cells, sign * s)
+        return total
+
+    return extend(0, frozenset(), 1)
+
+
+@pytest.mark.parametrize("m, d", [(1, 1), (2, 2), (3, 3), (4, 4), (3, 4), (4, 5)])
+def test_every_first_column_subtree_matches_column_enumeration(m, d):
+    from slinv.latin import _latin_subtree
+
+    # squares when m == d (second line = row), annuli otherwise (wrap-around diagonal)
+    lines = tuple(tuple(r if m == d else (c - r) % d for r in range(m)) for c in range(d))
+    total = 0
+    for col0 in itertools.permutations(range(1, m + 1)):
+        value = _latin_subtree(lines, col0, Deadline(None))
+        assert value == _count_by_columns(lines, m, col0)
+        total += value
+    if m == d:
+        assert total == brute_signed_latin_squares(m) == signed_latin_squares(m)
+    elif (m, d) == (3, 4):
+        assert total == brute_signed_latin_annuli(m, d) == signed_latin_annuli(m, d)
+    else:  # the cell-by-cell brute force would enumerate 4^20 fillings
+        assert total == signed_latin_annuli(m, d)
 
 
 def test_budget_exhaustion_raises_with_completed_parts():

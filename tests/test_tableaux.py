@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brute_tableau_invariant,
@@ -107,6 +109,21 @@ def test_generic_evaluator_matches_tableau_evaluator():
         D, m = rng.choice([(2, 2), (3, 2), (2, 3), (4, 2)])
         v = random_sparse_cubic(rng, m, D, terms=5)
         assert eval_generic_invariant(D, m, v) == eval_tableau_invariant(generic_tableau(D, m), v)
+
+
+def _sparse_cubic(D, m):
+    """Strategy: an order-D tensor over C^m with up to 12 random rational entries."""
+    index = st.tuples(*[st.integers(1, m)] * D)
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.dictionaries(index, value, max_size=12).map(lambda entries: SparseTensor((m,) * D, entries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(1, 3), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4)]).flatmap(
+    lambda Dm: st.tuples(st.just(Dm), _sparse_cubic(*Dm))))
+def test_generic_evaluator_matches_tableau_evaluator_on_random_tensors(case):
+    (D, m), v = case
+    assert eval_generic_invariant(D, m, v) == eval_tableau_invariant(generic_tableau(D, m), v)
 
 
 def test_generic_invariant_power_sum_values():
@@ -229,24 +246,6 @@ def test_generic_invariance_on_product_form():
     moved = apply_action(v, [g] * m)
     det = leibniz_det(g)
     assert eval_generic_invariant(m, m, moved) == det**m * eval_generic_invariant(m, m, v)
-
-
-def test_symmetry_reduction_agrees_when_legal():
-    for D, m in [(4, 3), (2, 4), (4, 4)]:
-        v = form_to_tensor(power_sum_form(D, m))
-        assert eval_generic_invariant(D, m, v, symmetry_reduction=True) == math.factorial(m)
-    v = form_to_tensor(product_form(4))
-    assert (eval_generic_invariant(4, 4, v, symmetry_reduction=True)
-            == eval_generic_invariant(4, 4, v))
-
-
-def test_symmetry_reduction_gates():
-    v = form_to_tensor(power_sum_form(3, 2))
-    with pytest.raises(ValueError):  # odd order twists orbit signs
-        eval_generic_invariant(3, 2, v, symmetry_reduction=True)
-    lopsided = SparseTensor((2, 2), {(1, 1): 1})
-    with pytest.raises(ValueError):  # not relabeling-invariant
-        eval_generic_invariant(2, 2, lopsided, symmetry_reduction=True)
 
 
 def test_zero_tensor_evaluates_to_zero():

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import leibniz_det, random_integer_matrix
 from slinv.latin import signed_latin_cubes
@@ -67,6 +69,22 @@ def test_pruned_matches_unpruned_brute_force():
         for _ in range(4):
             w = _random_tensor(rng, shape, terms=4)
             assert eval_tensor_invariant_format(n1, n2, n3, w) == brute_tensor_invariant_format(n1, n2, n3, w)
+
+
+def _format_and_tensor(fmt):
+    n1, n2, n3 = fmt
+    shape = (n2 * n3, n1 * n3, n1 * n2)
+    index = st.tuples(*[st.integers(1, s) for s in shape])
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.dictionaries(index, value, max_size=16).map(lambda entries: (fmt, SparseTensor(shape, entries)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1),
+                        (1, 1, 3), (3, 1, 1)]).flatmap(_format_and_tensor))
+def test_format_evaluator_matches_brute_force_on_random_tensors(case):
+    (n1, n2, n3), w = case
+    assert eval_tensor_invariant_format(n1, n2, n3, w) == brute_tensor_invariant_format(n1, n2, n3, w)
 
 
 def test_relative_invariance_diagonal_and_elementary():
