@@ -15,7 +15,6 @@ from .kron import (
     exponent_monoid,
     k_rect,
     kronecker,
-    kronecker_class_sum,
     pleth_upper_bound,
     sl_invariant_bound,
 )

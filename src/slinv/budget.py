@@ -31,10 +31,6 @@ class Deadline:
     def __init__(self, seconds: Optional[float]):
         self.at = None if seconds is None else time.monotonic() + seconds
 
-    @staticmethod
-    def none() -> "Deadline":
-        return Deadline(None)
-
     def expired(self) -> bool:
         return self.at is not None and time.monotonic() > self.at
 

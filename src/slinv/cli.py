@@ -1,11 +1,16 @@
 """Command-line front end.
 
 Every verb maps to exactly one library operation and prints exact values:
-rationals as p/q (integers as p).  --json wraps the principal value and a
-meta dict; --threads only affects speed, never output; --budget bounds
-wall-clock time (exit code 3 when exhausted, with a checkpoint written for
-the counting verbs when --checkpoint is given).  Exit code 2 flags bad
-input, including refusal of the known week-long runs without a budget.
+rationals as p/q (integers as p).  Each verb takes only the flags it reads.
+--json (every verb) wraps the principal value and a meta dict.  --budget
+SECONDS (the verbs that poll a deadline: invariant, eval-tableau, count,
+kronecker, krect, monoid, pleth-bound, min-degree, normality) bounds
+wall-clock time; exit code 3 when exhausted.  --threads K and --checkpoint
+PATH belong to `count` only and go after its structure: --threads only
+affects speed, never output, and a count stopped by its budget writes its
+finished subtrees to the checkpoint.  Exit code 2 flags bad input,
+including a flag the verb does not take and refusal of the known week-long
+runs without a budget.
 """
 
 from __future__ import annotations
@@ -30,15 +35,7 @@ from .latin import (
     signed_latin_cubes,
     signed_latin_squares,
 )
-from .spaces import (
-    NamedObject,
-    ParseError,
-    form_to_tensor,
-    named_form,
-    named_tensor,
-    parse_form,
-    parse_tensor,
-)
+from .spaces import NamedObject, form_to_tensor, named_form, named_tensor, parse_form, parse_tensor
 from .tableaux import eval_cyclic_invariant, eval_generic_invariant, eval_tableau_invariant, parse_tableau
 from .tensorinv import eval_tensor_invariant, eval_tensor_invariant_format
 from .theory import (
@@ -68,26 +65,8 @@ def _parse_partition(text: str) -> Partition:
 
 
 def _named_object(args) -> NamedObject:
-    kw = {}
-    for name in ("D", "m", "n"):
-        value = getattr(args, name, None)
-        if value is not None:
-            kw[name] = value
-    try:
-        return NamedObject(args.kind, **kw)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
-def _emit(args, value, meta: dict) -> None:
-    if isinstance(value, Fraction):
-        rendered = format_scalar(value)
-    else:
-        rendered = str(value)
-    if args.json:
-        print(json.dumps({"value": rendered, "meta": meta}, sort_keys=True))
-    else:
-        print(rendered)
+    kw = {name: getattr(args, name) for name in ("D", "m", "n") if getattr(args, name) is not None}
+    return NamedObject(args.kind, **kw)
 
 
 CHECKPOINT_VERSION = 2
@@ -145,13 +124,16 @@ def _require_budget(args, what: str) -> None:
 
 
 # ----------------------------------------------------------------------------
-# verb handlers
+# verb handlers: each returns (principal value, meta dict, plain-text lines or
+# None for the formatted value alone); `main` prints the result
 # ----------------------------------------------------------------------------
 
 
-def _cmd_invariant(args) -> int:
+def _cmd_invariant(args):
     deadline = Deadline(args.budget)
     if args.target == "form":
+        if args.format:
+            raise CliError("--format applies to tensors")
         if not args.file and args.kind in ("determinant", "permanent") and args.n is not None and args.n >= 3:
             _require_budget(args, f"evaluating the degree-{args.n} invariant of {args.kind}_{args.n}")
         form = _load_form(args)
@@ -160,93 +142,74 @@ def _cmd_invariant(args) -> int:
             if form.D != form.m:
                 raise CliError("--cyclic needs degree equal to the number of variables")
             value = eval_cyclic_invariant(form.D, tensor, deadline=deadline)
-            meta = {"invariant": "cyclic", "D": form.D, "m": form.m, "degree": form.D + 1}
-        else:
-            value = eval_generic_invariant(form.D, form.m, tensor, deadline=deadline)
-            meta = {"invariant": "generic", "D": form.D, "m": form.m, "degree": form.m}
-        _emit(args, value, meta)
-        return EXIT_OK
+            return value, {"invariant": "cyclic", "D": form.D, "m": form.m, "degree": form.D + 1}, None
+        value = eval_generic_invariant(form.D, form.m, tensor, deadline=deadline)
+        return value, {"invariant": "generic", "D": form.D, "m": form.m, "degree": form.m}, None
 
+    if args.cyclic:
+        raise CliError("--cyclic applies to forms")
     tensor = _load_tensor(args)
     if args.format:
         n1, n2, n3 = args.format
         value = eval_tensor_invariant_format(n1, n2, n3, tensor, deadline=deadline)
-        meta = {"invariant": "tensor", "format": [n1, n2, n3], "degree": n1 * n2 * n3}
-    else:
-        if tensor.order != 3 or not tensor.is_cubic():
-            raise CliError("tensor must be cubic order 3 (or pass --format n1 n2 n3)")
-        n = math.isqrt(tensor.shape[0])
-        if n * n != tensor.shape[0]:
-            raise CliError(f"axis dimension {tensor.shape[0]} is not a square; pass --format")
-        if n >= 3:
-            _require_budget(args, f"evaluating the degree-{n**3} tensor invariant")
-        value = eval_tensor_invariant(n, tensor, deadline=deadline)
-        meta = {"invariant": "tensor", "n": n, "degree": n**3}
-    _emit(args, value, meta)
-    return EXIT_OK
+        return value, {"invariant": "tensor", "format": [n1, n2, n3], "degree": n1 * n2 * n3}, None
+    if tensor.order != 3 or not tensor.is_cubic():
+        raise CliError("tensor must be cubic order 3 (or pass --format n1 n2 n3)")
+    n = math.isqrt(tensor.shape[0])
+    if n * n != tensor.shape[0]:
+        raise CliError(f"axis dimension {tensor.shape[0]} is not a square; pass --format")
+    if n >= 3:
+        _require_budget(args, f"evaluating the degree-{n**3} tensor invariant")
+    value = eval_tensor_invariant(n, tensor, deadline=deadline)
+    return value, {"invariant": "tensor", "n": n, "degree": n**3}, None
 
 
-def _cmd_eval_tableau(args) -> int:
-    deadline = Deadline(args.budget)
+def _cmd_eval_tableau(args):
     tableau = parse_tableau(Path(args.tableau).read_text(encoding="utf-8"))
     tensor = parse_tensor(Path(args.tensor).read_text(encoding="utf-8"))
-    value = eval_tableau_invariant(tableau, tensor, deadline=deadline)
-    _emit(args, value, {"rows": tableau.m, "cols": tableau.s, "symbols": tableau.d})
-    return EXIT_OK
+    value = eval_tableau_invariant(tableau, tensor, deadline=Deadline(args.budget))
+    return value, {"rows": tableau.m, "cols": tableau.s, "symbols": tableau.d}, None
 
 
-def _cmd_count(args) -> int:
+# structure: (counter, by name so that a rebound module-level name is the one
+# called; positional parameters; what a run of size n >= 3 is, needing --budget)
+_COUNTS = {
+    "latin-squares": ("signed_latin_squares", ("n",), None),
+    "latin-annuli": ("signed_latin_annuli", ("m", "d"), None),
+    "latin-cubes": ("signed_latin_cubes", ("n",), "counting signed Latin cubes of size {}"),
+    "admissible-tables": ("signed_admissible_tables", ("n", "weighting"), "counting signed admissible {}-tables"),
+}
+
+
+def _cmd_count(args):
+    counter, params, gated = _COUNTS[args.structure]
+    if gated and args.n >= 3:
+        _require_budget(args, gated.format(args.n))
     deadline = Deadline(args.budget)
     checkpoint = _read_checkpoint(args) if args.checkpoint else None
-    workers = args.threads
+    values = [getattr(args, name) for name in params]
     started = time.monotonic()
     try:
-        if args.structure == "latin-squares":
-            value = signed_latin_squares(args.n, workers=workers, deadline=deadline, checkpoint=checkpoint)
-            meta = {"structure": "latin-squares", "n": args.n}
-        elif args.structure == "latin-annuli":
-            value = signed_latin_annuli(args.m, args.d, workers=workers, deadline=deadline, checkpoint=checkpoint)
-            meta = {"structure": "latin-annuli", "m": args.m, "d": args.d}
-        elif args.structure == "latin-cubes":
-            if args.n >= 3:
-                _require_budget(args, f"counting signed Latin cubes of size {args.n}")
-            value = signed_latin_cubes(args.n, workers=workers, deadline=deadline, checkpoint=checkpoint)
-            meta = {"structure": "latin-cubes", "n": args.n}
-        else:
-            if args.n >= 3:
-                _require_budget(args, f"counting signed admissible {args.n}-tables")
-            value = signed_admissible_tables(
-                args.n, args.weighting, workers=workers, deadline=deadline, checkpoint=checkpoint)
-            meta = {"structure": "admissible-tables", "n": args.n, "weighting": args.weighting}
+        value = globals()[counter](*values, workers=args.threads, deadline=deadline, checkpoint=checkpoint)
     except BudgetExhausted as exc:
         if args.checkpoint:
             _write_checkpoint(args, exc.completed)
-        done = len(exc.completed or {})
-        print(f"budget exhausted after {time.monotonic() - started:.1f}s "
-              f"({done} subtrees finished{' and checkpointed' if args.checkpoint else ''})",
-              file=sys.stderr)
-        return EXIT_BUDGET
-    meta["elapsed_s"] = round(time.monotonic() - started, 3)
-    _emit(args, value, meta)
-    return EXIT_OK
+        raise BudgetExhausted(
+            f"budget exhausted after {time.monotonic() - started:.1f}s ({len(exc.completed)} subtrees "
+            f"finished{' and checkpointed' if args.checkpoint else ''})") from None
+    meta = {"structure": args.structure, **dict(zip(params, values)),
+            "elapsed_s": round(time.monotonic() - started, 3)}
+    return value, meta, None
 
 
-def _cmd_kronecker(args) -> int:
-    deadline = Deadline(args.budget)
+def _cmd_kronecker(args):
     lam, mu, nu = (_parse_partition(t) for t in (args.lam, args.mu, args.nu))
-    try:
-        value = kronecker(lam, mu, nu, deadline=deadline)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    except BudgetExhausted:
-        print("budget exhausted during the Kronecker coefficient", file=sys.stderr)
-        return EXIT_BUDGET
-    _emit(args, value, {"lam": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts),
-                        "route": _route((lam.parts, mu.parts, nu.parts))})
-    return EXIT_OK
+    value = kronecker(lam, mu, nu, deadline=Deadline(args.budget))
+    return value, {"lam": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts),
+                   "route": _route((lam.parts, mu.parts, nu.parts))}, None
 
 
-def _cmd_krect(args) -> int:
+def _cmd_krect(args):
     deadline = Deadline(args.budget)
     deltas = range(args.delta + 1) if args.table else (args.delta,)
     values = {}
@@ -254,330 +217,214 @@ def _cmd_krect(args) -> int:
         for d in deltas:
             values[d] = k_rect(args.m, d, deadline=deadline)
     except BudgetExhausted:
-        print(f"budget exhausted at delta {d} ({len(values)} of {len(deltas)} values computed)",
-              file=sys.stderr)
-        return EXIT_BUDGET
+        raise BudgetExhausted(
+            f"budget exhausted at delta {d} ({len(values)} of {len(deltas)} values computed)") from None
     route = _route((Partition.rectangle(args.m, args.delta).parts,) * 3)
-    if args.table:
-        if args.json:
-            print(json.dumps({"value": str(values[args.delta]),
-                              "meta": {"m": args.m, "route": route,
-                                       "table": {str(d): v for d, v in values.items()}}},
-                             sort_keys=True))
-        else:
-            for d, v in values.items():
-                print(f"delta {d} k {v}")
-        return EXIT_OK
-    _emit(args, values[args.delta], {"m": args.m, "delta": args.delta, "route": route})
-    return EXIT_OK
+    if not args.table:
+        return values[args.delta], {"m": args.m, "delta": args.delta, "route": route}, None
+    meta = {"m": args.m, "route": route, "table": {str(d): v for d, v in values.items()}}
+    return values[args.delta], meta, [f"delta {d} k {v}" for d, v in values.items()]
 
 
-def _cmd_monoid(args) -> int:
-    deadline = Deadline(args.budget)
-    try:
-        report = exponent_monoid(args.m, args.delta_max, deadline=deadline)
-    except BudgetExhausted:
-        print("budget exhausted during the monoid scan", file=sys.stderr)
-        return EXIT_BUDGET
-    if args.json:
-        meta = {
-            "m": report.m,
-            "delta_max": report.delta_max,
-            "values": {str(d): (None if v is None else v) for d, v in report.values.items()},
-            "positive": list(report.positive),
-            "inferred": list(report.inferred),
-            "gaps": list(report.gaps),
-            "gcd": report.gcd_positive,
-            "note": report.note,
-        }
-        print(json.dumps({"value": str(report.e_prime), "meta": meta}, sort_keys=True))
-        return EXIT_OK
-    for d in range(report.delta_max + 1):
-        v = report.values[d]
-        shown = "positive (inferred)" if v is None else str(v)
-        print(f"delta {d} k {shown}")
-    print(f"gaps {{{', '.join(str(g) for g in report.gaps)}}}")
-    print(f"minimal positive element {report.e_prime}")
-    print(f"gcd of positive set {report.gcd_positive}")
-    if report.note:
-        print(f"note: {report.note}")
-    return EXIT_OK
-
-
-def _cmd_pleth_bound(args) -> int:
-    deadline = Deadline(args.budget)
-    try:
-        if args.sl:
-            if args.m is None:
-                raise CliError("--sl needs --m")
-            value = sl_invariant_bound(args.D, args.m, args.d, deadline=deadline)
-            meta = {"mode": "sl-invariants", "D": args.D, "m": args.m, "d": args.d}
-        else:
-            if not args.lam:
-                raise CliError("need --lam (or --sl with --m)")
-            lam = _parse_partition(args.lam)
-            value = pleth_upper_bound(lam, args.D, args.d, deadline=deadline)
-            meta = {"mode": "shape", "lam": list(lam.parts), "D": args.D, "d": args.d}
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    _emit(args, value, meta)
-    return EXIT_OK
-
-
-def _cmd_periods(args) -> int:
-    obj = _named_object(args)
-    try:
-        report = periods(obj)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+def _cmd_monoid(args):
+    report = exponent_monoid(args.m, args.delta_max, deadline=Deadline(args.budget))
     meta = {
-        "object": obj.describe(),
-        "a": report.a,
-        "b": report.b,
-        "a_reduced": report.a_reduced,
-        "source": report.source,
-    }
-    if args.json:
-        print(json.dumps({"value": str(report.a), "meta": meta}, sort_keys=True))
-    else:
-        print(f"object {obj.describe()}")
-        print(f"stabilizer period a {report.a}")
-        if report.a_reduced is not None:
-            print(f"reduced period a' {report.a_reduced}")
-        print(f"degree period b {report.b}")
-        print(f"source {report.source}")
-    return EXIT_OK
-
-
-def _cmd_min_degree(args) -> int:
-    obj = _named_object(args)
-    try:
-        report = minimal_degree_report(obj, budget=args.budget)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    meta = {
-        "object": obj.describe(),
-        "lower_bound": report.lower_bound,
-        "exact": report.exact,
-        "evidence": report.evidence,
-        "value": None if report.value is None else format_scalar(report.value),
-        "undecided_reason": report.undecided_reason,
-    }
-    principal = report.exact if report.decided else report.lower_bound
-    if args.json:
-        print(json.dumps({"value": str(principal), "meta": meta}, sort_keys=True))
-    else:
-        print(f"object {obj.describe()}")
-        if report.decided:
-            print(f"minimal degree {report.exact}")
-        else:
-            print(f"minimal degree undecided; certified lower bound {report.lower_bound}")
-            print(f"reason {report.undecided_reason}")
-        print(f"evidence {report.evidence}")
-        if report.value is not None:
-            print(f"deciding value {format_scalar(report.value)}")
-    return EXIT_OK
-
-
-def _cmd_normality(args) -> int:
-    obj = _named_object(args)
-    try:
-        report = nonnormality_flag(obj, budget=args.budget)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    meta = {
-        "object": obj.describe(),
-        "flag": report.flag,
-        "reason": report.reason,
-        "degree_period": report.degree_period,
-        "minimal_degree_bound": report.minimal_degree_bound,
-    }
-    if args.json:
-        print(json.dumps({"value": report.flag, "meta": meta}, sort_keys=True))
-    else:
-        print(f"object {obj.describe()}")
-        print(f"flag {report.flag}")
-        print(f"reason {report.reason}")
-    return EXIT_OK
-
-
-def _cmd_polystable(args) -> int:
-    if args.target == "form":
-        cert = polystable_form_support(_load_form(args))
-        witness = None
-        if cert.witness is not None:
-            witness = {" ".join(str(a) for a in alpha): format_scalar(c) for alpha, c in sorted(cert.witness.items())}
-        separating = None if cert.separating is None else [
-            [format_scalar(x) for x in vec] for vec in cert.separating]
-    else:
-        cert = polystable_tensor_support(_load_tensor(args))
-        witness = None
-        if cert.witness is not None:
-            witness = {" ".join(str(i) for i in p): format_scalar(c) for p, c in sorted(cert.witness.items())}
-        separating = None if cert.separating is None else [
-            [format_scalar(x) for x in vec] for vec in cert.separating]
-    verdict = "condition-holds" if cert.holds else "condition-fails"
-    meta = {"witness": witness, "separating": separating, "reductive_condition": cert.reductive_condition}
-    if args.json:
-        print(json.dumps({"value": verdict, "meta": meta}, sort_keys=True))
-    else:
-        print(verdict)
-        if witness is not None:
-            for key, val in witness.items():
-                print(f"witness {key} : {val}")
-        if separating is not None:
-            for vec in separating:
-                print(f"separating {' '.join(vec)}")
-    return EXIT_OK
-
-
-def _cmd_semigroup(args) -> int:
-    try:
-        report = semigroup_report(args.generators)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    meta = {
-        "generators": list(report.generators),
-        "is_numerical": report.is_numerical,
-        "gaps": None if report.gaps is None else list(report.gaps),
-        "frobenius": report.frobenius,
+        "m": report.m,
+        "delta_max": report.delta_max,
+        "values": {str(d): v for d, v in report.values.items()},
+        "positive": list(report.positive),
+        "inferred": list(report.inferred),
+        "gaps": list(report.gaps),
+        "gcd": report.gcd_positive,
         "note": report.note,
     }
-    if args.json:
-        print(json.dumps({"value": str(report.frobenius), "meta": meta}, sort_keys=True))
+    lines = [f"delta {d} k {'positive (inferred)' if report.values[d] is None else report.values[d]}"
+             for d in range(report.delta_max + 1)]
+    lines += [f"gaps {{{', '.join(str(g) for g in report.gaps)}}}",
+              f"minimal positive element {report.e_prime}",
+              f"gcd of positive set {report.gcd_positive}"]
+    if report.note:
+        lines.append(f"note: {report.note}")
+    return report.e_prime, meta, lines
+
+
+def _cmd_pleth_bound(args):
+    deadline = Deadline(args.budget)
+    if args.sl:
+        if args.m is None:
+            raise CliError("--sl needs --m")
+        value = sl_invariant_bound(args.D, args.m, args.d, deadline=deadline)
+        return value, {"mode": "sl-invariants", "D": args.D, "m": args.m, "d": args.d}, None
+    if not args.lam:
+        raise CliError("need --lam (or --sl with --m)")
+    lam = _parse_partition(args.lam)
+    value = pleth_upper_bound(lam, args.D, args.d, deadline=deadline)
+    return value, {"mode": "shape", "lam": list(lam.parts), "D": args.D, "d": args.d}, None
+
+
+def _cmd_periods(args):
+    obj = _named_object(args)
+    report = periods(obj)
+    meta = {"object": obj.describe(), "a": report.a, "b": report.b,
+            "a_reduced": report.a_reduced, "source": report.source}
+    lines = [f"object {obj.describe()}", f"stabilizer period a {report.a}"]
+    if report.a_reduced is not None:
+        lines.append(f"reduced period a' {report.a_reduced}")
+    lines += [f"degree period b {report.b}", f"source {report.source}"]
+    return report.a, meta, lines
+
+
+def _cmd_min_degree(args):
+    obj = _named_object(args)
+    report = minimal_degree_report(obj, budget=args.budget)
+    value = None if report.value is None else format_scalar(report.value)
+    meta = {"object": obj.describe(), "lower_bound": report.lower_bound, "exact": report.exact,
+            "evidence": report.evidence, "value": value, "undecided_reason": report.undecided_reason}
+    lines = [f"object {obj.describe()}"]
+    if report.decided:
+        lines.append(f"minimal degree {report.exact}")
     else:
-        if not report.is_numerical:
-            print("not a numerical semigroup (gcd > 1); infinitely many gaps")
-            print(report.note)
-        else:
-            print(f"gaps {{{', '.join(str(g) for g in report.gaps)}}}")
-            print(f"frobenius {report.frobenius}")
-    return EXIT_OK
+        lines += [f"minimal degree undecided; certified lower bound {report.lower_bound}",
+                  f"reason {report.undecided_reason}"]
+    lines.append(f"evidence {report.evidence}")
+    if value is not None:
+        lines.append(f"deciding value {value}")
+    return report.exact if report.decided else report.lower_bound, meta, lines
+
+
+def _cmd_normality(args):
+    obj = _named_object(args)
+    report = nonnormality_flag(obj, budget=args.budget)
+    meta = {"object": obj.describe(), "flag": report.flag, "reason": report.reason,
+            "degree_period": report.degree_period, "minimal_degree_bound": report.minimal_degree_bound}
+    return report.flag, meta, [f"object {obj.describe()}", f"flag {report.flag}", f"reason {report.reason}"]
+
+
+def _cmd_polystable(args):
+    if args.target == "form":
+        cert = polystable_form_support(_load_form(args))
+    else:
+        cert = polystable_tensor_support(_load_tensor(args))
+    witness = None if cert.witness is None else {
+        " ".join(str(i) for i in key): format_scalar(c) for key, c in sorted(cert.witness.items())}
+    separating = None if cert.separating is None else [
+        [format_scalar(x) for x in vec] for vec in cert.separating]
+    verdict = "condition-holds" if cert.holds else "condition-fails"
+    meta = {"witness": witness, "separating": separating, "reductive_condition": cert.reductive_condition}
+    lines = [verdict]
+    lines += [f"witness {key} : {val}" for key, val in (witness or {}).items()]
+    lines += [f"separating {' '.join(vec)}" for vec in separating or ()]
+    return verdict, meta, lines
+
+
+def _cmd_semigroup(args):
+    report = semigroup_report(args.generators)
+    meta = {"generators": list(report.generators), "is_numerical": report.is_numerical,
+            "gaps": None if report.gaps is None else list(report.gaps),
+            "frobenius": report.frobenius, "note": report.note}
+    if not report.is_numerical:
+        lines = ["not a numerical semigroup (gcd > 1); infinitely many gaps", report.note]
+    else:
+        lines = [f"gaps {{{', '.join(str(g) for g in report.gaps)}}}", f"frobenius {report.frobenius}"]
+    return report.frobenius, meta, lines
 
 
 # ----------------------------------------------------------------------------
-# parser
+# parser: each verb is built from the flag groups it reads
 # ----------------------------------------------------------------------------
+
+
+def _group(*arguments) -> argparse.ArgumentParser:
+    """A parent parser holding `arguments`, each a (flags, keyword arguments) pair."""
+    group = argparse.ArgumentParser(add_help=False)
+    for flags, kwargs in arguments:
+        group.add_argument(*flags, **kwargs)
+    return group
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit {'value': ..., 'meta': ...}")
-    common.add_argument("--budget", type=float, default=None, metavar="SECONDS",
-                        help="wall-clock budget; exit 3 when exhausted")
-    common.add_argument("--threads", type=int, default=1, metavar="K",
-                        help="worker processes for the counting verbs (speed only)")
-    common.add_argument("--checkpoint", default=None, metavar="PATH",
-                        help="checkpoint file for resumable counts")
-
-    named = argparse.ArgumentParser(add_help=False)
-    named.add_argument("--kind", default=None)
-    named.add_argument("--m", type=int, default=None)
-    named.add_argument("--D", type=int, default=None)
-    named.add_argument("--n", type=int, default=None)
+    json_flag = _group((("--json",), dict(action="store_true", help="emit {'value': ..., 'meta': ...}")))
+    budget = _group((("--budget",), dict(type=float, default=None, metavar="SECONDS",
+                                         help="wall-clock budget; exit 3 when exhausted")))
+    workers = _group(
+        (("--threads",), dict(type=int, default=1, metavar="K", help="worker processes (speed only)")),
+        (("--checkpoint",), dict(default=None, metavar="PATH", help="checkpoint file for resumable counts")))
+    named = _group(
+        (("--kind",), dict(default=None, help="named object, e.g. product, power-sum, determinant, "
+                                              "permanent; tensors: unit, matmul")),
+        (("--m",), dict(type=int, default=None)),
+        (("--D",), dict(type=int, default=None)),
+        (("--n",), dict(type=int, default=None)))
+    source = _group(
+        (("target",), dict(choices=["form", "tensor"])),
+        (("--file",), dict(default=None, help="read the form/tensor from a file instead of --kind")))
 
     parser = argparse.ArgumentParser(prog="slinv", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("invariant", parents=[common], help="evaluate a fundamental invariant")
-    p.add_argument("target", choices=["form", "tensor"])
-    p.add_argument("--kind", default=None,
-                   help="form: product|power-sum|determinant|permanent; tensor: unit|matmul")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--D", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--file", default=None, help="read the form/tensor from a file instead")
-    p.add_argument("--cyclic", action="store_true", help="use the cyclic degree-(D+1) invariant (forms, D = m)")
-    p.add_argument("--format", type=int, nargs=3, metavar=("N1", "N2", "N3"),
-                   help="noncubic tensor invariant of this slice format")
-    p.set_defaults(func=_cmd_invariant)
+    def verb(name, handler, groups, help_text, *arguments):
+        p = sub.add_parser(name, parents=[json_flag, *groups, _group(*arguments)], help=help_text)
+        p.set_defaults(func=handler)
 
-    p = sub.add_parser("eval-tableau", parents=[common], help="evaluate a tableau invariant from files")
-    p.add_argument("--tableau", required=True)
-    p.add_argument("--tensor", required=True)
-    p.set_defaults(func=_cmd_eval_tableau)
+    verb("invariant", _cmd_invariant, [budget, source, named], "evaluate a fundamental invariant",
+         (("--cyclic",), dict(action="store_true", help="cyclic degree-(D+1) invariant (forms, D = m)")),
+         (("--format",), dict(type=int, nargs=3, metavar=("N1", "N2", "N3"),
+                              help="noncubic tensor invariant of this slice format")))
+    verb("eval-tableau", _cmd_eval_tableau, [budget], "evaluate a tableau invariant from files",
+         (("--tableau",), dict(required=True)), (("--tensor",), dict(required=True)))
 
-    p = sub.add_parser("count", parents=[common], help="signed combinatorial counts")
-    csub = p.add_subparsers(dest="structure", required=True)
-    q = csub.add_parser("latin-squares", parents=[common])
-    q.add_argument("n", type=int)
-    q.set_defaults(func=_cmd_count, structure="latin-squares")
-    q = csub.add_parser("latin-annuli", parents=[common])
-    q.add_argument("m", type=int)
-    q.add_argument("d", type=int)
-    q.set_defaults(func=_cmd_count, structure="latin-annuli")
-    q = csub.add_parser("latin-cubes", parents=[common])
-    q.add_argument("n", type=int)
-    q.set_defaults(func=_cmd_count, structure="latin-cubes")
-    q = csub.add_parser("admissible-tables", parents=[common])
-    q.add_argument("n", type=int)
-    q.add_argument("--weighting", choices=["det", "per"], default="det")
-    q.set_defaults(func=_cmd_count, structure="admissible-tables")
+    count = sub.add_parser("count", help="signed combinatorial counts; flags go after the structure")
+    structures = count.add_subparsers(dest="structure", required=True)
+    for structure, (_, params, _) in _COUNTS.items():
+        q = structures.add_parser(structure, parents=[json_flag, budget, workers])
+        for name in params:
+            if name == "weighting":
+                q.add_argument("--weighting", choices=["det", "per"], default="det")
+            else:
+                q.add_argument(name, type=int)
+        q.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("kronecker", parents=[common], help="Kronecker coefficient of three partitions")
-    p.add_argument("--lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu", required=True)
-    p.set_defaults(func=_cmd_kronecker)
-
-    p = sub.add_parser("krect", parents=[common], help="rectangular Kronecker coefficient")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--table", action="store_true", help="print delta 0..delta as a table")
-    p.set_defaults(func=_cmd_krect)
-
-    p = sub.add_parser("monoid", parents=[common], help="positivity scan of rectangular coefficients")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--delta-max", type=int, required=True, dest="delta_max")
-    p.set_defaults(func=_cmd_monoid)
-
-    p = sub.add_parser("pleth-bound", parents=[common], help="subset-family upper bounds (odd degree)")
-    p.add_argument("--lam", default=None)
-    p.add_argument("--sl", action="store_true", help="invariant-space bound for rectangles")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=_cmd_pleth_bound)
-
-    p = sub.add_parser("periods", parents=[common, named], help="stabilizer and degree periods")
-    p.set_defaults(func=_cmd_periods)
-
-    p = sub.add_parser("min-degree", parents=[common, named], help="minimal invariant degree report")
-    p.set_defaults(func=_cmd_min_degree)
-
-    p = sub.add_parser("normality", parents=[common, named], help="orbit-closure normality flag")
-    p.set_defaults(func=_cmd_normality)
-
-    p = sub.add_parser("polystable", parents=[common], help="polystability support certificates")
-    p.add_argument("target", choices=["form", "tensor"])
-    p.add_argument("--kind", default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--D", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--file", default=None)
-    p.set_defaults(func=_cmd_polystable)
-
-    p = sub.add_parser("semigroup", parents=[common], help="numerical semigroup gaps and Frobenius number")
-    p.add_argument("generators", type=int, nargs="+")
-    p.set_defaults(func=_cmd_semigroup)
-
+    verb("kronecker", _cmd_kronecker, [budget], "Kronecker coefficient of three partitions",
+         (("--lam",), dict(required=True)), (("--mu",), dict(required=True)), (("--nu",), dict(required=True)))
+    verb("krect", _cmd_krect, [budget], "rectangular Kronecker coefficient",
+         (("--m",), dict(type=int, required=True)), (("--delta",), dict(type=int, required=True)),
+         (("--table",), dict(action="store_true", help="print delta 0..delta as a table")))
+    verb("monoid", _cmd_monoid, [budget], "positivity scan of rectangular coefficients",
+         (("--m",), dict(type=int, required=True)),
+         (("--delta-max",), dict(type=int, required=True, dest="delta_max")))
+    verb("pleth-bound", _cmd_pleth_bound, [budget], "subset-family upper bounds (odd degree)",
+         (("--lam",), dict(default=None)),
+         (("--sl",), dict(action="store_true", help="invariant-space bound for rectangles")),
+         (("--D",), dict(type=int, required=True)), (("--m",), dict(type=int, default=None)),
+         (("--d",), dict(type=int, required=True)))
+    verb("periods", _cmd_periods, [named], "stabilizer and degree periods")
+    verb("min-degree", _cmd_min_degree, [budget, named], "minimal invariant degree report")
+    verb("normality", _cmd_normality, [budget, named], "orbit-closure normality flag")
+    verb("polystable", _cmd_polystable, [source, named], "polystability support certificates")
+    verb("semigroup", _cmd_semigroup, [], "numerical semigroup gaps and Frobenius number",
+         (("generators",), dict(type=int, nargs="+")))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
+        return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
-    except (CliError, ParseError, FileNotFoundError, ValueError) as exc:
+        value, meta, lines = args.func(args)
+    except (CliError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except BudgetExhausted:
-        print("budget exhausted", file=sys.stderr)
+    except BudgetExhausted as exc:
+        print(exc, file=sys.stderr)
         return EXIT_BUDGET
+    rendered = format_scalar(value) if isinstance(value, Fraction) else str(value)
+    if args.json:
+        print(json.dumps({"value": rendered, "meta": meta}, sort_keys=True))
+    else:
+        print("\n".join([rendered] if lines is None else lines))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

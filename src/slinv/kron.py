@@ -460,11 +460,6 @@ def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike,
         _DEADLINE.reset(token)
 
 
-def kronecker_class_sum(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike) -> int:
-    """The class-sum route on its own (cross-check oracle for `kronecker`)."""
-    return kronecker(lam, mu, nu, method="class")
-
-
 def k_rect(m: int, delta: int, deadline=None) -> int:
     """Kronecker coefficient of three m x delta rectangles."""
     if m < 1 or delta < 0:

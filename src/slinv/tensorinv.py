@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from .budget import as_deadline
-from .exact import sequence_sign
 from .latin import _integer_weights, _signed_dfs
 from .spaces import SparseTensor, pair_index
 
@@ -70,45 +69,3 @@ def eval_tensor_invariant_matmul(n: int, deadline=None) -> int:
     triples = [((pair_index(mu, nu, n), pair_index(nu, pi, n), pair_index(pi, mu, n)), 1)
                for mu, nu, pi in itertools.product(range(1, n + 1), repeat=3)]
     return _signed_dfs(_point_steps(n, n, n, triples), as_deadline(deadline))
-
-
-def brute_tensor_invariant_format(n1: int, n2: int, n3: int, w: SparseTensor) -> Fraction:
-    """Unpruned reference sum over all labeling triples; exponential, tests only."""
-    d1, d2, d3 = n2 * n3, n1 * n3, n1 * n2
-    if w.order != 3 or w.shape != (d1, d2, d3):
-        raise ValueError(f"tensor shape {w.shape} does not match ({d1}, {d2}, {d3})")
-    points = [(x, y, z) for x in range(n1) for y in range(n2) for z in range(n3)]
-    npts = len(points)
-
-    def slice_sign(labels, axis, nslices, dim):
-        sign = 1
-        for s in range(nslices):
-            seq = [labels[i] for i, p in enumerate(points) if p[axis] == s]
-            if sorted(seq) != list(range(1, dim + 1)):
-                return 0
-            sign *= sequence_sign(seq)
-        return sign
-
-    total = Fraction(0)
-    for alpha in itertools.product(range(1, d1 + 1), repeat=npts):
-        sx = slice_sign(alpha, 0, n1, d1)
-        if sx == 0:
-            continue
-        for beta in itertools.product(range(1, d2 + 1), repeat=npts):
-            sy = slice_sign(beta, 1, n2, d2)
-            if sy == 0:
-                continue
-            for gamma in itertools.product(range(1, d3 + 1), repeat=npts):
-                sz = slice_sign(gamma, 2, n3, d3)
-                if sz == 0:
-                    continue
-                product = Fraction(1)
-                for i in range(npts):
-                    value = w.entries.get((alpha[i], beta[i], gamma[i]))
-                    if value is None:
-                        product = Fraction(0)
-                        break
-                    product *= value
-                if product:
-                    total += sx * sy * sz * product
-    return total

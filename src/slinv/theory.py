@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 from .budget import BudgetExhausted, as_deadline
 from .exact import binomial
+from .kron import k_rect
 from .latin import (
     signed_admissible_tables,
     signed_latin_annuli,
@@ -289,8 +290,6 @@ def minimal_degree_report(obj: NamedObject, budget: float | None = None) -> Mini
             undecided_reason="generic minimal degree open for odd D with D != m")
 
     if kind == "generic-tensor":
-        from .kron import k_rect  # local import: heavy module
-
         m = obj.m
         if m == 1:
             return MinimalDegreeReport(obj, 1, 1, "scalar tensor")
@@ -300,7 +299,7 @@ def minimal_degree_report(obj: NamedObject, budget: float | None = None) -> Mini
         try:
             while True:
                 dl.check()
-                if k_rect(m, delta) > 0:
+                if k_rect(m, delta, deadline=dl) > 0:
                     return MinimalDegreeReport(
                         obj, m * delta, m * delta,
                         f"first positive rectangular Kronecker coefficient at width {delta}")

@@ -21,6 +21,7 @@ from helpers import (
     brute_signed_latin_squares,
     brute_signed_latin_cubes,
     brute_tableau_invariant,
+    brute_tensor_invariant_format,
     leibniz_det,
     random_integer_matrix,
     random_sparse_cubic,
@@ -53,7 +54,6 @@ from slinv.tableaux import (
     generic_tableau,
 )
 from slinv.tensorinv import (
-    brute_tensor_invariant_format,
     eval_tensor_invariant,
     eval_tensor_invariant_format,
     eval_tensor_invariant_matmul,

@@ -174,6 +174,25 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     assert code == 2 and "line 3" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("invariant", "form", "--kind", "product", "--m", "3", "--checkpoint", "x", "--threads", "2"),
+     "unrecognized arguments: --checkpoint x --threads 2"),
+    (("invariant", "tensor", "--kind", "unit", "--m", "4", "--cyclic"), "--cyclic applies to forms"),
+    (("invariant", "form", "--kind", "product", "--m", "2", "--format", "1", "1", "1"), "--format applies to tensors"),
+    (("periods", "--kind", "power-sum", "--D", "3", "--m", "3", "--budget", "0"), "unrecognized arguments: --budget 0"),
+    (("polystable", "form", "--kind", "determinant", "--n", "3", "--budget", "1"), "unrecognized arguments: --budget 1"),
+    (("semigroup", "2", "5", "--budget", "1"), "unrecognized arguments: --budget 1"),
+    # count flags belong after the structure
+    (("count", "--threads", "2", "--json", "latin-squares", "3"), "invalid choice: '2'"),
+    (("count", "--budget", "5", "latin-cubes", "3"), "invalid choice: '5'"),
+])
+def test_flag_the_verb_does_not_read_exits_two(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+    assert list(tmp_path.iterdir()) == []  # no checkpoint written
+
+
 def test_budget_gate_exits_two(capsys):
     code, _, err = run(capsys, "count", "latin-cubes", "3")
     assert code == 2 and "--budget" in err

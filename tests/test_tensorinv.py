@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import leibniz_det, random_integer_matrix
+from helpers import brute_tensor_invariant_format, leibniz_det, random_integer_matrix
 from slinv.latin import signed_latin_cubes
 from slinv.spaces import SparseTensor, apply_action, matmul_tensor, unit_tensor
 from slinv.tensorinv import (
-    brute_tensor_invariant_format,
     eval_tensor_invariant,
     eval_tensor_invariant_format,
     eval_tensor_invariant_matmul,

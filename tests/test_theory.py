@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -128,6 +129,14 @@ def test_minimal_degree_budget_exhaustion():
     assert report.exact is None
     assert report.undecided_reason == "undecided at budget"
     assert report.lower_bound == 16
+
+
+def test_generic_tensor_scan_honours_budget():
+    # the unbudgeted scan at m = 10 runs for about 20 s inside k_rect
+    started = time.monotonic()
+    report = minimal_degree_report(NamedObject("generic-tensor", m=10), budget=0.5)
+    assert report.exact is None and report.undecided_reason == "undecided at budget"
+    assert time.monotonic() - started < 5
 
 
 def test_normality_flags():
