@@ -99,9 +99,17 @@ def _write_checkpoint(args, completed: dict[str, int]) -> None:
     os.replace(tmp, path)
 
 
+def _read_file(args, parse):
+    """The form/tensor in --file; the flags naming an object belong to the other source."""
+    named = [f"--{name}" for name in ("kind", "m", "D", "n") if getattr(args, name) is not None]
+    if named:
+        raise CliError(f"{' '.join(named)} cannot be combined with --file")
+    return parse(Path(args.file).read_text(encoding="utf-8"))
+
+
 def _load_form(args):
     if args.file:
-        return parse_form(Path(args.file).read_text(encoding="utf-8"))
+        return _read_file(args, parse_form)
     if not args.kind:
         raise CliError("need --kind or --file")
     return named_form(args.kind, m=args.m, D=args.D, n=args.n)
@@ -109,7 +117,7 @@ def _load_form(args):
 
 def _load_tensor(args):
     if args.file:
-        return parse_tensor(Path(args.file).read_text(encoding="utf-8"))
+        return _read_file(args, parse_tensor)
     if not args.kind:
         raise CliError("need --kind or --file")
     kind = {"unit": "unit-tensor", "matmul": "matmul-tensor"}.get(args.kind, args.kind)
@@ -251,12 +259,16 @@ def _cmd_monoid(args):
 def _cmd_pleth_bound(args):
     deadline = Deadline(args.budget)
     if args.sl:
+        if args.lam:
+            raise CliError("--lam applies without --sl")
         if args.m is None:
             raise CliError("--sl needs --m")
         value = sl_invariant_bound(args.D, args.m, args.d, deadline=deadline)
         return value, {"mode": "sl-invariants", "D": args.D, "m": args.m, "d": args.d}, None
     if not args.lam:
         raise CliError("need --lam (or --sl with --m)")
+    if args.m is not None:
+        raise CliError("--m applies with --sl")
     lam = _parse_partition(args.lam)
     value = pleth_upper_bound(lam, args.D, args.d, deadline=deadline)
     return value, {"mode": "shape", "lam": list(lam.parts), "D": args.D, "d": args.d}, None

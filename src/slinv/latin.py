@@ -2,7 +2,7 @@
 cubes, and admissible tables, on one signed label-placement kernel.
 
 Every counter returns (#even) - (#odd) as an exact Python int, and every
-one of them, like the generic form and tensor invariants, is the same sum:
+one of them, like every tableau and tensor invariant, is the same sum:
 a fixed sequence of steps, each placing a tuple of labels on a tuple of
 lines.  No label may repeat on a line; a signed line contributes the sign
 of the permutation its labels form in placement order, accumulated as

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .exact import as_scalar, format_scalar, multinomial, perm_sign
 
@@ -105,19 +105,14 @@ class SparseTensor:
         return f"SparseTensor(shape={self.shape}, {len(self.entries)} entries)"
 
 
-FORM_KINDS = ("product", "power-sum", "determinant", "permanent")
-TENSOR_KINDS = ("unit-tensor", "matmul-tensor")
-GENERIC_KINDS = ("generic-form", "generic-tensor")
-
-
 @dataclass(frozen=True)
 class NamedObject:
     """One of the named forms/tensors the diagnostics know about.
 
-    kind in FORM_KINDS + TENSOR_KINDS + GENERIC_KINDS; parameters:
-    product: m; power-sum: (D, m); determinant/permanent: n (degree n in
-    n^2 variables); unit-tensor: m; matmul-tensor: n (three axes of
-    dimension n^2); generic-form: (D, m); generic-tensor: m.
+    Kinds and their parameters: product: m; power-sum: (D, m);
+    determinant/permanent: n (degree n in n^2 variables); unit-tensor: m;
+    matmul-tensor: n (three axes of dimension n^2); generic-form: (D, m);
+    generic-tensor: m.
     """
 
     kind: str
@@ -258,16 +253,16 @@ def named_form(kind: str, *, m: int | None = None, D: int | None = None, n: int 
     raise ValueError(f"unknown form kind {kind!r}")
 
 
-def _distinct_orderings(alpha: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-    """All distinct index tuples whose exponent type is alpha (1-based values)."""
-    symbols = []
-    for var, count in enumerate(alpha, start=1):
-        symbols.extend([var] * count)
-    seen = set()
-    for tup in itertools.permutations(symbols):
-        if tup not in seen:
-            seen.add(tup)
-            yield tup
+def _distinct_orderings(alpha: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """All distinct index tuples whose exponent type is alpha (1-based values), each once."""
+    if not any(alpha):
+        yield ()
+        return
+    for var, count in enumerate(alpha):
+        if count:
+            rest = alpha[:var] + (count - 1,) + alpha[var + 1:]
+            for tail in _distinct_orderings(rest):
+                yield (var + 1,) + tail
 
 
 def form_to_tensor(f: SparseForm) -> SparseTensor:

@@ -9,17 +9,20 @@ signed by the product of the permutation signs, of products of d tensor
 entries.  Scaling by any g in GL_m multiplies the value by det(g)^s,
 which is what makes these useful as special-linear invariants.
 
-The generic tableau (symbol i in every cell of row i) has one tensor
-factor per row, so its invariant is a signed label-placement sum: step i
-places a support element of the tensor across all D columns at once.  It
-runs on the shared kernel `latin._signed_dfs`.  A general tableau keeps
-its own cell-by-cell walk, because a tensor factor is known only once its
-last occurrence is placed, which can be many columns later.
+Every tableau invariant is a signed label-placement sum on the shared
+kernel `latin._signed_dfs`, taken symbol by symbol: step i places one
+support element of the tensor on the D columns holding symbol i, so each
+step is one tensor factor and a zero entry is never visited.  The kernel
+reads each column's labels in symbol order rather than row order, which
+changes the sign by the constant prod_j sgn(column j of T).  The generic
+tableau (symbol i in every cell of row i) has sorted columns, so for it
+that constant is 1 and step i fills row i.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from .budget import as_deadline
@@ -157,98 +160,29 @@ def power_sum_tableau(D: int, m: int) -> Tableau:
     return Tableau(tuple(tuple(row) for row in rows), d=2 * m)
 
 
-def _check_cubic(v: SparseTensor, D: int, m: int) -> None:
-    if v.shape != (m,) * D:
-        raise ValueError(f"tensor shape {v.shape} does not match order {D} on C^{m}")
-
-
 def eval_tableau_invariant(T: Tableau, v: SparseTensor, deadline=None) -> Fraction:
     """Exact value of the tableau invariant at an order-D cubic tensor.
 
-    Depth-first search over columns, extending one column permutation cell
-    by cell; a tensor factor is looked up as soon as its last occurrence is
-    assigned, so branches hitting a zero entry are pruned immediately.
+    Step i = 1..d places a support element nu of v on the signed columns
+    holding symbol i, its k-th occurrence (columnwise order) taking the
+    label nu[k]; see the module docstring for the constant column sign.
     """
-    dl = as_deadline(deadline)
-    m, s, d, D = T.m, T.s, T.d, T.D
-    _check_cubic(v, D, m)
-    if not v.entries:
-        return Fraction(0)
-
-    # Static cell plan in column-major order: symbol, slot within its factor,
-    # and whether the cell completes the factor.
-    forward, inverse = tableau_positions(T)
-    plan = []  # (row0, col0, symbol0, slot0, completes)
-    occ_total = {i: len(T.occurrences(i)) for i in range(1, d + 1)}
-    for j in range(1, s + 1):
-        for k in range(1, m + 1):
-            iota, i = inverse[(k, j)]
-            plan.append((k - 1, j - 1, i - 1, iota - 1, iota == occ_total[i]))
-
-    entries = v.entries
-    factor_idx: list[list[int]] = [[0] * D for _ in range(d)]
-    col_values: list[list[int]] = [[0] * m for _ in range(s)]
-    col_used = [0] * s
-    ncells = len(plan)
-    total = Fraction(0)
-    node_counter = 0
-
-    def dfs(t: int, sign: int, product: Fraction) -> None:
-        nonlocal total, node_counter
-        if t == ncells:
-            total += sign * product
-            return
-        node_counter += 1
-        if node_counter % 4096 == 0:
-            dl.check()
-        row, col, sym, slot, completes = plan[t]
-        used = col_used[col]
-        values = col_values[col]
-        fi = factor_idx[sym]
-        for val in range(1, m + 1):
-            bit = 1 << val
-            if used & bit:
-                continue
-            col_used[col] = used | bit
-            values[row] = val
-            fi[slot] = val
-            new_sign = sign
-            new_product = product
-            if completes:
-                w = entries.get(tuple(fi))
-                if w is None:
-                    continue
-                new_product = product * w
-            if row == m - 1:
-                new_sign = sign * sequence_sign(values)
-            dfs(t + 1, new_sign, new_product)
-        col_used[col] = used
-
-    dfs(0, 1, Fraction(1))
-    return total
+    if v.shape != (T.m,) * T.D:
+        raise ValueError(f"tensor shape {v.shape} does not match order {T.D} on C^{T.m}")
+    den, support = _integer_weights(v.entries)
+    steps = [(tuple(col - 1 for _, col in T.occurrences(i)), (True,) * T.D, support)
+             for i in range(1, T.d + 1)]
+    sign = math.prod(sequence_sign(column) for column in zip(*T.cells))
+    return Fraction(sign * _signed_dfs(steps, as_deadline(deadline)), den**T.d)
 
 
 def eval_generic_invariant(D: int, m: int, v: SparseTensor, deadline=None) -> Fraction:
-    """Exact value of the degree-m generic invariant on order-D tensors over C^m.
-
-    Fast path for the all-i-in-row-i tableau: rather than walking columns,
-    step i = 1..m places a whole support element nu of v at once, nu[j]
-    becoming the image of i under the j-th column permutation.  That is the
-    signed label-placement sum of `latin._signed_dfs` with the D column
-    permutations as signed lines and the entries of v as weights.
-    Identical results to eval_tableau_invariant on the generic tableau.
-    """
-    if D < 1 or m < 1:
-        raise ValueError("need D >= 1 and m >= 1")
-    _check_cubic(v, D, m)
-    den, support = _integer_weights(v.entries)
-    step = (tuple(range(D)), (True,) * D, support)
-    return Fraction(_signed_dfs([step] * m, as_deadline(deadline)), den**m)
+    """Exact value of the degree-m generic invariant on order-D tensors over C^m."""
+    return eval_tableau_invariant(generic_tableau(D, m), v, deadline=deadline)
 
 
 def eval_cyclic_invariant(D: int, v: SparseTensor, deadline=None) -> Fraction:
     """Exact value of the cyclic degree-(D+1) invariant on order-D tensors over C^D."""
-    _check_cubic(v, D, D)
     return eval_tableau_invariant(cyclic_tableau(D), v, deadline=deadline)
 
 

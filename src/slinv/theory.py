@@ -180,7 +180,11 @@ def minimal_degree_report(obj: NamedObject, budget: float | None = None) -> Mini
     if kind == "power-sum":
         D, m = obj.D, obj.m
         if D % 2 == 0:
-            value = eval_generic_invariant(D, m, form_to_tensor(named_form("power-sum", D=D, m=m)), deadline=dl)
+            try:
+                value = eval_generic_invariant(D, m, form_to_tensor(named_form("power-sum", D=D, m=m)), deadline=dl)
+            except BudgetExhausted:
+                return MinimalDegreeReport(obj, m, None, "generic degree-m invariant not finished",
+                                           undecided_reason="undecided at budget")
             if value != math.factorial(m):
                 raise AssertionError(f"generic invariant at the power sum is {value}, not {m}!")
             return MinimalDegreeReport(obj, m, m, "generic degree-m invariant is nonzero at the power sum", value)

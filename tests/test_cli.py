@@ -1,11 +1,16 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from slinv.cli import main
 from slinv.spaces import serialize_form, serialize_tensor, determinant_form, form_to_tensor, power_sum_form
 from slinv.tableaux import generic_tableau, serialize_tableau
+
+
+# the 2 x 2 determinant as a form file (its generic invariant is 3/2)
+DET2_FORM = str(Path(__file__).parent / "data" / "det2.form")
 
 
 def run(capsys, *argv):
@@ -185,6 +190,12 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     # count flags belong after the structure
     (("count", "--threads", "2", "--json", "latin-squares", "3"), "invalid choice: '2'"),
     (("count", "--budget", "5", "latin-cubes", "3"), "invalid choice: '5'"),
+    # a file source reads no named-object flags, and pleth-bound's two modes read --lam or --m, not both
+    (("invariant", "form", "--file", DET2_FORM, "--kind", "product", "--m", "3"),
+     "--kind --m cannot be combined with --file"),
+    (("polystable", "form", "--file", DET2_FORM, "--n", "9"), "--n cannot be combined with --file"),
+    (("pleth-bound", "--sl", "--lam", "3,3", "--D", "3", "--m", "2", "--d", "4"), "--lam applies without --sl"),
+    (("pleth-bound", "--lam", "3,3", "--D", "3", "--m", "7", "--d", "2"), "--m applies with --sl"),
 ])
 def test_flag_the_verb_does_not_read_exits_two(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

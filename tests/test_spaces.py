@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import matrix_inverse, random_integer_matrix, random_invertible_matrix
+from slinv.exact import multinomial
 from slinv.spaces import (
     NamedObject,
+    _distinct_orderings,
     ParseError,
     SparseForm,
     SparseTensor,
@@ -84,6 +86,22 @@ def test_form_to_tensor_symmetry_and_ordering_sum():
             orderings = [idx for idx in t.entries
                          if tuple(sorted(idx)) == tuple(sorted(sum(([i + 1] * a for i, a in enumerate(alpha)), [])))]
             assert sum(t.entries[idx] for idx in orderings) == w
+
+
+def test_distinct_orderings_are_the_multiset_permutations():
+    rng = random.Random(11)
+    for _ in range(25):
+        alpha = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 4)))
+        orderings = list(_distinct_orderings(alpha))
+        assert len(orderings) == len(set(orderings)) == multinomial(alpha)
+        word = sorted(sum(([i + 1] * a for i, a in enumerate(alpha)), []))
+        assert all(sorted(idx) == word for idx in orderings)
+
+
+def test_power_sum_tensor_of_high_degree():
+    # one ordering per variable, found without walking the 12! permutations of x_i^12
+    t = form_to_tensor(power_sum_form(12, 3))
+    assert t.entries == {(i,) * 12: 1 for i in (1, 2, 3)}
 
 
 def test_named_tensor_examples():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 from helpers import (
     brute_tableau_invariant,
     leibniz_det,
+    random_fraction,
     random_integer_matrix,
     random_sparse_cubic,
 )
-from slinv.exact import binomial
+from slinv.budget import BudgetExhausted, Deadline
+from slinv.exact import binomial, sequence_sign
 from slinv.spaces import (
     ParseError,
     SparseForm,
@@ -103,12 +106,39 @@ def test_tableau_evaluator_matches_brute_force():
             assert eval_tableau_invariant(T, v) == brute_tableau_invariant(T, v)
 
 
+def _column_sign(T):
+    return math.prod(sequence_sign(column) for column in zip(*T.cells))
+
+
+def test_tableau_evaluator_matches_brute_force_on_odd_column_signs():
+    # the evaluator reads columns by symbol, not by row; these tableaux make that sign -1
+    rng = random.Random(21)
+    tableaux = [Tableau(((1, 2), (2, 1)), d=2), Tableau(((2, 1, 3), (3, 2, 1)), d=3),
+                *_random_tableaux(rng, 30)]
+    assert sum(_column_sign(T) == -1 for T in tableaux) >= 10
+    for T in tableaux:
+        for _ in range(3):
+            v = random_sparse_cubic(rng, T.m, T.D, terms=rng.randint(2, 8))
+            assert eval_tableau_invariant(T, v) == brute_tableau_invariant(T, v)
+
+
+def test_tableau_evaluator_polls_its_deadline():
+    rng = random.Random(23)
+    T = cyclic_tableau(3)  # a dense tensor over C^3 takes over 1024 search nodes
+    v = SparseTensor((3,) * 3, {idx: random_fraction(rng) for idx in itertools.product(range(1, 4), repeat=3)})
+    with pytest.raises(BudgetExhausted):
+        eval_tableau_invariant(T, v, deadline=Deadline(-1))
+    with pytest.raises(BudgetExhausted):
+        eval_cyclic_invariant(3, v, deadline=Deadline(-1))
+    assert eval_tableau_invariant(T, v, deadline=Deadline(60)) == brute_tableau_invariant(T, v)
+
+
 def test_generic_evaluator_matches_tableau_evaluator():
     rng = random.Random(13)
     for _ in range(20):
         D, m = rng.choice([(2, 2), (3, 2), (2, 3), (4, 2)])
         v = random_sparse_cubic(rng, m, D, terms=5)
-        assert eval_generic_invariant(D, m, v) == eval_tableau_invariant(generic_tableau(D, m), v)
+        assert eval_generic_invariant(D, m, v) == brute_tableau_invariant(generic_tableau(D, m), v)
 
 
 def _sparse_cubic(D, m):
@@ -123,7 +153,7 @@ def _sparse_cubic(D, m):
     lambda Dm: st.tuples(st.just(Dm), _sparse_cubic(*Dm))))
 def test_generic_evaluator_matches_tableau_evaluator_on_random_tensors(case):
     (D, m), v = case
-    assert eval_generic_invariant(D, m, v) == eval_tableau_invariant(generic_tableau(D, m), v)
+    assert eval_generic_invariant(D, m, v) == brute_tableau_invariant(generic_tableau(D, m), v)
 
 
 def test_generic_invariant_power_sum_values():

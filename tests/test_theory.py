@@ -139,6 +139,13 @@ def test_generic_tensor_scan_honours_budget():
     assert time.monotonic() - started < 5
 
 
+def test_power_sum_scan_honours_budget():
+    # even D decides by the generic degree-m invariant; at m = 10 that search has 10! leaves
+    report = minimal_degree_report(NamedObject("power-sum", D=2, m=10), budget=0)
+    assert report.exact is None and report.lower_bound == 10
+    assert report.undecided_reason == "undecided at budget"
+
+
 def test_normality_flags():
     assert nonnormality_flag(NamedObject("product", m=2)).flag == NORMAL_KNOWN
     assert nonnormality_flag(NamedObject("determinant", n=2)).flag == NORMAL_KNOWN
