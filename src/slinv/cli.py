@@ -139,6 +139,7 @@ def _require_budget(args, what: str) -> None:
 
 def _cmd_invariant(args):
     deadline = Deadline(args.budget)
+    work = {"states": 0, "peak_states": 0}
     if args.target == "form":
         if args.format:
             raise CliError("--format applies to tensors")
@@ -149,18 +150,18 @@ def _cmd_invariant(args):
         if args.cyclic:
             if form.D != form.m:
                 raise CliError("--cyclic needs degree equal to the number of variables")
-            value = eval_cyclic_invariant(form.D, tensor, deadline=deadline)
-            return value, {"invariant": "cyclic", "D": form.D, "m": form.m, "degree": form.D + 1}, None
-        value = eval_generic_invariant(form.D, form.m, tensor, deadline=deadline)
-        return value, {"invariant": "generic", "D": form.D, "m": form.m, "degree": form.m}, None
+            value = eval_cyclic_invariant(form.D, tensor, deadline=deadline, stats=work)
+            return value, {"invariant": "cyclic", "D": form.D, "m": form.m, "degree": form.D + 1, **work}, None
+        value = eval_generic_invariant(form.D, form.m, tensor, deadline=deadline, stats=work)
+        return value, {"invariant": "generic", "D": form.D, "m": form.m, "degree": form.m, **work}, None
 
     if args.cyclic:
         raise CliError("--cyclic applies to forms")
     tensor = _load_tensor(args)
     if args.format:
         n1, n2, n3 = args.format
-        value = eval_tensor_invariant_format(n1, n2, n3, tensor, deadline=deadline)
-        return value, {"invariant": "tensor", "format": [n1, n2, n3], "degree": n1 * n2 * n3}, None
+        value = eval_tensor_invariant_format(n1, n2, n3, tensor, deadline=deadline, stats=work)
+        return value, {"invariant": "tensor", "format": [n1, n2, n3], "degree": n1 * n2 * n3, **work}, None
     if tensor.order != 3 or not tensor.is_cubic():
         raise CliError("tensor must be cubic order 3 (or pass --format n1 n2 n3)")
     n = math.isqrt(tensor.shape[0])
@@ -168,15 +169,16 @@ def _cmd_invariant(args):
         raise CliError(f"axis dimension {tensor.shape[0]} is not a square; pass --format")
     if n >= 3:
         _require_budget(args, f"evaluating the degree-{n**3} tensor invariant")
-    value = eval_tensor_invariant(n, tensor, deadline=deadline)
-    return value, {"invariant": "tensor", "n": n, "degree": n**3}, None
+    value = eval_tensor_invariant(n, tensor, deadline=deadline, stats=work)
+    return value, {"invariant": "tensor", "n": n, "degree": n**3, **work}, None
 
 
 def _cmd_eval_tableau(args):
     tableau = parse_tableau(Path(args.tableau).read_text(encoding="utf-8"))
     tensor = parse_tensor(Path(args.tensor).read_text(encoding="utf-8"))
-    value = eval_tableau_invariant(tableau, tensor, deadline=Deadline(args.budget))
-    return value, {"rows": tableau.m, "cols": tableau.s, "symbols": tableau.d}, None
+    work = {"states": 0, "peak_states": 0}
+    value = eval_tableau_invariant(tableau, tensor, deadline=Deadline(args.budget), stats=work)
+    return value, {"rows": tableau.m, "cols": tableau.s, "symbols": tableau.d, **work}, None
 
 
 # structure: (counter, by name so that a rebound module-level name is the one
@@ -196,9 +198,11 @@ def _cmd_count(args):
     deadline = Deadline(args.budget)
     checkpoint = _read_checkpoint(args) if args.checkpoint else None
     values = [getattr(args, name) for name in params]
+    work = {"states": 0, "peak_states": 0}  # over the subtrees computed in this run
     started = time.monotonic()
     try:
-        value = globals()[counter](*values, workers=args.threads, deadline=deadline, checkpoint=checkpoint)
+        value = globals()[counter](*values, workers=args.threads, deadline=deadline, checkpoint=checkpoint,
+                                   stats=work)
     except BudgetExhausted as exc:
         if args.checkpoint:
             _write_checkpoint(args, exc.completed)
@@ -206,7 +210,7 @@ def _cmd_count(args):
             f"budget exhausted after {time.monotonic() - started:.1f}s ({len(exc.completed)} subtrees "
             f"finished{' and checkpointed' if args.checkpoint else ''})") from None
     meta = {"structure": args.structure, **dict(zip(params, values)),
-            "elapsed_s": round(time.monotonic() - started, 3)}
+            "elapsed_s": round(time.monotonic() - started, 3), **work}
     return value, meta, None
 
 

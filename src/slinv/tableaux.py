@@ -10,7 +10,7 @@ entries.  Scaling by any g in GL_m multiplies the value by det(g)^s,
 which is what makes these useful as special-linear invariants.
 
 Every tableau invariant is a signed label-placement sum on the shared
-kernel `latin._signed_dfs`, taken symbol by symbol: step i places one
+kernel `latin._signed_sum`, taken symbol by symbol: step i places one
 support element of the tensor on the D columns holding symbol i, so each
 step is one tensor factor and a zero entry is never visited.  The kernel
 reads each column's labels in symbol order rather than row order, which
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .budget import as_deadline
 from .exact import binomial, sequence_sign
-from .latin import _integer_weights, _signed_dfs
+from .latin import _integer_weights, _record_work, _signed_sum
 from .spaces import ParseError, SparseTensor
 
 
@@ -160,7 +160,7 @@ def power_sum_tableau(D: int, m: int) -> Tableau:
     return Tableau(tuple(tuple(row) for row in rows), d=2 * m)
 
 
-def eval_tableau_invariant(T: Tableau, v: SparseTensor, deadline=None) -> Fraction:
+def eval_tableau_invariant(T: Tableau, v: SparseTensor, deadline=None, stats=None) -> Fraction:
     """Exact value of the tableau invariant at an order-D cubic tensor.
 
     Step i = 1..d places a support element nu of v on the signed columns
@@ -173,17 +173,19 @@ def eval_tableau_invariant(T: Tableau, v: SparseTensor, deadline=None) -> Fracti
     steps = [(tuple(col - 1 for _, col in T.occurrences(i)), (True,) * T.D, support)
              for i in range(1, T.d + 1)]
     sign = math.prod(sequence_sign(column) for column in zip(*T.cells))
-    return Fraction(sign * _signed_dfs(steps, as_deadline(deadline)), den**T.d)
+    total, states, peak = _signed_sum(steps, as_deadline(deadline))
+    _record_work(stats, states, peak)
+    return Fraction(sign * total, den**T.d)
 
 
-def eval_generic_invariant(D: int, m: int, v: SparseTensor, deadline=None) -> Fraction:
+def eval_generic_invariant(D: int, m: int, v: SparseTensor, deadline=None, stats=None) -> Fraction:
     """Exact value of the degree-m generic invariant on order-D tensors over C^m."""
-    return eval_tableau_invariant(generic_tableau(D, m), v, deadline=deadline)
+    return eval_tableau_invariant(generic_tableau(D, m), v, deadline=deadline, stats=stats)
 
 
-def eval_cyclic_invariant(D: int, v: SparseTensor, deadline=None) -> Fraction:
+def eval_cyclic_invariant(D: int, v: SparseTensor, deadline=None, stats=None) -> Fraction:
     """Exact value of the cyclic degree-(D+1) invariant on order-D tensors over C^D."""
-    return eval_tableau_invariant(cyclic_tableau(D), v, deadline=deadline)
+    return eval_tableau_invariant(cyclic_tableau(D), v, deadline=deadline, stats=stats)
 
 
 # -- tableau text format -------------------------------------------------------

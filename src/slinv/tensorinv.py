@@ -6,7 +6,7 @@ factor), each weighted by the product of its slice-permutation signs and
 by the product of tensor entries over all points.  A labeling whose
 restriction to some axis slice fails to be a bijection contributes sign 0,
 so the enumeration couples the three labelings point by point: each point
-is one step of the signed label-placement kernel `latin._signed_dfs`,
+is one step of the signed label-placement kernel `latin._signed_sum`,
 placing a support element (a, b, c) of the tensor on the point's x-, y-
 and z-slice, all three signed, weighted by the entry.  Only support
 elements are candidates, so zero entries never enter the search.
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from .budget import as_deadline
-from .latin import _integer_weights, _signed_dfs
+from .latin import _integer_weights, _record_work, _signed_sum
 from .spaces import SparseTensor, pair_index
 
 
@@ -32,7 +32,7 @@ def _point_steps(n1: int, n2: int, n3: int, candidates: list) -> list:
 
 
 def eval_tensor_invariant_format(
-    n1: int, n2: int, n3: int, w: SparseTensor, deadline=None
+    n1: int, n2: int, n3: int, w: SparseTensor, deadline=None, stats=None
 ) -> Fraction:
     """Degree n1*n2*n3 invariant of a tensor in C^{n2*n3} x C^{n1*n3} x C^{n1*n2}.
 
@@ -46,13 +46,14 @@ def eval_tensor_invariant_format(
     if w.order != 3 or w.shape != (d1, d2, d3):
         raise ValueError(f"tensor shape {w.shape} does not match ({d1}, {d2}, {d3})")
     den, support = _integer_weights(w.entries)
-    total = _signed_dfs(_point_steps(n1, n2, n3, support), as_deadline(deadline))
+    total, states, peak = _signed_sum(_point_steps(n1, n2, n3, support), as_deadline(deadline))
+    _record_work(stats, states, peak)
     return Fraction(total, den ** (n1 * n2 * n3))
 
 
-def eval_tensor_invariant(n: int, w: SparseTensor, deadline=None) -> Fraction:
+def eval_tensor_invariant(n: int, w: SparseTensor, deadline=None, stats=None) -> Fraction:
     """Degree n^3 invariant of a cubic tensor with all three axes C^{n^2}."""
-    return eval_tensor_invariant_format(n, n, n, w, deadline=deadline)
+    return eval_tensor_invariant_format(n, n, n, w, deadline=deadline, stats=stats)
 
 
 def eval_tensor_invariant_matmul(n: int, deadline=None) -> int:
@@ -68,4 +69,4 @@ def eval_tensor_invariant_matmul(n: int, deadline=None) -> int:
         raise ValueError("need n >= 1")
     triples = [((pair_index(mu, nu, n), pair_index(nu, pi, n), pair_index(pi, mu, n)), 1)
                for mu, nu, pi in itertools.product(range(1, n + 1), repeat=3)]
-    return _signed_dfs(_point_steps(n, n, n, triples), as_deadline(deadline))
+    return _signed_sum(_point_steps(n, n, n, triples), as_deadline(deadline))[0]

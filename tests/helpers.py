@@ -10,7 +10,9 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Sequence
 
+from slinv.budget import Deadline
 from slinv.exact import sequence_sign
 from slinv.spaces import SparseTensor
 from slinv.tableaux import Tableau
@@ -216,4 +218,57 @@ def brute_signed_admissible_tables(n: int, weighting: str) -> int:
                 for i in range(nsq):
                     sign *= sequence_sign(srows[i]) * sequence_sign(trows[i])
             total += sign
+    return total
+
+
+# The backtracking search that `latin._signed_sum` replaced, kept as its oracle.
+_CHECK_MASK = 0x3FF  # deadline polling period in DFS nodes
+
+
+def dfs_signed_sum(steps: Sequence[tuple], deadline: Deadline) -> int:
+    """Sum over all placements of sign * product of candidate weights.
+
+    steps[t] = (lines, signed, candidates); a candidate (labels, weight)
+    puts the positive integer labels[k] on line lines[k] and multiplies the
+    term by the integer weight.  A placement picks one candidate per step
+    such that no line receives a label twice; its sign is (-1)^(inversions
+    on the lines whose signed[k] is true), each line read in step order.
+    """
+    width = 1 + max((max(labels) for _, _, cands in steps for labels, _ in cands), default=0)
+    segment = (1 << width) - 1
+    # Line l owns bits l*width .. l*width + width - 1 of the packed state.  Per
+    # step: (bits the candidate sets, bits whose presence is an inversion, weight).
+    plan = []
+    for lines, signed, cands in steps:
+        packed = []
+        for labels, weight in cands:
+            bits = above = 0
+            for line, flag, label in zip(lines, signed, labels):
+                bits |= 1 << (line * width + label)
+                if flag:
+                    above |= (segment & -(2 << label)) << (line * width)
+            packed.append((bits, above, weight))
+        plan.append(packed)
+    last = len(plan) - 1
+    total = 0
+    nodes = 0
+
+    def fill(t: int, state: int, inv: int, w: int) -> None:
+        nonlocal total, nodes
+        nodes += 1
+        if not nodes & _CHECK_MASK:
+            deadline.check()
+        if t == last:  # add the leaves here, saving one call per leaf
+            for bits, above, weight in plan[t]:
+                if not state & bits:
+                    if (inv + (state & above).bit_count()) & 1:
+                        total -= w * weight
+                    else:
+                        total += w * weight
+            return
+        for bits, above, weight in plan[t]:
+            if not state & bits:
+                fill(t + 1, state | bits, inv + (state & above).bit_count(), w * weight)
+
+    fill(0, 0, 0, 1)
     return total

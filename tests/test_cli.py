@@ -265,3 +265,35 @@ def test_checkpoint_resume_after_budget(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["squares.ckpt"]  # no temporary file left
     code, out, _ = run(capsys, "count", "latin-squares", "4", "--checkpoint", str(ckpt))
     assert code == 0 and out == "576\n"
+
+
+@pytest.mark.parametrize("argv, states, peak_states", [
+    (("count", "latin-squares", "4"), 3264, 55),
+    (("count", "latin-annuli", "4", "6"), 31992, 585),
+])
+def test_count_json_reports_kernel_work(capsys, argv, states, peak_states):
+    metas = []
+    for threads in ("1", "2"):
+        code, out, _ = run(capsys, *argv, "--threads", threads, "--json")
+        assert code == 0
+        metas.append(json.loads(out)["meta"])
+    assert [(m["states"], m["peak_states"]) for m in metas] == [(states, peak_states)] * 2
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.strip() in ("576", "768")  # plain text carries no counters
+
+
+def test_invariant_verbs_report_kernel_work(tmp_path, capsys):
+    code, out, _ = run(capsys, "invariant", "form", "--kind", "product", "--m", "3", "--json")
+    meta = json.loads(out)["meta"]
+    assert code == 0 and meta["states"] > 0 and meta["peak_states"] > 0
+    code, out, _ = run(capsys, "invariant", "tensor", "--kind", "matmul", "--n", "2", "--json")
+    meta = json.loads(out)["meta"]
+    assert code == 0 and meta["states"] > 0 and meta["peak_states"] > 0
+    tensor_path = tmp_path / "ps.tensor"
+    tensor_path.write_text(serialize_tensor(form_to_tensor(power_sum_form(3, 2))), encoding="utf-8")
+    tab_path = tmp_path / "generic.tab"
+    tab_path.write_text(serialize_tableau(generic_tableau(3, 2)), encoding="utf-8")
+    code, out, _ = run(capsys, "eval-tableau", "--tableau", str(tab_path), "--tensor", str(tensor_path), "--json")
+    meta = json.loads(out)["meta"]
+    assert code == 0 and meta["states"] > 0 and meta["peak_states"] > 0
+

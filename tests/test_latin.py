@@ -2,14 +2,17 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     brute_signed_admissible_tables,
     brute_signed_latin_annuli,
     brute_signed_latin_cubes,
     brute_signed_latin_squares,
+    dfs_signed_sum,
     enumerate_latin_cubes,
 )
+from slinv import latin
 from slinv.budget import BudgetExhausted, Deadline
 from slinv.exact import sequence_sign
 from slinv.latin import (
@@ -178,3 +181,78 @@ def test_budget_exhaustion_raises_with_completed_parts():
     with pytest.raises(BudgetExhausted) as err:
         signed_latin_squares(4, deadline=Deadline(-1.0))
     assert err.value.completed == {}
+
+
+# -- the layered kernel against the backtracking oracle ------------------------
+
+
+@st.composite
+def _step_sequences(draw):
+    """Random kernel steps over a few lines, so lines recur across steps."""
+    n_lines = draw(st.integers(1, 4))
+    steps = []
+    for _ in range(draw(st.integers(1, 5))):
+        lines = tuple(draw(st.permutations(range(n_lines)))[:draw(st.integers(1, n_lines))])
+        signed = tuple(draw(st.booleans()) for _ in lines)
+        candidates = draw(st.lists(st.tuples(st.tuples(*[st.integers(1, 3)] * len(lines)),
+                                             st.integers(-3, 3)), max_size=5))
+        steps.append((lines, signed, candidates))
+    return steps
+
+
+def _peak_bound(steps, cap, floor):
+    # every recursion level may hold one partial layer of up to floor + (candidates - 1) states beyond the cap
+    return cap + len(steps) * (floor + max(len(cands) for _, _, cands in steps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=_step_sequences(), limits=st.none() | st.tuples(st.integers(1, 4), st.integers(1, 4)))
+def test_signed_sum_matches_backtracking_oracle(steps, limits):
+    expected = dfs_signed_sum(steps, Deadline(None))
+    if limits is None:  # the real constants: these sums never reach the cap
+        total, states, peak = latin._signed_sum(steps, Deadline(None))
+        assert peak <= latin._STATE_CAP
+    else:
+        cap, floor = limits
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(latin, "_STATE_CAP", cap)
+            mp.setattr(latin, "_CHUNK_FLOOR", floor)
+            total, states, peak = latin._signed_sum(steps, Deadline(None))
+        assert peak <= _peak_bound(steps, cap, floor)
+    assert total == expected
+
+
+def test_every_squares_5_subtree_matches_backtracking_oracle():
+    rows = (tuple(range(5)),) * 5
+    total = 0
+    for col0 in itertools.permutations(range(1, 6)):
+        steps = latin._latin_steps(rows, col0)
+        value = latin._signed_sum(steps, Deadline(None))[0]
+        assert value == dfs_signed_sum(steps, Deadline(None))
+        total += value
+    assert total == signed_latin_squares(5) == 0
+
+
+def test_squares_6_subtree_with_sorted_first_column():
+    # -276480, as the backtracking search gives in ~16 s
+    assert _squares_subtree_value(6, (1, 2, 3, 4, 5, 6)) == -276480
+
+
+def test_tiny_cap_chunks_the_sweep_and_keeps_its_bound(monkeypatch):
+    steps = latin._latin_steps((tuple(range(5)),) * 5, (1, 2, 3, 4, 5))
+    total, states, peak = latin._signed_sum(steps, Deadline(None))
+    monkeypatch.setattr(latin, "_STATE_CAP", 64)
+    monkeypatch.setattr(latin, "_CHUNK_FLOOR", 8)
+    chunked, chunked_states, chunked_peak = latin._signed_sum(steps, Deadline(None))
+    assert chunked == total == dfs_signed_sum(steps, Deadline(None))
+    assert peak > 64 + 8  # so the cap was reached
+    assert chunked_states > states  # chunks merge less
+    assert chunked_peak <= _peak_bound(steps, 64, 8)
+
+
+def test_counters_cover_only_the_subtrees_computed_in_this_run():
+    full, resumed = {}, {}
+    signed_latin_squares(3, stats=full)
+    signed_latin_squares(3, checkpoint={"1,2,3": 0}, stats=resumed)  # only the other 5 subtrees run
+    skipped = latin._signed_sum(latin._latin_steps((tuple(range(3)),) * 3, (1, 2, 3)), Deadline(None))[1]
+    assert resumed["states"] == full["states"] - skipped > 0

@@ -10,17 +10,21 @@ from pathlib import Path
 
 import pytest
 
+from slinv.budget import Deadline
 from slinv.spaces import (
     NamedObject,
     SparseForm,
     SparseTensor,
     determinant_form,
+    form_to_tensor,
     matmul_tensor,
+    named_form,
     permanent_form,
     power_sum_form,
     product_form,
     unit_tensor,
 )
+from slinv.tableaux import eval_generic_invariant
 from slinv.theory import (
     NON_NORMAL,
     NORMAL_KNOWN,
@@ -275,3 +279,11 @@ def test_semigroup_non_coprime_smallest_pair():
     report = semigroup_report([6, 10, 15])
     assert report.frobenius == 29
     assert 29 in report.gaps and 30 not in report.gaps
+
+
+@pytest.mark.parametrize("kind", ["determinant", "permanent"])
+def test_generic_invariant_of_odd_degree_vanishes_at_degree_m(kind):
+    # odd D: det_3 and per_3 (D = 3 in m = 9 variables) have no invariant of degree 9
+    assert minimal_degree_report(NamedObject(kind, n=3)).lower_bound > 9
+    form = named_form(kind, n=3)
+    assert eval_generic_invariant(3, 9, form_to_tensor(form), deadline=Deadline(20)) == 0
