@@ -54,10 +54,11 @@ def _signed_sum(steps: Sequence[tuple], deadline: Deadline) -> tuple[int, int, i
     merges the placements that meet.  Memory is bounded: when the layer
     under construction reaches max(_CHUNK_FLOOR, _STATE_CAP - states held
     by the layers above), that partial layer is finished by a recursive
-    sweep whose total adds to the sum, and the layer starts again.  The
-    floor keeps a full cap from degenerating into one dict per placement;
-    so the peak may pass the cap by one floor-sized partial layer per
-    recursion level.
+    sweep whose total adds to the sum, and the layer starts again.  A sweep
+    empties each layer it has expanded, the chunk it was handed included,
+    so only the counted layers stay alive.  The floor keeps a full cap from
+    degenerating into one dict per placement; so the peak may pass the cap
+    by one floor-sized partial layer per recursion level.
     """
     width = 1 + max((max(labels) for _, _, cands in steps for labels, _ in cands), default=0)
     segment = (1 << width) - 1
@@ -97,12 +98,17 @@ def _signed_sum(steps: Sequence[tuple], deadline: Deadline) -> tuple[int, int, i
                             following[key] = get(key, 0) + w * weight
                 if len(following) >= limit:
                     peak = max(peak, held + len(layer) + len(following))
-                    total += sweep(t + 1, following, held + len(layer))
+                    total += sweep(t + 1, following, held + len(layer))  # which empties the chunk
                     following = {}
                     get = following.get
             expanded += len(layer)
             peak = max(peak, held + len(layer) + len(following))
-            layer = {state: w for state, w in following.items() if w}
+            # Emptied in place, so that a caller still naming this layer (as the
+            # chunk it handed down) does not keep its states alive.
+            layer.clear()
+            for state in [state for state, w in following.items() if not w]:
+                del following[state]
+            layer = following
             t += 1
         for i, (state, w) in enumerate(layer.items()):  # the last step adds straight to the sum
             if not i & _CHECK_MASK:
@@ -115,6 +121,7 @@ def _signed_sum(steps: Sequence[tuple], deadline: Deadline) -> tuple[int, int, i
                         total += w * weight
         expanded += len(layer)
         peak = max(peak, held + len(layer))
+        layer.clear()
         return total
 
     return sweep(0, {0: 1}, 0), expanded, peak

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,6 +249,54 @@ def test_tiny_cap_chunks_the_sweep_and_keeps_its_bound(monkeypatch):
     assert peak > 64 + 8  # so the cap was reached
     assert chunked_states > states  # chunks merge less
     assert chunked_peak <= _peak_bound(steps, 64, 8)
+
+
+def _live_states_at_flushes(steps):
+    """(kernel result, most states held by the sweep's dicts when a chunk is handed down).
+
+    Counts every distinct dict named by a sweep frame on the stack, so a
+    consumed layer that a caller still names is counted too.
+    """
+    most = 0
+
+    def trace(frame, event, arg):
+        nonlocal most
+        if frame.f_code.co_name == "sweep" and frame.f_code.co_filename == latin.__file__:
+            live = {}
+            caller = frame.f_back
+            while caller is not None:
+                if caller.f_code is frame.f_code:
+                    live.update((id(v), len(v)) for v in caller.f_locals.values() if isinstance(v, dict))
+                caller = caller.f_back
+            most = max(most, sum(live.values()))
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        return latin._signed_sum(steps, Deadline(None)), most
+    finally:
+        sys.settrace(previous)
+
+
+def _grow_shrink_regrow_steps():
+    # layers double, halve, then triple: a chunk's sweep moves past the chunk
+    # and grows new layers while the sweep that handed it down is still running
+    grow = [((line,), (True,), [((1,), 1), ((2,), 2)]) for line in range(8)]
+    shrink = [((line,), (False,), [((1,), 1)]) for line in range(5)]
+    regrow = [((line,), (True,), [((1,), 1), ((2,), 1), ((3,), 1)]) for line in range(8, 14)]
+    return grow + shrink + regrow
+
+
+@pytest.mark.parametrize("steps, cap, floor", [
+    (_grow_shrink_regrow_steps(), 256, 5),
+    (latin._latin_steps((tuple(range(5)),) * 5, (1, 2, 3, 4, 5)), 64, 5),
+])
+def test_peak_states_counts_every_live_layer(monkeypatch, steps, cap, floor):
+    monkeypatch.setattr(latin, "_STATE_CAP", cap)
+    monkeypatch.setattr(latin, "_CHUNK_FLOOR", floor)
+    (total, states, peak), live = _live_states_at_flushes(steps)
+    assert total == dfs_signed_sum(steps, Deadline(None))
+    assert 0 < live <= peak <= _peak_bound(steps, cap, floor)
 
 
 def test_counters_cover_only_the_subtrees_computed_in_this_run():
