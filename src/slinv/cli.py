@@ -35,7 +35,7 @@ from .latin import (
     signed_latin_cubes,
     signed_latin_squares,
 )
-from .spaces import NamedObject, form_to_tensor, named_form, named_tensor, parse_form, parse_tensor
+from .spaces import NamedObject, form_to_tensor, named_form, named_tensor, parse_form, parse_tensor, unit_tensor
 from .tableaux import eval_cyclic_invariant, eval_generic_invariant, eval_tableau_invariant, parse_tableau
 from .tensorinv import eval_tensor_invariant, eval_tensor_invariant_format
 from .theory import (
@@ -69,7 +69,7 @@ def _named_object(args) -> NamedObject:
     return NamedObject(args.kind, **kw)
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def _checkpoint_header(args) -> str:
@@ -169,7 +169,10 @@ def _cmd_invariant(args):
         raise CliError(f"axis dimension {tensor.shape[0]} is not a square; pass --format")
     if n >= 3:
         _require_budget(args, f"evaluating the degree-{n**3} tensor invariant")
-    value = eval_tensor_invariant(n, tensor, deadline=deadline, stats=work)
+    if tensor == unit_tensor(n * n):  # the signed Latin-cube count: 0 at once for odd n >= 3
+        value = signed_latin_cubes(n, deadline=deadline, stats=work)
+    else:
+        value = eval_tensor_invariant(n, tensor, deadline=deadline, stats=work)
     return value, {"invariant": "tensor", "n": n, "degree": n**3, **work}, None
 
 
@@ -193,6 +196,8 @@ _COUNTS = {
 
 def _cmd_count(args):
     counter, params, gated = _COUNTS[args.structure]
+    if args.threads < 1:
+        raise CliError("--threads needs K >= 1")
     if gated and args.n >= 3:
         _require_budget(args, gated.format(args.n))
     deadline = Deadline(args.budget)

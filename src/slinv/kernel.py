@@ -1,0 +1,134 @@
+"""The signed label-placement kernel that every signed count and every
+tableau and tensor invariant reduces to.
+
+A sum is a fixed sequence of steps, each placing a tuple of labels on a
+tuple of lines.  No label may repeat on a line; a signed line contributes
+the sign of the permutation its labels form in placement order,
+accumulated as inversions against the labels already on it; each
+placement carries an integer weight.  `_signed_sum` evaluates that sum by
+a forward sweep over layers of packed line-mask states, merging the
+partial placements that reach the same state, in bounded memory; a
+candidate costs one test for reuse and one popcount for its inversions.
+A `stats` dict passed to a counter or evaluator receives the kernel's
+work: `states` (state expansions, summed) and `peak_states` (live states,
+maximum).
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional, Sequence
+
+from .budget import Deadline
+
+_CHECK_MASK = 0x3FF  # deadline polling period in state expansions
+_STATE_CAP = 1 << 20  # live states across all the layers a sweep holds
+_CHUNK_FLOOR = 1 << 12  # no partial layer is finished on its own below this size
+
+
+def _signed_sum(steps: Sequence[tuple], deadline: Deadline) -> tuple[int, int, int]:
+    """(sum over all placements of sign * product of candidate weights,
+    state expansions, peak live states).
+
+    steps[t] = (lines, signed, candidates); a candidate (labels, weight)
+    puts the positive integer labels[k] on line lines[k] and multiplies the
+    term by the integer weight.  A placement picks one candidate per step
+    such that no line receives a label twice; its sign is (-1)^(inversions
+    on the lines whose signed[k] is true), each line read in step order.
+    steps must be nonempty.
+
+    A candidate's inversions depend only on the labels already on its lines,
+    so what remains of the sum after t steps depends only on the packed line
+    masks.  The sweep therefore carries one layer per step, a dict from
+    state to the signed weight of every partial placement reaching it, and
+    merges the placements that meet.  Memory is bounded: when the layer
+    under construction reaches max(_CHUNK_FLOOR, _STATE_CAP - states held
+    by the layers above), that partial layer is finished by a recursive
+    sweep whose total adds to the sum, and the layer starts again.  A sweep
+    empties each layer it has expanded, the chunk it was handed included,
+    so only the counted layers stay alive.  The floor keeps a full cap from
+    degenerating into one dict per placement; so the peak may pass the cap
+    by one floor-sized partial layer per recursion level.
+    """
+    width = 1 + max((max(labels) for _, _, cands in steps for labels, _ in cands), default=0)
+    segment = (1 << width) - 1
+    # Line l owns bits l*width .. l*width + width - 1 of the packed state.  Per
+    # step: (bits the candidate sets, bits whose presence is an inversion, weight).
+    plan = []
+    for lines, signed, cands in steps:
+        packed = []
+        for labels, weight in cands:
+            bits = above = 0
+            for line, flag, label in zip(lines, signed, labels):
+                bits |= 1 << (line * width + label)
+                if flag:
+                    above |= (segment & -(2 << label)) << (line * width)
+            packed.append((bits, above, weight))
+        plan.append(packed)
+    last = len(plan) - 1
+    expanded = peak = 0
+
+    def sweep(t: int, layer: dict[int, int], held: int) -> int:
+        """Sum over the placements of steps t.. that continue the states of `layer`."""
+        nonlocal expanded, peak
+        total = 0
+        while t < last:  # a loop, so a fully merged layer is released once the next is built
+            limit = max(_CHUNK_FLOOR, _STATE_CAP - held - len(layer))
+            following: dict[int, int] = {}
+            get = following.get
+            for i, (state, w) in enumerate(layer.items()):
+                if not i & _CHECK_MASK:  # also on entry to every layer
+                    deadline.check()
+                for bits, above, weight in plan[t]:
+                    if not state & bits:
+                        key = state | bits
+                        if (state & above).bit_count() & 1:
+                            following[key] = get(key, 0) - w * weight
+                        else:
+                            following[key] = get(key, 0) + w * weight
+                if len(following) >= limit:
+                    peak = max(peak, held + len(layer) + len(following))
+                    total += sweep(t + 1, following, held + len(layer))  # which empties the chunk
+                    following = {}
+                    get = following.get
+            expanded += len(layer)
+            peak = max(peak, held + len(layer) + len(following))
+            # Emptied in place, so that a caller still naming this layer (as the
+            # chunk it handed down) does not keep its states alive.
+            layer.clear()
+            for state in [state for state, w in following.items() if not w]:
+                del following[state]
+            layer = following
+            t += 1
+        for i, (state, w) in enumerate(layer.items()):  # the last step adds straight to the sum
+            if not i & _CHECK_MASK:
+                deadline.check()
+            for bits, above, weight in plan[last]:
+                if not state & bits:
+                    if (state & above).bit_count() & 1:
+                        total -= w * weight
+                    else:
+                        total += w * weight
+        expanded += len(layer)
+        peak = max(peak, held + len(layer))
+        layer.clear()
+        return total
+
+    return sweep(0, {0: 1}, 0), expanded, peak
+
+
+def _record_work(stats: Optional[dict], states: int, peak_states: int) -> None:
+    """Add a kernel run's state expansions to `stats` and raise its peak live states."""
+    if stats is not None:
+        stats["states"] = stats.get("states", 0) + states
+        stats["peak_states"] = max(stats.get("peak_states", 0), peak_states)
+
+
+def _integer_weights(entries: dict) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """(den, candidates): the rational entries scaled by their common denominator.
+
+    A placement multiplies one weight per step, so the kernel's integer sum
+    over s steps divided by den**s is the rational sum.
+    """
+    den = math.lcm(*(w.denominator for w in entries.values()))
+    return den, [(idx, int(w * den)) for idx, w in entries.items()]

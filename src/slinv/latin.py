@@ -1,257 +1,111 @@
-"""Signed enumeration of column-signed Latin squares, Latin annuli, Latin
-cubes, and admissible tables, on one signed label-placement kernel.
+"""Signed counts of column-signed Latin squares, Latin annuli, Latin cubes
+and admissible tables, each the fundamental invariant at its named tensor.
 
-Every counter returns (#even) - (#odd) as an exact Python int, and every
-one of them, like every tableau and tensor invariant, is the same sum:
-a fixed sequence of steps, each placing a tuple of labels on a tuple of
-lines.  No label may repeat on a line; a signed line contributes the sign
-of the permutation its labels form in placement order, accumulated as
-inversions against the labels already on it; each placement carries an
-integer weight.  `_signed_sum` evaluates that sum by a forward sweep
-over layers of packed line-mask states, merging the partial placements
-that reach the same state, in bounded memory; a candidate costs one test
-for reuse and one popcount for its inversions.  A `stats` dict passed to a
-counter or evaluator receives the kernel's work: `states` (state
-expansions, summed) and `peak_states` (live states, maximum).
+Every counter returns (#even) - (#odd) as an exact Python int: the
+integer total of the signed label-placement kernel (`kernel._signed_sum`)
+over the steps of that invariant, times the constant column sign of its
+tableau, with no division by the tensor's denominator:
 
-The enumeration is split into top-level subtrees (the choices for the
-first column / first row / first points), which is what checkpointing and
-worker parallelism operate on; a subtree is the same step sequence with a
-single candidate at its fixed steps.  Results merge by integer addition,
+* squares of order n: the generic n x n tableau at the product tensor;
+* m x d annuli: `annulus_tableau(m, d)` at the m-variable product tensor
+  (the cyclic invariant is the case d = m + 1);
+* admissible n-tables: the generic n^2 x n tableau at det_n or per_n;
+* cubes of size n: the point steps of the tensor invariant at <n^2>.
+
+The count is split into subtrees, one per candidate of the first step,
+keyed by that candidate's labels joined by commas; checkpointing and
+worker parallelism operate on them.  Results merge by integer addition,
 so parallel output is identical to serial output.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from multiprocessing import Pool
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional
 
+from . import kernel
 from .budget import BudgetExhausted, Deadline, as_deadline
-from .exact import perm_sign
+from .kernel import _integer_weights, _record_work, _signed_sum
+from .spaces import determinant_form, form_to_tensor, permanent_form, product_form, unit_tensor
+from .tableaux import Tableau, _tableau_steps, annulus_tableau, generic_tableau
+from .tensorinv import _point_steps
 
-_CHECK_MASK = 0x3FF  # deadline polling period in state expansions
-_STATE_CAP = 1 << 20  # live states across all the layers a sweep holds
-_CHUNK_FLOOR = 1 << 12  # no partial layer is finished on its own below this size
-
-
-def _signed_sum(steps: Sequence[tuple], deadline: Deadline) -> tuple[int, int, int]:
-    """(sum over all placements of sign * product of candidate weights,
-    state expansions, peak live states).
-
-    steps[t] = (lines, signed, candidates); a candidate (labels, weight)
-    puts the positive integer labels[k] on line lines[k] and multiplies the
-    term by the integer weight.  A placement picks one candidate per step
-    such that no line receives a label twice; its sign is (-1)^(inversions
-    on the lines whose signed[k] is true), each line read in step order.
-    steps must be nonempty.
-
-    A candidate's inversions depend only on the labels already on its lines,
-    so what remains of the sum after t steps depends only on the packed line
-    masks.  The sweep therefore carries one layer per step, a dict from
-    state to the signed weight of every partial placement reaching it, and
-    merges the placements that meet.  Memory is bounded: when the layer
-    under construction reaches max(_CHUNK_FLOOR, _STATE_CAP - states held
-    by the layers above), that partial layer is finished by a recursive
-    sweep whose total adds to the sum, and the layer starts again.  A sweep
-    empties each layer it has expanded, the chunk it was handed included,
-    so only the counted layers stay alive.  The floor keeps a full cap from
-    degenerating into one dict per placement; so the peak may pass the cap
-    by one floor-sized partial layer per recursion level.
-    """
-    width = 1 + max((max(labels) for _, _, cands in steps for labels, _ in cands), default=0)
-    segment = (1 << width) - 1
-    # Line l owns bits l*width .. l*width + width - 1 of the packed state.  Per
-    # step: (bits the candidate sets, bits whose presence is an inversion, weight).
-    plan = []
-    for lines, signed, cands in steps:
-        packed = []
-        for labels, weight in cands:
-            bits = above = 0
-            for line, flag, label in zip(lines, signed, labels):
-                bits |= 1 << (line * width + label)
-                if flag:
-                    above |= (segment & -(2 << label)) << (line * width)
-            packed.append((bits, above, weight))
-        plan.append(packed)
-    last = len(plan) - 1
-    expanded = peak = 0
-
-    def sweep(t: int, layer: dict[int, int], held: int) -> int:
-        """Sum over the placements of steps t.. that continue the states of `layer`."""
-        nonlocal expanded, peak
-        total = 0
-        while t < last:  # a loop, so a fully merged layer is released once the next is built
-            limit = max(_CHUNK_FLOOR, _STATE_CAP - held - len(layer))
-            following: dict[int, int] = {}
-            get = following.get
-            for i, (state, w) in enumerate(layer.items()):
-                if not i & _CHECK_MASK:  # also on entry to every layer
-                    deadline.check()
-                for bits, above, weight in plan[t]:
-                    if not state & bits:
-                        key = state | bits
-                        if (state & above).bit_count() & 1:
-                            following[key] = get(key, 0) - w * weight
-                        else:
-                            following[key] = get(key, 0) + w * weight
-                if len(following) >= limit:
-                    peak = max(peak, held + len(layer) + len(following))
-                    total += sweep(t + 1, following, held + len(layer))  # which empties the chunk
-                    following = {}
-                    get = following.get
-            expanded += len(layer)
-            peak = max(peak, held + len(layer) + len(following))
-            # Emptied in place, so that a caller still naming this layer (as the
-            # chunk it handed down) does not keep its states alive.
-            layer.clear()
-            for state in [state for state, w in following.items() if not w]:
-                del following[state]
-            layer = following
-            t += 1
-        for i, (state, w) in enumerate(layer.items()):  # the last step adds straight to the sum
-            if not i & _CHECK_MASK:
-                deadline.check()
-            for bits, above, weight in plan[last]:
-                if not state & bits:
-                    if (state & above).bit_count() & 1:
-                        total -= w * weight
-                    else:
-                        total += w * weight
-        expanded += len(layer)
-        peak = max(peak, held + len(layer))
-        layer.clear()
-        return total
-
-    return sweep(0, {0: 1}, 0), expanded, peak
+_WORKER_RUN: tuple = ()  # (steps, deadline) of the count a pool worker serves
 
 
-def _record_work(stats: Optional[dict], states: int, peak_states: int) -> None:
-    """Add a kernel run's state expansions to `stats` and raise its peak live states."""
-    if stats is not None:
-        stats["states"] = stats.get("states", 0) + states
-        stats["peak_states"] = max(stats.get("peak_states", 0), peak_states)
-
-
-def _integer_weights(entries: dict) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    """(den, candidates): the rational entries scaled by their common denominator.
-
-    A placement multiplies one weight per step, so the kernel's integer sum
-    over s steps divided by den**s is the rational sum.
-    """
-    den = math.lcm(*(w.denominator for w in entries.values()))
-    return den, [(idx, int(w * den)) for idx, w in entries.items()]
-
-
-# ----------------------------------------------------------------------------
-# Subtree step builders.  Top-level module functions so they pickle for Pool.
-# ----------------------------------------------------------------------------
-
-
-def _latin_steps(lines: tuple[tuple[int, ...], ...], col0: tuple[int, ...]) -> list[tuple]:
-    """Kernel steps for the column-signed Latin arrays whose first column is col0.
-
-    The array has len(col0) rows and len(lines) columns; cell (r, c) lies on
-    its column, which is signed, and on the unsigned line lines[c][r]: its
-    row for squares, its wrap-around diagonal for annuli.
-    """
-    m = len(col0)
-    first_column = 1 + max(map(max, lines))
-    every = [((v, v), 1) for v in range(1, m + 1)]
-    return [((lines[c][r], first_column + c), (False, True),
-             every if c else [((col0[r], col0[r]), 1)])
-            for c in range(len(lines)) for r in range(m)]
-
-
-def _latin_subtree(lines: tuple[tuple[int, ...], ...], col0: tuple[int, ...], deadline: Deadline) -> int:
-    """Signed count of the column-signed Latin arrays whose first column is col0."""
-    return _signed_sum(_latin_steps(lines, col0), deadline)[0]
-
-
-def _cubes_steps(n: int, first_labels: tuple[int, ...]) -> list[tuple]:
-    """Kernel steps for the Latin cubes of size n whose first n points carry first_labels.
-
-    Points are taken in lexicographic order on [n]^3; the first n points are
-    (1,1,1..n).  The sign is the product of the 3n slice-permutation signs,
-    each slice read in the induced lexicographic order.
-    """
-    every = [((lab, lab, lab), 1) for lab in range(1, n * n + 1)]
-    return [((x, n + y, 2 * n + z), (True, True, True),
-             [((first_labels[t],) * 3, 1)] if t < len(first_labels) else every)
-            for t, (x, y, z) in enumerate(itertools.product(range(n), repeat=3))]
-
-
-def _tables_steps(n: int, weighting: str, first_row: tuple[int, int]) -> list[tuple]:
-    """Kernel steps for the admissible tables with a fixed first row pair.
-
-    first_row = (index into Sn for S's row 1, index for T's row 1).  A row
-    pair (sigma, tau) puts the code (sigma(j) - 1) * n + tau(j) on column j.
-    """
-    perms = list(itertools.permutations(range(1, n + 1)))
-    rows = [(tuple((sigma[j] - 1) * n + tau[j] for j in range(n)),
-             perm_sign(sigma) * perm_sign(tau) if weighting == "det" else 1)
-            for sigma in perms for tau in perms]
-    columns = (tuple(range(n)), (True,) * n)
-    first = rows[first_row[0] * len(perms) + first_row[1]]
-    return [(*columns, [first])] + [(*columns, rows)] * (n * n - 1)
-
-
-_SUBTREE_STEPS: dict[str, Callable[..., list]] = {
-    "squares": _latin_steps,
-    "annuli": _latin_steps,
-    "cubes": _cubes_steps,
-    "tables": _tables_steps,
-}
-
-
-def _subtree_call(job: tuple) -> tuple[str, Optional[tuple[int, int, int]]]:
-    """(key, kernel result of the subtree), or (key, None) when the budget ran out."""
-    kind, args, key, deadline = job
+def _subtree(steps: list[tuple], i: int, deadline: Deadline) -> Optional[tuple[int, int, int]]:
+    """Kernel result with the first step fixed to its i-th candidate; None when the budget ran out."""
+    lines, signed, candidates = steps[0]
     try:
-        deadline.check()  # before building the steps, so an expired run drains at once
-        return key, _signed_sum(_SUBTREE_STEPS[kind](*args), deadline)
+        deadline.check()  # before the sweep, so an expired run drains at once
+        return _signed_sum([(lines, signed, [candidates[i]]), *steps[1:]], deadline)
     except BudgetExhausted:
-        return key, None
+        return None
+
+
+def _start_worker(steps: list[tuple], deadline: Deadline, cap: int, floor: int) -> None:
+    """Pool initializer: the count's steps, and this worker's share of the live-state cap."""
+    global _WORKER_RUN
+    _WORKER_RUN = steps, deadline
+    kernel._STATE_CAP, kernel._CHUNK_FLOOR = cap, floor
+
+
+def _worker_subtree(i: int) -> tuple[int, Optional[tuple[int, int, int]]]:
+    steps, deadline = _WORKER_RUN
+    return i, _subtree(steps, i, deadline)
 
 
 def _run_tasks(
-    kind: str,
-    tasks: list[tuple[str, tuple]],
+    steps: list[tuple],
+    keys: list[str],
     workers: int,
     deadline: Deadline,
     checkpoint: Optional[dict[str, int]],
     stats: Optional[dict],
 ) -> int:
-    """Run subtree tasks (serially or on a pool) and sum their signed counts.
+    """Sum the kernel over the subtrees of `steps` (serially or on a pool).
 
-    `stats` receives the states summed and the peak states maximised over
-    the subtrees computed in this run.  `checkpoint` maps canonical prefixes
-    to finished subtree counts and is consulted before computing; a prefix
-    that is not one of `tasks` raises ValueError.  On budget exhaustion the
-    raise carries every completed subtree so the caller can persist them.
+    keys[i] names the subtree whose first step is fixed to its i-th
+    candidate.  A pool has min(workers, subtrees to run) processes, each
+    with an equal share of the kernel's live-state cap, so the count as a
+    whole stays within one cap.  `stats` receives the states summed and the
+    peak states maximised over the subtrees computed in this run.
+    `checkpoint` maps keys to finished subtree totals and is consulted
+    before computing; a key that is not one of `keys` raises ValueError.  On
+    budget exhaustion the raise carries every completed subtree so the
+    caller can persist them.
     """
     completed: dict[str, int] = dict(checkpoint or {})
-    stray = completed.keys() - {key for key, _ in tasks}
+    stray = completed.keys() - set(keys)
     if stray:
         raise ValueError(f"checkpoint subtree {min(stray)} is not part of this count")
-    jobs = [(kind, args, key, deadline) for key, args in tasks if key not in completed]
-    if workers <= 1 or len(jobs) <= 1:
-        results = list(map(_subtree_call, jobs))
+    todo = [i for i, key in enumerate(keys) if key not in completed]
+    size = min(workers, len(todo))
+    if size <= 1:
+        results = [(i, _subtree(steps, i, deadline)) for i in todo]
     else:
-        with Pool(processes=workers) as pool:
-            results = list(pool.imap_unordered(_subtree_call, jobs))
-    for key, result in results:
+        cap = max(kernel._CHUNK_FLOOR, kernel._STATE_CAP // size)
+        with Pool(size, _start_worker, (steps, deadline, cap, kernel._CHUNK_FLOOR)) as pool:
+            results = list(pool.imap_unordered(_worker_subtree, todo))
+    for i, result in results:
         if result is not None:
-            completed[key], states, peak = result
+            completed[keys[i]], states, peak = result
             _record_work(stats, states, peak)
-    if len(completed) < len(tasks):
+    if len(completed) < len(keys):
         raise BudgetExhausted(completed=completed)
-    return sum(completed[key] for key, _ in tasks)
+    return sum(completed[key] for key in keys)
 
 
-def _prefix_key(values: Iterable[int]) -> str:
-    return ",".join(str(v) for v in values)
+def _count(sign: int, steps: list[tuple], workers: int, deadline, checkpoint, stats) -> int:
+    """sign times the kernel total of `steps`, split into the subtrees of the first step."""
+    keys = [",".join(map(str, labels)) for labels, _ in steps[0][2]]
+    return sign * _run_tasks(steps, keys, workers, as_deadline(deadline), checkpoint, stats)
+
+
+def _tableau_count(T: Tableau, form, workers: int, deadline, checkpoint, stats) -> int:
+    """The tableau invariant at the tensor of `form`, times its denominator to the power d."""
+    return _count(*_tableau_steps(T, _integer_weights(form_to_tensor(form).entries)[1]),
+                  workers, deadline, checkpoint, stats)
 
 
 def signed_latin_squares(
@@ -265,10 +119,7 @@ def signed_latin_squares(
     """(# column-even) - (# column-odd) Latin squares of order n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    dl = as_deadline(deadline)
-    rows = (tuple(range(n)),) * n
-    tasks = [(_prefix_key(p), (rows, p)) for p in itertools.permutations(range(1, n + 1))]
-    return _run_tasks("squares", tasks, workers, dl, checkpoint, stats)
+    return _tableau_count(generic_tableau(n, n), product_form(n), workers, deadline, checkpoint, stats)
 
 
 def signed_latin_annuli(
@@ -285,12 +136,7 @@ def signed_latin_annuli(
     Columns and wrap-around diagonals each carry every symbol of [m]
     exactly once; column indices are taken modulo d, so d >= m is required.
     """
-    if m < 1 or d < m:
-        raise ValueError("need 1 <= m <= d")
-    dl = as_deadline(deadline)
-    diagonals = tuple(tuple((c - r) % d for r in range(m)) for c in range(d))
-    tasks = [(_prefix_key(p), (diagonals, p)) for p in itertools.permutations(range(1, m + 1))]
-    return _run_tasks("annuli", tasks, workers, dl, checkpoint, stats)
+    return _tableau_count(annulus_tableau(m, d), product_form(m), workers, deadline, checkpoint, stats)
 
 
 def signed_latin_cubes(
@@ -311,9 +157,8 @@ def signed_latin_cubes(
         raise ValueError("need n >= 1")
     if n % 2 == 1 and n >= 3:
         return 0
-    dl = as_deadline(deadline)
-    tasks = [(_prefix_key(labels), (n, labels)) for labels in itertools.permutations(range(1, n * n + 1), n)]
-    return _run_tasks("cubes", tasks, workers, dl, checkpoint, stats)
+    steps = _point_steps(n, n, n, _integer_weights(unit_tensor(n * n).entries)[1])
+    return _count(1, steps, workers, deadline, checkpoint, stats)
 
 
 def signed_admissible_tables(
@@ -335,17 +180,15 @@ def signed_admissible_tables(
         raise ValueError("need n >= 1")
     if weighting not in ("det", "per"):
         raise ValueError("weighting must be 'det' or 'per'")
-    dl = as_deadline(deadline)
-    nperm = math.factorial(n)
-    tasks = [(f"{si}/{ti}", (n, weighting, (si, ti))) for si in range(nperm) for ti in range(nperm)]
-    return _run_tasks("tables", tasks, workers, dl, checkpoint, stats)
+    form = determinant_form(n) if weighting == "det" else permanent_form(n)
+    return _tableau_count(generic_tableau(n, n * n), form, workers, deadline, checkpoint, stats)
 
 
 # -- checkpoint file format ----------------------------------------------------
 
 
 def parse_checkpoint(text: str) -> dict[str, int]:
-    """Parse `subtree <canonical-prefix> <signed-count>` lines."""
+    """Parse `subtree <first-step labels> <kernel total>` lines; a repeated subtree is an error."""
     out: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -353,7 +196,9 @@ def parse_checkpoint(text: str) -> dict[str, int]:
             continue
         fields = line.split()
         if len(fields) != 3 or fields[0] != "subtree":
-            raise ValueError(f"checkpoint line {lineno}: expected 'subtree <prefix> <count>'")
+            raise ValueError(f"checkpoint line {lineno}: expected 'subtree <labels> <count>'")
+        if fields[1] in out:
+            raise ValueError(f"checkpoint line {lineno}: subtree {fields[1]} repeats")
         out[fields[1]] = int(fields[2])
     return out
 

@@ -10,13 +10,19 @@ entries.  Scaling by any g in GL_m multiplies the value by det(g)^s,
 which is what makes these useful as special-linear invariants.
 
 Every tableau invariant is a signed label-placement sum on the shared
-kernel `latin._signed_sum`, taken symbol by symbol: step i places one
+kernel `kernel._signed_sum`, taken symbol by symbol: step i places one
 support element of the tensor on the D columns holding symbol i, so each
 step is one tensor factor and a zero entry is never visited.  The kernel
 reads each column's labels in symbol order rather than row order, which
 changes the sign by the constant prod_j sgn(column j of T).  The generic
 tableau (symbol i in every cell of row i) has sorted columns, so for it
 that constant is 1 and step i fills row i.
+
+`_tableau_steps` builds those steps for any integer candidates, and the
+signed counts in `latin` are built from it: the generic tableau at the
+product tensor counts Latin squares (and at det_n/per_n admissible
+tables), and the annulus tableau (symbol k on the k-th wrap-around
+diagonal; the cyclic tableau is its D x (D+1) case) counts Latin annuli.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .budget import as_deadline
 from .exact import binomial, sequence_sign
-from .latin import _integer_weights, _record_work, _signed_sum
+from .kernel import _integer_weights, _record_work, _signed_sum
 from .spaces import ParseError, SparseTensor
 
 
@@ -107,22 +113,20 @@ def generic_tableau(D: int, m: int) -> Tableau:
     return Tableau(tuple((i,) * D for i in range(1, m + 1)), d=m)
 
 
-def cyclic_tableau(D: int) -> Tableau:
-    """The D x (D+1) tableau with entry ((j - i + 1) mod (D+1)) at (i, j).
+def annulus_tableau(m: int, d: int) -> Tableau:
+    """The m x d tableau with entry ((j - i) mod d) + 1 at (i, j), 0-based; needs d >= m.
 
-    The representative of the residue class is taken in 1..D+1.
+    Symbol k fills the k-th wrap-around diagonal, so at the product tensor
+    its invariant counts the column-signed m x d Latin annuli.
     """
-    if D < 1:
-        raise ValueError("need D >= 1")
-    mod = D + 1
-    rows = []
-    for i in range(1, D + 1):
-        row = []
-        for j in range(1, D + 2):
-            e = (j - i + 1) % mod
-            row.append(e if e != 0 else mod)
-        rows.append(tuple(row))
-    return Tableau(tuple(rows), d=D + 1)
+    if m < 1 or d < m:
+        raise ValueError("need 1 <= m <= d")
+    return Tableau(tuple(tuple((j - i) % d + 1 for j in range(d)) for i in range(m)), d=d)
+
+
+def cyclic_tableau(D: int) -> Tableau:
+    """The D x (D+1) tableau with entry ((j - i + 1) mod (D+1)) at (i, j), in 1..D+1."""
+    return annulus_tableau(D, D + 1)
 
 
 def power_sum_tableau(D: int, m: int) -> Tableau:
@@ -160,19 +164,28 @@ def power_sum_tableau(D: int, m: int) -> Tableau:
     return Tableau(tuple(tuple(row) for row in rows), d=2 * m)
 
 
+def _tableau_steps(T: Tableau, support: list) -> tuple[int, list[tuple]]:
+    """(constant column sign, kernel steps) of the tableau invariant over integer candidates.
+
+    Step i = 1..d places a candidate nu on the signed columns holding
+    symbol i, its k-th occurrence (columnwise order) taking the label nu[k];
+    see the module docstring for the constant column sign.
+    """
+    steps = [(tuple(col - 1 for _, col in T.occurrences(i)), (True,) * T.D, support)
+             for i in range(1, T.d + 1)]
+    return math.prod(sequence_sign(column) for column in zip(*T.cells)), steps
+
+
 def eval_tableau_invariant(T: Tableau, v: SparseTensor, deadline=None, stats=None) -> Fraction:
     """Exact value of the tableau invariant at an order-D cubic tensor.
 
-    Step i = 1..d places a support element nu of v on the signed columns
-    holding symbol i, its k-th occurrence (columnwise order) taking the
-    label nu[k]; see the module docstring for the constant column sign.
+    The kernel sums over the support of v scaled to integers by the common
+    denominator den, so the value is sign * total / den**d.
     """
     if v.shape != (T.m,) * T.D:
         raise ValueError(f"tensor shape {v.shape} does not match order {T.D} on C^{T.m}")
     den, support = _integer_weights(v.entries)
-    steps = [(tuple(col - 1 for _, col in T.occurrences(i)), (True,) * T.D, support)
-             for i in range(1, T.d + 1)]
-    sign = math.prod(sequence_sign(column) for column in zip(*T.cells))
+    sign, steps = _tableau_steps(T, support)
     total, states, peak = _signed_sum(steps, as_deadline(deadline))
     _record_work(stats, states, peak)
     return Fraction(sign * total, den**T.d)

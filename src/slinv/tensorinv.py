@@ -6,14 +6,15 @@ factor), each weighted by the product of its slice-permutation signs and
 by the product of tensor entries over all points.  A labeling whose
 restriction to some axis slice fails to be a bijection contributes sign 0,
 so the enumeration couples the three labelings point by point: each point
-is one step of the signed label-placement kernel `latin._signed_sum`,
+is one step of the signed label-placement kernel `kernel._signed_sum`,
 placing a support element (a, b, c) of the tensor on the point's x-, y-
 and z-slice, all three signed, weighted by the entry.  Only support
 elements are candidates, so zero entries never enter the search.
 
 The total order on points is lexicographic in (x, y, z); it fixes how each
 slice is read off as a permutation.  Changing it could flip the overall
-sign, so it is part of the external contract.
+sign, so it is part of the external contract.  `latin.signed_latin_cubes`
+is these point steps at the unit tensor <n^2>.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from .budget import as_deadline
-from .latin import _integer_weights, _record_work, _signed_sum
+from .kernel import _integer_weights, _record_work, _signed_sum
 from .spaces import SparseTensor, pair_index
 
 

@@ -1,0 +1,37 @@
+"""The benchmark's trace runner drives the library through private hooks.
+
+`bench/trace_runner.py` rebinds `latin._run_tasks` (called as
+`(steps, tasks, *rest)`, counting `len(tasks)` subtrees) and
+`kron._classsum`.  These tests run it unmodified on one verb per hook.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _trace(tmp_path, *argv):
+    """(stdout, spans record) of one traced verb, which must exit 0."""
+    spans = tmp_path / "spans.json"
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run([sys.executable, str(ROOT / "bench" / "trace_runner.py"), str(spans), "--", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(spans.read_text(encoding="utf-8"))
+    assert record["exit_code"] == 0
+    return done.stdout, record["counters"]
+
+
+def test_trace_runner_counts_the_subtrees_of_a_pooled_count(tmp_path):
+    out, counters = _trace(tmp_path, "count", "latin-squares", "3", "--threads", "2")
+    assert out == "0\n" and counters["latin.subtrees"] == 6
+
+
+def test_trace_runner_counts_class_route_calls(tmp_path):
+    out, counters = _trace(tmp_path, "kronecker", "--lam", "5,3,2,1,1", "--mu", "5,3,2,1,1", "--nu", "5,3,2,1,1")
+    assert out == "945\n" and counters["kron.class_route_calls"] >= 1

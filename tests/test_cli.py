@@ -177,6 +177,9 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     bad.write_text("form 2 2\n1 1 : 1\n1 1 : 2\n", encoding="utf-8")
     code, _, err = run(capsys, "invariant", "form", "--file", str(bad))
     assert code == 2 and "line 3" in err
+    for threads in ("0", "-4"):
+        code, out, err = run(capsys, "count", "latin-squares", "3", "--threads", threads)
+        assert code == 2 and out == "" and "--threads needs K >= 1" in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -248,7 +251,8 @@ def test_checkpoint_of_another_count_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("text", [
     "subtree 1,2,3 24\n",  # no header: written by another format version
     "slinv-checkpoint 2 admissible-tables n=3 weighting=det\n",
-    "slinv-checkpoint 2 latin-squares n=3 weighting=sign\nsubtree 1,2,3,4 5\n",  # not a subtree of n = 3
+    "slinv-checkpoint 2 latin-squares n=3 weighting=sign\nsubtree 1,2,3,4 5\n",  # an older format
+    "slinv-checkpoint 3 latin-squares n=3 weighting=sign\nsubtree 1,2,3,4 5\n",  # not a subtree of n = 3
 ])
 def test_checkpoint_mismatch_or_stray_subtree_exits_two(tmp_path, capsys, text):
     ckpt = tmp_path / "squares.ckpt"
@@ -261,15 +265,32 @@ def test_checkpoint_resume_after_budget(tmp_path, capsys):
     ckpt = tmp_path / "squares.ckpt"
     code, _, _ = run(capsys, "count", "latin-squares", "4", "--budget", "0", "--checkpoint", str(ckpt))
     assert code == 3
-    assert ckpt.read_text(encoding="utf-8") == "slinv-checkpoint 2 latin-squares n=4 weighting=sign\n"
+    assert ckpt.read_text(encoding="utf-8") == "slinv-checkpoint 3 latin-squares n=4 weighting=sign\n"
     assert [p.name for p in tmp_path.iterdir()] == ["squares.ckpt"]  # no temporary file left
     code, out, _ = run(capsys, "count", "latin-squares", "4", "--checkpoint", str(ckpt))
     assert code == 0 and out == "576\n"
 
 
+def test_checkpoint_repeating_a_subtree_exits_two(tmp_path, capsys):
+    ckpt = tmp_path / "squares.ckpt"
+    lines = ["subtree 1,2,3 -2\n", "subtree 1,2,3 998\n"]
+    for order in (lines, lines[::-1]):  # neither copy may win silently
+        ckpt.write_text("slinv-checkpoint 3 latin-squares n=3 weighting=sign\n" + "".join(order), encoding="utf-8")
+        code, out, err = run(capsys, "count", "latin-squares", "3", "--checkpoint", str(ckpt))
+        assert code == 2 and out == "" and "line 3: subtree 1,2,3 repeats" in err
+
+
+def test_unit_tensor_invariant_at_odd_size_is_zero_at_once(capsys):
+    # the signed Latin-cube count of size 3, which the symbol-swap involution makes 0;
+    # the tensor sweep runs out of any budget of seconds
+    started = time.monotonic()
+    code, out, _ = run(capsys, "invariant", "tensor", "--kind", "unit", "--m", "9", "--budget", "3")
+    assert code == 0 and out == "0\n" and time.monotonic() - started < 2
+
+
 @pytest.mark.parametrize("argv, value, states, peak_states", [
-    (("count", "latin-squares", "4"), 576, 3264, 55),
-    (("count", "latin-annuli", "4", "6"), 768, 31992, 585),
+    (("count", "latin-squares", "4"), 576, 480, 18),
+    (("count", "latin-annuli", "4", "6"), 768, 2448, 84),
 ])
 def test_count_json_reports_kernel_work(capsys, argv, value, states, peak_states):
     metas = []

@@ -13,7 +13,7 @@ from helpers import (
     dfs_signed_sum,
     enumerate_latin_cubes,
 )
-from slinv import latin
+from slinv import kernel, latin
 from slinv.budget import BudgetExhausted, Deadline
 from slinv.exact import sequence_sign
 from slinv.latin import (
@@ -24,8 +24,9 @@ from slinv.latin import (
     signed_latin_cubes,
     signed_latin_squares,
 )
+from slinv.kernel import _integer_weights
 from slinv.spaces import determinant_form, form_to_tensor, permanent_form, product_form
-from slinv.tableaux import eval_generic_invariant
+from slinv.tableaux import _tableau_steps, annulus_tableau, eval_generic_invariant, generic_tableau
 
 
 def test_signed_latin_squares_small_values():
@@ -126,33 +127,49 @@ def test_checkpoint_roundtrip_and_resume():
     # a poisoned checkpoint entry must be trusted (proves resume skips work)
     honest = signed_latin_squares(3)
     poisoned = signed_latin_squares(3, checkpoint={"1,2,3": 1000})
-    sub = _squares_subtree_value(3, (1, 2, 3))
+    sub = _subtree_value(_squares_steps(3), (1, 2, 3))
     assert poisoned == honest - sub + 1000
     with pytest.raises(ValueError):
         parse_checkpoint("subtree only-two-fields\n")
+    with pytest.raises(ValueError, match="line 3: subtree 1,2,3 repeats"):
+        parse_checkpoint("subtree 1,2,3 -4\n\nsubtree 1,2,3 996\n")
 
 
-def _squares_subtree_value(n, prefix):
-    from slinv.latin import _latin_subtree
-
-    return _latin_subtree((tuple(range(n)),) * n, prefix, Deadline(None))
+def _product_support(m):
+    return _integer_weights(form_to_tensor(product_form(m)).entries)[1]
 
 
-def _count_by_columns(lines, m, col0):
-    """Signed count of column-signed Latin arrays placed one whole column at a time.
+def _squares_steps(n):
+    return _tableau_steps(generic_tableau(n, n), _product_support(n))[1]
 
-    Independent of the cell-by-cell kernel: column c is a permutation of
-    [m] and may not repeat a symbol on any line lines[c][r].
+
+def _fix_first(steps, labels):
+    """The steps with the first one reduced to its candidate carrying `labels`."""
+    lines, signed, candidates = steps[0]
+    return [(lines, signed, [c for c in candidates if c[0] == labels]), *steps[1:]]
+
+
+def _subtree_value(steps, labels):
+    return kernel._signed_sum(_fix_first(steps, labels), Deadline(None))[0]
+
+
+def _count_by_columns(lines, m, first):
+    """Signed count of the column-signed Latin arrays whose cells on line 0,
+    in column order, carry `first`, placed one whole column at a time.
+
+    Independent of the kernel's steps: column c is a permutation of [m] and
+    may not repeat a symbol on any line lines[c][r].
     """
+    fixed = dict(zip([(r, c) for c in range(len(lines)) for r in range(m) if lines[c][r] == 0], first))
     perms = [(p, sequence_sign(p)) for p in itertools.permutations(range(1, m + 1))]
 
     def extend(c, taken, sign):
         if c == len(lines):
             return sign
         total = 0
-        for p, s in perms if c else [(col0, sequence_sign(col0))]:
+        for p, s in perms:
             cells = {(lines[c][r], v) for r, v in enumerate(p)}
-            if not cells & taken:
+            if all(fixed.get((r, c), v) == v for r, v in enumerate(p)) and not cells & taken:
                 total += extend(c + 1, taken | cells, sign * s)
         return total
 
@@ -161,14 +178,15 @@ def _count_by_columns(lines, m, col0):
 
 @pytest.mark.parametrize("m, d", [(1, 1), (2, 2), (3, 3), (4, 4), (3, 4), (4, 5)])
 def test_every_first_column_subtree_matches_column_enumeration(m, d):
-    from slinv.latin import _latin_subtree
-
-    # squares when m == d (second line = row), annuli otherwise (wrap-around diagonal)
+    # squares when m == d (second line = row), annuli otherwise (wrap-around diagonal);
+    # a subtree fixes the kernel's first step, which fills line 0: the first row of a
+    # square, the first diagonal of an annulus
     lines = tuple(tuple(r if m == d else (c - r) % d for r in range(m)) for c in range(d))
+    sign, steps = _tableau_steps(generic_tableau(m, m) if m == d else annulus_tableau(m, d), _product_support(m))
     total = 0
-    for col0 in itertools.permutations(range(1, m + 1)):
-        value = _latin_subtree(lines, col0, Deadline(None))
-        assert value == _count_by_columns(lines, m, col0)
+    for first in itertools.permutations(range(1, m + 1)):
+        value = sign * _subtree_value(steps, first)
+        assert value == _count_by_columns(lines, m, first)
         total += value
     if m == d:
         assert total == brute_signed_latin_squares(m) == signed_latin_squares(m)
@@ -211,40 +229,40 @@ def _peak_bound(steps, cap, floor):
 def test_signed_sum_matches_backtracking_oracle(steps, limits):
     expected = dfs_signed_sum(steps, Deadline(None))
     if limits is None:  # the real constants: these sums never reach the cap
-        total, states, peak = latin._signed_sum(steps, Deadline(None))
-        assert peak <= latin._STATE_CAP
+        total, states, peak = kernel._signed_sum(steps, Deadline(None))
+        assert peak <= kernel._STATE_CAP
     else:
         cap, floor = limits
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(latin, "_STATE_CAP", cap)
-            mp.setattr(latin, "_CHUNK_FLOOR", floor)
-            total, states, peak = latin._signed_sum(steps, Deadline(None))
+            mp.setattr(kernel, "_STATE_CAP", cap)
+            mp.setattr(kernel, "_CHUNK_FLOOR", floor)
+            total, states, peak = kernel._signed_sum(steps, Deadline(None))
         assert peak <= _peak_bound(steps, cap, floor)
     assert total == expected
 
 
 def test_every_squares_5_subtree_matches_backtracking_oracle():
-    rows = (tuple(range(5)),) * 5
+    steps = _squares_steps(5)
     total = 0
-    for col0 in itertools.permutations(range(1, 6)):
-        steps = latin._latin_steps(rows, col0)
-        value = latin._signed_sum(steps, Deadline(None))[0]
-        assert value == dfs_signed_sum(steps, Deadline(None))
+    for first in itertools.permutations(range(1, 6)):
+        value = _subtree_value(steps, first)
+        assert value == dfs_signed_sum(_fix_first(steps, first), Deadline(None))
         total += value
     assert total == signed_latin_squares(5) == 0
 
 
 def test_squares_6_subtree_with_sorted_first_column():
-    # -276480, as the backtracking search gives in ~16 s
-    assert _squares_subtree_value(6, (1, 2, 3, 4, 5, 6)) == -276480
+    # -276480 = -199065600 / 6!: every first row gives the same count, as does
+    # every first column, whose subtree the backtracking search gives in ~16 s
+    assert _subtree_value(_squares_steps(6), (1, 2, 3, 4, 5, 6)) == -276480
 
 
 def test_tiny_cap_chunks_the_sweep_and_keeps_its_bound(monkeypatch):
-    steps = latin._latin_steps((tuple(range(5)),) * 5, (1, 2, 3, 4, 5))
-    total, states, peak = latin._signed_sum(steps, Deadline(None))
-    monkeypatch.setattr(latin, "_STATE_CAP", 64)
-    monkeypatch.setattr(latin, "_CHUNK_FLOOR", 8)
-    chunked, chunked_states, chunked_peak = latin._signed_sum(steps, Deadline(None))
+    steps = _fix_first(_squares_steps(5), (1, 2, 3, 4, 5))
+    total, states, peak = kernel._signed_sum(steps, Deadline(None))
+    monkeypatch.setattr(kernel, "_STATE_CAP", 64)
+    monkeypatch.setattr(kernel, "_CHUNK_FLOOR", 8)
+    chunked, chunked_states, chunked_peak = kernel._signed_sum(steps, Deadline(None))
     assert chunked == total == dfs_signed_sum(steps, Deadline(None))
     assert peak > 64 + 8  # so the cap was reached
     assert chunked_states > states  # chunks merge less
@@ -261,7 +279,7 @@ def _live_states_at_flushes(steps):
 
     def trace(frame, event, arg):
         nonlocal most
-        if frame.f_code.co_name == "sweep" and frame.f_code.co_filename == latin.__file__:
+        if frame.f_code.co_name == "sweep" and frame.f_code.co_filename == kernel.__file__:
             live = {}
             caller = frame.f_back
             while caller is not None:
@@ -273,7 +291,7 @@ def _live_states_at_flushes(steps):
     previous = sys.gettrace()
     sys.settrace(trace)
     try:
-        return latin._signed_sum(steps, Deadline(None)), most
+        return kernel._signed_sum(steps, Deadline(None)), most
     finally:
         sys.settrace(previous)
 
@@ -289,11 +307,11 @@ def _grow_shrink_regrow_steps():
 
 @pytest.mark.parametrize("steps, cap, floor", [
     (_grow_shrink_regrow_steps(), 256, 5),
-    (latin._latin_steps((tuple(range(5)),) * 5, (1, 2, 3, 4, 5)), 64, 5),
+    (_fix_first(_squares_steps(5), (1, 2, 3, 4, 5)), 64, 5),
 ])
 def test_peak_states_counts_every_live_layer(monkeypatch, steps, cap, floor):
-    monkeypatch.setattr(latin, "_STATE_CAP", cap)
-    monkeypatch.setattr(latin, "_CHUNK_FLOOR", floor)
+    monkeypatch.setattr(kernel, "_STATE_CAP", cap)
+    monkeypatch.setattr(kernel, "_CHUNK_FLOOR", floor)
     (total, states, peak), live = _live_states_at_flushes(steps)
     assert total == dfs_signed_sum(steps, Deadline(None))
     assert 0 < live <= peak <= _peak_bound(steps, cap, floor)
@@ -303,5 +321,47 @@ def test_counters_cover_only_the_subtrees_computed_in_this_run():
     full, resumed = {}, {}
     signed_latin_squares(3, stats=full)
     signed_latin_squares(3, checkpoint={"1,2,3": 0}, stats=resumed)  # only the other 5 subtrees run
-    skipped = latin._signed_sum(latin._latin_steps((tuple(range(3)),) * 3, (1, 2, 3)), Deadline(None))[1]
+    skipped = kernel._signed_sum(_fix_first(_squares_steps(3), (1, 2, 3)), Deadline(None))[1]
     assert resumed["states"] == full["states"] - skipped > 0
+
+
+def test_pool_size_is_capped_by_the_subtrees_to_run(monkeypatch):
+    sizes = []
+
+    class RecordingPool:  # runs the jobs in this process: no worker is ever started
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(latin, "Pool", RecordingPool)
+    for name in ("_STATE_CAP", "_CHUNK_FLOOR"):  # the initializer rebinds them
+        monkeypatch.setattr(kernel, name, getattr(kernel, name))
+    monkeypatch.setattr(latin, "_WORKER_RUN", ())
+    assert signed_latin_squares(3, workers=64) == 0  # 6 subtrees
+    assert signed_latin_squares(2, workers=64) == -2  # 2 subtrees
+    assert signed_latin_squares(1, workers=64) == 1  # 1 subtree: no pool
+    done = {",".join(map(str, p)): 0 for p in itertools.permutations((1, 2, 3)) if p != (1, 2, 3)}
+    signed_latin_squares(3, workers=64, checkpoint=done)  # 1 subtree left to run: no pool
+    assert sizes == [6, 2]
+
+
+def test_pool_workers_share_the_state_cap(monkeypatch):
+    # two subtrees, each sweep far larger than the cap
+    steps = [((14,), (True,), [((1,), 1), ((2,), 1)]), *_grow_shrink_regrow_steps()]
+    monkeypatch.setattr(kernel, "_STATE_CAP", 512)
+    monkeypatch.setattr(kernel, "_CHUNK_FLOOR", 5)
+    expected = dfs_signed_sum(steps, Deadline(None))
+    serial, pooled = {}, {}
+    assert latin._run_tasks(steps, ["1", "2"], 1, Deadline(None), None, serial) == expected
+    assert latin._run_tasks(steps, ["1", "2"], 2, Deadline(None), None, pooled) == expected
+    assert serial["peak_states"] > _peak_bound(steps, 256, 5)  # one run alone uses the whole cap
+    assert pooled["peak_states"] <= _peak_bound(steps, 256, 5)  # each of 2 workers holds half
