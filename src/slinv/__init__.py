@@ -30,8 +30,6 @@ from .spaces import (
     SparseTensor,
     apply_action,
     form_to_tensor,
-    named_form,
-    named_tensor,
     parse_form,
     parse_tensor,
     serialize_form,
@@ -47,11 +45,7 @@ from .tableaux import (
     power_sum_tableau,
     tableau_positions,
 )
-from .tensorinv import (
-    eval_tensor_invariant,
-    eval_tensor_invariant_format,
-    eval_tensor_invariant_matmul,
-)
+from .tensorinv import eval_tensor_invariant, eval_tensor_invariant_format
 from .theory import (
     MinimalDegreeReport,
     NormalityReport,

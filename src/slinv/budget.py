@@ -14,8 +14,9 @@ from typing import Optional
 class BudgetExhausted(Exception):
     """Raised when a deadline passes mid-enumeration.
 
-    `completed` optionally carries finished top-level subtrees
-    (canonical prefix -> signed count) for checkpointing.
+    `completed` optionally carries the finished subtrees of a count for
+    checkpointing: each key is the first-step labels of a subtree joined by
+    commas, each value the kernel total of that subtree.
     """
 
     def __init__(self, message: str = "budget exhausted", completed: Optional[dict] = None):

@@ -35,7 +35,7 @@ from .latin import (
     signed_latin_cubes,
     signed_latin_squares,
 )
-from .spaces import NamedObject, form_to_tensor, named_form, named_tensor, parse_form, parse_tensor, unit_tensor
+from .spaces import NamedObject, form_to_tensor, parse_form, parse_tensor, unit_tensor
 from .tableaux import eval_cyclic_invariant, eval_generic_invariant, eval_tableau_invariant, parse_tableau
 from .tensorinv import eval_tensor_invariant, eval_tensor_invariant_format
 from .theory import (
@@ -64,9 +64,12 @@ def _parse_partition(text: str) -> Partition:
     return Partition(parts)
 
 
+_KIND_ALIASES = {"unit": "unit-tensor", "matmul": "matmul-tensor"}
+
+
 def _named_object(args) -> NamedObject:
     kw = {name: getattr(args, name) for name in ("D", "m", "n") if getattr(args, name) is not None}
-    return NamedObject(args.kind, **kw)
+    return NamedObject(_KIND_ALIASES.get(args.kind, args.kind), **kw)
 
 
 CHECKPOINT_VERSION = 3
@@ -107,21 +110,16 @@ def _read_file(args, parse):
     return parse(Path(args.file).read_text(encoding="utf-8"))
 
 
-def _load_form(args):
+def _load_object(args):
+    """The form or tensor (as `args.target` says) from --file or from the named-object flags."""
     if args.file:
-        return _read_file(args, parse_form)
+        return _read_file(args, parse_form if args.target == "form" else parse_tensor)
     if not args.kind:
         raise CliError("need --kind or --file")
-    return named_form(args.kind, m=args.m, D=args.D, n=args.n)
-
-
-def _load_tensor(args):
-    if args.file:
-        return _read_file(args, parse_tensor)
-    if not args.kind:
-        raise CliError("need --kind or --file")
-    kind = {"unit": "unit-tensor", "matmul": "matmul-tensor"}.get(args.kind, args.kind)
-    return named_tensor(kind, m=args.m, n=args.n)
+    obj = _named_object(args)
+    if obj.is_form != (args.target == "form"):
+        raise CliError(f"--kind {args.kind} is not a {args.target}")
+    return obj.build()
 
 
 def _require_budget(args, what: str) -> None:
@@ -143,9 +141,9 @@ def _cmd_invariant(args):
     if args.target == "form":
         if args.format:
             raise CliError("--format applies to tensors")
-        if not args.file and args.kind in ("determinant", "permanent") and args.n is not None and args.n >= 3:
-            _require_budget(args, f"evaluating the degree-{args.n} invariant of {args.kind}_{args.n}")
-        form = _load_form(args)
+        if not args.file and args.kind in ("determinant", "permanent") and args.n is not None and args.n >= 4:
+            _require_budget(args, f"evaluating the degree-{args.n**2} invariant of {args.kind}_{args.n}")
+        form = _load_object(args)
         tensor = form_to_tensor(form)
         if args.cyclic:
             if form.D != form.m:
@@ -157,7 +155,7 @@ def _cmd_invariant(args):
 
     if args.cyclic:
         raise CliError("--cyclic applies to forms")
-    tensor = _load_tensor(args)
+    tensor = _load_object(args)
     if args.format:
         n1, n2, n3 = args.format
         value = eval_tensor_invariant_format(n1, n2, n3, tensor, deadline=deadline, stats=work)
@@ -167,9 +165,10 @@ def _cmd_invariant(args):
     n = math.isqrt(tensor.shape[0])
     if n * n != tensor.shape[0]:
         raise CliError(f"axis dimension {tensor.shape[0]} is not a square; pass --format")
-    if n >= 3:
+    unit = tensor == unit_tensor(n * n)  # then the invariant is the signed Latin-cube count
+    if _long_cubes(n) if unit else n >= 3:
         _require_budget(args, f"evaluating the degree-{n**3} tensor invariant")
-    if tensor == unit_tensor(n * n):  # the signed Latin-cube count: 0 at once for odd n >= 3
+    if unit:
         value = signed_latin_cubes(n, deadline=deadline, stats=work)
     else:
         value = eval_tensor_invariant(n, tensor, deadline=deadline, stats=work)
@@ -184,13 +183,20 @@ def _cmd_eval_tableau(args):
     return value, {"rows": tableau.m, "cols": tableau.s, "symbols": tableau.d, **work}, None
 
 
+def _long_cubes(n: int) -> bool:
+    """Whether the signed Latin-cube count of size n needs --budget; odd sizes are 0 at once."""
+    return n >= 4 and n % 2 == 0
+
+
 # structure: (counter, by name so that a rebound module-level name is the one
-# called; positional parameters; what a run of size n >= 3 is, needing --budget)
+# called; positional parameters; None, or what a long run is and the sizes n
+# for which it needs --budget)
 _COUNTS = {
     "latin-squares": ("signed_latin_squares", ("n",), None),
     "latin-annuli": ("signed_latin_annuli", ("m", "d"), None),
-    "latin-cubes": ("signed_latin_cubes", ("n",), "counting signed Latin cubes of size {}"),
-    "admissible-tables": ("signed_admissible_tables", ("n", "weighting"), "counting signed admissible {}-tables"),
+    "latin-cubes": ("signed_latin_cubes", ("n",), ("counting signed Latin cubes of size {}", _long_cubes)),
+    "admissible-tables": ("signed_admissible_tables", ("n", "weighting"),
+                          ("counting signed admissible {}-tables", lambda n: n >= 4)),
 }
 
 
@@ -198,8 +204,8 @@ def _cmd_count(args):
     counter, params, gated = _COUNTS[args.structure]
     if args.threads < 1:
         raise CliError("--threads needs K >= 1")
-    if gated and args.n >= 3:
-        _require_budget(args, gated.format(args.n))
+    if gated and gated[1](args.n):
+        _require_budget(args, gated[0].format(args.n))
     deadline = Deadline(args.budget)
     checkpoint = _read_checkpoint(args) if args.checkpoint else None
     values = [getattr(args, name) for name in params]
@@ -297,7 +303,7 @@ def _cmd_periods(args):
 
 def _cmd_min_degree(args):
     obj = _named_object(args)
-    report = minimal_degree_report(obj, budget=args.budget)
+    report = minimal_degree_report(obj, deadline=Deadline(args.budget))
     value = None if report.value is None else format_scalar(report.value)
     meta = {"object": obj.describe(), "lower_bound": report.lower_bound, "exact": report.exact,
             "evidence": report.evidence, "value": value, "undecided_reason": report.undecided_reason}
@@ -315,17 +321,15 @@ def _cmd_min_degree(args):
 
 def _cmd_normality(args):
     obj = _named_object(args)
-    report = nonnormality_flag(obj, budget=args.budget)
+    report = nonnormality_flag(obj, deadline=Deadline(args.budget))
     meta = {"object": obj.describe(), "flag": report.flag, "reason": report.reason,
             "degree_period": report.degree_period, "minimal_degree_bound": report.minimal_degree_bound}
     return report.flag, meta, [f"object {obj.describe()}", f"flag {report.flag}", f"reason {report.reason}"]
 
 
 def _cmd_polystable(args):
-    if args.target == "form":
-        cert = polystable_form_support(_load_form(args))
-    else:
-        cert = polystable_tensor_support(_load_tensor(args))
+    support = polystable_form_support if args.target == "form" else polystable_tensor_support
+    cert = support(_load_object(args))
     witness = None if cert.witness is None else {
         " ".join(str(i) for i in key): format_scalar(c) for key, c in sorted(cert.witness.items())}
     separating = None if cert.separating is None else [
@@ -371,8 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
         (("--threads",), dict(type=int, default=1, metavar="K", help="worker processes (speed only)")),
         (("--checkpoint",), dict(default=None, metavar="PATH", help="checkpoint file for resumable counts")))
     named = _group(
-        (("--kind",), dict(default=None, help="named object, e.g. product, power-sum, determinant, "
-                                              "permanent; tensors: unit, matmul")),
+        (("--kind",), dict(default=None, help="named object: product, power-sum, determinant, permanent, "
+                                              "generic-form; tensors: unit, matmul, generic-tensor")),
         (("--m",), dict(type=int, default=None)),
         (("--D",), dict(type=int, default=None)),
         (("--n",), dict(type=int, default=None)))

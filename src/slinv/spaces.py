@@ -105,94 +105,6 @@ class SparseTensor:
         return f"SparseTensor(shape={self.shape}, {len(self.entries)} entries)"
 
 
-@dataclass(frozen=True)
-class NamedObject:
-    """One of the named forms/tensors the diagnostics know about.
-
-    Kinds and their parameters: product: m; power-sum: (D, m);
-    determinant/permanent: n (degree n in n^2 variables); unit-tensor: m;
-    matmul-tensor: n (three axes of dimension n^2); generic-form: (D, m);
-    generic-tensor: m.
-    """
-
-    kind: str
-    D: Optional[int] = None
-    m: Optional[int] = None
-    n: Optional[int] = None
-
-    def __post_init__(self):
-        k = self.kind
-        if k == "product":
-            self._need(m=True)
-        elif k == "power-sum":
-            self._need(D=True, m=True)
-        elif k in ("determinant", "permanent", "matmul-tensor"):
-            self._need(n=True)
-        elif k == "unit-tensor":
-            self._need(m=True)
-        elif k == "generic-form":
-            self._need(D=True, m=True)
-        elif k == "generic-tensor":
-            self._need(m=True)
-        else:
-            raise ValueError(f"unknown object kind {k!r}")
-
-    def _need(self, D=False, m=False, n=False):
-        for flag, name, val in ((D, "D", self.D), (m, "m", self.m), (n, "n", self.n)):
-            if flag and (val is None or val < 1):
-                raise ValueError(f"{self.kind} needs positive parameter {name}")
-            if not flag and val is not None:
-                raise ValueError(f"{self.kind} does not take parameter {name}")
-
-    @property
-    def is_form(self) -> bool:
-        return self.kind in ("product", "power-sum", "determinant", "permanent", "generic-form")
-
-    def form_degree(self) -> int:
-        """Degree D of the form (product has D = m, det/per have D = n)."""
-        if self.kind == "product":
-            return self.m
-        if self.kind in ("power-sum", "generic-form"):
-            return self.D
-        if self.kind in ("determinant", "permanent"):
-            return self.n
-        raise ValueError(f"{self.kind} is not a form")
-
-    def form_variables(self) -> int:
-        """Number of variables m of the form (det/per have m = n^2)."""
-        if self.kind in ("product", "power-sum", "generic-form"):
-            return self.m
-        if self.kind in ("determinant", "permanent"):
-            return self.n * self.n
-        raise ValueError(f"{self.kind} is not a form")
-
-    def tensor_axis_dim(self) -> int:
-        if self.kind == "unit-tensor":
-            return self.m
-        if self.kind == "matmul-tensor":
-            return self.n * self.n
-        if self.kind == "generic-tensor":
-            return self.m
-        raise ValueError(f"{self.kind} is not a tensor")
-
-    def describe(self) -> str:
-        if self.kind == "product":
-            return f"product of {self.m} variables"
-        if self.kind == "power-sum":
-            return f"power sum of degree {self.D} in {self.m} variables"
-        if self.kind == "determinant":
-            return f"determinant of size {self.n}"
-        if self.kind == "permanent":
-            return f"permanent of size {self.n}"
-        if self.kind == "unit-tensor":
-            return f"unit tensor of size {self.m}"
-        if self.kind == "matmul-tensor":
-            return f"matrix multiplication tensor of size {self.n}"
-        if self.kind == "generic-form":
-            return f"generic form of degree {self.D} in {self.m} variables"
-        return f"generic tensor of size {self.m}"
-
-
 def product_form(m: int) -> SparseForm:
     """X_1 ... X_m."""
     return SparseForm(m, m, {(1,) * m: 1})
@@ -233,24 +145,6 @@ def permanent_form(n: int) -> SparseForm:
             alpha[_matrix_var_index(i, j, n)] = 1
         coeffs[tuple(alpha)] = 1
     return SparseForm(n * n, n, coeffs)
-
-
-def _require_param(kind: str, name: str, value: int | None) -> int:
-    if value is None or value < 1:
-        raise ValueError(f"{kind} needs a positive parameter {name}")
-    return value
-
-
-def named_form(kind: str, *, m: int | None = None, D: int | None = None, n: int | None = None) -> SparseForm:
-    if kind == "product":
-        return product_form(_require_param(kind, "m", m))
-    if kind == "power-sum":
-        return power_sum_form(_require_param(kind, "D", D), _require_param(kind, "m", m))
-    if kind == "determinant":
-        return determinant_form(_require_param(kind, "n", n))
-    if kind == "permanent":
-        return permanent_form(_require_param(kind, "n", n))
-    raise ValueError(f"unknown form kind {kind!r}")
 
 
 def _distinct_orderings(alpha: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -298,12 +192,81 @@ def matmul_tensor(n: int) -> SparseTensor:
     return SparseTensor((m, m, m), entries)
 
 
-def named_tensor(kind: str, *, m: int | None = None, n: int | None = None) -> SparseTensor:
-    if kind in ("unit", "unit-tensor"):
-        return unit_tensor(_require_param(kind, "m", m))
-    if kind in ("matmul", "matmul-tensor"):
-        return matmul_tensor(_require_param(kind, "n", n))
-    raise ValueError(f"unknown tensor kind {kind!r}")
+# kind: (parameters, is a form, builder taking the parameters in order, or None
+# for the generic kinds, which name no single object; description)
+_KINDS = {
+    "product": (("m",), True, product_form, "product of {m} variables"),
+    "power-sum": (("D", "m"), True, power_sum_form, "power sum of degree {D} in {m} variables"),
+    "determinant": (("n",), True, determinant_form, "determinant of size {n}"),
+    "permanent": (("n",), True, permanent_form, "permanent of size {n}"),
+    "generic-form": (("D", "m"), True, None, "generic form of degree {D} in {m} variables"),
+    "unit-tensor": (("m",), False, unit_tensor, "unit tensor of size {m}"),
+    "matmul-tensor": (("n",), False, matmul_tensor, "matrix multiplication tensor of size {n}"),
+    "generic-tensor": (("m",), False, None, "generic tensor of size {m}"),
+}
+
+
+@dataclass(frozen=True)
+class NamedObject:
+    """One of the named forms/tensors the diagnostics know about.
+
+    Kinds and their parameters: product: m; power-sum: (D, m);
+    determinant/permanent: n (degree n in n^2 variables); unit-tensor: m;
+    matmul-tensor: n (three axes of dimension n^2); generic-form: (D, m);
+    generic-tensor: m.  Construction checks the parameters, so every
+    NamedObject is a valid one.
+    """
+
+    kind: str
+    D: Optional[int] = None
+    m: Optional[int] = None
+    n: Optional[int] = None
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown object kind {self.kind!r}")
+        params = _KINDS[self.kind][0]
+        for name in ("D", "m", "n"):
+            value = getattr(self, name)
+            if name in params and (value is None or value < 1):
+                raise ValueError(f"{self.kind} needs positive parameter {name}")
+            if name not in params and value is not None:
+                raise ValueError(f"{self.kind} does not take parameter {name}")
+
+    @property
+    def is_form(self) -> bool:
+        return _KINDS[self.kind][1]
+
+    def _dimension(self) -> int:
+        # det/per and matmul live on n x n matrices; every other kind on C^m
+        return self.m if self.n is None else self.n * self.n
+
+    def form_degree(self) -> int:
+        """Degree D of the form (product has D = m, det/per have D = n)."""
+        if not self.is_form:
+            raise ValueError(f"{self.kind} is not a form")
+        return self.D or self.n or self.m
+
+    def form_variables(self) -> int:
+        """Number of variables m of the form (det/per have m = n^2)."""
+        if not self.is_form:
+            raise ValueError(f"{self.kind} is not a form")
+        return self._dimension()
+
+    def tensor_axis_dim(self) -> int:
+        if self.is_form:
+            raise ValueError(f"{self.kind} is not a tensor")
+        return self._dimension()
+
+    def describe(self) -> str:
+        return _KINDS[self.kind][3].format(D=self.D, m=self.m, n=self.n)
+
+    def build(self) -> SparseForm | SparseTensor:
+        """The form or tensor itself; the generic kinds name no single one."""
+        params, _, builder, _ = _KINDS[self.kind]
+        if builder is None:
+            raise ValueError(f"{self.kind} names no single {'form' if self.is_form else 'tensor'}")
+        return builder(*(getattr(self, name) for name in params))
 
 
 Matrix = Sequence[Sequence[object]]

@@ -147,15 +147,12 @@ def power_sum_tableau(D: int, m: int) -> Tableau:
     rows: list[list[int]] = []
     all_cols = frozenset(range(1, 2 * D + 1))
     for r in range(1, m + 1):
-        chosen = None
         for combo in itertools.combinations(range(1, 2 * D + 1), D):
-            J = frozenset(combo)
-            if J in used or (all_cols - J) in used:
-                continue
-            chosen = J
-            break
-        # The counting bound above guarantees a free complementary pair.
-        assert chosen is not None
+            chosen = frozenset(combo)
+            if chosen not in used and (all_cols - chosen) not in used:
+                break
+        else:  # the counting bound above guarantees a free complementary pair
+            raise AssertionError(f"no free complementary pair of {D}-subsets for row {r}")
         comp = all_cols - chosen
         used.add(chosen)
         used.add(comp)

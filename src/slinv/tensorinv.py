@@ -23,7 +23,7 @@ import itertools
 from fractions import Fraction
 from .budget import as_deadline
 from .kernel import _integer_weights, _record_work, _signed_sum
-from .spaces import SparseTensor, pair_index
+from .spaces import SparseTensor
 
 
 def _point_steps(n1: int, n2: int, n3: int, candidates: list) -> list:
@@ -56,18 +56,3 @@ def eval_tensor_invariant(n: int, w: SparseTensor, deadline=None, stats=None) ->
     """Degree n^3 invariant of a cubic tensor with all three axes C^{n^2}."""
     return eval_tensor_invariant_format(n, n, n, w, deadline=deadline, stats=stats)
 
-
-def eval_tensor_invariant_matmul(n: int, deadline=None) -> int:
-    """The cubic invariant evaluated at the size-n matrix multiplication tensor.
-
-    Independent of the generic evaluator's candidate set: parametrizes the
-    labelings by coordinate maps mu, nu, pi: [n]^3 -> [n] (the tensor's
-    support couples consecutive labelings through shared coordinates), so
-    each point takes one of the n^3 triples (mu, nu, pi) and puts the pair
-    codes (mu, nu), (nu, pi), (pi, mu) on its three slices.  Always an integer.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    triples = [((pair_index(mu, nu, n), pair_index(nu, pi, n), pair_index(pi, mu, n)), 1)
-               for mu, nu, pi in itertools.product(range(1, n + 1), repeat=3)]
-    return _signed_sum(_point_steps(n, n, n, triples), as_deadline(deadline))[0]

@@ -29,9 +29,9 @@ from .latin import (
     signed_latin_squares,
 )
 from .simplex import solve_equality_feasibility
-from .spaces import NamedObject, SparseForm, SparseTensor, form_to_tensor, named_form
+from .spaces import NamedObject, SparseForm, SparseTensor, form_to_tensor
 from .tableaux import eval_generic_invariant
-from .tensorinv import eval_tensor_invariant_matmul
+from .tensorinv import eval_tensor_invariant
 
 
 # ----------------------------------------------------------------------------
@@ -57,7 +57,7 @@ class PeriodReport:
     source: str
 
 
-_GENERIC_REDUCED_PERIOD_EXCEPTIONS = {(3, 2): 2, (3, 3): 2, (4, 3): 2}
+_GENERIC_REDUCED_PERIOD_EXCEPTIONS = {(3, 2): 2, (3, 3): 2}
 
 
 def _generic_form_period(D: int, m: int) -> tuple[int, str]:
@@ -163,157 +163,124 @@ def _next_multiple_above(b: int, threshold: int) -> int:
     return b * (threshold // b + 1)
 
 
-def minimal_degree_report(obj: NamedObject, budget: float | None = None) -> MinimalDegreeReport:
-    """Lower bound, and where decidable the exact value, of the minimal degree.
+def _deciding_evaluation(obj: NamedObject, lower: int):
+    """What decides whether the certified bound `lower` is the minimal degree of obj.
 
-    Invariant degrees of a form live in b*N and are at least m (strictly
-    above m for odd D); degree m is attained iff the generic degree-m
-    invariant is nonzero at the form.  The named objects reduce that
-    nonzeroness to exact evaluations or signed counts, run here within the
-    wall-clock budget; exceeding it leaves the report undecided.
+    Either a finished MinimalDegreeReport, when no evaluation is needed or
+    none is known, or (evaluate, nonzero evidence, zero evidence, unfinished
+    evidence, zero reason), where evaluate(deadline) is the exact value of
+    the degree-`lower` invariant at obj, up to a nonzero factor.
     """
-    dl = as_deadline(budget)
-    per = periods(obj)
-    b = per.b
     kind = obj.kind
+
+    def known(exact: Optional[int], evidence: str, reason: Optional[str] = None) -> MinimalDegreeReport:
+        return MinimalDegreeReport(obj, lower, exact, evidence, undecided_reason=reason)
+
+    if kind == "product":
+        m = obj.m
+        if m % 2 == 0:
+            return (lambda dl: signed_latin_squares(m, deadline=dl), "signed Latin square count is nonzero",
+                    "signed Latin square count vanishes", "signed count not finished",
+                    "degree-m invariant vanishes; no decision above m")
+        return (lambda dl: signed_latin_annuli(m, m + 1, deadline=dl), "signed Latin annulus count is nonzero",
+                "signed Latin annulus count vanishes", "signed count not finished",
+                "degree-(m+1) invariant vanishes; no decision above m+1")
 
     if kind == "power-sum":
         D, m = obj.D, obj.m
         if D % 2 == 0:
-            try:
-                value = eval_generic_invariant(D, m, form_to_tensor(named_form("power-sum", D=D, m=m)), deadline=dl)
-            except BudgetExhausted:
-                return MinimalDegreeReport(obj, m, None, "generic degree-m invariant not finished",
-                                           undecided_reason="undecided at budget")
-            if value != math.factorial(m):
-                raise AssertionError(f"generic invariant at the power sum is {value}, not {m}!")
-            return MinimalDegreeReport(obj, m, m, "generic degree-m invariant is nonzero at the power sum", value)
+            def evaluate(dl):
+                value = eval_generic_invariant(D, m, form_to_tensor(obj.build()), deadline=dl)
+                if value != math.factorial(m):
+                    raise AssertionError(f"generic invariant at the power sum is {value}, not {m}!")
+                return value
+            return (evaluate, "generic degree-m invariant is nonzero at the power sum",
+                    "generic degree-m invariant vanishes at the power sum",
+                    "generic degree-m invariant not finished", "degree-m invariant vanishes; no decision above m")
         if 2 * m <= binomial(2 * D, D):
-            return MinimalDegreeReport(
-                obj, 2 * m, 2 * m,
-                "degree-2m tableau invariant with pairwise distinct column supports evaluates to m!",
-            )
-        return MinimalDegreeReport(
-            obj, _next_multiple_above(b, 2 * m), None,
-            f"no invariant in degree 2m: fewer than 2m = {2 * m} distinct "
-            f"{D}-subsets of a {2 * D}-set exist",
-            undecided_reason="exact degree above 2m not determined",
-        )
-
-    if kind == "product":
-        m = obj.m
-        try:
-            if m % 2 == 0:
-                count = signed_latin_squares(m, deadline=dl)
-                if count != 0:
-                    return MinimalDegreeReport(
-                        obj, m, m, "signed Latin square count is nonzero", Fraction(count))
-                return MinimalDegreeReport(
-                    obj, _next_multiple_above(b, m), None, "signed Latin square count vanishes",
-                    Fraction(0), undecided_reason="degree-m invariant vanishes; no decision above m")
-            count = signed_latin_annuli(m, m + 1, deadline=dl)
-            if count != 0:
-                return MinimalDegreeReport(
-                    obj, m + 1, m + 1, "signed Latin annulus count is nonzero", Fraction(count))
-            return MinimalDegreeReport(
-                obj, _next_multiple_above(b, m + 1), None, "signed Latin annulus count vanishes",
-                Fraction(0), undecided_reason="degree-(m+1) invariant vanishes; no decision above m+1")
-        except BudgetExhausted:
-            return MinimalDegreeReport(
-                obj, m if m % 2 == 0 else m + 1, None, "signed count not finished",
-                undecided_reason="undecided at budget")
+            return known(2 * m, "degree-2m tableau invariant with pairwise distinct column supports evaluates to m!")
+        return known(None, f"no invariant in degree 2m: fewer than 2m = {2 * m} distinct "
+                           f"{D}-subsets of a {2 * D}-set exist", "exact degree above 2m not determined")
 
     if kind in ("determinant", "permanent"):
-        n = obj.n
-        m = n * n
+        n, m = obj.n, obj.n * obj.n
         if n % 2 == 1:
-            return MinimalDegreeReport(
-                obj, _next_multiple_above(b, m), None,
-                "odd-degree forms admit no degree-m invariant",
-                undecided_reason=f"exact degree above {m} not determined")
-        try:
-            weighting = "det" if kind == "determinant" else "per"
-            count = signed_admissible_tables(n, weighting, deadline=dl)
-        except BudgetExhausted:
-            return MinimalDegreeReport(obj, m, None, "signed admissible-table count not finished",
-                                       undecided_reason="undecided at budget")
-        if count != 0:
-            return MinimalDegreeReport(
-                obj, m, m, "signed admissible-table count is nonzero", Fraction(count))
-        return MinimalDegreeReport(
-            obj, _next_multiple_above(b, m), None, "signed admissible-table count vanishes",
-            Fraction(0), undecided_reason=f"degree-{m} invariant vanishes; no decision above {m}")
+            return known(None, "odd-degree forms admit no degree-m invariant", f"exact degree above {m} not determined")
+        weighting = "det" if kind == "determinant" else "per"
+        return (lambda dl: signed_admissible_tables(n, weighting, deadline=dl),
+                "signed admissible-table count is nonzero", "signed admissible-table count vanishes",
+                "signed admissible-table count not finished", f"degree-{m} invariant vanishes; no decision above {m}")
 
     if kind == "unit-tensor":
-        m = obj.m
-        root = math.isqrt(m)
-        lower_exp = (math.isqrt(m - 1) + 1 + 1) // 2 if m > 1 else 1  # ceil(ceil(sqrt(m))/2)
-        lower = max(b * lower_exp, b)
-        if root * root == m and root % 2 == 0:
-            try:
-                count = signed_latin_cubes(root, deadline=dl)
-            except BudgetExhausted:
-                return MinimalDegreeReport(obj, lower, None, "signed Latin cube count not finished",
-                                           undecided_reason="undecided at budget")
-            if count != 0:
-                return MinimalDegreeReport(
-                    obj, root**3, root**3, "signed Latin cube count is nonzero", Fraction(count))
-            return MinimalDegreeReport(
-                obj, _next_multiple_above(b, root**3), None, "signed Latin cube count vanishes",
-                Fraction(0), undecided_reason="minimal-exponent candidate vanishes")
+        m, root = obj.m, math.isqrt(obj.m)
+        if root * root == m and root % 2 == 0:  # then lower = root^3
+            return (lambda dl: signed_latin_cubes(root, deadline=dl), "signed Latin cube count is nonzero",
+                    "signed Latin cube count vanishes", "signed Latin cube count not finished",
+                    "minimal-exponent candidate vanishes")
         if m == 1:
-            return MinimalDegreeReport(obj, 1, 1, "single-entry tensor; the entry itself is the invariant")
-        return MinimalDegreeReport(
-            obj, lower, None, "exponent lower bound from Kronecker support",
-            undecided_reason="no decidable evaluation for this format")
+            return known(1, "single-entry tensor; the entry itself is the invariant")
+        return known(None, "exponent lower bound from Kronecker support", "no decidable evaluation for this format")
 
     if kind == "matmul-tensor":
-        n = obj.n
-        lower = n**3  # b * n with b = n^2
-        try:
-            count = eval_tensor_invariant_matmul(n, deadline=dl)
-        except BudgetExhausted:
-            return MinimalDegreeReport(obj, lower, None, "matrix-multiplication evaluation not finished",
-                                       undecided_reason="undecided at budget")
-        if count != 0:
-            return MinimalDegreeReport(
-                obj, lower, lower, "fundamental tensor invariant is nonzero at the tensor", Fraction(count))
-        return MinimalDegreeReport(
-            obj, _next_multiple_above(b, lower), None, "fundamental tensor invariant vanishes",
-            Fraction(0), undecided_reason="minimal-exponent candidate vanishes")
+        return (lambda dl: eval_tensor_invariant(obj.n, obj.build(), deadline=dl),
+                "fundamental tensor invariant is nonzero at the tensor", "fundamental tensor invariant vanishes",
+                "matrix-multiplication evaluation not finished", "minimal-exponent candidate vanishes")
 
     if kind == "generic-form":
         D, m = obj.D, obj.m
         if D % 2 == 0:
-            return MinimalDegreeReport(obj, m, m, "generic degree-m invariant is nonzero for even degree")
+            return known(m, "generic degree-m invariant is nonzero for even degree")
         if D == m:
-            return MinimalDegreeReport(obj, m + 1, m + 1,
-                                       "cyclic degree-(m+1) invariant is nonzero for odd D = m")
-        return MinimalDegreeReport(
-            obj, _next_multiple_above(b, m), None, "odd-degree forms admit no degree-m invariant",
-            undecided_reason="generic minimal degree open for odd D with D != m")
+            return known(m + 1, "cyclic degree-(m+1) invariant is nonzero for odd D = m")
+        return known(None, "odd-degree forms admit no degree-m invariant",
+                     "generic minimal degree open for odd D with D != m")
 
-    if kind == "generic-tensor":
-        m = obj.m
-        if m == 1:
-            return MinimalDegreeReport(obj, 1, 1, "scalar tensor")
-        if m == 2:
-            return MinimalDegreeReport(obj, 4, 4, "rectangular Kronecker positivity at the first even degree")
-        delta = 1
+    # generic-tensor with m <= 2; the scan over rectangles covers m >= 3
+    if obj.m == 1:
+        return known(1, "scalar tensor")
+    return known(4, "rectangular Kronecker positivity at the first even degree")
+
+
+def minimal_degree_report(obj: NamedObject, deadline=None) -> MinimalDegreeReport:
+    """Lower bound, and where decidable the exact value, of the minimal degree.
+
+    Invariant degrees of a form live in b*N and are at least m (strictly
+    above m for odd D); degree m is attained iff the generic degree-m
+    invariant is nonzero at the form.  Starting from the certified lower
+    bound, the named objects reduce that nonzeroness to one exact
+    evaluation or signed count, run here before the deadline (None, seconds
+    or a Deadline); running out of time leaves the report undecided at the
+    certified bound.  Generic tensors scan rectangular Kronecker
+    coefficients from the certified exponent upward instead.
+    """
+    dl = as_deadline(deadline)
+    b = periods(obj).b
+    lower = certified_lower_bound(obj)
+    if obj.kind == "generic-tensor" and obj.m >= 3:
+        delta = lower // obj.m
         try:
             while True:
                 dl.check()
-                if k_rect(m, delta, deadline=dl) > 0:
+                if k_rect(obj.m, delta, deadline=dl) > 0:
                     return MinimalDegreeReport(
-                        obj, m * delta, m * delta,
+                        obj, obj.m * delta, obj.m * delta,
                         f"first positive rectangular Kronecker coefficient at width {delta}")
                 delta += 1
         except BudgetExhausted:
-            return MinimalDegreeReport(
-                obj, m * delta, None, "rectangular Kronecker scan not finished",
-                undecided_reason="undecided at budget")
+            return MinimalDegreeReport(obj, obj.m * delta, None, "rectangular Kronecker scan not finished",
+                                       undecided_reason="undecided at budget")
 
-    raise ValueError(f"no minimal-degree analysis for kind {obj.kind!r}")
+    decision = _deciding_evaluation(obj, lower)
+    if isinstance(decision, MinimalDegreeReport):
+        return decision
+    evaluate, nonzero, zero, unfinished, zero_reason = decision
+    try:
+        value = Fraction(evaluate(dl))
+    except BudgetExhausted:
+        return MinimalDegreeReport(obj, lower, None, unfinished, undecided_reason="undecided at budget")
+    if value != 0:
+        return MinimalDegreeReport(obj, lower, lower, nonzero, value)
+    return MinimalDegreeReport(obj, _next_multiple_above(b, lower), None, zero, value, undecided_reason=zero_reason)
 
 
 # ----------------------------------------------------------------------------
@@ -355,10 +322,11 @@ NORMAL_KNOWN = "normal-known"
 UNKNOWN = "unknown"
 
 # orbit closures that are known to fill their ambient space
-_NORMAL_KNOWN: dict = {
-    ("product", None, 2, None): "the orbit closure of a binary quadric fills the quadrics",
-    ("determinant", None, None, 2): "full-rank binary quadric in four variables",
-    ("permanent", None, None, 2): "full-rank binary quadric in four variables",
+_NORMAL_KNOWN = {
+    NamedObject("product", m=2): "the orbit closure of a binary quadric fills the quadrics",
+    NamedObject("determinant", n=2): "full-rank binary quadric in four variables",
+    NamedObject("permanent", n=2): "full-rank binary quadric in four variables",
+    NamedObject("generic-tensor", m=2): "generic orbit closure fills the cubic tensors on C^2",
 }
 
 
@@ -371,25 +339,21 @@ class NormalityReport:
     minimal_degree_bound: int
 
 
-def nonnormality_flag(obj: NamedObject, budget: float | None = None) -> NormalityReport:
+def nonnormality_flag(obj: NamedObject, deadline=None) -> NormalityReport:
     """Flag an orbit closure non-normal when b < (certified bound on e).
 
     The flag is sound relative to the classical results: strictness of the
     inequality forces the boundary ideal to exceed the principal ideal of
     the fundamental invariant.  The evaluation-free bound is tried first;
-    deciding evaluations run (within the budget) only when that bound ties
+    deciding evaluations run (before the deadline) only when that bound ties
     the degree period, since a vanishing invariant would push the bound up.
     normal-known is reported only for the explicit exceptions whose
     closures fill their ambient space.
     """
     per = periods(obj)
-    known = _NORMAL_KNOWN.get((obj.kind, obj.D, obj.m, obj.n))
-    if known is None and obj.kind == "power-sum" and obj.D == 2:
+    known = _NORMAL_KNOWN.get(obj)
+    if known is None and obj.kind in ("power-sum", "generic-form") and obj.D == 2:
         known = "quadrics of full rank have dense orbit in their space"
-    if known is None and obj.kind == "generic-form" and obj.D == 2:
-        known = "quadrics of full rank have dense orbit in their space"
-    if known is None and obj.kind == "generic-tensor" and obj.m == 2:
-        known = "generic orbit closure fills the cubic tensors on C^2"
     bound = certified_lower_bound(obj)
     if known is not None:
         return NormalityReport(obj, NORMAL_KNOWN, known, per.b, bound)
@@ -398,7 +362,7 @@ def nonnormality_flag(obj: NamedObject, budget: float | None = None) -> Normalit
             obj, NON_NORMAL,
             f"degree period {per.b} is strictly below the certified minimal degree bound {bound}",
             per.b, bound)
-    report = minimal_degree_report(obj, budget=budget)
+    report = minimal_degree_report(obj, deadline=deadline)
     if per.b < report.lower_bound:
         return NormalityReport(
             obj, NON_NORMAL,

@@ -11,6 +11,11 @@ from slinv.tableaux import generic_tableau, serialize_tableau
 
 # the 2 x 2 determinant as a form file (its generic invariant is 3/2)
 DET2_FORM = str(Path(__file__).parent / "data" / "det2.form")
+# (argv, stdout) from blocks of "$ slinv <argv>" followed by the stdout of that command
+NAMED_OBJECT_VERBS = [
+    (command, stdout.rstrip("\n") + "\n") for command, _, stdout in (
+        block.partition("\n") for block in
+        (Path(__file__).parent / "data" / "named_object_verbs.txt").read_text(encoding="utf-8").split("$ slinv ")[1:])]
 
 
 def run(capsys, *argv):
@@ -153,6 +158,19 @@ def test_periods_min_degree_normality(capsys):
     assert payload["value"] == "non-normal"
 
 
+@pytest.mark.parametrize("command, stdout", NAMED_OBJECT_VERBS, ids=[command for command, _ in NAMED_OBJECT_VERBS])
+def test_named_object_verbs_print_pinned_output(capsys, command, stdout):
+    assert run(capsys, *command.split()) == (0, stdout, "")
+
+
+@pytest.mark.parametrize("verb", ["periods", "min-degree", "normality"])
+def test_tensor_kind_aliases_work_on_every_verb(capsys, verb):
+    for alias, kind, flags in (("unit", "unit-tensor", ("--m", "4")), ("matmul", "matmul-tensor", ("--n", "2"))):
+        assert run(capsys, verb, "--kind", alias, *flags) == run(capsys, verb, "--kind", kind, *flags)
+    code, out, _ = run(capsys, verb, "--kind", "unit", "--m", "4")
+    assert code == 0 and out.startswith("object unit tensor of size 4\n")
+
+
 def test_polystable_verbs(capsys):
     code, out, _ = run(capsys, "polystable", "form", "--kind", "determinant", "--n", "3")
     assert code == 0 and out.splitlines()[0] == "condition-holds"
@@ -199,6 +217,11 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     (("polystable", "form", "--file", DET2_FORM, "--n", "9"), "--n cannot be combined with --file"),
     (("pleth-bound", "--sl", "--lam", "3,3", "--D", "3", "--m", "2", "--d", "4"), "--lam applies without --sl"),
     (("pleth-bound", "--lam", "3,3", "--D", "3", "--m", "7", "--d", "2"), "--m applies with --sl"),
+    # a named object takes only its kind's parameters, on the target its kind is
+    (("invariant", "form", "--kind", "product", "--m", "3", "--D", "3"), "product does not take parameter D"),
+    (("invariant", "tensor", "--kind", "unit", "--m", "4", "--n", "2"), "unit-tensor does not take parameter n"),
+    (("invariant", "tensor", "--kind", "determinant", "--n", "2"), "--kind determinant is not a tensor"),
+    (("polystable", "form", "--kind", "generic-form", "--D", "3", "--m", "2"), "generic-form names no single form"),
 ])
 def test_flag_the_verb_does_not_read_exits_two(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -208,12 +231,29 @@ def test_flag_the_verb_does_not_read_exits_two(tmp_path, monkeypatch, capsys, ar
 
 
 def test_budget_gate_exits_two(capsys):
-    code, _, err = run(capsys, "count", "latin-cubes", "3")
-    assert code == 2 and "--budget" in err
-    code, _, err = run(capsys, "count", "admissible-tables", "3")
-    assert code == 2
-    code, _, err = run(capsys, "invariant", "form", "--kind", "determinant", "--n", "3")
-    assert code == 2
+    for argv, what in [
+        (("count", "latin-cubes", "4"), "counting signed Latin cubes of size 4"),
+        (("count", "admissible-tables", "4"), "counting signed admissible 4-tables"),
+        (("invariant", "form", "--kind", "determinant", "--n", "4"), "the degree-16 invariant of determinant_4"),
+        (("invariant", "tensor", "--kind", "unit", "--m", "16"), "the degree-64 tensor invariant"),
+        (("invariant", "tensor", "--kind", "matmul", "--n", "3"), "the degree-27 tensor invariant"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and what in err and "--budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "latin-cubes", "3"),
+    ("count", "admissible-tables", "3"),
+    ("count", "admissible-tables", "3", "--weighting", "per"),
+    ("invariant", "form", "--kind", "determinant", "--n", "3"),
+    ("invariant", "form", "--kind", "permanent", "--n", "3"),
+    ("invariant", "tensor", "--kind", "unit", "--m", "9"),
+])
+def test_size_three_runs_need_no_budget(capsys, argv):
+    # these vanish (odd-size symmetry, or the layered sweep empties) in well under a second
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == "0\n"
 
 
 def test_budget_exhaustion_exits_three_and_checkpoints(tmp_path, capsys):

@@ -16,8 +16,6 @@ from slinv.spaces import (
     determinant_form,
     form_to_tensor,
     matmul_tensor,
-    named_form,
-    named_tensor,
     pair_index,
     parse_form,
     parse_tensor,
@@ -30,11 +28,11 @@ from slinv.spaces import (
 
 
 def test_named_form_examples():
-    ps = named_form("power-sum", D=3, m=2)
+    ps = NamedObject("power-sum", D=3, m=2).build()
     assert ps.coeffs == {(3, 0): 1, (0, 3): 1}
-    pr = named_form("product", m=3)
+    pr = NamedObject("product", m=3).build()
     assert pr.coeffs == {(1, 1, 1): 1}
-    det2 = named_form("determinant", n=2)
+    det2 = NamedObject("determinant", n=2).build()
     # X11 X22 - X12 X21 in the four matrix variables
     assert det2.coeffs == {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1}
 
@@ -115,7 +113,8 @@ def test_named_tensor_examples():
             for k in range(1, 3):
                 idx = (pair_index(i, j, 2), pair_index(j, k, 2), pair_index(k, i, 2))
                 assert mm.entries[idx] == 1
-    assert named_tensor("unit", m=2) == unit_tensor(2)
+    assert NamedObject("unit-tensor", m=2).build() == unit_tensor(2)
+    assert NamedObject("matmul-tensor", n=2).build() == mm
 
 
 def test_apply_action_identity_and_scaling():
@@ -197,3 +196,17 @@ def test_named_object_validation():
         NamedObject("determinant", m=3)
     with pytest.raises(ValueError):
         NamedObject("nonsense", m=1)
+    with pytest.raises(ValueError, match="product does not take parameter D"):
+        NamedObject("product", m=3, D=3)
+    with pytest.raises(ValueError, match="matmul-tensor needs positive parameter n"):
+        NamedObject("matmul-tensor", n=0)
+    assert NamedObject("product", m=5).form_degree() == 5
+    assert NamedObject("matmul-tensor", n=3).tensor_axis_dim() == 9
+    with pytest.raises(ValueError):
+        NamedObject("unit-tensor", m=3).form_degree()
+
+
+@pytest.mark.parametrize("obj", [NamedObject("generic-form", D=3, m=2), NamedObject("generic-tensor", m=3)])
+def test_generic_kinds_build_nothing(obj):
+    with pytest.raises(ValueError, match="names no single"):
+        obj.build()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,14 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_tensor_invariant_format, leibniz_det, random_integer_matrix
+from helpers import brute_tensor_invariant_format, dfs_signed_sum, leibniz_det, random_integer_matrix
+from slinv.budget import Deadline
 from slinv.latin import signed_latin_cubes
-from slinv.spaces import SparseTensor, apply_action, matmul_tensor, unit_tensor
-from slinv.tensorinv import (
-    eval_tensor_invariant,
-    eval_tensor_invariant_format,
-    eval_tensor_invariant_matmul,
-)
+from slinv.spaces import SparseTensor, apply_action, matmul_tensor, pair_index, unit_tensor
+from slinv.tensorinv import _point_steps, eval_tensor_invariant, eval_tensor_invariant_format
 
 
 def _random_tensor(rng, shape, terms):
@@ -37,11 +35,13 @@ def test_unit_tensor_matches_signed_latin_cubes():
 
 
 def test_matmul_paths_agree():
-    assert eval_tensor_invariant_matmul(1) == 1
-    direct = eval_tensor_invariant_matmul(2)
-    generic = eval_tensor_invariant(2, matmul_tensor(2))
-    assert direct == generic == 864
-    assert isinstance(direct, int)
+    # the oracle parametrizes the support by coordinate triples (mu, nu, pi): each point puts the
+    # pair codes (mu, nu), (nu, pi), (pi, mu) on its three slices, and backtracks instead of sweeping
+    for n, value in ((1, 1), (2, 864)):
+        triples = [((pair_index(mu, nu, n), pair_index(nu, pi, n), pair_index(pi, mu, n)), 1)
+                   for mu, nu, pi in itertools.product(range(1, n + 1), repeat=3)]
+        oracle = dfs_signed_sum(_point_steps(n, n, n, triples), Deadline(None))
+        assert eval_tensor_invariant(n, matmul_tensor(n)) == oracle == value
 
 
 def test_noncubic_reduces_to_determinant():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from slinv.budget import Deadline
+from slinv.kron import k_rect
 from slinv.spaces import (
     NamedObject,
     SparseForm,
@@ -18,7 +20,6 @@ from slinv.spaces import (
     determinant_form,
     form_to_tensor,
     matmul_tensor,
-    named_form,
     permanent_form,
     power_sum_form,
     product_form,
@@ -29,6 +30,7 @@ from slinv.theory import (
     NON_NORMAL,
     NORMAL_KNOWN,
     UNKNOWN,
+    certified_lower_bound,
     minimal_degree_report,
     nonnormality_flag,
     periods,
@@ -54,7 +56,7 @@ FORM_PERIOD_CASES = [
     (NamedObject("permanent", n=4), 1, 4),
     (NamedObject("generic-form", D=3, m=2), 6, 4),
     (NamedObject("generic-form", D=3, m=3), 2, 2),
-    (NamedObject("generic-form", D=4, m=3), 8, 6),
+    (NamedObject("generic-form", D=4, m=3), 4, 3),
     (NamedObject("generic-form", D=4, m=2), 2, 1),
     (NamedObject("generic-form", D=5, m=4), 5, 4),
     (NamedObject("generic-form", D=2, m=4), 2, 4),
@@ -85,6 +87,17 @@ def test_tensor_periods(obj, a, b):
     report = periods(obj)
     assert (report.a, report.b) == (a, b)
     assert report.a_reduced is None
+
+
+@pytest.mark.parametrize("D,m", [(2, 2), (2, 3), (4, 2), (4, 3), (4, 4), (6, 2), (6, 3)])
+def test_generic_form_period_divides_the_degree(D, m):
+    # the degree-m generic invariant I satisfies I(g.f) = det(g)^D I(f); at a form where I is
+    # nonzero every stabilizer element has det(g)^D = 1, so the stabilizer period a divides D
+    rng = random.Random(f"{D}-{m}")
+    monomials = [alpha for alpha in itertools.product(range(D + 1), repeat=m) if sum(alpha) == D]
+    form = SparseForm(m, D, {alpha: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for alpha in monomials})
+    assert eval_generic_invariant(D, m, form_to_tensor(form)) != 0
+    assert D % periods(NamedObject("generic-form", D=D, m=m)).a == 0
 
 
 def test_periods_rejects_degenerate_objects():
@@ -129,7 +142,7 @@ def test_minimal_degree_det_per_and_tensors():
 
 
 def test_minimal_degree_budget_exhaustion():
-    report = minimal_degree_report(NamedObject("determinant", n=4), budget=-1.0)
+    report = minimal_degree_report(NamedObject("determinant", n=4), deadline=-1.0)
     assert report.exact is None
     assert report.undecided_reason == "undecided at budget"
     assert report.lower_bound == 16
@@ -138,16 +151,51 @@ def test_minimal_degree_budget_exhaustion():
 def test_generic_tensor_scan_honours_budget():
     # the unbudgeted scan at m = 10 runs for about 20 s inside k_rect
     started = time.monotonic()
-    report = minimal_degree_report(NamedObject("generic-tensor", m=10), budget=0.5)
+    report = minimal_degree_report(NamedObject("generic-tensor", m=10), deadline=0.5)
     assert report.exact is None and report.undecided_reason == "undecided at budget"
     assert time.monotonic() - started < 5
 
 
 def test_power_sum_scan_honours_budget():
     # even D decides by the generic degree-m invariant; at m = 10 that search has 10! leaves
-    report = minimal_degree_report(NamedObject("power-sum", D=2, m=10), budget=0)
+    report = minimal_degree_report(NamedObject("power-sum", D=2, m=10), deadline=0)
     assert report.exact is None and report.lower_bound == 10
     assert report.undecided_reason == "undecided at budget"
+
+
+# every kind at small sizes; the reports of these objects run within a few seconds
+REPORT_GRID = (
+    [NamedObject("product", m=m) for m in range(2, 6)]
+    + [NamedObject("power-sum", D=D, m=m) for D, m in [(2, 3), (3, 2), (3, 3), (3, 11), (4, 3), (5, 2), (6, 2)]]
+    + [NamedObject(kind, n=n) for kind in ("determinant", "permanent") for n in (2, 3)]
+    + [NamedObject("unit-tensor", m=m) for m in (1, 2, 3, 4, 5, 9)]
+    + [NamedObject("matmul-tensor", n=n) for n in (1, 2)]
+    + [NamedObject("generic-form", D=D, m=m)
+       for D, m in [(2, 4), (3, 2), (3, 3), (4, 2), (4, 3), (5, 4), (5, 5), (6, 4)]]
+    + [NamedObject("generic-tensor", m=m) for m in (1, 2, 3, 4, 5, 7)]
+)
+# too long to decide here, so they are only run out of time
+REPORT_GRID_LONG = [NamedObject("product", m=6), NamedObject("determinant", n=4), NamedObject("permanent", n=4),
+                    NamedObject("unit-tensor", m=16), NamedObject("matmul-tensor", n=3)]
+
+
+@pytest.mark.parametrize("obj", REPORT_GRID + REPORT_GRID_LONG, ids=NamedObject.describe)
+def test_minimal_degree_report_respects_certified_bound_and_period(obj):
+    b, bound = periods(obj).b, certified_lower_bound(obj)
+    reports = [minimal_degree_report(obj, deadline=Deadline(-1))]
+    if obj in REPORT_GRID:
+        reports.append(minimal_degree_report(obj))
+    for report in reports:
+        assert report.lower_bound >= bound and report.lower_bound % b == 0
+        assert report.exact is None or (report.exact == report.lower_bound and report.exact % b == 0)
+    assert reports[0].decided or reports[0].lower_bound == bound  # an expired deadline stops at the bound
+
+
+@pytest.mark.parametrize("m", range(3, 10))
+def test_rectangle_scan_starts_at_a_zero_free_width(m):
+    # the generic-tensor scan starts at the certified exponent; every narrower rectangle is 0
+    delta = certified_lower_bound(NamedObject("generic-tensor", m=m)) // m
+    assert [k_rect(m, d) for d in range(1, delta)] == [0] * (delta - 1)
 
 
 def test_normality_flags():
@@ -285,5 +333,5 @@ def test_semigroup_non_coprime_smallest_pair():
 def test_generic_invariant_of_odd_degree_vanishes_at_degree_m(kind):
     # odd D: det_3 and per_3 (D = 3 in m = 9 variables) have no invariant of degree 9
     assert minimal_degree_report(NamedObject(kind, n=3)).lower_bound > 9
-    form = named_form(kind, n=3)
+    form = NamedObject(kind, n=3).build()
     assert eval_generic_invariant(3, 9, form_to_tensor(form), deadline=Deadline(20)) == 0
