@@ -39,6 +39,7 @@ from .spaces import NamedObject, form_to_tensor, parse_form, parse_tensor, unit_
 from .tableaux import eval_cyclic_invariant, eval_generic_invariant, eval_tableau_invariant, parse_tableau
 from .tensorinv import eval_tensor_invariant, eval_tensor_invariant_format
 from .theory import (
+    deciding_run,
     minimal_degree_report,
     nonnormality_flag,
     periods,
@@ -122,11 +123,23 @@ def _load_object(args):
     return obj.build()
 
 
-def _require_budget(args, what: str) -> None:
-    if args.budget is None:
-        raise CliError(
-            f"{what} can run for a very long time; pass an explicit --budget <seconds> "
-            "(and optionally --checkpoint <path>) to proceed")
+# evaluations that can run for a very long time, by the count structure (or
+# invariant) that is the same sum: the sizes n from which `count`, `invariant`
+# and `min-degree` refuse to run them without --budget
+_LONG_RUNS = {
+    "admissible-tables": lambda n: n >= 4,
+    "latin-cubes": lambda n: n >= 4 and n % 2 == 0,  # odd sizes are 0 at once
+    "tensor-invariant": lambda n: n >= 3,
+}
+
+
+def _require_budget(args, run: str, n: int, what: str) -> None:
+    """Refuse the evaluation `run` at size n without --budget when it can run for a very long time."""
+    long = _LONG_RUNS.get(run)
+    if args.budget is None and long is not None and long(n):
+        checkpoint = " (and optionally --checkpoint <path>)" if hasattr(args, "checkpoint") else ""
+        raise CliError(f"{what} can run for a very long time; pass an explicit --budget <seconds>{checkpoint} "
+                       "to proceed")
 
 
 # ----------------------------------------------------------------------------
@@ -141,8 +154,9 @@ def _cmd_invariant(args):
     if args.target == "form":
         if args.format:
             raise CliError("--format applies to tensors")
-        if not args.file and args.kind in ("determinant", "permanent") and args.n is not None and args.n >= 4:
-            _require_budget(args, f"evaluating the degree-{args.n**2} invariant of {args.kind}_{args.n}")
+        if not args.file and args.kind in ("determinant", "permanent") and args.n is not None:
+            _require_budget(args, "admissible-tables", args.n,
+                            f"evaluating the degree-{args.n**2} invariant of {args.kind}_{args.n}")
         form = _load_object(args)
         tensor = form_to_tensor(form)
         if args.cyclic:
@@ -166,8 +180,8 @@ def _cmd_invariant(args):
     if n * n != tensor.shape[0]:
         raise CliError(f"axis dimension {tensor.shape[0]} is not a square; pass --format")
     unit = tensor == unit_tensor(n * n)  # then the invariant is the signed Latin-cube count
-    if _long_cubes(n) if unit else n >= 3:
-        _require_budget(args, f"evaluating the degree-{n**3} tensor invariant")
+    _require_budget(args, "latin-cubes" if unit else "tensor-invariant", n,
+                    f"evaluating the degree-{n**3} tensor invariant")
     if unit:
         value = signed_latin_cubes(n, deadline=deadline, stats=work)
     else:
@@ -183,29 +197,22 @@ def _cmd_eval_tableau(args):
     return value, {"rows": tableau.m, "cols": tableau.s, "symbols": tableau.d, **work}, None
 
 
-def _long_cubes(n: int) -> bool:
-    """Whether the signed Latin-cube count of size n needs --budget; odd sizes are 0 at once."""
-    return n >= 4 and n % 2 == 0
-
-
 # structure: (counter, by name so that a rebound module-level name is the one
-# called; positional parameters; None, or what a long run is and the sizes n
-# for which it needs --budget)
+# called; positional parameters; what a run is, for the --budget gate)
 _COUNTS = {
-    "latin-squares": ("signed_latin_squares", ("n",), None),
-    "latin-annuli": ("signed_latin_annuli", ("m", "d"), None),
-    "latin-cubes": ("signed_latin_cubes", ("n",), ("counting signed Latin cubes of size {}", _long_cubes)),
-    "admissible-tables": ("signed_admissible_tables", ("n", "weighting"),
-                          ("counting signed admissible {}-tables", lambda n: n >= 4)),
+    "latin-squares": ("signed_latin_squares", ("n",), "counting signed Latin squares of size {}"),
+    "latin-annuli": ("signed_latin_annuli", ("m", "d"), "counting signed Latin annuli of size {}"),
+    "latin-cubes": ("signed_latin_cubes", ("n",), "counting signed Latin cubes of size {}"),
+    "admissible-tables": ("signed_admissible_tables", ("n", "weighting"), "counting signed admissible {}-tables"),
 }
 
 
 def _cmd_count(args):
-    counter, params, gated = _COUNTS[args.structure]
+    counter, params, what = _COUNTS[args.structure]
     if args.threads < 1:
         raise CliError("--threads needs K >= 1")
-    if gated and gated[1](args.n):
-        _require_budget(args, gated[0].format(args.n))
+    first = getattr(args, params[0])
+    _require_budget(args, args.structure, first, what.format(first))
     deadline = Deadline(args.budget)
     checkpoint = _read_checkpoint(args) if args.checkpoint else None
     values = [getattr(args, name) for name in params]
@@ -303,6 +310,9 @@ def _cmd_periods(args):
 
 def _cmd_min_degree(args):
     obj = _named_object(args)
+    run = deciding_run(obj)
+    if run:
+        _require_budget(args, *run, f"deciding the minimal degree of the {obj.describe()}")
     report = minimal_degree_report(obj, deadline=Deadline(args.budget))
     value = None if report.value is None else format_scalar(report.value)
     meta = {"object": obj.describe(), "lower_bound": report.lower_bound, "exact": report.exact,
@@ -335,7 +345,8 @@ def _cmd_polystable(args):
     separating = None if cert.separating is None else [
         [format_scalar(x) for x in vec] for vec in cert.separating]
     verdict = "condition-holds" if cert.holds else "condition-fails"
-    meta = {"witness": witness, "separating": separating, "reductive_condition": cert.reductive_condition}
+    meta = {"witness": witness, "separating": separating, "reductive_condition": cert.reductive_condition,
+            "pivots": cert.pivots}
     lines = [verdict]
     lines += [f"witness {key} : {val}" for key, val in (witness or {}).items()]
     lines += [f"separating {' '.join(vec)}" for vec in separating or ()]

@@ -167,9 +167,10 @@ def _deciding_evaluation(obj: NamedObject, lower: int):
     """What decides whether the certified bound `lower` is the minimal degree of obj.
 
     Either a finished MinimalDegreeReport, when no evaluation is needed or
-    none is known, or (evaluate, nonzero evidence, zero evidence, unfinished
-    evidence, zero reason), where evaluate(deadline) is the exact value of
-    the degree-`lower` invariant at obj, up to a nonzero factor.
+    none is known, or (run, evaluate, nonzero evidence, zero evidence,
+    unfinished evidence, zero reason), where evaluate(deadline) is the exact
+    value of the degree-`lower` invariant at obj, up to a nonzero factor, and
+    run names that evaluation as (count structure or invariant, size).
     """
     kind = obj.kind
 
@@ -179,12 +180,12 @@ def _deciding_evaluation(obj: NamedObject, lower: int):
     if kind == "product":
         m = obj.m
         if m % 2 == 0:
-            return (lambda dl: signed_latin_squares(m, deadline=dl), "signed Latin square count is nonzero",
-                    "signed Latin square count vanishes", "signed count not finished",
-                    "degree-m invariant vanishes; no decision above m")
-        return (lambda dl: signed_latin_annuli(m, m + 1, deadline=dl), "signed Latin annulus count is nonzero",
-                "signed Latin annulus count vanishes", "signed count not finished",
-                "degree-(m+1) invariant vanishes; no decision above m+1")
+            return (("latin-squares", m), lambda dl: signed_latin_squares(m, deadline=dl),
+                    "signed Latin square count is nonzero", "signed Latin square count vanishes",
+                    "signed count not finished", "degree-m invariant vanishes; no decision above m")
+        return (("latin-annuli", m), lambda dl: signed_latin_annuli(m, m + 1, deadline=dl),
+                "signed Latin annulus count is nonzero", "signed Latin annulus count vanishes",
+                "signed count not finished", "degree-(m+1) invariant vanishes; no decision above m+1")
 
     if kind == "power-sum":
         D, m = obj.D, obj.m
@@ -194,7 +195,7 @@ def _deciding_evaluation(obj: NamedObject, lower: int):
                 if value != math.factorial(m):
                     raise AssertionError(f"generic invariant at the power sum is {value}, not {m}!")
                 return value
-            return (evaluate, "generic degree-m invariant is nonzero at the power sum",
+            return (("generic-invariant", m), evaluate, "generic degree-m invariant is nonzero at the power sum",
                     "generic degree-m invariant vanishes at the power sum",
                     "generic degree-m invariant not finished", "degree-m invariant vanishes; no decision above m")
         if 2 * m <= binomial(2 * D, D):
@@ -207,22 +208,22 @@ def _deciding_evaluation(obj: NamedObject, lower: int):
         if n % 2 == 1:
             return known(None, "odd-degree forms admit no degree-m invariant", f"exact degree above {m} not determined")
         weighting = "det" if kind == "determinant" else "per"
-        return (lambda dl: signed_admissible_tables(n, weighting, deadline=dl),
+        return (("admissible-tables", n), lambda dl: signed_admissible_tables(n, weighting, deadline=dl),
                 "signed admissible-table count is nonzero", "signed admissible-table count vanishes",
                 "signed admissible-table count not finished", f"degree-{m} invariant vanishes; no decision above {m}")
 
     if kind == "unit-tensor":
         m, root = obj.m, math.isqrt(obj.m)
         if root * root == m and root % 2 == 0:  # then lower = root^3
-            return (lambda dl: signed_latin_cubes(root, deadline=dl), "signed Latin cube count is nonzero",
-                    "signed Latin cube count vanishes", "signed Latin cube count not finished",
-                    "minimal-exponent candidate vanishes")
+            return (("latin-cubes", root), lambda dl: signed_latin_cubes(root, deadline=dl),
+                    "signed Latin cube count is nonzero", "signed Latin cube count vanishes",
+                    "signed Latin cube count not finished", "minimal-exponent candidate vanishes")
         if m == 1:
             return known(1, "single-entry tensor; the entry itself is the invariant")
         return known(None, "exponent lower bound from Kronecker support", "no decidable evaluation for this format")
 
     if kind == "matmul-tensor":
-        return (lambda dl: eval_tensor_invariant(obj.n, obj.build(), deadline=dl),
+        return (("tensor-invariant", obj.n), lambda dl: eval_tensor_invariant(obj.n, obj.build(), deadline=dl),
                 "fundamental tensor invariant is nonzero at the tensor", "fundamental tensor invariant vanishes",
                 "matrix-multiplication evaluation not finished", "minimal-exponent candidate vanishes")
 
@@ -273,7 +274,7 @@ def minimal_degree_report(obj: NamedObject, deadline=None) -> MinimalDegreeRepor
     decision = _deciding_evaluation(obj, lower)
     if isinstance(decision, MinimalDegreeReport):
         return decision
-    evaluate, nonzero, zero, unfinished, zero_reason = decision
+    _, evaluate, nonzero, zero, unfinished, zero_reason = decision
     try:
         value = Fraction(evaluate(dl))
     except BudgetExhausted:
@@ -281,6 +282,13 @@ def minimal_degree_report(obj: NamedObject, deadline=None) -> MinimalDegreeRepor
     if value != 0:
         return MinimalDegreeReport(obj, lower, lower, nonzero, value)
     return MinimalDegreeReport(obj, _next_multiple_above(b, lower), None, zero, value, undecided_reason=zero_reason)
+
+
+def deciding_run(obj: NamedObject) -> Optional[tuple[str, int]]:
+    """The evaluation minimal_degree_report runs for obj, as (count structure or
+    invariant, size), or None when it runs none or scans Kronecker coefficients."""
+    decision = _deciding_evaluation(obj, certified_lower_bound(obj))
+    return None if isinstance(decision, MinimalDegreeReport) else decision[0]
 
 
 # ----------------------------------------------------------------------------
@@ -392,13 +400,14 @@ class SupportCertificate:
     support point and strictly positive somewhere: an explicit
     destabilizing direction.  `reductive_condition` records the status of
     the companion small-centralizer condition, which is not derivable from
-    the support alone.
+    the support alone.  `pivots` counts the simplex pivots that decided it.
     """
 
     holds: bool
     witness: Optional[dict] = None
     separating: Optional[tuple] = None
     reductive_condition: str = "not checked"
+    pivots: int = 0
 
 
 def polystable_form_support(w: SparseForm) -> SupportCertificate:
@@ -415,7 +424,7 @@ def polystable_form_support(w: SparseForm) -> SupportCertificate:
         recombined = [sum(c * alpha[i] for alpha, c in witness.items()) for i in range(m)]
         if recombined != b:
             raise AssertionError("witness does not recombine to the all-ones vector")
-        return SupportCertificate(True, witness=witness)
+        return SupportCertificate(True, witness=witness, pivots=res.pivots)
     y = res.farkas
     # shift to a trace-zero separating vector: mu = -y + (sum y / m) stays
     # strictly positive on the support since <alpha, y> <= 0 < -sum y there.
@@ -426,7 +435,7 @@ def polystable_form_support(w: SparseForm) -> SupportCertificate:
     values = [sum(alpha[i] * mu[i] for i in range(m)) for alpha in support]
     if any(v < 0 for v in values) or not any(v > 0 for v in values):
         raise AssertionError("separating vector is not >= 0 on the support and > 0 somewhere")
-    return SupportCertificate(False, separating=(mu,))
+    return SupportCertificate(False, separating=(mu,), pivots=res.pivots)
 
 
 def polystable_tensor_support(w: SparseTensor) -> SupportCertificate:
@@ -453,7 +462,7 @@ def polystable_tensor_support(w: SparseTensor) -> SupportCertificate:
                 marg = sum(c for p, c in witness.items() if p[axis] == value)
                 if marg != Fraction(1, m):
                     raise AssertionError(f"witness marginal {marg} on axis {axis} is not 1/{m}")
-        return SupportCertificate(True, witness=witness)
+        return SupportCertificate(True, witness=witness, pivots=res.pivots)
     y = res.farkas
     # -y gives weights with sum_axes <= 0 pointwise violated the other way:
     # <raw, p> >= 0 on the support while the grand total is negative, so
@@ -469,7 +478,7 @@ def polystable_tensor_support(w: SparseTensor) -> SupportCertificate:
         raise AssertionError("separating vectors do not sum to 0")
     if any(v < 0 for v in values) or not any(v > 0 for v in values):
         raise AssertionError("separating vectors are not >= 0 on the support and > 0 somewhere")
-    return SupportCertificate(False, separating=(mu, nu, pi))
+    return SupportCertificate(False, separating=(mu, nu, pi), pivots=res.pivots)
 
 
 # ----------------------------------------------------------------------------

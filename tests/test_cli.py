@@ -180,6 +180,16 @@ def test_polystable_verbs(capsys):
     assert payload["meta"]["witness"] == {"1 1 1": "1/3", "2 2 2": "1/3", "3 3 3": "1/3"}
 
 
+def test_polystable_json_reports_pinned_pivot_counts(capsys):
+    # Bland's rule fixes the pivot sequence, so a change to the pivot rule shows up here
+    for argv, pivots in [(("form", "--kind", "determinant", "--n", "3"), 7),
+                         (("tensor", "--kind", "unit", "--m", "3"), 3)]:
+        code, out, _ = run(capsys, "polystable", *argv, "--json")
+        assert code == 0 and json.loads(out)["meta"]["pivots"] == pivots
+        code, out, _ = run(capsys, "polystable", *argv)
+        assert code == 0 and "pivots" not in out
+
+
 def test_semigroup_verb(capsys):
     code, out, _ = run(capsys, "semigroup", "2", "5")
     assert code == 0
@@ -240,6 +250,20 @@ def test_budget_gate_exits_two(capsys):
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and what in err and "--budget" in err
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("--kind", "determinant", "--n", "4"), "signed admissible-table count"),
+    (("--kind", "unit", "--m", "16"), "signed Latin cube count"),
+    (("--kind", "matmul", "--n", "3"), "matrix-multiplication evaluation"),
+])
+def test_min_degree_gates_long_evaluations_like_count_and_invariant(capsys, argv, what):
+    started = time.monotonic()
+    code, out, err = run(capsys, "min-degree", *argv)
+    assert code == 2 and out == "" and "deciding the minimal degree" in err and "--budget" in err
+    assert time.monotonic() - started < 5
+    code, out, _ = run(capsys, "min-degree", *argv, "--budget", "0.5")
+    assert code == 0 and "reason undecided at budget" in out and f"evidence {what} not finished" in out
 
 
 @pytest.mark.parametrize("argv", [

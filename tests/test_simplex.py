@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import fraction_simplex
 from slinv.simplex import solve_equality_feasibility
 
 
@@ -46,3 +48,34 @@ def test_degenerate_zero_row():
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         solve_equality_feasibility([[1, 2], [1]], [1, 1])
+
+
+_SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def _systems(draw):
+    """Small systems A x = b: signed entries with many zeros, right-hand sides of
+    both signs (so rows are flipped), repeated rows and all-zero rows."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    entry = st.just(Fraction(0)) | _SMALL
+    A = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    b = [draw(entry) for _ in range(nrows)]
+    for i in range(1, nrows):
+        shape = draw(st.sampled_from(("own", "own", "zero", "copy")))
+        if shape == "zero":
+            A[i] = [Fraction(0)] * ncols
+            b[i] = draw(st.just(Fraction(0)) | _SMALL)
+        elif shape == "copy":  # a multiple of an earlier row: a degenerate basis
+            k, f = draw(st.integers(0, i - 1)), draw(_SMALL)
+            A[i] = [f * v for v in A[k]]
+            b[i] = f * b[k]
+    return A, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=_systems())
+def test_integer_rows_match_fraction_tableau_oracle(system):
+    A, b = system
+    # same feasibility, same x, same Farkas y, and the same number of pivots
+    assert solve_equality_feasibility(A, b) == fraction_simplex(A, b)

@@ -274,6 +274,22 @@ def test_polystable_tensor_certificates():
     assert all(v >= 0 for v in values) and any(v > 0 for v in values)
 
 
+def test_polystable_tensor_support_of_matmul_5():
+    # 125 support points under 75 marginal constraints; the Fraction tableau took ~10 s
+    tensor = matmul_tensor(5)
+    cert = polystable_tensor_support(tensor)
+    assert cert.holds
+    _check_tensor_witness(tensor, cert.witness)
+
+
+def test_polystable_form_support_of_permanent_6():
+    # 720 support points in 36 variables; the Fraction tableau ran for over a minute
+    form = permanent_form(6)
+    cert = polystable_form_support(form)
+    assert cert.holds
+    _check_form_witness(form, cert.witness)
+
+
 def test_certificate_checks_survive_optimized_mode():
     # python -O strips assert statements; a solver returning a bogus feasible
     # point must still be caught by the certificate check
