@@ -234,25 +234,27 @@ def _cmd_count(args):
 
 def _cmd_kronecker(args):
     lam, mu, nu = (_parse_partition(t) for t in (args.lam, args.mu, args.nu))
-    value = kronecker(lam, mu, nu, deadline=Deadline(args.budget))
+    work = {"nodes": 0, "memo_entries": 0}
+    value = kronecker(lam, mu, nu, deadline=Deadline(args.budget), stats=work)
     return value, {"lam": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts),
-                   "route": _route((lam.parts, mu.parts, nu.parts))}, None
+                   "route": _route((lam.parts, mu.parts, nu.parts)), **work}, None
 
 
 def _cmd_krect(args):
     deadline = Deadline(args.budget)
     deltas = range(args.delta + 1) if args.table else (args.delta,)
     values = {}
+    work = {"nodes": 0, "memo_entries": 0}  # over the values of the table
     try:
         for d in deltas:
-            values[d] = k_rect(args.m, d, deadline=deadline)
+            values[d] = k_rect(args.m, d, deadline=deadline, stats=work)
     except BudgetExhausted:
         raise BudgetExhausted(
             f"budget exhausted at delta {d} ({len(values)} of {len(deltas)} values computed)") from None
     route = _route((Partition.rectangle(args.m, args.delta).parts,) * 3)
     if not args.table:
-        return values[args.delta], {"m": args.m, "delta": args.delta, "route": route}, None
-    meta = {"m": args.m, "route": route, "table": {str(d): v for d, v in values.items()}}
+        return values[args.delta], {"m": args.m, "delta": args.delta, "route": route, **work}, None
+    meta = {"m": args.m, "route": route, **work, "table": {str(d): v for d, v in values.items()}}
     return values[args.delta], meta, [f"delta {d} k {v}" for d, v in values.items()]
 
 

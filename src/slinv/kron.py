@@ -3,10 +3,12 @@ subset-family upper bounds on invariant-space dimensions.
 
 Three independent exact routes produce Kronecker coefficients:
 
-* a class sum: enumerate cycle types of S_N once, carrying a vector of
-  border-strip character coefficients for each of the three shapes
-  (Murnaghan-Nakayama transfers, parts consumed in descending order), and
-  accumulate chi*chi*chi times the class size;
+* a class sum: enumerate the parts >= 2 of the cycle types of S_N once,
+  carrying a vector of border-strip character coefficients for each
+  distinct shape (Murnaghan-Nakayama transfers, parts consumed in
+  descending order).  Each node closes one cycle type, its remaining cells
+  being fixed points: chi_s(1^r) = f^s by the hook length formula, so the
+  1-cycles need no search.  It accumulates chi*chi*chi times the class size;
 * a coupled strip recursion: remove one border strip of equal length from
   all three shapes at once and divide by the remaining size, memoized on
   the unordered shape triple.  Every memoized value is itself a Kronecker
@@ -21,14 +23,17 @@ Three independent exact routes produce Kronecker coefficients:
 
 `kronecker` picks the LR route when all three shapes have at most 3 rows
 and at least two are rectangles (so k_rect(m <= 3, delta)), and otherwise
-the cheaper of the other two from partition-count estimates; the test suite
-cross-checks all three routes against each other.
+the cheaper of the other two: the coupled recursion costs its estimated
+state count, the class sum p(N) nodes times the number of distinct shapes
+(see `_route`).  The test suite cross-checks all three routes against each
+other.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
@@ -46,6 +51,7 @@ _SHAPES: list[tuple[int, ...]] = []
 _SIZES: list[int] = []
 _SID: dict[tuple[int, ...], int] = {}
 _STRIPS: list[Optional[dict[int, tuple[tuple[int, int], ...]]]] = []
+_FDIM: list[Optional[int]] = []
 # Triple-memo keys pack three shape ids into 21 bits each; past this many
 # interned shapes two different triples would share a key.
 _SID_LIMIT = 1 << 21
@@ -63,6 +69,7 @@ def _sid(shape: tuple[int, ...]) -> int:
     _SHAPES.append(shape)
     _SIZES.append(sum(shape))
     _STRIPS.append(None)
+    _FDIM.append(None)
     return sid
 
 
@@ -94,6 +101,26 @@ def _strips(sid: int) -> dict[int, tuple[tuple[int, int], ...]]:
     frozen = {length: tuple(subs) for length, subs in out.items()}
     _STRIPS[sid] = frozen
     return frozen
+
+
+def _fdim(sid: int) -> int:
+    """f^lam = chi_lam(1^n), the number of standard tableaux of the shape.
+
+    Hook length formula (Frame-Robinson-Thrall 1954): n! over the product of
+    the hook lengths, in exact integers.
+    """
+    got = _FDIM[sid]
+    if got is not None:
+        return got
+    shape = _SHAPES[sid]
+    cols = [sum(1 for p in shape if p > j) for j in range(shape[0] if shape else 0)]
+    hooks = 1
+    for i, p in enumerate(shape):
+        for j in range(p):
+            hooks *= p - j + cols[j] - i - 1
+    value = math.factorial(_SIZES[sid]) // hooks
+    _FDIM[sid] = value
+    return value
 
 
 def _as_shape(p: PartitionLike) -> tuple[int, ...]:
@@ -221,70 +248,63 @@ def _transfer(vec: dict[int, int], length: int) -> dict[int, int]:
     return {sid: c for sid, c in out.items() if c}
 
 
-def _classsum(ids: tuple[int, ...]) -> int:
-    """Sum over cycle types of prod_i chi_i(rho) / z_rho, exactly.
+def _classsum(ids: tuple[int, ...]) -> tuple[int, int]:
+    """(sum over cycle types rho of prod_i chi_i(rho) / z_rho, DFS nodes), exactly.
 
-    Distinct shapes carry distinct coefficient vectors; repeated shapes are
-    computed once and raised to their multiplicity at the leaves.  The
-    accumulator holds sum over classes of prod chi * |class|, an integer,
-    and is divided by N! at the end with an integrality assertion.
+    The DFS consumes the parts >= 2 of rho in descending order, carrying one
+    coefficient vector per distinct shape (repeated shapes are raised to
+    their multiplicity); a transfer that empties a vector prunes the
+    subtree.  Every node closes one cycle type: its r remaining cells are
+    fixed points, chi_s(1^r) = f^s (hook lengths) and z_rho gains r!.  So a
+    node costs one Murnaghan-Nakayama transfer per distinct shape, and there
+    is at most one node per partition of N.  The accumulator holds sum over
+    classes of prod chi * |class|, an integer, and is divided by N! at the
+    end with an integrality assertion.
     """
     n = _SIZES[ids[0]]
-    uniq: list[tuple[int, int]] = []  # (sid, multiplicity)
-    for sid in ids:
-        for k, (other, mult) in enumerate(uniq):
-            if other == sid:
-                uniq[k] = (other, mult + 1)
-                break
-        else:
-            uniq.append((sid, 1))
-    nfact = math.factorial(n)
-    empty = _sid(())
+    uniq = Counter(ids)  # distinct shape -> multiplicity
+    mults = list(uniq.values())
+    facts = [math.factorial(r) for r in range(n + 1)]
+    nfact = facts[n]
+    fdims = _FDIM
     dl = _DEADLINE.get()
     total = 0
     nodes = 0
 
-    def descend(remaining: int, max_part: int, z: int, last: int, run: int,
-                vecs: list[dict[int, int]]) -> None:
+    def descend(remaining: int, max_part: int, z: int, run: int, vecs: list[dict[int, int]]) -> None:
+        # run: how many parts equal to max_part rho has so far
         nonlocal total, nodes
         nodes += 1
         if not nodes & 4095:
             dl.check()
-        if remaining == 0:
-            term = nfact // z
-            for (sid_, mult), vec in zip(uniq, vecs):
-                chi = vec.get(empty, 0)
-                if chi == 0:
-                    return
-                term *= chi**mult
+        term = nfact // (z * facts[remaining])
+        for mult, vec in zip(mults, vecs):
+            chi = 0
+            for sid, coeff in vec.items():
+                chi += coeff * (fdims[sid] or _fdim(sid))
+            if chi == 0:
+                break
+            term *= chi**mult
+        else:
             total += term
-            return
-        for length in range(min(max_part, remaining), 0, -1):
+        for length in range(min(max_part, remaining), 1, -1):
             new_vecs = []
-            dead = False
             for vec in vecs:
                 nv = _transfer(vec, length)
                 if not nv:
-                    dead = True
                     break
                 new_vecs.append(nv)
-            if dead:
-                continue
-            if length == last:
-                nz = z * length * (run + 1)
-                nrun = run + 1
             else:
-                nz = z * length
-                nrun = 1
-            descend(remaining - length, length, nz, length, nrun, new_vecs)
+                nrun = run + 1 if length == max_part else 1
+                descend(remaining - length, length, z * length * nrun, nrun, new_vecs)
 
-    descend(n, n, 1, 0, 0, [{sid: 1} for sid, _ in uniq])
+    descend(n, n, 1, 0, [{sid: 1} for sid in uniq])
     if total % nfact != 0:
         raise AssertionError("class sum is not integral")
     value = total // nfact
     if value < 0:
         raise AssertionError(f"negative Kronecker value {value}")
-    return value
+    return value, nodes
 
 
 def _contained_size_counts(shape: tuple[int, ...]) -> list[int]:
@@ -418,25 +438,31 @@ def _route(shapes: tuple[tuple[int, ...], ...]) -> str:
 
     'lr' when every shape has at most 3 rows and at least two are
     rectangles (both triple LR coefficients then collapse to single ones);
-    otherwise 'triple' or 'class' by the coupled-recursion state estimate.
+    otherwise the cheaper of 'triple' and 'class'.  The class sum visits at
+    most p(N) nodes and transfers one vector per distinct shape at each; a
+    node and shape cost about a third of one estimated coupled-recursion
+    state (fitted on a timing table of both routes).
     """
     if all(len(s) <= 3 for s in shapes) and sum(len(set(s)) <= 1 for s in shapes) >= 2:
         return "lr"
     states = triple_state_estimate(*shapes)
-    if states <= TRIPLE_STATE_LIMIT and states <= 60 * partition_count(sum(shapes[0])):
+    distinct = len(set(shapes))
+    if states <= TRIPLE_STATE_LIMIT and 3 * states <= distinct * partition_count(sum(shapes[0])):
         return "triple"
     return "class"
 
 
 def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike,
-              method: str = "auto", deadline=None) -> int:
+              method: str = "auto", deadline=None, stats: Optional[dict] = None) -> int:
     """Kronecker coefficient of three partitions of the same N, exactly.
 
     Equal to the class sum over cycle types rho of
     chi_lam(rho) chi_mu(rho) chi_nu(rho) / z_rho, a nonnegative integer.
     method: 'auto' (see `_route`), 'lr' (shapes of at most 3 rows),
     'triple', or 'class'.  deadline: None, seconds, or a Deadline, polled
-    inside the route; BudgetExhausted when it passes.
+    inside the route; BudgetExhausted when it passes.  stats, if given,
+    gains the route's work: "nodes" (class-sum DFS nodes) and
+    "memo_entries" (triple-memo entries added); the LR route adds neither.
     """
     shapes = tuple(_as_shape(p) for p in (lam, mu, nu))
     sizes = {sum(s) for s in shapes}
@@ -454,18 +480,25 @@ def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike,
             return _lr_route(shapes)
         ids = tuple(_sid(s) for s in shapes)
         if method == "triple":
-            return _triple(*ids)
-        return _classsum(ids)
+            before = len(_TRIPLE_MEMO)
+            value = _triple(*ids)
+            key, count = "memo_entries", len(_TRIPLE_MEMO) - before
+        else:
+            value, count = _classsum(ids)
+            key = "nodes"
+        if stats is not None:
+            stats[key] = stats.get(key, 0) + count
+        return value
     finally:
         _DEADLINE.reset(token)
 
 
-def k_rect(m: int, delta: int, deadline=None) -> int:
+def k_rect(m: int, delta: int, deadline=None, stats: Optional[dict] = None) -> int:
     """Kronecker coefficient of three m x delta rectangles."""
     if m < 1 or delta < 0:
         raise ValueError("need m >= 1 and delta >= 0")
     rect = Partition.rectangle(m, delta)
-    return kronecker(rect, rect, rect, deadline=deadline)
+    return kronecker(rect, rect, rect, deadline=deadline, stats=stats)
 
 
 # ----------------------------------------------------------------------------

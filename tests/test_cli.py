@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from slinv import kron
 from slinv.cli import main
 from slinv.spaces import serialize_form, serialize_tensor, determinant_form, form_to_tensor, power_sum_form
 from slinv.tableaux import generic_tableau, serialize_tableau
@@ -94,16 +95,20 @@ def test_kronecker_verb(capsys):
     assert code == 0 and out.strip() == "1"
 
 
-@pytest.mark.parametrize("lam, mu, nu, value, route", [
-    ("3,3,3", "3,3,3", "3,3,3", "1", "lr"),
-    ("3,3,2,1", "3,3,3", "4,3,2", "3", "triple"),
-    ("5,3,2,1,1", "5,3,2,1,1", "5,3,2,1,1", "945", "class"),
+# work: class-sum DFS nodes and triple-memo entries added (from an empty memo)
+@pytest.mark.parametrize("lam, mu, nu, value, route, nodes, memo_entries", [
+    ("3,3,3", "3,3,3", "3,3,3", "1", "lr", 0, 0),
+    ("9,1", "2,1,1,1,1,1,1,1,1", "1,1,1,1,1,1,1,1,1,1", "1", "triple", 0, 34),
+    ("3,3,2,1", "3,3,3", "4,3,2", "3", "class", 16, 0),
+    ("5,3,2,1,1", "5,3,2,1,1", "5,3,2,1,1", "945", "class", 37, 0),
 ])
-def test_kronecker_json_reports_route(capsys, lam, mu, nu, value, route):
+def test_kronecker_json_reports_route(capsys, monkeypatch, lam, mu, nu, value, route, nodes, memo_entries):
+    monkeypatch.setattr(kron, "_TRIPLE_MEMO", {})
     shapes = ("--lam", lam, "--mu", mu, "--nu", nu)
     code, out, _ = run(capsys, "kronecker", *shapes, "--json")
     assert code == 0 and json.loads(out) == {
-        "value": value, "meta": {"lam": _parts(lam), "mu": _parts(mu), "nu": _parts(nu), "route": route}}
+        "value": value, "meta": {"lam": _parts(lam), "mu": _parts(mu), "nu": _parts(nu), "route": route,
+                                 "nodes": nodes, "memo_entries": memo_entries}}
     code, out, _ = run(capsys, "kronecker", *shapes)
     assert code == 0 and out == value + "\n"
 
@@ -114,16 +119,18 @@ def _parts(text):
 
 def test_krect_json_reports_route(capsys):
     code, out, _ = run(capsys, "krect", "--m", "3", "--delta", "6", "--json")
-    assert code == 0 and json.loads(out) == {"value": "3", "meta": {"m": 3, "delta": 6, "route": "lr"}}
+    assert code == 0 and json.loads(out) == {
+        "value": "3", "meta": {"m": 3, "delta": 6, "route": "lr", "nodes": 0, "memo_entries": 0}}
     code, out, _ = run(capsys, "krect", "--m", "4", "--delta", "3", "--table", "--json")
     assert code == 0 and json.loads(out) == {
-        "value": "1", "meta": {"m": 4, "route": "triple", "table": {"0": 1, "1": 0, "2": 1, "3": 1}}}
+        "value": "1", "meta": {"m": 4, "route": "class", "nodes": 79, "memo_entries": 0,
+                               "table": {"0": 1, "1": 0, "2": 1, "3": 1}}}
 
 
 @pytest.mark.parametrize("argv", [
     ("krect", "--m", "3", "--delta", "60"),
     ("krect", "--m", "3", "--delta", "60", "--table"),
-    ("kronecker", "--lam", "12,12,12,12", "--mu", "12,12,12,12", "--nu", "12,12,12,12"),
+    ("kronecker", "--lam", "16,16,16,16", "--mu", "16,16,16,16", "--nu", "16,16,16,16"),
 ])
 def test_kronecker_verbs_honour_budget(capsys, argv):
     # each verb runs for minutes without a budget

@@ -75,6 +75,25 @@ def test_kronecker_routes_agree():
         assert kronecker(lam, mu, nu, method="triple") == kronecker(lam, mu, nu, method="class")
 
 
+def test_class_sum_matches_triple_route_on_every_small_triple():
+    for n in range(1, 8):
+        for lam, mu, nu in itertools.product(partition_tuples(n), repeat=3):
+            assert kronecker(lam, mu, nu, method="class") == kronecker(lam, mu, nu, method="triple"), (lam, mu, nu)
+
+
+@pytest.mark.parametrize("m, deltas", [(4, range(1, 7)), (5, range(1, 6))])
+def test_k_rect_class_sum_matches_triple_route(m, deltas):
+    for delta in deltas:
+        rect = (delta,) * m
+        assert kronecker(rect, rect, rect, method="class") == kronecker(rect, rect, rect, method="triple"), delta
+
+
+def test_fixed_point_term_is_the_character_at_the_identity():
+    for n in range(11):
+        for lam in partition_tuples(n):
+            assert kron._fdim(kron._sid(lam)) == character_value(lam, (1,) * n), lam
+
+
 def _three_rows(n):
     return [p for p in partition_tuples(n) if len(p) <= 3]
 
@@ -108,9 +127,13 @@ def test_k_rect_three_rows_takes_lr_and_matches_triple():
 
 def test_route_selection():
     assert kron._route(((4, 4), (4, 4), (3, 3, 2))) == "lr"
-    assert kron._route(((4, 4), (5, 3), (3, 3, 2))) == "triple"
-    assert kron._route(((2, 2, 2, 2),) * 3) == "triple"
+    assert kron._route(((9, 1), (2,) + (1,) * 8, (1,) * 10)) == "triple"
+    # 135 estimated states against p(14) = 135: triple for three distinct shapes only
+    assert kron._route(((13, 1), (2, 2) + (1,) * 10, (2,) + (1,) * 12)) == "triple"
+    assert kron._route(((4, 4), (5, 3), (3, 3, 2))) == "class"
+    assert kron._route(((2, 2, 2, 2),) * 3) == "class"
     assert kron._route(((5, 3, 2, 1, 1),) * 3) == "class"
+    assert kron._route((((8,) * 4),) * 3) == "class"
 
 
 def test_lr_route_rejects_four_rows():
@@ -121,7 +144,7 @@ def test_lr_route_rejects_four_rows():
 
 
 @pytest.mark.parametrize("method, shape", [("lr", (60, 60, 60)), ("triple", (12, 12, 12, 12)),
-                                           ("class", (7,) * 7)])
+                                           ("class", (8,) * 8)])
 def test_routes_poll_the_deadline(method, shape):
     # each computation runs for minutes without a budget
     started = time.monotonic()

@@ -149,9 +149,9 @@ def test_minimal_degree_budget_exhaustion():
 
 
 def test_generic_tensor_scan_honours_budget():
-    # the unbudgeted scan at m = 10 runs for about 20 s inside k_rect
+    # the unbudgeted scan at m = 16 runs for about 15 s inside k_rect(16, 4)
     started = time.monotonic()
-    report = minimal_degree_report(NamedObject("generic-tensor", m=10), deadline=0.5)
+    report = minimal_degree_report(NamedObject("generic-tensor", m=16), deadline=0.5)
     assert report.exact is None and report.undecided_reason == "undecided at budget"
     assert time.monotonic() - started < 5
 
