@@ -8,9 +8,9 @@ kronecker, krect, monoid, pleth-bound, min-degree, normality) bounds
 wall-clock time; exit code 3 when exhausted.  --threads K and --checkpoint
 PATH belong to `count` only and go after its structure: --threads only
 affects speed, never output, and a count stopped by its budget writes its
-finished subtrees to the checkpoint.  Exit code 2 flags bad input,
-including a flag the verb does not take and refusal of the known week-long
-runs without a budget.
+finished representative subtrees to the checkpoint.  Exit code 2 flags bad
+input, including a flag the verb does not take and refusal of the known
+week-long runs without a budget.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def _load_object(args):
 # and `min-degree` refuse to run them without --budget
 _LONG_RUNS = {
     "admissible-tables": lambda n: n >= 4,
-    "latin-cubes": lambda n: n >= 4 and n % 2 == 0,  # odd sizes are 0 at once
+    "latin-cubes": lambda n: n >= 4 and n % 2 == 0,  # the first-step orbit of odd sizes is 0, so no subtree runs
     "tensor-invariant": lambda n: n >= 3,
 }
 
@@ -216,7 +216,9 @@ def _cmd_count(args):
     deadline = Deadline(args.budget)
     checkpoint = _read_checkpoint(args) if args.checkpoint else None
     values = [getattr(args, name) for name in params]
-    work = {"states": 0, "peak_states": 0}  # over the subtrees computed in this run
+    # states over the subtrees computed in this run; the counter adds its first-step
+    # candidates and the orbit representatives (subtrees) it runs
+    work = {"states": 0, "peak_states": 0}
     started = time.monotonic()
     try:
         value = globals()[counter](*values, workers=args.threads, deadline=deadline, checkpoint=checkpoint,
@@ -225,8 +227,8 @@ def _cmd_count(args):
         if args.checkpoint:
             _write_checkpoint(args, exc.completed)
         raise BudgetExhausted(
-            f"budget exhausted after {time.monotonic() - started:.1f}s ({len(exc.completed)} subtrees "
-            f"finished{' and checkpointed' if args.checkpoint else ''})") from None
+            f"budget exhausted after {time.monotonic() - started:.1f}s ({len(exc.completed)} of "
+            f"{work['subtrees']} subtrees finished{' and checkpointed' if args.checkpoint else ''})") from None
     meta = {"structure": args.structure, **dict(zip(params, values)),
             "elapsed_s": round(time.monotonic() - started, 3), **work}
     return value, meta, None
@@ -251,10 +253,11 @@ def _cmd_krect(args):
     except BudgetExhausted:
         raise BudgetExhausted(
             f"budget exhausted at delta {d} ({len(values)} of {len(deltas)} values computed)") from None
-    route = _route((Partition.rectangle(args.m, args.delta).parts,) * 3)
+    # delta = 0 is the empty shape, whose coefficient 1 takes no route
+    routes = {str(d): _route((Partition.rectangle(args.m, d).parts,) * 3) if d else None for d in deltas}
     if not args.table:
-        return values[args.delta], {"m": args.m, "delta": args.delta, "route": route, **work}, None
-    meta = {"m": args.m, "route": route, **work, "table": {str(d): v for d, v in values.items()}}
+        return values[args.delta], {"m": args.m, "delta": args.delta, "route": routes[str(args.delta)], **work}, None
+    meta = {"m": args.m, "route": routes, **work, "table": {str(d): v for d, v in values.items()}}
     return values[args.delta], meta, [f"delta {d} k {v}" for d, v in values.items()]
 
 

@@ -12,6 +12,13 @@ candidate costs one test for reuse and one popcount for its inversions.
 A `stats` dict passed to a counter or evaluator receives the kernel's
 work: `states` (state expansions, summed) and `peak_states` (live states,
 maximum).
+
+A relabelling g of the labels that maps every candidate list onto itself,
+each weight times chi(g), maps complete placements to complete placements.
+When every signed line is full (it receives every label g permutes), g
+multiplies each placement's value by chi(g)^(#steps) * sgn(g)^(#signed lines).
+`_first_step_orbits` uses that to reduce a sum to one subtree per orbit of
+the first step's candidates, with a signed multiplier.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import math
 from typing import Optional, Sequence
 
 from .budget import Deadline
+from .exact import sequence_sign
 
 _CHECK_MASK = 0x3FF  # deadline polling period in state expansions
 _STATE_CAP = 1 << 20  # live states across all the layers a sweep holds
@@ -132,3 +140,79 @@ def _integer_weights(entries: dict) -> tuple[int, list[tuple[tuple[int, ...], in
     """
     den = math.lcm(*(w.denominator for w in entries.values()))
     return den, [(idx, int(w * den)) for idx, w in entries.items()]
+
+
+
+def _first_step_orbits(steps: Sequence[tuple], generators: Sequence[tuple[dict, int]]) -> list[tuple[int, int]]:
+    """[(candidate index, multiplier)]: the sum over all placements is the sum of
+    multiplier times the sum with the first step fixed to that candidate.
+
+    generators is a list of (label permutation as a dict, weight character
+    chi).  ValueError, before any sweep, unless every generator permutes one
+    common label set, has chi = +-1 and maps each distinct candidate list
+    onto itself with every weight times chi, and every line with a signed
+    placement is signed in all of them and receives one per label.  Then g
+    multiplies each placement's value by f(g) = chi^(#steps) *
+    sgn(g)^(#signed lines), and fixing the first step to g.c gives f(g)
+    times the sum at c.  So an orbit of first-step candidates, walked from
+    its first candidate in step order, contributes the sum of f along the
+    walk times its first candidate's sum.  When the walk reaches a candidate
+    again with another factor, some relabelling fixes it and negates its
+    sum, so the orbit contributes 0.  Only nonzero multipliers are returned.
+    """
+    domain = set(generators[0][0]) if generators else set()
+    for perm, chi in generators:
+        if set(perm) != domain or set(perm.values()) != domain:
+            raise ValueError("the generators do not permute one common label set")
+        if chi not in (1, -1):
+            raise ValueError(f"weight character {chi} is not +1 or -1")
+    checked = set()
+    for _, _, cands in steps:
+        if id(cands) in checked:
+            continue
+        checked.add(id(cands))
+        table = dict(cands)
+        if len(table) != len(cands):
+            raise ValueError("a candidate list repeats labels")
+        for perm, chi in generators:
+            for labels, weight in cands:
+                if table.get(tuple(perm.get(label) for label in labels)) != chi * weight:
+                    raise ValueError(f"relabelling does not map candidate {labels} with weight times {chi}")
+    placements: dict[int, list[int]] = {}  # line -> [placements, signed placements]
+    for lines, signed, _ in steps:
+        for line, flag in zip(lines, signed):
+            count = placements.setdefault(line, [0, 0])
+            count[0] += 1
+            count[1] += flag
+    signed_lines = 0
+    for total, flagged in placements.values():
+        if flagged and generators:
+            if flagged != total or total != len(domain):
+                raise ValueError(f"a signed line receives {flagged} signed of {total} placements, "
+                                 f"not all {len(domain)} labels")
+            signed_lines += 1
+    order = sorted(domain)
+    factors = [chi ** len(steps) * sequence_sign([perm[label] for label in order]) ** signed_lines
+               for perm, chi in generators]
+
+    candidates = steps[0][2]
+    index = {labels: i for i, (labels, _) in enumerate(candidates)}
+    factor = [0] * len(candidates)  # 0 until the walk reaches the candidate
+    orbits = []
+    for start in range(len(candidates)):
+        if factor[start]:
+            continue
+        factor[start] = 1
+        orbit, consistent = [start], True
+        for i in orbit:  # the walk appends to the orbit as it goes
+            for (perm, _), f in zip(generators, factors):
+                j = index[tuple(perm[label] for label in candidates[i][0])]
+                if not factor[j]:
+                    factor[j] = factor[i] * f
+                    orbit.append(j)
+                elif factor[j] != factor[i] * f:
+                    consistent = False
+        multiplier = sum(factor[i] for i in orbit) if consistent else 0
+        if multiplier:
+            orbits.append((start, multiplier))
+    return orbits

@@ -12,10 +12,18 @@ tableau, with no division by the tensor's denominator:
 * admissible n-tables: the generic n^2 x n tableau at det_n or per_n;
 * cubes of size n: the point steps of the tensor invariant at <n^2>.
 
-The count is split into subtrees, one per candidate of the first step,
-keyed by that candidate's labels joined by commas; checkpointing and
-worker parallelism operate on them.  Results merge by integer addition,
-so parallel output is identical to serial output.
+Each count declares the relabellings its tensor is symmetric under: every
+permutation of the symbols for squares, annuli and cubes, and the row and
+column permutations of the n x n variable grid for tables (weight
+character the permutation's sign at det_n, 1 at per_n).
+`kernel._first_step_orbits` checks them and reduces the count to one
+subtree per orbit of first-step candidates with a nonzero signed
+multiplier; an orbit whose multipliers cancel, as at odd orders, runs no
+subtree.  A subtree is keyed by its first-step candidate's labels joined
+by commas; checkpointing and worker parallelism operate on these
+representative subtrees, and a checkpoint holds each one's own kernel
+total, before its multiplier.  Results merge by integer addition, so
+parallel output is identical to serial output.
 """
 
 from __future__ import annotations
@@ -25,7 +33,8 @@ from typing import Optional
 
 from . import kernel
 from .budget import BudgetExhausted, Deadline, as_deadline
-from .kernel import _integer_weights, _record_work, _signed_sum
+from .exact import perm_sign
+from .kernel import _first_step_orbits, _integer_weights, _record_work, _signed_sum
 from .spaces import determinant_form, form_to_tensor, permanent_form, product_form, unit_tensor
 from .tableaux import Tableau, _tableau_steps, annulus_tableau, generic_tableau
 from .tensorinv import _point_steps
@@ -62,8 +71,8 @@ def _run_tasks(
     deadline: Deadline,
     checkpoint: Optional[dict[str, int]],
     stats: Optional[dict],
-) -> int:
-    """Sum the kernel over the subtrees of `steps` (serially or on a pool).
+) -> dict[str, int]:
+    """The kernel total of every subtree of `steps` by key (serially or on a pool).
 
     keys[i] names the subtree whose first step is fixed to its i-th
     candidate.  A pool has min(workers, subtrees to run) processes, each
@@ -93,19 +102,42 @@ def _run_tasks(
             _record_work(stats, states, peak)
     if len(completed) < len(keys):
         raise BudgetExhausted(completed=completed)
-    return sum(completed[key] for key in keys)
+    return completed
 
 
-def _count(sign: int, steps: list[tuple], workers: int, deadline, checkpoint, stats) -> int:
-    """sign times the kernel total of `steps`, split into the subtrees of the first step."""
-    keys = [",".join(map(str, labels)) for labels, _ in steps[0][2]]
-    return sign * _run_tasks(steps, keys, workers, as_deadline(deadline), checkpoint, stats)
+def _count(sign: int, steps: list[tuple], generators: list, workers: int, deadline, checkpoint, stats) -> int:
+    """sign times the kernel total of `steps`: each first-step orbit's representative subtree times its multiplier.
+
+    `stats` also receives `candidates` (of the first step) and `subtrees`
+    (the representatives with a nonzero multiplier).
+    """
+    lines, signed, candidates = steps[0]
+    orbits = _first_step_orbits(steps, generators)
+    if stats is not None:
+        stats.update(candidates=len(candidates), subtrees=len(orbits))
+    keys = [",".join(map(str, candidates[i][0])) for i, _ in orbits]
+    representatives = [(lines, signed, [candidates[i] for i, _ in orbits]), *steps[1:]]
+    totals = _run_tasks(representatives, keys, workers, as_deadline(deadline), checkpoint, stats)
+    return sign * sum(multiplier * totals[key] for key, (_, multiplier) in zip(keys, orbits))
 
 
-def _tableau_count(T: Tableau, form, workers: int, deadline, checkpoint, stats) -> int:
+def _symbol_permutations(k: int) -> list[dict[int, int]]:
+    """The transposition (1 2) and the cycle (1 2 ... k) of the labels 1..k, which generate all their permutations."""
+    if k < 2:
+        return []
+    swap = {label: label for label in range(3, k + 1)} | {1: 2, 2: 1}
+    return [swap, {label: label % k + 1 for label in range(1, k + 1)}]
+
+
+def _symbol_symmetry(k: int) -> list[tuple[dict[int, int], int]]:
+    """Generators of every relabelling of the symbols 1..k, each with weight character 1."""
+    return [(perm, 1) for perm in _symbol_permutations(k)]
+
+
+def _tableau_count(T: Tableau, form, generators: list, workers: int, deadline, checkpoint, stats) -> int:
     """The tableau invariant at the tensor of `form`, times its denominator to the power d."""
     return _count(*_tableau_steps(T, _integer_weights(form_to_tensor(form).entries)[1]),
-                  workers, deadline, checkpoint, stats)
+                  generators, workers, deadline, checkpoint, stats)
 
 
 def signed_latin_squares(
@@ -119,7 +151,8 @@ def signed_latin_squares(
     """(# column-even) - (# column-odd) Latin squares of order n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return _tableau_count(generic_tableau(n, n), product_form(n), workers, deadline, checkpoint, stats)
+    return _tableau_count(generic_tableau(n, n), product_form(n), _symbol_symmetry(n),
+                          workers, deadline, checkpoint, stats)
 
 
 def signed_latin_annuli(
@@ -136,7 +169,8 @@ def signed_latin_annuli(
     Columns and wrap-around diagonals each carry every symbol of [m]
     exactly once; column indices are taken modulo d, so d >= m is required.
     """
-    return _tableau_count(annulus_tableau(m, d), product_form(m), workers, deadline, checkpoint, stats)
+    return _tableau_count(annulus_tableau(m, d), product_form(m), _symbol_symmetry(m),
+                          workers, deadline, checkpoint, stats)
 
 
 def signed_latin_cubes(
@@ -149,16 +183,14 @@ def signed_latin_cubes(
 ) -> int:
     """(# even) - (# odd) Latin cubes of size n, sign over all 3n slices.
 
-    For odd n >= 3 the swap of two fixed symbols is a sign-reversing
-    involution (each of the 3n slices picks up one transposition), so the
-    count is 0 without enumeration.  n = 1 has a single, even cube.
+    For odd n >= 3 a swap of two symbols other than the first point's fixes
+    that point and flips each of the 3n slices, so the symmetry reduction
+    proves the count 0 without running a subtree.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if n % 2 == 1 and n >= 3:
-        return 0
     steps = _point_steps(n, n, n, _integer_weights(unit_tensor(n * n).entries)[1])
-    return _count(1, steps, workers, deadline, checkpoint, stats)
+    return _count(1, steps, _symbol_symmetry(n * n), workers, deadline, checkpoint, stats)
 
 
 def signed_admissible_tables(
@@ -181,7 +213,15 @@ def signed_admissible_tables(
     if weighting not in ("det", "per"):
         raise ValueError("weighting must be 'det' or 'per'")
     form = determinant_form(n) if weighting == "det" else permanent_form(n)
-    return _tableau_count(generic_tableau(n, n * n), form, workers, deadline, checkpoint, stats)
+    # the variable X_ij has label (i - 1) * n + j; rows and columns permute independently,
+    # and det_n changes by the sign of the permutation
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    generators = []
+    for sigma in _symbol_permutations(n):
+        chi = perm_sign([sigma[i] for i in range(1, n + 1)]) if weighting == "det" else 1
+        generators.append(({(i - 1) * n + j: (sigma[i] - 1) * n + j for i, j in cells}, chi))
+        generators.append(({(i - 1) * n + j: (i - 1) * n + sigma[j] for i, j in cells}, chi))
+    return _tableau_count(generic_tableau(n, n * n), form, generators, workers, deadline, checkpoint, stats)
 
 
 # -- checkpoint file format ----------------------------------------------------

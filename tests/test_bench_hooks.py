@@ -27,9 +27,10 @@ def _trace(tmp_path, *argv):
     return done.stdout, record["counters"]
 
 
-def test_trace_runner_counts_the_subtrees_of_a_pooled_count(tmp_path):
-    out, counters = _trace(tmp_path, "count", "latin-squares", "3", "--threads", "2")
-    assert out == "0\n" and counters["latin.subtrees"] == 6
+def test_trace_runner_counts_the_representative_subtrees_of_a_count(tmp_path):
+    # the 24 first rows of a 4 x 4 square are one orbit, so one subtree runs
+    out, counters = _trace(tmp_path, "count", "latin-squares", "4", "--threads", "2")
+    assert out == "576\n" and counters["latin.subtrees"] == 1
 
 
 def test_trace_runner_counts_class_route_calls(tmp_path):

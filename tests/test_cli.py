@@ -123,8 +123,10 @@ def test_krect_json_reports_route(capsys):
         "value": "3", "meta": {"m": 3, "delta": 6, "route": "lr", "nodes": 0, "memo_entries": 0}}
     code, out, _ = run(capsys, "krect", "--m", "4", "--delta", "3", "--table", "--json")
     assert code == 0 and json.loads(out) == {
-        "value": "1", "meta": {"m": 4, "route": "class", "nodes": 79, "memo_entries": 0,
-                               "table": {"0": 1, "1": 0, "2": 1, "3": 1}}}
+        "value": "1", "meta": {"m": 4, "route": {"0": None, "1": "class", "2": "class", "3": "class"},
+                               "nodes": 79, "memo_entries": 0, "table": {"0": 1, "1": 0, "2": 1, "3": 1}}}
+    code, out, _ = run(capsys, "krect", "--m", "3", "--delta", "2", "--table", "--json")
+    assert code == 0 and json.loads(out)["meta"]["route"] == {"0": None, "1": "lr", "2": "lr"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -292,7 +294,7 @@ def test_budget_exhaustion_exits_three_and_checkpoints(tmp_path, capsys):
     code, _, err = run(capsys, "count", "latin-cubes", "4", "--budget", "0.05",
                        "--checkpoint", str(ckpt))
     assert code == 3
-    assert "budget exhausted" in err
+    assert "budget exhausted" in err and "(0 of 1 subtrees finished and checkpointed)" in err
     assert ckpt.exists()
     # resuming consumes whatever was checkpointed without re-verifying prefixes
     code2, _, err2 = run(capsys, "count", "latin-cubes", "4", "--budget", "0.05",
@@ -332,6 +334,25 @@ def test_checkpoint_mismatch_or_stray_subtree_exits_two(tmp_path, capsys, text):
     assert code == 2 and out == "" and "error:" in err
 
 
+def test_checkpoint_naming_a_non_representative_subtree_exits_two(tmp_path, capsys):
+    # 2,1,3,4 is a first row of a 4 x 4 square, but its orbit is counted at 1,2,3,4
+    ckpt = tmp_path / "squares.ckpt"
+    ckpt.write_text("slinv-checkpoint 3 latin-squares n=4 weighting=sign\nsubtree 2,1,3,4 -24\n", encoding="utf-8")
+    code, out, err = run(capsys, "count", "latin-squares", "4", "--checkpoint", str(ckpt))
+    assert code == 2 and out == "" and "checkpoint subtree 2,1,3,4 is not part of this count" in err
+
+
+@pytest.mark.parametrize("argv, value, seconds", [
+    (("latin-squares", "6"), "-199065600", 10),  # one subtree times 6! = 720
+    (("latin-squares", "7"), "0", 2),  # a symbol swap flips each of the 7 columns
+    (("latin-annuli", "5", "7"), "0", 2),
+])
+def test_counts_reduced_by_symmetry_need_no_budget(capsys, argv, value, seconds):
+    started = time.monotonic()
+    code, out, _ = run(capsys, "count", *argv)
+    assert code == 0 and out == value + "\n" and time.monotonic() - started < seconds
+
+
 def test_checkpoint_resume_after_budget(tmp_path, capsys):
     ckpt = tmp_path / "squares.ckpt"
     code, _, _ = run(capsys, "count", "latin-squares", "4", "--budget", "0", "--checkpoint", str(ckpt))
@@ -359,9 +380,10 @@ def test_unit_tensor_invariant_at_odd_size_is_zero_at_once(capsys):
     assert code == 0 and out == "0\n" and time.monotonic() - started < 2
 
 
+# work: the one representative subtree's kernel states out of 4! first-step candidates
 @pytest.mark.parametrize("argv, value, states, peak_states", [
-    (("count", "latin-squares", "4"), 576, 480, 18),
-    (("count", "latin-annuli", "4", "6"), 768, 2448, 84),
+    (("count", "latin-squares", "4"), 576, 20, 18),
+    (("count", "latin-annuli", "4", "6"), 768, 102, 84),
 ])
 def test_count_json_reports_kernel_work(capsys, argv, value, states, peak_states):
     metas = []
@@ -369,7 +391,8 @@ def test_count_json_reports_kernel_work(capsys, argv, value, states, peak_states
         code, out, _ = run(capsys, *argv, "--threads", threads, "--json")
         assert code == 0
         metas.append(json.loads(out)["meta"])
-    assert [(m["states"], m["peak_states"]) for m in metas] == [(states, peak_states)] * 2
+    assert [(m["states"], m["peak_states"], m["candidates"], m["subtrees"]) for m in metas] == \
+        [(states, peak_states, 24, 1)] * 2
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out == f"{value}\n"  # plain text carries no counters
 

@@ -25,8 +25,9 @@ from slinv.latin import (
     signed_latin_squares,
 )
 from slinv.kernel import _integer_weights
-from slinv.spaces import determinant_form, form_to_tensor, permanent_form, product_form
+from slinv.spaces import determinant_form, form_to_tensor, permanent_form, product_form, unit_tensor
 from slinv.tableaux import _tableau_steps, annulus_tableau, eval_generic_invariant, generic_tableau
+from slinv.tensorinv import _point_steps
 
 
 def test_signed_latin_squares_small_values():
@@ -124,11 +125,12 @@ def test_checkpoint_roundtrip_and_resume():
     text = serialize_checkpoint({"1,2,3": -4, "2,1,3": 7})
     assert parse_checkpoint(text) == {"1,2,3": -4, "2,1,3": 7}
     assert "subtree 1,2,3 -4\n" in text
-    # a poisoned checkpoint entry must be trusted (proves resume skips work)
-    honest = signed_latin_squares(3)
-    poisoned = signed_latin_squares(3, checkpoint={"1,2,3": 1000})
-    sub = _subtree_value(_squares_steps(3), (1, 2, 3))
-    assert poisoned == honest - sub + 1000
+    # a poisoned checkpoint entry must be trusted (proves resume skips work); squares of
+    # order 4 run the one representative subtree 1,2,3,4 with multiplier 4! = 24
+    honest = signed_latin_squares(4)
+    poisoned = signed_latin_squares(4, checkpoint={"1,2,3,4": 1000})
+    assert honest == 24 * _subtree_value(_squares_steps(4), (1, 2, 3, 4)) == 576
+    assert poisoned == 24 * 1000
     with pytest.raises(ValueError):
         parse_checkpoint("subtree only-two-fields\n")
     with pytest.raises(ValueError, match="line 3: subtree 1,2,3 repeats"):
@@ -317,11 +319,17 @@ def test_peak_states_counts_every_live_layer(monkeypatch, steps, cap, floor):
     assert 0 < live <= peak <= _peak_bound(steps, cap, floor)
 
 
+def _every_subtree(steps):
+    """(steps, keys) of the task runner with one subtree per first-step candidate, no symmetry used."""
+    return steps, [",".join(map(str, labels)) for labels, _ in steps[0][2]]
+
+
 def test_counters_cover_only_the_subtrees_computed_in_this_run():
     full, resumed = {}, {}
-    signed_latin_squares(3, stats=full)
-    signed_latin_squares(3, checkpoint={"1,2,3": 0}, stats=resumed)  # only the other 5 subtrees run
-    skipped = kernel._signed_sum(_fix_first(_squares_steps(3), (1, 2, 3)), Deadline(None))[1]
+    steps, keys = _every_subtree(_squares_steps(3))
+    latin._run_tasks(steps, keys, 1, Deadline(None), None, full)
+    latin._run_tasks(steps, keys, 1, Deadline(None), {"1,2,3": 0}, resumed)  # only the other 5 subtrees run
+    skipped = kernel._signed_sum(_fix_first(steps, (1, 2, 3)), Deadline(None))[1]
     assert resumed["states"] == full["states"] - skipped > 0
 
 
@@ -346,11 +354,17 @@ def test_pool_size_is_capped_by_the_subtrees_to_run(monkeypatch):
     for name in ("_STATE_CAP", "_CHUNK_FLOOR"):  # the initializer rebinds them
         monkeypatch.setattr(kernel, name, getattr(kernel, name))
     monkeypatch.setattr(latin, "_WORKER_RUN", ())
-    assert signed_latin_squares(3, workers=64) == 0  # 6 subtrees
-    assert signed_latin_squares(2, workers=64) == -2  # 2 subtrees
-    assert signed_latin_squares(1, workers=64) == 1  # 1 subtree: no pool
+
+    def run(n, checkpoint=None):
+        return sum(latin._run_tasks(*_every_subtree(_squares_steps(n)), 64, Deadline(None), checkpoint, None).values())
+
+    assert run(3) == 0  # 6 subtrees
+    assert run(2) == -2  # 2 subtrees
+    assert run(1) == 1  # 1 subtree: no pool
     done = {",".join(map(str, p)): 0 for p in itertools.permutations((1, 2, 3)) if p != (1, 2, 3)}
-    signed_latin_squares(3, workers=64, checkpoint=done)  # 1 subtree left to run: no pool
+    run(3, done)  # 1 subtree left to run: no pool
+    assert sizes == [6, 2]
+    assert signed_latin_squares(4, workers=64) == 576  # 1 representative subtree: no pool
     assert sizes == [6, 2]
 
 
@@ -361,7 +375,92 @@ def test_pool_workers_share_the_state_cap(monkeypatch):
     monkeypatch.setattr(kernel, "_CHUNK_FLOOR", 5)
     expected = dfs_signed_sum(steps, Deadline(None))
     serial, pooled = {}, {}
-    assert latin._run_tasks(steps, ["1", "2"], 1, Deadline(None), None, serial) == expected
-    assert latin._run_tasks(steps, ["1", "2"], 2, Deadline(None), None, pooled) == expected
+    assert sum(latin._run_tasks(steps, ["1", "2"], 1, Deadline(None), None, serial).values()) == expected
+    assert sum(latin._run_tasks(steps, ["1", "2"], 2, Deadline(None), None, pooled).values()) == expected
     assert serial["peak_states"] > _peak_bound(steps, 256, 5)  # one run alone uses the whole cap
     assert pooled["peak_states"] <= _peak_bound(steps, 256, 5)  # each of 2 workers holds half
+
+
+# -- first-step orbits: the reduced counts against the unreduced kernel ---------
+
+
+def _unreduced(structure, *params):
+    """sign * `kernel._signed_sum` over the full steps of a count: no symmetry, no subtrees."""
+    if structure == "cubes":
+        (n,) = params
+        sign, steps = 1, _point_steps(n, n, n, _integer_weights(unit_tensor(n * n).entries)[1])
+    elif structure == "tables":
+        n, weighting = params
+        form = determinant_form(n) if weighting == "det" else permanent_form(n)
+        sign, steps = _tableau_steps(generic_tableau(n, n * n), _integer_weights(form_to_tensor(form).entries)[1])
+    else:
+        m, d = params if structure == "annuli" else params * 2
+        tableau = generic_tableau(m, m) if structure == "squares" else annulus_tableau(m, d)
+        sign, steps = _tableau_steps(tableau, _product_support(m))
+    return sign * kernel._signed_sum(steps, Deadline(None))[0]
+
+
+_COUNTERS = {"squares": signed_latin_squares, "annuli": signed_latin_annuli, "cubes": signed_latin_cubes,
+             "tables": signed_admissible_tables}
+_REDUCED_RANGE = ([("squares", n) for n in range(1, 6)]
+                  + [("annuli", m, d) for d in range(1, 7) for m in range(1, min(d, 4) + 1)] + [("annuli", 5, 6)]
+                  + [("tables", n, w) for n in (1, 2, 3) for w in ("det", "per")]
+                  + [("cubes", n) for n in (1, 2)])
+
+
+@pytest.mark.parametrize("case", _REDUCED_RANGE, ids=lambda case: "-".join(map(str, case)))
+def test_reduced_count_equals_the_unreduced_kernel(case):
+    structure, *params = case
+    expected = _unreduced(structure, *params)
+    for workers in (1, 2):
+        stats = {}
+        assert _COUNTERS[structure](*params, workers=workers, stats=stats) == expected
+        assert stats["subtrees"] <= 1 and stats["candidates"] >= 1
+
+
+@pytest.mark.parametrize("count, orbits", [
+    (lambda: signed_latin_squares(6), [(0, 720)]),
+    (lambda: signed_latin_squares(7), []),  # every column flips under a swap
+    (lambda: signed_latin_annuli(5, 7), []),
+    (lambda: signed_latin_cubes(3), []),  # a swap fixing the first point flips all 9 slices
+    (lambda: signed_admissible_tables(3, "det"), [(0, 36)]),
+    (lambda: signed_admissible_tables(3, "per"), []),  # a row swap flips every column
+], ids=["squares-6", "squares-7", "annuli-5-7", "cubes-3", "tables-3-det", "tables-3-per"])
+def test_first_step_orbits_of_the_counts(monkeypatch, count, orbits):
+    found = []
+
+    def record(steps, generators):  # the orbits of the symmetry the counter declares; then no subtree runs
+        found.append(kernel._first_step_orbits(steps, generators))
+        return []
+
+    monkeypatch.setattr(latin, "_first_step_orbits", record)
+    count()
+    assert found == [orbits]
+
+
+def test_no_generators_keep_every_candidate():
+    steps = _squares_steps(3)
+    assert kernel._first_step_orbits(steps, []) == [(i, 1) for i in range(6)]
+
+
+def _swap(k, a, b):
+    return {label: {a: b, b: a}.get(label, label) for label in range(1, k + 1)}
+
+
+@pytest.mark.parametrize("steps, generators, message", [
+    # a flipped weight character: the product tensor's weights are fixed by a swap
+    (_squares_steps(4), [(_swap(4, 1, 2), -1)], "weight times -1"),
+    # X11 <-> X12 alone is no symmetry of det_2: X11 X22 would map to X12 X22
+    (_tableau_steps(generic_tableau(2, 4), _integer_weights(form_to_tensor(determinant_form(2)).entries)[1])[1],
+     [(_swap(4, 1, 2), 1)], "does not map candidate"),
+    # the columns of the first three rows of a 4 x 4 square receive 3 of the 4 labels
+    (_squares_steps(4)[:3], [(_swap(4, 1, 2), 1)], "not all 4 labels"),
+    (_squares_steps(4), [(_swap(4, 1, 2), 1), (_swap(5, 1, 2), 1)], "one common label set"),
+])
+def test_a_false_symmetry_raises_before_any_sweep(monkeypatch, steps, generators, message):
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(latin, "_signed_sum", no_sweep)
+    with pytest.raises(ValueError, match=message):
+        latin._count(1, steps, generators, 1, None, None, None)
