@@ -8,7 +8,7 @@ integers for signed counts.
 """
 
 from .budget import BudgetExhausted, Deadline
-from .exact import ExactScalar, Partition, centralizer_order, multinomial, partitions_of, perm_sign
+from .exact import ExactScalar, Partition, multinomial, partitions_of, perm_sign
 from .kron import (
     MonoidReport,
     character_value,
@@ -42,8 +42,6 @@ from .tableaux import (
     eval_generic_invariant,
     eval_tableau_invariant,
     generic_tableau,
-    power_sum_tableau,
-    tableau_positions,
 )
 from .tensorinv import eval_tensor_invariant, eval_tensor_invariant_format
 from .theory import (

@@ -27,18 +27,12 @@ from pathlib import Path
 from .budget import BudgetExhausted, Deadline
 from .exact import Partition, format_scalar
 from .kron import _route, exponent_monoid, k_rect, kronecker, pleth_upper_bound, sl_invariant_bound
-from .latin import (
-    parse_checkpoint,
-    serialize_checkpoint,
-    signed_admissible_tables,
-    signed_latin_annuli,
-    signed_latin_cubes,
-    signed_latin_squares,
-)
-from .spaces import NamedObject, form_to_tensor, parse_form, parse_tensor, unit_tensor
+from .latin import parse_checkpoint, serialize_checkpoint
+from .spaces import _KINDS, NamedObject, form_to_tensor, parse_form, parse_tensor, unit_tensor
 from .tableaux import eval_cyclic_invariant, eval_generic_invariant, eval_tableau_invariant, parse_tableau
-from .tensorinv import eval_tensor_invariant, eval_tensor_invariant_format
+from .tensorinv import eval_tensor_invariant_format
 from .theory import (
+    EVALUATIONS,
     deciding_run,
     minimal_degree_report,
     nonnormality_flag,
@@ -65,12 +59,9 @@ def _parse_partition(text: str) -> Partition:
     return Partition(parts)
 
 
-_KIND_ALIASES = {"unit": "unit-tensor", "matmul": "matmul-tensor"}
-
-
 def _named_object(args) -> NamedObject:
     kw = {name: getattr(args, name) for name in ("D", "m", "n") if getattr(args, name) is not None}
-    return NamedObject(_KIND_ALIASES.get(args.kind, args.kind), **kw)
+    return NamedObject(args.kind, **kw)
 
 
 CHECKPOINT_VERSION = 3
@@ -112,31 +103,20 @@ def _read_file(args, parse):
 
 
 def _load_object(args):
-    """The form or tensor (as `args.target` says) from --file or from the named-object flags."""
+    """(named object or None, the form or tensor) from --file or the named-object flags, as `args.target` says."""
     if args.file:
-        return _read_file(args, parse_form if args.target == "form" else parse_tensor)
+        return None, _read_file(args, parse_form if args.target == "form" else parse_tensor)
     if not args.kind:
         raise CliError("need --kind or --file")
     obj = _named_object(args)
     if obj.is_form != (args.target == "form"):
         raise CliError(f"--kind {args.kind} is not a {args.target}")
-    return obj.build()
+    return obj, obj.build()
 
 
-# evaluations that can run for a very long time, by the count structure (or
-# invariant) that is the same sum: the sizes n from which `count`, `invariant`
-# and `min-degree` refuse to run them without --budget
-_LONG_RUNS = {
-    "admissible-tables": lambda n: n >= 4,
-    "latin-cubes": lambda n: n >= 4 and n % 2 == 0,  # the first-step orbit of odd sizes is 0, so no subtree runs
-    "tensor-invariant": lambda n: n >= 3,
-}
-
-
-def _require_budget(args, run: str, n: int, what: str) -> None:
-    """Refuse the evaluation `run` at size n without --budget when it can run for a very long time."""
-    long = _LONG_RUNS.get(run)
-    if args.budget is None and long is not None and long(n):
+def _require_budget(args, long: bool, what: str) -> None:
+    """Refuse a run without --budget when `long` (from an evaluation or a kind record) says it can take very long."""
+    if args.budget is None and long:
         checkpoint = " (and optionally --checkpoint <path>)" if hasattr(args, "checkpoint") else ""
         raise CliError(f"{what} can run for a very long time; pass an explicit --budget <seconds>{checkpoint} "
                        "to proceed")
@@ -154,10 +134,10 @@ def _cmd_invariant(args):
     if args.target == "form":
         if args.format:
             raise CliError("--format applies to tensors")
-        if not args.file and args.kind in ("determinant", "permanent") and args.n is not None:
-            _require_budget(args, "admissible-tables", args.n,
-                            f"evaluating the degree-{args.n**2} invariant of {args.kind}_{args.n}")
-        form = _load_object(args)
+        obj, form = _load_object(args)
+        if obj is not None and obj.record.sweep_budget_from is not None:
+            _require_budget(args, obj.size >= obj.record.sweep_budget_from,
+                            f"evaluating the degree-{form.m + args.cyclic} invariant of {obj.kind}_{obj.size}")
         tensor = form_to_tensor(form)
         if args.cyclic:
             if form.D != form.m:
@@ -169,7 +149,7 @@ def _cmd_invariant(args):
 
     if args.cyclic:
         raise CliError("--cyclic applies to forms")
-    tensor = _load_object(args)
+    tensor = _load_object(args)[1]
     if args.format:
         n1, n2, n3 = args.format
         value = eval_tensor_invariant_format(n1, n2, n3, tensor, deadline=deadline, stats=work)
@@ -179,13 +159,10 @@ def _cmd_invariant(args):
     n = math.isqrt(tensor.shape[0])
     if n * n != tensor.shape[0]:
         raise CliError(f"axis dimension {tensor.shape[0]} is not a square; pass --format")
-    unit = tensor == unit_tensor(n * n)  # then the invariant is the signed Latin-cube count
-    _require_budget(args, "latin-cubes" if unit else "tensor-invariant", n,
-                    f"evaluating the degree-{n**3} tensor invariant")
-    if unit:
-        value = signed_latin_cubes(n, deadline=deadline, stats=work)
-    else:
-        value = eval_tensor_invariant(n, tensor, deadline=deadline, stats=work)
+    # at the unit tensor the invariant is the signed Latin-cube count
+    name, run = ("latin-cubes", (n,)) if tensor == unit_tensor(n * n) else ("tensor-invariant", (n, tensor))
+    _require_budget(args, EVALUATIONS[name].long(*run), f"evaluating the degree-{n**3} tensor invariant")
+    value = EVALUATIONS[name].run(*run, deadline=deadline, stats=work)
     return value, {"invariant": "tensor", "n": n, "degree": n**3, **work}, None
 
 
@@ -197,39 +174,27 @@ def _cmd_eval_tableau(args):
     return value, {"rows": tableau.m, "cols": tableau.s, "symbols": tableau.d, **work}, None
 
 
-# structure: (counter, by name so that a rebound module-level name is the one
-# called; positional parameters; what a run is, for the --budget gate)
-_COUNTS = {
-    "latin-squares": ("signed_latin_squares", ("n",), "counting signed Latin squares of size {}"),
-    "latin-annuli": ("signed_latin_annuli", ("m", "d"), "counting signed Latin annuli of size {}"),
-    "latin-cubes": ("signed_latin_cubes", ("n",), "counting signed Latin cubes of size {}"),
-    "admissible-tables": ("signed_admissible_tables", ("n", "weighting"), "counting signed admissible {}-tables"),
-}
-
-
 def _cmd_count(args):
-    counter, params, what = _COUNTS[args.structure]
+    evaluation = EVALUATIONS[args.structure]
     if args.threads < 1:
         raise CliError("--threads needs K >= 1")
-    first = getattr(args, params[0])
-    _require_budget(args, args.structure, first, what.format(first))
+    values = [getattr(args, name) for name in evaluation.params]
+    _require_budget(args, evaluation.long(*values), evaluation.counting.format(*values))
     deadline = Deadline(args.budget)
     checkpoint = _read_checkpoint(args) if args.checkpoint else None
-    values = [getattr(args, name) for name in params]
     # states over the subtrees computed in this run; the counter adds its first-step
     # candidates and the orbit representatives (subtrees) it runs
     work = {"states": 0, "peak_states": 0}
     started = time.monotonic()
     try:
-        value = globals()[counter](*values, workers=args.threads, deadline=deadline, checkpoint=checkpoint,
-                                   stats=work)
+        value = evaluation.run(*values, workers=args.threads, deadline=deadline, checkpoint=checkpoint, stats=work)
     except BudgetExhausted as exc:
         if args.checkpoint:
             _write_checkpoint(args, exc.completed)
         raise BudgetExhausted(
             f"budget exhausted after {time.monotonic() - started:.1f}s ({len(exc.completed)} of "
             f"{work['subtrees']} subtrees finished{' and checkpointed' if args.checkpoint else ''})") from None
-    meta = {"structure": args.structure, **dict(zip(params, values)),
+    meta = {"structure": args.structure, **dict(zip(evaluation.params, values)),
             "elapsed_s": round(time.monotonic() - started, 3), **work}
     return value, meta, None
 
@@ -317,7 +282,8 @@ def _cmd_min_degree(args):
     obj = _named_object(args)
     run = deciding_run(obj)
     if run:
-        _require_budget(args, *run, f"deciding the minimal degree of the {obj.describe()}")
+        _require_budget(args, EVALUATIONS[run[0]].long(*run[1:]),
+                        f"deciding the minimal degree of the {obj.describe()}")
     report = minimal_degree_report(obj, deadline=Deadline(args.budget))
     value = None if report.value is None else format_scalar(report.value)
     meta = {"object": obj.describe(), "lower_bound": report.lower_bound, "exact": report.exact,
@@ -344,7 +310,7 @@ def _cmd_normality(args):
 
 def _cmd_polystable(args):
     support = polystable_form_support if args.target == "form" else polystable_tensor_support
-    cert = support(_load_object(args))
+    cert = support(_load_object(args)[1])
     witness = None if cert.witness is None else {
         " ".join(str(i) for i in key): format_scalar(c) for key, c in sorted(cert.witness.items())}
     separating = None if cert.separating is None else [
@@ -391,8 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
         (("--threads",), dict(type=int, default=1, metavar="K", help="worker processes (speed only)")),
         (("--checkpoint",), dict(default=None, metavar="PATH", help="checkpoint file for resumable counts")))
     named = _group(
-        (("--kind",), dict(default=None, help="named object: product, power-sum, determinant, permanent, "
-                                              "generic-form; tensors: unit, matmul, generic-tensor")),
+        (("--kind",), dict(default=None, help="named object: " + ", ".join(
+            kind + "".join(f" ({alias})" for alias in record.aliases) for kind, record in _KINDS.items()))),
         (("--m",), dict(type=int, default=None)),
         (("--D",), dict(type=int, default=None)),
         (("--n",), dict(type=int, default=None)))
@@ -416,9 +382,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     count = sub.add_parser("count", help="signed combinatorial counts; flags go after the structure")
     structures = count.add_subparsers(dest="structure", required=True)
-    for structure, (_, params, _) in _COUNTS.items():
+    for structure, evaluation in EVALUATIONS.items():
+        if evaluation.counting is None:
+            continue
         q = structures.add_parser(structure, parents=[json_flag, budget, workers])
-        for name in params:
+        for name in evaluation.params:
             if name == "weighting":
                 q.add_argument("--weighting", choices=["det", "per"], default="det")
             else:

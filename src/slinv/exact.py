@@ -168,22 +168,6 @@ def _partition_count_cached(n: int) -> int:
     return table[n]
 
 
-def centralizer_order(rho: Union[Partition, Iterable[int]]) -> int:
-    """Order of the S_n centralizer of an element of cycle type rho.
-
-    Equals prod_i i^{m_i} m_i! where m_i is the multiplicity of part i;
-    n!/centralizer_order(rho) is the size of the conjugacy class.
-    """
-    parts = Partition.of(rho).parts
-    mult: dict[int, int] = {}
-    for p in parts:
-        mult[p] = mult.get(p, 0) + 1
-    z = 1
-    for i, m in mult.items():
-        z *= i**m * math.factorial(m)
-    return z
-
-
 def multinomial(alpha: Iterable[int]) -> int:
     """(sum alpha)! / prod(alpha_i!), the number of orderings of a multiset."""
     alpha = tuple(alpha)

@@ -8,16 +8,24 @@ v(nu) = w_alpha * alpha!/D!  (= w_alpha / multinomial(alpha)),
 where alpha is the exponent type of the index tuple nu.  Every
 "count-normalized" rescaling downstream (Latin squares, annuli,
 admissible tables) is stated explicitly relative to this rule.
+
+Each kind of named object has one `Kind` record in `_KINDS`, and the
+library reads every fact about a kind from it: its parameters and builder,
+its period, certified-bound and deciding-evaluation rules, its known-normal
+cases, its CLI aliases and refusal.  Adding a kind is one record (plus an
+entry in `theory.EVALUATIONS` if it decides by a new evaluation) and its
+tests.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .exact import as_scalar, format_scalar, multinomial, perm_sign
+from .exact import as_scalar, binomial, format_scalar, multinomial, perm_sign
 
 
 class ParseError(ValueError):
@@ -192,50 +200,200 @@ def matmul_tensor(n: int) -> SparseTensor:
     return SparseTensor((m, m, m), entries)
 
 
-# kind: (parameters, is a form, builder taking the parameters in order, or None
-# for the generic kinds, which name no single object; description)
+# ----------------------------------------------------------------------------
+# Named objects: one Kind record per kind in _KINDS
+# ----------------------------------------------------------------------------
+
+
+class Kind(NamedTuple):
+    """One kind of named object: how to build it and what the theory knows of it.
+
+    The rules take the object.  decides names the evaluation that decides
+    whether the certified lower bound is the minimal degree, as (its name in
+    `theory.EVALUATIONS` or "rectangle-scan", *its arguments), or gives a
+    finished answer (exact degree or None, evidence, undecided reason or None).
+    """
+
+    params: tuple[str, ...]  # in the order `builder` takes them; the last one is the size
+    is_form: bool
+    builder: Optional[Callable]  # None for the generic kinds, which name no single object
+    description: str
+    period: Callable  # -> (stabilizer period a, its source); ValueError where a is undefined
+    decides: Callable
+    normal: Callable = lambda obj: None  # -> why the orbit closure is known to be normal, or None
+    bound: Callable = lambda obj, b: None  # (obj, degree period) -> a certified bound replacing the general one
+    sweep_budget_from: Optional[int] = None  # size from which `invariant` refuses the unreduced sweep unbudgeted
+    aliases: tuple[str, ...] = ()  # other names the command line accepts
+
+
+_QUADRIC_PERIOD = "full-rank quadric: stabilizer is the complex orthogonal group"
+_ODD_DEGREE = "odd-degree forms admit no degree-m invariant"
+_GENERIC_REDUCED_PERIOD_EXCEPTIONS = {(3, 2): 2, (3, 3): 2}
+
+
+def _need(holds: bool, message: str) -> None:
+    if not holds:
+        raise ValueError(message)
+
+
+def _product_period(o):
+    _need(o.m >= 2, "product of a single variable is linear; period undefined")
+    return 2, "stabilizer = permutations and unit-determinant diagonals"
+
+
+def _power_sum_period(o):
+    _need(o.m >= 2, "power sum needs m >= 2")
+    _need(o.D >= 2, "linear forms have infinite stabilizer period")
+    if o.D == 2:
+        return 2, _QUADRIC_PERIOD
+    return o.D if o.D % 2 == 0 else 2 * o.D, "stabilizer = permutations and diagonals of D-th roots of unity"
+
+
+def _determinant_period(o):
+    _need(o.n >= 2, "determinant needs n >= 2")
+    return 1 if o.n % 4 in (0, 1) else 2, "Frobenius: row/column scalings and transposition"
+
+
+def _permanent_period(o):
+    _need(o.n >= 2, "permanent needs n >= 2")
+    if o.n == 2:
+        return 2, _QUADRIC_PERIOD
+    return 1 if o.n % 4 == 0 else 2, "Marcus-May: monomial row/column scalings and transposition"
+
+
+def _generic_form_period(o):
+    _need(o.D >= 2, "linear forms have infinite stabilizer period")
+    if o.D == 2:
+        return 2, "quadric: stabilizer is the complex orthogonal group, det = +/-1"
+    a_reduced = _GENERIC_REDUCED_PERIOD_EXCEPTIONS.get((o.D, o.m), 1)
+    return (a_reduced * o.D // math.gcd(o.D, o.m),
+            "generic stabilizer classification (trivial except for small binary/ternary formats)")
+
+
+def _power_sum_decides(o):
+    if o.D % 2 == 0:
+        return "generic-invariant", o.m, o.D
+    if 2 * o.m <= binomial(2 * o.D, o.D):
+        return 2 * o.m, "degree-2m tableau invariant with pairwise distinct column supports evaluates to m!", None
+    return (None, f"no invariant in degree 2m: fewer than 2m = {2 * o.m} distinct {o.D}-subsets of a "
+                  f"{2 * o.D}-set exist", "exact degree above 2m not determined")
+
+
+def _power_sum_bound(o, b):
+    # odd D: the subset-family obstruction leaves nothing below degree 2m, nor at 2m when 2m > C(2D, D)
+    if o.D % 2 == 0:
+        return None
+    return 2 * o.m if 2 * o.m <= binomial(2 * o.D, o.D) else b * (2 * o.m // b + 1)
+
+
+def _tables_decide(weighting: str):
+    def decides(o):
+        if o.n % 2 == 1:
+            return None, _ODD_DEGREE, f"exact degree above {o.n * o.n} not determined"
+        return "admissible-tables", o.n, weighting
+    return decides
+
+
+def _unit_decides(o):
+    root = math.isqrt(o.m)
+    if root * root == o.m and root % 2 == 0:  # then the certified bound is root^3
+        return "latin-cubes", root
+    if o.m == 1:
+        return 1, "single-entry tensor; the entry itself is the invariant", None
+    return None, "exponent lower bound from Kronecker support", "no decidable evaluation for this format"
+
+
+def _generic_form_decides(o):
+    if o.D % 2 == 0:
+        return o.m, "generic degree-m invariant is nonzero for even degree", None
+    if o.D == o.m:
+        return o.m + 1, "cyclic degree-(m+1) invariant is nonzero for odd D = m", None
+    return None, _ODD_DEGREE, "generic minimal degree open for odd D with D != m"
+
+
+def _generic_tensor_decides(o):
+    if o.m >= 3:
+        return "rectangle-scan", o.m
+    if o.m == 1:
+        return 1, "scalar tensor", None
+    return 4, "rectangular Kronecker positivity at the first even degree", None
+
+
+def _quadric(o):
+    return "quadrics of full rank have dense orbit in their space" if o.D == 2 else None
+
+
+def _four_variable_quadric(o):
+    return "full-rank binary quadric in four variables" if o.n == 2 else None
+
+
 _KINDS = {
-    "product": (("m",), True, product_form, "product of {m} variables"),
-    "power-sum": (("D", "m"), True, power_sum_form, "power sum of degree {D} in {m} variables"),
-    "determinant": (("n",), True, determinant_form, "determinant of size {n}"),
-    "permanent": (("n",), True, permanent_form, "permanent of size {n}"),
-    "generic-form": (("D", "m"), True, None, "generic form of degree {D} in {m} variables"),
-    "unit-tensor": (("m",), False, unit_tensor, "unit tensor of size {m}"),
-    "matmul-tensor": (("n",), False, matmul_tensor, "matrix multiplication tensor of size {n}"),
-    "generic-tensor": (("m",), False, None, "generic tensor of size {m}"),
+    "product": Kind(
+        ("m",), True, product_form, "product of {m} variables",
+        _product_period, lambda o: ("latin-squares", o.m) if o.m % 2 == 0 else ("latin-annuli", o.m, o.m + 1),
+        normal=lambda o: "the orbit closure of a binary quadric fills the quadrics" if o.m == 2 else None,
+        sweep_budget_from=7),  # the unreduced square (annulus with --cyclic) sweep; m = 6 takes ~15 s
+    "power-sum": Kind(
+        ("D", "m"), True, power_sum_form, "power sum of degree {D} in {m} variables",
+        _power_sum_period, _power_sum_decides, normal=_quadric, bound=_power_sum_bound),
+    "determinant": Kind(
+        ("n",), True, determinant_form, "determinant of size {n}",
+        _determinant_period, _tables_decide("det"), normal=_four_variable_quadric, sweep_budget_from=4),
+    "permanent": Kind(
+        ("n",), True, permanent_form, "permanent of size {n}",
+        _permanent_period, _tables_decide("per"), normal=_four_variable_quadric, sweep_budget_from=4),
+    "generic-form": Kind(
+        ("D", "m"), True, None, "generic form of degree {D} in {m} variables",
+        _generic_form_period, _generic_form_decides, normal=_quadric),
+    "unit-tensor": Kind(
+        ("m",), False, unit_tensor, "unit tensor of size {m}",
+        lambda o: (2 if o.m > 1 else 1,
+                   "stabilizer = diagonal triples with unit products and a diagonal symmetric group"),
+        _unit_decides, aliases=("unit",)),
+    "matmul-tensor": Kind(
+        ("n",), False, matmul_tensor, "matrix multiplication tensor of size {n}",
+        lambda o: (1, "de Groote: sandwiching by three invertible matrices, character trivial"),
+        lambda o: ("tensor-invariant", o.n, o.build()), aliases=("matmul",)),
+    "generic-tensor": Kind(
+        ("m",), False, None, "generic tensor of size {m}",
+        lambda o: (2 if o.m == 2 else 1, "generic cubic tensors have trivial reduced stabilizer for m >= 3"),
+        _generic_tensor_decides,
+        normal=lambda o: "generic orbit closure fills the cubic tensors on C^2" if o.m == 2 else None),
 }
+_ALIASES = {alias: kind for kind, record in _KINDS.items() for alias in record.aliases}
 
 
 @dataclass(frozen=True)
 class NamedObject:
-    """One of the named forms/tensors the diagnostics know about.
-
-    Kinds and their parameters: product: m; power-sum: (D, m);
-    determinant/permanent: n (degree n in n^2 variables); unit-tensor: m;
-    matmul-tensor: n (three axes of dimension n^2); generic-form: (D, m);
-    generic-tensor: m.  Construction checks the parameters, so every
-    NamedObject is a valid one.
-    """
-
     kind: str
     D: Optional[int] = None
     m: Optional[int] = None
     n: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        kind = _ALIASES.get(self.kind, self.kind)
+        if kind not in _KINDS:
             raise ValueError(f"unknown object kind {self.kind!r}")
-        params = _KINDS[self.kind][0]
+        object.__setattr__(self, "kind", kind)
+        params = _KINDS[kind].params
         for name in ("D", "m", "n"):
             value = getattr(self, name)
             if name in params and (value is None or value < 1):
-                raise ValueError(f"{self.kind} needs positive parameter {name}")
+                raise ValueError(f"{kind} needs positive parameter {name}")
             if name not in params and value is not None:
-                raise ValueError(f"{self.kind} does not take parameter {name}")
+                raise ValueError(f"{kind} does not take parameter {name}")
+
+    @property
+    def record(self) -> Kind:
+        return _KINDS[self.kind]
+
+    @property
+    def size(self) -> int:
+        return getattr(self, self.record.params[-1])
 
     @property
     def is_form(self) -> bool:
-        return _KINDS[self.kind][1]
+        return self.record.is_form
 
     def _dimension(self) -> int:
         # det/per and matmul live on n x n matrices; every other kind on C^m
@@ -259,14 +417,21 @@ class NamedObject:
         return self._dimension()
 
     def describe(self) -> str:
-        return _KINDS[self.kind][3].format(D=self.D, m=self.m, n=self.n)
+        return self.record.description.format(D=self.D, m=self.m, n=self.n)
 
     def build(self) -> SparseForm | SparseTensor:
         """The form or tensor itself; the generic kinds name no single one."""
-        params, _, builder, _ = _KINDS[self.kind]
-        if builder is None:
+        if self.record.builder is None:
             raise ValueError(f"{self.kind} names no single {'form' if self.is_form else 'tensor'}")
-        return builder(*(getattr(self, name) for name in params))
+        return self.record.builder(*(getattr(self, name) for name in self.record.params))
+
+
+NamedObject.__doc__ = (
+    "One of the named forms/tensors the diagnostics know about; construction checks the\n"
+    "parameters (an alias names its kind), so every NamedObject is a valid one.\n\n"
+    + "\n".join(f"{kind} ({', '.join(record.params)}): {record.description}"
+                + (f"; alias {', '.join(record.aliases)}" if record.aliases else "")
+                for kind, record in _KINDS.items()))
 
 
 Matrix = Sequence[Sequence[object]]

@@ -27,12 +27,11 @@ diagonal; the cyclic tableau is its D x (D+1) case) counts Latin annuli.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from .budget import as_deadline
-from .exact import binomial, sequence_sign
+from .exact import sequence_sign
 from .kernel import _integer_weights, _record_work, _signed_sum
 from .spaces import ParseError, SparseTensor
 
@@ -90,22 +89,6 @@ class Tableau:
         return out
 
 
-def tableau_positions(T: Tableau):
-    """The mutually inverse occurrence/cell maps of a tableau.
-
-    forward[(iota, i)] = (row, col) of the iota-th occurrence of symbol i
-    in columnwise scan order; inverse[(row, col)] = (iota, i) recovers the
-    occurrence index and symbol of a cell.
-    """
-    forward: dict[tuple[int, int], tuple[int, int]] = {}
-    inverse: dict[tuple[int, int], tuple[int, int]] = {}
-    for i in range(1, T.d + 1):
-        for iota, cell in enumerate(T.occurrences(i), start=1):
-            forward[(iota, i)] = cell
-            inverse[cell] = (iota, i)
-    return forward, inverse
-
-
 def generic_tableau(D: int, m: int) -> Tableau:
     """The m x D tableau with every cell of row i equal to i."""
     if D < 1 or m < 1:
@@ -127,38 +110,6 @@ def annulus_tableau(m: int, d: int) -> Tableau:
 def cyclic_tableau(D: int) -> Tableau:
     """The D x (D+1) tableau with entry ((j - i + 1) mod (D+1)) at (i, j), in 1..D+1."""
     return annulus_tableau(D, D + 1)
-
-
-def power_sum_tableau(D: int, m: int) -> Tableau:
-    """m x 2D tableau over [2m] whose symbol pairs occupy complementary column sets.
-
-    Symbols 2r-1 and 2r live in row r on complementary D-subsets of the 2D
-    columns, all 2m subsets pairwise distinct.  Greedy construction, always
-    taking the lexicographically smallest unused subset; possible exactly
-    when 2m <= C(2D, D), and an error otherwise.
-    """
-    if D < 1 or D % 2 == 0:
-        raise ValueError("D must be odd")
-    if m < 1:
-        raise ValueError("need m >= 1")
-    if 2 * m > binomial(2 * D, D):
-        raise ValueError(f"2m = {2 * m} exceeds C({2 * D},{D}) = {binomial(2 * D, D)}; no such tableau")
-    used: set[frozenset[int]] = set()
-    rows: list[list[int]] = []
-    all_cols = frozenset(range(1, 2 * D + 1))
-    for r in range(1, m + 1):
-        for combo in itertools.combinations(range(1, 2 * D + 1), D):
-            chosen = frozenset(combo)
-            if chosen not in used and (all_cols - chosen) not in used:
-                break
-        else:  # the counting bound above guarantees a free complementary pair
-            raise AssertionError(f"no free complementary pair of {D}-subsets for row {r}")
-        comp = all_cols - chosen
-        used.add(chosen)
-        used.add(comp)
-        row = [2 * r - 1 if j in chosen else 2 * r for j in range(1, 2 * D + 1)]
-        rows.append(row)
-    return Tableau(tuple(tuple(row) for row in rows), d=2 * m)
 
 
 def _tableau_steps(T: Tableau, support: list) -> tuple[int, list[tuple]]:

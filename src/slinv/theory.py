@@ -10,6 +10,12 @@ signed counts; non-normality of an orbit closure is flagged exactly when
 the degree period is strictly below a certified lower bound for the
 minimal degree.  Polystability support conditions reduce to exact rational
 feasibility problems with checkable certificates on both outcomes.
+
+Every fact about a kind of named object (period rule, certified-bound rule,
+deciding evaluation, known-normal cases) is read from its record in
+`spaces._KINDS`; the evaluations those records name are `EVALUATIONS`
+below, next to their engines.  Adding a kind is one record there (plus one
+entry here if it decides by a new evaluation) and its tests.
 """
 
 from __future__ import annotations
@@ -17,10 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .budget import BudgetExhausted, as_deadline
-from .exact import binomial
 from .kron import k_rect
 from .latin import (
     signed_admissible_tables,
@@ -29,7 +34,7 @@ from .latin import (
     signed_latin_squares,
 )
 from .simplex import solve_equality_feasibility
-from .spaces import NamedObject, SparseForm, SparseTensor, form_to_tensor
+from .spaces import NamedObject, SparseForm, SparseTensor, form_to_tensor, power_sum_form
 from .tableaux import eval_generic_invariant
 from .tensorinv import eval_tensor_invariant
 
@@ -57,67 +62,9 @@ class PeriodReport:
     source: str
 
 
-_GENERIC_REDUCED_PERIOD_EXCEPTIONS = {(3, 2): 2, (3, 3): 2}
-
-
-def _generic_form_period(D: int, m: int) -> tuple[int, str]:
-    if D < 2:
-        raise ValueError("linear forms have infinite stabilizer period")
-    if D == 2:
-        return 2, "quadric: stabilizer is the complex orthogonal group, det = +/-1"
-    a_red = _GENERIC_REDUCED_PERIOD_EXCEPTIONS.get((D, m), 1)
-    a = a_red * D // math.gcd(D, m)
-    return a, ("generic stabilizer classification (trivial except for small "
-               "binary/ternary formats)")
-
-
 def periods(obj: NamedObject) -> PeriodReport:
     """Stabilizer period a and degree period b of a named object."""
-    kind = obj.kind
-    if kind == "product":
-        if obj.m < 2:
-            raise ValueError("product of a single variable is linear; period undefined")
-        a = 2
-        source = "stabilizer = permutations and unit-determinant diagonals"
-    elif kind == "power-sum":
-        if obj.m < 2:
-            raise ValueError("power sum needs m >= 2")
-        if obj.D < 2:
-            raise ValueError("linear forms have infinite stabilizer period")
-        if obj.D == 2:
-            a = 2
-            source = "full-rank quadric: stabilizer is the complex orthogonal group"
-        else:
-            a = obj.D if obj.D % 2 == 0 else 2 * obj.D
-            source = "stabilizer = permutations and diagonals of D-th roots of unity"
-    elif kind == "determinant":
-        if obj.n < 2:
-            raise ValueError("determinant needs n >= 2")
-        a = 1 if obj.n % 4 in (0, 1) else 2
-        source = "Frobenius: row/column scalings and transposition"
-    elif kind == "permanent":
-        if obj.n < 2:
-            raise ValueError("permanent needs n >= 2")
-        if obj.n == 2:
-            a = 2
-            source = "full-rank quadric: stabilizer is the complex orthogonal group"
-        else:
-            a = 1 if obj.n % 4 == 0 else 2
-            source = "Marcus-May: monomial row/column scalings and transposition"
-    elif kind == "generic-form":
-        a, source = _generic_form_period(obj.D, obj.m)
-    elif kind == "unit-tensor":
-        a = 2 if obj.m > 1 else 1
-        source = "stabilizer = diagonal triples with unit products and a diagonal symmetric group"
-    elif kind == "matmul-tensor":
-        a = 1
-        source = "de Groote: sandwiching by three invertible matrices, character trivial"
-    elif kind == "generic-tensor":
-        a = 2 if obj.m == 2 else 1
-        source = "generic cubic tensors have trivial reduced stabilizer for m >= 3"
-    else:
-        raise ValueError(f"no period data for kind {kind!r}")
-
+    a, source = obj.record.period(obj)
     if obj.is_form:
         D, m = obj.form_degree(), obj.form_variables()
         if (m * a) % D != 0:
@@ -158,88 +105,87 @@ class MinimalDegreeReport:
         return self.exact is not None
 
 
-def _next_multiple_above(b: int, threshold: int) -> int:
-    """Smallest positive multiple of b strictly greater than threshold."""
-    return b * (threshold // b + 1)
+def _power_sum_invariant(m: int, D: int, **kw) -> Fraction:
+    """The generic degree-m invariant at the power sum of degree D, which is m!."""
+    value = eval_generic_invariant(D, m, form_to_tensor(power_sum_form(D, m)), **kw)
+    if value != math.factorial(m):
+        raise AssertionError(f"generic invariant at the power sum is {value}, not {m}!")
+    return value
 
 
-def _deciding_evaluation(obj: NamedObject, lower: int):
-    """What decides whether the certified bound `lower` is the minimal degree of obj.
+class Evaluation(NamedTuple):
+    """An exact evaluation equal to a fundamental invariant at a named object, up to a nonzero factor.
 
-    Either a finished MinimalDegreeReport, when no evaluation is needed or
-    none is known, or (run, evaluate, nonzero evidence, zero evidence,
-    unfinished evidence, zero reason), where evaluate(deadline) is the exact
-    value of the degree-`lower` invariant at obj, up to a nonzero factor, and
-    run names that evaluation as (count structure or invariant, size).
+    The evidence strings are what a minimal-degree report says when the
+    value is nonzero, zero or unfinished, and why a zero leaves the degree
+    undecided ({degree} is the certified bound).
     """
-    kind = obj.kind
 
-    def known(exact: Optional[int], evidence: str, reason: Optional[str] = None) -> MinimalDegreeReport:
-        return MinimalDegreeReport(obj, lower, exact, evidence, undecided_reason=reason)
+    # run(*args, deadline=, stats=; counts also workers=, checkpoint=) calls the engine
+    # by its module-global name at each call, so a rebound name is the one called
+    run: Callable
+    params: tuple[str, ...]  # the names of args
+    long: Callable[..., bool]  # long(*args): the CLI refuses the run without --budget
+    counting: Optional[str]  # what a run of the `count` verb does; None if this is no count structure
+    nonzero: str
+    zero: str
+    unfinished: str
+    zero_reason: str
 
-    if kind == "product":
-        m = obj.m
-        if m % 2 == 0:
-            return (("latin-squares", m), lambda dl: signed_latin_squares(m, deadline=dl),
-                    "signed Latin square count is nonzero", "signed Latin square count vanishes",
-                    "signed count not finished", "degree-m invariant vanishes; no decision above m")
-        return (("latin-annuli", m), lambda dl: signed_latin_annuli(m, m + 1, deadline=dl),
-                "signed Latin annulus count is nonzero", "signed Latin annulus count vanishes",
-                "signed count not finished", "degree-(m+1) invariant vanishes; no decision above m+1")
 
-    if kind == "power-sum":
-        D, m = obj.D, obj.m
-        if D % 2 == 0:
-            def evaluate(dl):
-                value = eval_generic_invariant(D, m, form_to_tensor(obj.build()), deadline=dl)
-                if value != math.factorial(m):
-                    raise AssertionError(f"generic invariant at the power sum is {value}, not {m}!")
-                return value
-            return (("generic-invariant", m), evaluate, "generic degree-m invariant is nonzero at the power sum",
-                    "generic degree-m invariant vanishes at the power sum",
-                    "generic degree-m invariant not finished", "degree-m invariant vanishes; no decision above m")
-        if 2 * m <= binomial(2 * D, D):
-            return known(2 * m, "degree-2m tableau invariant with pairwise distinct column supports evaluates to m!")
-        return known(None, f"no invariant in degree 2m: fewer than 2m = {2 * m} distinct "
-                           f"{D}-subsets of a {2 * D}-set exist", "exact degree above 2m not determined")
+_CANDIDATE_VANISHES = "minimal-exponent candidate vanishes"
 
-    if kind in ("determinant", "permanent"):
-        n, m = obj.n, obj.n * obj.n
-        if n % 2 == 1:
-            return known(None, "odd-degree forms admit no degree-m invariant", f"exact degree above {m} not determined")
-        weighting = "det" if kind == "determinant" else "per"
-        return (("admissible-tables", n), lambda dl: signed_admissible_tables(n, weighting, deadline=dl),
-                "signed admissible-table count is nonzero", "signed admissible-table count vanishes",
-                "signed admissible-table count not finished", f"degree-{m} invariant vanishes; no decision above {m}")
+# keyed by the name a kind record's `decides` gives, which for counts is the `count` structure
+EVALUATIONS = {
+    "latin-squares": Evaluation(
+        lambda n, **kw: signed_latin_squares(n, **kw), ("n",),
+        lambda n: n >= 8 and n % 2 == 0,  # odd orders are 0 by a symbol swap; order 8 has > 4 M states by row 3
+        "counting signed Latin squares of size {}",
+        "signed Latin square count is nonzero", "signed Latin square count vanishes", "signed count not finished",
+        "degree-m invariant vanishes; no decision above m"),
+    "latin-annuli": Evaluation(
+        lambda m, d, **kw: signed_latin_annuli(m, d, **kw), ("m", "d"),
+        lambda m, d: m >= 6 and d >= 8 and d % 2 == 0,  # odd d is 0 by a symbol swap; 7 x 8 has > 6 M states
+        "counting signed Latin annuli of size {} x {}",
+        "signed Latin annulus count is nonzero", "signed Latin annulus count vanishes", "signed count not finished",
+        "degree-(m+1) invariant vanishes; no decision above m+1"),
+    "latin-cubes": Evaluation(
+        lambda n, **kw: signed_latin_cubes(n, **kw), ("n",),
+        lambda n: n >= 4 and n % 2 == 0,  # the first-step orbit of odd sizes is 0, so no subtree runs
+        "counting signed Latin cubes of size {}",
+        "signed Latin cube count is nonzero", "signed Latin cube count vanishes",
+        "signed Latin cube count not finished", _CANDIDATE_VANISHES),
+    "admissible-tables": Evaluation(
+        lambda n, weighting, **kw: signed_admissible_tables(n, weighting, **kw), ("n", "weighting"),
+        lambda n, weighting: n >= 4, "counting signed admissible {}-tables",
+        "signed admissible-table count is nonzero", "signed admissible-table count vanishes",
+        "signed admissible-table count not finished", "degree-{degree} invariant vanishes; no decision above {degree}"),
+    "tensor-invariant": Evaluation(
+        lambda n, tensor, **kw: eval_tensor_invariant(n, tensor, **kw), ("n", "tensor"),
+        lambda n, tensor: n >= 3, None,
+        "fundamental tensor invariant is nonzero at the tensor", "fundamental tensor invariant vanishes",
+        "matrix-multiplication evaluation not finished", _CANDIDATE_VANISHES),
+    "generic-invariant": Evaluation(
+        _power_sum_invariant, ("m", "D"), lambda m, D: False, None,
+        "generic degree-m invariant is nonzero at the power sum",
+        "generic degree-m invariant vanishes at the power sum", "generic degree-m invariant not finished",
+        "degree-m invariant vanishes; no decision above m"),
+}
 
-    if kind == "unit-tensor":
-        m, root = obj.m, math.isqrt(obj.m)
-        if root * root == m and root % 2 == 0:  # then lower = root^3
-            return (("latin-cubes", root), lambda dl: signed_latin_cubes(root, deadline=dl),
-                    "signed Latin cube count is nonzero", "signed Latin cube count vanishes",
-                    "signed Latin cube count not finished", "minimal-exponent candidate vanishes")
-        if m == 1:
-            return known(1, "single-entry tensor; the entry itself is the invariant")
-        return known(None, "exponent lower bound from Kronecker support", "no decidable evaluation for this format")
 
-    if kind == "matmul-tensor":
-        return (("tensor-invariant", obj.n), lambda dl: eval_tensor_invariant(obj.n, obj.build(), deadline=dl),
-                "fundamental tensor invariant is nonzero at the tensor", "fundamental tensor invariant vanishes",
-                "matrix-multiplication evaluation not finished", "minimal-exponent candidate vanishes")
-
-    if kind == "generic-form":
-        D, m = obj.D, obj.m
-        if D % 2 == 0:
-            return known(m, "generic degree-m invariant is nonzero for even degree")
-        if D == m:
-            return known(m + 1, "cyclic degree-(m+1) invariant is nonzero for odd D = m")
-        return known(None, "odd-degree forms admit no degree-m invariant",
-                     "generic minimal degree open for odd D with D != m")
-
-    # generic-tensor with m <= 2; the scan over rectangles covers m >= 3
-    if obj.m == 1:
-        return known(1, "scalar tensor")
-    return known(4, "rectangular Kronecker positivity at the first even degree")
+def _rectangle_scan(obj: NamedObject, lower: int, dl) -> MinimalDegreeReport:
+    """The first rectangle width from the certified exponent whose Kronecker coefficient is positive."""
+    delta = lower // obj.m
+    try:
+        while True:
+            dl.check()
+            if k_rect(obj.m, delta, deadline=dl) > 0:
+                return MinimalDegreeReport(obj, obj.m * delta, obj.m * delta,
+                                           f"first positive rectangular Kronecker coefficient at width {delta}")
+            delta += 1
+    except BudgetExhausted:
+        return MinimalDegreeReport(obj, obj.m * delta, None, "rectangular Kronecker scan not finished",
+                                   undecided_reason="undecided at budget")
 
 
 def minimal_degree_report(obj: NamedObject, deadline=None) -> MinimalDegreeReport:
@@ -257,38 +203,29 @@ def minimal_degree_report(obj: NamedObject, deadline=None) -> MinimalDegreeRepor
     dl = as_deadline(deadline)
     b = periods(obj).b
     lower = certified_lower_bound(obj)
-    if obj.kind == "generic-tensor" and obj.m >= 3:
-        delta = lower // obj.m
-        try:
-            while True:
-                dl.check()
-                if k_rect(obj.m, delta, deadline=dl) > 0:
-                    return MinimalDegreeReport(
-                        obj, obj.m * delta, obj.m * delta,
-                        f"first positive rectangular Kronecker coefficient at width {delta}")
-                delta += 1
-        except BudgetExhausted:
-            return MinimalDegreeReport(obj, obj.m * delta, None, "rectangular Kronecker scan not finished",
-                                       undecided_reason="undecided at budget")
-
-    decision = _deciding_evaluation(obj, lower)
-    if isinstance(decision, MinimalDegreeReport):
-        return decision
-    _, evaluate, nonzero, zero, unfinished, zero_reason = decision
+    decision = obj.record.decides(obj)
+    if decision[0] == "rectangle-scan":
+        return _rectangle_scan(obj, lower, dl)
+    evaluation = EVALUATIONS.get(decision[0])
+    if evaluation is None:
+        exact, evidence, reason = decision
+        return MinimalDegreeReport(obj, lower, exact, evidence, undecided_reason=reason)
     try:
-        value = Fraction(evaluate(dl))
+        value = Fraction(evaluation.run(*decision[1:], deadline=dl))
     except BudgetExhausted:
-        return MinimalDegreeReport(obj, lower, None, unfinished, undecided_reason="undecided at budget")
+        return MinimalDegreeReport(obj, lower, None, evaluation.unfinished, undecided_reason="undecided at budget")
     if value != 0:
-        return MinimalDegreeReport(obj, lower, lower, nonzero, value)
-    return MinimalDegreeReport(obj, _next_multiple_above(b, lower), None, zero, value, undecided_reason=zero_reason)
+        return MinimalDegreeReport(obj, lower, lower, evaluation.nonzero, value)
+    # a zero leaves the next degree of b*N above the bound
+    return MinimalDegreeReport(obj, b * (lower // b + 1), None, evaluation.zero, value,
+                               undecided_reason=evaluation.zero_reason.format(degree=lower))
 
 
-def deciding_run(obj: NamedObject) -> Optional[tuple[str, int]]:
-    """The evaluation minimal_degree_report runs for obj, as (count structure or
-    invariant, size), or None when it runs none or scans Kronecker coefficients."""
-    decision = _deciding_evaluation(obj, certified_lower_bound(obj))
-    return None if isinstance(decision, MinimalDegreeReport) else decision[0]
+def deciding_run(obj: NamedObject) -> Optional[tuple]:
+    """The evaluation minimal_degree_report runs for obj, as (name in EVALUATIONS, *its
+    arguments), or None when it runs none or scans Kronecker coefficients."""
+    decision = obj.record.decides(obj)
+    return decision if decision[0] in EVALUATIONS else None
 
 
 # ----------------------------------------------------------------------------
@@ -305,14 +242,12 @@ def certified_lower_bound(obj: NamedObject) -> int:
     """
     per = periods(obj)
     b = per.b
-    kind = obj.kind
+    special = obj.record.bound(obj, b)
+    if special is not None:
+        return special
     if obj.is_form:
         m = obj.form_variables()
         D = obj.form_degree()
-        if kind == "power-sum" and D % 2 == 1:
-            if 2 * m <= binomial(2 * D, D):
-                return 2 * m
-            return _next_multiple_above(b, 2 * m)
         raw = m if D % 2 == 0 else m + 1
         # least multiple of b that is >= raw
         return b * ((raw + b - 1) // b)
@@ -328,15 +263,6 @@ def certified_lower_bound(obj: NamedObject) -> int:
 NON_NORMAL = "non-normal"
 NORMAL_KNOWN = "normal-known"
 UNKNOWN = "unknown"
-
-# orbit closures that are known to fill their ambient space
-_NORMAL_KNOWN = {
-    NamedObject("product", m=2): "the orbit closure of a binary quadric fills the quadrics",
-    NamedObject("determinant", n=2): "full-rank binary quadric in four variables",
-    NamedObject("permanent", n=2): "full-rank binary quadric in four variables",
-    NamedObject("generic-tensor", m=2): "generic orbit closure fills the cubic tensors on C^2",
-}
-
 
 @dataclass(frozen=True)
 class NormalityReport:
@@ -359,9 +285,7 @@ def nonnormality_flag(obj: NamedObject, deadline=None) -> NormalityReport:
     closures fill their ambient space.
     """
     per = periods(obj)
-    known = _NORMAL_KNOWN.get(obj)
-    if known is None and obj.kind in ("power-sum", "generic-form") and obj.D == 2:
-        known = "quadrics of full rank have dense orbit in their space"
+    known = obj.record.normal(obj)
     bound = certified_lower_bound(obj)
     if known is not None:
         return NormalityReport(obj, NORMAL_KNOWN, known, per.b, bound)

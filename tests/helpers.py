@@ -8,12 +8,13 @@ expected values and to cross-check the fast paths.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
 
 from slinv.budget import Deadline
-from slinv.exact import as_scalar, sequence_sign
+from slinv.exact import Partition, as_scalar, binomial, sequence_sign
 from slinv.simplex import FeasibilityResult
 from slinv.spaces import SparseTensor
 from slinv.tableaux import Tableau
@@ -376,3 +377,67 @@ def fraction_simplex(A: Sequence[Sequence[object]], b: Sequence[object]) -> Feas
         if col > 0:
             raise AssertionError("Farkas certificate fails y.A <= 0")
     return FeasibilityResult(False, farkas=tuple(y), pivots=pivots)
+
+
+def tableau_positions(T: Tableau):
+    """The mutually inverse occurrence/cell maps of a tableau.
+
+    forward[(iota, i)] = (row, col) of the iota-th occurrence of symbol i
+    in columnwise scan order; inverse[(row, col)] = (iota, i) recovers the
+    occurrence index and symbol of a cell.
+    """
+    forward: dict[tuple[int, int], tuple[int, int]] = {}
+    inverse: dict[tuple[int, int], tuple[int, int]] = {}
+    for i in range(1, T.d + 1):
+        for iota, cell in enumerate(T.occurrences(i), start=1):
+            forward[(iota, i)] = cell
+            inverse[cell] = (iota, i)
+    return forward, inverse
+
+
+def power_sum_tableau(D: int, m: int) -> Tableau:
+    """m x 2D tableau over [2m] whose symbol pairs occupy complementary column sets.
+
+    Symbols 2r-1 and 2r live in row r on complementary D-subsets of the 2D
+    columns, all 2m subsets pairwise distinct.  Greedy construction, always
+    taking the lexicographically smallest unused subset; possible exactly
+    when 2m <= C(2D, D), and an error otherwise.
+    """
+    if D < 1 or D % 2 == 0:
+        raise ValueError("D must be odd")
+    if m < 1:
+        raise ValueError("need m >= 1")
+    if 2 * m > binomial(2 * D, D):
+        raise ValueError(f"2m = {2 * m} exceeds C({2 * D},{D}) = {binomial(2 * D, D)}; no such tableau")
+    used: set[frozenset[int]] = set()
+    rows: list[list[int]] = []
+    all_cols = frozenset(range(1, 2 * D + 1))
+    for r in range(1, m + 1):
+        for combo in itertools.combinations(range(1, 2 * D + 1), D):
+            chosen = frozenset(combo)
+            if chosen not in used and (all_cols - chosen) not in used:
+                break
+        else:  # the counting bound above guarantees a free complementary pair
+            raise AssertionError(f"no free complementary pair of {D}-subsets for row {r}")
+        comp = all_cols - chosen
+        used.add(chosen)
+        used.add(comp)
+        row = [2 * r - 1 if j in chosen else 2 * r for j in range(1, 2 * D + 1)]
+        rows.append(row)
+    return Tableau(tuple(tuple(row) for row in rows), d=2 * m)
+
+
+def centralizer_order(rho: Partition | Sequence[int]) -> int:
+    """Order of the S_n centralizer of an element of cycle type rho.
+
+    Equals prod_i i^{m_i} m_i! where m_i is the multiplicity of part i;
+    n!/centralizer_order(rho) is the size of the conjugacy class.
+    """
+    parts = Partition.of(rho).parts
+    mult: dict[int, int] = {}
+    for p in parts:
+        mult[p] = mult.get(p, 0) + 1
+    z = 1
+    for i, m in mult.items():
+        z *= i**m * math.factorial(m)
+    return z

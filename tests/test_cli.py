@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from slinv import kron
+from slinv import kron, theory
 from slinv.cli import main
 from slinv.spaces import serialize_form, serialize_tensor, determinant_form, form_to_tensor, power_sum_form
 from slinv.tableaux import generic_tableau, serialize_tableau
@@ -287,6 +287,55 @@ def test_size_three_runs_need_no_budget(capsys, argv):
     # these vanish (odd-size symmetry, or the layered sweep empties) in well under a second
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out == "0\n"
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("count", "latin-squares", "8"), "counting signed Latin squares of size 8"),
+    (("count", "latin-annuli", "6", "8"), "counting signed Latin annuli of size 6 x 8"),
+    (("count", "latin-annuli", "7", "8"), "counting signed Latin annuli of size 7 x 8"),
+    (("min-degree", "--kind", "product", "--m", "7"), "deciding the minimal degree of the product of 7 variables"),
+    (("min-degree", "--kind", "product", "--m", "8"), "deciding the minimal degree of the product of 8 variables"),
+    (("invariant", "form", "--kind", "product", "--m", "7"), "the degree-7 invariant of product_7"),
+    (("invariant", "form", "--kind", "product", "--m", "7", "--cyclic"), "the degree-8 invariant of product_7"),
+])
+def test_long_square_and_annulus_runs_are_refused_without_budget(capsys, argv, what):
+    # squares of order 8 and annuli 7 x 8 pass 4 M merged states within a few layers
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and what in err and "--budget" in err
+    assert time.monotonic() - started < 5
+    code, out, err = run(capsys, *argv, "--budget", "0.2")  # each starts under a budget
+    if argv[0] == "min-degree":
+        assert code == 0 and "reason undecided at budget\nevidence signed count not finished\n" in out
+    else:
+        assert code == 3 and "budget exhausted" in err
+
+
+@pytest.mark.parametrize("argv, value", [
+    *[(("count", "latin-squares", str(n)), value)
+      for n, value in [(1, "1"), (2, "-2"), (3, "0"), (4, "576"), (5, "0"), (6, "-199065600"), (7, "0")]],
+    (("count", "latin-annuli", "5", "8"), "4193280"),
+    (("count", "latin-annuli", "5", "10"), "26173440"),
+    (("count", "latin-annuli", "6", "6"), "199065600"),
+    (("count", "latin-annuli", "6", "7"), "0"),
+    (("count", "latin-annuli", "7", "9"), "0"),
+    (("min-degree", "--kind", "product", "--m", "4"),
+     "object product of 4 variables\nminimal degree 4\nevidence signed Latin square count is nonzero\n"
+     "deciding value 576"),
+    (("invariant", "form", "--kind", "product", "--m", "5"), "0"),
+    (("invariant", "form", "--kind", "product", "--m", "3", "--cyclic"), "1/54"),
+])
+def test_squares_and_annuli_below_the_refusal_thresholds_need_no_budget(capsys, argv, value):
+    assert run(capsys, *argv) == (0, value + "\n", "")
+
+
+def test_count_calls_its_counter_by_module_global_name(capsys, monkeypatch):
+    # a rebound counter is the one called (the benchmark's tracer relies on it); squares of
+    # order 9, whose 9! first rows take seconds to sort into orbits, are not refused
+    calls = []
+    monkeypatch.setattr(theory, "signed_latin_squares", lambda *args, **kw: calls.append(args) or 0)
+    assert run(capsys, "count", "latin-squares", "9") == (0, "0\n", "")
+    assert calls == [(9,)]
 
 
 def test_budget_exhaustion_exits_three_and_checkpoints(tmp_path, capsys):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import centralizer_order
 from slinv.exact import (
     Partition,
     as_scalar,
-    centralizer_order,
     format_scalar,
     multinomial,
     partition_count,

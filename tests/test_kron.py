@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import centralizer_order
 from slinv import kron
 from slinv.budget import BudgetExhausted, Deadline
-from slinv.exact import Partition, centralizer_order, partition_tuples, partitions_of
+from slinv.exact import Partition, partition_tuples, partitions_of
 from slinv.kron import (
     character_value,
     exponent_monoid,
@@ -36,8 +37,6 @@ def test_character_orthogonality_row():
     n = 6
     total = 0
     for rho in partitions_of(n):
-        from slinv.exact import centralizer_order
-
         total += (math.factorial(n) // centralizer_order(rho)) * character_value((4, 2), rho) ** 2
     assert total == math.factorial(n)
 

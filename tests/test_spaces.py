@@ -206,6 +206,16 @@ def test_named_object_validation():
         NamedObject("unit-tensor", m=3).form_degree()
 
 
+def test_aliases_name_their_kind_and_the_docstring_lists_every_kind():
+    assert NamedObject("unit", m=4) == NamedObject("unit-tensor", m=4)
+    assert NamedObject("matmul", n=2).describe() == "matrix multiplication tensor of size 2"
+    with pytest.raises(ValueError, match="unit-tensor does not take parameter n"):
+        NamedObject("unit", m=4, n=2)
+    for line in ["product (m): product of {m} variables", "unit-tensor (m): unit tensor of size {m}; alias unit",
+                 "matmul-tensor (n): matrix multiplication tensor of size {n}; alias matmul"]:
+        assert line in NamedObject.__doc__
+
+
 @pytest.mark.parametrize("obj", [NamedObject("generic-form", D=3, m=2), NamedObject("generic-tensor", m=3)])
 def test_generic_kinds_build_nothing(obj):
     with pytest.raises(ValueError, match="names no single"):

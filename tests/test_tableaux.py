@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from helpers import (
     brute_tableau_invariant,
     leibniz_det,
+    power_sum_tableau,
     random_fraction,
     random_integer_matrix,
     random_sparse_cubic,
+    tableau_positions,
 )
 from slinv.budget import BudgetExhausted, Deadline
 from slinv.exact import binomial, sequence_sign
@@ -33,9 +35,7 @@ from slinv.tableaux import (
     eval_tableau_invariant,
     generic_tableau,
     parse_tableau,
-    power_sum_tableau,
     serialize_tableau,
-    tableau_positions,
 )
 
 # the 3 x 4 cyclic tableau used as the running positions example

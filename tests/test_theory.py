@@ -31,6 +31,7 @@ from slinv.theory import (
     NORMAL_KNOWN,
     UNKNOWN,
     certified_lower_bound,
+    deciding_run,
     minimal_degree_report,
     nonnormality_flag,
     periods,
@@ -189,6 +190,82 @@ def test_minimal_degree_report_respects_certified_bound_and_period(obj):
         assert report.lower_bound >= bound and report.lower_bound % b == 0
         assert report.exact is None or (report.exact == report.lower_bound and report.exact % b == 0)
     assert reports[0].decided or reports[0].lower_bound == bound  # an expired deadline stops at the bound
+
+
+# the evaluation deciding each kind's minimal degree, as its name and size (its first
+# argument), with the deciding value where the run is short (the value of the product
+# of 5 pins its 5 x 6 annulus)
+DECIDING_RUNS = [
+    (NamedObject("product", m=3), ("latin-annuli", 3), 24),
+    (NamedObject("product", m=4), ("latin-squares", 4), 576),
+    (NamedObject("product", m=5), ("latin-annuli", 5), 276480),
+    (NamedObject("product", m=6), ("latin-squares", 6), -199065600),
+    (NamedObject("product", m=7), ("latin-annuli", 7), None),
+    (NamedObject("product", m=8), ("latin-squares", 8), None),
+    (NamedObject("power-sum", D=4, m=3), ("generic-invariant", 3), 6),
+    (NamedObject("power-sum", D=2, m=5), ("generic-invariant", 5), 120),
+    (NamedObject("power-sum", D=6, m=2), ("generic-invariant", 2), 2),
+    (NamedObject("determinant", n=2), ("admissible-tables", 2), 24),
+    (NamedObject("determinant", n=4), ("admissible-tables", 4), None),
+    (NamedObject("permanent", n=2), ("admissible-tables", 2), 24),
+    (NamedObject("permanent", n=4), ("admissible-tables", 4), None),
+    (NamedObject("unit-tensor", m=4), ("latin-cubes", 2), 24),
+    (NamedObject("unit-tensor", m=16), ("latin-cubes", 4), None),
+    (NamedObject("matmul-tensor", n=1), ("tensor-invariant", 1), 1),
+    (NamedObject("matmul-tensor", n=2), ("tensor-invariant", 2), 864),
+    (NamedObject("matmul-tensor", n=3), ("tensor-invariant", 3), None),
+]
+
+
+@pytest.mark.parametrize("obj, run, value", DECIDING_RUNS, ids=[case[0].describe() for case in DECIDING_RUNS])
+def test_deciding_run_of_every_kind_is_pinned(obj, run, value):
+    assert deciding_run(obj)[:2] == run
+    if value is not None:
+        report = minimal_degree_report(obj)
+        assert report.decided and report.value == value
+
+
+def test_deciding_runs_carry_every_argument_their_refusal_reads():
+    assert deciding_run(NamedObject("product", m=7)) == ("latin-annuli", 7, 8)
+    assert deciding_run(NamedObject("determinant", n=4)) == ("admissible-tables", 4, "det")
+    assert deciding_run(NamedObject("permanent", n=6)) == ("admissible-tables", 6, "per")
+    assert deciding_run(NamedObject("power-sum", D=4, m=3)) == ("generic-invariant", 3, 4)
+    assert deciding_run(NamedObject("matmul-tensor", n=3)) == ("tensor-invariant", 3, matmul_tensor(3))
+
+
+# (object, lower bound, exact, evidence, undecided reason) of the reports that run no
+# single evaluation: finished answers, and the generic-tensor rectangle scan (m >= 3)
+FINISHED_REPORTS = [
+    (NamedObject("power-sum", D=3, m=2), 4, 4,
+     "degree-2m tableau invariant with pairwise distinct column supports evaluates to m!", None),
+    (NamedObject("power-sum", D=3, m=11), 44, None,
+     "no invariant in degree 2m: fewer than 2m = 22 distinct 3-subsets of a 6-set exist",
+     "exact degree above 2m not determined"),
+    (NamedObject("determinant", n=3), 12, None, "odd-degree forms admit no degree-m invariant",
+     "exact degree above 9 not determined"),
+    (NamedObject("permanent", n=5), 30, None, "odd-degree forms admit no degree-m invariant",
+     "exact degree above 25 not determined"),
+    (NamedObject("generic-form", D=4, m=2), 2, 2, "generic degree-m invariant is nonzero for even degree", None),
+    (NamedObject("generic-form", D=3, m=3), 4, 4, "cyclic degree-(m+1) invariant is nonzero for odd D = m", None),
+    (NamedObject("generic-form", D=5, m=4), 8, None, "odd-degree forms admit no degree-m invariant",
+     "generic minimal degree open for odd D with D != m"),
+    (NamedObject("unit-tensor", m=1), 1, 1, "single-entry tensor; the entry itself is the invariant", None),
+    (NamedObject("unit-tensor", m=9), 36, None, "exponent lower bound from Kronecker support",
+     "no decidable evaluation for this format"),
+    (NamedObject("generic-tensor", m=1), 1, 1, "scalar tensor", None),
+    (NamedObject("generic-tensor", m=2), 4, 4, "rectangular Kronecker positivity at the first even degree", None),
+    (NamedObject("generic-tensor", m=3), 6, 6, "first positive rectangular Kronecker coefficient at width 2", None),
+    (NamedObject("generic-tensor", m=7), 28, 28, "first positive rectangular Kronecker coefficient at width 4", None),
+]
+
+
+@pytest.mark.parametrize("obj, lower, exact, evidence, reason", FINISHED_REPORTS,
+                         ids=[case[0].describe() for case in FINISHED_REPORTS])
+def test_reports_without_a_deciding_run_are_pinned(obj, lower, exact, evidence, reason):
+    assert deciding_run(obj) is None
+    report = minimal_degree_report(obj)
+    assert (report.lower_bound, report.exact, report.evidence, report.value, report.undecided_reason) == \
+        (lower, exact, evidence, None, reason)
 
 
 @pytest.mark.parametrize("m", range(3, 10))
