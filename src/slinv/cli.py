@@ -102,21 +102,24 @@ def _read_file(args, parse):
     return parse(Path(args.file).read_text(encoding="utf-8"))
 
 
-def _load_object(args):
-    """(named object or None, the form or tensor) from --file or the named-object flags, as `args.target` says."""
+def _load_object(args, refuse=lambda obj: None):
+    """The form or tensor from --file or the named-object flags, as `args.target` says; `refuse`
+    sees a named object before it is built."""
     if args.file:
-        return None, _read_file(args, parse_form if args.target == "form" else parse_tensor)
+        return _read_file(args, parse_form if args.target == "form" else parse_tensor)
     if not args.kind:
         raise CliError("need --kind or --file")
     obj = _named_object(args)
     if obj.is_form != (args.target == "form"):
         raise CliError(f"--kind {args.kind} is not a {args.target}")
-    return obj, obj.build()
+    refuse(obj)
+    return obj.build()
 
 
-def _require_budget(args, long: bool, what: str) -> None:
-    """Refuse a run without --budget when `long` (from an evaluation or a kind record) says it can take very long."""
-    if args.budget is None and long:
+def _require_budget(args, run, what: str) -> None:
+    """Refuse a run (name in EVALUATIONS, *its arguments) without --budget when its evaluation says
+    it can take very long; None runs nothing."""
+    if args.budget is None and run is not None and EVALUATIONS[run[0]].long(*run[1:]):
         checkpoint = " (and optionally --checkpoint <path>)" if hasattr(args, "checkpoint") else ""
         raise CliError(f"{what} can run for a very long time; pass an explicit --budget <seconds>{checkpoint} "
                        "to proceed")
@@ -134,10 +137,9 @@ def _cmd_invariant(args):
     if args.target == "form":
         if args.format:
             raise CliError("--format applies to tensors")
-        obj, form = _load_object(args)
-        if obj is not None and obj.record.sweep_budget_from is not None:
-            _require_budget(args, obj.size >= obj.record.sweep_budget_from,
-                            f"evaluating the degree-{form.m + args.cyclic} invariant of {obj.kind}_{obj.size}")
+        form = _load_object(args, lambda obj: _require_budget(
+            args, obj.record.sweep(obj) if obj.record.sweep else deciding_run(obj),
+            f"evaluating the degree-{obj.form_variables() + args.cyclic} invariant of {obj.kind}_{obj.size}"))
         tensor = form_to_tensor(form)
         if args.cyclic:
             if form.D != form.m:
@@ -149,7 +151,7 @@ def _cmd_invariant(args):
 
     if args.cyclic:
         raise CliError("--cyclic applies to forms")
-    tensor = _load_object(args)[1]
+    tensor = _load_object(args)
     if args.format:
         n1, n2, n3 = args.format
         value = eval_tensor_invariant_format(n1, n2, n3, tensor, deadline=deadline, stats=work)
@@ -161,7 +163,7 @@ def _cmd_invariant(args):
         raise CliError(f"axis dimension {tensor.shape[0]} is not a square; pass --format")
     # at the unit tensor the invariant is the signed Latin-cube count
     name, run = ("latin-cubes", (n,)) if tensor == unit_tensor(n * n) else ("tensor-invariant", (n, tensor))
-    _require_budget(args, EVALUATIONS[name].long(*run), f"evaluating the degree-{n**3} tensor invariant")
+    _require_budget(args, (name, *run), f"evaluating the degree-{n**3} tensor invariant")
     value = EVALUATIONS[name].run(*run, deadline=deadline, stats=work)
     return value, {"invariant": "tensor", "n": n, "degree": n**3, **work}, None
 
@@ -179,7 +181,7 @@ def _cmd_count(args):
     if args.threads < 1:
         raise CliError("--threads needs K >= 1")
     values = [getattr(args, name) for name in evaluation.params]
-    _require_budget(args, evaluation.long(*values), evaluation.counting.format(*values))
+    _require_budget(args, (args.structure, *values), evaluation.counting.format(*values))
     deadline = Deadline(args.budget)
     checkpoint = _read_checkpoint(args) if args.checkpoint else None
     # states over the subtrees computed in this run; the counter adds its first-step
@@ -280,10 +282,7 @@ def _cmd_periods(args):
 
 def _cmd_min_degree(args):
     obj = _named_object(args)
-    run = deciding_run(obj)
-    if run:
-        _require_budget(args, EVALUATIONS[run[0]].long(*run[1:]),
-                        f"deciding the minimal degree of the {obj.describe()}")
+    _require_budget(args, deciding_run(obj), f"deciding the minimal degree of the {obj.describe()}")
     report = minimal_degree_report(obj, deadline=Deadline(args.budget))
     value = None if report.value is None else format_scalar(report.value)
     meta = {"object": obj.describe(), "lower_bound": report.lower_bound, "exact": report.exact,
@@ -310,7 +309,7 @@ def _cmd_normality(args):
 
 def _cmd_polystable(args):
     support = polystable_form_support if args.target == "form" else polystable_tensor_support
-    cert = support(_load_object(args)[1])
+    cert = support(_load_object(args))
     witness = None if cert.witness is None else {
         " ".join(str(i) for i in key): format_scalar(c) for key, c in sorted(cert.witness.items())}
     separating = None if cert.separating is None else [

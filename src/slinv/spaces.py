@@ -205,13 +205,26 @@ def matmul_tensor(n: int) -> SparseTensor:
 # ----------------------------------------------------------------------------
 
 
+class Finished(NamedTuple):
+    """A minimal-degree answer known without running an evaluation."""
+
+    exact: Optional[int]
+    evidence: str
+    reason: Optional[str] = None  # why the degree is undecided; None when exact is set
+
+
+RECTANGLE_SCAN = "rectangle-scan"  # generic tensors scan rectangular Kronecker coefficients upward
+
+
 class Kind(NamedTuple):
     """One kind of named object: how to build it and what the theory knows of it.
 
     The rules take the object.  decides names the evaluation that decides
-    whether the certified lower bound is the minimal degree, as (its name in
-    `theory.EVALUATIONS` or "rectangle-scan", *its arguments), or gives a
-    finished answer (exact degree or None, evidence, undecided reason or None).
+    whether the certified lower bound is the minimal degree, as a run (its
+    name in `theory.EVALUATIONS`, *its arguments), or RECTANGLE_SCAN for the
+    Kronecker scan, or gives a `Finished` answer.  `invariant` refuses the
+    unreduced sweep at the object as it refuses the run `sweep` names, or
+    the deciding run when `sweep` is None.
     """
 
     params: tuple[str, ...]  # in the order `builder` takes them; the last one is the size
@@ -222,7 +235,7 @@ class Kind(NamedTuple):
     decides: Callable
     normal: Callable = lambda obj: None  # -> why the orbit closure is known to be normal, or None
     bound: Callable = lambda obj, b: None  # (obj, degree period) -> a certified bound replacing the general one
-    sweep_budget_from: Optional[int] = None  # size from which `invariant` refuses the unreduced sweep unbudgeted
+    sweep: Optional[Callable] = None  # -> the run whose refusal the unreduced sweep takes, if not the deciding run
     aliases: tuple[str, ...] = ()  # other names the command line accepts
 
 
@@ -274,9 +287,9 @@ def _power_sum_decides(o):
     if o.D % 2 == 0:
         return "generic-invariant", o.m, o.D
     if 2 * o.m <= binomial(2 * o.D, o.D):
-        return 2 * o.m, "degree-2m tableau invariant with pairwise distinct column supports evaluates to m!", None
-    return (None, f"no invariant in degree 2m: fewer than 2m = {2 * o.m} distinct {o.D}-subsets of a "
-                  f"{2 * o.D}-set exist", "exact degree above 2m not determined")
+        return Finished(2 * o.m, "degree-2m tableau invariant with pairwise distinct column supports evaluates to m!")
+    return Finished(None, f"no invariant in degree 2m: fewer than 2m = {2 * o.m} distinct {o.D}-subsets of a "
+                          f"{2 * o.D}-set exist", "exact degree above 2m not determined")
 
 
 def _power_sum_bound(o, b):
@@ -286,11 +299,16 @@ def _power_sum_bound(o, b):
     return 2 * o.m if 2 * o.m <= binomial(2 * o.D, o.D) else b * (2 * o.m // b + 1)
 
 
+def _tables_run(weighting: str):
+    # the unreduced sweep at det_n/per_n enumerates these tables, so it is refused with them at every n
+    return lambda o: ("admissible-tables", o.n, weighting)
+
+
 def _tables_decide(weighting: str):
     def decides(o):
         if o.n % 2 == 1:
-            return None, _ODD_DEGREE, f"exact degree above {o.n * o.n} not determined"
-        return "admissible-tables", o.n, weighting
+            return Finished(None, _ODD_DEGREE, f"exact degree above {o.n * o.n} not determined")
+        return _tables_run(weighting)(o)
     return decides
 
 
@@ -299,24 +317,24 @@ def _unit_decides(o):
     if root * root == o.m and root % 2 == 0:  # then the certified bound is root^3
         return "latin-cubes", root
     if o.m == 1:
-        return 1, "single-entry tensor; the entry itself is the invariant", None
-    return None, "exponent lower bound from Kronecker support", "no decidable evaluation for this format"
+        return Finished(1, "single-entry tensor; the entry itself is the invariant")
+    return Finished(None, "exponent lower bound from Kronecker support", "no decidable evaluation for this format")
 
 
 def _generic_form_decides(o):
     if o.D % 2 == 0:
-        return o.m, "generic degree-m invariant is nonzero for even degree", None
+        return Finished(o.m, "generic degree-m invariant is nonzero for even degree")
     if o.D == o.m:
-        return o.m + 1, "cyclic degree-(m+1) invariant is nonzero for odd D = m", None
-    return None, _ODD_DEGREE, "generic minimal degree open for odd D with D != m"
+        return Finished(o.m + 1, "cyclic degree-(m+1) invariant is nonzero for odd D = m")
+    return Finished(None, _ODD_DEGREE, "generic minimal degree open for odd D with D != m")
 
 
 def _generic_tensor_decides(o):
     if o.m >= 3:
-        return "rectangle-scan", o.m
+        return (RECTANGLE_SCAN,)
     if o.m == 1:
-        return 1, "scalar tensor", None
-    return 4, "rectangular Kronecker positivity at the first even degree", None
+        return Finished(1, "scalar tensor")
+    return Finished(4, "rectangular Kronecker positivity at the first even degree")
 
 
 def _quadric(o):
@@ -331,17 +349,16 @@ _KINDS = {
     "product": Kind(
         ("m",), True, product_form, "product of {m} variables",
         _product_period, lambda o: ("latin-squares", o.m) if o.m % 2 == 0 else ("latin-annuli", o.m, o.m + 1),
-        normal=lambda o: "the orbit closure of a binary quadric fills the quadrics" if o.m == 2 else None,
-        sweep_budget_from=7),  # the unreduced square (annulus with --cyclic) sweep; m = 6 takes ~15 s
+        normal=lambda o: "the orbit closure of a binary quadric fills the quadrics" if o.m == 2 else None),
     "power-sum": Kind(
         ("D", "m"), True, power_sum_form, "power sum of degree {D} in {m} variables",
         _power_sum_period, _power_sum_decides, normal=_quadric, bound=_power_sum_bound),
     "determinant": Kind(
         ("n",), True, determinant_form, "determinant of size {n}",
-        _determinant_period, _tables_decide("det"), normal=_four_variable_quadric, sweep_budget_from=4),
+        _determinant_period, _tables_decide("det"), normal=_four_variable_quadric, sweep=_tables_run("det")),
     "permanent": Kind(
         ("n",), True, permanent_form, "permanent of size {n}",
-        _permanent_period, _tables_decide("per"), normal=_four_variable_quadric, sweep_budget_from=4),
+        _permanent_period, _tables_decide("per"), normal=_four_variable_quadric, sweep=_tables_run("per")),
     "generic-form": Kind(
         ("D", "m"), True, None, "generic form of degree {D} in {m} variables",
         _generic_form_period, _generic_form_decides, normal=_quadric),

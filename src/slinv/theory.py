@@ -34,7 +34,7 @@ from .latin import (
     signed_latin_squares,
 )
 from .simplex import solve_equality_feasibility
-from .spaces import NamedObject, SparseForm, SparseTensor, form_to_tensor, power_sum_form
+from .spaces import RECTANGLE_SCAN, Finished, NamedObject, SparseForm, SparseTensor, form_to_tensor, power_sum_form
 from .tableaux import eval_generic_invariant
 from .tensorinv import eval_tensor_invariant
 
@@ -204,12 +204,11 @@ def minimal_degree_report(obj: NamedObject, deadline=None) -> MinimalDegreeRepor
     b = periods(obj).b
     lower = certified_lower_bound(obj)
     decision = obj.record.decides(obj)
-    if decision[0] == "rectangle-scan":
+    if isinstance(decision, Finished):
+        return MinimalDegreeReport(obj, lower, decision.exact, decision.evidence, undecided_reason=decision.reason)
+    if decision[0] == RECTANGLE_SCAN:
         return _rectangle_scan(obj, lower, dl)
-    evaluation = EVALUATIONS.get(decision[0])
-    if evaluation is None:
-        exact, evidence, reason = decision
-        return MinimalDegreeReport(obj, lower, exact, evidence, undecided_reason=reason)
+    evaluation = EVALUATIONS[decision[0]]
     try:
         value = Fraction(evaluation.run(*decision[1:], deadline=dl))
     except BudgetExhausted:
@@ -225,7 +224,8 @@ def deciding_run(obj: NamedObject) -> Optional[tuple]:
     """The evaluation minimal_degree_report runs for obj, as (name in EVALUATIONS, *its
     arguments), or None when it runs none or scans Kronecker coefficients."""
     decision = obj.record.decides(obj)
-    return decision if decision[0] in EVALUATIONS else None
+    return None if isinstance(decision, Finished) or decision[0] == RECTANGLE_SCAN else decision
+
 
 
 # ----------------------------------------------------------------------------
@@ -289,22 +289,15 @@ def nonnormality_flag(obj: NamedObject, deadline=None) -> NormalityReport:
     bound = certified_lower_bound(obj)
     if known is not None:
         return NormalityReport(obj, NORMAL_KNOWN, known, per.b, bound)
+    if per.b >= bound:
+        bound = minimal_degree_report(obj, deadline=deadline).lower_bound
     if per.b < bound:
         return NormalityReport(
             obj, NON_NORMAL,
             f"degree period {per.b} is strictly below the certified minimal degree bound {bound}",
             per.b, bound)
-    report = minimal_degree_report(obj, deadline=deadline)
-    if per.b < report.lower_bound:
-        return NormalityReport(
-            obj, NON_NORMAL,
-            f"degree period {per.b} is strictly below the certified minimal degree bound "
-            f"{report.lower_bound}",
-            per.b, report.lower_bound)
     return NormalityReport(
-        obj, UNKNOWN,
-        f"degree period {per.b} equals the best certified bound {report.lower_bound}; "
-        "no conclusion", per.b, report.lower_bound)
+        obj, UNKNOWN, f"degree period {per.b} equals the best certified bound {bound}; no conclusion", per.b, bound)
 
 
 # ----------------------------------------------------------------------------

@@ -261,6 +261,15 @@ def test_budget_gate_exits_two(capsys):
         assert code == 2 and out == "" and what in err and "--budget" in err
 
 
+@pytest.mark.parametrize("kind, n", [("determinant", 5), ("determinant", 12), ("permanent", 5), ("permanent", 12)])
+def test_det_per_invariant_is_refused_before_the_form_is_built(capsys, kind, n):
+    # odd sizes too: the sweep runs over the size-n tables whatever their sum; size 12 has 12! terms
+    started = time.monotonic()
+    code, out, err = run(capsys, "invariant", "form", "--kind", kind, "--n", str(n))
+    assert code == 2 and out == "" and f"the degree-{n * n} invariant of {kind}_{n}" in err and "--budget" in err
+    assert time.monotonic() - started < 5
+
+
 @pytest.mark.parametrize("argv, what", [
     (("--kind", "determinant", "--n", "4"), "signed admissible-table count"),
     (("--kind", "unit", "--m", "16"), "signed Latin cube count"),
