@@ -2,7 +2,7 @@
 
 Budgets never influence computed values, only whether a computation is
 allowed to finish; exceeding one raises BudgetExhausted so callers can
-report "undecided" or persist checkpoints.
+report "undecided".
 """
 
 from __future__ import annotations
@@ -12,16 +12,10 @@ from typing import Optional
 
 
 class BudgetExhausted(Exception):
-    """Raised when a deadline passes mid-enumeration.
+    """Raised when a deadline passes mid-enumeration."""
 
-    `completed` optionally carries the finished subtrees of a count for
-    checkpointing: each key is the first-step labels of a subtree joined by
-    commas, each value the kernel total of that subtree.
-    """
-
-    def __init__(self, message: str = "budget exhausted", completed: Optional[dict] = None):
+    def __init__(self, message: str = "budget exhausted"):
         super().__init__(message)
-        self.completed: dict = completed if completed is not None else {}
 
 
 class Deadline:

@@ -5,10 +5,9 @@ rationals as p/q (integers as p).  Each verb takes only the flags it reads.
 --json (every verb) wraps the principal value and a meta dict.  --budget
 SECONDS (the verbs that poll a deadline: invariant, eval-tableau, count,
 kronecker, krect, monoid, pleth-bound, min-degree, normality) bounds
-wall-clock time; exit code 3 when exhausted.  --threads K and --checkpoint
-PATH belong to `count` only and go after its structure: --threads only
-affects speed, never output, and a count stopped by its budget writes its
-finished representative subtrees to the checkpoint.  Exit code 2 flags bad
+wall-clock time; exit code 3 when exhausted.  --threads K belongs to
+`count` only and goes after its structure; every count runs as one sweep
+in this process, so K (>= 1) changes nothing.  Exit code 2 flags bad
 input, including a flag the verb does not take and refusal of the known
 week-long runs without a budget.
 """
@@ -18,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -27,7 +25,6 @@ from pathlib import Path
 from .budget import BudgetExhausted, Deadline
 from .exact import Partition, format_scalar
 from .kron import _route, exponent_monoid, k_rect, kronecker, pleth_upper_bound, sl_invariant_bound
-from .latin import parse_checkpoint, serialize_checkpoint
 from .spaces import _KINDS, NamedObject, form_to_tensor, parse_form, parse_tensor, unit_tensor
 from .tableaux import eval_cyclic_invariant, eval_generic_invariant, eval_tableau_invariant, parse_tableau
 from .tensorinv import eval_tensor_invariant_format
@@ -64,36 +61,6 @@ def _named_object(args) -> NamedObject:
     return NamedObject(args.kind, **kw)
 
 
-CHECKPOINT_VERSION = 3
-
-
-def _checkpoint_header(args) -> str:
-    """First line of a checkpoint file: format version, structure, parameters, weighting."""
-    params = " ".join(f"{name}={getattr(args, name)}" for name in ("n", "m", "d") if hasattr(args, name))
-    weighting = getattr(args, "weighting", "sign")
-    return f"slinv-checkpoint {CHECKPOINT_VERSION} {args.structure} {params} weighting={weighting}"
-
-
-def _read_checkpoint(args) -> dict[str, int]:
-    """Finished subtrees of this count from the checkpoint file ({} when it does not exist yet)."""
-    path = Path(args.checkpoint)
-    if not path.exists():
-        return {}
-    header, newline, body = path.read_text(encoding="utf-8").partition("\n")
-    if header != _checkpoint_header(args):
-        raise CliError(f"checkpoint {path} belongs to another count: header {header!r}, "
-                       f"expected {_checkpoint_header(args)!r}")
-    return parse_checkpoint(newline + body)  # the blank first line keeps error line numbers those of the file
-
-
-def _write_checkpoint(args, completed: dict[str, int]) -> None:
-    """Replace the checkpoint file atomically; `completed` includes every subtree it was resumed from."""
-    path = Path(args.checkpoint)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(_checkpoint_header(args) + "\n" + serialize_checkpoint(completed), encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _read_file(args, parse):
     """The form/tensor in --file; the flags naming an object belong to the other source."""
     named = [f"--{name}" for name in ("kind", "m", "D", "n") if getattr(args, name) is not None]
@@ -120,9 +87,7 @@ def _require_budget(args, run, what: str) -> None:
     """Refuse a run (name in EVALUATIONS, *its arguments) without --budget when its evaluation says
     it can take very long; None runs nothing."""
     if args.budget is None and run is not None and EVALUATIONS[run[0]].long(*run[1:]):
-        checkpoint = " (and optionally --checkpoint <path>)" if hasattr(args, "checkpoint") else ""
-        raise CliError(f"{what} can run for a very long time; pass an explicit --budget <seconds>{checkpoint} "
-                       "to proceed")
+        raise CliError(f"{what} can run for a very long time; pass an explicit --budget <seconds> to proceed")
 
 
 # ----------------------------------------------------------------------------
@@ -183,19 +148,13 @@ def _cmd_count(args):
     values = [getattr(args, name) for name in evaluation.params]
     _require_budget(args, (args.structure, *values), evaluation.counting.format(*values))
     deadline = Deadline(args.budget)
-    checkpoint = _read_checkpoint(args) if args.checkpoint else None
-    # states over the subtrees computed in this run; the counter adds its first-step
-    # candidates and the orbit representatives (subtrees) it runs
+    # the counter adds its first-step candidates and the orbit representatives (subtrees) it runs
     work = {"states": 0, "peak_states": 0}
     started = time.monotonic()
     try:
-        value = evaluation.run(*values, workers=args.threads, deadline=deadline, checkpoint=checkpoint, stats=work)
-    except BudgetExhausted as exc:
-        if args.checkpoint:
-            _write_checkpoint(args, exc.completed)
-        raise BudgetExhausted(
-            f"budget exhausted after {time.monotonic() - started:.1f}s ({len(exc.completed)} of "
-            f"{work['subtrees']} subtrees finished{' and checkpointed' if args.checkpoint else ''})") from None
+        value = evaluation.run(*values, deadline=deadline, stats=work)
+    except BudgetExhausted:
+        raise BudgetExhausted(f"budget exhausted after {time.monotonic() - started:.1f}s") from None
     meta = {"structure": args.structure, **dict(zip(evaluation.params, values)),
             "elapsed_s": round(time.monotonic() - started, 3), **work}
     return value, meta, None
@@ -352,9 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     json_flag = _group((("--json",), dict(action="store_true", help="emit {'value': ..., 'meta': ...}")))
     budget = _group((("--budget",), dict(type=float, default=None, metavar="SECONDS",
                                          help="wall-clock budget; exit 3 when exhausted")))
-    workers = _group(
-        (("--threads",), dict(type=int, default=1, metavar="K", help="worker processes (speed only)")),
-        (("--checkpoint",), dict(default=None, metavar="PATH", help="checkpoint file for resumable counts")))
+    threads = _group((("--threads",), dict(type=int, default=1, metavar="K",
+                                          help="accepted for K >= 1; every count runs as one sweep in this process")))
     named = _group(
         (("--kind",), dict(default=None, help="named object: " + ", ".join(
             kind + "".join(f" ({alias})" for alias in record.aliases) for kind, record in _KINDS.items()))),
@@ -384,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for structure, evaluation in EVALUATIONS.items():
         if evaluation.counting is None:
             continue
-        q = structures.add_parser(structure, parents=[json_flag, budget, workers])
+        q = structures.add_parser(structure, parents=[json_flag, budget, threads])
         for name in evaluation.params:
             if name == "weighting":
                 q.add_argument("--weighting", choices=["det", "per"], default="det")

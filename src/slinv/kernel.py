@@ -17,8 +17,9 @@ A relabelling g of the labels that maps every candidate list onto itself,
 each weight times chi(g), maps complete placements to complete placements.
 When every signed line is full (it receives every label g permutes), g
 multiplies each placement's value by chi(g)^(#steps) * sgn(g)^(#signed lines).
-`_first_step_orbits` uses that to reduce a sum to one subtree per orbit of
-the first step's candidates, with a signed multiplier.
+`_first_step_orbits` reads that character off the generators: a generator
+on which it is -1 proves the sum 0, and otherwise the sum is one subtree
+per orbit of the first step's candidates times the orbit's size.
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ def _integer_weights(entries: dict) -> tuple[int, list[tuple[tuple[int, ...], in
     return den, [(idx, int(w * den)) for idx, w in entries.items()]
 
 
-
-def _first_step_orbits(steps: Sequence[tuple], generators: Sequence[tuple[dict, int]]) -> list[tuple[int, int]]:
+def _first_step_orbits(steps: Sequence[tuple], generators: Sequence[tuple[dict, int]],
+                       deadline: Deadline) -> list[tuple[int, int]]:
     """[(candidate index, multiplier)]: the sum over all placements is the sum of
     multiplier times the sum with the first step fixed to that candidate.
 
@@ -152,13 +153,12 @@ def _first_step_orbits(steps: Sequence[tuple], generators: Sequence[tuple[dict, 
     common label set, has chi = +-1 and maps each distinct candidate list
     onto itself with every weight times chi, and every line with a signed
     placement is signed in all of them and receives one per label.  Then g
-    multiplies each placement's value by f(g) = chi^(#steps) *
+    maps the whole sum S to f(g) * S with f(g) = chi^(#steps) *
     sgn(g)^(#signed lines), and fixing the first step to g.c gives f(g)
-    times the sum at c.  So an orbit of first-step candidates, walked from
-    its first candidate in step order, contributes the sum of f along the
-    walk times its first candidate's sum.  When the walk reaches a candidate
-    again with another factor, some relabelling fixes it and negates its
-    sum, so the orbit contributes 0.  Only nonzero multipliers are returned.
+    times the sum at c.  So a generator with f = -1 proves S = 0, and the
+    result is [] with no orbit walked; otherwise every candidate of an orbit
+    has its first candidate's sum, and the multiplier is the orbit's size.
+    The deadline is polled every 1,024 candidates, in the check and the walk.
     """
     domain = set(generators[0][0]) if generators else set()
     for perm, chi in generators:
@@ -175,7 +175,9 @@ def _first_step_orbits(steps: Sequence[tuple], generators: Sequence[tuple[dict, 
         if len(table) != len(cands):
             raise ValueError("a candidate list repeats labels")
         for perm, chi in generators:
-            for labels, weight in cands:
+            for i, (labels, weight) in enumerate(cands):
+                if not i & _CHECK_MASK:
+                    deadline.check()
                 if table.get(tuple(perm.get(label) for label in labels)) != chi * weight:
                     raise ValueError(f"relabelling does not map candidate {labels} with weight times {chi}")
     placements: dict[int, list[int]] = {}  # line -> [placements, signed placements]
@@ -192,27 +194,27 @@ def _first_step_orbits(steps: Sequence[tuple], generators: Sequence[tuple[dict, 
                                  f"not all {len(domain)} labels")
             signed_lines += 1
     order = sorted(domain)
-    factors = [chi ** len(steps) * sequence_sign([perm[label] for label in order]) ** signed_lines
-               for perm, chi in generators]
+    if any(chi ** len(steps) * sequence_sign([perm[label] for label in order]) ** signed_lines == -1
+           for perm, chi in generators):
+        return []
 
     candidates = steps[0][2]
     index = {labels: i for i, (labels, _) in enumerate(candidates)}
-    factor = [0] * len(candidates)  # 0 until the walk reaches the candidate
-    orbits = []
+    seen = [False] * len(candidates)
+    orbits, walked = [], 0
     for start in range(len(candidates)):
-        if factor[start]:
+        if seen[start]:
             continue
-        factor[start] = 1
-        orbit, consistent = [start], True
+        seen[start] = True
+        orbit = [start]
         for i in orbit:  # the walk appends to the orbit as it goes
-            for (perm, _), f in zip(generators, factors):
+            if not walked & _CHECK_MASK:
+                deadline.check()
+            walked += 1
+            for perm, _ in generators:
                 j = index[tuple(perm[label] for label in candidates[i][0])]
-                if not factor[j]:
-                    factor[j] = factor[i] * f
+                if not seen[j]:
+                    seen[j] = True
                     orbit.append(j)
-                elif factor[j] != factor[i] * f:
-                    consistent = False
-        multiplier = sum(factor[i] for i in orbit) if consistent else 0
-        if multiplier:
-            orbits.append((start, multiplier))
+        orbits.append((start, len(orbit)))
     return orbits

@@ -121,8 +121,8 @@ class Evaluation(NamedTuple):
     undecided ({degree} is the certified bound).
     """
 
-    # run(*args, deadline=, stats=; counts also workers=, checkpoint=) calls the engine
-    # by its module-global name at each call, so a rebound name is the one called
+    # run(*args, deadline=, stats=) calls the engine by its module-global name at each
+    # call, so a rebound name is the one called
     run: Callable
     params: tuple[str, ...]  # the names of args
     long: Callable[..., bool]  # long(*args): the CLI refuses the run without --budget
@@ -151,7 +151,7 @@ EVALUATIONS = {
         "degree-(m+1) invariant vanishes; no decision above m+1"),
     "latin-cubes": Evaluation(
         lambda n, **kw: signed_latin_cubes(n, **kw), ("n",),
-        lambda n: n >= 4 and n % 2 == 0,  # the first-step orbit of odd sizes is 0, so no subtree runs
+        lambda n: n >= 4 and n % 2 == 0,  # odd sizes are 0 by a symbol swap, so no subtree runs
         "counting signed Latin cubes of size {}",
         "signed Latin cube count is nonzero", "signed Latin cube count vanishes",
         "signed Latin cube count not finished", _CANDIDATE_VANISHES),

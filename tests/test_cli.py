@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from pathlib import Path
 
@@ -230,6 +231,7 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     # count flags belong after the structure
     (("count", "--threads", "2", "--json", "latin-squares", "3"), "invalid choice: '2'"),
     (("count", "--budget", "5", "latin-cubes", "3"), "invalid choice: '5'"),
+    (("count", "latin-squares", "3", "--checkpoint", "x"), "unrecognized arguments: --checkpoint x"),
     # a file source reads no named-object flags, and pleth-bound's two modes read --lam or --m, not both
     (("invariant", "form", "--file", DET2_FORM, "--kind", "product", "--m", "3"),
      "--kind --m cannot be combined with --file"),
@@ -246,7 +248,7 @@ def test_flag_the_verb_does_not_read_exits_two(tmp_path, monkeypatch, capsys, ar
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and message in err
-    assert list(tmp_path.iterdir()) == []  # no checkpoint written
+    assert list(tmp_path.iterdir()) == []  # no file written
 
 
 def test_budget_gate_exits_two(capsys):
@@ -347,17 +349,9 @@ def test_count_calls_its_counter_by_module_global_name(capsys, monkeypatch):
     assert calls == [(9,)]
 
 
-def test_budget_exhaustion_exits_three_and_checkpoints(tmp_path, capsys):
-    ckpt = tmp_path / "cubes.ckpt"
-    code, _, err = run(capsys, "count", "latin-cubes", "4", "--budget", "0.05",
-                       "--checkpoint", str(ckpt))
-    assert code == 3
-    assert "budget exhausted" in err and "(0 of 1 subtrees finished and checkpointed)" in err
-    assert ckpt.exists()
-    # resuming consumes whatever was checkpointed without re-verifying prefixes
-    code2, _, err2 = run(capsys, "count", "latin-cubes", "4", "--budget", "0.05",
-                         "--checkpoint", str(ckpt))
-    assert code2 == 3
+def test_budget_exhaustion_exits_three(capsys):
+    code, out, err = run(capsys, "count", "latin-cubes", "4", "--budget", "0.05")
+    assert code == 3 and out == "" and re.fullmatch(r"budget exhausted after \d+\.\ds\n", err)
 
 
 def test_threads_flag_identical_output(capsys):
@@ -365,39 +359,6 @@ def test_threads_flag_identical_output(capsys):
     code2, out2, _ = run(capsys, "count", "latin-squares", "3", "--threads", "2")
     assert code1 == code2 == 0
     assert out1 == out2
-
-
-def test_checkpoint_of_another_count_exits_two(tmp_path, capsys):
-    ckpt = tmp_path / "annuli.ckpt"
-    code, _, _ = run(capsys, "count", "latin-annuli", "3", "4", "--budget", "0", "--checkpoint", str(ckpt))
-    assert code == 3
-    # the true annuli subtree 1,2,3; squares of order 3 share the key, and their count is 0
-    ckpt.write_text(ckpt.read_text(encoding="utf-8") + "subtree 1,2,3 4\n", encoding="utf-8")
-    code, out, err = run(capsys, "count", "latin-squares", "3", "--checkpoint", str(ckpt))
-    assert code == 2 and out == "" and "latin-annuli" in err
-    code, out, _ = run(capsys, "count", "latin-annuli", "3", "4", "--checkpoint", str(ckpt))
-    assert code == 0 and out == "24\n"
-
-
-@pytest.mark.parametrize("text", [
-    "subtree 1,2,3 24\n",  # no header: written by another format version
-    "slinv-checkpoint 2 admissible-tables n=3 weighting=det\n",
-    "slinv-checkpoint 2 latin-squares n=3 weighting=sign\nsubtree 1,2,3,4 5\n",  # an older format
-    "slinv-checkpoint 3 latin-squares n=3 weighting=sign\nsubtree 1,2,3,4 5\n",  # not a subtree of n = 3
-])
-def test_checkpoint_mismatch_or_stray_subtree_exits_two(tmp_path, capsys, text):
-    ckpt = tmp_path / "squares.ckpt"
-    ckpt.write_text(text, encoding="utf-8")
-    code, out, err = run(capsys, "count", "latin-squares", "3", "--checkpoint", str(ckpt))
-    assert code == 2 and out == "" and "error:" in err
-
-
-def test_checkpoint_naming_a_non_representative_subtree_exits_two(tmp_path, capsys):
-    # 2,1,3,4 is a first row of a 4 x 4 square, but its orbit is counted at 1,2,3,4
-    ckpt = tmp_path / "squares.ckpt"
-    ckpt.write_text("slinv-checkpoint 3 latin-squares n=4 weighting=sign\nsubtree 2,1,3,4 -24\n", encoding="utf-8")
-    code, out, err = run(capsys, "count", "latin-squares", "4", "--checkpoint", str(ckpt))
-    assert code == 2 and out == "" and "checkpoint subtree 2,1,3,4 is not part of this count" in err
 
 
 @pytest.mark.parametrize("argv, value, seconds", [
@@ -409,25 +370,6 @@ def test_counts_reduced_by_symmetry_need_no_budget(capsys, argv, value, seconds)
     started = time.monotonic()
     code, out, _ = run(capsys, "count", *argv)
     assert code == 0 and out == value + "\n" and time.monotonic() - started < seconds
-
-
-def test_checkpoint_resume_after_budget(tmp_path, capsys):
-    ckpt = tmp_path / "squares.ckpt"
-    code, _, _ = run(capsys, "count", "latin-squares", "4", "--budget", "0", "--checkpoint", str(ckpt))
-    assert code == 3
-    assert ckpt.read_text(encoding="utf-8") == "slinv-checkpoint 3 latin-squares n=4 weighting=sign\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["squares.ckpt"]  # no temporary file left
-    code, out, _ = run(capsys, "count", "latin-squares", "4", "--checkpoint", str(ckpt))
-    assert code == 0 and out == "576\n"
-
-
-def test_checkpoint_repeating_a_subtree_exits_two(tmp_path, capsys):
-    ckpt = tmp_path / "squares.ckpt"
-    lines = ["subtree 1,2,3 -2\n", "subtree 1,2,3 998\n"]
-    for order in (lines, lines[::-1]):  # neither copy may win silently
-        ckpt.write_text("slinv-checkpoint 3 latin-squares n=3 weighting=sign\n" + "".join(order), encoding="utf-8")
-        code, out, err = run(capsys, "count", "latin-squares", "3", "--checkpoint", str(ckpt))
-        assert code == 2 and out == "" and "line 3: subtree 1,2,3 repeats" in err
 
 
 def test_unit_tensor_invariant_at_odd_size_is_zero_at_once(capsys):

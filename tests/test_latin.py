@@ -17,8 +17,6 @@ from slinv import kernel, latin
 from slinv.budget import BudgetExhausted, Deadline
 from slinv.exact import sequence_sign
 from slinv.latin import (
-    parse_checkpoint,
-    serialize_checkpoint,
     signed_admissible_tables,
     signed_latin_annuli,
     signed_latin_cubes,
@@ -115,28 +113,6 @@ def test_admissible_table_bridge_to_generic_invariant():
     assert factor * eval_generic_invariant(2, 4, per2) == signed_admissible_tables(2, "per")
 
 
-def test_worker_parallelism_is_output_identical():
-    for n in (3, 4):
-        assert signed_latin_squares(n, workers=2) == signed_latin_squares(n)
-    assert signed_admissible_tables(2, "det", workers=2) == 24
-
-
-def test_checkpoint_roundtrip_and_resume():
-    text = serialize_checkpoint({"1,2,3": -4, "2,1,3": 7})
-    assert parse_checkpoint(text) == {"1,2,3": -4, "2,1,3": 7}
-    assert "subtree 1,2,3 -4\n" in text
-    # a poisoned checkpoint entry must be trusted (proves resume skips work); squares of
-    # order 4 run the one representative subtree 1,2,3,4 with multiplier 4! = 24
-    honest = signed_latin_squares(4)
-    poisoned = signed_latin_squares(4, checkpoint={"1,2,3,4": 1000})
-    assert honest == 24 * _subtree_value(_squares_steps(4), (1, 2, 3, 4)) == 576
-    assert poisoned == 24 * 1000
-    with pytest.raises(ValueError):
-        parse_checkpoint("subtree only-two-fields\n")
-    with pytest.raises(ValueError, match="line 3: subtree 1,2,3 repeats"):
-        parse_checkpoint("subtree 1,2,3 -4\n\nsubtree 1,2,3 996\n")
-
-
 def _product_support(m):
     return _integer_weights(form_to_tensor(product_form(m)).entries)[1]
 
@@ -198,10 +174,18 @@ def test_every_first_column_subtree_matches_column_enumeration(m, d):
         assert total == signed_latin_annuli(m, d)
 
 
-def test_budget_exhaustion_raises_with_completed_parts():
-    with pytest.raises(BudgetExhausted) as err:
+def test_budget_exhaustion_raises():
+    with pytest.raises(BudgetExhausted):
         signed_latin_squares(4, deadline=Deadline(-1.0))
-    assert err.value.completed == {}
+
+
+def test_an_expired_deadline_stops_the_orbit_walk_before_any_sweep(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(latin, "_signed_sum", no_sweep)
+    with pytest.raises(BudgetExhausted):
+        latin._count(1, _squares_steps(6), latin._symbol_symmetry(6), Deadline(-1.0), None)
 
 
 # -- the layered kernel against the backtracking oracle ------------------------
@@ -319,68 +303,6 @@ def test_peak_states_counts_every_live_layer(monkeypatch, steps, cap, floor):
     assert 0 < live <= peak <= _peak_bound(steps, cap, floor)
 
 
-def _every_subtree(steps):
-    """(steps, keys) of the task runner with one subtree per first-step candidate, no symmetry used."""
-    return steps, [",".join(map(str, labels)) for labels, _ in steps[0][2]]
-
-
-def test_counters_cover_only_the_subtrees_computed_in_this_run():
-    full, resumed = {}, {}
-    steps, keys = _every_subtree(_squares_steps(3))
-    latin._run_tasks(steps, keys, 1, Deadline(None), None, full)
-    latin._run_tasks(steps, keys, 1, Deadline(None), {"1,2,3": 0}, resumed)  # only the other 5 subtrees run
-    skipped = kernel._signed_sum(_fix_first(steps, (1, 2, 3)), Deadline(None))[1]
-    assert resumed["states"] == full["states"] - skipped > 0
-
-
-def test_pool_size_is_capped_by_the_subtrees_to_run(monkeypatch):
-    sizes = []
-
-    class RecordingPool:  # runs the jobs in this process: no worker is ever started
-        def __init__(self, processes, initializer, initargs):
-            sizes.append(processes)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap_unordered(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(latin, "Pool", RecordingPool)
-    for name in ("_STATE_CAP", "_CHUNK_FLOOR"):  # the initializer rebinds them
-        monkeypatch.setattr(kernel, name, getattr(kernel, name))
-    monkeypatch.setattr(latin, "_WORKER_RUN", ())
-
-    def run(n, checkpoint=None):
-        return sum(latin._run_tasks(*_every_subtree(_squares_steps(n)), 64, Deadline(None), checkpoint, None).values())
-
-    assert run(3) == 0  # 6 subtrees
-    assert run(2) == -2  # 2 subtrees
-    assert run(1) == 1  # 1 subtree: no pool
-    done = {",".join(map(str, p)): 0 for p in itertools.permutations((1, 2, 3)) if p != (1, 2, 3)}
-    run(3, done)  # 1 subtree left to run: no pool
-    assert sizes == [6, 2]
-    assert signed_latin_squares(4, workers=64) == 576  # 1 representative subtree: no pool
-    assert sizes == [6, 2]
-
-
-def test_pool_workers_share_the_state_cap(monkeypatch):
-    # two subtrees, each sweep far larger than the cap
-    steps = [((14,), (True,), [((1,), 1), ((2,), 1)]), *_grow_shrink_regrow_steps()]
-    monkeypatch.setattr(kernel, "_STATE_CAP", 512)
-    monkeypatch.setattr(kernel, "_CHUNK_FLOOR", 5)
-    expected = dfs_signed_sum(steps, Deadline(None))
-    serial, pooled = {}, {}
-    assert sum(latin._run_tasks(steps, ["1", "2"], 1, Deadline(None), None, serial).values()) == expected
-    assert sum(latin._run_tasks(steps, ["1", "2"], 2, Deadline(None), None, pooled).values()) == expected
-    assert serial["peak_states"] > _peak_bound(steps, 256, 5)  # one run alone uses the whole cap
-    assert pooled["peak_states"] <= _peak_bound(steps, 256, 5)  # each of 2 workers holds half
-
-
 # -- first-step orbits: the reduced counts against the unreduced kernel ---------
 
 
@@ -411,11 +333,9 @@ _REDUCED_RANGE = ([("squares", n) for n in range(1, 6)]
 @pytest.mark.parametrize("case", _REDUCED_RANGE, ids=lambda case: "-".join(map(str, case)))
 def test_reduced_count_equals_the_unreduced_kernel(case):
     structure, *params = case
-    expected = _unreduced(structure, *params)
-    for workers in (1, 2):
-        stats = {}
-        assert _COUNTERS[structure](*params, workers=workers, stats=stats) == expected
-        assert stats["subtrees"] <= 1 and stats["candidates"] >= 1
+    stats = {}
+    assert _COUNTERS[structure](*params, stats=stats) == _unreduced(structure, *params)
+    assert stats["subtrees"] <= 1 and stats["candidates"] >= 1
 
 
 @pytest.mark.parametrize("count, orbits", [
@@ -429,8 +349,8 @@ def test_reduced_count_equals_the_unreduced_kernel(case):
 def test_first_step_orbits_of_the_counts(monkeypatch, count, orbits):
     found = []
 
-    def record(steps, generators):  # the orbits of the symmetry the counter declares; then no subtree runs
-        found.append(kernel._first_step_orbits(steps, generators))
+    def record(steps, generators, deadline):  # the orbits of the symmetry the counter declares; then no subtree runs
+        found.append(kernel._first_step_orbits(steps, generators, deadline))
         return []
 
     monkeypatch.setattr(latin, "_first_step_orbits", record)
@@ -440,11 +360,22 @@ def test_first_step_orbits_of_the_counts(monkeypatch, count, orbits):
 
 def test_no_generators_keep_every_candidate():
     steps = _squares_steps(3)
-    assert kernel._first_step_orbits(steps, []) == [(i, 1) for i in range(6)]
+    assert kernel._first_step_orbits(steps, [], Deadline(None)) == [(i, 1) for i in range(6)]
 
 
 def _swap(k, a, b):
     return {label: {a: b, b: a}.get(label, label) for label in range(1, k + 1)}
+
+
+@pytest.mark.parametrize("n, sizes, value", [
+    (4, [2] * 12, 576),  # (1 2) fixes the sign of 4 columns: the 24 first rows pair up
+    (3, [], 0),  # (1 2) flips each of 3 columns, so the character is -1 and the count 0
+])
+def test_a_lone_swap_gives_orbits_of_its_size_or_proves_zero(n, sizes, value):
+    sign, steps = _tableau_steps(generic_tableau(n, n), _product_support(n))
+    swap = [(_swap(n, 1, 2), 1)]
+    assert [size for _, size in kernel._first_step_orbits(steps, swap, Deadline(None))] == sizes
+    assert latin._count(sign, steps, swap, None, None) == _unreduced("squares", n) == value
 
 
 @pytest.mark.parametrize("steps, generators, message", [
@@ -463,4 +394,4 @@ def test_a_false_symmetry_raises_before_any_sweep(monkeypatch, steps, generators
 
     monkeypatch.setattr(latin, "_signed_sum", no_sweep)
     with pytest.raises(ValueError, match=message):
-        latin._count(1, steps, generators, 1, None, None, None)
+        latin._count(1, steps, generators, None, None)
