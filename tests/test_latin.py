@@ -188,6 +188,59 @@ def test_an_expired_deadline_stops_the_orbit_walk_before_any_sweep(monkeypatch):
         latin._count(1, _squares_steps(6), latin._symbol_symmetry(6), Deadline(-1.0), None)
 
 
+@pytest.mark.parametrize("count", [
+    lambda deadline: signed_latin_squares(5, deadline=deadline),  # the character is -1: only the check runs
+    lambda deadline: signed_latin_annuli(4, 5, deadline=deadline),
+    lambda deadline: signed_latin_cubes(2, deadline=deadline),
+    lambda deadline: signed_admissible_tables(2, "det", deadline=deadline),
+    lambda deadline: signed_admissible_tables(2, "per", deadline=deadline),
+], ids=["squares-5", "annuli-4-5", "cubes-2", "tables-2-det", "tables-2-per"])
+def test_every_count_stops_in_its_symmetry_check_once_the_deadline_expires(monkeypatch, count):
+    entered = []
+
+    def orbits(*args):
+        entered.append(args)
+        return kernel._first_step_orbits(*args)
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(latin, "_first_step_orbits", orbits)
+    monkeypatch.setattr(latin, "_signed_sum", no_sweep)
+    with pytest.raises(BudgetExhausted):
+        count(Deadline(-1.0))
+    assert len(entered) == 1
+
+
+class _CountingDeadline(Deadline):
+    """A deadline that never expires and counts how often it is polled."""
+
+    __slots__ = ("polls",)
+
+    def __init__(self):
+        super().__init__(None)
+        self.polls = 0
+
+    def check(self):
+        self.polls += 1
+
+
+def test_the_orbit_walk_polls_the_deadline():
+    with pytest.raises(BudgetExhausted):  # no generators: nothing to check, so the walk itself raises
+        kernel._first_step_orbits(_squares_steps(3), [], Deadline(-1.0))
+
+
+@pytest.mark.parametrize("n, generators, polls", [
+    (7, [], 5),  # the walk over 5,040 first rows polls on candidates 0, 1024, ..., 4096
+    (7, latin._symbol_symmetry(7), 10),  # the rows share one list: 5 polls per generator, and no walk
+    (6, latin._symbol_symmetry(6), 3),  # 720 candidates: one poll per generator, one for the single orbit
+], ids=["squares-7-no-generators", "squares-7", "squares-6"])
+def test_the_symmetry_check_and_walk_poll_every_1024_candidates(n, generators, polls):
+    deadline = _CountingDeadline()
+    kernel._first_step_orbits(_squares_steps(n), generators, deadline)
+    assert deadline.polls == polls
+
+
 # -- the layered kernel against the backtracking oracle ------------------------
 
 
@@ -376,6 +429,28 @@ def test_a_lone_swap_gives_orbits_of_its_size_or_proves_zero(n, sizes, value):
     swap = [(_swap(n, 1, 2), 1)]
     assert [size for _, size in kernel._first_step_orbits(steps, swap, Deadline(None))] == sizes
     assert latin._count(sign, steps, swap, None, None) == _unreduced("squares", n) == value
+
+
+def _cycle(k, labels):
+    return {label: labels[(labels.index(label) + 1) % len(labels)] if label in labels else label
+            for label in range(1, k + 1)}
+
+
+@pytest.mark.parametrize("n, labels, sizes, value", [
+    (2, [1, 2], [2], -2),  # sgn -1 on each of 2 columns: the character is +1
+    (3, [1, 2, 3], [3] * 2, 0),  # an even cycle keeps the character +1; the two orbits cancel
+    (4, [1, 2, 3], [3] * 8, 576),
+    (4, [1, 2, 3, 4], [4] * 6, 576),  # sgn -1 on each of 4 columns
+    (5, [1, 2, 3, 4], [], 0),  # sgn -1 on each of 5 columns: the character is -1
+    (5, [1, 2, 3, 4, 5], [5] * 24, 0),
+])
+def test_a_lone_cycle_gives_orbits_of_its_length_or_proves_zero(n, labels, sizes, value):
+    sign, steps = _tableau_steps(generic_tableau(n, n), _product_support(n))
+    cycle = [(_cycle(n, labels), 1)]
+    assert [size for _, size in kernel._first_step_orbits(steps, cycle, Deadline(None))] == sizes
+    stats = {}
+    assert latin._count(sign, steps, cycle, None, stats) == _unreduced("squares", n) == value
+    assert stats["candidates"] == math.factorial(n) and stats["subtrees"] == len(sizes)
 
 
 @pytest.mark.parametrize("steps, generators, message", [
