@@ -25,9 +25,10 @@ from pathlib import Path
 from .budget import BudgetExhausted, Deadline
 from .exact import Partition, format_scalar
 from .kron import _route, exponent_monoid, k_rect, kronecker, pleth_upper_bound, sl_invariant_bound
-from .spaces import _KINDS, NamedObject, form_to_tensor, parse_form, parse_tensor, unit_tensor
-from .tableaux import eval_cyclic_invariant, eval_generic_invariant, eval_tableau_invariant, parse_tableau
-from .tensorinv import eval_tensor_invariant_format
+from .latin import named_invariant
+from .spaces import _KINDS, NamedObject, form_to_tensor, parse_form, parse_tensor
+from .tableaux import cyclic_tableau, eval_tableau_invariant, generic_tableau, parse_tableau
+from .tensorinv import eval_tensor_invariant, eval_tensor_invariant_format
 from .theory import (
     EVALUATIONS,
     deciding_run,
@@ -69,9 +70,8 @@ def _read_file(args, parse):
     return parse(Path(args.file).read_text(encoding="utf-8"))
 
 
-def _load_object(args, refuse=lambda obj: None):
-    """The form or tensor from --file or the named-object flags, as `args.target` says; `refuse`
-    sees a named object before it is built."""
+def _load_object(args):
+    """The form or tensor from --file, or the NamedObject the flags name (not built), as `args.target` says."""
     if args.file:
         return _read_file(args, parse_form if args.target == "form" else parse_tensor)
     if not args.kind:
@@ -79,8 +79,7 @@ def _load_object(args, refuse=lambda obj: None):
     obj = _named_object(args)
     if obj.is_form != (args.target == "form"):
         raise CliError(f"--kind {args.kind} is not a {args.target}")
-    refuse(obj)
-    return obj.build()
+    return obj
 
 
 def _require_budget(args, run, what: str) -> None:
@@ -97,40 +96,45 @@ def _require_budget(args, run, what: str) -> None:
 
 
 def _cmd_invariant(args):
+    if args.target == "form" and args.format:
+        raise CliError("--format applies to tensors")
+    if args.target == "tensor" and args.cyclic:
+        raise CliError("--cyclic applies to forms")
     deadline = Deadline(args.budget)
     work = {"states": 0, "peak_states": 0}
-    if args.target == "form":
-        if args.format:
-            raise CliError("--format applies to tensors")
-        form = _load_object(args, lambda obj: _require_budget(
-            args, obj.record.sweep(obj) if obj.record.sweep else deciding_run(obj),
-            f"evaluating the degree-{obj.form_variables() + args.cyclic} invariant of {obj.kind}_{obj.size}"))
-        tensor = form_to_tensor(form)
-        if args.cyclic:
-            if form.D != form.m:
-                raise CliError("--cyclic needs degree equal to the number of variables")
-            value = eval_cyclic_invariant(form.D, tensor, deadline=deadline, stats=work)
-            return value, {"invariant": "cyclic", "D": form.D, "m": form.m, "degree": form.D + 1, **work}, None
-        value = eval_generic_invariant(form.D, form.m, tensor, deadline=deadline, stats=work)
-        return value, {"invariant": "generic", "D": form.D, "m": form.m, "degree": form.m, **work}, None
-
-    if args.cyclic:
-        raise CliError("--cyclic applies to forms")
-    tensor = _load_object(args)
+    source = _load_object(args)
+    if isinstance(source, NamedObject) and (args.format or not source.record.symmetry):
+        source = source.build()  # evaluated like a file, in one unsplit sweep
+    named = isinstance(source, NamedObject)
     if args.format:
         n1, n2, n3 = args.format
-        value = eval_tensor_invariant_format(n1, n2, n3, tensor, deadline=deadline, stats=work)
+        value = eval_tensor_invariant_format(n1, n2, n3, source, deadline=deadline, stats=work)
         return value, {"invariant": "tensor", "format": [n1, n2, n3], "degree": n1 * n2 * n3, **work}, None
-    if tensor.order != 3 or not tensor.is_cubic():
-        raise CliError("tensor must be cubic order 3 (or pass --format n1 n2 n3)")
-    n = math.isqrt(tensor.shape[0])
-    if n * n != tensor.shape[0]:
-        raise CliError(f"axis dimension {tensor.shape[0]} is not a square; pass --format")
-    # at the unit tensor the invariant is the signed Latin-cube count
-    name, run = ("latin-cubes", (n,)) if tensor == unit_tensor(n * n) else ("tensor-invariant", (n, tensor))
-    _require_budget(args, (name, *run), f"evaluating the degree-{n**3} tensor invariant")
-    value = EVALUATIONS[name].run(*run, deadline=deadline, stats=work)
-    return value, {"invariant": "tensor", "n": n, "degree": n**3, **work}, None
+    if args.target == "form":
+        D, m = (source.form_degree(), source.form_variables()) if named else (source.D, source.m)
+        if args.cyclic and D != m:
+            raise CliError("--cyclic needs degree equal to the number of variables")
+        T = cyclic_tableau(D) if args.cyclic else generic_tableau(D, m)
+        meta = {"invariant": "cyclic" if args.cyclic else "generic", "D": D, "m": m, "degree": T.d}
+        what = f"the degree-{T.d} invariant of {source.kind}_{source.size}" if named else None
+    else:
+        if not named and (source.order != 3 or not source.is_cubic()):
+            raise CliError("tensor must be cubic order 3 (or pass --format n1 n2 n3)")
+        dimension = source.tensor_axis_dim() if named else source.shape[0]
+        n, T = math.isqrt(dimension), None
+        if n * n != dimension:
+            raise CliError(f"axis dimension {dimension} is not a square; pass --format")
+        meta = {"invariant": "tensor", "n": n, "degree": n**3}
+        what = f"the degree-{n**3} tensor invariant"
+    if named:  # refused as the count it equals is
+        _require_budget(args, source.record.counted_as(source, args.cyclic), f"evaluating {what}")
+        value = named_invariant(source, T, deadline=deadline, stats=work)
+    elif T is None:
+        _require_budget(args, ("tensor-invariant", n, source), f"evaluating {what}")
+        value = eval_tensor_invariant(n, source, deadline=deadline, stats=work)
+    else:
+        value = eval_tableau_invariant(T, form_to_tensor(source), deadline=deadline, stats=work)
+    return value, {**meta, **work}, None
 
 
 def _cmd_eval_tableau(args):
@@ -268,7 +272,8 @@ def _cmd_normality(args):
 
 def _cmd_polystable(args):
     support = polystable_form_support if args.target == "form" else polystable_tensor_support
-    cert = support(_load_object(args))
+    source = _load_object(args)
+    cert = support(source.build() if isinstance(source, NamedObject) else source)
     witness = None if cert.witness is None else {
         " ".join(str(i) for i in key): format_scalar(c) for key, c in sorted(cert.witness.items())}
     separating = None if cert.separating is None else [

@@ -12,25 +12,25 @@ tableau, with no division by the tensor's denominator:
 * admissible n-tables: the generic n^2 x n tableau at det_n or per_n;
 * cubes of size n: the point steps of the tensor invariant at <n^2>.
 
-Each count declares the relabellings its tensor is symmetric under: every
-permutation of the symbols for squares, annuli and cubes, and the row and
-column permutations of the n x n variable grid for tables (weight
-character the permutation's sign at det_n, 1 at per_n).
-`kernel._first_step_orbits` checks them and reduces the count to one
-subtree per orbit of first-step candidates, times the orbit's size; a
-relabelling that negates the whole sum, as at odd orders, proves it 0 and
-no subtree runs.  `_run_tasks` sweeps the representative subtrees one after
-another in this process.
+`named_invariant` divides that total by the denominator: it evaluates the
+invariants at every named object with a `symmetry` record in `spaces`.
+The declared relabellings are checked on the object's terms, and one that
+negates the whole sum, as at odd orders, proves it 0 before any candidate
+is built.  Otherwise `kernel._first_step_orbits` checks them on the
+candidates and reduces the sum to one subtree per first-step orbit times
+its size, and `_run_tasks` sweeps those subtrees one after another.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Optional
 
 from .budget import Deadline, as_deadline
-from .exact import perm_sign
+from .exact import sequence_sign
 from .kernel import _first_step_orbits, _integer_weights, _record_work, _signed_sum
-from .spaces import determinant_form, form_to_tensor, permanent_form, product_form, unit_tensor
+from .spaces import NamedObject, form_to_tensor
 from .tableaux import Tableau, _tableau_steps, annulus_tableau, generic_tableau
 from .tensorinv import _point_steps
 
@@ -65,29 +65,46 @@ def _count(sign: int, steps: list[tuple], generators: list, deadline, stats) -> 
     return sign * _run_tasks(steps, orbits, deadline, stats)
 
 
-def _symbol_permutations(k: int) -> list[dict[int, int]]:
-    """The transposition (1 2) and the cycle (1 2 ... k) of the labels 1..k, which generate all their permutations."""
-    if k < 2:
-        return []
-    swap = {label: label for label in range(3, k + 1)} | {1: 2, 2: 1}
-    return [swap, {label: label % k + 1 for label in range(1, k + 1)}]
+def _named_sum(obj: NamedObject, T: Optional[Tableau], deadline, stats) -> tuple[int, int]:
+    """(S, q): T's invariant at obj (the tensor invariant when T is None) is S / q, S the kernel total
+    times the column sign, reduced by obj's relabellings (g, chi).  ValueError unless each g permutes
+    1..m and maps every term to chi times itself (on a form, the kernel's candidate check: g.nu has
+    exponent type g.alpha, same multinomial), or unless the invariant reads obj's shape."""
+    built = obj.build()
+    terms, m, order = (built.coeffs, built.m, built.D) if obj.is_form else (built.entries, built.shape[0], built.order)
+    generators = obj.record.symmetry(obj)
+    for g, chi in generators:
+        if sorted(g) != list(range(1, m + 1)) or sorted(g.values()) != sorted(g):
+            raise ValueError(f"a relabelling of {obj.kind} does not permute 1..{m}")
+        inverse = {image: i for i, image in g.items()}
+        for key, w in terms.items():
+            image = tuple(key[inverse[i] - 1] for i in range(1, m + 1)) if obj.is_form else tuple(g[i] for i in key)
+            if terms.get(image) != chi * w:
+                raise ValueError(f"a relabelling does not map {key} of {obj.kind} to itself times {chi}")
+    n = math.isqrt(m) if T is None else None
+    if (T.m, T.D) != (m, order) if T is not None else (n * n, order) != (m, 3):
+        raise ValueError(f"the invariant does not read the shape of the {obj.describe()}")
+    degree, lines = (n**3, 3 * n) if T is None else (T.d, T.s)
+    # every signed line (column or slice) gets each index value: g scales the sum by chi^degree sgn(g)^lines
+    if any(chi**degree * sequence_sign([g[i] for i in sorted(g)]) ** lines == -1 for g, chi in generators):
+        if stats is not None:
+            stats.update(candidates=0, subtrees=0)  # none built
+        return 0, 1
+    den, support = _integer_weights((form_to_tensor(built) if obj.is_form else built).entries)
+    sign, steps = (1, _point_steps(n, n, n, support)) if T is None else _tableau_steps(T, support)
+    return _count(sign, steps, generators, deadline, stats), den**degree
 
 
-def _symbol_symmetry(k: int) -> list[tuple[dict[int, int], int]]:
-    """Generators of every relabelling of the symbols 1..k, each with weight character 1."""
-    return [(perm, 1) for perm in _symbol_permutations(k)]
-
-
-def _tableau_count(T: Tableau, form, generators: list, deadline, stats) -> int:
-    """The tableau invariant at the tensor of `form`, times its denominator to the power d."""
-    return _count(*_tableau_steps(T, _integer_weights(form_to_tensor(form).entries)[1]), generators, deadline, stats)
+def named_invariant(obj: NamedObject, T: Optional[Tableau] = None, *, deadline=None, stats=None) -> Fraction:
+    """Exact value of T's invariant (the tensor invariant when T is None) at a named object with a symmetry."""
+    return Fraction(*_named_sum(obj, T, deadline, stats))
 
 
 def signed_latin_squares(n: int, *, deadline=None, stats: Optional[dict] = None) -> int:
     """(# column-even) - (# column-odd) Latin squares of order n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return _tableau_count(generic_tableau(n, n), product_form(n), _symbol_symmetry(n), deadline, stats)
+    return _named_sum(NamedObject("product", m=n), generic_tableau(n, n), deadline, stats)[0]
 
 
 def signed_latin_annuli(m: int, d: int, *, deadline=None, stats: Optional[dict] = None) -> int:
@@ -96,19 +113,18 @@ def signed_latin_annuli(m: int, d: int, *, deadline=None, stats: Optional[dict] 
     Columns and wrap-around diagonals each carry every symbol of [m]
     exactly once; column indices are taken modulo d, so d >= m is required.
     """
-    return _tableau_count(annulus_tableau(m, d), product_form(m), _symbol_symmetry(m), deadline, stats)
+    return _named_sum(NamedObject("product", m=m), annulus_tableau(m, d), deadline, stats)[0]
 
 
 def signed_latin_cubes(n: int, *, deadline=None, stats: Optional[dict] = None) -> int:
     """(# even) - (# odd) Latin cubes of size n, sign over all 3n slices.
 
     For odd n >= 3 a swap of two symbols flips each of the 3n slices, so the
-    symmetry reduction proves the count 0 without running a subtree.
+    symmetry proves the count 0 before any candidate is built.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    steps = _point_steps(n, n, n, _integer_weights(unit_tensor(n * n).entries)[1])
-    return _count(1, steps, _symbol_symmetry(n * n), deadline, stats)
+    return _named_sum(NamedObject("unit-tensor", m=n * n), None, deadline, stats)[0]
 
 
 def signed_admissible_tables(n: int, weighting: str = "det", *, deadline=None, stats: Optional[dict] = None) -> int:
@@ -122,14 +138,5 @@ def signed_admissible_tables(n: int, weighting: str = "det", *, deadline=None, s
         raise ValueError("need n >= 1")
     if weighting not in ("det", "per"):
         raise ValueError("weighting must be 'det' or 'per'")
-    form = determinant_form(n) if weighting == "det" else permanent_form(n)
-    # the variable X_ij has label (i - 1) * n + j; rows and columns permute independently,
-    # and det_n changes by the sign of the permutation
-    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    generators = []
-    for sigma in _symbol_permutations(n):
-        chi = perm_sign([sigma[i] for i in range(1, n + 1)]) if weighting == "det" else 1
-        generators.append(({(i - 1) * n + j: (sigma[i] - 1) * n + j for i, j in cells}, chi))
-        generators.append(({(i - 1) * n + j: (i - 1) * n + sigma[j] for i, j in cells}, chi))
-    return _tableau_count(generic_tableau(n, n * n), form, generators, deadline, stats)
-
+    kind = "determinant" if weighting == "det" else "permanent"
+    return _named_sum(NamedObject(kind, n=n), generic_tableau(n, n * n), deadline, stats)[0]

@@ -12,9 +12,9 @@ admissible tables) is stated explicitly relative to this rule.
 Each kind of named object has one `Kind` record in `_KINDS`, and the
 library reads every fact about a kind from it: its parameters and builder,
 its period, certified-bound and deciding-evaluation rules, its known-normal
-cases, its CLI aliases and refusal.  Adding a kind is one record (plus an
-entry in `theory.EVALUATIONS` if it decides by a new evaluation) and its
-tests.
+cases, its CLI aliases, its `symmetry` and the count its invariant equals.
+Adding a kind is one record (plus an entry in `theory.EVALUATIONS` if it
+decides by a new evaluation) and its tests.
 """
 
 from __future__ import annotations
@@ -222,9 +222,9 @@ class Kind(NamedTuple):
     The rules take the object.  decides names the evaluation that decides
     whether the certified lower bound is the minimal degree, as a run (its
     name in `theory.EVALUATIONS`, *its arguments), or RECTANGLE_SCAN for the
-    Kronecker scan, or gives a `Finished` answer.  `invariant` refuses the
-    unreduced sweep at the object as it refuses the run `sweep` names, or
-    the deciding run when `sweep` is None.
+    Kronecker scan, or gives a `Finished` answer.  symmetry generates the
+    relabellings g of the index values 1..m (X_i becomes X_g(i)) mapping the
+    object to chi(g) = +-1 times itself, through which `latin` evaluates it.
     """
 
     params: tuple[str, ...]  # in the order `builder` takes them; the last one is the size
@@ -235,7 +235,8 @@ class Kind(NamedTuple):
     decides: Callable
     normal: Callable = lambda obj: None  # -> why the orbit closure is known to be normal, or None
     bound: Callable = lambda obj, b: None  # (obj, degree period) -> a certified bound replacing the general one
-    sweep: Optional[Callable] = None  # -> the run whose refusal the unreduced sweep takes, if not the deciding run
+    symmetry: Optional[Callable] = None  # -> [(g as a dict, chi)]; None declares none, and `invariant` runs unreduced
+    counted_as: Callable = lambda obj, cyclic: None  # -> the run whose count equals the invariant up to a factor
     aliases: tuple[str, ...] = ()  # other names the command line accepts
 
 
@@ -299,17 +300,30 @@ def _power_sum_bound(o, b):
     return 2 * o.m if 2 * o.m <= binomial(2 * o.D, o.D) else b * (2 * o.m // b + 1)
 
 
-def _tables_run(weighting: str):
-    # the unreduced sweep at det_n/per_n enumerates these tables, so it is refused with them at every n
-    return lambda o: ("admissible-tables", o.n, weighting)
-
-
-def _tables_decide(weighting: str):
+def _tables(weighting: str) -> dict:
+    """The rules det_n and per_n share: the size-n tables decide, and relabelling by independent row
+    and column permutations of X_ij (index value (i - 1) * n + j) multiplies det_n by their signs."""
     def decides(o):
         if o.n % 2 == 1:
             return Finished(None, _ODD_DEGREE, f"exact degree above {o.n * o.n} not determined")
-        return _tables_run(weighting)(o)
-    return decides
+        return "admissible-tables", o.n, weighting
+
+    def symmetry(o):
+        cells, generators = list(itertools.product(range(1, o.n + 1), repeat=2)), []
+        for sigma, _ in _relabellings(o.n):
+            chi = perm_sign([sigma[i] for i in range(1, o.n + 1)]) if weighting == "det" else 1
+            generators.append(({(i - 1) * o.n + j: (sigma[i] - 1) * o.n + j for i, j in cells}, chi))
+            generators.append(({(i - 1) * o.n + j: (i - 1) * o.n + sigma[j] for i, j in cells}, chi))
+        return generators
+    return dict(decides=decides, normal=_four_variable_quadric, symmetry=symmetry,
+                counted_as=lambda o, cyclic: ("admissible-tables", o.n, weighting))
+
+
+def _relabellings(k: int) -> list[tuple[dict[int, int], int]]:
+    """(1 2) and (1 2 ... k), which generate every permutation of 1..k, each with character 1."""
+    if k < 2:
+        return []
+    return [({1: 2, 2: 1} | {i: i for i in range(3, k + 1)}, 1), ({i: i % k + 1 for i in range(1, k + 1)}, 1)]
 
 
 def _unit_decides(o):
@@ -349,16 +363,16 @@ _KINDS = {
     "product": Kind(
         ("m",), True, product_form, "product of {m} variables",
         _product_period, lambda o: ("latin-squares", o.m) if o.m % 2 == 0 else ("latin-annuli", o.m, o.m + 1),
-        normal=lambda o: "the orbit closure of a binary quadric fills the quadrics" if o.m == 2 else None),
+        normal=lambda o: "the orbit closure of a binary quadric fills the quadrics" if o.m == 2 else None,
+        symmetry=lambda o: _relabellings(o.m),
+        counted_as=lambda o, cyclic: ("latin-annuli", o.m, o.m + 1) if cyclic else ("latin-squares", o.m)),
     "power-sum": Kind(
-        ("D", "m"), True, power_sum_form, "power sum of degree {D} in {m} variables",
-        _power_sum_period, _power_sum_decides, normal=_quadric, bound=_power_sum_bound),
+        ("D", "m"), True, power_sum_form, "power sum of degree {D} in {m} variables", _power_sum_period,
+        _power_sum_decides, normal=_quadric, bound=_power_sum_bound, symmetry=lambda o: _relabellings(o.m)),
     "determinant": Kind(
-        ("n",), True, determinant_form, "determinant of size {n}",
-        _determinant_period, _tables_decide("det"), normal=_four_variable_quadric, sweep=_tables_run("det")),
+        ("n",), True, determinant_form, "determinant of size {n}", _determinant_period, **_tables("det")),
     "permanent": Kind(
-        ("n",), True, permanent_form, "permanent of size {n}",
-        _permanent_period, _tables_decide("per"), normal=_four_variable_quadric, sweep=_tables_run("per")),
+        ("n",), True, permanent_form, "permanent of size {n}", _permanent_period, **_tables("per")),
     "generic-form": Kind(
         ("D", "m"), True, None, "generic form of degree {D} in {m} variables",
         _generic_form_period, _generic_form_decides, normal=_quadric),
@@ -366,7 +380,8 @@ _KINDS = {
         ("m",), False, unit_tensor, "unit tensor of size {m}",
         lambda o: (2 if o.m > 1 else 1,
                    "stabilizer = diagonal triples with unit products and a diagonal symmetric group"),
-        _unit_decides, aliases=("unit",)),
+        _unit_decides, aliases=("unit",), symmetry=lambda o: _relabellings(o.m),
+        counted_as=lambda o, cyclic: ("latin-cubes", math.isqrt(o.m))),
     "matmul-tensor": Kind(
         ("n",), False, matmul_tensor, "matrix multiplication tensor of size {n}",
         lambda o: (1, "de Groote: sandwiching by three invertible matrices, character trivial"),

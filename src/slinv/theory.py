@@ -28,14 +28,15 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .budget import BudgetExhausted, as_deadline
 from .kron import k_rect
 from .latin import (
+    named_invariant,
     signed_admissible_tables,
     signed_latin_annuli,
     signed_latin_cubes,
     signed_latin_squares,
 )
 from .simplex import solve_equality_feasibility
-from .spaces import RECTANGLE_SCAN, Finished, NamedObject, SparseForm, SparseTensor, form_to_tensor, power_sum_form
-from .tableaux import eval_generic_invariant
+from .spaces import RECTANGLE_SCAN, Finished, NamedObject, SparseForm, SparseTensor
+from .tableaux import generic_tableau
 from .tensorinv import eval_tensor_invariant
 
 
@@ -107,7 +108,7 @@ class MinimalDegreeReport:
 
 def _power_sum_invariant(m: int, D: int, **kw) -> Fraction:
     """The generic degree-m invariant at the power sum of degree D, which is m!."""
-    value = eval_generic_invariant(D, m, form_to_tensor(power_sum_form(D, m)), **kw)
+    value = named_invariant(NamedObject("power-sum", D=D, m=m), generic_tableau(D, m), **kw)
     if value != math.factorial(m):
         raise AssertionError(f"generic invariant at the power sum is {value}, not {m}!")
     return value
@@ -327,32 +328,35 @@ class SupportCertificate:
     pivots: int = 0
 
 
+def _support_certificate(support: list, features: list, target: list, block: int, name: str) -> SupportCertificate:
+    """Is `target` a nonnegative combination of the support points' feature vectors?  If not, minus the
+    Farkas vector (>= 0 on every feature, < 0 on the target), each block of `block` coordinates recentred
+    to sum 0, is > 0 on every feature: each feature's block totals are one positive multiple of the target's."""
+    res = solve_equality_feasibility([list(row) for row in zip(*features)], target)
+    if res.feasible:
+        used = [(p, f, c) for p, f, c in zip(support, features, res.x) if c != 0]
+        witness = {p: c for p, _, c in used}
+        recombined = [sum(c * f[i] for _, f, c in used if f[i]) for i in range(len(target))]
+        if recombined != target:
+            raise AssertionError(f"witness does not recombine to the {name}")
+        return SupportCertificate(True, witness=witness, pivots=res.pivots)
+    blocks = [res.farkas[k:k + block] for k in range(0, len(target), block)]
+    separating = tuple(tuple(Fraction(sum(ys), block) - y for y in ys) for ys in blocks)
+    if any(sum(vec) != 0 for vec in separating):
+        raise AssertionError("separating vectors do not sum to 0")
+    weights = [x for vec in separating for x in vec]
+    values = [sum(f * x for f, x in zip(feature, weights) if f) for feature in features]
+    if any(v < 0 for v in values) or not any(v > 0 for v in values):
+        raise AssertionError("separating vectors are not >= 0 on the support and > 0 somewhere")
+    return SupportCertificate(False, separating=separating, pivots=res.pivots)
+
+
 def polystable_form_support(w: SparseForm) -> SupportCertificate:
     """Does the convex cone of the support contain the all-ones vector?"""
     if not w.coeffs:
         raise ValueError("zero form has no support condition")
     support = w.support()
-    m = w.m
-    A = [[Fraction(alpha[i]) for alpha in support] for i in range(m)]
-    b = [Fraction(1)] * m
-    res = solve_equality_feasibility(A, b)
-    if res.feasible:
-        witness = {alpha: c for alpha, c in zip(support, res.x) if c != 0}
-        recombined = [sum(c * alpha[i] for alpha, c in witness.items()) for i in range(m)]
-        if recombined != b:
-            raise AssertionError("witness does not recombine to the all-ones vector")
-        return SupportCertificate(True, witness=witness, pivots=res.pivots)
-    y = res.farkas
-    # shift to a trace-zero separating vector: mu = -y + (sum y / m) stays
-    # strictly positive on the support since <alpha, y> <= 0 < -sum y there.
-    total = sum(y)
-    mu = tuple(-y[i] + Fraction(total, m) for i in range(m))
-    if sum(mu) != 0:
-        raise AssertionError("separating vector does not sum to 0")
-    values = [sum(alpha[i] * mu[i] for i in range(m)) for alpha in support]
-    if any(v < 0 for v in values) or not any(v > 0 for v in values):
-        raise AssertionError("separating vector is not >= 0 on the support and > 0 somewhere")
-    return SupportCertificate(False, separating=(mu,), pivots=res.pivots)
+    return _support_certificate(support, support, [1] * w.m, w.m, "all-ones vector")
 
 
 def polystable_tensor_support(w: SparseTensor) -> SupportCertificate:
@@ -361,41 +365,10 @@ def polystable_tensor_support(w: SparseTensor) -> SupportCertificate:
         raise ValueError("support condition implemented for cubic order-3 tensors")
     if not w.entries:
         raise ValueError("zero tensor has no support condition")
-    support = w.support()
-    m = w.shape[0]
-    # rows: 3m marginal constraints, target 1/m each
-    A = []
-    for axis in range(3):
-        for value in range(1, m + 1):
-            A.append([Fraction(1) if p[axis] == value else Fraction(0) for p in support])
-    b = [Fraction(1, m)] * (3 * m)
-    res = solve_equality_feasibility(A, b)
-    if res.feasible:
-        witness = {p: c for p, c in zip(support, res.x) if c != 0}
-        if sum(witness.values()) != 1:
-            raise AssertionError("witness is not a distribution")
-        for axis in range(3):
-            for value in range(1, m + 1):
-                marg = sum(c for p, c in witness.items() if p[axis] == value)
-                if marg != Fraction(1, m):
-                    raise AssertionError(f"witness marginal {marg} on axis {axis} is not 1/{m}")
-        return SupportCertificate(True, witness=witness, pivots=res.pivots)
-    y = res.farkas
-    # -y gives weights with sum_axes <= 0 pointwise violated the other way:
-    # <raw, p> >= 0 on the support while the grand total is negative, so
-    # recentering every factor to sum zero keeps strict positivity on supp.
-    raw = [tuple(-y[axis * m + v] for v in range(m)) for axis in range(3)]
-    vectors = []
-    for axis_vec in raw:
-        axis_total = sum(axis_vec)
-        vectors.append(tuple(x - Fraction(axis_total, m) for x in axis_vec))
-    mu, nu, pi = vectors
-    values = [mu[p[0] - 1] + nu[p[1] - 1] + pi[p[2] - 1] for p in support]
-    if sum(mu) != 0 or sum(nu) != 0 or sum(pi) != 0:
-        raise AssertionError("separating vectors do not sum to 0")
-    if any(v < 0 for v in values) or not any(v > 0 for v in values):
-        raise AssertionError("separating vectors are not >= 0 on the support and > 0 somewhere")
-    return SupportCertificate(False, separating=(mu, nu, pi), pivots=res.pivots)
+    support, m = w.support(), w.shape[0]
+    # one indicator per (axis, value): the 3m marginals, each 1/m
+    features = [[int(p[axis] == value) for axis in range(3) for value in range(1, m + 1)] for p in support]
+    return _support_certificate(support, features, [Fraction(1, m)] * (3 * m), m, "uniform marginals")
 
 
 # ----------------------------------------------------------------------------

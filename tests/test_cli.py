@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from slinv import kron, theory
+from slinv import kron, latin, spaces, theory
 from slinv.cli import main
-from slinv.spaces import serialize_form, serialize_tensor, determinant_form, form_to_tensor, power_sum_form
+from slinv.spaces import serialize_form, serialize_tensor, determinant_form, form_to_tensor, power_sum_form, unit_tensor
 from slinv.tableaux import generic_tableau, serialize_tableau
 
 
@@ -306,7 +306,6 @@ def test_size_three_runs_need_no_budget(capsys, argv):
     (("count", "latin-annuli", "7", "8"), "counting signed Latin annuli of size 7 x 8"),
     (("min-degree", "--kind", "product", "--m", "7"), "deciding the minimal degree of the product of 7 variables"),
     (("min-degree", "--kind", "product", "--m", "8"), "deciding the minimal degree of the product of 8 variables"),
-    (("invariant", "form", "--kind", "product", "--m", "7"), "the degree-7 invariant of product_7"),
     (("invariant", "form", "--kind", "product", "--m", "7", "--cyclic"), "the degree-8 invariant of product_7"),
 ])
 def test_long_square_and_annulus_runs_are_refused_without_budget(capsys, argv, what):
@@ -324,7 +323,7 @@ def test_long_square_and_annulus_runs_are_refused_without_budget(capsys, argv, w
 
 @pytest.mark.parametrize("argv, value", [
     *[(("count", "latin-squares", str(n)), value)
-      for n, value in [(1, "1"), (2, "-2"), (3, "0"), (4, "576"), (5, "0"), (6, "-199065600"), (7, "0")]],
+      for n, value in [(1, "1"), (2, "-2"), (3, "0"), (4, "576"), (5, "0"), (6, "-199065600"), (7, "0"), (9, "0")]],
     (("count", "latin-annuli", "5", "8"), "4193280"),
     (("count", "latin-annuli", "5", "10"), "26173440"),
     (("count", "latin-annuli", "6", "6"), "199065600"),
@@ -334,6 +333,9 @@ def test_long_square_and_annulus_runs_are_refused_without_budget(capsys, argv, w
      "object product of 4 variables\nminimal degree 4\nevidence signed Latin square count is nonzero\n"
      "deciding value 576"),
     (("invariant", "form", "--kind", "product", "--m", "5"), "0"),
+    # odd m: a symbol swap negates the squares count the plain invariant equals
+    (("invariant", "form", "--kind", "product", "--m", "7"), "0"),
+    (("invariant", "form", "--kind", "product", "--m", "9"), "0"),
     (("invariant", "form", "--kind", "product", "--m", "3", "--cyclic"), "1/54"),
 ])
 def test_squares_and_annuli_below_the_refusal_thresholds_need_no_budget(capsys, argv, value):
@@ -342,7 +344,7 @@ def test_squares_and_annuli_below_the_refusal_thresholds_need_no_budget(capsys, 
 
 def test_count_calls_its_counter_by_module_global_name(capsys, monkeypatch):
     # a rebound counter is the one called (the benchmark's tracer relies on it); squares of
-    # order 9, whose 9! first rows take seconds to sort into orbits, are not refused
+    # order 9 are not refused, and their real run is among the runs that need no budget
     calls = []
     monkeypatch.setattr(theory, "signed_latin_squares", lambda *args, **kw: calls.append(args) or 0)
     assert run(capsys, "count", "latin-squares", "9") == (0, "0\n", "")
@@ -362,13 +364,16 @@ def test_threads_flag_identical_output(capsys):
 
 
 @pytest.mark.parametrize("argv, value, seconds", [
-    (("latin-squares", "6"), "-199065600", 10),  # one subtree times 6! = 720
-    (("latin-squares", "7"), "0", 2),  # a symbol swap flips each of the 7 columns
-    (("latin-annuli", "5", "7"), "0", 2),
+    (("count", "latin-squares", "6"), "-199065600", 10),  # one subtree times 6! = 720
+    (("count", "latin-squares", "7"), "0", 2),  # a symbol swap flips each of the 7 columns
+    (("count", "latin-squares", "9"), "0", 2),  # decided before the 9! first rows are built
+    (("count", "latin-annuli", "5", "7"), "0", 2),
+    # (6!)^6 times this value is the squares-6 count, and it runs the same one subtree
+    (("invariant", "form", "--kind", "product", "--m", "6"), "-1/699840000", 3),
 ])
 def test_counts_reduced_by_symmetry_need_no_budget(capsys, argv, value, seconds):
     started = time.monotonic()
-    code, out, _ = run(capsys, "count", *argv)
+    code, out, _ = run(capsys, *argv)
     assert code == 0 and out == value + "\n" and time.monotonic() - started < seconds
 
 
@@ -398,12 +403,15 @@ def test_count_json_reports_kernel_work(capsys, argv, value, states, peak_states
 
 
 def test_invariant_verbs_report_kernel_work(tmp_path, capsys):
-    code, out, _ = run(capsys, "invariant", "form", "--kind", "product", "--m", "3", "--json")
+    # product m = 3 is 0 with no sweep: a symbol swap negates the squares count it equals
+    code, out, _ = run(capsys, "invariant", "form", "--kind", "product", "--m", "4", "--json")
     meta = json.loads(out)["meta"]
     assert code == 0 and meta["states"] > 0 and meta["peak_states"] > 0
+    assert (meta["candidates"], meta["subtrees"]) == (24, 1)
+    # matmul declares no symmetry: one unsplit sweep, its work pinned
     code, out, _ = run(capsys, "invariant", "tensor", "--kind", "matmul", "--n", "2", "--json")
     meta = json.loads(out)["meta"]
-    assert code == 0 and meta["states"] > 0 and meta["peak_states"] > 0
+    assert code == 0 and (meta["states"], meta["peak_states"]) == (403, 202) and "subtrees" not in meta
     tensor_path = tmp_path / "ps.tensor"
     tensor_path.write_text(serialize_tensor(form_to_tensor(power_sum_form(3, 2))), encoding="utf-8")
     tab_path = tmp_path / "generic.tab"
@@ -412,3 +420,38 @@ def test_invariant_verbs_report_kernel_work(tmp_path, capsys):
     meta = json.loads(out)["meta"]
     assert code == 0 and meta["states"] > 0 and meta["peak_states"] > 0
 
+
+
+def test_a_file_holding_the_unit_tensor_is_evaluated_like_any_other_file(tmp_path, capsys):
+    for m, expected in ((4, (0, "24\n", "")), (9, None)):
+        path = tmp_path / f"unit{m}.tensor"
+        path.write_text(serialize_tensor(unit_tensor(m)), encoding="utf-8")
+        code, out, err = run(capsys, "invariant", "tensor", "--file", str(path))
+        if expected:
+            assert (code, out, err) == expected
+        else:  # the unreduced degree-27 sweep is refused, as at any other tensor of size 3
+            assert code == 2 and out == "" and "the degree-27 tensor invariant" in err
+
+
+def _false_determinant_symmetry(monkeypatch, declare):
+    record = spaces._KINDS["determinant"]
+    monkeypatch.setitem(spaces._KINDS, "determinant", record._replace(symmetry=lambda o: declare(record.symmetry(o))))
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(latin, "_signed_sum", no_sweep)
+
+
+@pytest.mark.parametrize("declare", [
+    lambda generators: [(g, -chi) for g, chi in generators],  # a row swap negates det_2; declared +1
+    lambda generators: [({1: 2, 2: 1, 3: 3, 4: 4}, 1)],  # X11 <-> X12 alone maps X11 X22 to X12 X22
+], ids=["flipped-character", "no-symmetry"])
+@pytest.mark.parametrize("argv", [
+    ("count", "admissible-tables", "2"),
+    ("invariant", "form", "--kind", "determinant", "--n", "2"),
+], ids=["count", "invariant"])
+def test_a_false_symmetry_declaration_exits_two_before_any_sweep(capsys, monkeypatch, declare, argv):
+    _false_determinant_symmetry(monkeypatch, declare)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "a relabelling does not map" in err

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,9 +24,16 @@ from slinv.latin import (
     signed_latin_squares,
 )
 from slinv.kernel import _integer_weights
-from slinv.spaces import determinant_form, form_to_tensor, permanent_form, product_form, unit_tensor
-from slinv.tableaux import _tableau_steps, annulus_tableau, eval_generic_invariant, generic_tableau
-from slinv.tensorinv import _point_steps
+from slinv.spaces import NamedObject, determinant_form, form_to_tensor, permanent_form, product_form, unit_tensor
+from slinv.tableaux import (
+    _tableau_steps,
+    annulus_tableau,
+    cyclic_tableau,
+    eval_generic_invariant,
+    eval_tableau_invariant,
+    generic_tableau,
+)
+from slinv.tensorinv import _point_steps, eval_tensor_invariant
 
 
 def test_signed_latin_squares_small_values():
@@ -113,6 +121,12 @@ def test_admissible_table_bridge_to_generic_invariant():
     assert factor * eval_generic_invariant(2, 4, per2) == signed_admissible_tables(2, "per")
 
 
+def _product_symmetry(m):
+    """The relabellings the product record declares: every permutation of the m symbols, character 1."""
+    obj = NamedObject("product", m=m)
+    return obj.record.symmetry(obj)
+
+
 def _product_support(m):
     return _integer_weights(form_to_tensor(product_form(m)).entries)[1]
 
@@ -185,16 +199,16 @@ def test_an_expired_deadline_stops_the_orbit_walk_before_any_sweep(monkeypatch):
 
     monkeypatch.setattr(latin, "_signed_sum", no_sweep)
     with pytest.raises(BudgetExhausted):
-        latin._count(1, _squares_steps(6), latin._symbol_symmetry(6), Deadline(-1.0), None)
+        latin._count(1, _squares_steps(6), _product_symmetry(6), Deadline(-1.0), None)
 
 
 @pytest.mark.parametrize("count", [
-    lambda deadline: signed_latin_squares(5, deadline=deadline),  # the character is -1: only the check runs
-    lambda deadline: signed_latin_annuli(4, 5, deadline=deadline),
+    lambda deadline: signed_latin_squares(4, deadline=deadline),
+    lambda deadline: signed_latin_annuli(4, 6, deadline=deadline),
     lambda deadline: signed_latin_cubes(2, deadline=deadline),
     lambda deadline: signed_admissible_tables(2, "det", deadline=deadline),
     lambda deadline: signed_admissible_tables(2, "per", deadline=deadline),
-], ids=["squares-5", "annuli-4-5", "cubes-2", "tables-2-det", "tables-2-per"])
+], ids=["squares-4", "annuli-4-6", "cubes-2", "tables-2-det", "tables-2-per"])
 def test_every_count_stops_in_its_symmetry_check_once_the_deadline_expires(monkeypatch, count):
     entered = []
 
@@ -232,8 +246,8 @@ def test_the_orbit_walk_polls_the_deadline():
 
 @pytest.mark.parametrize("n, generators, polls", [
     (7, [], 5),  # the walk over 5,040 first rows polls on candidates 0, 1024, ..., 4096
-    (7, latin._symbol_symmetry(7), 10),  # the rows share one list: 5 polls per generator, and no walk
-    (6, latin._symbol_symmetry(6), 3),  # 720 candidates: one poll per generator, one for the single orbit
+    (7, _product_symmetry(7), 10),  # the rows share one list: 5 polls per generator, and no walk
+    (6, _product_symmetry(6), 3),  # 720 candidates: one poll per generator, one for the single orbit
 ], ids=["squares-7-no-generators", "squares-7", "squares-6"])
 def test_the_symmetry_check_and_walk_poll_every_1024_candidates(n, generators, polls):
     deadline = _CountingDeadline()
@@ -387,18 +401,16 @@ _REDUCED_RANGE = ([("squares", n) for n in range(1, 6)]
 def test_reduced_count_equals_the_unreduced_kernel(case):
     structure, *params = case
     stats = {}
-    assert _COUNTERS[structure](*params, stats=stats) == _unreduced(structure, *params)
-    assert stats["subtrees"] <= 1 and stats["candidates"] >= 1
+    value = _COUNTERS[structure](*params, stats=stats)
+    assert value == _unreduced(structure, *params)
+    # no candidate is built when a relabelling negates the sum
+    assert stats["subtrees"] <= 1 and (stats["candidates"] >= 1 or stats["subtrees"] == value == 0)
 
 
 @pytest.mark.parametrize("count, orbits", [
     (lambda: signed_latin_squares(6), [(0, 720)]),
-    (lambda: signed_latin_squares(7), []),  # every column flips under a swap
-    (lambda: signed_latin_annuli(5, 7), []),
-    (lambda: signed_latin_cubes(3), []),  # a swap fixing the first point flips all 9 slices
     (lambda: signed_admissible_tables(3, "det"), [(0, 36)]),
-    (lambda: signed_admissible_tables(3, "per"), []),  # a row swap flips every column
-], ids=["squares-6", "squares-7", "annuli-5-7", "cubes-3", "tables-3-det", "tables-3-per"])
+], ids=["squares-6", "tables-3-det"])
 def test_first_step_orbits_of_the_counts(monkeypatch, count, orbits):
     found = []
 
@@ -409,6 +421,25 @@ def test_first_step_orbits_of_the_counts(monkeypatch, count, orbits):
     monkeypatch.setattr(latin, "_first_step_orbits", record)
     count()
     assert found == [orbits]
+
+
+@pytest.mark.parametrize("count", [
+    lambda: signed_latin_squares(7),  # every column flips under a swap
+    lambda: signed_latin_squares(9),
+    lambda: signed_latin_annuli(5, 7),
+    lambda: signed_latin_cubes(3),  # a swap flips all 9 slices
+    lambda: signed_admissible_tables(3, "per"),  # a row swap flips every column
+    lambda: latin.named_invariant(NamedObject("power-sum", D=3, m=4), generic_tableau(3, 4)),
+], ids=["squares-7", "squares-9", "annuli-5-7", "cubes-3", "tables-3-per", "power-sum-3-4"])
+def test_a_negating_relabelling_proves_zero_before_any_candidate_is_built(monkeypatch, count):
+    def no_candidates(*args):
+        raise AssertionError("candidates were built")
+
+    monkeypatch.setattr(latin, "form_to_tensor", no_candidates)
+    monkeypatch.setattr(latin, "_integer_weights", no_candidates)
+    started = time.monotonic()
+    assert count() == 0
+    assert time.monotonic() - started < 1
 
 
 def test_no_generators_keep_every_candidate():
@@ -470,3 +501,44 @@ def test_a_false_symmetry_raises_before_any_sweep(monkeypatch, steps, generators
     monkeypatch.setattr(latin, "_signed_sum", no_sweep)
     with pytest.raises(ValueError, match=message):
         latin._count(1, steps, generators, None, None)
+
+
+# -- named invariants: the reduced path against the unreduced evaluators ---------
+
+
+def _named_cases():
+    cases = []
+    for m in range(1, 6):
+        cases += [(NamedObject("product", m=m), generic_tableau(m, m)), (NamedObject("product", m=m), cyclic_tableau(m))]
+    for D in range(1, 5):
+        for m in range(1, 5):
+            cases.append((NamedObject("power-sum", D=D, m=m), generic_tableau(D, m)))
+            if D == m:
+                cases.append((NamedObject("power-sum", D=D, m=m), cyclic_tableau(D)))
+    for n in (1, 2, 3):
+        cases += [(NamedObject(kind, n=n), generic_tableau(n, n * n)) for kind in ("determinant", "permanent")]
+    # <9> is left out: its unreduced degree-27 sweep does not finish in minutes (its value 0 is
+    # pinned with the odd cubes, which build no candidate)
+    return cases + [(NamedObject("unit-tensor", m=m), None) for m in (1, 4)]
+
+
+@pytest.mark.parametrize("obj, T", _named_cases(),
+                         ids=lambda x: "-".join(map(str, filter(None, (x.kind, x.D, x.m, x.n))))
+                         if isinstance(x, NamedObject) else x and f"{x.m}x{x.s}")
+def test_named_invariant_equals_the_unreduced_evaluator(obj, T):
+    if T is None:
+        n = math.isqrt(obj.m)
+        expected = eval_tensor_invariant(n, obj.build())
+    else:
+        expected = eval_tableau_invariant(T, form_to_tensor(obj.build()))
+    assert latin.named_invariant(obj, T) == expected
+
+
+@pytest.mark.parametrize("obj, T", [
+    (NamedObject("product", m=3), generic_tableau(2, 2)),  # a 2 x 2 tableau reads order-2 tensors on C^2
+    (NamedObject("product", m=4), generic_tableau(4, 3)),
+    (NamedObject("unit-tensor", m=5), None),  # the tensor invariant needs axes of square dimension
+], ids=["product-3-2x2", "product-4-3x4", "unit-tensor-5"])
+def test_named_invariant_refuses_a_shape_its_invariant_does_not_read(obj, T):
+    with pytest.raises(ValueError, match="does not read the shape"):
+        latin.named_invariant(obj, T)
