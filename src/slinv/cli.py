@@ -25,10 +25,10 @@ from pathlib import Path
 from .budget import BudgetExhausted, Deadline
 from .exact import Partition, format_scalar
 from .kron import _route, exponent_monoid, k_rect, kronecker, pleth_upper_bound, sl_invariant_bound
-from .latin import named_invariant
-from .spaces import _KINDS, NamedObject, form_to_tensor, parse_form, parse_tensor
-from .tableaux import cyclic_tableau, eval_tableau_invariant, generic_tableau, parse_tableau
-from .tensorinv import eval_tensor_invariant, eval_tensor_invariant_format
+from .latin import invariant
+from .spaces import _KINDS, NamedObject, parse_form, parse_tensor
+from .tableaux import cyclic_tableau, generic_tableau, parse_tableau
+from .tensorinv import eval_tensor_invariant_format
 from .theory import (
     EVALUATIONS,
     deciding_run,
@@ -100,15 +100,13 @@ def _cmd_invariant(args):
         raise CliError("--format applies to tensors")
     if args.target == "tensor" and args.cyclic:
         raise CliError("--cyclic applies to forms")
-    deadline = Deadline(args.budget)
-    work = {"states": 0, "peak_states": 0}
+    deadline, work = Deadline(args.budget), {"states": 0, "peak_states": 0}
     source = _load_object(args)
-    if isinstance(source, NamedObject) and (args.format or not source.record.symmetry):
-        source = source.build()  # evaluated like a file, in one unsplit sweep
     named = isinstance(source, NamedObject)
     if args.format:
         n1, n2, n3 = args.format
-        value = eval_tensor_invariant_format(n1, n2, n3, source, deadline=deadline, stats=work)
+        value = eval_tensor_invariant_format(n1, n2, n3, source.build() if named else source, deadline=deadline,
+                                             stats=work)
         return value, {"invariant": "tensor", "format": [n1, n2, n3], "degree": n1 * n2 * n3, **work}, None
     if args.target == "form":
         D, m = (source.form_degree(), source.form_variables()) if named else (source.D, source.m)
@@ -117,6 +115,7 @@ def _cmd_invariant(args):
         T = cyclic_tableau(D) if args.cyclic else generic_tableau(D, m)
         meta = {"invariant": "cyclic" if args.cyclic else "generic", "D": D, "m": m, "degree": T.d}
         what = f"the degree-{T.d} invariant of {source.kind}_{source.size}" if named else None
+        run = None  # a form read from a file is never refused
     else:
         if not named and (source.order != 3 or not source.is_cubic()):
             raise CliError("tensor must be cubic order 3 (or pass --format n1 n2 n3)")
@@ -125,15 +124,11 @@ def _cmd_invariant(args):
         if n * n != dimension:
             raise CliError(f"axis dimension {dimension} is not a square; pass --format")
         meta = {"invariant": "tensor", "n": n, "degree": n**3}
-        what = f"the degree-{n**3} tensor invariant"
-    if named:  # refused as the count it equals is
-        _require_budget(args, source.record.counted_as(source, args.cyclic), f"evaluating {what}")
-        value = named_invariant(source, T, deadline=deadline, stats=work)
-    elif T is None:
-        _require_budget(args, ("tensor-invariant", n, source), f"evaluating {what}")
-        value = eval_tensor_invariant(n, source, deadline=deadline, stats=work)
-    else:
-        value = eval_tableau_invariant(T, form_to_tensor(source), deadline=deadline, stats=work)
+        what, run = f"the degree-{n**3} tensor invariant", ("tensor-invariant", n, source)
+    if named:  # refused as the run it equals is, before it is built
+        run = source.record.counted_as(source, args.cyclic)
+    _require_budget(args, run, f"evaluating {what}")
+    value = invariant(source.build() if named else source, T, deadline=deadline, stats=work)
     return value, {**meta, **work}, None
 
 
@@ -141,7 +136,7 @@ def _cmd_eval_tableau(args):
     tableau = parse_tableau(Path(args.tableau).read_text(encoding="utf-8"))
     tensor = parse_tensor(Path(args.tensor).read_text(encoding="utf-8"))
     work = {"states": 0, "peak_states": 0}
-    value = eval_tableau_invariant(tableau, tensor, deadline=Deadline(args.budget), stats=work)
+    value = invariant(tensor, tableau, deadline=Deadline(args.budget), stats=work)
     return value, {"rows": tableau.m, "cols": tableau.s, "symbols": tableau.d, **work}, None
 
 

@@ -16,10 +16,10 @@ maximum).
 A relabelling g of the labels that maps every candidate list onto itself,
 each weight times chi(g), maps complete placements to complete placements.
 When every signed line is full (it receives every label g permutes), g
-multiplies each placement's value by chi(g)^(#steps) * sgn(g)^(#signed lines).
-`_first_step_orbits` reads that character off the generators: a generator
-on which it is -1 proves the sum 0, and otherwise the sum is one subtree
-per orbit of the first step's candidates times the orbit's size.
+multiplies each placement's value by `_character`, chi(g)^(#steps) *
+sgn(g)^(#signed lines); `_first_step_orbits` reads it off the generators: one
+on which it is -1 proves the sum 0, and otherwise the sum is one subtree per
+orbit of the first step's candidates times the orbit's size.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ _STATE_CAP = 1 << 20  # live states across all the layers a sweep holds
 _CHUNK_FLOOR = 1 << 12  # no partial layer is finished on its own below this size
 
 
-def _signed_sum(steps: Sequence[tuple], deadline: Deadline) -> tuple[int, int, int]:
+def _signed_sum(steps: Sequence[tuple], deadline: Deadline, stats: Optional[dict] = None) -> tuple[int, int, int]:
     """(sum over all placements of sign * product of candidate weights,
-    state expansions, peak live states).
+    state expansions, peak live states); `stats` adds the expansions and
+    raises its peak to this run's.
 
     steps[t] = (lines, signed, candidates); a candidate (labels, weight)
     puts the positive integer labels[k] on line lines[k] and multiplies the
@@ -57,7 +58,9 @@ def _signed_sum(steps: Sequence[tuple], deadline: Deadline) -> tuple[int, int, i
     empties each layer it has expanded, the chunk it was handed included,
     so only the counted layers stay alive.  The floor keeps a full cap from
     degenerating into one dict per placement; so the peak may pass the cap
-    by one floor-sized partial layer per recursion level.
+    by one floor-sized partial layer per recursion level.  The deadline is
+    polled every 1,024 candidates of a step while they are packed, and every
+    1,024 states while a layer is expanded.
     """
     width = 1 + max((max(labels) for _, _, cands in steps for labels, _ in cands), default=0)
     segment = (1 << width) - 1
@@ -66,7 +69,9 @@ def _signed_sum(steps: Sequence[tuple], deadline: Deadline) -> tuple[int, int, i
     plan = []
     for lines, signed, cands in steps:
         packed = []
-        for labels, weight in cands:
+        for i, (labels, weight) in enumerate(cands):
+            if not i & _CHECK_MASK:
+                deadline.check()
             bits = above = 0
             for line, flag, label in zip(lines, signed, labels):
                 bits |= 1 << (line * width + label)
@@ -123,14 +128,11 @@ def _signed_sum(steps: Sequence[tuple], deadline: Deadline) -> tuple[int, int, i
         layer.clear()
         return total
 
-    return sweep(0, {0: 1}, 0), expanded, peak
-
-
-def _record_work(stats: Optional[dict], states: int, peak_states: int) -> None:
-    """Add a kernel run's state expansions to `stats` and raise its peak live states."""
+    total = sweep(0, {0: 1}, 0)
     if stats is not None:
-        stats["states"] = stats.get("states", 0) + states
-        stats["peak_states"] = max(stats.get("peak_states", 0), peak_states)
+        stats["states"] = stats.get("states", 0) + expanded
+        stats["peak_states"] = max(stats.get("peak_states", 0), peak)
+    return total, expanded, peak
 
 
 def _integer_weights(entries: dict) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
@@ -143,6 +145,12 @@ def _integer_weights(entries: dict) -> tuple[int, list[tuple[tuple[int, ...], in
     return den, [(idx, int(w * den)) for idx, w in entries.items()]
 
 
+def _character(perm: dict, chi: int, steps: int, signed_lines: int) -> int:
+    """chi^steps * sgn(perm)^signed_lines: the factor by which a relabelling of weight character chi
+    multiplies a sum whose signed lines each receive every label it permutes."""
+    return chi**steps * sequence_sign([perm[label] for label in sorted(perm)]) ** signed_lines
+
+
 def _first_step_orbits(steps: Sequence[tuple], generators: Sequence[tuple[dict, int]],
                        deadline: Deadline) -> list[tuple[int, int]]:
     """[(candidate index, multiplier)]: the sum over all placements is the sum of
@@ -153,11 +161,11 @@ def _first_step_orbits(steps: Sequence[tuple], generators: Sequence[tuple[dict, 
     common label set, has chi = +-1 and maps each distinct candidate list
     onto itself with every weight times chi, and every line with a signed
     placement is signed in all of them and receives one per label.  Then g
-    maps the whole sum S to f(g) * S with f(g) = chi^(#steps) *
-    sgn(g)^(#signed lines), and fixing the first step to g.c gives f(g)
-    times the sum at c.  So a generator with f = -1 proves S = 0, and the
-    result is [] with no orbit walked; otherwise every candidate of an orbit
-    has its first candidate's sum, and the multiplier is the orbit's size.
+    maps the whole sum S to f(g) * S with f = `_character`, and fixing the
+    first step to g.c gives f(g) times the sum at c.  So a generator with
+    f = -1 proves S = 0, and the result is [] with no orbit walked;
+    otherwise every candidate of an orbit has its first candidate's sum, and
+    the multiplier is the orbit's size.
     The deadline is polled every 1,024 candidates, in the check and the walk.
     """
     domain = set(generators[0][0]) if generators else set()
@@ -193,9 +201,7 @@ def _first_step_orbits(steps: Sequence[tuple], generators: Sequence[tuple[dict, 
                 raise ValueError(f"a signed line receives {flagged} signed of {total} placements, "
                                  f"not all {len(domain)} labels")
             signed_lines += 1
-    order = sorted(domain)
-    if any(chi ** len(steps) * sequence_sign([perm[label] for label in order]) ** signed_lines == -1
-           for perm, chi in generators):
+    if any(_character(perm, chi, len(steps), signed_lines) == -1 for perm, chi in generators):
         return []
 
     candidates = steps[0][2]

@@ -1,63 +1,57 @@
-"""Signed counts of column-signed Latin squares, Latin annuli, Latin cubes
-and admissible tables, each the fundamental invariant at its named tensor.
+"""The invariants of forms and tensors, reduced by the relabelling symmetry
+found on each object's terms, and the signed counts of column-signed Latin
+squares, annuli, cubes and admissible tables, each that invariant at its
+named tensor.
 
-Every counter returns (#even) - (#odd) as an exact Python int: the
-integer total of the signed label-placement kernel (`kernel._signed_sum`)
-over the steps of that invariant, times the constant column sign of its
-tableau, with no division by the tensor's denominator:
+`invariant` evaluates T's invariant (the tensor invariant when T is None) at
+any `SparseForm` or `SparseTensor`, named or read from a file.  Of the
+relabellings of the index values that `_proposals` names it keeps each g
+mapping every term to chi times itself, chi = +-1 read off the first term.
+One that negates the whole sum, as at odd orders, proves it 0 before any
+candidate is built.  Otherwise `kernel._first_step_orbits` reduces the sum
+to one subtree per first-step orbit times its size, and `_run_tasks` sweeps
+them together; with nothing kept every candidate is its own orbit, and that
+is the unreduced sweep.
+
+Every counter returns (#even) - (#odd) as an exact Python int: the kernel
+total of that invariant times the constant column sign of its tableau, with
+no division by the tensor's denominator:
 
 * squares of order n: the generic n x n tableau at the product tensor;
 * m x d annuli: `annulus_tableau(m, d)` at the m-variable product tensor
   (the cyclic invariant is the case d = m + 1);
 * admissible n-tables: the generic n^2 x n tableau at det_n or per_n;
 * cubes of size n: the point steps of the tensor invariant at <n^2>.
-
-`named_invariant` divides that total by the denominator: it evaluates the
-invariants at every named object with a `symmetry` record in `spaces`.
-The declared relabellings are checked on the object's terms, and one that
-negates the whole sum, as at odd orders, proves it 0 before any candidate
-is built.  Otherwise `kernel._first_step_orbits` checks them on the
-candidates and reduces the sum to one subtree per first-step orbit times
-its size, and `_run_tasks` sweeps those subtrees one after another.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional
 
 from .budget import Deadline, as_deadline
-from .exact import sequence_sign
-from .kernel import _first_step_orbits, _integer_weights, _record_work, _signed_sum
-from .spaces import NamedObject, form_to_tensor
+from .kernel import _character, _first_step_orbits, _integer_weights, _signed_sum
+from .spaces import (SparseForm, SparseTensor, determinant_form, form_to_tensor, permanent_form, product_form,
+                     unit_tensor)
 from .tableaux import Tableau, _tableau_steps, annulus_tableau, generic_tableau
 from .tensorinv import _point_steps
 
 
 def _run_tasks(steps: list[tuple], representatives: list[tuple[int, int]], deadline: Deadline,
                stats: Optional[dict]) -> int:
-    """The sum over (i, multiplier) in `representatives` of multiplier times the
-    kernel total of `steps` with the first step fixed to its i-th candidate.
-
-    One serial sweep per representative; `stats` receives the states summed
-    and the peak states maximised over them.
-    """
+    """The sum over (i, multiplier) in `representatives` of multiplier times the kernel total of `steps`
+    with the first step fixed to its i-th candidate: one sweep, whose first step holds each
+    representative with its weight times its multiplier.  `stats` receives its work."""
     lines, signed, candidates = steps[0]
-    total = 0
-    for i, multiplier in representatives:
-        value, states, peak = _signed_sum([(lines, signed, [candidates[i]]), *steps[1:]], deadline)
-        _record_work(stats, states, peak)
-        total += multiplier * value
-    return total
+    first = [(candidates[i][0], multiplier * candidates[i][1]) for i, multiplier in representatives]
+    return _signed_sum([(lines, signed, first), *steps[1:]], deadline, stats)[0]
 
 
 def _count(sign: int, steps: list[tuple], generators: list, deadline, stats) -> int:
-    """sign times the kernel total of `steps`: each first-step orbit's representative subtree times its multiplier.
-
-    `stats` also receives `candidates` (of the first step) and `subtrees`
-    (the orbit representatives).
-    """
+    """sign times the kernel total of `steps`, one subtree per first-step orbit times its multiplier;
+    `stats` also receives `candidates` (of the first step) and `subtrees` (the orbit representatives)."""
     deadline = as_deadline(deadline)
     orbits = _first_step_orbits(steps, generators, deadline)
     if stats is not None:
@@ -65,46 +59,69 @@ def _count(sign: int, steps: list[tuple], generators: list, deadline, stats) -> 
     return sign * _run_tasks(steps, orbits, deadline, stats)
 
 
-def _named_sum(obj: NamedObject, T: Optional[Tableau], deadline, stats) -> tuple[int, int]:
-    """(S, q): T's invariant at obj (the tensor invariant when T is None) is S / q, S the kernel total
-    times the column sign, reduced by obj's relabellings (g, chi).  ValueError unless each g permutes
-    1..m and maps every term to chi times itself (on a form, the kernel's candidate check: g.nu has
-    exponent type g.alpha, same multinomial), or unless the invariant reads obj's shape."""
-    built = obj.build()
-    terms, m, order = (built.coeffs, built.m, built.D) if obj.is_form else (built.entries, built.shape[0], built.order)
-    generators = obj.record.symmetry(obj)
-    for g, chi in generators:
-        if sorted(g) != list(range(1, m + 1)) or sorted(g.values()) != sorted(g):
-            raise ValueError(f"a relabelling of {obj.kind} does not permute 1..{m}")
-        inverse = {image: i for i, image in g.items()}
-        for key, w in terms.items():
-            image = tuple(key[inverse[i] - 1] for i in range(1, m + 1)) if obj.is_form else tuple(g[i] for i in key)
-            if terms.get(image) != chi * w:
-                raise ValueError(f"a relabelling does not map {key} of {obj.kind} to itself times {chi}")
-    n = math.isqrt(m) if T is None else None
-    if (T.m, T.D) != (m, order) if T is not None else (n * n, order) != (m, 3):
-        raise ValueError(f"the invariant does not read the shape of the {obj.describe()}")
+def _proposals(m: int) -> list[dict[int, int]]:
+    """The relabellings of 1..m that `invariant` tries: (1 2) and (1 2 ... m), and when m = n^2 the
+    same two on the rows and on the columns of the n x n grid holding X_ij at (i - 1) * n + j."""
+    def swap_and_cycle(k):
+        return [] if k < 2 else [{1: 2, 2: 1} | {i: i for i in range(3, k + 1)},
+                                 {i: i % k + 1 for i in range(1, k + 1)}]
+
+    proposals, n = swap_and_cycle(m), math.isqrt(m)
+    if n * n == m:
+        cells = list(itertools.product(range(1, n + 1), repeat=2))
+        for s in swap_and_cycle(n):
+            proposals.append({(i - 1) * n + j: (s[i] - 1) * n + j for i, j in cells})  # the rows
+            proposals.append({(i - 1) * n + j: (i - 1) * n + s[j] for i, j in cells})  # the columns
+    return proposals
+
+
+def _symmetry(source: SparseForm | SparseTensor) -> list[tuple[dict[int, int], int]]:
+    """[(g, chi)]: the proposals g (X_i becomes X_g(i)) that map every term of source to chi times
+    itself, chi = +-1 read off the first term; a proposal that does not is dropped."""
+    form = isinstance(source, SparseForm)
+    terms, m = (source.coeffs, source.m) if form else (source.entries, source.shape[0])
+    kept = []
+    for g in _proposals(m):
+        moved = {tuple(key[g[i] - 1] for i in range(1, m + 1)) if form else tuple(g[i] for i in key): w
+                 for key, w in terms.items()}  # on a form, by g^-1, which keeps it exactly when g does
+        chi = next((moved.get(key, 0) / w for key, w in terms.items()), 1)
+        if chi in (1, -1) and moved == {key: chi * w for key, w in terms.items()}:
+            kept.append((g, int(chi)))
+    return kept
+
+
+def _sum(source: SparseForm | SparseTensor, T: Optional[Tableau], deadline, stats) -> tuple[int, int]:
+    """(S, q): T's invariant at source (the tensor invariant when T is None) is S / q, S the kernel
+    total times the column sign.  ValueError unless the invariant reads source's shape."""
+    deadline = as_deadline(deadline)
+    form = isinstance(source, SparseForm)
+    shape = (source.m,) * source.D if form else source.shape
+    n = math.isqrt(shape[0]) if shape else 0
+    if shape != ((n * n,) * 3 if T is None else (T.m,) * T.D):
+        raise ValueError(f"the invariant does not read the shape {shape} of this {'form' if form else 'tensor'}")
     degree, lines = (n**3, 3 * n) if T is None else (T.d, T.s)
+    generators = _symmetry(source)
     # every signed line (column or slice) gets each index value: g scales the sum by chi^degree sgn(g)^lines
-    if any(chi**degree * sequence_sign([g[i] for i in sorted(g)]) ** lines == -1 for g, chi in generators):
+    if any(_character(g, chi, degree, lines) == -1 for g, chi in generators):
         if stats is not None:
             stats.update(candidates=0, subtrees=0)  # none built
         return 0, 1
-    den, support = _integer_weights((form_to_tensor(built) if obj.is_form else built).entries)
+    den, support = _integer_weights((form_to_tensor(source, deadline) if form else source).entries)
     sign, steps = (1, _point_steps(n, n, n, support)) if T is None else _tableau_steps(T, support)
     return _count(sign, steps, generators, deadline, stats), den**degree
 
 
-def named_invariant(obj: NamedObject, T: Optional[Tableau] = None, *, deadline=None, stats=None) -> Fraction:
-    """Exact value of T's invariant (the tensor invariant when T is None) at a named object with a symmetry."""
-    return Fraction(*_named_sum(obj, T, deadline, stats))
+def invariant(source: SparseForm | SparseTensor, T: Optional[Tableau] = None, *, deadline=None, stats=None) -> Fraction:
+    """Exact value of T's invariant at a form or tensor (the tensor invariant of a cubic order-3
+    tensor when T is None), reduced by the relabellings that `_symmetry` finds on its terms."""
+    return Fraction(*_sum(source, T, deadline, stats))
 
 
 def signed_latin_squares(n: int, *, deadline=None, stats: Optional[dict] = None) -> int:
     """(# column-even) - (# column-odd) Latin squares of order n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return _named_sum(NamedObject("product", m=n), generic_tableau(n, n), deadline, stats)[0]
+    return _sum(product_form(n), generic_tableau(n, n), deadline, stats)[0]
 
 
 def signed_latin_annuli(m: int, d: int, *, deadline=None, stats: Optional[dict] = None) -> int:
@@ -113,7 +130,7 @@ def signed_latin_annuli(m: int, d: int, *, deadline=None, stats: Optional[dict] 
     Columns and wrap-around diagonals each carry every symbol of [m]
     exactly once; column indices are taken modulo d, so d >= m is required.
     """
-    return _named_sum(NamedObject("product", m=m), annulus_tableau(m, d), deadline, stats)[0]
+    return _sum(product_form(m), annulus_tableau(m, d), deadline, stats)[0]
 
 
 def signed_latin_cubes(n: int, *, deadline=None, stats: Optional[dict] = None) -> int:
@@ -124,7 +141,7 @@ def signed_latin_cubes(n: int, *, deadline=None, stats: Optional[dict] = None) -
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return _named_sum(NamedObject("unit-tensor", m=n * n), None, deadline, stats)[0]
+    return _sum(unit_tensor(n * n), None, deadline, stats)[0]
 
 
 def signed_admissible_tables(n: int, weighting: str = "det", *, deadline=None, stats: Optional[dict] = None) -> int:
@@ -138,5 +155,5 @@ def signed_admissible_tables(n: int, weighting: str = "det", *, deadline=None, s
         raise ValueError("need n >= 1")
     if weighting not in ("det", "per"):
         raise ValueError("weighting must be 'det' or 'per'")
-    kind = "determinant" if weighting == "det" else "permanent"
-    return _named_sum(NamedObject(kind, n=n), generic_tableau(n, n * n), deadline, stats)[0]
+    form = determinant_form(n) if weighting == "det" else permanent_form(n)
+    return _sum(form, generic_tableau(n, n * n), deadline, stats)[0]

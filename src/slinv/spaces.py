@@ -12,7 +12,7 @@ admissible tables) is stated explicitly relative to this rule.
 Each kind of named object has one `Kind` record in `_KINDS`, and the
 library reads every fact about a kind from it: its parameters and builder,
 its period, certified-bound and deciding-evaluation rules, its known-normal
-cases, its CLI aliases, its `symmetry` and the count its invariant equals.
+cases, its CLI aliases and the count its invariant equals.
 Adding a kind is one record (plus an entry in `theory.EVALUATIONS` if it
 decides by a new evaluation) and its tests.
 """
@@ -167,14 +167,16 @@ def _distinct_orderings(alpha: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
                 yield (var + 1,) + tail
 
 
-def form_to_tensor(f: SparseForm) -> SparseTensor:
-    """Symmetric order-D tensor of a form: v(nu) = w_alpha / multinomial(alpha)."""
+def form_to_tensor(f: SparseForm, deadline=None) -> SparseTensor:
+    """Symmetric order-D tensor of a form: v(nu) = w_alpha / multinomial(alpha); polls a deadline per 1,024 entries."""
     if f.D < 1:
         raise ValueError("degree must be >= 1 to build a tensor")
     entries: dict[tuple[int, ...], Fraction] = {}
     for alpha, w in f.coeffs.items():
         value = w / multinomial(alpha)
         for nu in _distinct_orderings(alpha):
+            if deadline is not None and len(entries) & 0x3FF == 0x3FF:
+                deadline.check()
             entries[nu] = value
     return SparseTensor((f.m,) * f.D, entries)
 
@@ -222,9 +224,7 @@ class Kind(NamedTuple):
     The rules take the object.  decides names the evaluation that decides
     whether the certified lower bound is the minimal degree, as a run (its
     name in `theory.EVALUATIONS`, *its arguments), or RECTANGLE_SCAN for the
-    Kronecker scan, or gives a `Finished` answer.  symmetry generates the
-    relabellings g of the index values 1..m (X_i becomes X_g(i)) mapping the
-    object to chi(g) = +-1 times itself, through which `latin` evaluates it.
+    Kronecker scan, or gives a `Finished` answer.
     """
 
     params: tuple[str, ...]  # in the order `builder` takes them; the last one is the size
@@ -235,8 +235,7 @@ class Kind(NamedTuple):
     decides: Callable
     normal: Callable = lambda obj: None  # -> why the orbit closure is known to be normal, or None
     bound: Callable = lambda obj, b: None  # (obj, degree period) -> a certified bound replacing the general one
-    symmetry: Optional[Callable] = None  # -> [(g as a dict, chi)]; None declares none, and `invariant` runs unreduced
-    counted_as: Callable = lambda obj, cyclic: None  # -> the run whose count equals the invariant up to a factor
+    counted_as: Callable = lambda obj, cyclic: None  # -> the run the invariant equals up to a factor, refused as it is
     aliases: tuple[str, ...] = ()  # other names the command line accepts
 
 
@@ -301,29 +300,14 @@ def _power_sum_bound(o, b):
 
 
 def _tables(weighting: str) -> dict:
-    """The rules det_n and per_n share: the size-n tables decide, and relabelling by independent row
-    and column permutations of X_ij (index value (i - 1) * n + j) multiplies det_n by their signs."""
+    """The rules det_n and per_n share: the size-n tables decide, and are the count their invariant equals."""
     def decides(o):
         if o.n % 2 == 1:
             return Finished(None, _ODD_DEGREE, f"exact degree above {o.n * o.n} not determined")
         return "admissible-tables", o.n, weighting
 
-    def symmetry(o):
-        cells, generators = list(itertools.product(range(1, o.n + 1), repeat=2)), []
-        for sigma, _ in _relabellings(o.n):
-            chi = perm_sign([sigma[i] for i in range(1, o.n + 1)]) if weighting == "det" else 1
-            generators.append(({(i - 1) * o.n + j: (sigma[i] - 1) * o.n + j for i, j in cells}, chi))
-            generators.append(({(i - 1) * o.n + j: (i - 1) * o.n + sigma[j] for i, j in cells}, chi))
-        return generators
-    return dict(decides=decides, normal=_four_variable_quadric, symmetry=symmetry,
+    return dict(decides=decides, normal=_four_variable_quadric,
                 counted_as=lambda o, cyclic: ("admissible-tables", o.n, weighting))
-
-
-def _relabellings(k: int) -> list[tuple[dict[int, int], int]]:
-    """(1 2) and (1 2 ... k), which generate every permutation of 1..k, each with character 1."""
-    if k < 2:
-        return []
-    return [({1: 2, 2: 1} | {i: i for i in range(3, k + 1)}, 1), ({i: i % k + 1 for i in range(1, k + 1)}, 1)]
 
 
 def _unit_decides(o):
@@ -364,11 +348,10 @@ _KINDS = {
         ("m",), True, product_form, "product of {m} variables",
         _product_period, lambda o: ("latin-squares", o.m) if o.m % 2 == 0 else ("latin-annuli", o.m, o.m + 1),
         normal=lambda o: "the orbit closure of a binary quadric fills the quadrics" if o.m == 2 else None,
-        symmetry=lambda o: _relabellings(o.m),
         counted_as=lambda o, cyclic: ("latin-annuli", o.m, o.m + 1) if cyclic else ("latin-squares", o.m)),
     "power-sum": Kind(
         ("D", "m"), True, power_sum_form, "power sum of degree {D} in {m} variables", _power_sum_period,
-        _power_sum_decides, normal=_quadric, bound=_power_sum_bound, symmetry=lambda o: _relabellings(o.m)),
+        _power_sum_decides, normal=_quadric, bound=_power_sum_bound),
     "determinant": Kind(
         ("n",), True, determinant_form, "determinant of size {n}", _determinant_period, **_tables("det")),
     "permanent": Kind(
@@ -380,12 +363,13 @@ _KINDS = {
         ("m",), False, unit_tensor, "unit tensor of size {m}",
         lambda o: (2 if o.m > 1 else 1,
                    "stabilizer = diagonal triples with unit products and a diagonal symmetric group"),
-        _unit_decides, aliases=("unit",), symmetry=lambda o: _relabellings(o.m),
+        _unit_decides, aliases=("unit",),
         counted_as=lambda o, cyclic: ("latin-cubes", math.isqrt(o.m))),
     "matmul-tensor": Kind(
         ("n",), False, matmul_tensor, "matrix multiplication tensor of size {n}",
         lambda o: (1, "de Groote: sandwiching by three invertible matrices, character trivial"),
-        lambda o: ("tensor-invariant", o.n, o.build()), aliases=("matmul",)),
+        lambda o: ("tensor-invariant", o.n, o.build()), aliases=("matmul",),
+        counted_as=lambda o, cyclic: o.record.decides(o)),
     "generic-tensor": Kind(
         ("m",), False, None, "generic tensor of size {m}",
         lambda o: (2 if o.m == 2 else 1, "generic cubic tensors have trivial reduced stabilizer for m >= 3"),

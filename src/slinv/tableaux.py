@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .budget import as_deadline
 from .exact import sequence_sign
-from .kernel import _integer_weights, _record_work, _signed_sum
+from .kernel import _integer_weights, _signed_sum
 from .spaces import ParseError, SparseTensor
 
 
@@ -134,8 +134,7 @@ def eval_tableau_invariant(T: Tableau, v: SparseTensor, deadline=None, stats=Non
         raise ValueError(f"tensor shape {v.shape} does not match order {T.D} on C^{T.m}")
     den, support = _integer_weights(v.entries)
     sign, steps = _tableau_steps(T, support)
-    total, states, peak = _signed_sum(steps, as_deadline(deadline))
-    _record_work(stats, states, peak)
+    total = _signed_sum(steps, as_deadline(deadline), stats)[0]
     return Fraction(sign * total, den**T.d)
 
 

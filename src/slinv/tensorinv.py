@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from .budget import as_deadline
-from .kernel import _integer_weights, _record_work, _signed_sum
+from .kernel import _integer_weights, _signed_sum
 from .spaces import SparseTensor
 
 
@@ -47,8 +47,7 @@ def eval_tensor_invariant_format(
     if w.order != 3 or w.shape != (d1, d2, d3):
         raise ValueError(f"tensor shape {w.shape} does not match ({d1}, {d2}, {d3})")
     den, support = _integer_weights(w.entries)
-    total, states, peak = _signed_sum(_point_steps(n1, n2, n3, support), as_deadline(deadline))
-    _record_work(stats, states, peak)
+    total = _signed_sum(_point_steps(n1, n2, n3, support), as_deadline(deadline), stats)[0]
     return Fraction(total, den ** (n1 * n2 * n3))
 
 

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .budget import BudgetExhausted, as_deadline
 from .kron import k_rect
 from .latin import (
-    named_invariant,
+    invariant,
     signed_admissible_tables,
     signed_latin_annuli,
     signed_latin_cubes,
@@ -37,7 +37,6 @@ from .latin import (
 from .simplex import solve_equality_feasibility
 from .spaces import RECTANGLE_SCAN, Finished, NamedObject, SparseForm, SparseTensor
 from .tableaux import generic_tableau
-from .tensorinv import eval_tensor_invariant
 
 
 # ----------------------------------------------------------------------------
@@ -108,7 +107,7 @@ class MinimalDegreeReport:
 
 def _power_sum_invariant(m: int, D: int, **kw) -> Fraction:
     """The generic degree-m invariant at the power sum of degree D, which is m!."""
-    value = named_invariant(NamedObject("power-sum", D=D, m=m), generic_tableau(D, m), **kw)
+    value = invariant(NamedObject("power-sum", D=D, m=m).build(), generic_tableau(D, m), **kw)
     if value != math.factorial(m):
         raise AssertionError(f"generic invariant at the power sum is {value}, not {m}!")
     return value
@@ -162,7 +161,7 @@ EVALUATIONS = {
         "signed admissible-table count is nonzero", "signed admissible-table count vanishes",
         "signed admissible-table count not finished", "degree-{degree} invariant vanishes; no decision above {degree}"),
     "tensor-invariant": Evaluation(
-        lambda n, tensor, **kw: eval_tensor_invariant(n, tensor, **kw), ("n", "tensor"),
+        lambda n, tensor, **kw: invariant(tensor, **kw), ("n", "tensor"),
         lambda n, tensor: n >= 3, None,
         "fundamental tensor invariant is nonzero at the tensor", "fundamental tensor invariant vanishes",
         "matrix-multiplication evaluation not finished", _CANDIDATE_VANISHES),

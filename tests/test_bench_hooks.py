@@ -36,3 +36,9 @@ def test_trace_runner_counts_the_representative_subtrees_of_a_count(tmp_path):
 def test_trace_runner_counts_class_route_calls(tmp_path):
     out, counters = _trace(tmp_path, "kronecker", "--lam", "5,3,2,1,1", "--mu", "5,3,2,1,1", "--nu", "5,3,2,1,1")
     assert out == "945\n" and counters["kron.class_route_calls"] >= 1
+
+
+def test_trace_runner_counts_the_representative_subtrees_of_a_file_invariant(tmp_path):
+    # the row and column swaps found on det_2's terms join its 4 first-step candidates into one orbit
+    out, counters = _trace(tmp_path, "invariant", "form", "--file", str(ROOT / "tests" / "data" / "det2.form"))
+    assert out == "3/2\n" and counters["latin.subtrees"] == 1

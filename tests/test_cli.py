@@ -7,7 +7,10 @@ import pytest
 
 from slinv import kron, latin, spaces, theory
 from slinv.cli import main
-from slinv.spaces import serialize_form, serialize_tensor, determinant_form, form_to_tensor, power_sum_form, unit_tensor
+from slinv.spaces import (
+    SparseForm, determinant_form, form_to_tensor, power_sum_form, product_form, serialize_form, serialize_tensor,
+    unit_tensor,
+)
 from slinv.tableaux import generic_tableau, serialize_tableau
 
 
@@ -408,18 +411,23 @@ def test_invariant_verbs_report_kernel_work(tmp_path, capsys):
     meta = json.loads(out)["meta"]
     assert code == 0 and meta["states"] > 0 and meta["peak_states"] > 0
     assert (meta["candidates"], meta["subtrees"]) == (24, 1)
-    # matmul declares no symmetry: one unsplit sweep, its work pinned
+    # no relabelling maps matmul to itself: every one of its 8 entries is its own orbit, in one unsplit sweep
     code, out, _ = run(capsys, "invariant", "tensor", "--kind", "matmul", "--n", "2", "--json")
     meta = json.loads(out)["meta"]
-    assert code == 0 and (meta["states"], meta["peak_states"]) == (403, 202) and "subtrees" not in meta
-    tensor_path = tmp_path / "ps.tensor"
-    tensor_path.write_text(serialize_tensor(form_to_tensor(power_sum_form(3, 2))), encoding="utf-8")
-    tab_path = tmp_path / "generic.tab"
-    tab_path.write_text(serialize_tableau(generic_tableau(3, 2)), encoding="utf-8")
-    code, out, _ = run(capsys, "eval-tableau", "--tableau", str(tab_path), "--tensor", str(tensor_path), "--json")
-    meta = json.loads(out)["meta"]
-    assert code == 0 and meta["states"] > 0 and meta["peak_states"] > 0
-
+    assert code == 0
+    assert (meta["states"], meta["peak_states"], meta["candidates"], meta["subtrees"]) == (403, 202, 8, 8)
+    # X1^3 + X2^3 is fixed by the swap, which flips each of the 3 columns of the 2 x 3 tableau: 0 with
+    # no candidate built; X1^2 + 3 X1 X2 is fixed by no relabelling, and its sweep runs over all 3 candidates
+    for coeffs, D, value, work in [({(3, 0): 1, (0, 3): 1}, 3, "0", (0, 0, 0, 0)),
+                                   ({(2, 0): 1, (1, 1): 3}, 2, "-9/2", (4, 4, 3, 3))]:
+        tab_path, tensor_path = tmp_path / "generic.tab", tmp_path / "form.tensor"
+        tab_path.write_text(serialize_tableau(generic_tableau(D, 2)), encoding="utf-8")
+        tensor_path.write_text(serialize_tensor(form_to_tensor(SparseForm(2, D, coeffs))), encoding="utf-8")
+        code, out, _ = run(capsys, "eval-tableau", "--tableau", str(tab_path), "--tensor", str(tensor_path),
+                           "--json")
+        meta = json.loads(out)["meta"]
+        assert (code, json.loads(out)["value"]) == (0, value)
+        assert (meta["states"], meta["peak_states"], meta["candidates"], meta["subtrees"]) == work
 
 
 def test_a_file_holding_the_unit_tensor_is_evaluated_like_any_other_file(tmp_path, capsys):
@@ -433,25 +441,54 @@ def test_a_file_holding_the_unit_tensor_is_evaluated_like_any_other_file(tmp_pat
             assert code == 2 and out == "" and "the degree-27 tensor invariant" in err
 
 
-def _false_determinant_symmetry(monkeypatch, declare):
-    record = spaces._KINDS["determinant"]
-    monkeypatch.setitem(spaces._KINDS, "determinant", record._replace(symmetry=lambda o: declare(record.symmetry(o))))
-
-    def no_sweep(*args):
-        raise AssertionError("a sweep ran")
-
-    monkeypatch.setattr(latin, "_signed_sum", no_sweep)
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
 
 
-@pytest.mark.parametrize("declare", [
-    lambda generators: [(g, -chi) for g, chi in generators],  # a row swap negates det_2; declared +1
-    lambda generators: [({1: 2, 2: 1, 3: 3, 4: 4}, 1)],  # X11 <-> X12 alone maps X11 X22 to X12 X22
-], ids=["flipped-character", "no-symmetry"])
-@pytest.mark.parametrize("argv", [
-    ("count", "admissible-tables", "2"),
-    ("invariant", "form", "--kind", "determinant", "--n", "2"),
+def test_a_file_holding_a_named_object_is_reduced_like_the_named_object(tmp_path, capsys):
+    # X1...X9 and <9>: a swap flips every one of the 9 columns or slices, so both are 0 at once
+    p9 = _write(tmp_path / "p9.form", serialize_form(product_form(9)))
+    u9 = _write(tmp_path / "u9.tensor", serialize_tensor(unit_tensor(9)))
+    for argv in (("form", "--file", p9), ("tensor", "--file", u9, "--budget", "5")):
+        started = time.monotonic()
+        code, out, _ = run(capsys, "invariant", *argv)
+        assert (code, out) == (0, "0\n") and time.monotonic() - started < 2
+    # X1...X6 runs the one subtree of --kind product --m 6, with the same work
+    metas = []
+    p6 = _write(tmp_path / "p6.form", serialize_form(product_form(6)))
+    for argv in (("--file", p6), ("--kind", "product", "--m", "6")):
+        code, out, _ = run(capsys, "invariant", "form", *argv, "--json")
+        assert code == 0 and json.loads(out)["value"] == "-1/699840000"
+        metas.append(json.loads(out)["meta"])
+    work = [(m["states"], m["peak_states"], m["candidates"], m["subtrees"]) for m in metas]
+    assert work == [(9522, 14310, 720, 1)] * 2
+
+
+def test_the_budget_is_polled_while_candidates_are_built(tmp_path, capsys):
+    # X1...X9 + X1^9 is fixed by no relabelling: 9! + 1 tensor entries are built and packed, unreduced
+    form = SparseForm(9, 9, {(1,) * 9: 1, (9,) + (0,) * 8: 1})
+    started = time.monotonic()
+    code, out, _ = run(capsys, "invariant", "form", "--file", _write(tmp_path / "f.form", serialize_form(form)),
+                       "--budget", "1")
+    assert (code, out) == (3, "") and time.monotonic() - started < 3
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("count", "admissible-tables", "2"), "24"),
+    (("invariant", "form", "--kind", "determinant", "--n", "2"), "3/2"),  # 24 / (2!)^4
 ], ids=["count", "invariant"])
-def test_a_false_symmetry_declaration_exits_two_before_any_sweep(capsys, monkeypatch, declare, argv):
-    _false_determinant_symmetry(monkeypatch, declare)
+def test_a_false_relabelling_is_dropped_before_any_sweep(capsys, monkeypatch, argv, value):
+    # X11 <-> X12 alone maps X11 X22 to X12 X22, which is no term of det_2
+    swap, proposals, orbits = {1: 2, 2: 1, 3: 3, 4: 4}, latin._proposals, latin._first_step_orbits
+    monkeypatch.setattr(latin, "_proposals", lambda m: [swap, *proposals(m)])
+    generators = []
+
+    def record(steps, kept, deadline):
+        generators.append([g for g, _ in kept])
+        return orbits(steps, kept, deadline)
+
+    monkeypatch.setattr(latin, "_first_step_orbits", record)
     code, out, err = run(capsys, *argv)
-    assert code == 2 and out == "" and "a relabelling does not map" in err
+    assert (code, out, err) == (0, f"{value}\n", "")
+    assert len(generators) == 1 and swap not in generators[0] and len(generators[0]) == 4  # the row and column swaps

@@ -122,9 +122,8 @@ def test_admissible_table_bridge_to_generic_invariant():
 
 
 def _product_symmetry(m):
-    """The relabellings the product record declares: every permutation of the m symbols, character 1."""
-    obj = NamedObject("product", m=m)
-    return obj.record.symmetry(obj)
+    """The relabellings found on the product's terms: (1 2) and (1 2 ... m), character 1."""
+    return latin._symmetry(product_form(m))
 
 
 def _product_support(m):
@@ -414,7 +413,7 @@ def test_reduced_count_equals_the_unreduced_kernel(case):
 def test_first_step_orbits_of_the_counts(monkeypatch, count, orbits):
     found = []
 
-    def record(steps, generators, deadline):  # the orbits of the symmetry the counter declares; then no subtree runs
+    def record(steps, generators, deadline):  # the orbits of the symmetry found on the terms; then no subtree runs
         found.append(kernel._first_step_orbits(steps, generators, deadline))
         return []
 
@@ -429,7 +428,7 @@ def test_first_step_orbits_of_the_counts(monkeypatch, count, orbits):
     lambda: signed_latin_annuli(5, 7),
     lambda: signed_latin_cubes(3),  # a swap flips all 9 slices
     lambda: signed_admissible_tables(3, "per"),  # a row swap flips every column
-    lambda: latin.named_invariant(NamedObject("power-sum", D=3, m=4), generic_tableau(3, 4)),
+    lambda: latin.invariant(NamedObject("power-sum", D=3, m=4).build(), generic_tableau(3, 4)),
 ], ids=["squares-7", "squares-9", "annuli-5-7", "cubes-3", "tables-3-per", "power-sum-3-4"])
 def test_a_negating_relabelling_proves_zero_before_any_candidate_is_built(monkeypatch, count):
     def no_candidates(*args):
@@ -531,7 +530,7 @@ def test_named_invariant_equals_the_unreduced_evaluator(obj, T):
         expected = eval_tensor_invariant(n, obj.build())
     else:
         expected = eval_tableau_invariant(T, form_to_tensor(obj.build()))
-    assert latin.named_invariant(obj, T) == expected
+    assert latin.invariant(obj.build(), T) == expected
 
 
 @pytest.mark.parametrize("obj, T", [
@@ -541,4 +540,4 @@ def test_named_invariant_equals_the_unreduced_evaluator(obj, T):
 ], ids=["product-3-2x2", "product-4-3x4", "unit-tensor-5"])
 def test_named_invariant_refuses_a_shape_its_invariant_does_not_read(obj, T):
     with pytest.raises(ValueError, match="does not read the shape"):
-        latin.named_invariant(obj, T)
+        latin.invariant(obj.build(), T)
