@@ -15,7 +15,6 @@ week-long runs without a budget.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -105,9 +104,14 @@ def _cmd_invariant(args):
     named = isinstance(source, NamedObject)
     if args.format:
         n1, n2, n3 = args.format
-        value = eval_tensor_invariant_format(n1, n2, n3, source.build() if named else source, deadline=deadline,
-                                             stats=work)
-        return value, {"invariant": "tensor", "format": [n1, n2, n3], "degree": n1 * n2 * n3, **work}, None
+        degree, n = n1 * n2 * n3, 1
+        while (n + 1) ** 3 <= degree:  # refused as the cubic invariant of the largest degree n^3 <= its own
+            n += 1
+        _require_budget(args, ("tensor-invariant", n, source),
+                        f"evaluating the degree-{degree} tensor invariant of format {n1} {n2} {n3}")
+        value = eval_tensor_invariant_format(n1, n2, n3, source.build(deadline) if named else source,
+                                             deadline=deadline, stats=work)
+        return value, {"invariant": "tensor", "format": [n1, n2, n3], "degree": degree, **work}, None
     if args.target == "form":
         D, m = (source.form_degree(), source.form_variables()) if named else (source.D, source.m)
         if args.cyclic and D != m:
@@ -128,7 +132,7 @@ def _cmd_invariant(args):
     if named:  # refused as the run it equals is, before it is built
         run = source.record.counted_as(source, args.cyclic)
     _require_budget(args, run, f"evaluating {what}")
-    value = invariant(source.build() if named else source, T, deadline=deadline, stats=work)
+    value = invariant(source.build(deadline) if named else source, T, deadline=deadline, stats=work)
     return value, {**meta, **work}, None
 
 
@@ -387,6 +391,8 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     rendered = format_scalar(value) if isinstance(value, Fraction) else str(value)
     if args.json:
+        import json  # only here: most runs print plain text and need not load it
+
         print(json.dumps({"value": rendered, "meta": meta}, sort_keys=True))
     else:
         print("\n".join([rendered] if lines is None else lines))

@@ -8,7 +8,6 @@ Floating point never appears on a value-bearing path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -60,20 +59,53 @@ def perm_sign(images: Sequence[int]) -> int:
     return sequence_sign(images)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Frozen:
+    """An immutable value whose fields are its `__slots__`, each set once by `__init__`.
+
+    It compares, hashes and pickles as the tuple of its fields (a copy or an
+    unpickled value is constructed, and so checked, again), and prints like
+    a dataclass.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Partition(Frozen):
     """Weakly decreasing tuple of positive parts; the empty partition is ()."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
+    def __init__(self, parts: tuple[int, ...]):
         prev = None
-        for p in self.parts:
+        for p in parts:
             if not isinstance(p, int) or p <= 0:
-                raise ValueError(f"parts must be positive integers: {self.parts}")
+                raise ValueError(f"parts must be positive integers: {parts}")
             if prev is not None and p > prev:
-                raise ValueError(f"parts must be weakly decreasing: {self.parts}")
+                raise ValueError(f"parts must be weakly decreasing: {parts}")
             prev = p
+        object.__setattr__(self, "parts", parts)
 
     @staticmethod
     def of(parts: Union["Partition", Iterable[int]]) -> "Partition":

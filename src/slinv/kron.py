@@ -35,8 +35,7 @@ import itertools
 import math
 from collections import Counter
 from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .budget import Deadline, as_deadline
 from .exact import Partition, partition_count
@@ -506,8 +505,7 @@ def k_rect(m: int, delta: int, deadline=None, stats: Optional[dict] = None) -> i
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonoidReport:
+class MonoidReport(NamedTuple):
     """Positivity scan of the rectangular Kronecker function for one m.
 
     values[delta] is the computed coefficient, or None where positivity

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Optional
 
@@ -75,18 +76,28 @@ def _proposals(m: int) -> list[dict[int, int]]:
     return proposals
 
 
-def _symmetry(source: SparseForm | SparseTensor) -> list[tuple[dict[int, int], int]]:
+def _symmetry(source: SparseForm | SparseTensor, deadline: Deadline) -> list[tuple[dict[int, int], int]]:
     """[(g, chi)]: the proposals g (X_i becomes X_g(i)) that map every term of source to chi times
-    itself, chi = +-1 read off the first term; a proposal that does not is dropped."""
+    itself, chi = +-1 read off the first term; a proposal that does not is dropped at its first
+    failing term.  Polls the deadline per 1,024 terms of a proposal."""
     form = isinstance(source, SparseForm)
     terms, m = (source.coeffs, source.m) if form else (source.entries, source.shape[0])
     kept = []
     for g in _proposals(m):
-        moved = {tuple(key[g[i] - 1] for i in range(1, m + 1)) if form else tuple(g[i] for i in key): w
-                 for key, w in terms.items()}  # on a form, by g^-1, which keeps it exactly when g does
-        chi = next((moved.get(key, 0) / w for key, w in terms.items()), 1)
-        if chi in (1, -1) and moved == {key: chi * w for key, w in terms.items()}:
-            kept.append((g, int(chi)))
+        # on a form g moves the exponent at g(i) to i, which is g^-1: it keeps source exactly when g does
+        image = operator.itemgetter(*(g[i] - 1 for i in range(1, m + 1))) if form else (
+            lambda key: tuple(map(g.__getitem__, key)))
+        chi = None
+        for count, (key, w) in enumerate(terms.items()):
+            if count & 0x3FF == 0x3FF:
+                deadline.check()
+            moved = terms.get(image(key), 0)
+            if chi is None:
+                chi = 1 if moved == w else -1
+            if moved != chi * w:
+                break
+        else:
+            kept.append((g, 1 if chi is None else chi))
     return kept
 
 
@@ -100,7 +111,7 @@ def _sum(source: SparseForm | SparseTensor, T: Optional[Tableau], deadline, stat
     if shape != ((n * n,) * 3 if T is None else (T.m,) * T.D):
         raise ValueError(f"the invariant does not read the shape {shape} of this {'form' if form else 'tensor'}")
     degree, lines = (n**3, 3 * n) if T is None else (T.d, T.s)
-    generators = _symmetry(source)
+    generators = _symmetry(source, deadline)
     # every signed line (column or slice) gets each index value: g scales the sum by chi^degree sgn(g)^lines
     if any(_character(g, chi, degree, lines) == -1 for g, chi in generators):
         if stats is not None:
@@ -155,5 +166,6 @@ def signed_admissible_tables(n: int, weighting: str = "det", *, deadline=None, s
         raise ValueError("need n >= 1")
     if weighting not in ("det", "per"):
         raise ValueError("weighting must be 'det' or 'per'")
-    form = determinant_form(n) if weighting == "det" else permanent_form(n)
+    deadline = as_deadline(deadline)
+    form = (determinant_form if weighting == "det" else permanent_form)(n, deadline)
     return _sum(form, generic_tableau(n, n * n), deadline, stats)[0]

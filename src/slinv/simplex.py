@@ -19,15 +19,13 @@ Fractions are built once, from the final rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact import as_scalar
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     feasible: bool
     x: Optional[tuple[Fraction, ...]] = None       # when feasible: A x = b, x >= 0
     farkas: Optional[tuple[Fraction, ...]] = None  # when infeasible: y.A <= 0 < y.b

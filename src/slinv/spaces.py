@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .exact import as_scalar, binomial, format_scalar, multinomial, perm_sign
+from .exact import Frozen, as_scalar, binomial, format_scalar, multinomial, perm_sign
 
 
 class ParseError(ValueError):
@@ -133,26 +132,27 @@ def _matrix_var_index(i: int, j: int, n: int) -> int:
     return (i - 1) * n + (j - 1)
 
 
-def determinant_form(n: int) -> SparseForm:
+def _matrix_form(n: int, signed: bool, deadline) -> SparseForm:
+    """det (signed) or per of an n x n matrix of variables; polls a deadline per 1,024 permutations."""
+    coeffs = {}
+    for count, images in enumerate(itertools.permutations(range(1, n + 1))):
+        if deadline is not None and count & 0x3FF == 0x3FF:
+            deadline.check()
+        alpha = [0] * (n * n)
+        for i, j in enumerate(images, start=1):
+            alpha[_matrix_var_index(i, j, n)] = 1
+        coeffs[tuple(alpha)] = perm_sign(images) if signed else 1
+    return SparseForm(n * n, n, coeffs)
+
+
+def determinant_form(n: int, deadline=None) -> SparseForm:
     """det of an n x n matrix of variables: degree n in n^2 variables."""
-    coeffs = {}
-    for images in itertools.permutations(range(1, n + 1)):
-        alpha = [0] * (n * n)
-        for i, j in enumerate(images, start=1):
-            alpha[_matrix_var_index(i, j, n)] = 1
-        coeffs[tuple(alpha)] = perm_sign(images)
-    return SparseForm(n * n, n, coeffs)
+    return _matrix_form(n, True, deadline)
 
 
-def permanent_form(n: int) -> SparseForm:
+def permanent_form(n: int, deadline=None) -> SparseForm:
     """per of an n x n matrix of variables: degree n in n^2 variables."""
-    coeffs = {}
-    for images in itertools.permutations(range(1, n + 1)):
-        alpha = [0] * (n * n)
-        for i, j in enumerate(images, start=1):
-            alpha[_matrix_var_index(i, j, n)] = 1
-        coeffs[tuple(alpha)] = 1
-    return SparseForm(n * n, n, coeffs)
+    return _matrix_form(n, False, deadline)
 
 
 def _distinct_orderings(alpha: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -229,7 +229,7 @@ class Kind(NamedTuple):
 
     params: tuple[str, ...]  # in the order `builder` takes them; the last one is the size
     is_form: bool
-    builder: Optional[Callable]  # None for the generic kinds, which name no single object
+    builder: Optional[Callable]  # builder(*params, deadline=); None for the generic kinds, which name no single one
     description: str
     period: Callable  # -> (stabilizer period a, its source); ValueError where a is undefined
     decides: Callable
@@ -242,6 +242,11 @@ class Kind(NamedTuple):
 _QUADRIC_PERIOD = "full-rank quadric: stabilizer is the complex orthogonal group"
 _ODD_DEGREE = "odd-degree forms admit no degree-m invariant"
 _GENERIC_REDUCED_PERIOD_EXCEPTIONS = {(3, 2): 2, (3, 3): 2}
+
+
+def _unpolled(builder: Callable) -> Callable:
+    """A builder of polynomially many terms as a kind's builder, which takes and ignores a deadline."""
+    return lambda *params, deadline=None: builder(*params)
 
 
 def _need(holds: bool, message: str) -> None:
@@ -345,12 +350,12 @@ def _four_variable_quadric(o):
 
 _KINDS = {
     "product": Kind(
-        ("m",), True, product_form, "product of {m} variables",
+        ("m",), True, _unpolled(product_form), "product of {m} variables",
         _product_period, lambda o: ("latin-squares", o.m) if o.m % 2 == 0 else ("latin-annuli", o.m, o.m + 1),
         normal=lambda o: "the orbit closure of a binary quadric fills the quadrics" if o.m == 2 else None,
         counted_as=lambda o, cyclic: ("latin-annuli", o.m, o.m + 1) if cyclic else ("latin-squares", o.m)),
     "power-sum": Kind(
-        ("D", "m"), True, power_sum_form, "power sum of degree {D} in {m} variables", _power_sum_period,
+        ("D", "m"), True, _unpolled(power_sum_form), "power sum of degree {D} in {m} variables", _power_sum_period,
         _power_sum_decides, normal=_quadric, bound=_power_sum_bound),
     "determinant": Kind(
         ("n",), True, determinant_form, "determinant of size {n}", _determinant_period, **_tables("det")),
@@ -360,13 +365,13 @@ _KINDS = {
         ("D", "m"), True, None, "generic form of degree {D} in {m} variables",
         _generic_form_period, _generic_form_decides, normal=_quadric),
     "unit-tensor": Kind(
-        ("m",), False, unit_tensor, "unit tensor of size {m}",
+        ("m",), False, _unpolled(unit_tensor), "unit tensor of size {m}",
         lambda o: (2 if o.m > 1 else 1,
                    "stabilizer = diagonal triples with unit products and a diagonal symmetric group"),
         _unit_decides, aliases=("unit",),
         counted_as=lambda o, cyclic: ("latin-cubes", math.isqrt(o.m))),
     "matmul-tensor": Kind(
-        ("n",), False, matmul_tensor, "matrix multiplication tensor of size {n}",
+        ("n",), False, _unpolled(matmul_tensor), "matrix multiplication tensor of size {n}",
         lambda o: (1, "de Groote: sandwiching by three invertible matrices, character trivial"),
         lambda o: ("tensor-invariant", o.n, o.build()), aliases=("matmul",),
         counted_as=lambda o, cyclic: o.record.decides(o)),
@@ -379,25 +384,23 @@ _KINDS = {
 _ALIASES = {alias: kind for kind, record in _KINDS.items() for alias in record.aliases}
 
 
-@dataclass(frozen=True)
-class NamedObject:
-    kind: str
-    D: Optional[int] = None
-    m: Optional[int] = None
-    n: Optional[int] = None
+class NamedObject(Frozen):
+    __slots__ = ("kind", "D", "m", "n")
 
-    def __post_init__(self):
-        kind = _ALIASES.get(self.kind, self.kind)
-        if kind not in _KINDS:
-            raise ValueError(f"unknown object kind {self.kind!r}")
-        object.__setattr__(self, "kind", kind)
-        params = _KINDS[kind].params
+    def __init__(self, kind: str, D: Optional[int] = None, m: Optional[int] = None, n: Optional[int] = None):
+        resolved = _ALIASES.get(kind, kind)
+        if resolved not in _KINDS:
+            raise ValueError(f"unknown object kind {kind!r}")
+        fields = {"kind": resolved, "D": D, "m": m, "n": n}
+        params = _KINDS[resolved].params
         for name in ("D", "m", "n"):
-            value = getattr(self, name)
+            value = fields[name]
             if name in params and (value is None or value < 1):
-                raise ValueError(f"{kind} needs positive parameter {name}")
+                raise ValueError(f"{resolved} needs positive parameter {name}")
             if name not in params and value is not None:
-                raise ValueError(f"{kind} does not take parameter {name}")
+                raise ValueError(f"{resolved} does not take parameter {name}")
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def record(self) -> Kind:
@@ -435,11 +438,11 @@ class NamedObject:
     def describe(self) -> str:
         return self.record.description.format(D=self.D, m=self.m, n=self.n)
 
-    def build(self) -> SparseForm | SparseTensor:
-        """The form or tensor itself; the generic kinds name no single one."""
+    def build(self, deadline=None) -> SparseForm | SparseTensor:
+        """The form or tensor itself, built before the deadline; the generic kinds name no single one."""
         if self.record.builder is None:
             raise ValueError(f"{self.kind} names no single {'form' if self.is_form else 'tensor'}")
-        return self.record.builder(*(getattr(self, name) for name in self.record.params))
+        return self.record.builder(*(getattr(self, name) for name in self.record.params), deadline=deadline)
 
 
 NamedObject.__doc__ = (

@@ -28,44 +28,42 @@ diagonal; the cyclic tableau is its D x (D+1) case) counts Latin annuli.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from .budget import as_deadline
-from .exact import sequence_sign
+from .exact import Frozen, sequence_sign
 from .kernel import _integer_weights, _signed_sum
 from .spaces import ParseError, SparseTensor
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(Frozen):
     """m x s array over [d]; symbol multiplicity D = m*s/d; columns repeat-free."""
 
-    cells: tuple[tuple[int, ...], ...]
-    d: int
+    __slots__ = ("cells", "d")
 
-    def __post_init__(self):
-        m = len(self.cells)
+    def __init__(self, cells: tuple[tuple[int, ...], ...], d: int):
+        m = len(cells)
         if m == 0:
             raise ValueError("tableau needs at least one row")
-        s = len(self.cells[0])
-        if s == 0 or any(len(row) != s for row in self.cells):
+        s = len(cells[0])
+        if s == 0 or any(len(row) != s for row in cells):
             raise ValueError("rows must be nonempty and of equal length")
-        if (m * s) % self.d != 0:
-            raise ValueError(f"cell count {m * s} not divisible by symbol count {self.d}")
-        D = (m * s) // self.d
-        counts = [0] * (self.d + 1)
-        for row in self.cells:
+        if (m * s) % d != 0:
+            raise ValueError(f"cell count {m * s} not divisible by symbol count {d}")
+        D = (m * s) // d
+        counts = [0] * (d + 1)
+        for row in cells:
             for x in row:
-                if not (1 <= x <= self.d):
-                    raise ValueError(f"entry {x} outside 1..{self.d}")
+                if not (1 <= x <= d):
+                    raise ValueError(f"entry {x} outside 1..{d}")
                 counts[x] += 1
-        for i in range(1, self.d + 1):
+        for i in range(1, d + 1):
             if counts[i] != D:
                 raise ValueError(f"symbol {i} appears {counts[i]} times, expected {D}")
         for j in range(s):
-            col = [self.cells[k][j] for k in range(m)]
-            if len(set(col)) != m:
+            if len({row[j] for row in cells}) != m:
                 raise ValueError(f"column {j + 1} repeats a symbol")
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "d", d)
 
     @property
     def m(self) -> int:

@@ -21,7 +21,6 @@ entry here if it decides by a new evaluation) and its tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -44,8 +43,7 @@ from .tableaux import generic_tableau
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(NamedTuple):
     """Exact periods of a named object.
 
     For forms, a is the order of the determinant image of the stabilizer,
@@ -84,8 +82,7 @@ def periods(obj: NamedObject) -> PeriodReport:
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinimalDegreeReport:
+class MinimalDegreeReport(NamedTuple):
     """Certified data about the minimal invariant degree of an orbit closure.
 
     lower_bound is always certified.  When decided, exact is set and the
@@ -264,8 +261,7 @@ NON_NORMAL = "non-normal"
 NORMAL_KNOWN = "normal-known"
 UNKNOWN = "unknown"
 
-@dataclass(frozen=True)
-class NormalityReport:
+class NormalityReport(NamedTuple):
     obj: NamedObject
     flag: str
     reason: str
@@ -305,8 +301,7 @@ def nonnormality_flag(obj: NamedObject, deadline=None) -> NormalityReport:
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SupportCertificate:
+class SupportCertificate(NamedTuple):
     """Outcome of the support half of the polystability test.
 
     When the condition holds, `witness` maps support points to nonnegative
@@ -375,8 +370,7 @@ def polystable_tensor_support(w: SparseTensor) -> SupportCertificate:
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SemigroupReport:
+class SemigroupReport(NamedTuple):
     """Gap structure of the monoid generated by positive integers.
 
     For coprime generators the complement of the monoid in N is finite;

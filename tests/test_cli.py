@@ -1,15 +1,19 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import slinv
 from slinv import kron, latin, spaces, theory
 from slinv.cli import main
 from slinv.spaces import (
-    SparseForm, determinant_form, form_to_tensor, power_sum_form, product_form, serialize_form, serialize_tensor,
-    unit_tensor,
+    SparseForm, SparseTensor, determinant_form, form_to_tensor, power_sum_form, product_form, serialize_form,
+    serialize_tensor, unit_tensor,
 )
 from slinv.tableaux import generic_tableau, serialize_tableau
 
@@ -275,6 +279,33 @@ def test_det_per_invariant_is_refused_before_the_form_is_built(capsys, kind, n):
     assert time.monotonic() - started < 5
 
 
+@pytest.mark.parametrize("kind", ["determinant", "permanent"])
+def test_the_budget_is_polled_while_a_det_or_per_form_is_built(capsys, kind):
+    # 9! terms: building them and checking the relabellings on them takes tens of seconds
+    started = time.monotonic()
+    code, out, _ = run(capsys, "invariant", "form", "--kind", kind, "--n", "9", "--budget", "1")
+    assert (code, out) == (3, "") and time.monotonic() - started < 5
+
+
+@pytest.mark.parametrize("argv, degree", [
+    (("--kind", "matmul", "--n", "3", "--format", "3", "3", "3"), 27),
+    (("--kind", "unit", "--m", "16", "--format", "4", "4", "4"), 64),
+], ids=["matmul-3", "unit-16"])
+def test_format_runs_are_refused_like_their_cubic_twin(capsys, argv, degree):
+    started = time.monotonic()
+    code, out, err = run(capsys, "invariant", "tensor", *argv)
+    assert code == 2 and out == "" and f"the degree-{degree} tensor invariant of format" in err and "--budget" in err
+    assert time.monotonic() - started < 5
+
+
+def test_a_format_below_degree_eight_needs_no_budget(tmp_path, capsys):
+    # format 2 2 1 has degree 4, refused only if the cubic invariant of size 1 were
+    tensor = SparseTensor((2, 2, 4), {(1, 1, 1): 1, (2, 2, 2): 1, (1, 2, 3): 1, (2, 1, 4): 1})
+    path = _write(tmp_path / "t.tensor", serialize_tensor(tensor))
+    code, out, err = run(capsys, "invariant", "tensor", "--file", path, "--format", "2", "2", "1")
+    assert (code, out, err) == (0, "-12\n", "")
+
+
 @pytest.mark.parametrize("argv, what", [
     (("--kind", "determinant", "--n", "4"), "signed admissible-table count"),
     (("--kind", "unit", "--m", "16"), "signed Latin cube count"),
@@ -492,3 +523,12 @@ def test_a_false_relabelling_is_dropped_before_any_sweep(capsys, monkeypatch, ar
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (0, f"{value}\n", "")
     assert len(generators) == 1 and swap not in generators[0] and len(generators[0]) == 4  # the row and column swaps
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
+    # every verb is a fresh process, so whatever `import slinv.cli` loads is paid on every run
+    code = ("import sys; before = set(sys.modules); import slinv.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(slinv.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

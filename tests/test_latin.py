@@ -123,7 +123,7 @@ def test_admissible_table_bridge_to_generic_invariant():
 
 def _product_symmetry(m):
     """The relabellings found on the product's terms: (1 2) and (1 2 ... m), character 1."""
-    return latin._symmetry(product_form(m))
+    return latin._symmetry(product_form(m), Deadline(None))
 
 
 def _product_support(m):
@@ -252,6 +252,20 @@ def test_the_symmetry_check_and_walk_poll_every_1024_candidates(n, generators, p
     deadline = _CountingDeadline()
     kernel._first_step_orbits(_squares_steps(n), generators, deadline)
     assert deadline.polls == polls
+
+
+@pytest.mark.parametrize("build, chis", [(determinant_form, [-1, -1, 1, 1]), (permanent_form, [1, 1, 1, 1])],
+                         ids=["det-7", "per-7"])
+def test_det_per_forms_and_their_symmetry_poll_every_1024_terms(build, chis):
+    deadline = _CountingDeadline()
+    form = build(7, deadline)
+    assert deadline.polls == 4  # 5,040 permutations: on 1,023, 2,047, 3,071 and 4,095
+    deadline = _CountingDeadline()
+    kept = latin._symmetry(form, deadline)
+    # four polls for each of the four kept grid relabellings; the two index relabellings fail on their first term
+    assert [chi for _, chi in kept] == chis and deadline.polls == 16
+    with pytest.raises(BudgetExhausted):
+        latin._symmetry(form, Deadline(-1.0))
 
 
 # -- the layered kernel against the backtracking oracle ------------------------
