@@ -8,6 +8,8 @@ report "undecided".
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Optional
 
 
@@ -41,3 +43,24 @@ def as_deadline(value) -> Deadline:
     if isinstance(value, Deadline):
         return value
     return Deadline(float(value))
+
+
+# The deadline in effect, for engines whose signatures carry none: the recursive
+# Kronecker routes below `kron.kronecker`, and the simplex, whose public signature
+# stays (A, b) because the benchmark's tracer hooks it with exactly those arguments.
+_ACTIVE: ContextVar[Deadline] = ContextVar("deadline", default=Deadline(None))
+
+
+def active() -> Deadline:
+    """The deadline of the innermost `scope` in progress; no limit outside every scope."""
+    return _ACTIVE.get()
+
+
+@contextmanager
+def scope(deadline):
+    """Make `deadline` (None, seconds or a Deadline) the one `active()` returns inside the block."""
+    token = _ACTIVE.set(as_deadline(deadline))
+    try:
+        yield
+    finally:
+        _ACTIVE.reset(token)

@@ -4,12 +4,12 @@ Every verb maps to exactly one library operation and prints exact values:
 rationals as p/q (integers as p).  Each verb takes only the flags it reads.
 --json (every verb) wraps the principal value and a meta dict.  --budget
 SECONDS (the verbs that poll a deadline: invariant, eval-tableau, count,
-kronecker, krect, monoid, pleth-bound, min-degree, normality) bounds
-wall-clock time; exit code 3 when exhausted.  --threads K belongs to
-`count` only and goes after its structure; every count runs as one sweep
-in this process, so K (>= 1) changes nothing.  Exit code 2 flags bad
-input, including a flag the verb does not take and refusal of the known
-week-long runs without a budget.
+kronecker, krect, monoid, pleth-bound, min-degree, normality,
+polystable) bounds wall-clock time; exit code 3 when exhausted.
+--threads K belongs to `count` only and goes after its structure; every
+count runs as one sweep in this process, so K (>= 1) changes nothing.
+Exit code 2 flags bad input, including a flag the verb does not take and
+refusal of the known week-long runs without a budget.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .budget import BudgetExhausted, Deadline
 from .exact import Partition, format_scalar
-from .kron import _route, exponent_monoid, k_rect, kronecker, pleth_upper_bound, sl_invariant_bound
+from .kron import exponent_monoid, k_rect, kronecker, pleth_upper_bound, sl_invariant_bound
 from .latin import invariant
 from .spaces import _KINDS, NamedObject, parse_form, parse_tensor
 from .tableaux import cyclic_tableau, generic_tableau, parse_tableau
@@ -165,25 +165,23 @@ def _cmd_count(args):
 
 def _cmd_kronecker(args):
     lam, mu, nu = (_parse_partition(t) for t in (args.lam, args.mu, args.nu))
-    work = {"nodes": 0, "memo_entries": 0}
+    work = {"nodes": 0, "memo_entries": 0}  # kronecker adds the route it took
     value = kronecker(lam, mu, nu, deadline=Deadline(args.budget), stats=work)
-    return value, {"lam": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts),
-                   "route": _route((lam.parts, mu.parts, nu.parts)), **work}, None
+    return value, {"lam": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts), **work}, None
 
 
 def _cmd_krect(args):
     deadline = Deadline(args.budget)
     deltas = range(args.delta + 1) if args.table else (args.delta,)
-    values = {}
+    values, routes = {}, {}
     work = {"nodes": 0, "memo_entries": 0}  # over the values of the table
     try:
         for d in deltas:
             values[d] = k_rect(args.m, d, deadline=deadline, stats=work)
+            routes[str(d)] = work.pop("route")  # None at delta = 0, the empty shape
     except BudgetExhausted:
         raise BudgetExhausted(
             f"budget exhausted at delta {d} ({len(values)} of {len(deltas)} values computed)") from None
-    # delta = 0 is the empty shape, whose coefficient 1 takes no route
-    routes = {str(d): _route((Partition.rectangle(args.m, d).parts,) * 3) if d else None for d in deltas}
     if not args.table:
         return values[args.delta], {"m": args.m, "delta": args.delta, "route": routes[str(args.delta)], **work}, None
     meta = {"m": args.m, "route": routes, **work, "table": {str(d): v for d, v in values.items()}}
@@ -196,6 +194,7 @@ def _cmd_monoid(args):
         "m": report.m,
         "delta_max": report.delta_max,
         "values": {str(d): v for d, v in report.values.items()},
+        "route": {str(d): r for d, r in report.routes.items()},
         "positive": list(report.positive),
         "inferred": list(report.inferred),
         "gaps": list(report.gaps),
@@ -271,8 +270,12 @@ def _cmd_normality(args):
 
 def _cmd_polystable(args):
     support = polystable_form_support if args.target == "form" else polystable_tensor_support
+    deadline, started = Deadline(args.budget), time.monotonic()
     source = _load_object(args)
-    cert = support(source.build() if isinstance(source, NamedObject) else source)
+    try:
+        cert = support(source.build(deadline) if isinstance(source, NamedObject) else source, deadline=deadline)
+    except BudgetExhausted:
+        raise BudgetExhausted(f"budget exhausted after {time.monotonic() - started:.1f}s") from None
     witness = None if cert.witness is None else {
         " ".join(str(i) for i in key): format_scalar(c) for key, c in sorted(cert.witness.items())}
     separating = None if cert.separating is None else [
@@ -370,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verb("periods", _cmd_periods, [named], "stabilizer and degree periods")
     verb("min-degree", _cmd_min_degree, [budget, named], "minimal invariant degree report")
     verb("normality", _cmd_normality, [budget, named], "orbit-closure normality flag")
-    verb("polystable", _cmd_polystable, [source, named], "polystability support certificates")
+    verb("polystable", _cmd_polystable, [budget, source, named], "polystability support certificates")
     verb("semigroup", _cmd_semigroup, [], "numerical semigroup gaps and Frobenius number",
          (("generators",), dict(type=int, nargs="+")))
     return parser

@@ -21,12 +21,18 @@ Three independent exact routes produce Kronecker coefficients:
   the integers in one interval, and a rectangle R collapses the triple LR
   coefficient to a single one: c^R_{lam^1 lam^2 lam^3} = c^{(lam^3)^c}_{lam^1 lam^2}.
 
-`kronecker` picks the LR route when all three shapes have at most 3 rows
-and at least two are rectangles (so k_rect(m <= 3, delta)), and otherwise
-the cheaper of the other two: the coupled recursion costs its estimated
-state count, the class sum p(N) nodes times the number of distinct shapes
-(see `_route`).  The test suite cross-checks all three routes against each
-other.
+Before any route, `kronecker` tests Dvir's bounds (J. Algebra 154, 1993):
+g(lam, mu, nu) > 0 needs lam_1 <= |mu & nu| and len(lam) <= |mu & nu'|,
+where |a & b| = sum_i min(a_i, b_i), for each shape as lam.  A triple that
+fails one is 0 at a cost linear in N, and runs no route (`_route` names it
+'vanishing').  Otherwise it picks the LR route when all three shapes have
+at most 3 rows and at least two are rectangles (so k_rect(m <= 3, delta)),
+and else the cheaper of the other two: the coupled recursion costs its
+estimated state count, the class sum p(N) nodes times the number of
+distinct shapes (see `_route`).  An explicit
+method runs its route whatever the bounds say, so the three routes stay
+independent oracles; the test suite cross-checks them against each other
+and the bounds against the class sum.
 """
 
 from __future__ import annotations
@@ -34,10 +40,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from contextvars import ContextVar
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .budget import Deadline, as_deadline
+from .budget import active, as_deadline, scope
 from .exact import Partition, partition_count
 
 PartitionLike = Union[Partition, Iterable[int]]
@@ -167,10 +172,6 @@ def character_value(lam: PartitionLike, rho: PartitionLike) -> int:
 
 _TRIPLE_MEMO: dict[int, int] = {}
 
-# The deadline of the `kronecker` call in progress.  `kronecker` sets it for
-# the length of the call; each route polls it every few thousand nodes.
-_DEADLINE: ContextVar[Deadline] = ContextVar("kron_deadline", default=Deadline(None))
-
 # Dispatch threshold on the estimated coupled-recursion state count.
 TRIPLE_STATE_LIMIT = 30_000_000
 
@@ -194,7 +195,7 @@ def _triple_compute(a: int, b: int, c: int, key: int) -> int:
     # callers guarantee a <= b <= c and a cache miss on key
     memo = _TRIPLE_MEMO
     if not len(memo) & 1023:  # one memo entry per computed node
-        _DEADLINE.get().check()
+        active().check()
     s = _SIZES[a]
     if s == 0:
         memo[key] = 1
@@ -266,7 +267,7 @@ def _classsum(ids: tuple[int, ...]) -> tuple[int, int]:
     facts = [math.factorial(r) for r in range(n + 1)]
     nfact = facts[n]
     fdims = _FDIM
-    dl = _DEADLINE.get()
+    dl = active()
     total = 0
     nodes = 0
 
@@ -397,7 +398,7 @@ def _lr_route(shapes: tuple[tuple[int, ...], ...]) -> int:
     # non-rectangles last, so that nu takes one and lam, mu collapse where they can
     lam, mu, nu = (s + (0,) * (3 - len(s)) for s in sorted(shapes, key=lambda s: len(set(s)) > 1))
     meet = tuple(map(min, lam, mu))
-    dl = _DEADLINE.get()
+    dl = active()
     total = 0
     for sigma, sign in _S3:
         a1, a2, a3 = (nu[i] - i + sigma[i] for i in range(3))
@@ -432,16 +433,36 @@ def _lr_route(shapes: tuple[tuple[int, ...], ...]) -> int:
     return total
 
 
-def _route(shapes: tuple[tuple[int, ...], ...]) -> str:
-    """The route `kronecker(method="auto")` takes for three shapes of one size.
+def _vanishes(shapes: tuple[tuple[int, ...], ...]) -> bool:
+    """Do Dvir's bounds prove that the Kronecker coefficient of three nonempty shapes is 0?
 
-    'lr' when every shape has at most 3 rows and at least two are
-    rectangles (both triple LR coefficients then collapse to single ones);
-    otherwise the cheaper of 'triple' and 'class'.  The class sum visits at
+    Dvir (J. Algebra 154, 1993): over the lam with g(lam, mu, nu) > 0, the
+    largest lam_1 is |mu & nu| and the largest length is |mu & nu'|, where
+    |a & b| = sum_i min(a_i, b_i) counts the cells two diagrams share.  The
+    coefficient is symmetric in its three shapes and |mu & nu'| = |mu' & nu|,
+    so each shape in turn is tested as lam against the other two.
+    """
+    conj = [Partition(s).conjugate().parts for s in shapes]
+    for i, lam in enumerate(shapes):
+        mu, nu, nu_conj = shapes[i - 1], shapes[i - 2], conj[i - 2]
+        if lam[0] > sum(map(min, mu, nu)) or len(lam) > sum(map(min, mu, nu_conj)):
+            return True
+    return False
+
+
+def _route(shapes: tuple[tuple[int, ...], ...]) -> str:
+    """The route `kronecker(method="auto")` takes for three nonempty shapes of one size.
+
+    'vanishing' (no route runs: the value is 0) when `_vanishes`; else 'lr'
+    when every shape has at most 3 rows and at least two are rectangles
+    (both triple LR coefficients then collapse to single ones); otherwise
+    the cheaper of 'triple' and 'class'.  The class sum visits at
     most p(N) nodes and transfers one vector per distinct shape at each; a
     node and shape cost about a third of one estimated coupled-recursion
     state (fitted on a timing table of both routes).
     """
+    if _vanishes(shapes):
+        return "vanishing"
     if all(len(s) <= 3 for s in shapes) and sum(len(set(s)) <= 1 for s in shapes) >= 2:
         return "lr"
     states = triple_state_estimate(*shapes)
@@ -457,24 +478,32 @@ def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike,
 
     Equal to the class sum over cycle types rho of
     chi_lam(rho) chi_mu(rho) chi_nu(rho) / z_rho, a nonnegative integer.
-    method: 'auto' (see `_route`), 'lr' (shapes of at most 3 rows),
-    'triple', or 'class'.  deadline: None, seconds, or a Deadline, polled
-    inside the route; BudgetExhausted when it passes.  stats, if given,
-    gains the route's work: "nodes" (class-sum DFS nodes) and
-    "memo_entries" (triple-memo entries added); the LR route adds neither.
+    method: 'auto' (the route `_route` names, which is 'vanishing' when
+    Dvir's bounds prove 0), 'lr' (shapes of at most 3 rows), 'triple', or
+    'class'; an explicit method always runs its route.  deadline: None, seconds, or a Deadline,
+    polled inside the route; BudgetExhausted when it passes.  stats, if
+    given, gains "route" (the one taken: 'vanishing' when Dvir's bounds
+    proved 0, None for three empty shapes) and the route's work: "nodes"
+    (class-sum DFS nodes) and "memo_entries" (triple-memo entries added);
+    the LR route adds neither.
     """
     shapes = tuple(_as_shape(p) for p in (lam, mu, nu))
     sizes = {sum(s) for s in shapes}
     if len(sizes) != 1:
         raise ValueError(f"partitions must have equal sizes, got {sorted(sizes)}")
     if sizes == {0}:
-        return 1
-    if method == "auto":
+        method = None
+    elif method == "auto":
         method = _route(shapes)
-    if method not in ("lr", "triple", "class"):
+    elif method not in ("lr", "triple", "class"):
         raise ValueError(f"unknown method {method!r}")
-    token = _DEADLINE.set(as_deadline(deadline))
-    try:
+    if stats is not None:
+        stats["route"] = method
+    if method is None:
+        return 1
+    if method == "vanishing":
+        return 0
+    with scope(deadline):  # each route polls it every few thousand nodes
         if method == "lr":
             return _lr_route(shapes)
         ids = tuple(_sid(s) for s in shapes)
@@ -485,11 +514,9 @@ def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike,
         else:
             value, count = _classsum(ids)
             key = "nodes"
-        if stats is not None:
-            stats[key] = stats.get(key, 0) + count
-        return value
-    finally:
-        _DEADLINE.reset(token)
+    if stats is not None:
+        stats[key] = stats.get(key, 0) + count
+    return value
 
 
 def k_rect(m: int, delta: int, deadline=None, stats: Optional[dict] = None) -> int:
@@ -510,12 +537,16 @@ class MonoidReport(NamedTuple):
 
     values[delta] is the computed coefficient, or None where positivity
     was inferred from additivity (delta = a + b with a, b already positive)
-    instead of computed; zeros are always computed, never inferred.
+    instead of computed; zeros are computed or certified by Dvir's bound,
+    never inferred.  routes[delta] is the route `kronecker` would report
+    for that value ('vanishing' for a certified zero), None at delta = 0
+    and where positivity was inferred.
     """
 
     m: int
     delta_max: int
     values: dict[int, Optional[int]]
+    routes: dict[int, Optional[str]]
     positive: tuple[int, ...]
     inferred: tuple[int, ...]
     gaps: tuple[int, ...]
@@ -524,9 +555,8 @@ class MonoidReport(NamedTuple):
     note: str = ""
 
 
-# direct computation is considered cheap below these sizes
+# the class sum is considered cheap up to this many cycle types (nodes)
 _CHEAP_CLASSES = 30_000
-_CHEAP_TRIPLE_STATES = 400_000
 
 
 def exponent_monoid(m: int, delta_max: int = 12, deadline=None) -> MonoidReport:
@@ -536,8 +566,10 @@ def exponent_monoid(m: int, delta_max: int = 12, deadline=None) -> MonoidReport:
     tensor; m = 2 is reported with the caveat that the exponent monoid is
     the positive set halved (positivity occurs exactly in even degrees).
     Positivity at delta = a + b with a, b already positive may be marked by
-    inference (coefficients are monotone under adding positive triples);
-    vanishing is always established by direct computation.
+    inference (coefficients are monotone under adding positive triples)
+    where the route `kronecker` would take is the class sum over more than
+    _CHEAP_CLASSES cycle types; vanishing is always computed or certified
+    by Dvir's bound.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -545,25 +577,25 @@ def exponent_monoid(m: int, delta_max: int = 12, deadline=None) -> MonoidReport:
         raise ValueError("need delta_max >= 0")
     dl = as_deadline(deadline)
     values: dict[int, Optional[int]] = {0: 1}
+    routes: dict[int, Optional[str]] = {0: None}
     positive: list[int] = [0]
     inferred: list[int] = []
     gaps: list[int] = []
     pos_set: set[int] = set()
     for delta in range(1, delta_max + 1):
         dl.check()
-        rect = Partition.rectangle(m, delta)
-        cheap = (_route((rect.parts,) * 3) == "lr"
-                 or triple_state_estimate(rect, rect, rect) <= _CHEAP_TRIPLE_STATES
-                 or partition_count(m * delta) <= _CHEAP_CLASSES)
+        shapes = ((delta,) * m,) * 3
+        route = _route(shapes)
+        cheap = route != "class" or partition_count(m * delta) <= _CHEAP_CLASSES
         inferable = any(delta - a in pos_set for a in pos_set if 0 < a < delta)
         if not cheap and inferable:
-            values[delta] = None
+            values[delta], routes[delta] = None, None
             inferred.append(delta)
             positive.append(delta)
             pos_set.add(delta)
             continue
-        k = k_rect(m, delta, deadline=dl)
-        values[delta] = k
+        k = 0 if route == "vanishing" else kronecker(*shapes, method=route, deadline=dl)
+        values[delta], routes[delta] = k, route
         if k > 0:
             positive.append(delta)
             pos_set.add(delta)
@@ -582,6 +614,7 @@ def exponent_monoid(m: int, delta_max: int = 12, deadline=None) -> MonoidReport:
         m=m,
         delta_max=delta_max,
         values=values,
+        routes=routes,
         positive=tuple(positive),
         inferred=tuple(inferred),
         gaps=tuple(gaps),

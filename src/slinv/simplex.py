@@ -3,7 +3,8 @@
 Solves  A x = b, x >= 0  over the rationals.  Either a feasible x or a Farkas
 certificate y (y.A <= 0 componentwise while y.b > 0) is returned, so
 infeasibility is as checkable as feasibility.  Bland's smallest-index rule
-guarantees termination.
+guarantees termination.  The pivot loop polls the deadline in effect
+(`budget.scope`) once per pivot, so a budgeted caller can stop it.
 
 The tableau is pivoted fraction-free (Edmonds 1967, Bareiss 1968): each row
 is a list of Python ints standing for itself divided by its coefficient in
@@ -22,6 +23,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
+from .budget import active
 from .exact import as_scalar
 
 
@@ -78,7 +80,9 @@ def solve_equality_feasibility(A: Sequence[Sequence[object]], b: Sequence[object
     Z = _reduced(Z)
 
     pivots = 0
+    deadline = active()
     while True:
+        deadline.check()
         entering = -1
         for j in range(width):  # Bland: smallest index with negative reduced cost
             if Z[j] < 0:

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .budget import BudgetExhausted, as_deadline
+from .budget import BudgetExhausted, as_deadline, scope
 from .kron import k_rect
 from .latin import (
     invariant,
@@ -322,11 +322,14 @@ class SupportCertificate(NamedTuple):
     pivots: int = 0
 
 
-def _support_certificate(support: list, features: list, target: list, block: int, name: str) -> SupportCertificate:
+def _support_certificate(support: list, features: list, target: list, block: int, name: str,
+                         deadline) -> SupportCertificate:
     """Is `target` a nonnegative combination of the support points' feature vectors?  If not, minus the
     Farkas vector (>= 0 on every feature, < 0 on the target), each block of `block` coordinates recentred
-    to sum 0, is > 0 on every feature: each feature's block totals are one positive multiple of the target's."""
-    res = solve_equality_feasibility([list(row) for row in zip(*features)], target)
+    to sum 0, is > 0 on every feature: each feature's block totals are one positive multiple of the target's.
+    The simplex polls `deadline` once per pivot."""
+    with scope(deadline):
+        res = solve_equality_feasibility([list(row) for row in zip(*features)], target)
     if res.feasible:
         used = [(p, f, c) for p, f, c in zip(support, features, res.x) if c != 0]
         witness = {p: c for p, _, c in used}
@@ -345,16 +348,18 @@ def _support_certificate(support: list, features: list, target: list, block: int
     return SupportCertificate(False, separating=separating, pivots=res.pivots)
 
 
-def polystable_form_support(w: SparseForm) -> SupportCertificate:
-    """Does the convex cone of the support contain the all-ones vector?"""
+def polystable_form_support(w: SparseForm, deadline=None) -> SupportCertificate:
+    """Does the convex cone of the support contain the all-ones vector?  BudgetExhausted when the
+    deadline (None, seconds or a Deadline) passes first."""
     if not w.coeffs:
         raise ValueError("zero form has no support condition")
     support = w.support()
-    return _support_certificate(support, support, [1] * w.m, w.m, "all-ones vector")
+    return _support_certificate(support, support, [1] * w.m, w.m, "all-ones vector", deadline)
 
 
-def polystable_tensor_support(w: SparseTensor) -> SupportCertificate:
-    """Does the support carry a distribution with uniform marginals on all axes?"""
+def polystable_tensor_support(w: SparseTensor, deadline=None) -> SupportCertificate:
+    """Does the support carry a distribution with uniform marginals on all axes?  BudgetExhausted when
+    the deadline (None, seconds or a Deadline) passes first."""
     if w.order != 3 or not w.is_cubic():
         raise ValueError("support condition implemented for cubic order-3 tensors")
     if not w.entries:
@@ -362,7 +367,7 @@ def polystable_tensor_support(w: SparseTensor) -> SupportCertificate:
     support, m = w.support(), w.shape[0]
     # one indicator per (axis, value): the 3m marginals, each 1/m
     features = [[int(p[axis] == value) for axis in range(3) for value in range(1, m + 1)] for p in support]
-    return _support_certificate(support, features, [Fraction(1, m)] * (3 * m), m, "uniform marginals")
+    return _support_certificate(support, features, [Fraction(1, m)] * (3 * m), m, "uniform marginals", deadline)
 
 
 # ----------------------------------------------------------------------------

@@ -129,12 +129,30 @@ def test_krect_json_reports_route(capsys):
     code, out, _ = run(capsys, "krect", "--m", "3", "--delta", "6", "--json")
     assert code == 0 and json.loads(out) == {
         "value": "3", "meta": {"m": 3, "delta": 6, "route": "lr", "nodes": 0, "memo_entries": 0}}
+    # delta = 1 is certified 0 by Dvir's length bound, so it runs no class sum
     code, out, _ = run(capsys, "krect", "--m", "4", "--delta", "3", "--table", "--json")
     assert code == 0 and json.loads(out) == {
-        "value": "1", "meta": {"m": 4, "route": {"0": None, "1": "class", "2": "class", "3": "class"},
-                               "nodes": 79, "memo_entries": 0, "table": {"0": 1, "1": 0, "2": 1, "3": 1}}}
+        "value": "1", "meta": {"m": 4, "route": {"0": None, "1": "vanishing", "2": "class", "3": "class"},
+                               "nodes": 74, "memo_entries": 0, "table": {"0": 1, "1": 0, "2": 1, "3": 1}}}
     code, out, _ = run(capsys, "krect", "--m", "3", "--delta", "2", "--table", "--json")
-    assert code == 0 and json.loads(out)["meta"]["route"] == {"0": None, "1": "lr", "2": "lr"}
+    assert code == 0 and json.loads(out)["meta"]["route"] == {"0": None, "1": "vanishing", "2": "lr"}
+
+
+def test_certified_zero_reports_the_vanishing_route_and_no_work(capsys, monkeypatch):
+    def boom(*args):
+        raise AssertionError("a route ran")
+
+    monkeypatch.setattr(kron, "_classsum", boom)
+    monkeypatch.setattr(kron, "_triple_compute", boom)
+    code, out, _ = run(capsys, "kronecker", "--lam=24,3,1", "--mu=27,1", "--nu=16,11,1", "--json")
+    assert code == 0 and json.loads(out) == {
+        "value": "0", "meta": {"lam": [24, 3, 1], "mu": [27, 1], "nu": [16, 11, 1], "route": "vanishing",
+                               "nodes": 0, "memo_entries": 0}}
+
+
+def test_monoid_json_maps_each_delta_to_its_route(capsys):
+    code, out, _ = run(capsys, "monoid", "--m", "4", "--delta-max", "3", "--json")
+    assert code == 0 and json.loads(out)["meta"]["route"] == {"0": None, "1": "vanishing", "2": "class", "3": "class"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -207,6 +225,17 @@ def test_polystable_json_reports_pinned_pivot_counts(capsys):
         assert code == 0 and "pivots" not in out
 
 
+def test_polystable_honours_budget(capsys):
+    # the simplex on det_7's 5,040 support points runs for minutes without a budget
+    started = time.monotonic()
+    code, out, err = run(capsys, "polystable", "form", "--kind", "determinant", "--n", "7", "--budget", "1")
+    assert code == 3 and out == "" and re.fullmatch(r"budget exhausted after \d+\.\ds\n", err)
+    assert time.monotonic() - started < 5
+    for fmt in ((), ("--json",)):
+        argv = ("polystable", "form", "--kind", "permanent", "--n", "3", *fmt)
+        assert run(capsys, *argv, "--budget", "60") == run(capsys, *argv)
+
+
 def test_semigroup_verb(capsys):
     code, out, _ = run(capsys, "semigroup", "2", "5")
     assert code == 0
@@ -233,7 +262,7 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     (("invariant", "tensor", "--kind", "unit", "--m", "4", "--cyclic"), "--cyclic applies to forms"),
     (("invariant", "form", "--kind", "product", "--m", "2", "--format", "1", "1", "1"), "--format applies to tensors"),
     (("periods", "--kind", "power-sum", "--D", "3", "--m", "3", "--budget", "0"), "unrecognized arguments: --budget 0"),
-    (("polystable", "form", "--kind", "determinant", "--n", "3", "--budget", "1"), "unrecognized arguments: --budget 1"),
+    (("polystable", "form", "--kind", "determinant", "--n", "3", "--threads", "2"), "unrecognized arguments: --threads 2"),
     (("semigroup", "2", "5", "--budget", "1"), "unrecognized arguments: --budget 1"),
     # count flags belong after the structure
     (("count", "--threads", "2", "--json", "latin-squares", "3"), "invalid choice: '2'"),

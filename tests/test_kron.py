@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import centralizer_order
 from slinv import kron
@@ -120,7 +121,7 @@ def test_lr_route_agrees_with_both_routes():
 def test_k_rect_three_rows_takes_lr_and_matches_triple():
     for delta in range(1, 11):
         rect = (delta,) * 3
-        assert kron._route((rect,) * 3) == "lr"
+        assert kron._route((rect,) * 3) == ("vanishing" if delta == 1 else "lr")
         assert k_rect(3, delta) == kronecker(rect, rect, rect, method="triple")
 
 
@@ -133,6 +134,72 @@ def test_route_selection():
     assert kron._route(((2, 2, 2, 2),) * 3) == "class"
     assert kron._route(((5, 3, 2, 1, 1),) * 3) == "class"
     assert kron._route((((8,) * 4),) * 3) == "class"
+
+
+# unordered triples of partitions of N whose coefficient Dvir's bounds certify as 0
+_CERTIFIED_ZEROS = {1: 0, 2: 2, 3: 5, 4: 18, 5: 44, 6: 144, 7: 325, 8: 928, 9: 2119}
+
+
+def test_vanishing_certificate_is_sound_on_every_small_triple():
+    certified = {}
+    for n in _CERTIFIED_ZEROS:
+        certified[n] = 0
+        for shapes in itertools.combinations_with_replacement(partition_tuples(n), 3):
+            if kron._vanishes(shapes):
+                assert kronecker(*shapes, method="class") == 0, shapes
+                certified[n] += 1
+    assert certified == _CERTIFIED_ZEROS
+
+
+def test_vanishing_bounds_are_tight_at_the_trivial_and_sign_shapes():
+    # g(lam, lam, (n)) = g(lam, lam', (1^n)) = 1, and one of Dvir's bounds holds with equality in each
+    for n in range(1, 9):
+        for lam in partition_tuples(n):
+            conj = Partition(lam).conjugate().parts
+            for shapes in ((lam, lam, (n,)), ((n,), lam, lam), (lam, conj, (1,) * n), ((1,) * n, conj, lam)):
+                assert not kron._vanishes(shapes) and kronecker(*shapes) == 1, shapes
+
+
+def _rows_at_most(rows):
+    return st.integers(11, 18).flatmap(
+        lambda n: st.tuples(*[st.sampled_from([p for p in partition_tuples(n) if len(p) <= rows])] * 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=_rows_at_most(5))
+def test_auto_equals_the_class_sum_past_the_exhaustive_range(shapes):
+    stats = {}
+    value = kronecker(*shapes, stats=stats)
+    assert value == kronecker(*shapes, method="class")
+    assert stats["route"] == kron._route(shapes)
+
+
+def test_certified_zero_runs_no_route_and_explicit_methods_still_do(monkeypatch):
+    shapes = ((24, 3, 1), (27, 1), (16, 11, 1))
+    assert kron._vanishes(shapes)
+    stats = {}
+    assert kronecker(*shapes, method="class", stats=stats) == 0
+    assert stats["route"] == "class" and stats["nodes"] > 0
+    stats = {}
+    assert kronecker(*shapes, method="triple", stats=stats) == 0 and stats["route"] == "triple"
+
+    def boom(*args):
+        raise AssertionError("a route ran")
+
+    for name in ("_classsum", "_triple_compute", "_lr_route", "triple_state_estimate"):
+        monkeypatch.setattr(kron, name, boom)
+    stats = {}
+    assert kronecker(*shapes, stats=stats) == 0 and stats == {"route": "vanishing"}
+    with pytest.raises(ValueError):
+        kronecker(*shapes, method="vanishing")
+
+
+def test_k_rect_16_3_is_certified_at_once():
+    # the class sum visits 121,520 nodes for this 0; the length bound proves it in microseconds
+    started = time.monotonic()
+    stats = {}
+    assert k_rect(16, 3, stats=stats) == 0 and stats == {"route": "vanishing"}
+    assert time.monotonic() - started < 0.2
 
 
 def test_lr_route_rejects_four_rows():
@@ -240,6 +307,18 @@ def test_exponent_monoid_computes_every_lr_route_value():
     report = exponent_monoid(3, 16)
     assert report.inferred == ()
     assert report.values == {d: k_rect(3, d) for d in range(17)}
+    assert report.routes == {0: None, 1: "vanishing", **{d: "lr" for d in range(2, 17)}}
+
+
+def test_exponent_monoid_reports_the_route_of_each_value(monkeypatch):
+    monkeypatch.setattr(kron, "_CHEAP_CLASSES", 0)  # so that every inferable delta is inferred
+    report = exponent_monoid(4, 6)
+    assert report.values == {0: 1, 1: 0, 2: 1, 3: 1, 4: None, 5: None, 6: None}
+    assert report.routes == {0: None, 1: "vanishing", 2: "class", 3: "class", 4: None, 5: None, 6: None}
+    for delta, route in report.routes.items():
+        if report.values[delta] is not None and delta:
+            stats = {}
+            assert k_rect(4, delta, stats=stats) == report.values[delta] and stats["route"] == route
 
 
 def test_exponent_monoid_m2_caveat():

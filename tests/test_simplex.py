@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import fraction_simplex
+from slinv.budget import BudgetExhausted, Deadline, scope
 from slinv.simplex import solve_equality_feasibility
 
 
@@ -48,6 +49,27 @@ def test_degenerate_zero_row():
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         solve_equality_feasibility([[1, 2], [1]], [1, 1])
+
+
+class _CountingDeadline(Deadline):
+    def __init__(self):
+        super().__init__(None)
+        self.checks = 0
+
+    def check(self):
+        self.checks += 1
+
+
+def test_pivot_loop_polls_the_deadline_in_scope_once_per_pivot():
+    A, b = [[1, 1, 0], [1, -1, 1], [0, 2, 3]], [2, 0, 5]
+    deadline = _CountingDeadline()
+    with scope(deadline):
+        res = solve_equality_feasibility(A, b)
+    assert res.feasible and res.pivots > 1
+    assert deadline.checks == res.pivots + 1  # one more poll finds no entering column
+    with scope(-1), pytest.raises(BudgetExhausted):  # a deadline already passed
+        solve_equality_feasibility(A, b)
+    assert solve_equality_feasibility(A, b) == res  # outside every scope nothing is polled
 
 
 _SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))

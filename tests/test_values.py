@@ -86,8 +86,8 @@ def test_construction_checks_the_fields(make, message):
 
 def test_reports_are_named_tuples_built_by_keyword():
     obj = NamedObject("product", m=3)
-    monoid = MonoidReport(m=2, delta_max=2, values={0: 1, 1: 0, 2: 1}, positive=(0, 2), inferred=(), gaps=(1,),
-                          e_prime=2, gcd_positive=2)
+    monoid = MonoidReport(m=2, delta_max=2, values={0: 1, 1: 0, 2: 1}, routes={0: None, 1: "vanishing", 2: "lr"},
+                          positive=(0, 2), inferred=(), gaps=(1,), e_prime=2, gcd_positive=2)
     feasible = FeasibilityResult(feasible=True, x=(Fraction(1, 2),))
     period = PeriodReport(obj=obj, a=2, b=2, a_reduced=2, is_form=True, source="permutations")
     degree = MinimalDegreeReport(obj=obj, lower_bound=4, exact=None, evidence="count", undecided_reason="budget")
