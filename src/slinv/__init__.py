@@ -7,7 +7,7 @@ All arithmetic is exact: rationals everywhere, arbitrary-precision
 integers for signed counts.
 """
 
-from .budget import BudgetExhausted, Deadline
+from .budget import BudgetExhausted, Deadline, scope
 from .exact import ExactScalar, Partition, multinomial, partitions_of, perm_sign
 from .kron import (
     MonoidReport,

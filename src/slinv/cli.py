@@ -3,9 +3,10 @@
 Every verb maps to exactly one library operation and prints exact values:
 rationals as p/q (integers as p).  Each verb takes only the flags it reads.
 --json (every verb) wraps the principal value and a meta dict.  --budget
-SECONDS (the verbs that poll a deadline: invariant, eval-tableau, count,
-kronecker, krect, monoid, pleth-bound, min-degree, normality,
-polystable) bounds wall-clock time; exit code 3 when exhausted.
+SECONDS (invariant, eval-tableau, count, kronecker, krect, monoid,
+pleth-bound, min-degree, normality, polystable; finite, >= 0) bounds the
+verb's wall-clock time from its start, as the one `budget.scope` that
+`main` opens around it; exit code 3 when exhausted.
 --threads K belongs to `count` only and goes after its structure; every
 count runs as one sweep in this process, so K (>= 1) changes nothing.
 Exit code 2 flags bad input, including a flag the verb does not take and
@@ -21,7 +22,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .budget import BudgetExhausted, Deadline
+from .budget import BudgetExhausted, scope
 from .exact import Partition, format_scalar
 from .kron import exponent_monoid, k_rect, kronecker, pleth_upper_bound, sl_invariant_bound
 from .latin import invariant
@@ -99,7 +100,7 @@ def _cmd_invariant(args):
         raise CliError("--format applies to tensors")
     if args.target == "tensor" and args.cyclic:
         raise CliError("--cyclic applies to forms")
-    deadline, work = Deadline(args.budget), {"states": 0, "peak_states": 0}
+    work = {"states": 0, "peak_states": 0}
     source = _load_object(args)
     named = isinstance(source, NamedObject)
     if args.format:
@@ -109,8 +110,7 @@ def _cmd_invariant(args):
             n += 1
         _require_budget(args, ("tensor-invariant", n, source),
                         f"evaluating the degree-{degree} tensor invariant of format {n1} {n2} {n3}")
-        value = eval_tensor_invariant_format(n1, n2, n3, source.build(deadline) if named else source,
-                                             deadline=deadline, stats=work)
+        value = eval_tensor_invariant_format(n1, n2, n3, source.build() if named else source, stats=work)
         return value, {"invariant": "tensor", "format": [n1, n2, n3], "degree": degree, **work}, None
     if args.target == "form":
         D, m = (source.form_degree(), source.form_variables()) if named else (source.D, source.m)
@@ -132,7 +132,7 @@ def _cmd_invariant(args):
     if named:  # refused as the run it equals is, before it is built
         run = source.record.counted_as(source, args.cyclic)
     _require_budget(args, run, f"evaluating {what}")
-    value = invariant(source.build(deadline) if named else source, T, deadline=deadline, stats=work)
+    value = invariant(source.build() if named else source, T, stats=work)
     return value, {**meta, **work}, None
 
 
@@ -140,7 +140,7 @@ def _cmd_eval_tableau(args):
     tableau = parse_tableau(Path(args.tableau).read_text(encoding="utf-8"))
     tensor = parse_tensor(Path(args.tensor).read_text(encoding="utf-8"))
     work = {"states": 0, "peak_states": 0}
-    value = invariant(tensor, tableau, deadline=Deadline(args.budget), stats=work)
+    value = invariant(tensor, tableau, stats=work)
     return value, {"rows": tableau.m, "cols": tableau.s, "symbols": tableau.d, **work}, None
 
 
@@ -150,12 +150,11 @@ def _cmd_count(args):
         raise CliError("--threads needs K >= 1")
     values = [getattr(args, name) for name in evaluation.params]
     _require_budget(args, (args.structure, *values), evaluation.counting.format(*values))
-    deadline = Deadline(args.budget)
     # the counter adds its first-step candidates and the orbit representatives (subtrees) it runs
     work = {"states": 0, "peak_states": 0}
     started = time.monotonic()
     try:
-        value = evaluation.run(*values, deadline=deadline, stats=work)
+        value = evaluation.run(*values, stats=work)
     except BudgetExhausted:
         raise BudgetExhausted(f"budget exhausted after {time.monotonic() - started:.1f}s") from None
     meta = {"structure": args.structure, **dict(zip(evaluation.params, values)),
@@ -166,18 +165,18 @@ def _cmd_count(args):
 def _cmd_kronecker(args):
     lam, mu, nu = (_parse_partition(t) for t in (args.lam, args.mu, args.nu))
     work = {"nodes": 0, "memo_entries": 0}  # kronecker adds the route it took
-    value = kronecker(lam, mu, nu, deadline=Deadline(args.budget), stats=work)
+    value = kronecker(lam, mu, nu, stats=work)
     return value, {"lam": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts), **work}, None
 
 
 def _cmd_krect(args):
-    deadline = Deadline(args.budget)
-    deltas = range(args.delta + 1) if args.table else (args.delta,)
+    # the table ends at --delta itself, so k_rect checks it as it does without --table
+    deltas = (*range(args.delta), args.delta) if args.table else (args.delta,)
     values, routes = {}, {}
     work = {"nodes": 0, "memo_entries": 0}  # over the values of the table
     try:
         for d in deltas:
-            values[d] = k_rect(args.m, d, deadline=deadline, stats=work)
+            values[d] = k_rect(args.m, d, stats=work)
             routes[str(d)] = work.pop("route")  # None at delta = 0, the empty shape
     except BudgetExhausted:
         raise BudgetExhausted(
@@ -189,7 +188,7 @@ def _cmd_krect(args):
 
 
 def _cmd_monoid(args):
-    report = exponent_monoid(args.m, args.delta_max, deadline=Deadline(args.budget))
+    report = exponent_monoid(args.m, args.delta_max)
     meta = {
         "m": report.m,
         "delta_max": report.delta_max,
@@ -212,20 +211,19 @@ def _cmd_monoid(args):
 
 
 def _cmd_pleth_bound(args):
-    deadline = Deadline(args.budget)
     if args.sl:
         if args.lam:
             raise CliError("--lam applies without --sl")
         if args.m is None:
             raise CliError("--sl needs --m")
-        value = sl_invariant_bound(args.D, args.m, args.d, deadline=deadline)
+        value = sl_invariant_bound(args.D, args.m, args.d)
         return value, {"mode": "sl-invariants", "D": args.D, "m": args.m, "d": args.d}, None
     if not args.lam:
         raise CliError("need --lam (or --sl with --m)")
     if args.m is not None:
         raise CliError("--m applies with --sl")
     lam = _parse_partition(args.lam)
-    value = pleth_upper_bound(lam, args.D, args.d, deadline=deadline)
+    value = pleth_upper_bound(lam, args.D, args.d)
     return value, {"mode": "shape", "lam": list(lam.parts), "D": args.D, "d": args.d}, None
 
 
@@ -244,7 +242,7 @@ def _cmd_periods(args):
 def _cmd_min_degree(args):
     obj = _named_object(args)
     _require_budget(args, deciding_run(obj), f"deciding the minimal degree of the {obj.describe()}")
-    report = minimal_degree_report(obj, deadline=Deadline(args.budget))
+    report = minimal_degree_report(obj)
     value = None if report.value is None else format_scalar(report.value)
     meta = {"object": obj.describe(), "lower_bound": report.lower_bound, "exact": report.exact,
             "evidence": report.evidence, "value": value, "undecided_reason": report.undecided_reason}
@@ -262,7 +260,7 @@ def _cmd_min_degree(args):
 
 def _cmd_normality(args):
     obj = _named_object(args)
-    report = nonnormality_flag(obj, deadline=Deadline(args.budget))
+    report = nonnormality_flag(obj)
     meta = {"object": obj.describe(), "flag": report.flag, "reason": report.reason,
             "degree_period": report.degree_period, "minimal_degree_bound": report.minimal_degree_bound}
     return report.flag, meta, [f"object {obj.describe()}", f"flag {report.flag}", f"reason {report.reason}"]
@@ -270,10 +268,10 @@ def _cmd_normality(args):
 
 def _cmd_polystable(args):
     support = polystable_form_support if args.target == "form" else polystable_tensor_support
-    deadline, started = Deadline(args.budget), time.monotonic()
+    started = time.monotonic()
     source = _load_object(args)
     try:
-        cert = support(source.build(deadline) if isinstance(source, NamedObject) else source, deadline=deadline)
+        cert = support(source.build() if isinstance(source, NamedObject) else source)
     except BudgetExhausted:
         raise BudgetExhausted(f"budget exhausted after {time.monotonic() - started:.1f}s") from None
     witness = None if cert.witness is None else {
@@ -306,6 +304,16 @@ def _cmd_semigroup(args):
 # ----------------------------------------------------------------------------
 
 
+def _seconds(text: str) -> float:
+    """A --budget: a finite number of seconds >= 0, since NaN and infinity never expire."""
+    try:
+        if math.isfinite(seconds := float(text)) and seconds >= 0:
+            return seconds
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"need a finite number of seconds >= 0, got {text!r}")
+
+
 def _group(*arguments) -> argparse.ArgumentParser:
     """A parent parser holding `arguments`, each a (flags, keyword arguments) pair."""
     group = argparse.ArgumentParser(add_help=False)
@@ -316,8 +324,8 @@ def _group(*arguments) -> argparse.ArgumentParser:
 
 def _build_parser() -> argparse.ArgumentParser:
     json_flag = _group((("--json",), dict(action="store_true", help="emit {'value': ..., 'meta': ...}")))
-    budget = _group((("--budget",), dict(type=float, default=None, metavar="SECONDS",
-                                         help="wall-clock budget; exit 3 when exhausted")))
+    budget = _group((("--budget",), dict(type=_seconds, default=None, metavar="SECONDS",
+                                         help="wall-clock budget of the verb; exit 3 when exhausted")))
     threads = _group((("--threads",), dict(type=int, default=1, metavar="K",
                                           help="accepted for K >= 1; every count runs as one sweep in this process")))
     named = _group(
@@ -385,7 +393,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        value, meta, lines = args.func(args)
+        with scope(getattr(args, "budget", None)):  # the verb's one budget, counted from here
+            value, meta, lines = args.func(args)
     except (CliError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

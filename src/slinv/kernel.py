@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .budget import Deadline
+from .budget import active
 from .exact import sequence_sign
 
 _CHECK_MASK = 0x3FF  # deadline polling period in state expansions
@@ -35,7 +35,7 @@ _STATE_CAP = 1 << 20  # live states across all the layers a sweep holds
 _CHUNK_FLOOR = 1 << 12  # no partial layer is finished on its own below this size
 
 
-def _signed_sum(steps: Sequence[tuple], deadline: Deadline, stats: Optional[dict] = None) -> tuple[int, int, int]:
+def _signed_sum(steps: Sequence[tuple], stats: Optional[dict] = None) -> tuple[int, int, int]:
     """(sum over all placements of sign * product of candidate weights,
     state expansions, peak live states); `stats` adds the expansions and
     raises its peak to this run's.
@@ -58,10 +58,11 @@ def _signed_sum(steps: Sequence[tuple], deadline: Deadline, stats: Optional[dict
     empties each layer it has expanded, the chunk it was handed included,
     so only the counted layers stay alive.  The floor keeps a full cap from
     degenerating into one dict per placement; so the peak may pass the cap
-    by one floor-sized partial layer per recursion level.  The deadline is
-    polled every 1,024 candidates of a step while they are packed, and every
-    1,024 states while a layer is expanded.
+    by one floor-sized partial layer per recursion level.  The deadline in
+    effect (`budget.active()`) is polled every 1,024 candidates of a step
+    while they are packed, and every 1,024 states while a layer is expanded.
     """
+    deadline = active()
     width = 1 + max((max(labels) for _, _, cands in steps for labels, _ in cands), default=0)
     segment = (1 << width) - 1
     # Line l owns bits l*width .. l*width + width - 1 of the packed state.  Per
@@ -151,8 +152,7 @@ def _character(perm: dict, chi: int, steps: int, signed_lines: int) -> int:
     return chi**steps * sequence_sign([perm[label] for label in sorted(perm)]) ** signed_lines
 
 
-def _first_step_orbits(steps: Sequence[tuple], generators: Sequence[tuple[dict, int]],
-                       deadline: Deadline) -> list[tuple[int, int]]:
+def _first_step_orbits(steps: Sequence[tuple], generators: Sequence[tuple[dict, int]]) -> list[tuple[int, int]]:
     """[(candidate index, multiplier)]: the sum over all placements is the sum of
     multiplier times the sum with the first step fixed to that candidate.
 
@@ -166,8 +166,9 @@ def _first_step_orbits(steps: Sequence[tuple], generators: Sequence[tuple[dict, 
     f = -1 proves S = 0, and the result is [] with no orbit walked;
     otherwise every candidate of an orbit has its first candidate's sum, and
     the multiplier is the orbit's size.
-    The deadline is polled every 1,024 candidates, in the check and the walk.
+    The deadline in effect is polled every 1,024 candidates, in the check and the walk.
     """
+    deadline = active()
     domain = set(generators[0][0]) if generators else set()
     for perm, chi in generators:
         if set(perm) != domain or set(perm.values()) != domain:

@@ -42,7 +42,7 @@ import math
 from collections import Counter
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .budget import active, as_deadline, scope
+from .budget import active
 from .exact import Partition, partition_count
 
 PartitionLike = Union[Partition, Iterable[int]]
@@ -473,19 +473,19 @@ def _route(shapes: tuple[tuple[int, ...], ...]) -> str:
 
 
 def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike,
-              method: str = "auto", deadline=None, stats: Optional[dict] = None) -> int:
+              method: str = "auto", stats: Optional[dict] = None) -> int:
     """Kronecker coefficient of three partitions of the same N, exactly.
 
     Equal to the class sum over cycle types rho of
     chi_lam(rho) chi_mu(rho) chi_nu(rho) / z_rho, a nonnegative integer.
     method: 'auto' (the route `_route` names, which is 'vanishing' when
     Dvir's bounds prove 0), 'lr' (shapes of at most 3 rows), 'triple', or
-    'class'; an explicit method always runs its route.  deadline: None, seconds, or a Deadline,
-    polled inside the route; BudgetExhausted when it passes.  stats, if
-    given, gains "route" (the one taken: 'vanishing' when Dvir's bounds
-    proved 0, None for three empty shapes) and the route's work: "nodes"
-    (class-sum DFS nodes) and "memo_entries" (triple-memo entries added);
-    the LR route adds neither.
+    'class'; an explicit method always runs its route.  The route polls
+    the deadline in effect (`budget.scope`); BudgetExhausted when it
+    passes.  stats, if given, gains "route" (the one taken: 'vanishing'
+    when Dvir's bounds proved 0, None for three empty shapes) and the
+    route's work: "nodes" (class-sum DFS nodes) and "memo_entries"
+    (triple-memo entries added); the LR route adds neither.
     """
     shapes = tuple(_as_shape(p) for p in (lam, mu, nu))
     sizes = {sum(s) for s in shapes}
@@ -503,28 +503,27 @@ def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike,
         return 1
     if method == "vanishing":
         return 0
-    with scope(deadline):  # each route polls it every few thousand nodes
-        if method == "lr":
-            return _lr_route(shapes)
-        ids = tuple(_sid(s) for s in shapes)
-        if method == "triple":
-            before = len(_TRIPLE_MEMO)
-            value = _triple(*ids)
-            key, count = "memo_entries", len(_TRIPLE_MEMO) - before
-        else:
-            value, count = _classsum(ids)
-            key = "nodes"
+    if method == "lr":
+        return _lr_route(shapes)
+    ids = tuple(_sid(s) for s in shapes)
+    if method == "triple":
+        before = len(_TRIPLE_MEMO)
+        value = _triple(*ids)
+        key, count = "memo_entries", len(_TRIPLE_MEMO) - before
+    else:
+        value, count = _classsum(ids)
+        key = "nodes"
     if stats is not None:
         stats[key] = stats.get(key, 0) + count
     return value
 
 
-def k_rect(m: int, delta: int, deadline=None, stats: Optional[dict] = None) -> int:
+def k_rect(m: int, delta: int, stats: Optional[dict] = None) -> int:
     """Kronecker coefficient of three m x delta rectangles."""
     if m < 1 or delta < 0:
         raise ValueError("need m >= 1 and delta >= 0")
     rect = Partition.rectangle(m, delta)
-    return kronecker(rect, rect, rect, deadline=deadline, stats=stats)
+    return kronecker(rect, rect, rect, stats=stats)
 
 
 # ----------------------------------------------------------------------------
@@ -559,7 +558,7 @@ class MonoidReport(NamedTuple):
 _CHEAP_CLASSES = 30_000
 
 
-def exponent_monoid(m: int, delta_max: int = 12, deadline=None) -> MonoidReport:
+def exponent_monoid(m: int, delta_max: int = 12) -> MonoidReport:
     """Scan delta = 0..delta_max for positivity of the rectangular coefficients.
 
     For m > 2 the positive set is the exponent monoid of a generic cubic
@@ -575,7 +574,7 @@ def exponent_monoid(m: int, delta_max: int = 12, deadline=None) -> MonoidReport:
         raise ValueError("need m >= 1")
     if delta_max < 0:
         raise ValueError("need delta_max >= 0")
-    dl = as_deadline(deadline)
+    dl = active()
     values: dict[int, Optional[int]] = {0: 1}
     routes: dict[int, Optional[str]] = {0: None}
     positive: list[int] = [0]
@@ -594,7 +593,7 @@ def exponent_monoid(m: int, delta_max: int = 12, deadline=None) -> MonoidReport:
             positive.append(delta)
             pos_set.add(delta)
             continue
-        k = 0 if route == "vanishing" else kronecker(*shapes, method=route, deadline=dl)
+        k = 0 if route == "vanishing" else kronecker(*shapes, method=route)
         values[delta], routes[delta] = k, route
         if k > 0:
             positive.append(delta)
@@ -629,7 +628,7 @@ def exponent_monoid(m: int, delta_max: int = 12, deadline=None) -> MonoidReport:
 # ----------------------------------------------------------------------------
 
 
-def pleth_upper_bound(lam: PartitionLike, D: int, d: int, deadline=None) -> int:
+def pleth_upper_bound(lam: PartitionLike, D: int, d: int) -> int:
     """Number of d-element sets of D-subsets of {1..lam_1} with column counts lam^t.
 
     Requires odd D and |lam| = D*d.  Each number i must lie in exactly
@@ -645,7 +644,7 @@ def pleth_upper_bound(lam: PartitionLike, D: int, d: int, deadline=None) -> int:
         raise ValueError("need d >= 0")
     if lam.n != D * d:
         raise ValueError(f"|lam| = {lam.n} must equal D*d = {D * d}")
-    dl = as_deadline(deadline)
+    dl = active()
     if d == 0:
         return 1  # the empty set, only possible when lam is empty
     width = lam.parts[0]
@@ -688,7 +687,7 @@ def pleth_upper_bound(lam: PartitionLike, D: int, d: int, deadline=None) -> int:
     return total
 
 
-def sl_invariant_bound(D: int, m: int, d: int, deadline=None) -> int:
+def sl_invariant_bound(D: int, m: int, d: int) -> int:
     """Upper bound for the invariant-space dimension in degree d, odd degree D.
 
     Counts d-element sets of D-subsets of {1..dD/m} in which every number
@@ -701,4 +700,4 @@ def sl_invariant_bound(D: int, m: int, d: int, deadline=None) -> int:
     if (d * D) % m != 0:
         raise ValueError(f"m = {m} must divide d*D = {d * D}")
     width = d * D // m
-    return pleth_upper_bound(Partition.rectangle(m, width), D, d, deadline=deadline)
+    return pleth_upper_bound(Partition.rectangle(m, width), D, d)

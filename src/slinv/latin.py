@@ -32,7 +32,7 @@ import operator
 from fractions import Fraction
 from typing import Optional
 
-from .budget import Deadline, as_deadline
+from .budget import active
 from .kernel import _character, _first_step_orbits, _integer_weights, _signed_sum
 from .spaces import (SparseForm, SparseTensor, determinant_form, form_to_tensor, permanent_form, product_form,
                      unit_tensor)
@@ -40,24 +40,22 @@ from .tableaux import Tableau, _tableau_steps, annulus_tableau, generic_tableau
 from .tensorinv import _point_steps
 
 
-def _run_tasks(steps: list[tuple], representatives: list[tuple[int, int]], deadline: Deadline,
-               stats: Optional[dict]) -> int:
+def _run_tasks(steps: list[tuple], representatives: list[tuple[int, int]], stats: Optional[dict]) -> int:
     """The sum over (i, multiplier) in `representatives` of multiplier times the kernel total of `steps`
     with the first step fixed to its i-th candidate: one sweep, whose first step holds each
     representative with its weight times its multiplier.  `stats` receives its work."""
     lines, signed, candidates = steps[0]
     first = [(candidates[i][0], multiplier * candidates[i][1]) for i, multiplier in representatives]
-    return _signed_sum([(lines, signed, first), *steps[1:]], deadline, stats)[0]
+    return _signed_sum([(lines, signed, first), *steps[1:]], stats)[0]
 
 
-def _count(sign: int, steps: list[tuple], generators: list, deadline, stats) -> int:
+def _count(sign: int, steps: list[tuple], generators: list, stats) -> int:
     """sign times the kernel total of `steps`, one subtree per first-step orbit times its multiplier;
     `stats` also receives `candidates` (of the first step) and `subtrees` (the orbit representatives)."""
-    deadline = as_deadline(deadline)
-    orbits = _first_step_orbits(steps, generators, deadline)
+    orbits = _first_step_orbits(steps, generators)
     if stats is not None:
         stats.update(candidates=len(steps[0][2]), subtrees=len(orbits))
-    return sign * _run_tasks(steps, orbits, deadline, stats)
+    return sign * _run_tasks(steps, orbits, stats)
 
 
 def _proposals(m: int) -> list[dict[int, int]]:
@@ -76,10 +74,11 @@ def _proposals(m: int) -> list[dict[int, int]]:
     return proposals
 
 
-def _symmetry(source: SparseForm | SparseTensor, deadline: Deadline) -> list[tuple[dict[int, int], int]]:
+def _symmetry(source: SparseForm | SparseTensor) -> list[tuple[dict[int, int], int]]:
     """[(g, chi)]: the proposals g (X_i becomes X_g(i)) that map every term of source to chi times
     itself, chi = +-1 read off the first term; a proposal that does not is dropped at its first
-    failing term.  Polls the deadline per 1,024 terms of a proposal."""
+    failing term.  Polls the deadline in effect per 1,024 terms of a proposal."""
+    deadline = active()
     form = isinstance(source, SparseForm)
     terms, m = (source.coeffs, source.m) if form else (source.entries, source.shape[0])
     kept = []
@@ -101,50 +100,49 @@ def _symmetry(source: SparseForm | SparseTensor, deadline: Deadline) -> list[tup
     return kept
 
 
-def _sum(source: SparseForm | SparseTensor, T: Optional[Tableau], deadline, stats) -> tuple[int, int]:
+def _sum(source: SparseForm | SparseTensor, T: Optional[Tableau], stats) -> tuple[int, int]:
     """(S, q): T's invariant at source (the tensor invariant when T is None) is S / q, S the kernel
     total times the column sign.  ValueError unless the invariant reads source's shape."""
-    deadline = as_deadline(deadline)
     form = isinstance(source, SparseForm)
     shape = (source.m,) * source.D if form else source.shape
     n = math.isqrt(shape[0]) if shape else 0
     if shape != ((n * n,) * 3 if T is None else (T.m,) * T.D):
         raise ValueError(f"the invariant does not read the shape {shape} of this {'form' if form else 'tensor'}")
     degree, lines = (n**3, 3 * n) if T is None else (T.d, T.s)
-    generators = _symmetry(source, deadline)
+    generators = _symmetry(source)
     # every signed line (column or slice) gets each index value: g scales the sum by chi^degree sgn(g)^lines
     if any(_character(g, chi, degree, lines) == -1 for g, chi in generators):
         if stats is not None:
             stats.update(candidates=0, subtrees=0)  # none built
         return 0, 1
-    den, support = _integer_weights((form_to_tensor(source, deadline) if form else source).entries)
+    den, support = _integer_weights((form_to_tensor(source) if form else source).entries)
     sign, steps = (1, _point_steps(n, n, n, support)) if T is None else _tableau_steps(T, support)
-    return _count(sign, steps, generators, deadline, stats), den**degree
+    return _count(sign, steps, generators, stats), den**degree
 
 
-def invariant(source: SparseForm | SparseTensor, T: Optional[Tableau] = None, *, deadline=None, stats=None) -> Fraction:
+def invariant(source: SparseForm | SparseTensor, T: Optional[Tableau] = None, *, stats=None) -> Fraction:
     """Exact value of T's invariant at a form or tensor (the tensor invariant of a cubic order-3
     tensor when T is None), reduced by the relabellings that `_symmetry` finds on its terms."""
-    return Fraction(*_sum(source, T, deadline, stats))
+    return Fraction(*_sum(source, T, stats))
 
 
-def signed_latin_squares(n: int, *, deadline=None, stats: Optional[dict] = None) -> int:
+def signed_latin_squares(n: int, *, stats: Optional[dict] = None) -> int:
     """(# column-even) - (# column-odd) Latin squares of order n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return _sum(product_form(n), generic_tableau(n, n), deadline, stats)[0]
+    return _sum(product_form(n), generic_tableau(n, n), stats)[0]
 
 
-def signed_latin_annuli(m: int, d: int, *, deadline=None, stats: Optional[dict] = None) -> int:
+def signed_latin_annuli(m: int, d: int, *, stats: Optional[dict] = None) -> int:
     """(# column-even) - (# column-odd) m x d Latin annuli.
 
     Columns and wrap-around diagonals each carry every symbol of [m]
     exactly once; column indices are taken modulo d, so d >= m is required.
     """
-    return _sum(product_form(m), annulus_tableau(m, d), deadline, stats)[0]
+    return _sum(product_form(m), annulus_tableau(m, d), stats)[0]
 
 
-def signed_latin_cubes(n: int, *, deadline=None, stats: Optional[dict] = None) -> int:
+def signed_latin_cubes(n: int, *, stats: Optional[dict] = None) -> int:
     """(# even) - (# odd) Latin cubes of size n, sign over all 3n slices.
 
     For odd n >= 3 a swap of two symbols flips each of the 3n slices, so the
@@ -152,10 +150,10 @@ def signed_latin_cubes(n: int, *, deadline=None, stats: Optional[dict] = None) -
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return _sum(unit_tensor(n * n), None, deadline, stats)[0]
+    return _sum(unit_tensor(n * n), None, stats)[0]
 
 
-def signed_admissible_tables(n: int, weighting: str = "det", *, deadline=None, stats: Optional[dict] = None) -> int:
+def signed_admissible_tables(n: int, weighting: str = "det", *, stats: Optional[dict] = None) -> int:
     """Signed count of admissible pairs (S, T) of n^2 x n row-permutation arrays.
 
     Columns of the pair jointly enumerate [n] x [n] (ordered
@@ -166,6 +164,5 @@ def signed_admissible_tables(n: int, weighting: str = "det", *, deadline=None, s
         raise ValueError("need n >= 1")
     if weighting not in ("det", "per"):
         raise ValueError("weighting must be 'det' or 'per'")
-    deadline = as_deadline(deadline)
-    form = (determinant_form if weighting == "det" else permanent_form)(n, deadline)
-    return _sum(form, generic_tableau(n, n * n), deadline, stats)[0]
+    form = (determinant_form if weighting == "det" else permanent_form)(n)
+    return _sum(form, generic_tableau(n, n * n), stats)[0]

@@ -24,6 +24,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
+from .budget import active
 from .exact import Frozen, as_scalar, binomial, format_scalar, multinomial, perm_sign
 
 
@@ -132,11 +133,11 @@ def _matrix_var_index(i: int, j: int, n: int) -> int:
     return (i - 1) * n + (j - 1)
 
 
-def _matrix_form(n: int, signed: bool, deadline) -> SparseForm:
-    """det (signed) or per of an n x n matrix of variables; polls a deadline per 1,024 permutations."""
-    coeffs = {}
+def _matrix_form(n: int, signed: bool) -> SparseForm:
+    """det (signed) or per of an n x n matrix of variables; polls the deadline in effect per 1,024 permutations."""
+    coeffs, deadline = {}, active()
     for count, images in enumerate(itertools.permutations(range(1, n + 1))):
-        if deadline is not None and count & 0x3FF == 0x3FF:
+        if count & 0x3FF == 0x3FF:
             deadline.check()
         alpha = [0] * (n * n)
         for i, j in enumerate(images, start=1):
@@ -145,14 +146,14 @@ def _matrix_form(n: int, signed: bool, deadline) -> SparseForm:
     return SparseForm(n * n, n, coeffs)
 
 
-def determinant_form(n: int, deadline=None) -> SparseForm:
+def determinant_form(n: int) -> SparseForm:
     """det of an n x n matrix of variables: degree n in n^2 variables."""
-    return _matrix_form(n, True, deadline)
+    return _matrix_form(n, True)
 
 
-def permanent_form(n: int, deadline=None) -> SparseForm:
+def permanent_form(n: int) -> SparseForm:
     """per of an n x n matrix of variables: degree n in n^2 variables."""
-    return _matrix_form(n, False, deadline)
+    return _matrix_form(n, False)
 
 
 def _distinct_orderings(alpha: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -167,15 +168,16 @@ def _distinct_orderings(alpha: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
                 yield (var + 1,) + tail
 
 
-def form_to_tensor(f: SparseForm, deadline=None) -> SparseTensor:
-    """Symmetric order-D tensor of a form: v(nu) = w_alpha / multinomial(alpha); polls a deadline per 1,024 entries."""
+def form_to_tensor(f: SparseForm) -> SparseTensor:
+    """Symmetric order-D tensor of a form: v(nu) = w_alpha / multinomial(alpha); polls the deadline per 1,024 entries."""
     if f.D < 1:
         raise ValueError("degree must be >= 1 to build a tensor")
     entries: dict[tuple[int, ...], Fraction] = {}
+    deadline = active()
     for alpha, w in f.coeffs.items():
         value = w / multinomial(alpha)
         for nu in _distinct_orderings(alpha):
-            if deadline is not None and len(entries) & 0x3FF == 0x3FF:
+            if len(entries) & 0x3FF == 0x3FF:
                 deadline.check()
             entries[nu] = value
     return SparseTensor((f.m,) * f.D, entries)
@@ -229,7 +231,7 @@ class Kind(NamedTuple):
 
     params: tuple[str, ...]  # in the order `builder` takes them; the last one is the size
     is_form: bool
-    builder: Optional[Callable]  # builder(*params, deadline=); None for the generic kinds, which name no single one
+    builder: Optional[Callable]  # builder(*params); None for the generic kinds, which name no single one
     description: str
     period: Callable  # -> (stabilizer period a, its source); ValueError where a is undefined
     decides: Callable
@@ -242,11 +244,6 @@ class Kind(NamedTuple):
 _QUADRIC_PERIOD = "full-rank quadric: stabilizer is the complex orthogonal group"
 _ODD_DEGREE = "odd-degree forms admit no degree-m invariant"
 _GENERIC_REDUCED_PERIOD_EXCEPTIONS = {(3, 2): 2, (3, 3): 2}
-
-
-def _unpolled(builder: Callable) -> Callable:
-    """A builder of polynomially many terms as a kind's builder, which takes and ignores a deadline."""
-    return lambda *params, deadline=None: builder(*params)
 
 
 def _need(holds: bool, message: str) -> None:
@@ -350,12 +347,12 @@ def _four_variable_quadric(o):
 
 _KINDS = {
     "product": Kind(
-        ("m",), True, _unpolled(product_form), "product of {m} variables",
+        ("m",), True, product_form, "product of {m} variables",
         _product_period, lambda o: ("latin-squares", o.m) if o.m % 2 == 0 else ("latin-annuli", o.m, o.m + 1),
         normal=lambda o: "the orbit closure of a binary quadric fills the quadrics" if o.m == 2 else None,
         counted_as=lambda o, cyclic: ("latin-annuli", o.m, o.m + 1) if cyclic else ("latin-squares", o.m)),
     "power-sum": Kind(
-        ("D", "m"), True, _unpolled(power_sum_form), "power sum of degree {D} in {m} variables", _power_sum_period,
+        ("D", "m"), True, power_sum_form, "power sum of degree {D} in {m} variables", _power_sum_period,
         _power_sum_decides, normal=_quadric, bound=_power_sum_bound),
     "determinant": Kind(
         ("n",), True, determinant_form, "determinant of size {n}", _determinant_period, **_tables("det")),
@@ -365,13 +362,13 @@ _KINDS = {
         ("D", "m"), True, None, "generic form of degree {D} in {m} variables",
         _generic_form_period, _generic_form_decides, normal=_quadric),
     "unit-tensor": Kind(
-        ("m",), False, _unpolled(unit_tensor), "unit tensor of size {m}",
+        ("m",), False, unit_tensor, "unit tensor of size {m}",
         lambda o: (2 if o.m > 1 else 1,
                    "stabilizer = diagonal triples with unit products and a diagonal symmetric group"),
         _unit_decides, aliases=("unit",),
         counted_as=lambda o, cyclic: ("latin-cubes", math.isqrt(o.m))),
     "matmul-tensor": Kind(
-        ("n",), False, _unpolled(matmul_tensor), "matrix multiplication tensor of size {n}",
+        ("n",), False, matmul_tensor, "matrix multiplication tensor of size {n}",
         lambda o: (1, "de Groote: sandwiching by three invertible matrices, character trivial"),
         lambda o: ("tensor-invariant", o.n, o.build()), aliases=("matmul",),
         counted_as=lambda o, cyclic: o.record.decides(o)),
@@ -438,11 +435,11 @@ class NamedObject(Frozen):
     def describe(self) -> str:
         return self.record.description.format(D=self.D, m=self.m, n=self.n)
 
-    def build(self, deadline=None) -> SparseForm | SparseTensor:
-        """The form or tensor itself, built before the deadline; the generic kinds name no single one."""
+    def build(self) -> SparseForm | SparseTensor:
+        """The form or tensor itself, built before the deadline in effect; the generic kinds name no single one."""
         if self.record.builder is None:
             raise ValueError(f"{self.kind} names no single {'form' if self.is_form else 'tensor'}")
-        return self.record.builder(*(getattr(self, name) for name in self.record.params), deadline=deadline)
+        return self.record.builder(*(getattr(self, name) for name in self.record.params))
 
 
 NamedObject.__doc__ = (

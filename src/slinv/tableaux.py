@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from .budget import as_deadline
+
 from .exact import Frozen, sequence_sign
 from .kernel import _integer_weights, _signed_sum
 from .spaces import ParseError, SparseTensor
@@ -122,7 +122,7 @@ def _tableau_steps(T: Tableau, support: list) -> tuple[int, list[tuple]]:
     return math.prod(sequence_sign(column) for column in zip(*T.cells)), steps
 
 
-def eval_tableau_invariant(T: Tableau, v: SparseTensor, deadline=None, stats=None) -> Fraction:
+def eval_tableau_invariant(T: Tableau, v: SparseTensor, stats=None) -> Fraction:
     """Exact value of the tableau invariant at an order-D cubic tensor.
 
     The kernel sums over the support of v scaled to integers by the common
@@ -132,18 +132,18 @@ def eval_tableau_invariant(T: Tableau, v: SparseTensor, deadline=None, stats=Non
         raise ValueError(f"tensor shape {v.shape} does not match order {T.D} on C^{T.m}")
     den, support = _integer_weights(v.entries)
     sign, steps = _tableau_steps(T, support)
-    total = _signed_sum(steps, as_deadline(deadline), stats)[0]
+    total = _signed_sum(steps, stats)[0]
     return Fraction(sign * total, den**T.d)
 
 
-def eval_generic_invariant(D: int, m: int, v: SparseTensor, deadline=None, stats=None) -> Fraction:
+def eval_generic_invariant(D: int, m: int, v: SparseTensor, stats=None) -> Fraction:
     """Exact value of the degree-m generic invariant on order-D tensors over C^m."""
-    return eval_tableau_invariant(generic_tableau(D, m), v, deadline=deadline, stats=stats)
+    return eval_tableau_invariant(generic_tableau(D, m), v, stats=stats)
 
 
-def eval_cyclic_invariant(D: int, v: SparseTensor, deadline=None, stats=None) -> Fraction:
+def eval_cyclic_invariant(D: int, v: SparseTensor, stats=None) -> Fraction:
     """Exact value of the cyclic degree-(D+1) invariant on order-D tensors over C^D."""
-    return eval_tableau_invariant(cyclic_tableau(D), v, deadline=deadline, stats=stats)
+    return eval_tableau_invariant(cyclic_tableau(D), v, stats=stats)
 
 
 # -- tableau text format -------------------------------------------------------

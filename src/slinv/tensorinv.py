@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from .budget import as_deadline
+
 from .kernel import _integer_weights, _signed_sum
 from .spaces import SparseTensor
 
@@ -32,9 +32,7 @@ def _point_steps(n1: int, n2: int, n3: int, candidates: list) -> list:
             for x, y, z in itertools.product(range(n1), range(n2), range(n3))]
 
 
-def eval_tensor_invariant_format(
-    n1: int, n2: int, n3: int, w: SparseTensor, deadline=None, stats=None
-) -> Fraction:
+def eval_tensor_invariant_format(n1: int, n2: int, n3: int, w: SparseTensor, stats=None) -> Fraction:
     """Degree n1*n2*n3 invariant of a tensor in C^{n2*n3} x C^{n1*n3} x C^{n1*n2}.
 
     Sums over triples of labelings of [n1] x [n2] x [n3]; the first labeling
@@ -47,11 +45,11 @@ def eval_tensor_invariant_format(
     if w.order != 3 or w.shape != (d1, d2, d3):
         raise ValueError(f"tensor shape {w.shape} does not match ({d1}, {d2}, {d3})")
     den, support = _integer_weights(w.entries)
-    total = _signed_sum(_point_steps(n1, n2, n3, support), as_deadline(deadline), stats)[0]
+    total = _signed_sum(_point_steps(n1, n2, n3, support), stats)[0]
     return Fraction(total, den ** (n1 * n2 * n3))
 
 
-def eval_tensor_invariant(n: int, w: SparseTensor, deadline=None, stats=None) -> Fraction:
+def eval_tensor_invariant(n: int, w: SparseTensor, stats=None) -> Fraction:
     """Degree n^3 invariant of a cubic tensor with all three axes C^{n^2}."""
-    return eval_tensor_invariant_format(n, n, n, w, deadline=deadline, stats=stats)
+    return eval_tensor_invariant_format(n, n, n, w, stats=stats)
 

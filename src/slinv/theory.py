@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .budget import BudgetExhausted, as_deadline, scope
+from .budget import BudgetExhausted, active
 from .kron import k_rect
 from .latin import (
     invariant,
@@ -118,7 +118,7 @@ class Evaluation(NamedTuple):
     undecided ({degree} is the certified bound).
     """
 
-    # run(*args, deadline=, stats=) calls the engine by its module-global name at each
+    # run(*args, stats=) calls the engine by its module-global name at each
     # call, so a rebound name is the one called
     run: Callable
     params: tuple[str, ...]  # the names of args
@@ -170,13 +170,13 @@ EVALUATIONS = {
 }
 
 
-def _rectangle_scan(obj: NamedObject, lower: int, dl) -> MinimalDegreeReport:
+def _rectangle_scan(obj: NamedObject, lower: int) -> MinimalDegreeReport:
     """The first rectangle width from the certified exponent whose Kronecker coefficient is positive."""
-    delta = lower // obj.m
+    delta, dl = lower // obj.m, active()
     try:
         while True:
             dl.check()
-            if k_rect(obj.m, delta, deadline=dl) > 0:
+            if k_rect(obj.m, delta) > 0:
                 return MinimalDegreeReport(obj, obj.m * delta, obj.m * delta,
                                            f"first positive rectangular Kronecker coefficient at width {delta}")
             delta += 1
@@ -185,29 +185,28 @@ def _rectangle_scan(obj: NamedObject, lower: int, dl) -> MinimalDegreeReport:
                                    undecided_reason="undecided at budget")
 
 
-def minimal_degree_report(obj: NamedObject, deadline=None) -> MinimalDegreeReport:
+def minimal_degree_report(obj: NamedObject) -> MinimalDegreeReport:
     """Lower bound, and where decidable the exact value, of the minimal degree.
 
     Invariant degrees of a form live in b*N and are at least m (strictly
     above m for odd D); degree m is attained iff the generic degree-m
     invariant is nonzero at the form.  Starting from the certified lower
     bound, the named objects reduce that nonzeroness to one exact
-    evaluation or signed count, run here before the deadline (None, seconds
-    or a Deadline); running out of time leaves the report undecided at the
+    evaluation or signed count, run here before the deadline in effect
+    (`budget.scope`); running out of time leaves the report undecided at the
     certified bound.  Generic tensors scan rectangular Kronecker
     coefficients from the certified exponent upward instead.
     """
-    dl = as_deadline(deadline)
     b = periods(obj).b
     lower = certified_lower_bound(obj)
     decision = obj.record.decides(obj)
     if isinstance(decision, Finished):
         return MinimalDegreeReport(obj, lower, decision.exact, decision.evidence, undecided_reason=decision.reason)
     if decision[0] == RECTANGLE_SCAN:
-        return _rectangle_scan(obj, lower, dl)
+        return _rectangle_scan(obj, lower)
     evaluation = EVALUATIONS[decision[0]]
     try:
-        value = Fraction(evaluation.run(*decision[1:], deadline=dl))
+        value = Fraction(evaluation.run(*decision[1:]))
     except BudgetExhausted:
         return MinimalDegreeReport(obj, lower, None, evaluation.unfinished, undecided_reason="undecided at budget")
     if value != 0:
@@ -269,31 +268,33 @@ class NormalityReport(NamedTuple):
     minimal_degree_bound: int
 
 
-def nonnormality_flag(obj: NamedObject, deadline=None) -> NormalityReport:
+def nonnormality_flag(obj: NamedObject) -> NormalityReport:
     """Flag an orbit closure non-normal when b < (certified bound on e).
 
     The flag is sound relative to the classical results: strictness of the
     inequality forces the boundary ideal to exceed the principal ideal of
     the fundamental invariant.  The evaluation-free bound is tried first;
-    deciding evaluations run (before the deadline) only when that bound ties
-    the degree period, since a vanishing invariant would push the bound up.
+    deciding evaluations run (before the deadline in effect) only when that
+    bound ties the degree period, since a vanishing invariant would push the
+    bound up; one that runs out of time leaves the tie undecided at budget.
     normal-known is reported only for the explicit exceptions whose
     closures fill their ambient space.
     """
     per = periods(obj)
     known = obj.record.normal(obj)
-    bound = certified_lower_bound(obj)
+    bound, unfinished = certified_lower_bound(obj), False
     if known is not None:
         return NormalityReport(obj, NORMAL_KNOWN, known, per.b, bound)
     if per.b >= bound:
-        bound = minimal_degree_report(obj, deadline=deadline).lower_bound
+        report = minimal_degree_report(obj)
+        bound, unfinished = report.lower_bound, report.undecided_reason == "undecided at budget"
     if per.b < bound:
         return NormalityReport(
             obj, NON_NORMAL,
             f"degree period {per.b} is strictly below the certified minimal degree bound {bound}",
             per.b, bound)
-    return NormalityReport(
-        obj, UNKNOWN, f"degree period {per.b} equals the best certified bound {bound}; no conclusion", per.b, bound)
+    return NormalityReport(obj, UNKNOWN, f"degree period {per.b} equals the best certified bound {bound}; "
+                           + ("undecided at budget" if unfinished else "no conclusion"), per.b, bound)
 
 
 # ----------------------------------------------------------------------------
@@ -322,14 +323,12 @@ class SupportCertificate(NamedTuple):
     pivots: int = 0
 
 
-def _support_certificate(support: list, features: list, target: list, block: int, name: str,
-                         deadline) -> SupportCertificate:
+def _support_certificate(support: list, features: list, target: list, block: int, name: str) -> SupportCertificate:
     """Is `target` a nonnegative combination of the support points' feature vectors?  If not, minus the
     Farkas vector (>= 0 on every feature, < 0 on the target), each block of `block` coordinates recentred
     to sum 0, is > 0 on every feature: each feature's block totals are one positive multiple of the target's.
-    The simplex polls `deadline` once per pivot."""
-    with scope(deadline):
-        res = solve_equality_feasibility([list(row) for row in zip(*features)], target)
+    The simplex polls the deadline in effect once per pivot."""
+    res = solve_equality_feasibility([list(row) for row in zip(*features)], target)
     if res.feasible:
         used = [(p, f, c) for p, f, c in zip(support, features, res.x) if c != 0]
         witness = {p: c for p, _, c in used}
@@ -348,18 +347,18 @@ def _support_certificate(support: list, features: list, target: list, block: int
     return SupportCertificate(False, separating=separating, pivots=res.pivots)
 
 
-def polystable_form_support(w: SparseForm, deadline=None) -> SupportCertificate:
+def polystable_form_support(w: SparseForm) -> SupportCertificate:
     """Does the convex cone of the support contain the all-ones vector?  BudgetExhausted when the
-    deadline (None, seconds or a Deadline) passes first."""
+    deadline in effect (`budget.scope`) passes first."""
     if not w.coeffs:
         raise ValueError("zero form has no support condition")
     support = w.support()
-    return _support_certificate(support, support, [1] * w.m, w.m, "all-ones vector", deadline)
+    return _support_certificate(support, support, [1] * w.m, w.m, "all-ones vector")
 
 
-def polystable_tensor_support(w: SparseTensor, deadline=None) -> SupportCertificate:
+def polystable_tensor_support(w: SparseTensor) -> SupportCertificate:
     """Does the support carry a distribution with uniform marginals on all axes?  BudgetExhausted when
-    the deadline (None, seconds or a Deadline) passes first."""
+    the deadline in effect (`budget.scope`) passes first."""
     if w.order != 3 or not w.is_cubic():
         raise ValueError("support condition implemented for cubic order-3 tensors")
     if not w.entries:
@@ -367,7 +366,7 @@ def polystable_tensor_support(w: SparseTensor, deadline=None) -> SupportCertific
     support, m = w.support(), w.shape[0]
     # one indicator per (axis, value): the 3m marginals, each 1/m
     features = [[int(p[axis] == value) for axis in range(3) for value in range(1, m + 1)] for p in support]
-    return _support_certificate(support, features, [Fraction(1, m)] * (3 * m), m, "uniform marginals", deadline)
+    return _support_certificate(support, features, [Fraction(1, m)] * (3 * m), m, "uniform marginals")
 
 
 # ----------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from slinv.budget import Deadline
+from slinv.budget import active
 from slinv.exact import Partition, as_scalar, binomial, sequence_sign
 from slinv.simplex import FeasibilityResult
 from slinv.spaces import SparseTensor
@@ -227,7 +227,7 @@ def brute_signed_admissible_tables(n: int, weighting: str) -> int:
 _CHECK_MASK = 0x3FF  # deadline polling period in DFS nodes
 
 
-def dfs_signed_sum(steps: Sequence[tuple], deadline: Deadline) -> int:
+def dfs_signed_sum(steps: Sequence[tuple]) -> int:
     """Sum over all placements of sign * product of candidate weights.
 
     steps[t] = (lines, signed, candidates); a candidate (labels, weight)
@@ -235,7 +235,9 @@ def dfs_signed_sum(steps: Sequence[tuple], deadline: Deadline) -> int:
     term by the integer weight.  A placement picks one candidate per step
     such that no line receives a label twice; its sign is (-1)^(inversions
     on the lines whose signed[k] is true), each line read in step order.
+    Polls the deadline in effect.
     """
+    deadline = active()
     width = 1 + max((max(labels) for _, _, cands in steps for labels, _ in cands), default=0)
     segment = (1 << width) - 1
     # Line l owns bits l*width .. l*width + width - 1 of the packed state.  Per

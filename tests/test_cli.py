@@ -1,5 +1,8 @@
+import argparse
+import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,7 +13,7 @@ import pytest
 
 import slinv
 from slinv import kron, latin, spaces, theory
-from slinv.cli import main
+from slinv.cli import _build_parser, main
 from slinv.spaces import (
     SparseForm, SparseTensor, determinant_form, form_to_tensor, power_sum_form, product_form, serialize_form,
     serialize_tensor, unit_tensor,
@@ -419,6 +422,76 @@ def test_budget_exhaustion_exits_three(capsys):
     assert code == 3 and out == "" and re.fullmatch(r"budget exhausted after \d+\.\ds\n", err)
 
 
+def _budget_verbs(parser, prefix=()):
+    """The verbs (a count structure as 'count <structure>') whose parser takes --budget."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _budget_verbs(sub, (*prefix, name))
+        elif "--budget" in action.option_strings:
+            yield " ".join(prefix)
+
+
+def _long_eval_tableau(tmp_path):
+    """eval-tableau on the generic 6 x 4 tableau at a dense order-4 tensor over C^6, which no relabelling
+    fixes: the unbudgeted run takes over 25 s."""
+    rng = random.Random(5)
+    tensor = SparseTensor((6,) * 4, {idx: rng.randint(1, 3) for idx in itertools.product(range(1, 7), repeat=4)})
+    return ("--tableau", _write(tmp_path / "g.tableau", serialize_tableau(generic_tableau(4, 6))),
+            "--tensor", _write(tmp_path / "dense.tensor", serialize_tensor(tensor)))
+
+
+# per verb that takes --budget: arguments (a function of tmp_path for files) whose unbudgeted run
+# takes much longer than the 5 s allowed here
+_LONG_RUNS = {
+    "invariant": lambda tmp_path: ("tensor", "--kind", "unit", "--m", "16"),  # the Latin cubes of size 4
+    "eval-tableau": _long_eval_tableau,
+    "count latin-squares": lambda tmp_path: ("8",),
+    "count latin-annuli": lambda tmp_path: ("6", "8"),
+    "count latin-cubes": lambda tmp_path: ("4",),
+    "count admissible-tables": lambda tmp_path: ("4",),
+    "kronecker": lambda tmp_path: ("--lam", "16,16,16,16", "--mu", "16,16,16,16", "--nu", "16,16,16,16"),
+    "krect": lambda tmp_path: ("--m", "3", "--delta", "60"),
+    "monoid": lambda tmp_path: ("--m", "16", "--delta-max", "4"),  # about 40 s
+    "pleth-bound": lambda tmp_path: ("--sl", "--D", "3", "--m", "3", "--d", "9"),  # over 15 s
+    "min-degree": lambda tmp_path: ("--kind", "determinant", "--n", "4"),
+    "normality": lambda tmp_path: ("--kind", "power-sum", "--D", "4", "--m", "22"),  # about 17 s
+    "polystable": lambda tmp_path: ("form", "--kind", "determinant", "--n", "7"),
+}
+
+
+def test_every_budget_verb_has_a_long_run_here():
+    assert sorted(_budget_verbs(_build_parser())) == sorted(_LONG_RUNS)
+
+
+@pytest.mark.parametrize("verb", sorted(_LONG_RUNS))
+def test_every_budget_verb_stops_within_its_budget(tmp_path, capsys, verb):
+    started = time.monotonic()
+    code, out, err = run(capsys, *verb.split(), *_LONG_RUNS[verb](tmp_path), "--budget", "0.5")
+    assert time.monotonic() - started < 5
+    if verb in ("min-degree", "normality"):  # an undecided report, printed
+        assert code == 0 and "undecided at budget" in out and err == ""
+    else:
+        assert code == 3 and out == "" and "budget exhausted" in err
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf", "-1", "ten"])
+@pytest.mark.parametrize("argv", [
+    ("count", "latin-squares", "8"),
+    ("kronecker", "--lam", "16,16,16,16", "--mu", "16,16,16,16", "--nu", "16,16,16,16"),
+], ids=["count", "kronecker"])
+def test_a_budget_that_is_no_finite_number_of_seconds_exits_two_before_any_work(capsys, argv, budget):
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv, "--budget", budget)
+    assert code == 2 and out == "" and f"need a finite number of seconds >= 0, got '{budget}'" in err
+    assert time.monotonic() - started < 1
+
+
+@pytest.mark.parametrize("table", [(), ("--table",)], ids=["value", "table"])
+def test_krect_rejects_a_negative_delta_with_or_without_table(capsys, table):
+    assert run(capsys, "krect", "--m", "3", "--delta", "-1", *table) == (2, "", "error: need m >= 1 and delta >= 0\n")
+
+
 def test_threads_flag_identical_output(capsys):
     code1, out1, _ = run(capsys, "count", "latin-squares", "3", "--threads", "1")
     code2, out2, _ = run(capsys, "count", "latin-squares", "3", "--threads", "2")
@@ -544,9 +617,9 @@ def test_a_false_relabelling_is_dropped_before_any_sweep(capsys, monkeypatch, ar
     monkeypatch.setattr(latin, "_proposals", lambda m: [swap, *proposals(m)])
     generators = []
 
-    def record(steps, kept, deadline):
+    def record(steps, kept):
         generators.append([g for g, _ in kept])
-        return orbits(steps, kept, deadline)
+        return orbits(steps, kept)
 
     monkeypatch.setattr(latin, "_first_step_orbits", record)
     code, out, err = run(capsys, *argv)

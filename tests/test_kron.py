@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import centralizer_order
 from slinv import kron
-from slinv.budget import BudgetExhausted, Deadline
+from slinv.budget import BudgetExhausted, Deadline, scope
 from slinv.exact import Partition, partition_tuples, partitions_of
 from slinv.kron import (
     character_value,
@@ -214,8 +214,8 @@ def test_lr_route_rejects_four_rows():
 def test_routes_poll_the_deadline(method, shape):
     # each computation runs for minutes without a budget
     started = time.monotonic()
-    with pytest.raises(BudgetExhausted):
-        kronecker(shape, shape, shape, method=method, deadline=0.2)
+    with scope(0.2), pytest.raises(BudgetExhausted):
+        kronecker(shape, shape, shape, method=method)
     assert time.monotonic() - started < 5
 
 
@@ -230,7 +230,8 @@ class _CountingDeadline(Deadline):
 
 def test_exponent_monoid_passes_its_deadline_into_each_delta():
     dl = _CountingDeadline()
-    exponent_monoid(3, 4, deadline=dl)
+    with scope(dl):
+        exponent_monoid(3, 4)
     assert dl.checks > 4  # more than the one check per delta of the scan itself
 
 

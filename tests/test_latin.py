@@ -15,7 +15,7 @@ from helpers import (
     enumerate_latin_cubes,
 )
 from slinv import kernel, latin
-from slinv.budget import BudgetExhausted, Deadline
+from slinv.budget import BudgetExhausted, Deadline, scope
 from slinv.exact import sequence_sign
 from slinv.latin import (
     signed_admissible_tables,
@@ -123,7 +123,7 @@ def test_admissible_table_bridge_to_generic_invariant():
 
 def _product_symmetry(m):
     """The relabellings found on the product's terms: (1 2) and (1 2 ... m), character 1."""
-    return latin._symmetry(product_form(m), Deadline(None))
+    return latin._symmetry(product_form(m))
 
 
 def _product_support(m):
@@ -141,7 +141,7 @@ def _fix_first(steps, labels):
 
 
 def _subtree_value(steps, labels):
-    return kernel._signed_sum(_fix_first(steps, labels), Deadline(None))[0]
+    return kernel._signed_sum(_fix_first(steps, labels))[0]
 
 
 def _count_by_columns(lines, m, first):
@@ -188,8 +188,8 @@ def test_every_first_column_subtree_matches_column_enumeration(m, d):
 
 
 def test_budget_exhaustion_raises():
-    with pytest.raises(BudgetExhausted):
-        signed_latin_squares(4, deadline=Deadline(-1.0))
+    with scope(-1.0), pytest.raises(BudgetExhausted):
+        signed_latin_squares(4)
 
 
 def test_an_expired_deadline_stops_the_orbit_walk_before_any_sweep(monkeypatch):
@@ -197,16 +197,17 @@ def test_an_expired_deadline_stops_the_orbit_walk_before_any_sweep(monkeypatch):
         raise AssertionError("a sweep ran")
 
     monkeypatch.setattr(latin, "_signed_sum", no_sweep)
-    with pytest.raises(BudgetExhausted):
-        latin._count(1, _squares_steps(6), _product_symmetry(6), Deadline(-1.0), None)
+    steps, generators = _squares_steps(6), _product_symmetry(6)
+    with scope(-1.0), pytest.raises(BudgetExhausted):
+        latin._count(1, steps, generators, None)
 
 
 @pytest.mark.parametrize("count", [
-    lambda deadline: signed_latin_squares(4, deadline=deadline),
-    lambda deadline: signed_latin_annuli(4, 6, deadline=deadline),
-    lambda deadline: signed_latin_cubes(2, deadline=deadline),
-    lambda deadline: signed_admissible_tables(2, "det", deadline=deadline),
-    lambda deadline: signed_admissible_tables(2, "per", deadline=deadline),
+    lambda: signed_latin_squares(4),
+    lambda: signed_latin_annuli(4, 6),
+    lambda: signed_latin_cubes(2),
+    lambda: signed_admissible_tables(2, "det"),
+    lambda: signed_admissible_tables(2, "per"),
 ], ids=["squares-4", "annuli-4-6", "cubes-2", "tables-2-det", "tables-2-per"])
 def test_every_count_stops_in_its_symmetry_check_once_the_deadline_expires(monkeypatch, count):
     entered = []
@@ -220,8 +221,8 @@ def test_every_count_stops_in_its_symmetry_check_once_the_deadline_expires(monke
 
     monkeypatch.setattr(latin, "_first_step_orbits", orbits)
     monkeypatch.setattr(latin, "_signed_sum", no_sweep)
-    with pytest.raises(BudgetExhausted):
-        count(Deadline(-1.0))
+    with scope(-1.0), pytest.raises(BudgetExhausted):
+        count()
     assert len(entered) == 1
 
 
@@ -239,8 +240,9 @@ class _CountingDeadline(Deadline):
 
 
 def test_the_orbit_walk_polls_the_deadline():
-    with pytest.raises(BudgetExhausted):  # no generators: nothing to check, so the walk itself raises
-        kernel._first_step_orbits(_squares_steps(3), [], Deadline(-1.0))
+    steps = _squares_steps(3)
+    with scope(-1.0), pytest.raises(BudgetExhausted):  # no generators: nothing to check, so the walk itself raises
+        kernel._first_step_orbits(steps, [])
 
 
 @pytest.mark.parametrize("n, generators, polls", [
@@ -249,8 +251,9 @@ def test_the_orbit_walk_polls_the_deadline():
     (6, _product_symmetry(6), 3),  # 720 candidates: one poll per generator, one for the single orbit
 ], ids=["squares-7-no-generators", "squares-7", "squares-6"])
 def test_the_symmetry_check_and_walk_poll_every_1024_candidates(n, generators, polls):
-    deadline = _CountingDeadline()
-    kernel._first_step_orbits(_squares_steps(n), generators, deadline)
+    steps, deadline = _squares_steps(n), _CountingDeadline()
+    with scope(deadline):
+        kernel._first_step_orbits(steps, generators)
     assert deadline.polls == polls
 
 
@@ -258,14 +261,16 @@ def test_the_symmetry_check_and_walk_poll_every_1024_candidates(n, generators, p
                          ids=["det-7", "per-7"])
 def test_det_per_forms_and_their_symmetry_poll_every_1024_terms(build, chis):
     deadline = _CountingDeadline()
-    form = build(7, deadline)
+    with scope(deadline):
+        form = build(7)
     assert deadline.polls == 4  # 5,040 permutations: on 1,023, 2,047, 3,071 and 4,095
     deadline = _CountingDeadline()
-    kept = latin._symmetry(form, deadline)
+    with scope(deadline):
+        kept = latin._symmetry(form)
     # four polls for each of the four kept grid relabellings; the two index relabellings fail on their first term
     assert [chi for _, chi in kept] == chis and deadline.polls == 16
-    with pytest.raises(BudgetExhausted):
-        latin._symmetry(form, Deadline(-1.0))
+    with scope(-1.0), pytest.raises(BudgetExhausted):
+        latin._symmetry(form)
 
 
 # -- the layered kernel against the backtracking oracle ------------------------
@@ -293,16 +298,16 @@ def _peak_bound(steps, cap, floor):
 @settings(max_examples=300, deadline=None)
 @given(steps=_step_sequences(), limits=st.none() | st.tuples(st.integers(1, 4), st.integers(1, 4)))
 def test_signed_sum_matches_backtracking_oracle(steps, limits):
-    expected = dfs_signed_sum(steps, Deadline(None))
+    expected = dfs_signed_sum(steps)
     if limits is None:  # the real constants: these sums never reach the cap
-        total, states, peak = kernel._signed_sum(steps, Deadline(None))
+        total, states, peak = kernel._signed_sum(steps)
         assert peak <= kernel._STATE_CAP
     else:
         cap, floor = limits
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel, "_STATE_CAP", cap)
             mp.setattr(kernel, "_CHUNK_FLOOR", floor)
-            total, states, peak = kernel._signed_sum(steps, Deadline(None))
+            total, states, peak = kernel._signed_sum(steps)
         assert peak <= _peak_bound(steps, cap, floor)
     assert total == expected
 
@@ -312,7 +317,7 @@ def test_every_squares_5_subtree_matches_backtracking_oracle():
     total = 0
     for first in itertools.permutations(range(1, 6)):
         value = _subtree_value(steps, first)
-        assert value == dfs_signed_sum(_fix_first(steps, first), Deadline(None))
+        assert value == dfs_signed_sum(_fix_first(steps, first))
         total += value
     assert total == signed_latin_squares(5) == 0
 
@@ -325,11 +330,11 @@ def test_squares_6_subtree_with_sorted_first_column():
 
 def test_tiny_cap_chunks_the_sweep_and_keeps_its_bound(monkeypatch):
     steps = _fix_first(_squares_steps(5), (1, 2, 3, 4, 5))
-    total, states, peak = kernel._signed_sum(steps, Deadline(None))
+    total, states, peak = kernel._signed_sum(steps)
     monkeypatch.setattr(kernel, "_STATE_CAP", 64)
     monkeypatch.setattr(kernel, "_CHUNK_FLOOR", 8)
-    chunked, chunked_states, chunked_peak = kernel._signed_sum(steps, Deadline(None))
-    assert chunked == total == dfs_signed_sum(steps, Deadline(None))
+    chunked, chunked_states, chunked_peak = kernel._signed_sum(steps)
+    assert chunked == total == dfs_signed_sum(steps)
     assert peak > 64 + 8  # so the cap was reached
     assert chunked_states > states  # chunks merge less
     assert chunked_peak <= _peak_bound(steps, 64, 8)
@@ -357,7 +362,7 @@ def _live_states_at_flushes(steps):
     previous = sys.gettrace()
     sys.settrace(trace)
     try:
-        return kernel._signed_sum(steps, Deadline(None)), most
+        return kernel._signed_sum(steps), most
     finally:
         sys.settrace(previous)
 
@@ -379,7 +384,7 @@ def test_peak_states_counts_every_live_layer(monkeypatch, steps, cap, floor):
     monkeypatch.setattr(kernel, "_STATE_CAP", cap)
     monkeypatch.setattr(kernel, "_CHUNK_FLOOR", floor)
     (total, states, peak), live = _live_states_at_flushes(steps)
-    assert total == dfs_signed_sum(steps, Deadline(None))
+    assert total == dfs_signed_sum(steps)
     assert 0 < live <= peak <= _peak_bound(steps, cap, floor)
 
 
@@ -399,7 +404,7 @@ def _unreduced(structure, *params):
         m, d = params if structure == "annuli" else params * 2
         tableau = generic_tableau(m, m) if structure == "squares" else annulus_tableau(m, d)
         sign, steps = _tableau_steps(tableau, _product_support(m))
-    return sign * kernel._signed_sum(steps, Deadline(None))[0]
+    return sign * kernel._signed_sum(steps)[0]
 
 
 _COUNTERS = {"squares": signed_latin_squares, "annuli": signed_latin_annuli, "cubes": signed_latin_cubes,
@@ -427,8 +432,8 @@ def test_reduced_count_equals_the_unreduced_kernel(case):
 def test_first_step_orbits_of_the_counts(monkeypatch, count, orbits):
     found = []
 
-    def record(steps, generators, deadline):  # the orbits of the symmetry found on the terms; then no subtree runs
-        found.append(kernel._first_step_orbits(steps, generators, deadline))
+    def record(steps, generators):  # the orbits of the symmetry found on the terms; then no subtree runs
+        found.append(kernel._first_step_orbits(steps, generators))
         return []
 
     monkeypatch.setattr(latin, "_first_step_orbits", record)
@@ -457,7 +462,7 @@ def test_a_negating_relabelling_proves_zero_before_any_candidate_is_built(monkey
 
 def test_no_generators_keep_every_candidate():
     steps = _squares_steps(3)
-    assert kernel._first_step_orbits(steps, [], Deadline(None)) == [(i, 1) for i in range(6)]
+    assert kernel._first_step_orbits(steps, []) == [(i, 1) for i in range(6)]
 
 
 def _swap(k, a, b):
@@ -471,8 +476,8 @@ def _swap(k, a, b):
 def test_a_lone_swap_gives_orbits_of_its_size_or_proves_zero(n, sizes, value):
     sign, steps = _tableau_steps(generic_tableau(n, n), _product_support(n))
     swap = [(_swap(n, 1, 2), 1)]
-    assert [size for _, size in kernel._first_step_orbits(steps, swap, Deadline(None))] == sizes
-    assert latin._count(sign, steps, swap, None, None) == _unreduced("squares", n) == value
+    assert [size for _, size in kernel._first_step_orbits(steps, swap)] == sizes
+    assert latin._count(sign, steps, swap, None) == _unreduced("squares", n) == value
 
 
 def _cycle(k, labels):
@@ -491,9 +496,9 @@ def _cycle(k, labels):
 def test_a_lone_cycle_gives_orbits_of_its_length_or_proves_zero(n, labels, sizes, value):
     sign, steps = _tableau_steps(generic_tableau(n, n), _product_support(n))
     cycle = [(_cycle(n, labels), 1)]
-    assert [size for _, size in kernel._first_step_orbits(steps, cycle, Deadline(None))] == sizes
+    assert [size for _, size in kernel._first_step_orbits(steps, cycle)] == sizes
     stats = {}
-    assert latin._count(sign, steps, cycle, None, stats) == _unreduced("squares", n) == value
+    assert latin._count(sign, steps, cycle, stats) == _unreduced("squares", n) == value
     assert stats["candidates"] == math.factorial(n) and stats["subtrees"] == len(sizes)
 
 
@@ -513,7 +518,7 @@ def test_a_false_symmetry_raises_before_any_sweep(monkeypatch, steps, generators
 
     monkeypatch.setattr(latin, "_signed_sum", no_sweep)
     with pytest.raises(ValueError, match=message):
-        latin._count(1, steps, generators, None, None)
+        latin._count(1, steps, generators, None)
 
 
 # -- named invariants: the reduced path against the unreduced evaluators ---------

@@ -16,7 +16,7 @@ from helpers import (
     random_sparse_cubic,
     tableau_positions,
 )
-from slinv.budget import BudgetExhausted, Deadline
+from slinv.budget import BudgetExhausted, scope
 from slinv.exact import binomial, sequence_sign
 from slinv.spaces import (
     ParseError,
@@ -126,11 +126,12 @@ def test_tableau_evaluator_polls_its_deadline():
     rng = random.Random(23)
     T = cyclic_tableau(3)  # a dense tensor over C^3 takes over 1024 search nodes
     v = SparseTensor((3,) * 3, {idx: random_fraction(rng) for idx in itertools.product(range(1, 4), repeat=3)})
-    with pytest.raises(BudgetExhausted):
-        eval_tableau_invariant(T, v, deadline=Deadline(-1))
-    with pytest.raises(BudgetExhausted):
-        eval_cyclic_invariant(3, v, deadline=Deadline(-1))
-    assert eval_tableau_invariant(T, v, deadline=Deadline(60)) == brute_tableau_invariant(T, v)
+    with scope(-1), pytest.raises(BudgetExhausted):
+        eval_tableau_invariant(T, v)
+    with scope(-1), pytest.raises(BudgetExhausted):
+        eval_cyclic_invariant(3, v)
+    with scope(60):
+        assert eval_tableau_invariant(T, v) == brute_tableau_invariant(T, v)
 
 
 def test_generic_evaluator_matches_tableau_evaluator():

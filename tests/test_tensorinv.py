@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_tensor_invariant_format, dfs_signed_sum, leibniz_det, random_integer_matrix
-from slinv.budget import Deadline
 from slinv.latin import signed_latin_cubes
 from slinv.spaces import SparseTensor, apply_action, matmul_tensor, pair_index, unit_tensor
 from slinv.tensorinv import _point_steps, eval_tensor_invariant, eval_tensor_invariant_format
@@ -40,7 +39,7 @@ def test_matmul_paths_agree():
     for n, value in ((1, 1), (2, 864)):
         triples = [((pair_index(mu, nu, n), pair_index(nu, pi, n), pair_index(pi, mu, n)), 1)
                    for mu, nu, pi in itertools.product(range(1, n + 1), repeat=3)]
-        oracle = dfs_signed_sum(_point_steps(n, n, n, triples), Deadline(None))
+        oracle = dfs_signed_sum(_point_steps(n, n, n, triples))
         assert eval_tensor_invariant(n, matmul_tensor(n)) == oracle == value
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from slinv.budget import Deadline
+from slinv.budget import scope
 from slinv.kron import k_rect
 from slinv.spaces import (
     NamedObject,
@@ -143,7 +143,8 @@ def test_minimal_degree_det_per_and_tensors():
 
 
 def test_minimal_degree_budget_exhaustion():
-    report = minimal_degree_report(NamedObject("determinant", n=4), deadline=-1.0)
+    with scope(-1.0):
+        report = minimal_degree_report(NamedObject("determinant", n=4))
     assert report.exact is None
     assert report.undecided_reason == "undecided at budget"
     assert report.lower_bound == 16
@@ -152,14 +153,16 @@ def test_minimal_degree_budget_exhaustion():
 def test_generic_tensor_scan_honours_budget():
     # the unbudgeted scan at m = 16 runs for about 15 s inside k_rect(16, 4)
     started = time.monotonic()
-    report = minimal_degree_report(NamedObject("generic-tensor", m=16), deadline=0.5)
+    with scope(0.5):
+        report = minimal_degree_report(NamedObject("generic-tensor", m=16))
     assert report.exact is None and report.undecided_reason == "undecided at budget"
     assert time.monotonic() - started < 5
 
 
 def test_power_sum_scan_honours_budget():
     # even D decides by the generic degree-m invariant; at m = 10 that search has 10! leaves
-    report = minimal_degree_report(NamedObject("power-sum", D=2, m=10), deadline=0)
+    with scope(0):
+        report = minimal_degree_report(NamedObject("power-sum", D=2, m=10))
     assert report.exact is None and report.lower_bound == 10
     assert report.undecided_reason == "undecided at budget"
 
@@ -183,7 +186,8 @@ REPORT_GRID_LONG = [NamedObject("product", m=6), NamedObject("determinant", n=4)
 @pytest.mark.parametrize("obj", REPORT_GRID + REPORT_GRID_LONG, ids=NamedObject.describe)
 def test_minimal_degree_report_respects_certified_bound_and_period(obj):
     b, bound = periods(obj).b, certified_lower_bound(obj)
-    reports = [minimal_degree_report(obj, deadline=Deadline(-1))]
+    with scope(-1):
+        reports = [minimal_degree_report(obj)]
     if obj in REPORT_GRID:
         reports.append(minimal_degree_report(obj))
     for report in reports:
@@ -427,4 +431,5 @@ def test_generic_invariant_of_odd_degree_vanishes_at_degree_m(kind):
     # odd D: det_3 and per_3 (D = 3 in m = 9 variables) have no invariant of degree 9
     assert minimal_degree_report(NamedObject(kind, n=3)).lower_bound > 9
     form = NamedObject(kind, n=3).build()
-    assert eval_generic_invariant(3, 9, form_to_tensor(form), deadline=Deadline(20)) == 0
+    with scope(20):
+        assert eval_generic_invariant(3, 9, form_to_tensor(form)) == 0
