@@ -19,6 +19,7 @@ from .kron import (
     sl_invariant_bound,
 )
 from .latin import (
+    invariant,
     signed_admissible_tables,
     signed_latin_annuli,
     signed_latin_cubes,
@@ -35,15 +36,7 @@ from .spaces import (
     serialize_form,
     serialize_tensor,
 )
-from .tableaux import (
-    Tableau,
-    cyclic_tableau,
-    eval_cyclic_invariant,
-    eval_generic_invariant,
-    eval_tableau_invariant,
-    generic_tableau,
-)
-from .tensorinv import eval_tensor_invariant, eval_tensor_invariant_format
+from .tableaux import Tableau, cyclic_tableau, generic_tableau
 from .theory import (
     MinimalDegreeReport,
     NormalityReport,

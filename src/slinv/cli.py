@@ -6,7 +6,10 @@ rationals as p/q (integers as p).  Each verb takes only the flags it reads.
 SECONDS (invariant, eval-tableau, count, kronecker, krect, monoid,
 pleth-bound, min-degree, normality, polystable; finite, >= 0) bounds the
 verb's wall-clock time from its start, as the one `budget.scope` that
-`main` opens around it; exit code 3 when exhausted.
+`main` opens around it; when it is exhausted `main` prints "budget
+exhausted after X.Xs" (krect names the delta it stopped at first) and
+exits with code 3.  `invariant tensor` evaluates the tensor invariant of
+the format (n1, n2, n3) read off the shape (n2 n3, n1 n3, n1 n2).
 --threads K belongs to `count` only and goes after its structure; every
 count runs as one sweep in this process, so K (>= 1) changes nothing.
 Exit code 2 flags bad input, including a flag the verb does not take and
@@ -25,10 +28,9 @@ from pathlib import Path
 from .budget import BudgetExhausted, scope
 from .exact import Partition, format_scalar
 from .kron import exponent_monoid, k_rect, kronecker, pleth_upper_bound, sl_invariant_bound
-from .latin import invariant
+from .latin import _format, invariant
 from .spaces import _KINDS, NamedObject, parse_form, parse_tensor
 from .tableaux import cyclic_tableau, generic_tableau, parse_tableau
-from .tensorinv import eval_tensor_invariant_format
 from .theory import (
     EVALUATIONS,
     deciding_run,
@@ -96,22 +98,11 @@ def _require_budget(args, run, what: str) -> None:
 
 
 def _cmd_invariant(args):
-    if args.target == "form" and args.format:
-        raise CliError("--format applies to tensors")
     if args.target == "tensor" and args.cyclic:
         raise CliError("--cyclic applies to forms")
     work = {"states": 0, "peak_states": 0}
     source = _load_object(args)
     named = isinstance(source, NamedObject)
-    if args.format:
-        n1, n2, n3 = args.format
-        degree, n = n1 * n2 * n3, 1
-        while (n + 1) ** 3 <= degree:  # refused as the cubic invariant of the largest degree n^3 <= its own
-            n += 1
-        _require_budget(args, ("tensor-invariant", n, source),
-                        f"evaluating the degree-{degree} tensor invariant of format {n1} {n2} {n3}")
-        value = eval_tensor_invariant_format(n1, n2, n3, source.build() if named else source, stats=work)
-        return value, {"invariant": "tensor", "format": [n1, n2, n3], "degree": degree, **work}, None
     if args.target == "form":
         D, m = (source.form_degree(), source.form_variables()) if named else (source.D, source.m)
         if args.cyclic and D != m:
@@ -121,14 +112,14 @@ def _cmd_invariant(args):
         what = f"the degree-{T.d} invariant of {source.kind}_{source.size}" if named else None
         run = None  # a form read from a file is never refused
     else:
-        if not named and (source.order != 3 or not source.is_cubic()):
-            raise CliError("tensor must be cubic order 3 (or pass --format n1 n2 n3)")
-        dimension = source.tensor_axis_dim() if named else source.shape[0]
-        n, T = math.isqrt(dimension), None
-        if n * n != dimension:
-            raise CliError(f"axis dimension {dimension} is not a square; pass --format")
-        meta = {"invariant": "tensor", "n": n, "degree": n**3}
-        what, run = f"the degree-{n**3} tensor invariant", ("tensor-invariant", n, source)
+        shape = (source.tensor_axis_dim(),) * 3 if named else source.shape
+        fmt, T = _format(shape), None
+        if fmt is None:
+            raise CliError(f"the tensor invariant does not read the shape {shape}; "
+                           "it reads (n2 n3, n1 n3, n1 n2) for a format n1 n2 n3")
+        degree = math.prod(fmt)
+        meta = {"invariant": "tensor", "format": list(fmt), "degree": degree}
+        what, run = f"the degree-{degree} tensor invariant", ("tensor-invariant", None, source)  # no size n
     if named:  # refused as the run it equals is, before it is built
         run = source.record.counted_as(source, args.cyclic)
     _require_budget(args, run, f"evaluating {what}")
@@ -153,10 +144,7 @@ def _cmd_count(args):
     # the counter adds its first-step candidates and the orbit representatives (subtrees) it runs
     work = {"states": 0, "peak_states": 0}
     started = time.monotonic()
-    try:
-        value = evaluation.run(*values, stats=work)
-    except BudgetExhausted:
-        raise BudgetExhausted(f"budget exhausted after {time.monotonic() - started:.1f}s") from None
+    value = evaluation.run(*values, stats=work)
     meta = {"structure": args.structure, **dict(zip(evaluation.params, values)),
             "elapsed_s": round(time.monotonic() - started, 3), **work}
     return value, meta, None
@@ -268,12 +256,8 @@ def _cmd_normality(args):
 
 def _cmd_polystable(args):
     support = polystable_form_support if args.target == "form" else polystable_tensor_support
-    started = time.monotonic()
     source = _load_object(args)
-    try:
-        cert = support(source.build() if isinstance(source, NamedObject) else source)
-    except BudgetExhausted:
-        raise BudgetExhausted(f"budget exhausted after {time.monotonic() - started:.1f}s") from None
+    cert = support(source.build() if isinstance(source, NamedObject) else source)
     witness = None if cert.witness is None else {
         " ".join(str(i) for i in key): format_scalar(c) for key, c in sorted(cert.witness.items())}
     separating = None if cert.separating is None else [
@@ -346,9 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=handler)
 
     verb("invariant", _cmd_invariant, [budget, source, named], "evaluate a fundamental invariant",
-         (("--cyclic",), dict(action="store_true", help="cyclic degree-(D+1) invariant (forms, D = m)")),
-         (("--format",), dict(type=int, nargs=3, metavar=("N1", "N2", "N3"),
-                              help="noncubic tensor invariant of this slice format")))
+         (("--cyclic",), dict(action="store_true", help="cyclic degree-(D+1) invariant (forms, D = m)")))
     verb("eval-tableau", _cmd_eval_tableau, [budget], "evaluate a tableau invariant from files",
          (("--tableau",), dict(required=True)), (("--tensor",), dict(required=True)))
 
@@ -392,6 +374,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
+    started = time.monotonic()
     try:
         with scope(getattr(args, "budget", None)):  # the verb's one budget, counted from here
             value, meta, lines = args.func(args)
@@ -399,7 +382,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except BudgetExhausted as exc:
-        print(exc, file=sys.stderr)
+        print(f"{exc} after {time.monotonic() - started:.1f}s", file=sys.stderr)
         return EXIT_BUDGET
     rendered = format_scalar(value) if isinstance(value, Fraction) else str(value)
     if args.json:

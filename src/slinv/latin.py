@@ -3,9 +3,12 @@ found on each object's terms, and the signed counts of column-signed Latin
 squares, annuli, cubes and admissible tables, each that invariant at its
 named tensor.
 
-`invariant` evaluates T's invariant (the tensor invariant when T is None) at
-any `SparseForm` or `SparseTensor`, named or read from a file.  Of the
-relabellings of the index values that `_proposals` names it keeps each g
+`invariant` is the one evaluator of the tableau and tensor invariants: it
+evaluates T's invariant at any `SparseForm` or `SparseTensor`, named or read
+from a file, and when T is None the tensor invariant of the format (n1, n2,
+n3) that `_format` reads off a shape (n2 n3, n1 n3, n1 n2), cubic or not,
+on the point steps of `tableaux`.  Of the relabellings of the index values
+that `_proposals` names (none at a tensor whose axes differ) it keeps each g
 mapping every term to chi times itself, chi = +-1 read off the first term.
 One that negates the whole sum, as at odd orders, proves it 0 before any
 candidate is built.  Otherwise `kernel._first_step_orbits` reduces the sum
@@ -36,8 +39,7 @@ from .budget import active
 from .kernel import _character, _first_step_orbits, _integer_weights, _signed_sum
 from .spaces import (SparseForm, SparseTensor, determinant_form, form_to_tensor, permanent_form, product_form,
                      unit_tensor)
-from .tableaux import Tableau, _tableau_steps, annulus_tableau, generic_tableau
-from .tensorinv import _point_steps
+from .tableaux import Tableau, _point_steps, _tableau_steps, annulus_tableau, generic_tableau
 
 
 def _run_tasks(steps: list[tuple], representatives: list[tuple[int, int]], stats: Optional[dict]) -> int:
@@ -77,12 +79,13 @@ def _proposals(m: int) -> list[dict[int, int]]:
 def _symmetry(source: SparseForm | SparseTensor) -> list[tuple[dict[int, int], int]]:
     """[(g, chi)]: the proposals g (X_i becomes X_g(i)) that map every term of source to chi times
     itself, chi = +-1 read off the first term; a proposal that does not is dropped at its first
-    failing term.  Polls the deadline in effect per 1,024 terms of a proposal."""
+    failing term.  None is proposed for a tensor whose axes differ, as no relabelling of one index
+    range moves them all.  Polls the deadline in effect per 1,024 terms of a proposal."""
     deadline = active()
     form = isinstance(source, SparseForm)
     terms, m = (source.coeffs, source.m) if form else (source.entries, source.shape[0])
     kept = []
-    for g in _proposals(m):
+    for g in _proposals(m) if form or len(set(source.shape)) == 1 else ():
         # on a form g moves the exponent at g(i) to i, which is g^-1: it keeps source exactly when g does
         image = operator.itemgetter(*(g[i] - 1 for i in range(1, m + 1))) if form else (
             lambda key: tuple(map(g.__getitem__, key)))
@@ -100,15 +103,27 @@ def _symmetry(source: SparseForm | SparseTensor) -> list[tuple[dict[int, int], i
     return kept
 
 
+def _format(shape: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
+    """(n1, n2, n3) with shape = (n2 n3, n1 n3, n1 n2): the format of the tensor invariant that
+    reads shape, or None.  It is unique, since n1^2 = d2 d3 / d1; (n^2, n^2, n^2) gives (n, n, n)."""
+    if len(shape) != 3:
+        return None
+    d1, d2, d3 = shape
+    n1 = math.isqrt(d2 * d3 // d1) or 1  # d2 d3 < d1 fails the check below
+    n2, n3 = d3 // n1, d2 // n1
+    return (n1, n2, n3) if (n2 * n3, n1 * n3, n1 * n2) == shape else None
+
+
 def _sum(source: SparseForm | SparseTensor, T: Optional[Tableau], stats) -> tuple[int, int]:
-    """(S, q): T's invariant at source (the tensor invariant when T is None) is S / q, S the kernel
-    total times the column sign.  ValueError unless the invariant reads source's shape."""
+    """(S, q): T's invariant at source (the tensor invariant of the format `_format` reads off the
+    shape when T is None) is S / q, S the kernel total times the column sign.  ValueError unless
+    the invariant reads source's shape."""
     form = isinstance(source, SparseForm)
     shape = (source.m,) * source.D if form else source.shape
-    n = math.isqrt(shape[0]) if shape else 0
-    if shape != ((n * n,) * 3 if T is None else (T.m,) * T.D):
+    fmt = _format(shape) if T is None else None
+    if not (fmt if T is None else shape == (T.m,) * T.D):
         raise ValueError(f"the invariant does not read the shape {shape} of this {'form' if form else 'tensor'}")
-    degree, lines = (n**3, 3 * n) if T is None else (T.d, T.s)
+    degree, lines = (math.prod(fmt), sum(fmt)) if T is None else (T.d, T.s)
     generators = _symmetry(source)
     # every signed line (column or slice) gets each index value: g scales the sum by chi^degree sgn(g)^lines
     if any(_character(g, chi, degree, lines) == -1 for g, chi in generators):
@@ -116,13 +131,14 @@ def _sum(source: SparseForm | SparseTensor, T: Optional[Tableau], stats) -> tupl
             stats.update(candidates=0, subtrees=0)  # none built
         return 0, 1
     den, support = _integer_weights((form_to_tensor(source) if form else source).entries)
-    sign, steps = (1, _point_steps(n, n, n, support)) if T is None else _tableau_steps(T, support)
+    sign, steps = (1, _point_steps(*fmt, support)) if T is None else _tableau_steps(T, support)
     return _count(sign, steps, generators, stats), den**degree
 
 
 def invariant(source: SparseForm | SparseTensor, T: Optional[Tableau] = None, *, stats=None) -> Fraction:
-    """Exact value of T's invariant at a form or tensor (the tensor invariant of a cubic order-3
-    tensor when T is None), reduced by the relabellings that `_symmetry` finds on its terms."""
+    """Exact value of T's invariant at a form or tensor (when T is None, the tensor invariant of the
+    format its shape (n2 n3, n1 n3, n1 n2) gives), reduced by the relabellings that `_symmetry` finds
+    on its terms."""
     return Fraction(*_sum(source, T, stats))
 
 

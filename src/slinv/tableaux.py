@@ -1,4 +1,4 @@
-"""Tableau-indexed invariants of cubic tensors, evaluated exactly.
+"""Tableaux and the kernel steps of the tableau and tensor invariants.
 
 A tableau here is an m x s array over the symbols 1..d in which every
 symbol appears exactly D = m*s/d times and no symbol repeats within a
@@ -18,21 +18,33 @@ changes the sign by the constant prod_j sgn(column j of T).  The generic
 tableau (symbol i in every cell of row i) has sorted columns, so for it
 that constant is 1 and step i fills row i.
 
-`_tableau_steps` builds those steps for any integer candidates, and the
-signed counts in `latin` are built from it: the generic tableau at the
-product tensor counts Latin squares (and at det_n/per_n admissible
-tables), and the annulus tableau (symbol k on the k-th wrap-around
-diagonal; the cyclic tableau is its D x (D+1) case) counts Latin annuli.
+The tensor invariant of format (n1, n2, n3), of degree n1 n2 n3 on
+C^{n2 n3} x C^{n1 n3} x C^{n1 n2} (the cubic one is n1 = n2 = n3), is a
+sum over triples of labelings of the point box [n1] x [n2] x [n3], one
+per tensor factor, each weighted by the product of its slice-permutation
+signs and by the product of tensor entries over all points; a labeling
+that is no bijection on some slice contributes 0.  `_point_steps` couples
+the three labelings point by point: each point is one step placing a
+support element (a, b, c) on the point's x-, y- and z-slice, all three
+signed.  The points are taken in lexicographic order of (x, y, z), which
+fixes how each slice is read off as a permutation; another order could
+flip the overall sign, so it is part of the external contract.
+
+`latin.invariant` evaluates both from these steps, and the signed counts
+in `latin` are built from them: the generic tableau at the product tensor
+counts Latin squares (and at det_n/per_n admissible tables), the annulus
+tableau (symbol k on the k-th wrap-around diagonal; the cyclic tableau is
+its D x (D+1) case) counts Latin annuli, and the point steps at the unit
+tensor <n^2> count Latin cubes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from fractions import Fraction
 
 from .exact import Frozen, sequence_sign
-from .kernel import _integer_weights, _signed_sum
-from .spaces import ParseError, SparseTensor
+from .spaces import ParseError
 
 
 class Tableau(Frozen):
@@ -122,28 +134,11 @@ def _tableau_steps(T: Tableau, support: list) -> tuple[int, list[tuple]]:
     return math.prod(sequence_sign(column) for column in zip(*T.cells)), steps
 
 
-def eval_tableau_invariant(T: Tableau, v: SparseTensor, stats=None) -> Fraction:
-    """Exact value of the tableau invariant at an order-D cubic tensor.
-
-    The kernel sums over the support of v scaled to integers by the common
-    denominator den, so the value is sign * total / den**d.
-    """
-    if v.shape != (T.m,) * T.D:
-        raise ValueError(f"tensor shape {v.shape} does not match order {T.D} on C^{T.m}")
-    den, support = _integer_weights(v.entries)
-    sign, steps = _tableau_steps(T, support)
-    total = _signed_sum(steps, stats)[0]
-    return Fraction(sign * total, den**T.d)
-
-
-def eval_generic_invariant(D: int, m: int, v: SparseTensor, stats=None) -> Fraction:
-    """Exact value of the degree-m generic invariant on order-D tensors over C^m."""
-    return eval_tableau_invariant(generic_tableau(D, m), v, stats=stats)
-
-
-def eval_cyclic_invariant(D: int, v: SparseTensor, stats=None) -> Fraction:
-    """Exact value of the cyclic degree-(D+1) invariant on order-D tensors over C^D."""
-    return eval_tableau_invariant(cyclic_tableau(D), v, stats=stats)
+def _point_steps(n1: int, n2: int, n3: int, candidates: list) -> list[tuple]:
+    """Kernel steps of the tensor invariant of format (n1, n2, n3): one per point (x, y, z) of
+    [n1] x [n2] x [n3], in lexicographic order, on its x-, y- and z-slice; see the module docstring."""
+    return [((x, n1 + y, n1 + n2 + z), (True, True, True), candidates)
+            for x, y, z in itertools.product(range(n1), range(n2), range(n3))]
 
 
 # -- tableau text format -------------------------------------------------------

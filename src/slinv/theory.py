@@ -27,6 +27,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .budget import BudgetExhausted, active
 from .kron import k_rect
 from .latin import (
+    _format,
     invariant,
     signed_admissible_tables,
     signed_latin_annuli,
@@ -158,8 +159,8 @@ EVALUATIONS = {
         "signed admissible-table count is nonzero", "signed admissible-table count vanishes",
         "signed admissible-table count not finished", "degree-{degree} invariant vanishes; no decision above {degree}"),
     "tensor-invariant": Evaluation(
-        lambda n, tensor, **kw: invariant(tensor, **kw), ("n", "tensor"),
-        lambda n, tensor: n >= 3, None,
+        lambda n, tensor, **kw: invariant(tensor, **kw), ("n", "tensor"),  # n: a named tensor's size
+        lambda n, tensor: math.prod(_format(tensor.shape)) >= 27, None,  # its degree n1 n2 n3
         "fundamental tensor invariant is nonzero at the tensor", "fundamental tensor invariant vanishes",
         "matrix-multiplication evaluation not finished", _CANDIDATE_VANISHES),
     "generic-invariant": Evaluation(

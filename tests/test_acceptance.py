@@ -27,6 +27,7 @@ from helpers import (
 )
 from slinv.kron import exponent_monoid, k_rect
 from slinv.latin import (
+    invariant,
     signed_admissible_tables,
     signed_latin_annuli,
     signed_latin_cubes,
@@ -45,14 +46,7 @@ from slinv.spaces import (
     product_form,
     unit_tensor,
 )
-from slinv.tableaux import (
-    cyclic_tableau,
-    eval_cyclic_invariant,
-    eval_generic_invariant,
-    eval_tableau_invariant,
-    generic_tableau,
-)
-from slinv.tensorinv import eval_tensor_invariant, eval_tensor_invariant_format
+from slinv.tableaux import cyclic_tableau, generic_tableau
 from slinv.theory import (
     NON_NORMAL,
     NORMAL_KNOWN,
@@ -84,7 +78,7 @@ def test_criterion_01_power_sum_law():
         for D, m in [(2, 2), (2, 4), (4, 2), (4, 3), (4, 4), (6, 2)]:
             t0 = time.perf_counter()
             v = form_to_tensor(power_sum_form(D, m))
-            assert eval_generic_invariant(D, m, v) == math.factorial(m)
+            assert invariant(v, generic_tableau(D, m)) == math.factorial(m)
             assert time.perf_counter() - t0 < 10
 
 
@@ -94,7 +88,7 @@ def test_criterion_02_odd_degree_vanishing():
         for D, m in [(3, 2), (3, 3), (5, 2)]:
             for _ in range(20):
                 v = random_sparse_cubic(rng, m, D, terms=6)
-                assert eval_generic_invariant(D, m, v) == 0
+                assert invariant(v, generic_tableau(D, m)) == 0
 
 
 def test_criterion_03_determinant_reduction():
@@ -106,7 +100,7 @@ def test_criterion_03_determinant_reduction():
             sym = [[(g[i][j] + g[j][i]) / 2 for j in range(m)] for i in range(m)]
             v = SparseTensor((m, m), {(i + 1, j + 1): sym[i][j]
                                       for i in range(m) for j in range(m) if sym[i][j] != 0})
-            assert eval_generic_invariant(2, m, v) == math.factorial(m) * leibniz_det(sym)
+            assert invariant(v, generic_tableau(2, m)) == math.factorial(m) * leibniz_det(sym)
 
 
 def test_criterion_04_alon_tarsi_bridge():
@@ -116,7 +110,7 @@ def test_criterion_04_alon_tarsi_bridge():
             count = signed_latin_squares(m)
             assert count == expected[m]
             v = form_to_tensor(product_form(m))
-            assert math.factorial(m) ** m * eval_generic_invariant(m, m, v) == count
+            assert math.factorial(m) ** m * invariant(v, generic_tableau(m, m)) == count
         assert expected[4] != 0
 
 
@@ -127,7 +121,7 @@ def test_criterion_05_annulus_bridge():
             count = signed_latin_annuli(m, m + 1)
             assert count == expected[m] and count != 0
             v = form_to_tensor(product_form(m))
-            assert math.factorial(m) ** (m + 1) * eval_cyclic_invariant(m, v) == count
+            assert math.factorial(m) ** (m + 1) * invariant(v, cyclic_tableau(m)) == count
         report = minimal_degree_report(NamedObject("product", m=3))
         assert report.exact == 4  # = m + 1
 
@@ -143,18 +137,18 @@ def test_criterion_06_small_determinant_permanent():
         det_count = signed_admissible_tables(2, "det")
         per_count = signed_admissible_tables(2, "per")
         assert det_count != 0 and per_count != 0
-        assert factor * eval_generic_invariant(2, 4, form_to_tensor(determinant_form(2))) == det_count
-        assert factor * eval_generic_invariant(2, 4, form_to_tensor(permanent_form(2))) == per_count
+        assert factor * invariant(form_to_tensor(determinant_form(2)), generic_tableau(2, 4)) == det_count
+        assert factor * invariant(form_to_tensor(permanent_form(2)), generic_tableau(2, 4)) == per_count
 
 
 def test_criterion_07_tensor_invariants():
     with criterion(7, "fundamental tensor invariant", limit_s=360):
         t0 = time.perf_counter()
         cubes = signed_latin_cubes(2)
-        assert eval_tensor_invariant(2, unit_tensor(4)) == cubes == 24 != 0
+        assert invariant(unit_tensor(4)) == cubes == 24 != 0
         assert time.perf_counter() - t0 < 120
         t0 = time.perf_counter()
-        assert eval_tensor_invariant(2, matmul_tensor(2)) == 864
+        assert invariant(matmul_tensor(2)) == 864
         assert time.perf_counter() - t0 < 120
         t0 = time.perf_counter()
         rng = random.Random(107)
@@ -162,7 +156,7 @@ def test_criterion_07_tensor_invariants():
             g = random_integer_matrix(rng, n)
             w = SparseTensor((1, n, n), {(1, i + 1, j + 1): g[i][j]
                                          for i in range(n) for j in range(n) if g[i][j] != 0})
-            assert eval_tensor_invariant_format(n, 1, 1, w) == math.factorial(n) * leibniz_det(g)
+            assert invariant(w) == math.factorial(n) * leibniz_det(g)
         assert time.perf_counter() - t0 < 120
 
 
@@ -209,7 +203,7 @@ def test_criterion_09_invariance_and_pruning():
             v = random_sparse_cubic(rng, T.m, T.D, terms=3)
             g = random_integer_matrix(rng, T.m)
             moved = apply_action(v, [g] * T.D)
-            assert eval_tableau_invariant(T, moved) == leibniz_det(g) ** T.s * eval_tableau_invariant(T, v)
+            assert invariant(moved, T) == leibniz_det(g) ** T.s * invariant(v, T)
         # tensor invariant transforms by (det g1 det g2 det g3)^n, exactly
         m = 4
         w = SparseTensor((m, m, m), {(1, 2, 3): Fraction(1, 2), (2, 1, 4): 2,
@@ -219,18 +213,18 @@ def test_criterion_09_invariance_and_pruning():
         elem = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
         elem[1][2] = Fraction(2)
         eye = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
-        base = eval_tensor_invariant(2, w)
+        base = invariant(w)
         for gs in [(diag, eye, elem), (elem, diag, diag)]:
             moved = apply_action(w, list(gs))
             dets = leibniz_det(gs[0]) * leibniz_det(gs[1]) * leibniz_det(gs[2])
-            assert eval_tensor_invariant(2, moved) == dets**2 * base
+            assert invariant(moved) == dets**2 * base
         # pruned enumeration equals the unpruned reference sums
         for T in [generic_tableau(3, 2), cyclic_tableau(3), generic_tableau(2, 3)]:
             space = math.factorial(T.m) ** T.s
             assert space <= 10**6
             for _ in range(3):
                 v = random_sparse_cubic(rng, T.m, T.D, terms=4)
-                assert eval_tableau_invariant(T, v) == brute_tableau_invariant(T, v)
+                assert invariant(v, T) == brute_tableau_invariant(T, v)
         for fmt in [(2, 1, 1), (2, 2, 1)]:
             n1, n2, n3 = fmt
             d1, d2, d3 = n2 * n3, n1 * n3, n1 * n2
@@ -241,7 +235,7 @@ def test_criterion_09_invariance_and_pruning():
                 entries = {tuple(rng.randint(1, s) for s in shape): Fraction(rng.randint(-3, 3))
                            for _ in range(4)}
                 w = SparseTensor(shape, entries)
-                assert eval_tensor_invariant_format(n1, n2, n3, w) == brute_tensor_invariant_format(n1, n2, n3, w)
+                assert invariant(w) == brute_tensor_invariant_format(n1, n2, n3, w)
         # signed counters against their brute-force oracles
         assert signed_latin_squares(3) == brute_signed_latin_squares(3)
         assert signed_latin_annuli(3, 4) == brute_signed_latin_annuli(3, 4)

@@ -15,8 +15,8 @@ import slinv
 from slinv import kron, latin, spaces, theory
 from slinv.cli import _build_parser, main
 from slinv.spaces import (
-    SparseForm, SparseTensor, determinant_form, form_to_tensor, power_sum_form, product_form, serialize_form,
-    serialize_tensor, unit_tensor,
+    SparseForm, SparseTensor, determinant_form, form_to_tensor, matmul_tensor, power_sum_form, product_form,
+    serialize_form, serialize_tensor, unit_tensor,
 )
 from slinv.tableaux import generic_tableau, serialize_tableau
 
@@ -73,6 +73,11 @@ def test_invariant_tensor_verbs(capsys):
     assert code == 0 and out.strip() == "24"
     code, out, _ = run(capsys, "invariant", "tensor", "--kind", "matmul", "--n", "2")
     assert code == 0 and out.strip() == "864"
+    # a cubic tensor on C^{n^2} has the format n n n
+    code, out, _ = run(capsys, "invariant", "tensor", "--kind", "unit", "--m", "4", "--json")
+    meta = json.loads(out)["meta"]
+    assert (code, meta["invariant"], meta["format"], meta["degree"]) == (0, "tensor", [2, 2, 2], 8)
+    assert "n" not in meta
 
 
 def test_invariant_from_file_and_eval_tableau(tmp_path, capsys):
@@ -263,7 +268,9 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     (("invariant", "form", "--kind", "product", "--m", "3", "--checkpoint", "x", "--threads", "2"),
      "unrecognized arguments: --checkpoint x --threads 2"),
     (("invariant", "tensor", "--kind", "unit", "--m", "4", "--cyclic"), "--cyclic applies to forms"),
-    (("invariant", "form", "--kind", "product", "--m", "2", "--format", "1", "1", "1"), "--format applies to tensors"),
+    # the tensor invariant's format is read off the shape
+    (("invariant", "tensor", "--kind", "unit", "--m", "4", "--format", "2", "2", "2"),
+     "unrecognized arguments: --format 2 2 2"),
     (("periods", "--kind", "power-sum", "--D", "3", "--m", "3", "--budget", "0"), "unrecognized arguments: --budget 0"),
     (("polystable", "form", "--kind", "determinant", "--n", "3", "--threads", "2"), "unrecognized arguments: --threads 2"),
     (("semigroup", "2", "5", "--budget", "1"), "unrecognized arguments: --budget 1"),
@@ -319,23 +326,39 @@ def test_the_budget_is_polled_while_a_det_or_per_form_is_built(capsys, kind):
     assert (code, out) == (3, "") and time.monotonic() - started < 5
 
 
-@pytest.mark.parametrize("argv, degree", [
-    (("--kind", "matmul", "--n", "3", "--format", "3", "3", "3"), 27),
-    (("--kind", "unit", "--m", "16", "--format", "4", "4", "4"), 64),
-], ids=["matmul-3", "unit-16"])
-def test_format_runs_are_refused_like_their_cubic_twin(capsys, argv, degree):
+@pytest.mark.parametrize("tensor, degree", [
+    (matmul_tensor(3), 27),
+    (unit_tensor(16), 64),
+    (SparseTensor((8, 8, 16), {(1, 1, 1): 1, (8, 8, 16): 1}), 32),  # format 4 4 2
+], ids=["matmul-3", "unit-16", "format-4-4-2"])
+def test_file_tensors_of_degree_27_and_up_are_refused_without_budget(tmp_path, capsys, tensor, degree):
+    path = _write(tmp_path / "t.tensor", serialize_tensor(tensor))
     started = time.monotonic()
-    code, out, err = run(capsys, "invariant", "tensor", *argv)
-    assert code == 2 and out == "" and f"the degree-{degree} tensor invariant of format" in err and "--budget" in err
+    code, out, err = run(capsys, "invariant", "tensor", "--file", path)
+    assert code == 2 and out == "" and f"the degree-{degree} tensor invariant" in err and "--budget" in err
     assert time.monotonic() - started < 5
 
 
-def test_a_format_below_degree_eight_needs_no_budget(tmp_path, capsys):
-    # format 2 2 1 has degree 4, refused only if the cubic invariant of size 1 were
-    tensor = SparseTensor((2, 2, 4), {(1, 1, 1): 1, (2, 2, 2): 1, (1, 2, 3): 1, (2, 1, 4): 1})
-    path = _write(tmp_path / "t.tensor", serialize_tensor(tensor))
-    code, out, err = run(capsys, "invariant", "tensor", "--file", path, "--format", "2", "2", "1")
-    assert (code, out, err) == (0, "-12\n", "")
+@pytest.mark.parametrize("entries, value, work", [
+    ({(1, 1, 1): 1, (2, 2, 2): 1, (1, 2, 3): 1, (2, 1, 4): 1}, "-12", (15, 10, 4, 4)),
+    ({(1, 1, 1): 1, (2, 2, 2): 1, (1, 1, 3): 1}, "0", (8, 7, 3, 3)),  # the axes differ: no relabelling
+])
+def test_a_degree_four_file_needs_no_budget(tmp_path, capsys, entries, value, work):
+    # shape (2, 2, 4) is the format 2 2 1, of degree 4
+    path = _write(tmp_path / "t.tensor", serialize_tensor(SparseTensor((2, 2, 4), entries)))
+    assert run(capsys, "invariant", "tensor", "--file", path) == (0, value + "\n", "")
+    code, out, _ = run(capsys, "invariant", "tensor", "--file", path, "--json")
+    meta = json.loads(out)["meta"]
+    assert (code, json.loads(out)["value"], meta["invariant"], meta["format"], meta["degree"]) == (
+        0, value, "tensor", [2, 2, 1], 4)
+    assert (meta["states"], meta["peak_states"], meta["candidates"], meta["subtrees"]) == work
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3, 3), (4, 4), (2, 2, 2, 2)])
+def test_a_file_tensor_whose_shape_is_no_format_exits_two(tmp_path, capsys, shape):
+    path = _write(tmp_path / "t.tensor", serialize_tensor(SparseTensor(shape, {(1,) * len(shape): 1})))
+    code, out, err = run(capsys, "invariant", "tensor", "--file", path)
+    assert code == 2 and out == "" and f"does not read the shape {shape}" in err
 
 
 @pytest.mark.parametrize("argv, what", [
@@ -472,7 +495,8 @@ def test_every_budget_verb_stops_within_its_budget(tmp_path, capsys, verb):
     if verb in ("min-degree", "normality"):  # an undecided report, printed
         assert code == 0 and "undecided at budget" in out and err == ""
     else:
-        assert code == 3 and out == "" and "budget exhausted" in err
+        detail = r"at delta 60 \(0 of 1 values computed\) " if verb == "krect" else ""
+        assert code == 3 and out == "" and re.fullmatch(rf"budget exhausted {detail}after \d+\.\ds\n", err)
 
 
 @pytest.mark.parametrize("budget", ["nan", "inf", "-1", "ten"])

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from helpers import (
     brute_signed_latin_annuli,
     brute_signed_latin_cubes,
     brute_signed_latin_squares,
+    brute_tensor_invariant_format,
     dfs_signed_sum,
     enumerate_latin_cubes,
 )
@@ -18,22 +20,22 @@ from slinv import kernel, latin
 from slinv.budget import BudgetExhausted, Deadline, scope
 from slinv.exact import sequence_sign
 from slinv.latin import (
+    invariant,
     signed_admissible_tables,
     signed_latin_annuli,
     signed_latin_cubes,
     signed_latin_squares,
 )
 from slinv.kernel import _integer_weights
-from slinv.spaces import NamedObject, determinant_form, form_to_tensor, permanent_form, product_form, unit_tensor
+from slinv.spaces import (NamedObject, SparseTensor, determinant_form, form_to_tensor, permanent_form, product_form,
+                          unit_tensor)
 from slinv.tableaux import (
     _tableau_steps,
     annulus_tableau,
+    _point_steps,
     cyclic_tableau,
-    eval_generic_invariant,
-    eval_tableau_invariant,
     generic_tableau,
 )
-from slinv.tensorinv import _point_steps, eval_tensor_invariant
 
 
 def test_signed_latin_squares_small_values():
@@ -110,15 +112,15 @@ def test_latin_square_bridge_to_generic_invariant():
     # (m!)^m * invariant at the product tensor equals the signed square count
     for m in (2, 3):
         v = form_to_tensor(product_form(m))
-        assert math.factorial(m) ** m * eval_generic_invariant(m, m, v) == signed_latin_squares(m)
+        assert math.factorial(m) ** m * invariant(v, generic_tableau(m, m)) == signed_latin_squares(m)
 
 
 def test_admissible_table_bridge_to_generic_invariant():
     det2 = form_to_tensor(determinant_form(2))
     per2 = form_to_tensor(permanent_form(2))
     factor = math.factorial(2) ** 4
-    assert factor * eval_generic_invariant(2, 4, det2) == signed_admissible_tables(2, "det")
-    assert factor * eval_generic_invariant(2, 4, per2) == signed_admissible_tables(2, "per")
+    assert factor * invariant(det2, generic_tableau(2, 4)) == signed_admissible_tables(2, "det")
+    assert factor * invariant(per2, generic_tableau(2, 4)) == signed_admissible_tables(2, "per")
 
 
 def _product_symmetry(m):
@@ -521,7 +523,7 @@ def test_a_false_symmetry_raises_before_any_sweep(monkeypatch, steps, generators
         latin._count(1, steps, generators, None)
 
 
-# -- named invariants: the reduced path against the unreduced evaluators ---------
+# -- named invariants: the reduced path against the unreduced kernel sum ---------
 
 
 def _named_cases():
@@ -544,19 +546,35 @@ def _named_cases():
                          ids=lambda x: "-".join(map(str, filter(None, (x.kind, x.D, x.m, x.n))))
                          if isinstance(x, NamedObject) else x and f"{x.m}x{x.s}")
 def test_named_invariant_equals_the_unreduced_evaluator(obj, T):
+    # the unreduced value: sign * `kernel._signed_sum` over the full steps, as `_unreduced` sums a count
+    den, support = _integer_weights((obj.build() if T is None else form_to_tensor(obj.build())).entries)
     if T is None:
         n = math.isqrt(obj.m)
-        expected = eval_tensor_invariant(n, obj.build())
+        (sign, steps), degree = (1, _point_steps(n, n, n, support)), n**3
     else:
-        expected = eval_tableau_invariant(T, form_to_tensor(obj.build()))
+        (sign, steps), degree = _tableau_steps(T, support), T.d
+    expected = Fraction(sign * kernel._signed_sum(steps)[0], den**degree)
     assert latin.invariant(obj.build(), T) == expected
 
 
 @pytest.mark.parametrize("obj, T", [
     (NamedObject("product", m=3), generic_tableau(2, 2)),  # a 2 x 2 tableau reads order-2 tensors on C^2
     (NamedObject("product", m=4), generic_tableau(4, 3)),
-    (NamedObject("unit-tensor", m=5), None),  # the tensor invariant needs axes of square dimension
+    (NamedObject("unit-tensor", m=5), None),  # (5, 5, 5) is no shape (n2 n3, n1 n3, n1 n2)
 ], ids=["product-3-2x2", "product-4-3x4", "unit-tensor-5"])
 def test_named_invariant_refuses_a_shape_its_invariant_does_not_read(obj, T):
     with pytest.raises(ValueError, match="does not read the shape"):
         latin.invariant(obj.build(), T)
+
+
+@pytest.mark.parametrize("entries, value", [
+    ({(1, 1, 1): 1, (2, 2, 2): 1, (1, 1, 3): 1}, 0),
+    ({(1, 1, 1): 1, (2, 2, 2): 1, (1, 2, 3): 1, (2, 1, 4): 1}, -12),
+])
+def test_a_tensor_whose_axes_differ_is_summed_unreduced(entries, value):
+    # format (2, 2, 1): no relabelling of 1..2 moves the third axis's index values 3 and 4
+    w = SparseTensor((2, 2, 4), entries)
+    assert latin._symmetry(w) == []
+    stats = {}
+    assert latin.invariant(w, stats=stats) == brute_tensor_invariant_format(2, 2, 1, w) == value
+    assert stats["subtrees"] == stats["candidates"] == len(entries)

@@ -18,6 +18,7 @@ from helpers import (
 )
 from slinv.budget import BudgetExhausted, scope
 from slinv.exact import binomial, sequence_sign
+from slinv.latin import invariant
 from slinv.spaces import (
     ParseError,
     SparseForm,
@@ -30,9 +31,6 @@ from slinv.spaces import (
 from slinv.tableaux import (
     Tableau,
     cyclic_tableau,
-    eval_cyclic_invariant,
-    eval_generic_invariant,
-    eval_tableau_invariant,
     generic_tableau,
     parse_tableau,
     serialize_tableau,
@@ -103,7 +101,7 @@ def test_tableau_evaluator_matches_brute_force():
     for T in [generic_tableau(2, 2), generic_tableau(3, 2), cyclic_tableau(2), CYCLIC_3]:
         for _ in range(5):
             v = random_sparse_cubic(rng, T.m, T.D, terms=4)
-            assert eval_tableau_invariant(T, v) == brute_tableau_invariant(T, v)
+            assert invariant(v, T) == brute_tableau_invariant(T, v)
 
 
 def _column_sign(T):
@@ -119,7 +117,7 @@ def test_tableau_evaluator_matches_brute_force_on_odd_column_signs():
     for T in tableaux:
         for _ in range(3):
             v = random_sparse_cubic(rng, T.m, T.D, terms=rng.randint(2, 8))
-            assert eval_tableau_invariant(T, v) == brute_tableau_invariant(T, v)
+            assert invariant(v, T) == brute_tableau_invariant(T, v)
 
 
 def test_tableau_evaluator_polls_its_deadline():
@@ -127,11 +125,9 @@ def test_tableau_evaluator_polls_its_deadline():
     T = cyclic_tableau(3)  # a dense tensor over C^3 takes over 1024 search nodes
     v = SparseTensor((3,) * 3, {idx: random_fraction(rng) for idx in itertools.product(range(1, 4), repeat=3)})
     with scope(-1), pytest.raises(BudgetExhausted):
-        eval_tableau_invariant(T, v)
-    with scope(-1), pytest.raises(BudgetExhausted):
-        eval_cyclic_invariant(3, v)
+        invariant(v, T)
     with scope(60):
-        assert eval_tableau_invariant(T, v) == brute_tableau_invariant(T, v)
+        assert invariant(v, T) == brute_tableau_invariant(T, v)
 
 
 def test_generic_evaluator_matches_tableau_evaluator():
@@ -139,7 +135,7 @@ def test_generic_evaluator_matches_tableau_evaluator():
     for _ in range(20):
         D, m = rng.choice([(2, 2), (3, 2), (2, 3), (4, 2)])
         v = random_sparse_cubic(rng, m, D, terms=5)
-        assert eval_generic_invariant(D, m, v) == brute_tableau_invariant(generic_tableau(D, m), v)
+        assert invariant(v, generic_tableau(D, m)) == brute_tableau_invariant(generic_tableau(D, m), v)
 
 
 def _sparse_cubic(D, m):
@@ -154,13 +150,13 @@ def _sparse_cubic(D, m):
     lambda Dm: st.tuples(st.just(Dm), _sparse_cubic(*Dm))))
 def test_generic_evaluator_matches_tableau_evaluator_on_random_tensors(case):
     (D, m), v = case
-    assert eval_generic_invariant(D, m, v) == brute_tableau_invariant(generic_tableau(D, m), v)
+    assert invariant(v, generic_tableau(D, m)) == brute_tableau_invariant(generic_tableau(D, m), v)
 
 
 def test_generic_invariant_power_sum_values():
     for D, m in [(2, 2), (4, 2), (4, 3), (6, 2)]:
         v = form_to_tensor(power_sum_form(D, m))
-        assert eval_generic_invariant(D, m, v) == math.factorial(m)
+        assert invariant(v, generic_tableau(D, m)) == math.factorial(m)
 
 
 def test_generic_invariant_vanishes_for_odd_degree():
@@ -168,7 +164,7 @@ def test_generic_invariant_vanishes_for_odd_degree():
     for D, m in [(3, 2), (3, 3), (5, 2)]:
         for _ in range(5):
             v = random_sparse_cubic(rng, m, D, terms=6)
-            assert eval_generic_invariant(D, m, v) == 0
+            assert invariant(v, generic_tableau(D, m)) == 0
 
 
 def test_degree_two_reduces_to_determinant():
@@ -178,18 +174,18 @@ def test_degree_two_reduces_to_determinant():
         sym = [[(g[i][j] + g[j][i]) / 2 for j in range(m)] for i in range(m)]
         v = SparseTensor((m, m), {(i + 1, j + 1): sym[i][j] for i in range(m) for j in range(m)
                                   if sym[i][j] != 0})
-        assert eval_generic_invariant(2, m, v) == math.factorial(m) * leibniz_det(sym)
+        assert invariant(v, generic_tableau(2, m)) == math.factorial(m) * leibniz_det(sym)
 
 
 def test_quadric_value_two():
     v = form_to_tensor(power_sum_form(2, 2))
-    assert eval_generic_invariant(2, 2, v) == 2
+    assert invariant(v, generic_tableau(2, 2)) == 2
 
 
 def test_power_sum_tableau_evaluation_gives_m_factorial():
     T = power_sum_tableau(3, 2)
     v = form_to_tensor(power_sum_form(3, 2))
-    assert eval_tableau_invariant(T, v) == 2
+    assert invariant(v, T) == 2
 
 
 def test_homogeneity_in_the_tensor():
@@ -197,13 +193,13 @@ def test_homogeneity_in_the_tensor():
     T = generic_tableau(3, 2)
     v = random_sparse_cubic(rng, 2, 3, terms=4)
     doubled = SparseTensor(v.shape, {idx: 2 * val for idx, val in v.entries.items()})
-    assert eval_tableau_invariant(T, doubled) == 2**T.d * eval_tableau_invariant(T, v)
+    assert invariant(doubled, T) == 2**T.d * invariant(v, T)
 
 
 def test_cyclic_invariant_shapes_and_values():
     # D = 1: the 1 x 2 tableau forces the square of the single entry
     v = SparseTensor((1,), {(1,): Fraction(3, 4)})
-    assert eval_cyclic_invariant(1, v) == Fraction(9, 16)
+    assert invariant(v, cyclic_tableau(1)) == Fraction(9, 16)
     # even D vanishes on symmetric tensors (the sign-flip pairing permutes
     # the slots of one factor, so it needs index-permutation invariance;
     # general tensors can evaluate nonzero, e.g. the coefficient of M12^3)
@@ -214,11 +210,11 @@ def test_cyclic_invariant_shapes_and_values():
             a = rng.randint(0, 2)
             coeffs[(a, 2 - a)] = Fraction(rng.randint(1, 5), rng.randint(1, 3))
         v = form_to_tensor(SparseForm(2, 2, coeffs))
-        assert eval_cyclic_invariant(2, v) == 0
+        assert invariant(v, cyclic_tableau(2)) == 0
     # explicit non-symmetric witness: for D = 2 the columnwise-read sum
     # works out to (v12 - v21) * (v12*v21 - v11*v22)
     general = SparseTensor((2, 2), {(1, 2): 2, (2, 1): 1})
-    assert eval_cyclic_invariant(2, general) == 2
+    assert invariant(general, cyclic_tableau(2)) == 2
     # frozen odd-degree value at (X+Y+Z)^3 + X^3 + Y^3 + Z^3, checked
     # against the unpruned 6^4-term reference sum
     coeffs = {}
@@ -231,7 +227,7 @@ def test_cyclic_invariant_shapes_and_values():
         key = tuple(3 if j == i else 0 for j in range(3))
         coeffs[key] = coeffs.get(key, 0) + 1
     v = form_to_tensor(SparseForm(3, 3, coeffs))
-    value = eval_cyclic_invariant(3, v)
+    value = invariant(v, cyclic_tableau(3))
     assert value == -24
     assert value == brute_tableau_invariant(cyclic_tableau(3), v)
 
@@ -266,7 +262,7 @@ def test_relative_invariance_under_group_action():
         g = random_integer_matrix(rng, T.m)
         moved = apply_action(v, [g] * T.D)
         det = leibniz_det(g)
-        assert eval_tableau_invariant(T, moved) == det**T.s * eval_tableau_invariant(T, v)
+        assert invariant(moved, T) == det**T.s * invariant(v, T)
 
 
 def test_generic_invariance_on_product_form():
@@ -276,21 +272,18 @@ def test_generic_invariance_on_product_form():
     g = random_integer_matrix(rng, m)
     moved = apply_action(v, [g] * m)
     det = leibniz_det(g)
-    assert eval_generic_invariant(m, m, moved) == det**m * eval_generic_invariant(m, m, v)
+    assert invariant(moved, generic_tableau(m, m)) == det**m * invariant(v, generic_tableau(m, m))
 
 
 def test_zero_tensor_evaluates_to_zero():
     zero = SparseTensor((2, 2, 2), {})
-    assert eval_tableau_invariant(generic_tableau(3, 2), zero) == 0
-    assert eval_generic_invariant(3, 2, zero) == 0
+    assert invariant(zero, generic_tableau(3, 2)) == 0
 
 
 def test_shape_mismatch_rejected():
     v = random_sparse_cubic(random.Random(1), 3, 2, terms=2)
     with pytest.raises(ValueError):
-        eval_generic_invariant(2, 2, v)
-    with pytest.raises(ValueError):
-        eval_tableau_invariant(generic_tableau(2, 2), v)
+        invariant(v, generic_tableau(2, 2))
 
 
 def test_tableau_file_roundtrip():

@@ -25,7 +25,8 @@ from slinv.spaces import (
     product_form,
     unit_tensor,
 )
-from slinv.tableaux import eval_generic_invariant
+from slinv.latin import invariant
+from slinv.tableaux import generic_tableau
 from slinv.theory import (
     NON_NORMAL,
     NORMAL_KNOWN,
@@ -97,7 +98,7 @@ def test_generic_form_period_divides_the_degree(D, m):
     rng = random.Random(f"{D}-{m}")
     monomials = [alpha for alpha in itertools.product(range(D + 1), repeat=m) if sum(alpha) == D]
     form = SparseForm(m, D, {alpha: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for alpha in monomials})
-    assert eval_generic_invariant(D, m, form_to_tensor(form)) != 0
+    assert invariant(form_to_tensor(form), generic_tableau(D, m)) != 0
     assert D % periods(NamedObject("generic-form", D=D, m=m)).a == 0
 
 
@@ -432,4 +433,4 @@ def test_generic_invariant_of_odd_degree_vanishes_at_degree_m(kind):
     assert minimal_degree_report(NamedObject(kind, n=3)).lower_bound > 9
     form = NamedObject(kind, n=3).build()
     with scope(20):
-        assert eval_generic_invariant(3, 9, form_to_tensor(form)) == 0
+        assert invariant(form_to_tensor(form), generic_tableau(3, 9)) == 0
