@@ -7,9 +7,10 @@ SECONDS (invariant, eval-tableau, count, kronecker, krect, monoid,
 pleth-bound, min-degree, normality, polystable; finite, >= 0) bounds the
 verb's wall-clock time from its start, as the one `budget.scope` that
 `main` opens around it; when it is exhausted `main` prints "budget
-exhausted after X.Xs" (krect names the delta it stopped at first) and
-exits with code 3.  `invariant tensor` evaluates the tensor invariant of
-the format (n1, n2, n3) read off the shape (n2 n3, n1 n3, n1 n2).
+exhausted after X.Xs" (krect and monoid name the delta they stopped at
+first) and exits with code 3.  `invariant tensor` evaluates the tensor
+invariant of the format (n1, n2, n3) read off the shape (n2 n3, n1 n3,
+n1 n2).
 --threads K belongs to `count` only and goes after its structure; every
 count runs as one sweep in this process, so K (>= 1) changes nothing.
 Exit code 2 flags bad input, including a flag the verb does not take and
@@ -152,7 +153,7 @@ def _cmd_count(args):
 
 def _cmd_kronecker(args):
     lam, mu, nu = (_parse_partition(t) for t in (args.lam, args.mu, args.nu))
-    work = {"nodes": 0, "memo_entries": 0}  # kronecker adds the route it took
+    work = {"nodes": 0, "memo_entries": 0, "lr_terms": 0}  # kronecker adds the route it took
     value = kronecker(lam, mu, nu, stats=work)
     return value, {"lam": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts), **work}, None
 
@@ -161,7 +162,7 @@ def _cmd_krect(args):
     # the table ends at --delta itself, so k_rect checks it as it does without --table
     deltas = (*range(args.delta), args.delta) if args.table else (args.delta,)
     values, routes = {}, {}
-    work = {"nodes": 0, "memo_entries": 0}  # over the values of the table
+    work = {"nodes": 0, "memo_entries": 0, "lr_terms": 0}  # over the values of the table
     try:
         for d in deltas:
             values[d] = k_rect(args.m, d, stats=work)

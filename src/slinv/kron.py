@@ -3,12 +3,14 @@ subset-family upper bounds on invariant-space dimensions.
 
 Three independent exact routes produce Kronecker coefficients:
 
-* a class sum: enumerate the parts >= 2 of the cycle types of S_N once,
+* a class sum: enumerate the parts >= 3 of the cycle types of S_N once,
   carrying a vector of border-strip character coefficients for each
-  distinct shape (Murnaghan-Nakayama transfers, parts consumed in
-  descending order).  Each node closes one cycle type, its remaining cells
-  being fixed points: chi_s(1^r) = f^s by the hook length formula, so the
-  1-cycles need no search.  It accumulates chi*chi*chi times the class size;
+  distinct shape (Murnaghan-Nakayama on beta-set bitmasks, where a strip
+  moves one bead; parts consumed in descending order).  Each node closes
+  every cycle type whose remaining cells are 2- and 1-cycles at once, from
+  a per-shape domino table chi_s(2^j 1^(|s|-2j)) whose row 0 is f^s read
+  off the beta-numbers, so neither needs a search.  It accumulates
+  chi*chi*chi times the class size;
 * a coupled strip recursion: remove one border strip of equal length from
   all three shapes at once and divide by the remaining size, memoized on
   the unordered shape triple.  Every memoized value is itself a Kronecker
@@ -42,7 +44,7 @@ import math
 from collections import Counter
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .budget import active
+from .budget import BudgetExhausted, active
 from .exact import Partition, partition_count
 
 PartitionLike = Union[Partition, Iterable[int]]
@@ -55,7 +57,6 @@ _SHAPES: list[tuple[int, ...]] = []
 _SIZES: list[int] = []
 _SID: dict[tuple[int, ...], int] = {}
 _STRIPS: list[Optional[dict[int, tuple[tuple[int, int], ...]]]] = []
-_FDIM: list[Optional[int]] = []
 # Triple-memo keys pack three shape ids into 21 bits each; past this many
 # interned shapes two different triples would share a key.
 _SID_LIMIT = 1 << 21
@@ -73,7 +74,6 @@ def _sid(shape: tuple[int, ...]) -> int:
     _SHAPES.append(shape)
     _SIZES.append(sum(shape))
     _STRIPS.append(None)
-    _FDIM.append(None)
     return sid
 
 
@@ -105,26 +105,6 @@ def _strips(sid: int) -> dict[int, tuple[tuple[int, int], ...]]:
     frozen = {length: tuple(subs) for length, subs in out.items()}
     _STRIPS[sid] = frozen
     return frozen
-
-
-def _fdim(sid: int) -> int:
-    """f^lam = chi_lam(1^n), the number of standard tableaux of the shape.
-
-    Hook length formula (Frame-Robinson-Thrall 1954): n! over the product of
-    the hook lengths, in exact integers.
-    """
-    got = _FDIM[sid]
-    if got is not None:
-        return got
-    shape = _SHAPES[sid]
-    cols = [sum(1 for p in shape if p > j) for j in range(shape[0] if shape else 0)]
-    hooks = 1
-    for i, p in enumerate(shape):
-        for j in range(p):
-            hooks *= p - j + cols[j] - i - 1
-    value = math.factorial(_SIZES[sid]) // hooks
-    _FDIM[sid] = value
-    return value
 
 
 def _as_shape(p: PartitionLike) -> tuple[int, ...]:
@@ -239,34 +219,85 @@ def _triple_compute(a: int, b: int, c: int, key: int) -> int:
     return value
 
 
-def _transfer(vec: dict[int, int], length: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    get = out.get
-    for sid, coeff in vec.items():
-        for sub, sign in _strips(sid).get(length, ()):
-            out[sub] = get(sub, 0) + coeff * sign
-    return {sid: c for sid, c in out.items() if c}
+def _beta_mask(shape: tuple[int, ...], rows: int) -> int:
+    """The beta-set of `shape` padded to `rows` rows, as a bitmask: one bead at shape_i + rows - 1 - i."""
+    mask = 0
+    for i in range(rows):
+        mask |= 1 << ((shape[i] if i < len(shape) else 0) + rows - 1 - i)
+    return mask
+
+
+def _beta_dim(mask: int) -> int:
+    """f^s = chi_s(1^n) of the shape with beta-set `mask`: n! prod_{i<j} (b_j - b_i) / prod_i b_i!."""
+    mask >>= (~mask & (mask + 1)).bit_length() - 1  # the beads 0, 1, ... at the bottom are empty rows
+    beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    n = sum(beads) - len(beads) * (len(beads) - 1) // 2
+    gaps = math.prod(b - a for a, b in itertools.combinations(beads, 2))
+    return math.factorial(n) * gaps // math.prod(map(math.factorial, beads))
+
+
+def _bead_moves(mask: int, length: int) -> list[tuple[int, int]]:
+    """(sub-mask, sign) per border strip of `length` removable from the shape with beta-set `mask`.
+
+    A strip moves one bead down by `length` onto a free position; its sign
+    is (-1)^(beads strictly between the two positions), the rows it crosses.
+    """
+    out = []
+    free = mask & ~(mask << length) & ~((1 << length) - 1)  # beads whose target is empty
+    while free:
+        top = free & -free
+        free ^= top
+        bottom = top >> length
+        crossed = (mask & (top - 1) & ~((bottom << 1) - 1)).bit_count()
+        out.append((mask ^ top ^ bottom, -1 if crossed & 1 else 1))
+    return out
+
+
+def _domino_row(mask: int, size: int, table: dict[int, list[int]]) -> list[int]:
+    """[chi_s(2^j 1^(size - 2j)) for j = 0..size//2] for the shape s with beta-set `mask`.
+
+    Row j > 0 removes one domino (a 2-strip) by Murnaghan-Nakayama and reads
+    row j - 1 of the smaller shape; row 0 is f^s.  Rows are memoized in
+    `table`, and each new one polls the deadline in effect.
+    """
+    active().check()
+    subs = []
+    for sub, sign in _bead_moves(mask, 2):
+        row = table.get(sub)
+        subs.append((sign, row if row is not None else _domino_row(sub, size - 2, table)))
+    row = [_beta_dim(mask)]
+    row += [sum(sign * sub[j] for sign, sub in subs) for j in range(size // 2)]
+    table[mask] = row
+    return row
 
 
 def _classsum(ids: tuple[int, ...]) -> tuple[int, int]:
     """(sum over cycle types rho of prod_i chi_i(rho) / z_rho, DFS nodes), exactly.
 
-    The DFS consumes the parts >= 2 of rho in descending order, carrying one
-    coefficient vector per distinct shape (repeated shapes are raised to
-    their multiplicity); a transfer that empties a vector prunes the
-    subtree.  Every node closes one cycle type: its r remaining cells are
-    fixed points, chi_s(1^r) = f^s (hook lengths) and z_rho gains r!.  So a
-    node costs one Murnaghan-Nakayama transfer per distinct shape, and there
-    is at most one node per partition of N.  The accumulator holds sum over
-    classes of prod chi * |class|, an integer, and is divided by N! at the
-    end with an integrality assertion.
+    The DFS consumes the parts >= 3 of rho in descending order, carrying
+    one coefficient vector per distinct shape (repeated shapes are raised
+    to their multiplicity) over shapes written as beta-set bitmasks padded
+    to the most rows among the three; a strip removal that empties a vector
+    prunes the subtree.  Each node closes every cycle type whose remaining
+    r cells are 2- and 1-cycles at once: chi_s(2^j 1^(r - 2j)) is row j of
+    s's domino table (`_domino_row`, built per call), and z_rho gains
+    2^j j! (r - 2j)!, the 2-run being fresh since every prefix part is
+    >= 3.  So there is at most one node per partition of a number up to N
+    into parts >= 3.  The accumulator holds sum over classes of
+    prod chi * |class|, an integer, and is divided by N! at the end with an
+    integrality check.
     """
-    n = _SIZES[ids[0]]
-    uniq = Counter(ids)  # distinct shape -> multiplicity
+    uniq = Counter(_SHAPES[sid] for sid in ids)  # distinct shape -> multiplicity
     mults = list(uniq.values())
+    rows = max(map(len, uniq))
+    n = _SIZES[ids[0]]
     facts = [math.factorial(r) for r in range(n + 1)]
     nfact = facts[n]
-    fdims = _FDIM
+    # pairings[r][j] = r! / (2^j j! (r - 2j)!), the ways to lay j 2-cycles on r cells
+    pairings = [[facts[r] // (2**j * facts[j] * facts[r - 2 * j]) for j in range(r // 2 + 1)]
+                for r in range(n + 1)]
+    dominoes: dict[int, list[int]] = {}
+    strips: dict[tuple[int, int], list[tuple[int, int]]] = {}
     dl = active()
     total = 0
     nodes = 0
@@ -275,22 +306,29 @@ def _classsum(ids: tuple[int, ...]) -> tuple[int, int]:
         # run: how many parts equal to max_part rho has so far
         nonlocal total, nodes
         nodes += 1
-        if not nodes & 4095:
-            dl.check()
-        term = nfact // (z * facts[remaining])
+        dl.check()
+        closed = pairings[remaining]
         for mult, vec in zip(mults, vecs):
-            chi = 0
-            for sid, coeff in vec.items():
-                chi += coeff * (fdims[sid] or _fdim(sid))
-            if chi == 0:
-                break
-            term *= chi**mult
-        else:
-            total += term
-        for length in range(min(max_part, remaining), 1, -1):
+            chis = [0] * len(closed)
+            for mask, coeff in vec.items():
+                row = dominoes.get(mask)
+                if row is None:
+                    row = _domino_row(mask, remaining, dominoes)
+                chis = [chi + coeff * d for chi, d in zip(chis, row)]
+            closed = [w * chi**mult for w, chi in zip(closed, chis)]
+        total += nfact // (z * facts[remaining]) * sum(closed)
+        for length in range(min(max_part, remaining), 2, -1):
             new_vecs = []
             for vec in vecs:
-                nv = _transfer(vec, length)
+                nv: dict[int, int] = {}
+                get = nv.get
+                for mask, coeff in vec.items():
+                    moves = strips.get((mask, length))
+                    if moves is None:
+                        moves = strips[mask, length] = _bead_moves(mask, length)
+                    for sub, sign in moves:
+                        nv[sub] = get(sub, 0) + sign * coeff
+                nv = {mask: c for mask, c in nv.items() if c}
                 if not nv:
                     break
                 new_vecs.append(nv)
@@ -298,7 +336,10 @@ def _classsum(ids: tuple[int, ...]) -> tuple[int, int]:
                 nrun = run + 1 if length == max_part else 1
                 descend(remaining - length, length, z * length * nrun, nrun, new_vecs)
 
-    descend(n, n, 1, 0, [{sid: 1} for sid in uniq])
+    try:
+        descend(n, n, 1, 0, [{_beta_mask(shape, rows): 1} for shape in uniq])
+    finally:
+        del descend  # else its closure cell keeps the tables alive until a cyclic collection
     if total % nfact != 0:
         raise AssertionError("class sum is not integral")
     value = total // nfact
@@ -377,41 +418,45 @@ def _boxed(n: int, box: tuple[int, int, int]) -> list[tuple[int, int, int]]:
     return out
 
 
-def _cut(lam: tuple[int, int, int], inner: tuple[int, int, int]) -> dict[tuple[int, int, int], int]:
-    """{tau: c^lam_{tau inner}} over the nonzero coefficients.
+def _cut(lam: tuple[int, int, int], inner: tuple[int, int, int]) -> tuple[dict[tuple[int, int, int], int], int]:
+    """({tau: c^lam_{tau inner}} over the nonzero coefficients, number of `_lr3` evaluations).
 
     Then c^lam_{lam1 lam2 inner} = sum over tau of c^lam_{tau inner} c^tau_{lam1 lam2};
     for a rectangle lam the only tau is the complement of `inner` in lam.
     """
     out = {}
-    for tau in _boxed(sum(lam) - sum(inner), lam):
+    taus = _boxed(sum(lam) - sum(inner), lam)
+    for tau in taus:
         c = _lr3(lam, tau, inner)
         if c:
             out[tau] = c
-    return out
+    return out, len(taus)
 
 
-def _lr_route(shapes: tuple[tuple[int, ...], ...]) -> int:
-    """Kronecker coefficient of three shapes of at most 3 rows via Jacobi-Trudi and LR."""
+def _lr_route(shapes: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
+    """(Kronecker coefficient of three shapes of at most 3 rows via Jacobi-Trudi and LR,
+    number of `_lr3` evaluations)."""
     if any(len(s) > 3 for s in shapes):
         raise ValueError("the LR route needs shapes with at most 3 rows")
     # non-rectangles last, so that nu takes one and lam, mu collapse where they can
     lam, mu, nu = (s + (0,) * (3 - len(s)) for s in sorted(shapes, key=lambda s: len(set(s)) > 1))
     meet = tuple(map(min, lam, mu))
     dl = active()
-    total = 0
+    total = terms = 0
     for sigma, sign in _S3:
         a1, a2, a3 = (nu[i] - i + sigma[i] for i in range(3))
         if min(a1, a2, a3) < 0:
             continue
         acc = 0
         for inner in _boxed(a3, meet):
-            cut_lam, cut_mu = _cut(lam, inner), _cut(mu, inner)
+            (cut_lam, lam_terms), (cut_mu, mu_terms) = _cut(lam, inner), _cut(mu, inner)
+            terms += lam_terms + mu_terms
             if not cut_lam or not cut_mu:
                 continue
             same = cut_lam == cut_mu
             box = tuple(min(max(t[i] for t in cut_lam), max(t[i] for t in cut_mu)) for i in range(3))
             firsts, seconds = _boxed(a1, box), _boxed(a2, box)
+            terms += len(firsts) * len(seconds) * len(cut_lam)
             for first in firsts:
                 dl.check()
                 for second in seconds:
@@ -424,13 +469,14 @@ def _lr_route(shapes: tuple[tuple[int, ...], ...]) -> int:
                         acc += c_lam * c_lam
                         continue
                     c_mu = 0
+                    terms += len(cut_mu)
                     for tau, w in cut_mu.items():
                         c_mu += w * _lr3(tau, first, second)
                     acc += c_lam * c_mu
         total += sign * acc
     if total < 0:
         raise AssertionError(f"negative Kronecker value {total}")
-    return total
+    return total, terms
 
 
 def _vanishes(shapes: tuple[tuple[int, ...], ...]) -> bool:
@@ -484,8 +530,9 @@ def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike,
     the deadline in effect (`budget.scope`); BudgetExhausted when it
     passes.  stats, if given, gains "route" (the one taken: 'vanishing'
     when Dvir's bounds proved 0, None for three empty shapes) and the
-    route's work: "nodes" (class-sum DFS nodes) and "memo_entries"
-    (triple-memo entries added); the LR route adds neither.
+    route's work: "nodes" (class-sum DFS nodes), "memo_entries"
+    (triple-memo entries added) or "lr_terms" (3-row LR coefficients the
+    LR route evaluated).
     """
     shapes = tuple(_as_shape(p) for p in (lam, mu, nu))
     sizes = {sum(s) for s in shapes}
@@ -504,14 +551,14 @@ def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike,
     if method == "vanishing":
         return 0
     if method == "lr":
-        return _lr_route(shapes)
-    ids = tuple(_sid(s) for s in shapes)
-    if method == "triple":
+        value, count = _lr_route(shapes)
+        key = "lr_terms"
+    elif method == "triple":
         before = len(_TRIPLE_MEMO)
-        value = _triple(*ids)
+        value = _triple(*map(_sid, shapes))
         key, count = "memo_entries", len(_TRIPLE_MEMO) - before
     else:
-        value, count = _classsum(ids)
+        value, count = _classsum(tuple(map(_sid, shapes)))
         key = "nodes"
     if stats is not None:
         stats[key] = stats.get(key, 0) + count
@@ -568,7 +615,8 @@ def exponent_monoid(m: int, delta_max: int = 12) -> MonoidReport:
     inference (coefficients are monotone under adding positive triples)
     where the route `kronecker` would take is the class sum over more than
     _CHEAP_CLASSES cycle types; vanishing is always computed or certified
-    by Dvir's bound.
+    by Dvir's bound.  When the deadline in effect passes, BudgetExhausted
+    names the delta the scan stopped at and how many values it had.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -581,25 +629,29 @@ def exponent_monoid(m: int, delta_max: int = 12) -> MonoidReport:
     inferred: list[int] = []
     gaps: list[int] = []
     pos_set: set[int] = set()
-    for delta in range(1, delta_max + 1):
-        dl.check()
-        shapes = ((delta,) * m,) * 3
-        route = _route(shapes)
-        cheap = route != "class" or partition_count(m * delta) <= _CHEAP_CLASSES
-        inferable = any(delta - a in pos_set for a in pos_set if 0 < a < delta)
-        if not cheap and inferable:
-            values[delta], routes[delta] = None, None
-            inferred.append(delta)
-            positive.append(delta)
-            pos_set.add(delta)
-            continue
-        k = 0 if route == "vanishing" else kronecker(*shapes, method=route)
-        values[delta], routes[delta] = k, route
-        if k > 0:
-            positive.append(delta)
-            pos_set.add(delta)
-        else:
-            gaps.append(delta)
+    try:
+        for delta in range(1, delta_max + 1):
+            dl.check()
+            shapes = ((delta,) * m,) * 3
+            route = _route(shapes)
+            cheap = route != "class" or partition_count(m * delta) <= _CHEAP_CLASSES
+            inferable = any(delta - a in pos_set for a in pos_set if 0 < a < delta)
+            if not cheap and inferable:
+                values[delta], routes[delta] = None, None
+                inferred.append(delta)
+                positive.append(delta)
+                pos_set.add(delta)
+                continue
+            k = 0 if route == "vanishing" else kronecker(*shapes, method=route)
+            values[delta], routes[delta] = k, route
+            if k > 0:
+                positive.append(delta)
+                pos_set.add(delta)
+            else:
+                gaps.append(delta)
+    except BudgetExhausted:
+        raise BudgetExhausted(
+            f"budget exhausted at delta {delta} ({len(values)} of {delta_max + 1} values computed)") from None
     pos_nonzero = [d for d in positive if d > 0]
     e_prime = min(pos_nonzero) if pos_nonzero else None
     gcd_pos = math.gcd(*pos_nonzero) if pos_nonzero else None

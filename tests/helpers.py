@@ -11,8 +11,10 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from collections import Counter
 from typing import Sequence
 
+from slinv import kron
 from slinv.budget import active
 from slinv.exact import Partition, as_scalar, binomial, sequence_sign
 from slinv.simplex import FeasibilityResult
@@ -443,3 +445,83 @@ def centralizer_order(rho: Partition | Sequence[int]) -> int:
     for i, m in mult.items():
         z *= i**m * math.factorial(m)
     return z
+
+
+def _hook_dim(shape: tuple[int, ...]) -> int:
+    """f^lam = chi_lam(1^n) by the hook length formula (Frame-Robinson-Thrall 1954)."""
+    cols = [sum(1 for p in shape if p > j) for j in range(shape[0] if shape else 0)]
+    hooks = 1
+    for i, p in enumerate(shape):
+        for j in range(p):
+            hooks *= p - j + cols[j] - i - 1
+    return math.factorial(sum(shape)) // hooks
+
+
+def _transfer(vec: dict[int, int], length: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    get = out.get
+    for sid, coeff in vec.items():
+        for sub, sign in kron._strips(sid).get(length, ()):
+            out[sub] = get(sub, 0) + coeff * sign
+    return {sid: c for sid, c in out.items() if c}
+
+
+def classsum_oracle(ids: tuple[int, ...]) -> tuple[int, int]:
+    """The class sum over interned shape ids that closes only the 1-cycles: (value, DFS nodes).
+
+    The DFS consumes the parts >= 2 of rho in descending order, carrying one
+    coefficient vector per distinct shape (repeated shapes are raised to
+    their multiplicity); a transfer that empties a vector prunes the
+    subtree.  Every node closes one cycle type: its r remaining cells are
+    fixed points, chi_s(1^r) = f^s (hook lengths) and z_rho gains r!.  So a
+    node costs one Murnaghan-Nakayama transfer per distinct shape, and there
+    is at most one node per partition of N.  The accumulator holds sum over
+    classes of prod chi * |class|, an integer, and is divided by N! at the
+    end with an integrality assertion.
+    """
+    n = kron._SIZES[ids[0]]
+    uniq = Counter(ids)  # distinct shape -> multiplicity
+    mults = list(uniq.values())
+    facts = [math.factorial(r) for r in range(n + 1)]
+    nfact = facts[n]
+    fdims: dict[int, int] = {}
+    dl = active()
+    total = 0
+    nodes = 0
+
+    def descend(remaining: int, max_part: int, z: int, run: int, vecs: list[dict[int, int]]) -> None:
+        # run: how many parts equal to max_part rho has so far
+        nonlocal total, nodes
+        nodes += 1
+        if not nodes & 4095:
+            dl.check()
+        term = nfact // (z * facts[remaining])
+        for mult, vec in zip(mults, vecs):
+            chi = 0
+            for sid, coeff in vec.items():
+                if sid not in fdims:
+                    fdims[sid] = _hook_dim(kron._SHAPES[sid])
+                chi += coeff * fdims[sid]
+            if chi == 0:
+                break
+            term *= chi**mult
+        else:
+            total += term
+        for length in range(min(max_part, remaining), 1, -1):
+            new_vecs = []
+            for vec in vecs:
+                nv = _transfer(vec, length)
+                if not nv:
+                    break
+                new_vecs.append(nv)
+            else:
+                nrun = run + 1 if length == max_part else 1
+                descend(remaining - length, length, z * length * nrun, nrun, new_vecs)
+
+    descend(n, n, 1, 0, [{sid: 1} for sid in uniq])
+    if total % nfact != 0:
+        raise AssertionError("class sum is not integral")
+    value = total // nfact
+    if value < 0:
+        raise AssertionError(f"negative Kronecker value {value}")
+    return value, nodes

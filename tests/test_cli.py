@@ -111,20 +111,20 @@ def test_kronecker_verb(capsys):
     assert code == 0 and out.strip() == "1"
 
 
-# work: class-sum DFS nodes and triple-memo entries added (from an empty memo)
-@pytest.mark.parametrize("lam, mu, nu, value, route, nodes, memo_entries", [
-    ("3,3,3", "3,3,3", "3,3,3", "1", "lr", 0, 0),
-    ("9,1", "2,1,1,1,1,1,1,1,1", "1,1,1,1,1,1,1,1,1,1", "1", "triple", 0, 34),
-    ("3,3,2,1", "3,3,3", "4,3,2", "3", "class", 16, 0),
-    ("5,3,2,1,1", "5,3,2,1,1", "5,3,2,1,1", "945", "class", 37, 0),
+# work: class-sum DFS nodes, triple-memo entries added (from an empty memo) and LR coefficients evaluated
+@pytest.mark.parametrize("lam, mu, nu, value, route, nodes, memo_entries, lr_terms", [
+    ("3,3,3", "3,3,3", "3,3,3", "1", "lr", 0, 0, 135),
+    ("9,1", "2,1,1,1,1,1,1,1,1", "1,1,1,1,1,1,1,1,1,1", "1", "triple", 0, 34, 0),
+    ("3,3,2,1", "3,3,3", "4,3,2", "3", "class", 7, 0, 0),
+    ("5,3,2,1,1", "5,3,2,1,1", "5,3,2,1,1", "945", "class", 15, 0, 0),
 ])
-def test_kronecker_json_reports_route(capsys, monkeypatch, lam, mu, nu, value, route, nodes, memo_entries):
+def test_kronecker_json_reports_route(capsys, monkeypatch, lam, mu, nu, value, route, nodes, memo_entries, lr_terms):
     monkeypatch.setattr(kron, "_TRIPLE_MEMO", {})
     shapes = ("--lam", lam, "--mu", mu, "--nu", nu)
     code, out, _ = run(capsys, "kronecker", *shapes, "--json")
     assert code == 0 and json.loads(out) == {
         "value": value, "meta": {"lam": _parts(lam), "mu": _parts(mu), "nu": _parts(nu), "route": route,
-                                 "nodes": nodes, "memo_entries": memo_entries}}
+                                 "nodes": nodes, "memo_entries": memo_entries, "lr_terms": lr_terms}}
     code, out, _ = run(capsys, "kronecker", *shapes)
     assert code == 0 and out == value + "\n"
 
@@ -136,12 +136,13 @@ def _parts(text):
 def test_krect_json_reports_route(capsys):
     code, out, _ = run(capsys, "krect", "--m", "3", "--delta", "6", "--json")
     assert code == 0 and json.loads(out) == {
-        "value": "3", "meta": {"m": 3, "delta": 6, "route": "lr", "nodes": 0, "memo_entries": 0}}
+        "value": "3", "meta": {"m": 3, "delta": 6, "route": "lr", "nodes": 0, "memo_entries": 0, "lr_terms": 1555}}
     # delta = 1 is certified 0 by Dvir's length bound, so it runs no class sum
     code, out, _ = run(capsys, "krect", "--m", "4", "--delta", "3", "--table", "--json")
     assert code == 0 and json.loads(out) == {
         "value": "1", "meta": {"m": 4, "route": {"0": None, "1": "vanishing", "2": "class", "3": "class"},
-                               "nodes": 74, "memo_entries": 0, "table": {"0": 1, "1": 0, "2": 1, "3": 1}}}
+                               "nodes": 29, "memo_entries": 0, "lr_terms": 0,
+                               "table": {"0": 1, "1": 0, "2": 1, "3": 1}}}
     code, out, _ = run(capsys, "krect", "--m", "3", "--delta", "2", "--table", "--json")
     assert code == 0 and json.loads(out)["meta"]["route"] == {"0": None, "1": "vanishing", "2": "lr"}
 
@@ -155,7 +156,7 @@ def test_certified_zero_reports_the_vanishing_route_and_no_work(capsys, monkeypa
     code, out, _ = run(capsys, "kronecker", "--lam=24,3,1", "--mu=27,1", "--nu=16,11,1", "--json")
     assert code == 0 and json.loads(out) == {
         "value": "0", "meta": {"lam": [24, 3, 1], "mu": [27, 1], "nu": [16, 11, 1], "route": "vanishing",
-                               "nodes": 0, "memo_entries": 0}}
+                               "nodes": 0, "memo_entries": 0, "lr_terms": 0}}
 
 
 def test_monoid_json_maps_each_delta_to_its_route(capsys):
@@ -475,7 +476,7 @@ _LONG_RUNS = {
     "count admissible-tables": lambda tmp_path: ("4",),
     "kronecker": lambda tmp_path: ("--lam", "16,16,16,16", "--mu", "16,16,16,16", "--nu", "16,16,16,16"),
     "krect": lambda tmp_path: ("--m", "3", "--delta", "60"),
-    "monoid": lambda tmp_path: ("--m", "16", "--delta-max", "4"),  # about 40 s
+    "monoid": lambda tmp_path: ("--m", "16", "--delta-max", "4"),  # about 20 s
     "pleth-bound": lambda tmp_path: ("--sl", "--D", "3", "--m", "3", "--d", "9"),  # over 15 s
     "min-degree": lambda tmp_path: ("--kind", "determinant", "--n", "4"),
     "normality": lambda tmp_path: ("--kind", "power-sum", "--D", "4", "--m", "22"),  # about 17 s
@@ -495,8 +496,18 @@ def test_every_budget_verb_stops_within_its_budget(tmp_path, capsys, verb):
     if verb in ("min-degree", "normality"):  # an undecided report, printed
         assert code == 0 and "undecided at budget" in out and err == ""
     else:
-        detail = r"at delta 60 \(0 of 1 values computed\) " if verb == "krect" else ""
+        detail = {"krect": r"at delta 60 \(0 of 1 values computed\) ",
+                  "monoid": r"at delta 4 \(4 of 5 values computed\) "}.get(verb, "")
         assert code == 3 and out == "" and re.fullmatch(rf"budget exhausted {detail}after \d+\.\ds\n", err)
+
+
+def test_krect_class_sum_stops_within_its_budget(capsys):
+    # k_rect(8, 8) takes the class sum for about half a minute without a budget
+    started = time.monotonic()
+    code, out, err = run(capsys, "krect", "--m", "8", "--delta", "8", "--budget", "0.5")
+    assert time.monotonic() - started < 2
+    assert code == 3 and out == "" and re.fullmatch(r"budget exhausted at delta 8 \(0 of 1 values computed\) "
+                                                    r"after \d+\.\ds\n", err)
 
 
 @pytest.mark.parametrize("budget", ["nan", "inf", "-1", "ten"])

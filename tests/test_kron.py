@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import centralizer_order
+from helpers import centralizer_order, classsum_oracle
 from slinv import kron
 from slinv.budget import BudgetExhausted, Deadline, scope
 from slinv.exact import Partition, partition_tuples, partitions_of
@@ -76,9 +76,42 @@ def test_kronecker_routes_agree():
 
 
 def test_class_sum_matches_triple_route_on_every_small_triple():
-    for n in range(1, 8):
-        for lam, mu, nu in itertools.product(partition_tuples(n), repeat=3):
-            assert kronecker(lam, mu, nu, method="class") == kronecker(lam, mu, nu, method="triple"), (lam, mu, nu)
+    for n in range(1, 11):
+        for shapes in itertools.combinations_with_replacement(partition_tuples(n), 3):
+            ids = tuple(kron._sid(s) for s in shapes)
+            value = kron._classsum(ids)[0]
+            assert value == classsum_oracle(ids)[0] == kron._triple(*ids), shapes
+
+
+def _shapes_of_different_lengths():
+    return st.integers(11, 18).flatmap(
+        lambda n: st.tuples(*[st.sampled_from(list(partition_tuples(n)))] * 3)).filter(
+        lambda shapes: len(set(map(len, shapes))) > 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes=_shapes_of_different_lengths())
+def test_class_sum_matches_its_oracle_past_the_exhaustive_range(shapes):
+    # the three beta-sets are padded to the most rows, so the shorter shapes gain empty rows
+    ids = tuple(kron._sid(s) for s in shapes)
+    assert kron._classsum(ids)[0] == classsum_oracle(ids)[0]
+
+
+def test_domino_table_is_the_character_at_2_and_1_cycles():
+    for n in range(13):
+        for lam in partition_tuples(n):
+            for rows in (len(lam), len(lam) + 2):
+                row = kron._domino_row(kron._beta_mask(lam, rows), n, {})
+                assert row == [character_value(lam, (2,) * j + (1,) * (n - 2 * j)) for j in range(n // 2 + 1)], lam
+
+
+def test_k_rect_7_7_class_sum_work_is_pinned():
+    # 81,262 nodes when only the 1-cycles were closed; the shapes it visits are not interned
+    interned = len(kron._SHAPES) + ((7,) * 7 not in kron._SID)
+    stats = {}
+    assert k_rect(7, 7, stats=stats) == 125250433
+    assert stats == {"route": "class", "nodes": 19691}
+    assert len(kron._SHAPES) == interned
 
 
 @pytest.mark.parametrize("m, deltas", [(4, range(1, 7)), (5, range(1, 6))])
@@ -91,7 +124,20 @@ def test_k_rect_class_sum_matches_triple_route(m, deltas):
 def test_fixed_point_term_is_the_character_at_the_identity():
     for n in range(11):
         for lam in partition_tuples(n):
-            assert kron._fdim(kron._sid(lam)) == character_value(lam, (1,) * n), lam
+            for rows in (len(lam), len(lam) + 3):
+                assert kron._beta_dim(kron._beta_mask(lam, rows)) == character_value(lam, (1,) * n), lam
+
+
+def test_lr_terms_count_every_lr_coefficient_evaluated(monkeypatch):
+    calls = []
+    lr3 = kron._lr3
+    monkeypatch.setattr(kron, "_lr3", lambda *args: calls.append(args) or lr3(*args))
+    for shapes in (((3, 3, 3),) * 3, ((6,) * 3,) * 3, ((4, 4), (5, 3), (4, 3, 1)), ((4, 4), (4, 4), (3, 3, 2))):
+        calls.clear()
+        stats = {}
+        value = kronecker(*shapes, method="lr", stats=stats)
+        assert stats == {"route": "lr", "lr_terms": len(calls)} and len(calls) > 0
+        assert value == kronecker(*shapes, method="triple")
 
 
 def _three_rows(n):
