@@ -8,19 +8,23 @@ Three independent exact routes produce Kronecker coefficients:
   distinct shape (Murnaghan-Nakayama on beta-set bitmasks, where a strip
   moves one bead; parts consumed in descending order).  Each node closes
   every cycle type whose remaining cells are 2- and 1-cycles at once, from
-  a per-shape domino table chi_s(2^j 1^(|s|-2j)) whose row 0 is f^s read
-  off the beta-numbers, so neither needs a search.  It accumulates
-  chi*chi*chi times the class size;
+  one packed integer per shape whose base-2^w digit j is
+  chi_s(2^j 1^(|s|-2j)) and whose digit 0 is f^s read off the
+  beta-numbers, so neither needs a search: one multiply-add per shape and
+  one decode per distinct shape, exact since 2^(w-1) exceeds every f^lam
+  of the call.  It accumulates chi*chi*chi times the class size;
 * a coupled strip recursion: remove one border strip of equal length from
   all three shapes at once and divide by the remaining size, memoized on
   the unordered shape triple.  Every memoized value is itself a Kronecker
-  coefficient, so nonnegativity and divisibility are asserted at each node;
+  coefficient, so nonnegativity and divisibility are checked at each node;
 * a Littlewood-Richardson route for shapes of at most 3 rows: Jacobi-Trudi
   on s_nu and the expansion of s_lam * h_alpha (Garsia-Remmel 1985) give
   g(lam, mu, nu) = sum over sigma in S_3 of sgn(sigma) times
   sum over lam^i of size alpha_i(sigma) of c^lam_{lam^1 lam^2 lam^3} c^mu_{lam^1 lam^2 lam^3},
-  with alpha_i(sigma) = nu_i - i + sigma(i).  A 3-row LR coefficient counts
-  the integers in one interval, and a rectangle R collapses the triple LR
+  with alpha_i(sigma) = nu_i - i + sigma(i).  The inner sum is symmetric
+  in alpha, so it runs once per multiset of alpha(sigma) (5 for nu = delta^3).
+  A 3-row LR coefficient counts the integers in one interval, evaluated a
+  whole row of lam^2 at a time, and a rectangle R collapses the triple LR
   coefficient to a single one: c^R_{lam^1 lam^2 lam^3} = c^{(lam^3)^c}_{lam^1 lam^2}.
 
 Before any route, `kronecker` tests Dvir's bounds (J. Algebra 154, 1993):
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -253,22 +258,47 @@ def _bead_moves(mask: int, length: int) -> list[tuple[int, int]]:
     return out
 
 
-def _domino_row(mask: int, size: int, table: dict[int, list[int]]) -> list[int]:
-    """[chi_s(2^j 1^(size - 2j)) for j = 0..size//2] for the shape s with beta-set `mask`.
+def _packed_dominoes(mask: int, width: int, table: dict[int, int]) -> int:
+    """sum_j chi_s(2^j 1^(|s| - 2j)) 2^(width j) for the shape s with beta-set `mask`.
 
-    Row j > 0 removes one domino (a 2-strip) by Murnaghan-Nakayama and reads
-    row j - 1 of the smaller shape; row 0 is f^s.  Rows are memoized in
-    `table`, and each new one polls the deadline in effect.
+    One integer holds s's whole domino row, one signed digit per j.
+    Removing one domino (a 2-strip) by Murnaghan-Nakayama shifts the
+    smaller shape's row up one digit, and digit 0 is f^s:
+    P[s] = f^s + (sum of +-P[s - domino]) << width.  P[s] is the row's
+    polynomial at 2^width and the recurrence is linear in the rows, so it
+    holds with negative digits too.  Rows are memoized in `table`, and each
+    new one polls the deadline in effect.
     """
     active().check()
-    subs = []
+    acc = 0
     for sub, sign in _bead_moves(mask, 2):
-        row = table.get(sub)
-        subs.append((sign, row if row is not None else _domino_row(sub, size - 2, table)))
-    row = [_beta_dim(mask)]
-    row += [sum(sign * sub[j] for sign, sub in subs) for j in range(size // 2)]
-    table[mask] = row
-    return row
+        packed = table.get(sub)
+        if packed is None:
+            packed = _packed_dominoes(sub, width, table)
+        acc += sign * packed
+    packed = table[mask] = _beta_dim(mask) + (acc << width)
+    return packed
+
+
+def _digits(packed: int, width: int, count: int) -> list[int]:
+    """The `count` balanced base-2^width digits of `packed`, lowest first.
+
+    Exact when every digit d has |d| < 2^(width - 1); AssertionError if
+    anything is left after the last one.
+    """
+    full = 1 << width
+    low, half = full - 1, full >> 1
+    out = []
+    for _ in range(count):
+        digit = packed & low
+        packed >>= width
+        if digit >= half:
+            digit -= full
+            packed += 1
+        out.append(digit)
+    if packed:
+        raise AssertionError(f"packed domino row has {packed.bit_length()} bits past digit {count}")
+    return out
 
 
 def _classsum(ids: tuple[int, ...]) -> tuple[int, int]:
@@ -279,24 +309,29 @@ def _classsum(ids: tuple[int, ...]) -> tuple[int, int]:
     to their multiplicity) over shapes written as beta-set bitmasks padded
     to the most rows among the three; a strip removal that empties a vector
     prunes the subtree.  Each node closes every cycle type whose remaining
-    r cells are 2- and 1-cycles at once: chi_s(2^j 1^(r - 2j)) is row j of
-    s's domino table (`_domino_row`, built per call), and z_rho gains
-    2^j j! (r - 2j)!, the 2-run being fresh since every prefix part is
-    >= 3.  So there is at most one node per partition of a number up to N
-    into parts >= 3.  The accumulator holds sum over classes of
+    r cells are 2- and 1-cycles at once.  The packed domino rows of its
+    vector's shapes (`_packed_dominoes`, built per call) sum to one integer
+    per distinct shape lam, whose digit j is chi_lam(prefix 2^j 1^(r - 2j))
+    by Murnaghan-Nakayama, so |digit| <= f^lam.  The digit width w has
+    2^(w - 1) > max f^lam, so `_digits` decodes every digit exactly.  z_rho
+    gains 2^j j! (r - 2j)!, the 2-run being fresh since every prefix part
+    is >= 3.  So there is at most one node per partition of a number up to
+    N into parts >= 3.  The accumulator holds sum over classes of
     prod chi * |class|, an integer, and is divided by N! at the end with an
     integrality check.
     """
     uniq = Counter(_SHAPES[sid] for sid in ids)  # distinct shape -> multiplicity
     mults = list(uniq.values())
     rows = max(map(len, uniq))
+    masks = [_beta_mask(shape, rows) for shape in uniq]
+    width = max(map(_beta_dim, masks)).bit_length() + 1
     n = _SIZES[ids[0]]
     facts = [math.factorial(r) for r in range(n + 1)]
     nfact = facts[n]
     # pairings[r][j] = r! / (2^j j! (r - 2j)!), the ways to lay j 2-cycles on r cells
     pairings = [[facts[r] // (2**j * facts[j] * facts[r - 2 * j]) for j in range(r // 2 + 1)]
                 for r in range(n + 1)]
-    dominoes: dict[int, list[int]] = {}
+    dominoes: dict[int, int] = {}
     strips: dict[tuple[int, int], list[tuple[int, int]]] = {}
     dl = active()
     total = 0
@@ -309,13 +344,13 @@ def _classsum(ids: tuple[int, ...]) -> tuple[int, int]:
         dl.check()
         closed = pairings[remaining]
         for mult, vec in zip(mults, vecs):
-            chis = [0] * len(closed)
+            packed = 0
             for mask, coeff in vec.items():
                 row = dominoes.get(mask)
                 if row is None:
-                    row = _domino_row(mask, remaining, dominoes)
-                chis = [chi + coeff * d for chi, d in zip(chis, row)]
-            closed = [w * chi**mult for w, chi in zip(closed, chis)]
+                    row = _packed_dominoes(mask, width, dominoes)
+                packed += coeff * row
+            closed = [w * chi**mult for w, chi in zip(closed, _digits(packed, width, len(closed)))]
         total += nfact // (z * facts[remaining]) * sum(closed)
         for length in range(min(max_part, remaining), 2, -1):
             new_vecs = []
@@ -337,7 +372,7 @@ def _classsum(ids: tuple[int, ...]) -> tuple[int, int]:
                 descend(remaining - length, length, z * length * nrun, nrun, new_vecs)
 
     try:
-        descend(n, n, 1, 0, [{_beta_mask(shape, rows): 1} for shape in uniq])
+        descend(n, n, 1, 0, [{mask: 1} for mask in masks])
     finally:
         del descend  # else its closure cell keeps the tables alive until a cyclic collection
     if total % nfact != 0:
@@ -383,29 +418,63 @@ _S3 = (((0, 1, 2), 1), ((1, 0, 2), -1), ((0, 2, 1), -1),
        ((2, 1, 0), -1), ((1, 2, 0), 1), ((2, 0, 1), 1))
 
 
-def _lr3(nu: tuple[int, int, int], lam: tuple[int, int, int], mu: tuple[int, int, int]) -> int:
-    """Littlewood-Richardson coefficient c^nu_{lam mu} of 3-part shapes, |nu| = |lam| + |mu|.
+def _lr_row(nu: tuple[int, int, int], lam: tuple[int, int, int],
+            mus: list[tuple[int, int, int]]) -> list[int]:
+    """[c^nu_{lam mu} for mu in mus], Littlewood-Richardson coefficients of 3-part shapes, cut short.
 
-    An LR tableau of shape nu/lam and content mu has a_ij entries j in row i:
-    row 1 holds only 1s and row 2 only 1s and 2s, so a11, a22, a31, a32,
-    a33 are fixed by t = a21.  Column strictness and the lattice condition
-    are linear in t, and the coefficient is the number of integers t in
-    the resulting interval.
+    Needs |nu| = |lam| + |mu| and the mus in descending mu_1, as `_boxed`
+    lists them.  An LR tableau of shape nu/lam and content mu has a_ij
+    entries j in row i: row 1 holds only 1s and row 2 only 1s and 2s, so
+    a11 = nu_1 - lam_1 and d2 = a21 + a22 = nu_2 - lam_2 are fixed, and so
+    are a22, a31, a32, a33 by t = a21.  Column strictness and the lattice
+    condition are linear in t, and the coefficient is the number of
+    integers t in the interval [lo, hi]; the terms that depend on nu and
+    lam alone are hoisted out of the loop.  At mu_1 < a11 or mu_3 > d2,
+    hi < 0 <= lo: the row ends before the first mu with mu_1 < a11, since
+    every later mu has one too, and holds 0 at mu_3 > d2 with no interval
+    computed.  The LR route counts each entry of a row as one coefficient
+    evaluated.
     """
     n1, n2, n3 = nu
     l1, l2, l3 = lam
-    m1, m2, m3 = mu
     a11 = n1 - l1
-    d2 = n2 - l2  # a21 + a22
+    d2 = n2 - l2
     if a11 < 0 or d2 < 0 or n3 < l3:
-        return 0
-    lo = max(0, d2 - m2, d2 - a11, m2 - a11, l3 + m1 - a11 - l2, n3 - m3 - l2)
-    hi = min(d2 - m3, m1 - a11, l1 - l2)
-    return hi - lo + 1 if hi >= lo else 0
+        return []
+    floor = max(0, d2 - a11)
+    lattice = l3 - l2 - a11
+    column = n3 - l2
+    cap = l1 - l2
+    row = []
+    append = row.append
+    for m1, m2, m3 in mus:
+        if m1 < a11:
+            break
+        if m3 > d2:
+            append(0)
+            continue
+        # hi = min(d2 - m3, m1 - a11, cap), lo = max(floor, d2 - m2, m2 - a11, lattice + m1, column - m3),
+        # by comparisons: a call of min or max costs more than the whole interval
+        hi = d2 - m3
+        if m1 - a11 < hi:
+            hi = m1 - a11
+        if cap < hi:
+            hi = cap
+        lo = column - m3
+        if floor > lo:
+            lo = floor
+        if d2 - m2 > lo:
+            lo = d2 - m2
+        if m2 - a11 > lo:
+            lo = m2 - a11
+        if lattice + m1 > lo:
+            lo = lattice + m1
+        append(hi - lo + 1 if hi >= lo else 0)
+    return row
 
 
 def _boxed(n: int, box: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-    """Partitions of n into at most 3 parts inside `box`, padded to 3 parts."""
+    """Partitions of n into at most 3 parts inside `box`, padded to 3 parts, in descending first part."""
     b1, b2, b3 = box
     out = []
     for p1 in range(min(n, b1), -1, -1):
@@ -419,61 +488,75 @@ def _boxed(n: int, box: tuple[int, int, int]) -> list[tuple[int, int, int]]:
 
 
 def _cut(lam: tuple[int, int, int], inner: tuple[int, int, int]) -> tuple[dict[tuple[int, int, int], int], int]:
-    """({tau: c^lam_{tau inner}} over the nonzero coefficients, number of `_lr3` evaluations).
+    """({tau: c^lam_{tau inner}} over the nonzero coefficients, number of LR coefficients evaluated).
 
     Then c^lam_{lam1 lam2 inner} = sum over tau of c^lam_{tau inner} c^tau_{lam1 lam2};
     for a rectangle lam the only tau is the complement of `inner` in lam.
+    Read off `_lr_row` as c^lam_{inner tau}, which is c^lam_{tau inner}.
     """
-    out = {}
     taus = _boxed(sum(lam) - sum(inner), lam)
-    for tau in taus:
-        c = _lr3(lam, tau, inner)
-        if c:
-            out[tau] = c
-    return out, len(taus)
+    row = _lr_row(lam, inner, taus)
+    return {tau: c for tau, c in zip(taus, row) if c}, len(row)
+
+
+def _lr_term(lam: tuple[int, int, int], mu: tuple[int, int, int],
+             sizes: tuple[int, int, int]) -> tuple[int, int]:
+    """(T(a) = sum over lam^i of size a_i of c^lam_{lam^1 lam^2 lam^3} c^mu_{lam^1 lam^2 lam^3},
+    number of LR coefficients evaluated), for a = `sizes` of 3-part lam and mu.
+
+    lam^3 runs over the shapes inside both lam and mu.  For each lam^1 the
+    triple coefficients of every lam^2 come from one `_lr_row` per tau of
+    `_cut`.
+    """
+    a1, a2, a3 = sizes
+    dl = active()
+    acc = terms = 0
+    for inner in _boxed(a3, tuple(map(min, lam, mu))):
+        (cut_lam, lam_terms), (cut_mu, mu_terms) = _cut(lam, inner), _cut(mu, inner)
+        terms += lam_terms + mu_terms
+        if not cut_lam or not cut_mu:
+            continue
+        box = tuple(min(max(t[i] for t in cut_lam), max(t[i] for t in cut_mu)) for i in range(3))
+        firsts, seconds = _boxed(a1, box), _boxed(a2, box)
+        cuts = (cut_lam, cut_mu) if cut_lam != cut_mu else (cut_lam,)  # equal cuts: square one row
+        for first in firsts:
+            dl.check()
+            rows = []
+            for cut in cuts:
+                coeffs = [0] * len(seconds)
+                for tau, w in cut.items():
+                    row = _lr_row(tau, first, seconds)
+                    terms += len(row)
+                    coeffs[:len(row)] = [c + w * r for c, r in zip(coeffs, row)]
+                rows.append(coeffs)
+            acc += sum(map(operator.mul, rows[0], rows[-1]))
+    return acc, terms
 
 
 def _lr_route(shapes: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
     """(Kronecker coefficient of three shapes of at most 3 rows via Jacobi-Trudi and LR,
-    number of `_lr3` evaluations)."""
+    number of LR coefficients evaluated).
+
+    g(lam, mu, nu) = sum over sigma in S_3 of sgn(sigma) T(alpha(sigma)),
+    with alpha_i(sigma) = nu_i - i + sigma(i).  An LR coefficient of a
+    product is symmetric in its factors, so T(a) is symmetric in a: each
+    multiset of alpha(sigma) is evaluated once (`_lr_term`) with the sum of
+    its signs, in the order that puts its largest part as lam^3.
+    """
     if any(len(s) > 3 for s in shapes):
         raise ValueError("the LR route needs shapes with at most 3 rows")
     # non-rectangles last, so that nu takes one and lam, mu collapse where they can
     lam, mu, nu = (s + (0,) * (3 - len(s)) for s in sorted(shapes, key=lambda s: len(set(s)) > 1))
-    meet = tuple(map(min, lam, mu))
-    dl = active()
-    total = terms = 0
+    signs: dict[tuple[int, ...], int] = {}
     for sigma, sign in _S3:
-        a1, a2, a3 = (nu[i] - i + sigma[i] for i in range(3))
-        if min(a1, a2, a3) < 0:
-            continue
-        acc = 0
-        for inner in _boxed(a3, meet):
-            (cut_lam, lam_terms), (cut_mu, mu_terms) = _cut(lam, inner), _cut(mu, inner)
-            terms += lam_terms + mu_terms
-            if not cut_lam or not cut_mu:
-                continue
-            same = cut_lam == cut_mu
-            box = tuple(min(max(t[i] for t in cut_lam), max(t[i] for t in cut_mu)) for i in range(3))
-            firsts, seconds = _boxed(a1, box), _boxed(a2, box)
-            terms += len(firsts) * len(seconds) * len(cut_lam)
-            for first in firsts:
-                dl.check()
-                for second in seconds:
-                    c_lam = 0
-                    for tau, w in cut_lam.items():
-                        c_lam += w * _lr3(tau, first, second)
-                    if not c_lam:
-                        continue
-                    if same:
-                        acc += c_lam * c_lam
-                        continue
-                    c_mu = 0
-                    terms += len(cut_mu)
-                    for tau, w in cut_mu.items():
-                        c_mu += w * _lr3(tau, first, second)
-                    acc += c_lam * c_mu
-        total += sign * acc
+        sizes = tuple(sorted(nu[i] - i + sigma[i] for i in range(3)))
+        signs[sizes] = signs.get(sizes, 0) + sign
+    total = terms = 0
+    for sizes, sign in signs.items():
+        if sign and sizes[0] >= 0:
+            value, count = _lr_term(lam, mu, sizes)
+            total += sign * value
+            terms += count
     if total < 0:
         raise AssertionError(f"negative Kronecker value {total}")
     return total, terms

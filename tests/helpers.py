@@ -525,3 +525,95 @@ def classsum_oracle(ids: tuple[int, ...]) -> tuple[int, int]:
     if value < 0:
         raise AssertionError(f"negative Kronecker value {value}")
     return value, nodes
+
+
+# The per-pair Littlewood-Richardson route that `kron._lr_route` replaced, kept as its oracle.
+# (sigma, sgn sigma) for sigma in S_3, sigma as 0-based images
+_S3 = (((0, 1, 2), 1), ((1, 0, 2), -1), ((0, 2, 1), -1),
+       ((2, 1, 0), -1), ((1, 2, 0), 1), ((2, 0, 1), 1))
+
+
+def lr3_oracle(nu: tuple[int, int, int], lam: tuple[int, int, int], mu: tuple[int, int, int]) -> int:
+    """Littlewood-Richardson coefficient c^nu_{lam mu} of 3-part shapes, |nu| = |lam| + |mu|.
+
+    An LR tableau of shape nu/lam and content mu has a_ij entries j in row i:
+    row 1 holds only 1s and row 2 only 1s and 2s, so a11, a22, a31, a32,
+    a33 are fixed by t = a21.  Column strictness and the lattice condition
+    are linear in t, and the coefficient is the number of integers t in
+    the resulting interval.
+    """
+    n1, n2, n3 = nu
+    l1, l2, l3 = lam
+    m1, m2, m3 = mu
+    a11 = n1 - l1
+    d2 = n2 - l2  # a21 + a22
+    if a11 < 0 or d2 < 0 or n3 < l3:
+        return 0
+    lo = max(0, d2 - m2, d2 - a11, m2 - a11, l3 + m1 - a11 - l2, n3 - m3 - l2)
+    hi = min(d2 - m3, m1 - a11, l1 - l2)
+    return hi - lo + 1 if hi >= lo else 0
+
+
+def _cut_oracle(lam: tuple[int, int, int], inner: tuple[int, int, int]) -> tuple[dict[tuple[int, int, int], int], int]:
+    """({tau: c^lam_{tau inner}} over the nonzero coefficients, number of `lr3_oracle` evaluations).
+
+    Then c^lam_{lam1 lam2 inner} = sum over tau of c^lam_{tau inner} c^tau_{lam1 lam2};
+    for a rectangle lam the only tau is the complement of `inner` in lam.
+    """
+    out = {}
+    taus = kron._boxed(sum(lam) - sum(inner), lam)
+    for tau in taus:
+        c = lr3_oracle(lam, tau, inner)
+        if c:
+            out[tau] = c
+    return out, len(taus)
+
+
+def lr_oracle(shapes: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
+    """(Kronecker coefficient of three shapes of at most 3 rows via Jacobi-Trudi and LR,
+    number of `lr3_oracle` evaluations).
+
+    Sums over all six sigma in S_3 and evaluates c^lam_{lam^1 lam^2 lam^3}
+    one (lam^1, lam^2) pair at a time.
+    """
+    if any(len(s) > 3 for s in shapes):
+        raise ValueError("the LR route needs shapes with at most 3 rows")
+    # non-rectangles last, so that nu takes one and lam, mu collapse where they can
+    lam, mu, nu = (s + (0,) * (3 - len(s)) for s in sorted(shapes, key=lambda s: len(set(s)) > 1))
+    meet = tuple(map(min, lam, mu))
+    dl = active()
+    total = terms = 0
+    for sigma, sign in _S3:
+        a1, a2, a3 = (nu[i] - i + sigma[i] for i in range(3))
+        if min(a1, a2, a3) < 0:
+            continue
+        acc = 0
+        for inner in kron._boxed(a3, meet):
+            (cut_lam, lam_terms), (cut_mu, mu_terms) = _cut_oracle(lam, inner), _cut_oracle(mu, inner)
+            terms += lam_terms + mu_terms
+            if not cut_lam or not cut_mu:
+                continue
+            same = cut_lam == cut_mu
+            box = tuple(min(max(t[i] for t in cut_lam), max(t[i] for t in cut_mu)) for i in range(3))
+            firsts, seconds = kron._boxed(a1, box), kron._boxed(a2, box)
+            terms += len(firsts) * len(seconds) * len(cut_lam)
+            for first in firsts:
+                dl.check()
+                for second in seconds:
+                    c_lam = 0
+                    for tau, w in cut_lam.items():
+                        c_lam += w * lr3_oracle(tau, first, second)
+                    if not c_lam:
+                        continue
+                    if same:
+                        acc += c_lam * c_lam
+                        continue
+                    c_mu = 0
+                    terms += len(cut_mu)
+                    for tau, w in cut_mu.items():
+                        c_mu += w * lr3_oracle(tau, first, second)
+                    acc += c_lam * c_mu
+        total += sign * acc
+    if total < 0:
+        raise AssertionError(f"negative Kronecker value {total}")
+    return total, terms

@@ -113,7 +113,7 @@ def test_kronecker_verb(capsys):
 
 # work: class-sum DFS nodes, triple-memo entries added (from an empty memo) and LR coefficients evaluated
 @pytest.mark.parametrize("lam, mu, nu, value, route, nodes, memo_entries, lr_terms", [
-    ("3,3,3", "3,3,3", "3,3,3", "1", "lr", 0, 0, 135),
+    ("3,3,3", "3,3,3", "3,3,3", "1", "lr", 0, 0, 141),
     ("9,1", "2,1,1,1,1,1,1,1,1", "1,1,1,1,1,1,1,1,1,1", "1", "triple", 0, 34, 0),
     ("3,3,2,1", "3,3,3", "4,3,2", "3", "class", 7, 0, 0),
     ("5,3,2,1,1", "5,3,2,1,1", "5,3,2,1,1", "945", "class", 15, 0, 0),
@@ -136,7 +136,7 @@ def _parts(text):
 def test_krect_json_reports_route(capsys):
     code, out, _ = run(capsys, "krect", "--m", "3", "--delta", "6", "--json")
     assert code == 0 and json.loads(out) == {
-        "value": "3", "meta": {"m": 3, "delta": 6, "route": "lr", "nodes": 0, "memo_entries": 0, "lr_terms": 1555}}
+        "value": "3", "meta": {"m": 3, "delta": 6, "route": "lr", "nodes": 0, "memo_entries": 0, "lr_terms": 1376}}
     # delta = 1 is certified 0 by Dvir's length bound, so it runs no class sum
     code, out, _ = run(capsys, "krect", "--m", "4", "--delta", "3", "--table", "--json")
     assert code == 0 and json.loads(out) == {

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import centralizer_order, classsum_oracle
+from helpers import centralizer_order, classsum_oracle, lr3_oracle, lr_oracle
 from slinv import kron
 from slinv.budget import BudgetExhausted, Deadline, scope
 from slinv.exact import Partition, partition_tuples, partitions_of
@@ -97,12 +97,37 @@ def test_class_sum_matches_its_oracle_past_the_exhaustive_range(shapes):
     assert kron._classsum(ids)[0] == classsum_oracle(ids)[0]
 
 
-def test_domino_table_is_the_character_at_2_and_1_cycles():
+def _domino_characters(lam):
+    n = sum(lam)
+    return [character_value(lam, (2,) * j + (1,) * (n - 2 * j)) for j in range(n // 2 + 1)]
+
+
+def test_packed_domino_row_decodes_to_the_character_at_2_and_1_cycles():
     for n in range(13):
         for lam in partition_tuples(n):
             for rows in (len(lam), len(lam) + 2):
-                row = kron._domino_row(kron._beta_mask(lam, rows), n, {})
-                assert row == [character_value(lam, (2,) * j + (1,) * (n - 2 * j)) for j in range(n // 2 + 1)], lam
+                mask = kron._beta_mask(lam, rows)
+                width = kron._beta_dim(mask).bit_length() + 1
+                packed = kron._packed_dominoes(mask, width, {})
+                assert kron._digits(packed, width, n // 2 + 1) == _domino_characters(lam), lam
+
+
+def test_digits_refuse_a_row_with_more_digits():
+    with pytest.raises(AssertionError):
+        kron._digits(5 + (3 << 4) + (1 << 8), 4, 2)
+    assert kron._digits(5 - (3 << 4) + (1 << 8), 4, 3) == [5, -3, 1]
+
+
+def test_root_closure_decodes_f_lambda_at_the_tight_width(monkeypatch):
+    # digit 0 of the root closure is f^lam itself, the largest digit the width must hold
+    rect = (5,) * 5
+    decoded = []
+    digits = kron._digits
+    monkeypatch.setattr(kron, "_digits", lambda *args: decoded.append(digits(*args)) or decoded[-1])
+    stats = {}
+    assert kronecker(rect, rect, rect, method="class", stats=stats) == 21 and stats["nodes"] == 324
+    assert len(decoded) == 324
+    assert decoded[0] == _domino_characters(rect) and decoded[0][0] == character_value(rect, (1,) * 25)
 
 
 def test_k_rect_7_7_class_sum_work_is_pinned():
@@ -129,31 +154,48 @@ def test_fixed_point_term_is_the_character_at_the_identity():
 
 
 def test_lr_terms_count_every_lr_coefficient_evaluated(monkeypatch):
-    calls = []
-    lr3 = kron._lr3
-    monkeypatch.setattr(kron, "_lr3", lambda *args: calls.append(args) or lr3(*args))
+    # every row the kernel returns matches the per-pair formula, and every entry it cut off is 0
+    evaluated = []
+    lr_row = kron._lr_row
+
+    def checked_row(nu, lam, mus):
+        row = lr_row(nu, lam, mus)
+        assert row + [0] * (len(mus) - len(row)) == [lr3_oracle(nu, lam, mu) for mu in mus]
+        evaluated.append(len(row))
+        return row
+
+    monkeypatch.setattr(kron, "_lr_row", checked_row)
     for shapes in (((3, 3, 3),) * 3, ((6,) * 3,) * 3, ((4, 4), (5, 3), (4, 3, 1)), ((4, 4), (4, 4), (3, 3, 2))):
-        calls.clear()
+        evaluated.clear()
         stats = {}
         value = kronecker(*shapes, method="lr", stats=stats)
-        assert stats == {"route": "lr", "lr_terms": len(calls)} and len(calls) > 0
+        assert stats == {"route": "lr", "lr_terms": sum(evaluated)} and sum(evaluated) > 0
         assert value == kronecker(*shapes, method="triple")
+
+
+def test_k_rect_3_16_lr_work_is_pinned():
+    # 131,389 LR coefficients when each of the six sigma ran one pair at a time
+    stats = {}
+    assert k_rect(3, 16, stats=stats) == 10 and stats == {"route": "lr", "lr_terms": 102318}
 
 
 def _three_rows(n):
     return [p for p in partition_tuples(n) if len(p) <= 3]
 
 
-def test_lr_coefficient_against_characters():
+def test_lr_row_against_characters():
     # c^nu_{lam mu} = sum over rho |- |lam|, pi |- |mu| of chi_lam(rho) chi_mu(pi) chi_nu(rho u pi) / (z_rho z_pi)
     pad = lambda s: tuple(s) + (0,) * (3 - len(s))
     for a, b in itertools.product(range(5), repeat=2):
-        for lam, mu, nu in itertools.product(_three_rows(a), _three_rows(b), _three_rows(a + b)):
-            expected = sum(Fraction(character_value(lam, rho) * character_value(mu, pi)
-                                    * character_value(nu, sorted(rho + pi, reverse=True)),
-                                    centralizer_order(rho) * centralizer_order(pi))
-                           for rho in partition_tuples(a) for pi in partition_tuples(b))
-            assert kron._lr3(pad(nu), pad(lam), pad(mu)) == expected, (nu, lam, mu)
+        mus = kron._boxed(b, (b, b, b))
+        for lam, nu in itertools.product(_three_rows(a), _three_rows(a + b)):
+            expected = [sum(Fraction(character_value(lam, rho) * character_value(mu, pi)
+                                     * character_value(nu, sorted(rho + pi, reverse=True)),
+                                     centralizer_order(rho) * centralizer_order(pi))
+                            for rho in partition_tuples(a) for pi in partition_tuples(b))
+                        for mu in (tuple(p for p in mu if p) for mu in mus)]
+            row = kron._lr_row(pad(nu), pad(lam), mus)
+            assert row + [0] * (len(mus) - len(row)) == expected, (nu, lam)
 
 
 def test_lr_route_agrees_with_both_routes():
@@ -162,6 +204,29 @@ def test_lr_route_agrees_with_both_routes():
             value = kronecker(lam, mu, nu, method="lr")
             assert value == kronecker(lam, mu, nu, method="triple"), (lam, mu, nu)
             assert value == kronecker(lam, mu, nu, method="class"), (lam, mu, nu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes=st.integers(9, 18).flatmap(lambda n: st.tuples(*[st.sampled_from(_three_rows(n))] * 3)))
+def test_lr_route_matches_both_oracles_past_the_exhaustive_range(shapes):
+    ids = tuple(kron._sid(s) for s in shapes)
+    value = kronecker(*shapes, method="lr")
+    assert value == lr_oracle(shapes)[0] == classsum_oracle(ids)[0]
+
+
+def test_lr_term_is_symmetric_in_its_sizes():
+    rng = random.Random(3)
+    pad = lambda s: tuple(s) + (0,) * (3 - len(s))
+    nonzero = 0
+    for _ in range(40):
+        n = rng.randint(4, 12)
+        lam, mu = (pad(rng.choice(_three_rows(n))) for _ in range(2))
+        cut = sorted(rng.sample(range(n + 2), 2))
+        sizes = (cut[0], cut[1] - cut[0] - 1, n + 1 - cut[1])  # a random composition of n into 3 parts
+        terms = {order: kron._lr_term(lam, mu, order)[0] for order in itertools.permutations(sizes)}
+        assert len(set(terms.values())) == 1, (lam, mu, terms)
+        nonzero += terms[sizes] != 0
+    assert nonzero >= 10
 
 
 def test_k_rect_three_rows_takes_lr_and_matches_triple():
