@@ -153,7 +153,7 @@ def _cmd_count(args):
 
 def _cmd_kronecker(args):
     lam, mu, nu = (_parse_partition(t) for t in (args.lam, args.mu, args.nu))
-    work = {"nodes": 0, "memo_entries": 0, "lr_terms": 0}  # kronecker adds the route it took
+    work = {"nodes": 0, "lr_terms": 0}  # kronecker adds the route it took
     value = kronecker(lam, mu, nu, stats=work)
     return value, {"lam": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts), **work}, None
 
@@ -162,7 +162,7 @@ def _cmd_krect(args):
     # the table ends at --delta itself, so k_rect checks it as it does without --table
     deltas = (*range(args.delta), args.delta) if args.table else (args.delta,)
     values, routes = {}, {}
-    work = {"nodes": 0, "memo_entries": 0, "lr_terms": 0}  # over the values of the table
+    work = {"nodes": 0, "lr_terms": 0}  # over the values of the table
     try:
         for d in deltas:
             values[d] = k_rect(args.m, d, stats=work)

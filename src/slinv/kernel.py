@@ -30,7 +30,8 @@ from typing import Optional, Sequence
 from .budget import active
 from .exact import sequence_sign
 
-_CHECK_MASK = 0x3FF  # deadline polling period in state expansions
+_CHECK_MASK = 0x3FF  # deadline polling period in candidates checked, packed or walked
+_POLL_TRIES = 1 << 16  # most candidate tries a sweep makes between two deadline polls
 _STATE_CAP = 1 << 20  # live states across all the layers a sweep holds
 _CHUNK_FLOOR = 1 << 12  # no partial layer is finished on its own below this size
 
@@ -60,7 +61,9 @@ def _signed_sum(steps: Sequence[tuple], stats: Optional[dict] = None) -> tuple[i
     degenerating into one dict per placement; so the peak may pass the cap
     by one floor-sized partial layer per recursion level.  The deadline in
     effect (`budget.active()`) is polled every 1,024 candidates of a step
-    while they are packed, and every 1,024 states while a layer is expanded.
+    while they are packed, and while a layer is expanded every
+    max(1, _POLL_TRIES // c) states, c the step's candidate count: at most
+    max(_POLL_TRIES, c) candidate tries pass between two polls.
     """
     deadline = active()
     width = 1 + max((max(labels) for _, _, cands in steps for labels, _ in cands), default=0)
@@ -80,6 +83,7 @@ def _signed_sum(steps: Sequence[tuple], stats: Optional[dict] = None) -> tuple[i
                     above |= (segment & -(2 << label)) << (line * width)
             packed.append((bits, above, weight))
         plan.append(packed)
+    periods = [max(1, _POLL_TRIES // max(1, len(packed))) for packed in plan]  # states between polls
     last = len(plan) - 1
     expanded = peak = 0
 
@@ -91,8 +95,9 @@ def _signed_sum(steps: Sequence[tuple], stats: Optional[dict] = None) -> tuple[i
             limit = max(_CHUNK_FLOOR, _STATE_CAP - held - len(layer))
             following: dict[int, int] = {}
             get = following.get
+            period = periods[t]
             for i, (state, w) in enumerate(layer.items()):
-                if not i & _CHECK_MASK:  # also on entry to every layer
+                if not i % period:  # also on entry to every layer
                     deadline.check()
                 for bits, above, weight in plan[t]:
                     if not state & bits:
@@ -115,8 +120,9 @@ def _signed_sum(steps: Sequence[tuple], stats: Optional[dict] = None) -> tuple[i
                 del following[state]
             layer = following
             t += 1
+        period = periods[last]
         for i, (state, w) in enumerate(layer.items()):  # the last step adds straight to the sum
-            if not i & _CHECK_MASK:
+            if not i % period:
                 deadline.check()
             for bits, above, weight in plan[last]:
                 if not state & bits:

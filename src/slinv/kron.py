@@ -13,10 +13,11 @@ Three independent exact routes produce Kronecker coefficients:
   beta-numbers, so neither needs a search: one multiply-add per shape and
   one decode per distinct shape, exact since 2^(w-1) exceeds every f^lam
   of the call.  It accumulates chi*chi*chi times the class size;
-* a coupled strip recursion: remove one border strip of equal length from
-  all three shapes at once and divide by the remaining size, memoized on
-  the unordered shape triple.  Every memoized value is itself a Kronecker
-  coefficient, so nonnegativity and divisibility are checked at each node;
+* a coupled strip recursion, the reference method: remove one border strip
+  of equal length from all three shapes at once and divide by the
+  remaining size, memoized on the unordered shape triple.  Every memoized
+  value is itself a Kronecker coefficient, so nonnegativity and
+  divisibility are checked at each node;
 * a Littlewood-Richardson route for shapes of at most 3 rows: Jacobi-Trudi
   on s_nu and the expansion of s_lam * h_alpha (Garsia-Remmel 1985) give
   g(lam, mu, nu) = sum over sigma in S_3 of sgn(sigma) times
@@ -31,14 +32,12 @@ Before any route, `kronecker` tests Dvir's bounds (J. Algebra 154, 1993):
 g(lam, mu, nu) > 0 needs lam_1 <= |mu & nu| and len(lam) <= |mu & nu'|,
 where |a & b| = sum_i min(a_i, b_i), for each shape as lam.  A triple that
 fails one is 0 at a cost linear in N, and runs no route (`_route` names it
-'vanishing').  Otherwise it picks the LR route when all three shapes have
-at most 3 rows and at least two are rectangles (so k_rect(m <= 3, delta)),
-and else the cheaper of the other two: the coupled recursion costs its
-estimated state count, the class sum p(N) nodes times the number of
-distinct shapes (see `_route`).  An explicit
-method runs its route whatever the bounds say, so the three routes stay
-independent oracles; the test suite cross-checks them against each other
-and the bounds against the class sum.
+'vanishing').  Otherwise it takes the LR route when all three shapes have
+at most 3 rows and the class sum for every other triple (see `_route`).
+The coupled recursion is never dispatched: only an explicit
+method='triple' runs it.  An explicit method runs its route whatever the
+bounds say, so the three routes stay independent oracles; the test suite
+cross-checks them against each other and the bounds against the class sum.
 """
 
 from __future__ import annotations
@@ -156,9 +155,6 @@ def character_value(lam: PartitionLike, rho: PartitionLike) -> int:
 # ----------------------------------------------------------------------------
 
 _TRIPLE_MEMO: dict[int, int] = {}
-
-# Dispatch threshold on the estimated coupled-recursion state count.
-TRIPLE_STATE_LIMIT = 30_000_000
 
 
 def _triple(a: int, b: int, c: int) -> int:
@@ -383,36 +379,6 @@ def _classsum(ids: tuple[int, ...]) -> tuple[int, int]:
     return value, nodes
 
 
-def _contained_size_counts(shape: tuple[int, ...]) -> list[int]:
-    """counts[s] = number of partitions of s contained in `shape` (pointwise)."""
-    n = sum(shape)
-    counts = [0] * (n + 1)
-    rows = len(shape)
-
-    def rec(i: int, cap: int, size: int) -> None:
-        if i == rows:
-            counts[size] += 1
-            return
-        top = min(cap, shape[i])
-        for part in range(top, -1, -1):
-            if part == 0:
-                counts[size] += 1
-                return
-            rec(i + 1, part, size + part)
-
-    rec(0, shape[0] if rows else 0, 0)
-    return counts
-
-
-def triple_state_estimate(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike) -> int:
-    """Upper estimate of coupled-recursion states (ordered triples, equal sizes)."""
-    ca = _contained_size_counts(_as_shape(lam))
-    cb = _contained_size_counts(_as_shape(mu))
-    cc = _contained_size_counts(_as_shape(nu))
-    top = min(len(ca), len(cb), len(cc))
-    return sum(ca[s] * cb[s] * cc[s] for s in range(top))
-
-
 # (sigma, sgn sigma) for sigma in S_3, sigma as 0-based images
 _S3 = (((0, 1, 2), 1), ((1, 0, 2), -1), ((0, 2, 1), -1),
        ((2, 1, 0), -1), ((1, 2, 0), 1), ((2, 0, 1), 1))
@@ -583,22 +549,16 @@ def _route(shapes: tuple[tuple[int, ...], ...]) -> str:
     """The route `kronecker(method="auto")` takes for three nonempty shapes of one size.
 
     'vanishing' (no route runs: the value is 0) when `_vanishes`; else 'lr'
-    when every shape has at most 3 rows and at least two are rectangles
-    (both triple LR coefficients then collapse to single ones); otherwise
-    the cheaper of 'triple' and 'class'.  The class sum visits at
-    most p(N) nodes and transfers one vector per distinct shape at each; a
-    node and shape cost about a third of one estimated coupled-recursion
-    state (fitted on a timing table of both routes).
+    when every shape has at most 3 rows, and 'class' otherwise.  On 12
+    random non-vanishing triples of at most 3 rows per N (timing table in
+    CHANGES.md), LR took 0.15, 0.28 and 4.5 s in all at N = 36, 48 and 60,
+    and the class sum 0.69, 8.0 and 69 s.  The coupled recursion still beats
+    the class sum on some long hook-like 4-row triples, none of them in the
+    benchmark's workloads.
     """
     if _vanishes(shapes):
         return "vanishing"
-    if all(len(s) <= 3 for s in shapes) and sum(len(set(s)) <= 1 for s in shapes) >= 2:
-        return "lr"
-    states = triple_state_estimate(*shapes)
-    distinct = len(set(shapes))
-    if states <= TRIPLE_STATE_LIMIT and 3 * states <= distinct * partition_count(sum(shapes[0])):
-        return "triple"
-    return "class"
+    return "lr" if all(len(s) <= 3 for s in shapes) else "class"
 
 
 def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike,
@@ -607,9 +567,10 @@ def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike,
 
     Equal to the class sum over cycle types rho of
     chi_lam(rho) chi_mu(rho) chi_nu(rho) / z_rho, a nonnegative integer.
-    method: 'auto' (the route `_route` names, which is 'vanishing' when
-    Dvir's bounds prove 0), 'lr' (shapes of at most 3 rows), 'triple', or
-    'class'; an explicit method always runs its route.  The route polls
+    method: 'auto' (the route `_route` names: 'vanishing' when Dvir's
+    bounds prove 0, else 'lr' or 'class'), 'lr' (shapes of at most 3 rows),
+    'class', or 'triple' (the coupled recursion, which 'auto' never takes);
+    an explicit method always runs its route.  The route polls
     the deadline in effect (`budget.scope`); BudgetExhausted when it
     passes.  stats, if given, gains "route" (the one taken: 'vanishing'
     when Dvir's bounds proved 0, None for three empty shapes) and the

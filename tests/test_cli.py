@@ -111,20 +111,19 @@ def test_kronecker_verb(capsys):
     assert code == 0 and out.strip() == "1"
 
 
-# work: class-sum DFS nodes, triple-memo entries added (from an empty memo) and LR coefficients evaluated
-@pytest.mark.parametrize("lam, mu, nu, value, route, nodes, memo_entries, lr_terms", [
-    ("3,3,3", "3,3,3", "3,3,3", "1", "lr", 0, 0, 141),
-    ("9,1", "2,1,1,1,1,1,1,1,1", "1,1,1,1,1,1,1,1,1,1", "1", "triple", 0, 34, 0),
-    ("3,3,2,1", "3,3,3", "4,3,2", "3", "class", 7, 0, 0),
-    ("5,3,2,1,1", "5,3,2,1,1", "5,3,2,1,1", "945", "class", 15, 0, 0),
+# work: class-sum DFS nodes and LR coefficients evaluated
+@pytest.mark.parametrize("lam, mu, nu, value, route, nodes, lr_terms", [
+    ("3,3,3", "3,3,3", "3,3,3", "1", "lr", 0, 141),
+    ("9,1", "2,1,1,1,1,1,1,1,1", "1,1,1,1,1,1,1,1,1,1", "1", "class", 16, 0),
+    ("3,3,2,1", "3,3,3", "4,3,2", "3", "class", 7, 0),
+    ("5,3,2,1,1", "5,3,2,1,1", "5,3,2,1,1", "945", "class", 15, 0),
 ])
-def test_kronecker_json_reports_route(capsys, monkeypatch, lam, mu, nu, value, route, nodes, memo_entries, lr_terms):
-    monkeypatch.setattr(kron, "_TRIPLE_MEMO", {})
+def test_kronecker_json_reports_route(capsys, lam, mu, nu, value, route, nodes, lr_terms):
     shapes = ("--lam", lam, "--mu", mu, "--nu", nu)
     code, out, _ = run(capsys, "kronecker", *shapes, "--json")
     assert code == 0 and json.loads(out) == {
         "value": value, "meta": {"lam": _parts(lam), "mu": _parts(mu), "nu": _parts(nu), "route": route,
-                                 "nodes": nodes, "memo_entries": memo_entries, "lr_terms": lr_terms}}
+                                 "nodes": nodes, "lr_terms": lr_terms}}
     code, out, _ = run(capsys, "kronecker", *shapes)
     assert code == 0 and out == value + "\n"
 
@@ -136,12 +135,12 @@ def _parts(text):
 def test_krect_json_reports_route(capsys):
     code, out, _ = run(capsys, "krect", "--m", "3", "--delta", "6", "--json")
     assert code == 0 and json.loads(out) == {
-        "value": "3", "meta": {"m": 3, "delta": 6, "route": "lr", "nodes": 0, "memo_entries": 0, "lr_terms": 1376}}
+        "value": "3", "meta": {"m": 3, "delta": 6, "route": "lr", "nodes": 0, "lr_terms": 1376}}
     # delta = 1 is certified 0 by Dvir's length bound, so it runs no class sum
     code, out, _ = run(capsys, "krect", "--m", "4", "--delta", "3", "--table", "--json")
     assert code == 0 and json.loads(out) == {
         "value": "1", "meta": {"m": 4, "route": {"0": None, "1": "vanishing", "2": "class", "3": "class"},
-                               "nodes": 29, "memo_entries": 0, "lr_terms": 0,
+                               "nodes": 29, "lr_terms": 0,
                                "table": {"0": 1, "1": 0, "2": 1, "3": 1}}}
     code, out, _ = run(capsys, "krect", "--m", "3", "--delta", "2", "--table", "--json")
     assert code == 0 and json.loads(out)["meta"]["route"] == {"0": None, "1": "vanishing", "2": "lr"}
@@ -156,7 +155,7 @@ def test_certified_zero_reports_the_vanishing_route_and_no_work(capsys, monkeypa
     code, out, _ = run(capsys, "kronecker", "--lam=24,3,1", "--mu=27,1", "--nu=16,11,1", "--json")
     assert code == 0 and json.loads(out) == {
         "value": "0", "meta": {"lam": [24, 3, 1], "mu": [27, 1], "nu": [16, 11, 1], "route": "vanishing",
-                               "nodes": 0, "memo_entries": 0, "lr_terms": 0}}
+                               "nodes": 0, "lr_terms": 0}}
 
 
 def test_monoid_json_maps_each_delta_to_its_route(capsys):

@@ -18,7 +18,6 @@ from slinv.kron import (
     kronecker,
     pleth_upper_bound,
     sl_invariant_bound,
-    triple_state_estimate,
 )
 
 
@@ -81,6 +80,7 @@ def test_class_sum_matches_triple_route_on_every_small_triple():
             ids = tuple(kron._sid(s) for s in shapes)
             value = kron._classsum(ids)[0]
             assert value == classsum_oracle(ids)[0] == kron._triple(*ids), shapes
+            assert kron._route(shapes) != "triple", shapes  # a reference method only
 
 
 def _shapes_of_different_lengths():
@@ -238,10 +238,11 @@ def test_k_rect_three_rows_takes_lr_and_matches_triple():
 
 def test_route_selection():
     assert kron._route(((4, 4), (4, 4), (3, 3, 2))) == "lr"
-    assert kron._route(((9, 1), (2,) + (1,) * 8, (1,) * 10)) == "triple"
-    # 135 estimated states against p(14) = 135: triple for three distinct shapes only
-    assert kron._route(((13, 1), (2, 2) + (1,) * 10, (2,) + (1,) * 12)) == "triple"
-    assert kron._route(((4, 4), (5, 3), (3, 3, 2))) == "class"
+    # every shape of at most 3 rows: LR, rectangles or not
+    assert kron._route(((4, 4), (5, 3), (3, 3, 2))) == "lr"
+    assert kron._route(((50, 2, 1), (49, 3, 1), (48, 4, 1))) == "lr"
+    assert kron._route(((9, 1), (2,) + (1,) * 8, (1,) * 10)) == "class"
+    assert kron._route(((13, 1), (2, 2) + (1,) * 10, (2,) + (1,) * 12)) == "class"
     assert kron._route(((2, 2, 2, 2),) * 3) == "class"
     assert kron._route(((5, 3, 2, 1, 1),) * 3) == "class"
     assert kron._route((((8,) * 4),) * 3) == "class"
@@ -297,7 +298,7 @@ def test_certified_zero_runs_no_route_and_explicit_methods_still_do(monkeypatch)
     def boom(*args):
         raise AssertionError("a route ran")
 
-    for name in ("_classsum", "_triple_compute", "_lr_route", "triple_state_estimate"):
+    for name in ("_classsum", "_triple_compute", "_lr_route"):
         monkeypatch.setattr(kron, name, boom)
     stats = {}
     assert kronecker(*shapes, stats=stats) == 0 and stats == {"route": "vanishing"}
@@ -458,9 +459,3 @@ def test_pleth_upper_bound_examples():
 
 def test_pleth_upper_bound_degenerate():
     assert pleth_upper_bound(Partition(()), 3, 0) == 1
-
-
-def test_triple_state_estimate_monotone_in_box():
-    small = triple_state_estimate((2, 2), (2, 2), (2, 2))
-    large = triple_state_estimate((4, 4), (4, 4), (4, 4))
-    assert 0 < small < large

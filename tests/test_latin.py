@@ -259,6 +259,26 @@ def test_the_symmetry_check_and_walk_poll_every_1024_candidates(n, generators, p
     assert deadline.polls == polls
 
 
+def test_the_sweep_polls_once_per_2_16_candidate_tries(monkeypatch):
+    # squares 6 sweeps one orbit representative, then 720 candidates per step: 9,522 states, of which
+    # every one past the lone empty state tries all 720; a poll per 1,024 states would allow ~737k tries
+    deadline, polls = _CountingDeadline(), []
+
+    def counted(steps, stats):
+        before = deadline.polls
+        result = kernel._signed_sum(steps, stats)
+        polls.append(deadline.polls - before - len(steps))  # less one poll per step while it is packed
+        return result
+
+    monkeypatch.setattr(latin, "_signed_sum", counted)
+    stats = {}
+    with scope(deadline):
+        assert signed_latin_squares(6, stats=stats) == -199065600
+    tries = 1 + (stats["states"] - 1) * 720
+    assert stats["states"] == 9522 and len(polls) == 1
+    assert polls[0] * 2**16 >= tries  # which a gap of at most 2^16 tries between polls needs
+
+
 @pytest.mark.parametrize("build, chis", [(determinant_form, [-1, -1, 1, 1]), (permanent_form, [1, 1, 1, 1])],
                          ids=["det-7", "per-7"])
 def test_det_per_forms_and_their_symmetry_poll_every_1024_terms(build, chis):
