@@ -283,8 +283,10 @@ def dfs_signed_sum(steps: Sequence[tuple]) -> int:
 def fraction_simplex(A: Sequence[Sequence[object]], b: Sequence[object]) -> FeasibilityResult:
     """The phase-1 simplex of slinv.simplex pivoted on a dense Fraction tableau.
 
-    Bland's rule, the tie-break, the certificates and their verification are
-    those of solve_equality_feasibility; the result also counts the pivots.
+    The pivot rule (Dantzig's entering column, the lexicographic ratio test on
+    the artificial block), the certificates and their verification are those of
+    solve_equality_feasibility, computed with plain Fractions over every entry;
+    the result also counts the pivots.
     """
     nrows = len(A)
     if nrows == 0:
@@ -324,10 +326,9 @@ def fraction_simplex(A: Sequence[Sequence[object]], b: Sequence[object]) -> Feas
     pivots = 0
     while True:
         entering = -1
-        for j in range(width):  # Bland: smallest index with negative reduced cost
-            if z[j] < 0:
+        for j in range(width):  # Dantzig: most negative reduced cost, first on ties
+            if z[j] < 0 and (entering < 0 or z[j] < z[entering]):
                 entering = j
-                break
         if entering < 0:
             break
         leaving = -1
@@ -335,9 +336,10 @@ def fraction_simplex(A: Sequence[Sequence[object]], b: Sequence[object]) -> Feas
         for i in range(nrows):
             coeff = tab[i][entering]
             if coeff > 0:
-                ratio = tab[i][width] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
+                # the ratio, then the artificial block (a row of the inverse basis), over coeff
+                ratios = (tab[i][width] / coeff, *(v / coeff for v in tab[i][ncols:width]))
+                if best is None or ratios < best:
+                    best = ratios
                     leaving = i
         if leaving < 0:
             raise AssertionError("phase-1 objective unbounded below; bug")

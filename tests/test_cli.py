@@ -224,19 +224,25 @@ def test_polystable_verbs(capsys):
 
 
 def test_polystable_json_reports_pinned_pivot_counts(capsys):
-    # Bland's rule fixes the pivot sequence, so a change to the pivot rule shows up here
+    # the pivot rule (Dantzig's entering column, lexicographic ratio test) fixes the pivot
+    # sequence, so a change to it shows up here
     for argv, pivots in [(("form", "--kind", "determinant", "--n", "3"), 7),
-                         (("tensor", "--kind", "unit", "--m", "3"), 3)]:
+                         (("tensor", "--kind", "unit", "--m", "3"), 3),
+                         (("form", "--kind", "determinant", "--n", "5"), 25),
+                         (("tensor", "--kind", "matmul", "--n", "4"), 84),
+                         (("form", "--kind", "determinant", "--n", "6"), 43),
+                         (("form", "--kind", "permanent", "--n", "6"), 43)]:
         code, out, _ = run(capsys, "polystable", *argv, "--json")
-        assert code == 0 and json.loads(out)["meta"]["pivots"] == pivots
+        payload = json.loads(out)
+        assert code == 0 and payload["value"] == "condition-holds" and payload["meta"]["pivots"] == pivots
         code, out, _ = run(capsys, "polystable", *argv)
         assert code == 0 and "pivots" not in out
 
 
 def test_polystable_honours_budget(capsys):
-    # the simplex on det_7's 5,040 support points runs for minutes without a budget
+    # det_8's 40,320 terms are built under the budget poll, and the simplex on them runs longer still
     started = time.monotonic()
-    code, out, err = run(capsys, "polystable", "form", "--kind", "determinant", "--n", "7", "--budget", "1")
+    code, out, err = run(capsys, "polystable", "form", "--kind", "determinant", "--n", "8", "--budget", "1")
     assert code == 3 and out == "" and re.fullmatch(r"budget exhausted after \d+\.\ds\n", err)
     assert time.monotonic() - started < 5
     for fmt in ((), ("--json",)):
@@ -479,7 +485,7 @@ _LONG_RUNS = {
     "pleth-bound": lambda tmp_path: ("--sl", "--D", "3", "--m", "3", "--d", "9"),  # over 15 s
     "min-degree": lambda tmp_path: ("--kind", "determinant", "--n", "4"),
     "normality": lambda tmp_path: ("--kind", "power-sum", "--D", "4", "--m", "22"),  # about 17 s
-    "polystable": lambda tmp_path: ("form", "--kind", "determinant", "--n", "7"),
+    "polystable": lambda tmp_path: ("form", "--kind", "determinant", "--n", "8"),
 }
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import fraction_simplex
 from slinv.budget import BudgetExhausted, Deadline, scope
-from slinv.simplex import solve_equality_feasibility
+from slinv.simplex import _check_farkas, _check_point, solve_equality_feasibility
 
 
 def test_feasible_system_returns_solution():
@@ -52,12 +52,16 @@ def test_dimension_mismatch():
 
 
 class _CountingDeadline(Deadline):
-    def __init__(self):
+    """Counts its polls; with a cap, expires on the poll after the cap-th."""
+
+    def __init__(self, cap=None):
         super().__init__(None)
-        self.checks = 0
+        self.checks, self.cap = 0, cap
 
     def check(self):
         self.checks += 1
+        if self.cap is not None and self.checks > self.cap:
+            raise BudgetExhausted("pivot cap")
 
 
 def test_pivot_loop_polls_the_deadline_in_scope_once_per_pivot():
@@ -70,6 +74,20 @@ def test_pivot_loop_polls_the_deadline_in_scope_once_per_pivot():
     with scope(-1), pytest.raises(BudgetExhausted):  # a deadline already passed
         solve_equality_feasibility(A, b)
     assert solve_equality_feasibility(A, b) == res  # outside every scope nothing is polled
+
+
+def test_beales_cycling_example_is_decided():
+    # Beale (1955).  Phase 1 reads each artificial as its row's slack, and its objective, the
+    # sum of the artificials, is minus the sum of the rows times x plus a constant; the fourth
+    # row makes that Beale's costs (-3/4, 20, -1/2, 6).  Dantzig's entering rule with ratio ties
+    # to the smallest row makes six degenerate pivots in rows 1 and 2 back to the artificial
+    # basis, and again, forever; the lexicographic ratio test decides the system.
+    A = [[Fraction(1, 4), -8, -1, 9], [Fraction(1, 2), -12, Fraction(-1, 2), 3], [0, 0, 1, 0], [0, 0, 1, -18]]
+    b = [0, 0, 1, 100]
+    with scope(_CountingDeadline(cap=50)):
+        res = solve_equality_feasibility(A, b)
+    assert not res.feasible and res.pivots == 2
+    assert res == fraction_simplex(A, b)
 
 
 _SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -101,3 +119,30 @@ def test_integer_rows_match_fraction_tableau_oracle(system):
     A, b = system
     # same feasibility, same x, same Farkas y, and the same number of pivots
     assert solve_equality_feasibility(A, b) == fraction_simplex(A, b)
+
+
+def _dense_point_holds(A, b, x):
+    return all(v >= 0 for v in x) and all(sum(a * v for a, v in zip(row, x)) == bi for row, bi in zip(A, b))
+
+
+def _dense_farkas_holds(A, b, y):
+    return (sum(yi * bi for yi, bi in zip(y, b)) > 0
+            and all(sum(yi * row[j] for yi, row in zip(y, A)) <= 0 for j in range(len(A[0]))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=_systems(), data=st.data())
+def test_certificate_checks_match_dense_sums(system, data):
+    # the engine's certificate with one entry moved: the checks over nonzero entries raise
+    # exactly when the sums over every entry fail
+    A, b = system
+    rows = [[*row, bi] for row, bi in zip(A, b)]
+    res = solve_equality_feasibility(A, b)
+    cert = list(res.x if res.feasible else res.farkas)
+    cert[data.draw(st.integers(0, len(cert) - 1))] += data.draw(_SMALL)
+    check, holds = (_check_point, _dense_point_holds) if res.feasible else (_check_farkas, _dense_farkas_holds)
+    if holds(A, b, cert):
+        check(rows, cert)
+    else:
+        with pytest.raises(AssertionError):
+            check(rows, cert)
