@@ -8,7 +8,7 @@ integers for signed counts.
 """
 
 from .budget import BudgetExhausted, Deadline, scope
-from .exact import ExactScalar, Partition, multinomial, partitions_of, perm_sign
+from .exact import Partition, multinomial, partitions_of, perm_sign
 from .kron import (
     MonoidReport,
     character_value,

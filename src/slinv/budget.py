@@ -1,4 +1,5 @@
-"""Wall-clock budgets for the potentially long-running enumerations.
+"""Wall-clock budgets for the potentially long-running enumerations, and the
+record of the work done under them.
 
 Budgets never influence computed values, only whether a computation is
 allowed to finish; exceeding one raises BudgetExhausted so callers can
@@ -9,6 +10,12 @@ engine reads through `active()` at the start of a polling loop; no function
 takes a deadline.  The command line opens one scope per verb, and a library
 caller budgets any call with `with scope(seconds): ...`.  An inner scope
 never loosens an enclosing one: the earlier deadline wins.
+
+Each scope also yields its work record, a dict to which the engines run
+inside it add their counts through `tally` (or `record()` for a count that
+is not a sum); only the innermost scope's record gets them, and outside
+every scope they are dropped, so no function takes or returns its work.
+`with scope() as work: ...` sets no limit and reads the block's work.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ class Deadline:
 
 
 _ACTIVE: ContextVar[Deadline] = ContextVar("deadline", default=Deadline(None))
+_RECORD: ContextVar[dict] = ContextVar("record")
 
 
 def active() -> Deadline:
@@ -50,16 +58,30 @@ def active() -> Deadline:
     return _ACTIVE.get()
 
 
+def record() -> dict:
+    """The innermost `scope`'s work record; outside every scope a new dict, so what is written to it is dropped."""
+    return _RECORD.get({})
+
+
+def tally(**counts: int) -> None:
+    """Add each count to the innermost `scope`'s work record."""
+    work = record()
+    for key, count in counts.items():
+        work[key] = work.get(key, 0) + count
+
+
 @contextmanager
 def scope(limit=None):
-    """Inside the block, `active()` returns the earlier of `limit` (None, seconds from now or a
-    Deadline) and the deadline in effect; with no limit in effect, a Deadline given is the one
-    polled.  ValueError on NaN seconds."""
+    """Yield a new work record, the one `record()` returns inside the block; there `active()` returns
+    the earlier of `limit` (None, seconds from now or a Deadline) and the deadline in effect; with no
+    limit in effect, a Deadline given is the one polled.  ValueError on NaN seconds."""
     inner = limit if isinstance(limit, Deadline) else Deadline(limit)
     outer = _ACTIVE.get()
     earlier = outer.at is None or (inner.at is not None and inner.at < outer.at)
-    token = _ACTIVE.set(inner if earlier else outer)
+    work: dict = {}
+    token, work_token = _ACTIVE.set(inner if earlier else outer), _RECORD.set(work)
     try:
-        yield
+        yield work
     finally:
+        _RECORD.reset(work_token)
         _ACTIVE.reset(token)

@@ -6,11 +6,11 @@ rationals as p/q (integers as p).  Each verb takes only the flags it reads.
 SECONDS (invariant, eval-tableau, count, kronecker, krect, monoid,
 pleth-bound, min-degree, normality, polystable; finite, >= 0) bounds the
 verb's wall-clock time from its start, as the one `budget.scope` that
-`main` opens around it; when it is exhausted `main` prints "budget
-exhausted after X.Xs" (krect and monoid name the delta they stopped at
-first) and exits with code 3.  `invariant tensor` evaluates the tensor
-invariant of the format (n1, n2, n3) read off the shape (n2 n3, n1 n3,
-n1 n2).
+`main` opens around it, whose work record the verb's --json meta reads;
+when it is exhausted `main` prints "budget exhausted after X.Xs" (krect
+and monoid name the delta they stopped at first) and exits with code 3.
+`invariant tensor` evaluates the tensor invariant of the format (n1, n2,
+n3) read off the shape (n2 n3, n1 n3, n1 n2).
 --threads K belongs to `count` only and goes after its structure; every
 count runs as one sweep in this process, so K (>= 1) changes nothing.
 Exit code 2 flags bad input, including a flag the verb does not take and
@@ -46,6 +46,11 @@ from .theory import (
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
+
+
+# the work meta keys a verb reports also when its engine did no such work
+_NO_STATES = {"states": 0, "peak_states": 0}
+_NO_NODES = {"nodes": 0, "lr_terms": 0}
 
 
 class CliError(Exception):
@@ -93,15 +98,15 @@ def _require_budget(args, run, what: str) -> None:
 
 
 # ----------------------------------------------------------------------------
-# verb handlers: each returns (principal value, meta dict, plain-text lines or
-# None for the formatted value alone); `main` prints the result
+# verb handlers: each is given the work record of the verb's scope and returns
+# (principal value, meta dict, plain-text lines or None for the formatted value
+# alone); `main` prints the result
 # ----------------------------------------------------------------------------
 
 
-def _cmd_invariant(args):
+def _cmd_invariant(args, work):
     if args.target == "tensor" and args.cyclic:
         raise CliError("--cyclic applies to forms")
-    work = {"states": 0, "peak_states": 0}
     source = _load_object(args)
     named = isinstance(source, NamedObject)
     if args.target == "form":
@@ -124,59 +129,55 @@ def _cmd_invariant(args):
     if named:  # refused as the run it equals is, before it is built
         run = source.record.counted_as(source, args.cyclic)
     _require_budget(args, run, f"evaluating {what}")
-    value = invariant(source.build() if named else source, T, stats=work)
-    return value, {**meta, **work}, None
+    value = invariant(source.build() if named else source, T)
+    return value, {**meta, **_NO_STATES, **work}, None
 
 
-def _cmd_eval_tableau(args):
+def _cmd_eval_tableau(args, work):
     tableau = parse_tableau(Path(args.tableau).read_text(encoding="utf-8"))
     tensor = parse_tensor(Path(args.tensor).read_text(encoding="utf-8"))
-    work = {"states": 0, "peak_states": 0}
-    value = invariant(tensor, tableau, stats=work)
-    return value, {"rows": tableau.m, "cols": tableau.s, "symbols": tableau.d, **work}, None
+    value = invariant(tensor, tableau)
+    return value, {"rows": tableau.m, "cols": tableau.s, "symbols": tableau.d, **_NO_STATES, **work}, None
 
 
-def _cmd_count(args):
+def _cmd_count(args, work):
     evaluation = EVALUATIONS[args.structure]
     if args.threads < 1:
         raise CliError("--threads needs K >= 1")
     values = [getattr(args, name) for name in evaluation.params]
     _require_budget(args, (args.structure, *values), evaluation.counting.format(*values))
-    # the counter adds its first-step candidates and the orbit representatives (subtrees) it runs
-    work = {"states": 0, "peak_states": 0}
     started = time.monotonic()
-    value = evaluation.run(*values, stats=work)
+    value = evaluation.run(*values)
     meta = {"structure": args.structure, **dict(zip(evaluation.params, values)),
-            "elapsed_s": round(time.monotonic() - started, 3), **work}
+            "elapsed_s": round(time.monotonic() - started, 3), **_NO_STATES, **work}
     return value, meta, None
 
 
-def _cmd_kronecker(args):
+def _cmd_kronecker(args, work):
     lam, mu, nu = (_parse_partition(t) for t in (args.lam, args.mu, args.nu))
-    work = {"nodes": 0, "lr_terms": 0}  # kronecker adds the route it took
-    value = kronecker(lam, mu, nu, stats=work)
-    return value, {"lam": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts), **work}, None
+    value = kronecker(lam, mu, nu)  # which records the route it took
+    return value, {"lam": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts), **_NO_NODES, **work}, None
 
 
-def _cmd_krect(args):
+def _cmd_krect(args, work):
     # the table ends at --delta itself, so k_rect checks it as it does without --table
     deltas = (*range(args.delta), args.delta) if args.table else (args.delta,)
     values, routes = {}, {}
-    work = {"nodes": 0, "lr_terms": 0}  # over the values of the table
     try:
-        for d in deltas:
-            values[d] = k_rect(args.m, d, stats=work)
+        for d in deltas:  # the work record sums the work over the values of the table
+            values[d] = k_rect(args.m, d)
             routes[str(d)] = work.pop("route")  # None at delta = 0, the empty shape
     except BudgetExhausted:
         raise BudgetExhausted(
             f"budget exhausted at delta {d} ({len(values)} of {len(deltas)} values computed)") from None
+    meta = {"m": args.m, **_NO_NODES, **work}
     if not args.table:
-        return values[args.delta], {"m": args.m, "delta": args.delta, "route": routes[str(args.delta)], **work}, None
-    meta = {"m": args.m, "route": routes, **work, "table": {str(d): v for d, v in values.items()}}
+        return values[args.delta], {**meta, "delta": args.delta, "route": routes[str(args.delta)]}, None
+    meta.update(route=routes, table={str(d): v for d, v in values.items()})
     return values[args.delta], meta, [f"delta {d} k {v}" for d, v in values.items()]
 
 
-def _cmd_monoid(args):
+def _cmd_monoid(args, work):
     report = exponent_monoid(args.m, args.delta_max)
     meta = {
         "m": report.m,
@@ -199,7 +200,7 @@ def _cmd_monoid(args):
     return report.e_prime, meta, lines
 
 
-def _cmd_pleth_bound(args):
+def _cmd_pleth_bound(args, work):
     if args.sl:
         if args.lam:
             raise CliError("--lam applies without --sl")
@@ -216,7 +217,7 @@ def _cmd_pleth_bound(args):
     return value, {"mode": "shape", "lam": list(lam.parts), "D": args.D, "d": args.d}, None
 
 
-def _cmd_periods(args):
+def _cmd_periods(args, work):
     obj = _named_object(args)
     report = periods(obj)
     meta = {"object": obj.describe(), "a": report.a, "b": report.b,
@@ -228,7 +229,7 @@ def _cmd_periods(args):
     return report.a, meta, lines
 
 
-def _cmd_min_degree(args):
+def _cmd_min_degree(args, work):
     obj = _named_object(args)
     _require_budget(args, deciding_run(obj), f"deciding the minimal degree of the {obj.describe()}")
     report = minimal_degree_report(obj)
@@ -247,7 +248,7 @@ def _cmd_min_degree(args):
     return report.exact if report.decided else report.lower_bound, meta, lines
 
 
-def _cmd_normality(args):
+def _cmd_normality(args, work):
     obj = _named_object(args)
     report = nonnormality_flag(obj)
     meta = {"object": obj.describe(), "flag": report.flag, "reason": report.reason,
@@ -255,7 +256,7 @@ def _cmd_normality(args):
     return report.flag, meta, [f"object {obj.describe()}", f"flag {report.flag}", f"reason {report.reason}"]
 
 
-def _cmd_polystable(args):
+def _cmd_polystable(args, work):
     support = polystable_form_support if args.target == "form" else polystable_tensor_support
     source = _load_object(args)
     cert = support(source.build() if isinstance(source, NamedObject) else source)
@@ -265,14 +266,14 @@ def _cmd_polystable(args):
         [format_scalar(x) for x in vec] for vec in cert.separating]
     verdict = "condition-holds" if cert.holds else "condition-fails"
     meta = {"witness": witness, "separating": separating, "reductive_condition": cert.reductive_condition,
-            "pivots": cert.pivots}
+            "pivots": work["pivots"]}
     lines = [verdict]
     lines += [f"witness {key} : {val}" for key, val in (witness or {}).items()]
     lines += [f"separating {' '.join(vec)}" for vec in separating or ()]
     return verdict, meta, lines
 
 
-def _cmd_semigroup(args):
+def _cmd_semigroup(args, work):
     report = semigroup_report(args.generators)
     meta = {"generators": list(report.generators), "is_numerical": report.is_numerical,
             "gaps": None if report.gaps is None else list(report.gaps),
@@ -377,8 +378,8 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     started = time.monotonic()
     try:
-        with scope(getattr(args, "budget", None)):  # the verb's one budget, counted from here
-            value, meta, lines = args.func(args)
+        with scope(getattr(args, "budget", None)) as work:  # the verb's one budget, counted from here
+            value, meta, lines = args.func(args, work)
     except (CliError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

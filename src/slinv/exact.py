@@ -11,9 +11,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-# Canonical exact scalar type.  Alias so call sites read as intent.
-ExactScalar = Fraction
-
 ScalarLike = Union[int, Fraction, str]
 
 
@@ -164,21 +161,16 @@ def partitions_of(n: int) -> list[Partition]:
     return [Partition(t) for t in partition_tuples(n)]
 
 
-def partition_count(n: int) -> int:
-    """p(n), via the bounded-part recurrence (cached)."""
-    return _partition_count_cached(n)
-
-
 _PCOUNT_CACHE: dict[int, int] = {}
 
 
-def _partition_count_cached(n: int) -> int:
+def partition_count(n: int) -> int:
+    """p(n), via Euler's pentagonal recurrence (cached); 0 for n < 0."""
     if n < 0:
         return 0
     got = _PCOUNT_CACHE.get(n)
     if got is not None:
         return got
-    # p(k) table via Euler's pentagonal recurrence up to n.
     table = [1]
     for k in range(1, n + 1):
         total = 0
@@ -210,7 +202,3 @@ def multinomial(alpha: Iterable[int]) -> int:
     for a in alpha:
         out //= math.factorial(a)
     return out
-
-
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k)

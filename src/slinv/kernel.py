@@ -9,9 +9,9 @@ placement carries an integer weight.  `_signed_sum` evaluates that sum by
 a forward sweep over layers of packed line-mask states, merging the
 partial placements that reach the same state, in bounded memory; a
 candidate costs one test for reuse and one popcount for its inversions.
-A `stats` dict passed to a counter or evaluator receives the kernel's
-work: `states` (state expansions, summed) and `peak_states` (live states,
-maximum).
+Each sweep adds its work to the work record of the innermost
+`budget.scope`: `states` (state expansions, summed) and `peak_states`
+(live states, maximum).
 
 A relabelling g of the labels that maps every candidate list onto itself,
 each weight times chi(g), maps complete placements to complete placements.
@@ -25,9 +25,9 @@ orbit of the first step's candidates times the orbit's size.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .budget import active
+from .budget import active, record
 from .exact import sequence_sign
 
 _CHECK_MASK = 0x3FF  # deadline polling period in candidates checked, packed or walked
@@ -36,10 +36,10 @@ _STATE_CAP = 1 << 20  # live states across all the layers a sweep holds
 _CHUNK_FLOOR = 1 << 12  # no partial layer is finished on its own below this size
 
 
-def _signed_sum(steps: Sequence[tuple], stats: Optional[dict] = None) -> tuple[int, int, int]:
-    """(sum over all placements of sign * product of candidate weights,
-    state expansions, peak live states); `stats` adds the expansions and
-    raises its peak to this run's.
+def _signed_sum(steps: Sequence[tuple]) -> int:
+    """The sum over all placements of sign * product of candidate weights;
+    the work record (`budget.record`) adds the state expansions to `states`
+    and raises `peak_states` to this run's peak.
 
     steps[t] = (lines, signed, candidates); a candidate (labels, weight)
     puts the positive integer labels[k] on line lines[k] and multiplies the
@@ -136,10 +136,10 @@ def _signed_sum(steps: Sequence[tuple], stats: Optional[dict] = None) -> tuple[i
         return total
 
     total = sweep(0, {0: 1}, 0)
-    if stats is not None:
-        stats["states"] = stats.get("states", 0) + expanded
-        stats["peak_states"] = max(stats.get("peak_states", 0), peak)
-    return total, expanded, peak
+    work = record()
+    work["states"] = work.get("states", 0) + expanded
+    work["peak_states"] = max(work.get("peak_states", 0), peak)
+    return total
 
 
 def _integer_weights(entries: dict) -> tuple[int, list[tuple[tuple[int, ...], int]]]:

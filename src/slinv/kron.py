@@ -48,7 +48,7 @@ import operator
 from collections import Counter
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .budget import BudgetExhausted, active
+from .budget import BudgetExhausted, active, record, tally
 from .exact import Partition, partition_count
 
 PartitionLike = Union[Partition, Iterable[int]]
@@ -58,7 +58,6 @@ PartitionLike = Union[Partition, Iterable[int]]
 # ----------------------------------------------------------------------------
 
 _SHAPES: list[tuple[int, ...]] = []
-_SIZES: list[int] = []
 _SID: dict[tuple[int, ...], int] = {}
 _STRIPS: list[Optional[dict[int, tuple[tuple[int, int], ...]]]] = []
 # Triple-memo keys pack three shape ids into 21 bits each; past this many
@@ -76,7 +75,6 @@ def _sid(shape: tuple[int, ...]) -> int:
             f"{_SID_LIMIT} shapes interned: the triple-memo key packing (21 bits per id) is exhausted")
     _SID[shape] = sid
     _SHAPES.append(shape)
-    _SIZES.append(sum(shape))
     _STRIPS.append(None)
     return sid
 
@@ -177,7 +175,7 @@ def _triple_compute(a: int, b: int, c: int, key: int) -> int:
     memo = _TRIPLE_MEMO
     if not len(memo) & 1023:  # one memo entry per computed node
         active().check()
-    s = _SIZES[a]
+    s = sum(_SHAPES[a])
     if s == 0:
         memo[key] = 1
         return 1
@@ -297,8 +295,8 @@ def _digits(packed: int, width: int, count: int) -> list[int]:
     return out
 
 
-def _classsum(ids: tuple[int, ...]) -> tuple[int, int]:
-    """(sum over cycle types rho of prod_i chi_i(rho) / z_rho, DFS nodes), exactly.
+def _classsum(shapes: tuple[tuple[int, ...], ...]) -> int:
+    """The sum over cycle types rho of prod_i chi_i(rho) / z_rho for three shapes of one size, exactly.
 
     The DFS consumes the parts >= 3 of rho in descending order, carrying
     one coefficient vector per distinct shape (repeated shapes are raised
@@ -314,14 +312,14 @@ def _classsum(ids: tuple[int, ...]) -> tuple[int, int]:
     is >= 3.  So there is at most one node per partition of a number up to
     N into parts >= 3.  The accumulator holds sum over classes of
     prod chi * |class|, an integer, and is divided by N! at the end with an
-    integrality check.
+    integrality check.  The work record gets the DFS `nodes`.
     """
-    uniq = Counter(_SHAPES[sid] for sid in ids)  # distinct shape -> multiplicity
+    uniq = Counter(shapes)  # distinct shape -> multiplicity
     mults = list(uniq.values())
     rows = max(map(len, uniq))
     masks = [_beta_mask(shape, rows) for shape in uniq]
     width = max(map(_beta_dim, masks)).bit_length() + 1
-    n = _SIZES[ids[0]]
+    n = sum(shapes[0])
     facts = [math.factorial(r) for r in range(n + 1)]
     nfact = facts[n]
     # pairings[r][j] = r! / (2^j j! (r - 2j)!), the ways to lay j 2-cycles on r cells
@@ -376,7 +374,8 @@ def _classsum(ids: tuple[int, ...]) -> tuple[int, int]:
     value = total // nfact
     if value < 0:
         raise AssertionError(f"negative Kronecker value {value}")
-    return value, nodes
+    tally(nodes=nodes)
+    return value
 
 
 # (sigma, sgn sigma) for sigma in S_3, sigma as 0-based images
@@ -453,33 +452,29 @@ def _boxed(n: int, box: tuple[int, int, int]) -> list[tuple[int, int, int]]:
     return out
 
 
-def _cut(lam: tuple[int, int, int], inner: tuple[int, int, int]) -> tuple[dict[tuple[int, int, int], int], int]:
-    """({tau: c^lam_{tau inner}} over the nonzero coefficients, number of LR coefficients evaluated).
+def _lr_term(lam: tuple[int, int, int], mu: tuple[int, int, int], sizes: tuple[int, int, int]) -> int:
+    """T(a) = sum over lam^i of size a_i of c^lam_{lam^1 lam^2 lam^3} c^mu_{lam^1 lam^2 lam^3}
+    for a = `sizes` of 3-part lam and mu; the work record's `lr_terms` gets the LR coefficients evaluated.
 
-    Then c^lam_{lam1 lam2 inner} = sum over tau of c^lam_{tau inner} c^tau_{lam1 lam2};
-    for a rectangle lam the only tau is the complement of `inner` in lam.
-    Read off `_lr_row` as c^lam_{inner tau}, which is c^lam_{tau inner}.
-    """
-    taus = _boxed(sum(lam) - sum(inner), lam)
-    row = _lr_row(lam, inner, taus)
-    return {tau: c for tau, c in zip(taus, row) if c}, len(row)
-
-
-def _lr_term(lam: tuple[int, int, int], mu: tuple[int, int, int],
-             sizes: tuple[int, int, int]) -> tuple[int, int]:
-    """(T(a) = sum over lam^i of size a_i of c^lam_{lam^1 lam^2 lam^3} c^mu_{lam^1 lam^2 lam^3},
-    number of LR coefficients evaluated), for a = `sizes` of 3-part lam and mu.
-
-    lam^3 runs over the shapes inside both lam and mu.  For each lam^1 the
-    triple coefficients of every lam^2 come from one `_lr_row` per tau of
-    `_cut`.
+    lam^3 runs over the shapes inside both lam and mu.  For each lam^3 the
+    cut of an outer shape is {tau: c^outer_{tau lam^3}} over its nonzero
+    coefficients, read off `_lr_row` as c^outer_{lam^3 tau}; then
+    c^outer_{lam^1 lam^2 lam^3} = sum over tau of c^outer_{tau lam^3} c^tau_{lam^1 lam^2},
+    and for a rectangle the only tau is the complement of lam^3.  For each
+    lam^1 the triple coefficients of every lam^2 come from one `_lr_row`
+    per tau of the cut.
     """
     a1, a2, a3 = sizes
     dl = active()
     acc = terms = 0
     for inner in _boxed(a3, tuple(map(min, lam, mu))):
-        (cut_lam, lam_terms), (cut_mu, mu_terms) = _cut(lam, inner), _cut(mu, inner)
-        terms += lam_terms + mu_terms
+        pair = []
+        for outer in (lam, mu):
+            taus = _boxed(sum(outer) - a3, outer)
+            row = _lr_row(outer, inner, taus)
+            terms += len(row)
+            pair.append({tau: c for tau, c in zip(taus, row) if c})
+        cut_lam, cut_mu = pair
         if not cut_lam or not cut_mu:
             continue
         box = tuple(min(max(t[i] for t in cut_lam), max(t[i] for t in cut_mu)) for i in range(3))
@@ -496,12 +491,12 @@ def _lr_term(lam: tuple[int, int, int], mu: tuple[int, int, int],
                     coeffs[:len(row)] = [c + w * r for c, r in zip(coeffs, row)]
                 rows.append(coeffs)
             acc += sum(map(operator.mul, rows[0], rows[-1]))
-    return acc, terms
+    tally(lr_terms=terms)
+    return acc
 
 
-def _lr_route(shapes: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
-    """(Kronecker coefficient of three shapes of at most 3 rows via Jacobi-Trudi and LR,
-    number of LR coefficients evaluated).
+def _lr_route(shapes: tuple[tuple[int, ...], ...]) -> int:
+    """Kronecker coefficient of three shapes of at most 3 rows via Jacobi-Trudi and LR.
 
     g(lam, mu, nu) = sum over sigma in S_3 of sgn(sigma) T(alpha(sigma)),
     with alpha_i(sigma) = nu_i - i + sigma(i).  An LR coefficient of a
@@ -517,15 +512,10 @@ def _lr_route(shapes: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
     for sigma, sign in _S3:
         sizes = tuple(sorted(nu[i] - i + sigma[i] for i in range(3)))
         signs[sizes] = signs.get(sizes, 0) + sign
-    total = terms = 0
-    for sizes, sign in signs.items():
-        if sign and sizes[0] >= 0:
-            value, count = _lr_term(lam, mu, sizes)
-            total += sign * value
-            terms += count
+    total = sum(sign * _lr_term(lam, mu, sizes) for sizes, sign in signs.items() if sign and sizes[0] >= 0)
     if total < 0:
         raise AssertionError(f"negative Kronecker value {total}")
-    return total, terms
+    return total
 
 
 def _vanishes(shapes: tuple[tuple[int, ...], ...]) -> bool:
@@ -561,8 +551,7 @@ def _route(shapes: tuple[tuple[int, ...], ...]) -> str:
     return "lr" if all(len(s) <= 3 for s in shapes) else "class"
 
 
-def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike,
-              method: str = "auto", stats: Optional[dict] = None) -> int:
+def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike, method: str = "auto") -> int:
     """Kronecker coefficient of three partitions of the same N, exactly.
 
     Equal to the class sum over cycle types rho of
@@ -572,11 +561,11 @@ def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike,
     'class', or 'triple' (the coupled recursion, which 'auto' never takes);
     an explicit method always runs its route.  The route polls
     the deadline in effect (`budget.scope`); BudgetExhausted when it
-    passes.  stats, if given, gains "route" (the one taken: 'vanishing'
-    when Dvir's bounds proved 0, None for three empty shapes) and the
-    route's work: "nodes" (class-sum DFS nodes), "memo_entries"
-    (triple-memo entries added) or "lr_terms" (3-row LR coefficients the
-    LR route evaluated).
+    passes.  The work record of that scope gets "route" (the one taken:
+    'vanishing' when Dvir's bounds proved 0, None for three empty shapes)
+    and adds the route's work: "nodes" (class-sum DFS nodes),
+    "memo_entries" (triple-memo entries added) or "lr_terms" (3-row LR
+    coefficients the LR route evaluated).
     """
     shapes = tuple(_as_shape(p) for p in (lam, mu, nu))
     sizes = {sum(s) for s in shapes}
@@ -588,33 +577,27 @@ def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike,
         method = _route(shapes)
     elif method not in ("lr", "triple", "class"):
         raise ValueError(f"unknown method {method!r}")
-    if stats is not None:
-        stats["route"] = method
+    record()["route"] = method
     if method is None:
         return 1
     if method == "vanishing":
         return 0
     if method == "lr":
-        value, count = _lr_route(shapes)
-        key = "lr_terms"
-    elif method == "triple":
-        before = len(_TRIPLE_MEMO)
-        value = _triple(*map(_sid, shapes))
-        key, count = "memo_entries", len(_TRIPLE_MEMO) - before
-    else:
-        value, count = _classsum(tuple(map(_sid, shapes)))
-        key = "nodes"
-    if stats is not None:
-        stats[key] = stats.get(key, 0) + count
+        return _lr_route(shapes)
+    if method == "class":
+        return _classsum(shapes)
+    before = len(_TRIPLE_MEMO)
+    value = _triple(*map(_sid, shapes))
+    tally(memo_entries=len(_TRIPLE_MEMO) - before)
     return value
 
 
-def k_rect(m: int, delta: int, stats: Optional[dict] = None) -> int:
+def k_rect(m: int, delta: int) -> int:
     """Kronecker coefficient of three m x delta rectangles."""
     if m < 1 or delta < 0:
         raise ValueError("need m >= 1 and delta >= 0")
     rect = Partition.rectangle(m, delta)
-    return kronecker(rect, rect, rect, stats=stats)
+    return kronecker(rect, rect, rect)
 
 
 # ----------------------------------------------------------------------------

@@ -35,29 +35,28 @@ import operator
 from fractions import Fraction
 from typing import Optional
 
-from .budget import active
+from .budget import active, record
 from .kernel import _character, _first_step_orbits, _integer_weights, _signed_sum
 from .spaces import (SparseForm, SparseTensor, determinant_form, form_to_tensor, permanent_form, product_form,
                      unit_tensor)
 from .tableaux import Tableau, _point_steps, _tableau_steps, annulus_tableau, generic_tableau
 
 
-def _run_tasks(steps: list[tuple], representatives: list[tuple[int, int]], stats: Optional[dict]) -> int:
+def _run_tasks(steps: list[tuple], representatives: list[tuple[int, int]]) -> int:
     """The sum over (i, multiplier) in `representatives` of multiplier times the kernel total of `steps`
     with the first step fixed to its i-th candidate: one sweep, whose first step holds each
-    representative with its weight times its multiplier.  `stats` receives its work."""
+    representative with its weight times its multiplier."""
     lines, signed, candidates = steps[0]
     first = [(candidates[i][0], multiplier * candidates[i][1]) for i, multiplier in representatives]
-    return _signed_sum([(lines, signed, first), *steps[1:]], stats)[0]
+    return _signed_sum([(lines, signed, first), *steps[1:]])
 
 
-def _count(sign: int, steps: list[tuple], generators: list, stats) -> int:
+def _count(sign: int, steps: list[tuple], generators: list) -> int:
     """sign times the kernel total of `steps`, one subtree per first-step orbit times its multiplier;
-    `stats` also receives `candidates` (of the first step) and `subtrees` (the orbit representatives)."""
+    the work record also gets `candidates` (of the first step) and `subtrees` (the orbit representatives)."""
     orbits = _first_step_orbits(steps, generators)
-    if stats is not None:
-        stats.update(candidates=len(steps[0][2]), subtrees=len(orbits))
-    return sign * _run_tasks(steps, orbits, stats)
+    record().update(candidates=len(steps[0][2]), subtrees=len(orbits))
+    return sign * _run_tasks(steps, orbits)
 
 
 def _proposals(m: int) -> list[dict[int, int]]:
@@ -114,7 +113,7 @@ def _format(shape: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
     return (n1, n2, n3) if (n2 * n3, n1 * n3, n1 * n2) == shape else None
 
 
-def _sum(source: SparseForm | SparseTensor, T: Optional[Tableau], stats) -> tuple[int, int]:
+def _sum(source: SparseForm | SparseTensor, T: Optional[Tableau]) -> tuple[int, int]:
     """(S, q): T's invariant at source (the tensor invariant of the format `_format` reads off the
     shape when T is None) is S / q, S the kernel total times the column sign.  ValueError unless
     the invariant reads source's shape."""
@@ -127,38 +126,37 @@ def _sum(source: SparseForm | SparseTensor, T: Optional[Tableau], stats) -> tupl
     generators = _symmetry(source)
     # every signed line (column or slice) gets each index value: g scales the sum by chi^degree sgn(g)^lines
     if any(_character(g, chi, degree, lines) == -1 for g, chi in generators):
-        if stats is not None:
-            stats.update(candidates=0, subtrees=0)  # none built
+        record().update(candidates=0, subtrees=0)  # none built
         return 0, 1
     den, support = _integer_weights((form_to_tensor(source) if form else source).entries)
     sign, steps = (1, _point_steps(*fmt, support)) if T is None else _tableau_steps(T, support)
-    return _count(sign, steps, generators, stats), den**degree
+    return _count(sign, steps, generators), den**degree
 
 
-def invariant(source: SparseForm | SparseTensor, T: Optional[Tableau] = None, *, stats=None) -> Fraction:
+def invariant(source: SparseForm | SparseTensor, T: Optional[Tableau] = None) -> Fraction:
     """Exact value of T's invariant at a form or tensor (when T is None, the tensor invariant of the
     format its shape (n2 n3, n1 n3, n1 n2) gives), reduced by the relabellings that `_symmetry` finds
     on its terms."""
-    return Fraction(*_sum(source, T, stats))
+    return Fraction(*_sum(source, T))
 
 
-def signed_latin_squares(n: int, *, stats: Optional[dict] = None) -> int:
+def signed_latin_squares(n: int) -> int:
     """(# column-even) - (# column-odd) Latin squares of order n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return _sum(product_form(n), generic_tableau(n, n), stats)[0]
+    return _sum(product_form(n), generic_tableau(n, n))[0]
 
 
-def signed_latin_annuli(m: int, d: int, *, stats: Optional[dict] = None) -> int:
+def signed_latin_annuli(m: int, d: int) -> int:
     """(# column-even) - (# column-odd) m x d Latin annuli.
 
     Columns and wrap-around diagonals each carry every symbol of [m]
     exactly once; column indices are taken modulo d, so d >= m is required.
     """
-    return _sum(product_form(m), annulus_tableau(m, d), stats)[0]
+    return _sum(product_form(m), annulus_tableau(m, d))[0]
 
 
-def signed_latin_cubes(n: int, *, stats: Optional[dict] = None) -> int:
+def signed_latin_cubes(n: int) -> int:
     """(# even) - (# odd) Latin cubes of size n, sign over all 3n slices.
 
     For odd n >= 3 a swap of two symbols flips each of the 3n slices, so the
@@ -166,10 +164,10 @@ def signed_latin_cubes(n: int, *, stats: Optional[dict] = None) -> int:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return _sum(unit_tensor(n * n), None, stats)[0]
+    return _sum(unit_tensor(n * n), None)[0]
 
 
-def signed_admissible_tables(n: int, weighting: str = "det", *, stats: Optional[dict] = None) -> int:
+def signed_admissible_tables(n: int, weighting: str = "det") -> int:
     """Signed count of admissible pairs (S, T) of n^2 x n row-permutation arrays.
 
     Columns of the pair jointly enumerate [n] x [n] (ordered
@@ -181,4 +179,4 @@ def signed_admissible_tables(n: int, weighting: str = "det", *, stats: Optional[
     if weighting not in ("det", "per"):
         raise ValueError("weighting must be 'det' or 'per'")
     form = (determinant_form if weighting == "det" else permanent_form)(n)
-    return _sum(form, generic_tableau(n, n * n), stats)[0]
+    return _sum(form, generic_tableau(n, n * n))[0]

@@ -2,9 +2,10 @@
 
 Solves  A x = b, x >= 0  over the rationals.  Either a feasible x or a Farkas
 certificate y (y.A <= 0 componentwise while y.b > 0) is returned, so
-infeasibility is as checkable as feasibility.  The pivot loop polls the
-deadline in effect (`budget.scope`) once per pivot, so a budgeted caller can
-stop it.
+infeasibility is as checkable as feasibility.  The deadline in effect
+(`budget.scope`) is polled once per row while the tableau is built and once
+per pivot, so a budgeted caller can stop it; the pivots made are added to
+`pivots` in that scope's work record.
 
 Pivot rule: the entering column is the one of most negative reduced cost
 (Dantzig), ties to the smallest index; the leaving row has the least ratio,
@@ -36,7 +37,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .budget import active
+from .budget import active, tally
 from .exact import as_scalar
 
 
@@ -44,7 +45,6 @@ class FeasibilityResult(NamedTuple):
     feasible: bool
     x: Optional[tuple[Fraction, ...]] = None       # when feasible: A x = b, x >= 0
     farkas: Optional[tuple[Fraction, ...]] = None  # when infeasible: y.A <= 0 < y.b
-    pivots: int = 0                                # simplex pivots made
 
 
 def _reduced(row: list[int]) -> list[int]:
@@ -91,8 +91,10 @@ def solve_equality_feasibility(A: Sequence[Sequence[object]], b: Sequence[object
     # (basic) coefficient is that lcm, and negated where its rhs is negative,
     # so the artificial basis is feasible.
     width = ncols + nrows
+    deadline = active()
     rows, tab = [], []  # rows: each row of A followed by its entry of b, exact
     for i, (row, bi) in enumerate(zip(A, b)):
+        deadline.check()
         vals = [*row, bi]
         if set(map(type, vals)) == {int}:
             scale, ints = 1, vals
@@ -123,7 +125,6 @@ def solve_equality_feasibility(A: Sequence[Sequence[object]], b: Sequence[object
     # the leaving row's ratio vector: rhs, then the artificial block
     lex = [width, *range(ncols, width)]
     pivots = 0
-    deadline = active()
     while True:
         deadline.check()
         # Dantzig: most negative reduced cost (all over Z[-1] > 0), first on ties
@@ -160,6 +161,7 @@ def solve_equality_feasibility(A: Sequence[Sequence[object]], b: Sequence[object
         Z = _reduced([piv * vz - f * vp for vz, vp in zip(Z, prow)] + [piv * Z[-1]])
         basis[leaving] = entering
         pivots += 1
+    tally(pivots=pivots)
 
     if Z[width] == 0:  # the sum of artificial values at optimum is -z[width]
         x = [Fraction(0)] * ncols
@@ -167,7 +169,7 @@ def solve_equality_feasibility(A: Sequence[Sequence[object]], b: Sequence[object
             if var < ncols:
                 x[var] = Fraction(row[width], row[var])
         _check_point(rows, x)
-        return FeasibilityResult(True, x=tuple(x), pivots=pivots)
+        return FeasibilityResult(True, x=tuple(x))
 
     # infeasible: the simplex multipliers give a Farkas certificate.
     # y_i = c_{art_i} - z[art_i] = 1 - z[art_i] in the flipped system, so
@@ -175,4 +177,4 @@ def solve_equality_feasibility(A: Sequence[Sequence[object]], b: Sequence[object
     Y = [Z[-1] - Z[ncols + i] for i in range(nrows)]
     Y = [-v if flipped[i] else v for i, v in enumerate(Y)]
     _check_farkas(rows, Y)
-    return FeasibilityResult(False, farkas=tuple(Fraction(v, Z[-1]) for v in Y), pivots=pivots)
+    return FeasibilityResult(False, farkas=tuple(Fraction(v, Z[-1]) for v in Y))

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .budget import active
-from .exact import Frozen, as_scalar, binomial, format_scalar, multinomial, perm_sign
+from .exact import Frozen, as_scalar, format_scalar, multinomial, perm_sign
 
 
 class ParseError(ValueError):
@@ -37,7 +37,8 @@ class ParseError(ValueError):
 
 
 class SparseForm:
-    """Homogeneous form: coefficients keyed by exponent vectors of total degree D."""
+    """Homogeneous form: coefficients keyed by exponent vectors of total degree D.  Building one checks
+    every term and polls the deadline in effect per 1,024 terms."""
 
     __slots__ = ("m", "D", "coeffs")
 
@@ -45,7 +46,10 @@ class SparseForm:
         if m < 1 or D < 0:
             raise ValueError("need m >= 1 and D >= 0")
         clean: dict[tuple[int, ...], Fraction] = {}
-        for alpha, value in coeffs.items():
+        deadline = active()
+        for count, (alpha, value) in enumerate(coeffs.items()):
+            if count & 0x3FF == 0x3FF:
+                deadline.check()
             alpha = tuple(int(a) for a in alpha)
             if len(alpha) != m or any(a < 0 for a in alpha):
                 raise ValueError(f"bad exponent vector {alpha} for m={m}")
@@ -73,7 +77,8 @@ class SparseForm:
 
 
 class SparseTensor:
-    """Sparse tensor: entries keyed by 1-based index tuples within `shape`."""
+    """Sparse tensor: entries keyed by 1-based index tuples within `shape`.  Building one checks every
+    entry and polls the deadline in effect per 1,024 entries."""
 
     __slots__ = ("shape", "entries")
 
@@ -82,7 +87,10 @@ class SparseTensor:
         if len(shape) < 1 or any(s < 1 for s in shape):
             raise ValueError(f"bad shape {shape}")
         clean: dict[tuple[int, ...], Fraction] = {}
-        for idx, value in entries.items():
+        deadline = active()
+        for count, (idx, value) in enumerate(entries.items()):
+            if count & 0x3FF == 0x3FF:
+                deadline.check()
             idx = tuple(int(i) for i in idx)
             if len(idx) != len(shape) or any(not (1 <= i <= s) for i, s in zip(idx, shape)):
                 raise ValueError(f"index {idx} out of shape {shape}")
@@ -288,7 +296,7 @@ def _generic_form_period(o):
 def _power_sum_decides(o):
     if o.D % 2 == 0:
         return "generic-invariant", o.m, o.D
-    if 2 * o.m <= binomial(2 * o.D, o.D):
+    if 2 * o.m <= math.comb(2 * o.D, o.D):
         return Finished(2 * o.m, "degree-2m tableau invariant with pairwise distinct column supports evaluates to m!")
     return Finished(None, f"no invariant in degree 2m: fewer than 2m = {2 * o.m} distinct {o.D}-subsets of a "
                           f"{2 * o.D}-set exist", "exact degree above 2m not determined")
@@ -298,7 +306,7 @@ def _power_sum_bound(o, b):
     # odd D: the subset-family obstruction leaves nothing below degree 2m, nor at 2m when 2m > C(2D, D)
     if o.D % 2 == 0:
         return None
-    return 2 * o.m if 2 * o.m <= binomial(2 * o.D, o.D) else b * (2 * o.m // b + 1)
+    return 2 * o.m if 2 * o.m <= math.comb(2 * o.D, o.D) else b * (2 * o.m // b + 1)
 
 
 def _tables(weighting: str) -> dict:

@@ -68,12 +68,7 @@ def periods(obj: NamedObject) -> PeriodReport:
         D, m = obj.form_degree(), obj.form_variables()
         if (m * a) % D != 0:
             raise AssertionError(f"degree period not integral: m*a = {m * a}, D = {D}")
-        b = m * a // D
-        a_reduced = a * math.gcd(D, m) // D
-        report = PeriodReport(obj, a, b, a_reduced, True, source)
-        if D * report.b != m * report.a:
-            raise AssertionError(f"periods violate D*b = m*a: D = {D}, a = {a}, b = {report.b}")
-        return report
+        return PeriodReport(obj, a, m * a // D, a * math.gcd(D, m) // D, True, source)
     m = obj.tensor_axis_dim()
     return PeriodReport(obj, a, m * a, None, False, source)
 
@@ -103,9 +98,9 @@ class MinimalDegreeReport(NamedTuple):
         return self.exact is not None
 
 
-def _power_sum_invariant(m: int, D: int, **kw) -> Fraction:
+def _power_sum_invariant(m: int, D: int) -> Fraction:
     """The generic degree-m invariant at the power sum of degree D, which is m!."""
-    value = invariant(NamedObject("power-sum", D=D, m=m).build(), generic_tableau(D, m), **kw)
+    value = invariant(NamedObject("power-sum", D=D, m=m).build(), generic_tableau(D, m))
     if value != math.factorial(m):
         raise AssertionError(f"generic invariant at the power sum is {value}, not {m}!")
     return value
@@ -116,11 +111,12 @@ class Evaluation(NamedTuple):
 
     The evidence strings are what a minimal-degree report says when the
     value is nonzero, zero or unfinished, and why a zero leaves the degree
-    undecided ({degree} is the certified bound).
+    undecided ({degree} is the certified bound).  A run adds its work to the
+    work record of the innermost `budget.scope`.
     """
 
-    # run(*args, stats=) calls the engine by its module-global name at each
-    # call, so a rebound name is the one called
+    # run(*args) calls the engine by its module-global name at each call, so
+    # a rebound name is the one called
     run: Callable
     params: tuple[str, ...]  # the names of args
     long: Callable[..., bool]  # long(*args): the CLI refuses the run without --budget
@@ -136,30 +132,30 @@ _CANDIDATE_VANISHES = "minimal-exponent candidate vanishes"
 # keyed by the name a kind record's `decides` gives, which for counts is the `count` structure
 EVALUATIONS = {
     "latin-squares": Evaluation(
-        lambda n, **kw: signed_latin_squares(n, **kw), ("n",),
+        lambda n: signed_latin_squares(n), ("n",),
         lambda n: n >= 8 and n % 2 == 0,  # odd orders are 0 by a symbol swap; order 8 has > 4 M states by row 3
         "counting signed Latin squares of size {}",
         "signed Latin square count is nonzero", "signed Latin square count vanishes", "signed count not finished",
         "degree-m invariant vanishes; no decision above m"),
     "latin-annuli": Evaluation(
-        lambda m, d, **kw: signed_latin_annuli(m, d, **kw), ("m", "d"),
+        lambda m, d: signed_latin_annuli(m, d), ("m", "d"),
         lambda m, d: m >= 6 and d >= 8 and d % 2 == 0,  # odd d is 0 by a symbol swap; 7 x 8 has > 6 M states
         "counting signed Latin annuli of size {} x {}",
         "signed Latin annulus count is nonzero", "signed Latin annulus count vanishes", "signed count not finished",
         "degree-(m+1) invariant vanishes; no decision above m+1"),
     "latin-cubes": Evaluation(
-        lambda n, **kw: signed_latin_cubes(n, **kw), ("n",),
+        lambda n: signed_latin_cubes(n), ("n",),
         lambda n: n >= 4 and n % 2 == 0,  # odd sizes are 0 by a symbol swap, so no subtree runs
         "counting signed Latin cubes of size {}",
         "signed Latin cube count is nonzero", "signed Latin cube count vanishes",
         "signed Latin cube count not finished", _CANDIDATE_VANISHES),
     "admissible-tables": Evaluation(
-        lambda n, weighting, **kw: signed_admissible_tables(n, weighting, **kw), ("n", "weighting"),
+        lambda n, weighting: signed_admissible_tables(n, weighting), ("n", "weighting"),
         lambda n, weighting: n >= 4, "counting signed admissible {}-tables",
         "signed admissible-table count is nonzero", "signed admissible-table count vanishes",
         "signed admissible-table count not finished", "degree-{degree} invariant vanishes; no decision above {degree}"),
     "tensor-invariant": Evaluation(
-        lambda n, tensor, **kw: invariant(tensor, **kw), ("n", "tensor"),  # n: a named tensor's size
+        lambda n, tensor: invariant(tensor), ("n", "tensor"),  # n: a named tensor's size
         lambda n, tensor: math.prod(_format(tensor.shape)) >= 27, None,  # its degree n1 n2 n3
         "fundamental tensor invariant is nonzero at the tensor", "fundamental tensor invariant vanishes",
         "matrix-multiplication evaluation not finished", _CANDIDATE_VANISHES),
@@ -314,14 +310,14 @@ class SupportCertificate(NamedTuple):
     support point and strictly positive somewhere: an explicit
     destabilizing direction.  `reductive_condition` records the status of
     the companion small-centralizer condition, which is not derivable from
-    the support alone.  `pivots` counts the simplex pivots that decided it.
+    the support alone.  The simplex that decided it adds its `pivots` to
+    the work record of the innermost `budget.scope`.
     """
 
     holds: bool
     witness: Optional[dict] = None
     separating: Optional[tuple] = None
     reductive_condition: str = "not checked"
-    pivots: int = 0
 
 
 def _support_certificate(support: list, features: list, target: list, block: int, name: str) -> SupportCertificate:
@@ -336,7 +332,7 @@ def _support_certificate(support: list, features: list, target: list, block: int
         recombined = [sum(c * f[i] for _, f, c in used if f[i]) for i in range(len(target))]
         if recombined != target:
             raise AssertionError(f"witness does not recombine to the {name}")
-        return SupportCertificate(True, witness=witness, pivots=res.pivots)
+        return SupportCertificate(True, witness=witness)
     blocks = [res.farkas[k:k + block] for k in range(0, len(target), block)]
     separating = tuple(tuple(Fraction(sum(ys), block) - y for y in ys) for ys in blocks)
     if any(sum(vec) != 0 for vec in separating):
@@ -345,7 +341,7 @@ def _support_certificate(support: list, features: list, target: list, block: int
     values = [sum(f * x for f, x in zip(feature, weights) if f) for feature in features]
     if any(v < 0 for v in values) or not any(v > 0 for v in values):
         raise AssertionError("separating vectors are not >= 0 on the support and > 0 somewhere")
-    return SupportCertificate(False, separating=separating, pivots=res.pivots)
+    return SupportCertificate(False, separating=separating)
 
 
 def polystable_form_support(w: SparseForm) -> SupportCertificate:

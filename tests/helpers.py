@@ -16,7 +16,7 @@ from typing import Sequence
 
 from slinv import kron
 from slinv.budget import active
-from slinv.exact import Partition, as_scalar, binomial, sequence_sign
+from slinv.exact import Partition, as_scalar, sequence_sign
 from slinv.simplex import FeasibilityResult
 from slinv.spaces import SparseTensor
 from slinv.tableaux import Tableau
@@ -280,17 +280,16 @@ def dfs_signed_sum(steps: Sequence[tuple]) -> int:
     return total
 
 
-def fraction_simplex(A: Sequence[Sequence[object]], b: Sequence[object]) -> FeasibilityResult:
-    """The phase-1 simplex of slinv.simplex pivoted on a dense Fraction tableau.
+def fraction_simplex(A: Sequence[Sequence[object]], b: Sequence[object]) -> tuple[FeasibilityResult, int]:
+    """(result, pivots) of the phase-1 simplex of slinv.simplex pivoted on a dense Fraction tableau.
 
     The pivot rule (Dantzig's entering column, the lexicographic ratio test on
     the artificial block), the certificates and their verification are those of
-    solve_equality_feasibility, computed with plain Fractions over every entry;
-    the result also counts the pivots.
+    solve_equality_feasibility, computed with plain Fractions over every entry.
     """
     nrows = len(A)
     if nrows == 0:
-        return FeasibilityResult(True, x=())
+        return FeasibilityResult(True, x=()), 0
     ncols = len(A[0])
     rows = [[as_scalar(v) for v in row] for row in A]
     rhs = [as_scalar(v) for v in b]
@@ -369,7 +368,7 @@ def fraction_simplex(A: Sequence[Sequence[object]], b: Sequence[object]) -> Feas
             lhs = sum(as_scalar(A[i][j]) * x[j] for j in range(ncols))
             if lhs != as_scalar(b[i]):
                 raise AssertionError("feasible point fails verification")
-        return FeasibilityResult(True, x=tuple(x), pivots=pivots)
+        return FeasibilityResult(True, x=tuple(x)), pivots
 
     # infeasible: the simplex multipliers give a Farkas certificate.
     # y_i = c_{art_i} - z[art_i] = 1 - z[art_i] in the flipped system.
@@ -382,7 +381,7 @@ def fraction_simplex(A: Sequence[Sequence[object]], b: Sequence[object]) -> Feas
         col = sum(y[i] * as_scalar(A[i][j]) for i in range(nrows))
         if col > 0:
             raise AssertionError("Farkas certificate fails y.A <= 0")
-    return FeasibilityResult(False, farkas=tuple(y), pivots=pivots)
+    return FeasibilityResult(False, farkas=tuple(y)), pivots
 
 
 def tableau_positions(T: Tableau):
@@ -413,8 +412,8 @@ def power_sum_tableau(D: int, m: int) -> Tableau:
         raise ValueError("D must be odd")
     if m < 1:
         raise ValueError("need m >= 1")
-    if 2 * m > binomial(2 * D, D):
-        raise ValueError(f"2m = {2 * m} exceeds C({2 * D},{D}) = {binomial(2 * D, D)}; no such tableau")
+    if 2 * m > math.comb(2 * D, D):
+        raise ValueError(f"2m = {2 * m} exceeds C({2 * D},{D}) = {math.comb(2 * D, D)}; no such tableau")
     used: set[frozenset[int]] = set()
     rows: list[list[int]] = []
     all_cols = frozenset(range(1, 2 * D + 1))
@@ -481,7 +480,7 @@ def classsum_oracle(ids: tuple[int, ...]) -> tuple[int, int]:
     classes of prod chi * |class|, an integer, and is divided by N! at the
     end with an integrality assertion.
     """
-    n = kron._SIZES[ids[0]]
+    n = sum(kron._SHAPES[ids[0]])
     uniq = Counter(ids)  # distinct shape -> multiplicity
     mults = list(uniq.values())
     facts = [math.factorial(r) for r in range(n + 1)]

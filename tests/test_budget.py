@@ -9,7 +9,7 @@ import re
 import pytest
 
 import slinv
-from slinv.budget import BudgetExhausted, Deadline, active, scope
+from slinv.budget import BudgetExhausted, Deadline, active, record, scope, tally
 from slinv.latin import signed_latin_squares
 
 
@@ -80,3 +80,35 @@ def test_only_the_budget_module_constructs_a_deadline_and_only_the_cli_opens_a_s
     assert [name for name, text in sources.items() if re.search(r"\bDeadline\(", text)] == ["slinv.budget"]
     opened = {name: len(re.findall(r"\bwith scope\(", text)) for name, text in sources.items()}
     assert {name: count for name, count in opened.items() if count and name != "slinv.budget"} == {"slinv.cli": 1}
+
+
+def test_no_function_takes_stats_and_no_result_type_carries_pivots():
+    # a verb's work travels only in its scope's record: no engine takes a stats dict or returns its work
+    takers = [f"{module.__name__}.{name}" for module in _modules()
+              for name, params in _parameters(compile(inspect.getsource(module), module.__file__, "exec"))
+              if "stats" in params]
+    assert takers == []
+    results = [cls for module in _modules() for cls in vars(module).values()
+               if inspect.isclass(cls) and issubclass(cls, tuple) and hasattr(cls, "_fields")]  # NamedTuples
+    assert {"FeasibilityResult", "SupportCertificate"} <= {cls.__name__ for cls in results}
+    carriers = [cls.__name__ for cls in results if "pivots" in cls._fields]
+    assert carriers == []
+
+
+def test_the_innermost_scope_gets_the_counts_and_an_enclosing_record_is_unchanged():
+    with scope() as outer:
+        tally(states=2)
+        with scope() as inner:
+            assert signed_latin_squares(4) == 576
+            tally(states=1)
+            assert record() is inner
+        assert record() is outer
+    assert outer == {"states": 2}
+    assert inner == {"states": 20 + 1, "peak_states": 18, "candidates": 24, "subtrees": 1}
+
+
+def test_outside_every_scope_the_value_is_the_same_and_no_counts_are_kept():
+    before = record()
+    assert signed_latin_squares(4) == 576
+    tally(states=1)
+    assert before == {} and record() == {} and record() is not record()

@@ -78,7 +78,7 @@ def test_class_sum_matches_triple_route_on_every_small_triple():
     for n in range(1, 11):
         for shapes in itertools.combinations_with_replacement(partition_tuples(n), 3):
             ids = tuple(kron._sid(s) for s in shapes)
-            value = kron._classsum(ids)[0]
+            value = kron._classsum(shapes)
             assert value == classsum_oracle(ids)[0] == kron._triple(*ids), shapes
             assert kron._route(shapes) != "triple", shapes  # a reference method only
 
@@ -94,7 +94,7 @@ def _shapes_of_different_lengths():
 def test_class_sum_matches_its_oracle_past_the_exhaustive_range(shapes):
     # the three beta-sets are padded to the most rows, so the shorter shapes gain empty rows
     ids = tuple(kron._sid(s) for s in shapes)
-    assert kron._classsum(ids)[0] == classsum_oracle(ids)[0]
+    assert kron._classsum(shapes) == classsum_oracle(ids)[0]
 
 
 def _domino_characters(lam):
@@ -124,18 +124,18 @@ def test_root_closure_decodes_f_lambda_at_the_tight_width(monkeypatch):
     decoded = []
     digits = kron._digits
     monkeypatch.setattr(kron, "_digits", lambda *args: decoded.append(digits(*args)) or decoded[-1])
-    stats = {}
-    assert kronecker(rect, rect, rect, method="class", stats=stats) == 21 and stats["nodes"] == 324
+    with scope() as work:
+        assert kronecker(rect, rect, rect, method="class") == 21 and work["nodes"] == 324
     assert len(decoded) == 324
     assert decoded[0] == _domino_characters(rect) and decoded[0][0] == character_value(rect, (1,) * 25)
 
 
 def test_k_rect_7_7_class_sum_work_is_pinned():
-    # 81,262 nodes when only the 1-cycles were closed; the shapes it visits are not interned
-    interned = len(kron._SHAPES) + ((7,) * 7 not in kron._SID)
-    stats = {}
-    assert k_rect(7, 7, stats=stats) == 125250433
-    assert stats == {"route": "class", "nodes": 19691}
+    # 81,262 nodes when only the 1-cycles were closed; the class sum interns no shape
+    interned = len(kron._SHAPES)
+    with scope() as work:
+        assert k_rect(7, 7) == 125250433
+    assert work == {"route": "class", "nodes": 19691}
     assert len(kron._SHAPES) == interned
 
 
@@ -167,16 +167,17 @@ def test_lr_terms_count_every_lr_coefficient_evaluated(monkeypatch):
     monkeypatch.setattr(kron, "_lr_row", checked_row)
     for shapes in (((3, 3, 3),) * 3, ((6,) * 3,) * 3, ((4, 4), (5, 3), (4, 3, 1)), ((4, 4), (4, 4), (3, 3, 2))):
         evaluated.clear()
-        stats = {}
-        value = kronecker(*shapes, method="lr", stats=stats)
-        assert stats == {"route": "lr", "lr_terms": sum(evaluated)} and sum(evaluated) > 0
+        with scope() as work:
+            value = kronecker(*shapes, method="lr")
+        assert work == {"route": "lr", "lr_terms": sum(evaluated)} and sum(evaluated) > 0
         assert value == kronecker(*shapes, method="triple")
 
 
 def test_k_rect_3_16_lr_work_is_pinned():
     # 131,389 LR coefficients when each of the six sigma ran one pair at a time
-    stats = {}
-    assert k_rect(3, 16, stats=stats) == 10 and stats == {"route": "lr", "lr_terms": 102318}
+    with scope() as work:
+        assert k_rect(3, 16) == 10
+    assert work == {"route": "lr", "lr_terms": 102318}
 
 
 def _three_rows(n):
@@ -223,7 +224,7 @@ def test_lr_term_is_symmetric_in_its_sizes():
         lam, mu = (pad(rng.choice(_three_rows(n))) for _ in range(2))
         cut = sorted(rng.sample(range(n + 2), 2))
         sizes = (cut[0], cut[1] - cut[0] - 1, n + 1 - cut[1])  # a random composition of n into 3 parts
-        terms = {order: kron._lr_term(lam, mu, order)[0] for order in itertools.permutations(sizes)}
+        terms = {order: kron._lr_term(lam, mu, order) for order in itertools.permutations(sizes)}
         assert len(set(terms.values())) == 1, (lam, mu, terms)
         nonzero += terms[sizes] != 0
     assert nonzero >= 10
@@ -280,28 +281,30 @@ def _rows_at_most(rows):
 @settings(max_examples=60, deadline=None)
 @given(shapes=_rows_at_most(5))
 def test_auto_equals_the_class_sum_past_the_exhaustive_range(shapes):
-    stats = {}
-    value = kronecker(*shapes, stats=stats)
+    with scope() as work:
+        value = kronecker(*shapes)
     assert value == kronecker(*shapes, method="class")
-    assert stats["route"] == kron._route(shapes)
+    assert work["route"] == kron._route(shapes)
 
 
 def test_certified_zero_runs_no_route_and_explicit_methods_still_do(monkeypatch):
     shapes = ((24, 3, 1), (27, 1), (16, 11, 1))
     assert kron._vanishes(shapes)
-    stats = {}
-    assert kronecker(*shapes, method="class", stats=stats) == 0
-    assert stats["route"] == "class" and stats["nodes"] > 0
-    stats = {}
-    assert kronecker(*shapes, method="triple", stats=stats) == 0 and stats["route"] == "triple"
+    with scope() as work:
+        assert kronecker(*shapes, method="class") == 0
+    assert work["route"] == "class" and work["nodes"] > 0
+    with scope() as work:
+        assert kronecker(*shapes, method="triple") == 0
+    assert work["route"] == "triple"
 
     def boom(*args):
         raise AssertionError("a route ran")
 
     for name in ("_classsum", "_triple_compute", "_lr_route"):
         monkeypatch.setattr(kron, name, boom)
-    stats = {}
-    assert kronecker(*shapes, stats=stats) == 0 and stats == {"route": "vanishing"}
+    with scope() as work:
+        assert kronecker(*shapes) == 0
+    assert work == {"route": "vanishing"}
     with pytest.raises(ValueError):
         kronecker(*shapes, method="vanishing")
 
@@ -309,8 +312,9 @@ def test_certified_zero_runs_no_route_and_explicit_methods_still_do(monkeypatch)
 def test_k_rect_16_3_is_certified_at_once():
     # the class sum visits 121,520 nodes for this 0; the length bound proves it in microseconds
     started = time.monotonic()
-    stats = {}
-    assert k_rect(16, 3, stats=stats) == 0 and stats == {"route": "vanishing"}
+    with scope() as work:
+        assert k_rect(16, 3) == 0
+    assert work == {"route": "vanishing"}
     assert time.monotonic() - started < 0.2
 
 
@@ -430,8 +434,9 @@ def test_exponent_monoid_reports_the_route_of_each_value(monkeypatch):
     assert report.routes == {0: None, 1: "vanishing", 2: "class", 3: "class", 4: None, 5: None, 6: None}
     for delta, route in report.routes.items():
         if report.values[delta] is not None and delta:
-            stats = {}
-            assert k_rect(4, delta, stats=stats) == report.values[delta] and stats["route"] == route
+            with scope() as work:
+                assert k_rect(4, delta) == report.values[delta]
+            assert work["route"] == route
 
 
 def test_exponent_monoid_m2_caveat():

@@ -143,7 +143,14 @@ def _fix_first(steps, labels):
 
 
 def _subtree_value(steps, labels):
-    return kernel._signed_sum(_fix_first(steps, labels))[0]
+    return kernel._signed_sum(_fix_first(steps, labels))
+
+
+def _swept(steps):
+    """(kernel total, state expansions, peak live states) of one sweep, read off its scope's work record."""
+    with scope() as work:
+        total = kernel._signed_sum(steps)
+    return total, work["states"], work["peak_states"]
 
 
 def _count_by_columns(lines, m, first):
@@ -201,7 +208,7 @@ def test_an_expired_deadline_stops_the_orbit_walk_before_any_sweep(monkeypatch):
     monkeypatch.setattr(latin, "_signed_sum", no_sweep)
     steps, generators = _squares_steps(6), _product_symmetry(6)
     with scope(-1.0), pytest.raises(BudgetExhausted):
-        latin._count(1, steps, generators, None)
+        latin._count(1, steps, generators)
 
 
 @pytest.mark.parametrize("count", [
@@ -264,18 +271,17 @@ def test_the_sweep_polls_once_per_2_16_candidate_tries(monkeypatch):
     # every one past the lone empty state tries all 720; a poll per 1,024 states would allow ~737k tries
     deadline, polls = _CountingDeadline(), []
 
-    def counted(steps, stats):
+    def counted(steps):
         before = deadline.polls
-        result = kernel._signed_sum(steps, stats)
+        result = kernel._signed_sum(steps)
         polls.append(deadline.polls - before - len(steps))  # less one poll per step while it is packed
         return result
 
     monkeypatch.setattr(latin, "_signed_sum", counted)
-    stats = {}
-    with scope(deadline):
-        assert signed_latin_squares(6, stats=stats) == -199065600
-    tries = 1 + (stats["states"] - 1) * 720
-    assert stats["states"] == 9522 and len(polls) == 1
+    with scope(deadline) as work:
+        assert signed_latin_squares(6) == -199065600
+    tries = 1 + (work["states"] - 1) * 720
+    assert work["states"] == 9522 and len(polls) == 1
     assert polls[0] * 2**16 >= tries  # which a gap of at most 2^16 tries between polls needs
 
 
@@ -285,7 +291,8 @@ def test_det_per_forms_and_their_symmetry_poll_every_1024_terms(build, chis):
     deadline = _CountingDeadline()
     with scope(deadline):
         form = build(7)
-    assert deadline.polls == 4  # 5,040 permutations: on 1,023, 2,047, 3,071 and 4,095
+    # 5,040 permutations, on 1,023, 2,047, 3,071 and 4,095, and as many terms checked by SparseForm
+    assert deadline.polls == 8
     deadline = _CountingDeadline()
     with scope(deadline):
         kept = latin._symmetry(form)
@@ -322,14 +329,14 @@ def _peak_bound(steps, cap, floor):
 def test_signed_sum_matches_backtracking_oracle(steps, limits):
     expected = dfs_signed_sum(steps)
     if limits is None:  # the real constants: these sums never reach the cap
-        total, states, peak = kernel._signed_sum(steps)
+        total, states, peak = _swept(steps)
         assert peak <= kernel._STATE_CAP
     else:
         cap, floor = limits
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel, "_STATE_CAP", cap)
             mp.setattr(kernel, "_CHUNK_FLOOR", floor)
-            total, states, peak = kernel._signed_sum(steps)
+            total, states, peak = _swept(steps)
         assert peak <= _peak_bound(steps, cap, floor)
     assert total == expected
 
@@ -352,10 +359,10 @@ def test_squares_6_subtree_with_sorted_first_column():
 
 def test_tiny_cap_chunks_the_sweep_and_keeps_its_bound(monkeypatch):
     steps = _fix_first(_squares_steps(5), (1, 2, 3, 4, 5))
-    total, states, peak = kernel._signed_sum(steps)
+    total, states, peak = _swept(steps)
     monkeypatch.setattr(kernel, "_STATE_CAP", 64)
     monkeypatch.setattr(kernel, "_CHUNK_FLOOR", 8)
-    chunked, chunked_states, chunked_peak = kernel._signed_sum(steps)
+    chunked, chunked_states, chunked_peak = _swept(steps)
     assert chunked == total == dfs_signed_sum(steps)
     assert peak > 64 + 8  # so the cap was reached
     assert chunked_states > states  # chunks merge less
@@ -363,7 +370,7 @@ def test_tiny_cap_chunks_the_sweep_and_keeps_its_bound(monkeypatch):
 
 
 def _live_states_at_flushes(steps):
-    """(kernel result, most states held by the sweep's dicts when a chunk is handed down).
+    """((total, states, peak) of the sweep, most states held by its dicts when a chunk is handed down).
 
     Counts every distinct dict named by a sweep frame on the stack, so a
     consumed layer that a caller still names is counted too.
@@ -384,7 +391,7 @@ def _live_states_at_flushes(steps):
     previous = sys.gettrace()
     sys.settrace(trace)
     try:
-        return kernel._signed_sum(steps), most
+        return _swept(steps), most
     finally:
         sys.settrace(previous)
 
@@ -426,7 +433,7 @@ def _unreduced(structure, *params):
         m, d = params if structure == "annuli" else params * 2
         tableau = generic_tableau(m, m) if structure == "squares" else annulus_tableau(m, d)
         sign, steps = _tableau_steps(tableau, _product_support(m))
-    return sign * kernel._signed_sum(steps)[0]
+    return sign * kernel._signed_sum(steps)
 
 
 _COUNTERS = {"squares": signed_latin_squares, "annuli": signed_latin_annuli, "cubes": signed_latin_cubes,
@@ -440,11 +447,11 @@ _REDUCED_RANGE = ([("squares", n) for n in range(1, 6)]
 @pytest.mark.parametrize("case", _REDUCED_RANGE, ids=lambda case: "-".join(map(str, case)))
 def test_reduced_count_equals_the_unreduced_kernel(case):
     structure, *params = case
-    stats = {}
-    value = _COUNTERS[structure](*params, stats=stats)
+    with scope() as work:
+        value = _COUNTERS[structure](*params)
     assert value == _unreduced(structure, *params)
     # no candidate is built when a relabelling negates the sum
-    assert stats["subtrees"] <= 1 and (stats["candidates"] >= 1 or stats["subtrees"] == value == 0)
+    assert work["subtrees"] <= 1 and (work["candidates"] >= 1 or work["subtrees"] == value == 0)
 
 
 @pytest.mark.parametrize("count, orbits", [
@@ -499,7 +506,7 @@ def test_a_lone_swap_gives_orbits_of_its_size_or_proves_zero(n, sizes, value):
     sign, steps = _tableau_steps(generic_tableau(n, n), _product_support(n))
     swap = [(_swap(n, 1, 2), 1)]
     assert [size for _, size in kernel._first_step_orbits(steps, swap)] == sizes
-    assert latin._count(sign, steps, swap, None) == _unreduced("squares", n) == value
+    assert latin._count(sign, steps, swap) == _unreduced("squares", n) == value
 
 
 def _cycle(k, labels):
@@ -519,9 +526,9 @@ def test_a_lone_cycle_gives_orbits_of_its_length_or_proves_zero(n, labels, sizes
     sign, steps = _tableau_steps(generic_tableau(n, n), _product_support(n))
     cycle = [(_cycle(n, labels), 1)]
     assert [size for _, size in kernel._first_step_orbits(steps, cycle)] == sizes
-    stats = {}
-    assert latin._count(sign, steps, cycle, stats) == _unreduced("squares", n) == value
-    assert stats["candidates"] == math.factorial(n) and stats["subtrees"] == len(sizes)
+    with scope() as work:
+        assert latin._count(sign, steps, cycle) == _unreduced("squares", n) == value
+    assert work["candidates"] == math.factorial(n) and work["subtrees"] == len(sizes)
 
 
 @pytest.mark.parametrize("steps, generators, message", [
@@ -540,7 +547,7 @@ def test_a_false_symmetry_raises_before_any_sweep(monkeypatch, steps, generators
 
     monkeypatch.setattr(latin, "_signed_sum", no_sweep)
     with pytest.raises(ValueError, match=message):
-        latin._count(1, steps, generators, None)
+        latin._count(1, steps, generators)
 
 
 # -- named invariants: the reduced path against the unreduced kernel sum ---------
@@ -573,7 +580,7 @@ def test_named_invariant_equals_the_unreduced_evaluator(obj, T):
         (sign, steps), degree = (1, _point_steps(n, n, n, support)), n**3
     else:
         (sign, steps), degree = _tableau_steps(T, support), T.d
-    expected = Fraction(sign * kernel._signed_sum(steps)[0], den**degree)
+    expected = Fraction(sign * kernel._signed_sum(steps), den**degree)
     assert latin.invariant(obj.build(), T) == expected
 
 
@@ -595,6 +602,6 @@ def test_a_tensor_whose_axes_differ_is_summed_unreduced(entries, value):
     # format (2, 2, 1): no relabelling of 1..2 moves the third axis's index values 3 and 4
     w = SparseTensor((2, 2, 4), entries)
     assert latin._symmetry(w) == []
-    stats = {}
-    assert latin.invariant(w, stats=stats) == brute_tensor_invariant_format(2, 2, 1, w) == value
-    assert stats["subtrees"] == stats["candidates"] == len(entries)
+    with scope() as work:
+        assert latin.invariant(w) == brute_tensor_invariant_format(2, 2, 1, w) == value
+    assert work["subtrees"] == work["candidates"] == len(entries)

@@ -64,16 +64,33 @@ class _CountingDeadline(Deadline):
             raise BudgetExhausted("pivot cap")
 
 
+def _solve(A, b):
+    """(result, pivots recorded) of the engine in a scope of its own."""
+    with scope() as work:
+        res = solve_equality_feasibility(A, b)
+    return res, work["pivots"]
+
+
 def test_pivot_loop_polls_the_deadline_in_scope_once_per_pivot():
     A, b = [[1, 1, 0], [1, -1, 1], [0, 2, 3]], [2, 0, 5]
     deadline = _CountingDeadline()
-    with scope(deadline):
+    with scope(deadline) as work:
         res = solve_equality_feasibility(A, b)
-    assert res.feasible and res.pivots > 1
-    assert deadline.checks == res.pivots + 1  # one more poll finds no entering column
+    assert res.feasible and work == {"pivots": 3}
+    # once per row built, once per pivot, and once more to find no entering column
+    assert deadline.checks == len(A) + 3 + 1
     with scope(-1), pytest.raises(BudgetExhausted):  # a deadline already passed
         solve_equality_feasibility(A, b)
-    assert solve_equality_feasibility(A, b) == res  # outside every scope nothing is polled
+    assert solve_equality_feasibility(A, b) == res  # outside every scope nothing is polled or recorded
+
+
+def test_building_the_rows_polls_the_deadline_once_per_row():
+    # a wide system whose pivots never start: the poll after the cap-th row stops it
+    A, b = [[1] * 4000 for _ in range(8)], [1] * 8
+    deadline = _CountingDeadline(cap=5)
+    with scope(deadline) as work, pytest.raises(BudgetExhausted):
+        solve_equality_feasibility(A, b)
+    assert deadline.checks == 6 and work == {}
 
 
 def test_beales_cycling_example_is_decided():
@@ -84,10 +101,10 @@ def test_beales_cycling_example_is_decided():
     # basis, and again, forever; the lexicographic ratio test decides the system.
     A = [[Fraction(1, 4), -8, -1, 9], [Fraction(1, 2), -12, Fraction(-1, 2), 3], [0, 0, 1, 0], [0, 0, 1, -18]]
     b = [0, 0, 1, 100]
-    with scope(_CountingDeadline(cap=50)):
+    with scope(_CountingDeadline(cap=50)) as work:
         res = solve_equality_feasibility(A, b)
-    assert not res.feasible and res.pivots == 2
-    assert res == fraction_simplex(A, b)
+    assert not res.feasible and work == {"pivots": 2}
+    assert (res, 2) == fraction_simplex(A, b)
 
 
 _SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -118,7 +135,7 @@ def _systems(draw):
 def test_integer_rows_match_fraction_tableau_oracle(system):
     A, b = system
     # same feasibility, same x, same Farkas y, and the same number of pivots
-    assert solve_equality_feasibility(A, b) == fraction_simplex(A, b)
+    assert _solve(A, b) == fraction_simplex(A, b)
 
 
 def _dense_point_holds(A, b, x):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import matrix_inverse, random_integer_matrix, random_invertible_matrix
+from slinv.budget import BudgetExhausted, Deadline, scope
 from slinv.exact import multinomial
 from slinv.spaces import (
     NamedObject,
@@ -220,3 +221,29 @@ def test_aliases_name_their_kind_and_the_docstring_lists_every_kind():
 def test_generic_kinds_build_nothing(obj):
     with pytest.raises(ValueError, match="names no single"):
         obj.build()
+
+
+class _CountingDeadline(Deadline):
+    """Counts its polls; with a cap, expires on the poll after the cap-th."""
+
+    def __init__(self, cap=None):
+        super().__init__(None)
+        self.polls, self.cap = 0, cap
+
+    def check(self):
+        self.polls += 1
+        if self.cap is not None and self.polls > self.cap:
+            raise BudgetExhausted()
+
+
+def test_building_a_form_or_tensor_polls_the_deadline_every_1024_terms():
+    # 3,000 terms: one poll on each of the terms 1,023 and 2,047, so a cap of one poll stops the second
+    coeffs = {(a, 3000 - a): 1 for a in range(3000)}
+    entries = {(i, j, 1): 1 for i in range(1, 61) for j in range(1, 51)}
+    for build in (lambda: SparseForm(2, 3000, coeffs), lambda: SparseTensor((60, 50, 1), entries)):
+        deadline = _CountingDeadline()
+        with scope(deadline):
+            built = build()
+        assert deadline.polls == 2 and built == build()
+        with scope(_CountingDeadline(cap=1)), pytest.raises(BudgetExhausted):
+            build()

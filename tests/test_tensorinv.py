@@ -93,7 +93,7 @@ def test_format_evaluator_matches_brute_force_on_random_tensors(case):
 def _unreduced(fmt, w):
     """The tensor invariant as one unreduced `kernel._signed_sum` over every point step."""
     den, support = _integer_weights(w.entries)
-    return Fraction(kernel._signed_sum(_point_steps(*fmt, support))[0], den ** math.prod(fmt))
+    return Fraction(kernel._signed_sum(_point_steps(*fmt, support)), den ** math.prod(fmt))
 
 
 @settings(max_examples=60, deadline=None)

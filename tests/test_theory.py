@@ -364,6 +364,18 @@ def test_polystable_tensor_support_of_matmul_5():
     _check_tensor_witness(tensor, cert.witness)
 
 
+def test_the_simplex_records_pinned_pivot_counts():
+    # the pivot rule fixes the pivot sequence; the certificate's simplex adds its pivots to the record
+    for support, source, pivots in [(polystable_form_support, determinant_form(3), 7),
+                                    (polystable_form_support, determinant_form(5), 25),
+                                    (polystable_form_support, determinant_form(6), 43),
+                                    (polystable_form_support, determinant_form(7), 72),
+                                    (polystable_tensor_support, matmul_tensor(4), 84)]:
+        with scope() as work:
+            assert support(source).holds
+        assert work == {"pivots": pivots}
+
+
 def test_polystable_form_support_of_permanent_6():
     # 720 support points in 36 variables; the Fraction tableau ran for over a minute
     form = permanent_form(6)
