@@ -53,6 +53,12 @@ _NO_STATES = {"states": 0, "peak_states": 0}
 _NO_NODES = {"nodes": 0, "lr_terms": 0}
 
 
+def _scan_work(work: dict) -> dict:
+    """The work of a deciding run, a 0 for each count it did not add: the states of a count, or the nodes
+    and lr_terms summed over a scan of Kronecker values, less the route of its last value alone."""
+    return {key: count for key, count in {**_NO_STATES, **_NO_NODES, **work}.items() if key != "route"}
+
+
 class CliError(Exception):
     pass
 
@@ -180,6 +186,7 @@ def _cmd_krect(args, work):
 def _cmd_monoid(args, work):
     report = exponent_monoid(args.m, args.delta_max)
     meta = {
+        **_NO_NODES, **work,  # summed over the scan; the route of each delta replaces the last one's
         "m": report.m,
         "delta_max": report.delta_max,
         "values": {str(d): v for d, v in report.values.items()},
@@ -235,7 +242,8 @@ def _cmd_min_degree(args, work):
     report = minimal_degree_report(obj)
     value = None if report.value is None else format_scalar(report.value)
     meta = {"object": obj.describe(), "lower_bound": report.lower_bound, "exact": report.exact,
-            "evidence": report.evidence, "value": value, "undecided_reason": report.undecided_reason}
+            "evidence": report.evidence, "value": value, "undecided_reason": report.undecided_reason,
+            **_scan_work(work)}
     lines = [f"object {obj.describe()}"]
     if report.decided:
         lines.append(f"minimal degree {report.exact}")
@@ -252,7 +260,8 @@ def _cmd_normality(args, work):
     obj = _named_object(args)
     report = nonnormality_flag(obj)
     meta = {"object": obj.describe(), "flag": report.flag, "reason": report.reason,
-            "degree_period": report.degree_period, "minimal_degree_bound": report.minimal_degree_bound}
+            "degree_period": report.degree_period, "minimal_degree_bound": report.minimal_degree_bound,
+            **_scan_work(work)}
     return report.flag, meta, [f"object {obj.describe()}", f"flag {report.flag}", f"reason {report.reason}"]
 
 

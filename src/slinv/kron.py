@@ -25,8 +25,13 @@ Three independent exact routes produce Kronecker coefficients:
   with alpha_i(sigma) = nu_i - i + sigma(i).  The inner sum is symmetric
   in alpha, so it runs once per multiset of alpha(sigma) (5 for nu = delta^3).
   A 3-row LR coefficient counts the integers in one interval, evaluated a
-  whole row of lam^2 at a time, and a rectangle R collapses the triple LR
-  coefficient to a single one: c^R_{lam^1 lam^2 lam^3} = c^{(lam^3)^c}_{lam^1 lam^2}.
+  whole row of lam^2 at a time, and only over the band of the row that
+  three bounds on the interval leave possibly nonzero.  A rectangle R
+  collapses the triple LR coefficient to a single one:
+  c^R_{lam^1 lam^2 lam^3} = c^{(lam^3)^c}_{lam^1 lam^2}.  The summand is
+  symmetric in lam^1, lam^2, lam^3, so equal sizes are summed over one
+  ordering each.  One call builds each list of partitions once, with the
+  index where each first part starts, and drops them when it returns.
 
 Before any route, `kronecker` tests Dvir's bounds (J. Algebra 154, 1993):
 g(lam, mu, nu) > 0 needs lam_1 <= |mu & nu| and len(lam) <= |mu & nu'|,
@@ -384,58 +389,82 @@ _S3 = (((0, 1, 2), 1), ((1, 0, 2), -1), ((0, 2, 1), -1),
 
 
 def _lr_row(nu: tuple[int, int, int], lam: tuple[int, int, int],
-            mus: list[tuple[int, int, int]]) -> list[int]:
-    """[c^nu_{lam mu} for mu in mus], Littlewood-Richardson coefficients of 3-part shapes, cut short.
+            mus: list[tuple[int, int, int]], at: list[int], begin: int = 0) -> tuple[int, list[int]]:
+    """(offset, row): row[j] = c^nu_{lam mu} for mu = mus[offset + j], Littlewood-Richardson
+    coefficients of 3-part shapes; c^nu_{lam mu} = 0 for every mu from mus[begin] on outside the band.
 
-    Needs |nu| = |lam| + |mu| and the mus in descending mu_1, as `_boxed`
-    lists them.  An LR tableau of shape nu/lam and content mu has a_ij
+    Needs |nu| = |lam| + |mu|, the mus in descending mu_1 as `_boxed` lists
+    them, and `at` as `_indexed` gives it: at[v] is the index of the first mu
+    with mu_1 < v.  An LR tableau of shape nu/lam and content mu has a_ij
     entries j in row i: row 1 holds only 1s and row 2 only 1s and 2s, so
     a11 = nu_1 - lam_1 and d2 = a21 + a22 = nu_2 - lam_2 are fixed, and so
     are a22, a31, a32, a33 by t = a21.  Column strictness and the lattice
     condition are linear in t, and the coefficient is the number of
-    integers t in the interval [lo, hi]; the terms that depend on nu and
-    lam alone are hoisted out of the loop.  At mu_1 < a11 or mu_3 > d2,
-    hi < 0 <= lo: the row ends before the first mu with mu_1 < a11, since
-    every later mu has one too, and holds 0 at mu_3 > d2 with no interval
-    computed.  The LR route counts each entry of a row as one coefficient
-    evaluated.
+    integers t in [lo, hi], with
+    hi = min(d2 - mu_3, mu_1 - a11, lam_1 - lam_2) and
+    lo = max(floor, d2 - mu_2, mu_2 - a11, lam_3 - lam_2 - a11 + mu_1, nu_3 - lam_2 - mu_3),
+    floor = max(0, d2 - a11).  A term of hi below a term of lo makes the
+    coefficient 0, and three such pairs bound the band, so that no entry
+    they rule out is evaluated (|mu| = a11 + d2 + nu_3 - lam_3):
+    * it starts at the first mu with mu_1 <= a11 - lam_3 + min(lam_1, nu_2)
+      (lam_3 - lam_2 - a11 + mu_1 against lam_1 - lam_2, and against
+      d2 - mu_3 with mu_3 >= 0);
+    * it ends before the first mu with mu_1 < max(a11 + floor, nu_3 - lam_3)
+      (mu_1 - a11 against floor; d2 - mu_3 against mu_2 - a11);
+    * inside it, an entry with mu_3 > min(d2 - floor, nu_3 - lam_3) is 0
+      with no interval computed (d2 - mu_3 against floor; mu_1 - a11
+      against d2 - mu_2).
+    The band starts at mus[begin] at the earliest.  The LR route counts each
+    entry of a band as one coefficient evaluated.
     """
     n1, n2, n3 = nu
     l1, l2, l3 = lam
     a11 = n1 - l1
     d2 = n2 - l2
     if a11 < 0 or d2 < 0 or n3 < l3:
-        return []
-    floor = max(0, d2 - a11)
-    lattice = l3 - l2 - a11
-    column = n3 - l2
-    cap = l1 - l2
+        return 0, []
+    floor = d2 - a11 if d2 > a11 else 0
+    third = n3 - l3
+    last = len(at) - 1
+    top = a11 - l3 + (l1 if l1 < n2 else n2) + 1
+    start = at[top if top < last else last]
+    bottom = a11 + floor if a11 + floor > third else third
+    end = at[bottom if bottom < last else last]
+    if start < begin:
+        start = begin
+    if end <= start:
+        return 0, []
+    skip = d2 - floor if d2 - floor < third else third
+    # [lo, hi] shifted by a11, which saves two subtractions an entry:
+    # hi = min(total - m3, m1, cap), lo = max(least, total - m2, m2, lattice + m1, column - m3),
+    # by comparisons: a call of min or max costs more than the whole interval
+    total = d2 + a11
+    least = floor + a11
+    lattice = l3 - l2
+    column = n3 - l2 + a11
+    cap = l1 - l2 + a11
     row = []
     append = row.append
-    for m1, m2, m3 in mus:
-        if m1 < a11:
-            break
-        if m3 > d2:
+    for m1, m2, m3 in mus[start:end]:
+        if m3 > skip:
             append(0)
             continue
-        # hi = min(d2 - m3, m1 - a11, cap), lo = max(floor, d2 - m2, m2 - a11, lattice + m1, column - m3),
-        # by comparisons: a call of min or max costs more than the whole interval
-        hi = d2 - m3
-        if m1 - a11 < hi:
-            hi = m1 - a11
+        hi = total - m3
+        if m1 < hi:
+            hi = m1
         if cap < hi:
             hi = cap
         lo = column - m3
-        if floor > lo:
-            lo = floor
-        if d2 - m2 > lo:
-            lo = d2 - m2
-        if m2 - a11 > lo:
-            lo = m2 - a11
+        if least > lo:
+            lo = least
+        if total - m2 > lo:
+            lo = total - m2
+        if m2 > lo:
+            lo = m2
         if lattice + m1 > lo:
             lo = lattice + m1
         append(hi - lo + 1 if hi >= lo else 0)
-    return row
+    return start, row
 
 
 def _boxed(n: int, box: tuple[int, int, int]) -> list[tuple[int, int, int]]:
@@ -452,7 +481,38 @@ def _boxed(n: int, box: tuple[int, int, int]) -> list[tuple[int, int, int]]:
     return out
 
 
-def _lr_term(lam: tuple[int, int, int], mu: tuple[int, int, int], sizes: tuple[int, int, int]) -> int:
+def _indexed(n: int, box: tuple[int, int, int], memo: dict) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """(`_boxed(n, box)`, at) with at[v] the index of its first partition with first part < v, for
+    v = 0 .. (largest first part + 1); kept in `memo`, which lives as long as one `_lr_route` call."""
+    b1, b2, b3 = box
+    b1 = min(b1, n)
+    b2 = min(b2, b1, n // 2)
+    box = (b1, b2, min(b3, b2, n // 3))  # the box every such partition fits, shared by more calls
+    hit = memo.get((n, box))
+    if hit is None:
+        mus = _boxed(n, box)
+        counts = [0] * ((mus[0][0] if mus else -1) + 1)
+        for p in mus:
+            counts[p[0]] += 1
+        at = list(itertools.accumulate(counts, operator.sub, initial=len(mus)))
+        hit = memo[(n, box)] = mus, at
+    return hit
+
+
+def _add_band(off: int, band: list[int], o: int, row: list[int]) -> tuple[int, list[int]]:
+    """The sum of two bands of one list, each (offset, entries), over the union of their spans; extends
+    and returns `band` itself."""
+    if o < off:
+        band[:0] = [0] * (off - o)
+        off = o
+    if o + len(row) > off + len(band):
+        band += [0] * (o + len(row) - off - len(band))
+    band[o - off:o - off + len(row)] = map(operator.add, band[o - off:o - off + len(row)], row)
+    return off, band
+
+
+def _lr_term(lam: tuple[int, int, int], mu: tuple[int, int, int], sizes: tuple[int, int, int],
+             memo: Optional[dict] = None) -> int:
     """T(a) = sum over lam^i of size a_i of c^lam_{lam^1 lam^2 lam^3} c^mu_{lam^1 lam^2 lam^3}
     for a = `sizes` of 3-part lam and mu; the work record's `lr_terms` gets the LR coefficients evaluated.
 
@@ -462,35 +522,70 @@ def _lr_term(lam: tuple[int, int, int], mu: tuple[int, int, int], sizes: tuple[i
     c^outer_{lam^1 lam^2 lam^3} = sum over tau of c^outer_{tau lam^3} c^tau_{lam^1 lam^2},
     and for a rectangle the only tau is the complement of lam^3.  For each
     lam^1 the triple coefficients of every lam^2 come from one `_lr_row`
-    per tau of the cut.
+    band per tau of the cut, summed over the union of the bands; the band of
+    a cut of one tau of weight 1 (every rectangle's) is used as it is.
+    The summand is symmetric in lam^1, lam^2 and lam^3, and the partition
+    lists are in descending order.  So when a_1 = a_2 only the lam^2 at or
+    after lam^1 are evaluated, and the others counted by symmetry; when all
+    three sizes are equal, also only the lam^1 at or after lam^3.  The
+    partition lists come from `memo` (`_indexed`), a new one when none is
+    given.
     """
     a1, a2, a3 = sizes
+    square = a1 == a2  # then firsts is seconds
+    cube = square and a2 == a3
+    memo = {} if memo is None else memo
     dl = active()
     acc = terms = 0
     for inner in _boxed(a3, tuple(map(min, lam, mu))):
         pair = []
-        for outer in (lam, mu):
-            taus = _boxed(sum(outer) - a3, outer)
-            row = _lr_row(outer, inner, taus)
+        for outer in (lam, mu) if lam != mu else (lam,):
+            taus, at = _indexed(sum(outer) - a3, outer, memo)
+            off, row = _lr_row(outer, inner, taus, at)
             terms += len(row)
-            pair.append({tau: c for tau, c in zip(taus, row) if c})
-        cut_lam, cut_mu = pair
+            pair.append([(taus[off + j], c) for j, c in enumerate(row) if c])
+        cut_lam, cut_mu = pair[0], pair[-1]
         if not cut_lam or not cut_mu:
             continue
-        box = tuple(min(max(t[i] for t in cut_lam), max(t[i] for t in cut_mu)) for i in range(3))
-        firsts, seconds = _boxed(a1, box), _boxed(a2, box)
-        cuts = (cut_lam, cut_mu) if cut_lam != cut_mu else (cut_lam,)  # equal cuts: square one row
-        for first in firsts:
+        box = tuple(min(max(t[i] for t, _ in cut_lam), max(t[i] for t, _ in cut_mu)) for i in range(3))
+        firsts = _indexed(a1, box, memo)[0]
+        seconds, at = _indexed(a2, box, memo)
+        cuts = (cut_lam, cut_mu) if cut_lam != cut_mu else (cut_lam,)  # equal cuts: square one band
+        # with all sizes equal, lam^1 runs from lam^3 on in the same (descending) order
+        lead = next((i for i, first in enumerate(firsts) if first <= inner), len(firsts)) if cube else 0
+        for i in range(lead, len(firsts)):
+            first = firsts[i]
             dl.check()
-            rows = []
+            begin = i if square else 0
+            bands = []
             for cut in cuts:
-                coeffs = [0] * len(seconds)
-                for tau, w in cut.items():
-                    row = _lr_row(tau, first, seconds)
+                off, band = 0, []
+                for tau, w in cut:
+                    o, row = _lr_row(tau, first, seconds, at, begin)
                     terms += len(row)
-                    coeffs[:len(row)] = [c + w * r for c, r in zip(coeffs, row)]
-                rows.append(coeffs)
-            acc += sum(map(operator.mul, rows[0], rows[-1]))
+                    if not row:
+                        continue
+                    if w != 1:
+                        row = [w * r for r in row]
+                    off, band = (o, row) if not band else _add_band(off, band, o, row)
+                if not band:
+                    break
+                bands.append((off, band))
+            else:
+                (off, x), (ob, y) = bands[0], bands[-1]
+                if off != ob or len(x) != len(y):  # the overlap of two bands
+                    lo, hi = max(off, ob), min(off + len(x), ob + len(y))
+                    x, y, off = x[lo - off:hi - off], y[lo - ob:hi - ob], lo
+                dot = sum(map(operator.mul, x, y))
+                if square:  # each pair or triple evaluated stands for all its orderings
+                    diag = x[0] * y[0] if off == i and x else 0  # lam^2 = lam^1 sits at index i
+                    if not cube:
+                        dot = 2 * dot - diag
+                    elif first == inner:
+                        dot = 3 * dot - 2 * diag
+                    else:
+                        dot = 6 * dot - 3 * diag
+                acc += dot
     tally(lr_terms=terms)
     return acc
 
@@ -502,7 +597,9 @@ def _lr_route(shapes: tuple[tuple[int, ...], ...]) -> int:
     with alpha_i(sigma) = nu_i - i + sigma(i).  An LR coefficient of a
     product is symmetric in its factors, so T(a) is symmetric in a: each
     multiset of alpha(sigma) is evaluated once (`_lr_term`) with the sum of
-    its signs, in the order that puts its largest part as lam^3.
+    its signs, in the order that puts a repeated part as (a_1, a_2), whose
+    pairs `_lr_term` halves, and else its largest part as lam^3.  The terms
+    share one memo of partition lists, dropped when the call returns.
     """
     if any(len(s) > 3 for s in shapes):
         raise ValueError("the LR route needs shapes with at most 3 rows")
@@ -510,9 +607,11 @@ def _lr_route(shapes: tuple[tuple[int, ...], ...]) -> int:
     lam, mu, nu = (s + (0,) * (3 - len(s)) for s in sorted(shapes, key=lambda s: len(set(s)) > 1))
     signs: dict[tuple[int, ...], int] = {}
     for sigma, sign in _S3:
-        sizes = tuple(sorted(nu[i] - i + sigma[i] for i in range(3)))
+        a1, a2, a3 = sorted(nu[i] - i + sigma[i] for i in range(3))
+        sizes = (a2, a3, a1) if a2 == a3 else (a1, a2, a3)
         signs[sizes] = signs.get(sizes, 0) + sign
-    total = sum(sign * _lr_term(lam, mu, sizes) for sizes, sign in signs.items() if sign and sizes[0] >= 0)
+    memo: dict = {}
+    total = sum(sign * _lr_term(lam, mu, sizes, memo) for sizes, sign in signs.items() if sign and min(sizes) >= 0)
     if total < 0:
         raise AssertionError(f"negative Kronecker value {total}")
     return total
@@ -540,11 +639,13 @@ def _route(shapes: tuple[tuple[int, ...], ...]) -> str:
 
     'vanishing' (no route runs: the value is 0) when `_vanishes`; else 'lr'
     when every shape has at most 3 rows, and 'class' otherwise.  On 12
-    random non-vanishing triples of at most 3 rows per N (timing table in
-    CHANGES.md), LR took 0.15, 0.28 and 4.5 s in all at N = 36, 48 and 60,
-    and the class sum 0.69, 8.0 and 69 s.  The coupled recursion still beats
-    the class sum on some long hook-like 4-row triples, none of them in the
-    benchmark's workloads.
+    random non-vanishing triples of at most 3 rows per N (timing tables in
+    CHANGES.md; one process, 2 vCPUs), LR took 0.15, 0.28 and 4.5 s in all
+    at N = 36, 48 and 60 and the class sum 0.69, 8.0 and 69 s, measured
+    before the LR rows were cut to their bands; on another draw of 12 per N
+    the banded LR route took 0.21, 0.21 and 4.6 s, where it had taken 0.26,
+    0.34 and 6.5 s.  The coupled recursion still beats the class sum on some
+    long hook-like 4-row triples, none of them in the benchmark's workloads.
     """
     if _vanishes(shapes):
         return "vanishing"

@@ -113,7 +113,7 @@ def test_kronecker_verb(capsys):
 
 # work: class-sum DFS nodes and LR coefficients evaluated
 @pytest.mark.parametrize("lam, mu, nu, value, route, nodes, lr_terms", [
-    ("3,3,3", "3,3,3", "3,3,3", "1", "lr", 0, 141),
+    ("3,3,3", "3,3,3", "3,3,3", "1", "lr", 0, 54),
     ("9,1", "2,1,1,1,1,1,1,1,1", "1,1,1,1,1,1,1,1,1,1", "1", "class", 16, 0),
     ("3,3,2,1", "3,3,3", "4,3,2", "3", "class", 7, 0),
     ("5,3,2,1,1", "5,3,2,1,1", "5,3,2,1,1", "945", "class", 15, 0),
@@ -135,7 +135,7 @@ def _parts(text):
 def test_krect_json_reports_route(capsys):
     code, out, _ = run(capsys, "krect", "--m", "3", "--delta", "6", "--json")
     assert code == 0 and json.loads(out) == {
-        "value": "3", "meta": {"m": 3, "delta": 6, "route": "lr", "nodes": 0, "lr_terms": 1376}}
+        "value": "3", "meta": {"m": 3, "delta": 6, "route": "lr", "nodes": 0, "lr_terms": 499}}
     # delta = 1 is certified 0 by Dvir's length bound, so it runs no class sum
     code, out, _ = run(capsys, "krect", "--m", "4", "--delta", "3", "--table", "--json")
     assert code == 0 and json.loads(out) == {
@@ -174,6 +174,22 @@ def test_kronecker_verbs_honour_budget(capsys, argv):
     code, out, err = run(capsys, *argv, "--budget", "0.5")
     assert code == 3 and out == "" and "budget exhausted" in err
     assert time.monotonic() - started < 5
+
+
+def test_scan_verbs_report_their_work(capsys):
+    code, out, _ = run(capsys, "monoid", "--m", "4", "--delta-max", "8", "--json")
+    meta = json.loads(out)["meta"]
+    assert code == 0 and meta["nodes"] > 0 and meta["lr_terms"] == 0
+    assert meta["route"] == {"0": None, "1": "vanishing", **{str(d): "class" for d in range(2, 9)}}
+    code, out, _ = run(capsys, "min-degree", "--kind", "product", "--m", "4", "--json")
+    meta = json.loads(out)["meta"]
+    assert code == 0 and meta["states"] > 0 and meta["nodes"] == 0 and "route" not in meta
+    code, out, _ = run(capsys, "min-degree", "--kind", "generic-tensor", "--m", "4", "--json")
+    meta = json.loads(out)["meta"]
+    assert code == 0 and meta["nodes"] > 0 and meta["states"] == 0 and "route" not in meta
+    code, out, _ = run(capsys, "normality", "--kind", "product", "--m", "4", "--json")
+    meta = json.loads(out)["meta"]
+    assert code == 0 and meta["states"] == meta["nodes"] == 0  # decided by the certified bound alone
 
 
 def test_monoid_verb(capsys):

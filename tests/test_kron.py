@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import centralizer_order, classsum_oracle, lr3_oracle, lr_oracle
+from helpers import _cut_oracle, centralizer_order, classsum_oracle, lr3_oracle, lr_oracle
 from slinv import kron
 from slinv.budget import BudgetExhausted, Deadline, scope
 from slinv.exact import Partition, partition_tuples, partitions_of
@@ -154,18 +154,28 @@ def test_fixed_point_term_is_the_character_at_the_identity():
 
 
 def test_lr_terms_count_every_lr_coefficient_evaluated(monkeypatch):
-    # every row the kernel returns matches the per-pair formula, and every entry it cut off is 0
+    # every band entry the kernel returns matches the per-pair formula, and every entry from `begin` on
+    # that it left out of the band is 0 (the route counts those before `begin` by symmetry)
     evaluated = []
     lr_row = kron._lr_row
 
-    def checked_row(nu, lam, mus):
-        row = lr_row(nu, lam, mus)
-        assert row + [0] * (len(mus) - len(row)) == [lr3_oracle(nu, lam, mu) for mu in mus]
+    def checked_row(nu, lam, mus, at, begin=0):
+        off, row = lr_row(nu, lam, mus, at, begin)
+        assert begin <= off or not row
+        assert row == [lr3_oracle(nu, lam, mu) for mu in mus[off:off + len(row)]]
+        outside = mus[begin:off] + mus[off + len(row):] if row else mus[begin:]
+        assert not any(lr3_oracle(nu, lam, mu) for mu in outside)
         evaluated.append(len(row))
-        return row
+        return off, row
 
+    # in the last triple, nu = (4, 4, 1) gives the sizes (1, 4, 4), and lam^3 = (3, 1) cuts both
+    # (5, 3, 1) and (4, 3, 2) into several tau, some of weight 2
+    for outer in ((5, 3, 1), (4, 3, 2)):
+        cut = _cut_oracle(outer, (3, 1, 0))[0]
+        assert len(cut) > 1 and set(cut.values()) == {1, 2}
     monkeypatch.setattr(kron, "_lr_row", checked_row)
-    for shapes in (((3, 3, 3),) * 3, ((6,) * 3,) * 3, ((4, 4), (5, 3), (4, 3, 1)), ((4, 4), (4, 4), (3, 3, 2))):
+    for shapes in (((3, 3, 3),) * 3, ((6,) * 3,) * 3, ((4, 4), (5, 3), (4, 3, 1)), ((4, 4), (4, 4), (3, 3, 2)),
+                   ((5, 3, 1), (4, 3, 2), (4, 4, 1))):
         evaluated.clear()
         with scope() as work:
             value = kronecker(*shapes, method="lr")
@@ -173,11 +183,29 @@ def test_lr_terms_count_every_lr_coefficient_evaluated(monkeypatch):
         assert value == kronecker(*shapes, method="triple")
 
 
+def test_add_band_sums_over_the_union_of_two_spans():
+    assert kron._add_band(3, [1, 2], 1, [5, 5, 5, 5, 5]) == (1, [5, 5, 6, 7, 5])  # starts earlier, ends later
+    assert kron._add_band(1, [1, 1, 1], 2, [2]) == (1, [1, 3, 1])
+    assert kron._add_band(0, [1], 2, [4, 4]) == (0, [1, 0, 4, 4])
+    assert kron._add_band(3, [1], 0, [2]) == (0, [2, 0, 0, 1])
+
+
 def test_k_rect_3_16_lr_work_is_pinned():
-    # 131,389 LR coefficients when each of the six sigma ran one pair at a time
+    # 131,389 LR coefficients when each of the six sigma ran one pair at a time, 102,318 when every row
+    # ran over the whole partition list
     with scope() as work:
         assert k_rect(3, 16) == 10
-    assert work == {"route": "lr", "lr_terms": 102318}
+    assert work == {"route": "lr", "lr_terms": 38740}
+
+
+def test_lr_route_leaves_no_module_container_grown():
+    # the partition lists live as long as one call
+    def sizes():
+        return {name: len(value) for name, value in vars(kron).items() if isinstance(value, (dict, list, set))}
+
+    before = sizes()
+    assert k_rect(3, 16) == 10
+    assert sizes() == before
 
 
 def _three_rows(n):
@@ -188,15 +216,15 @@ def test_lr_row_against_characters():
     # c^nu_{lam mu} = sum over rho |- |lam|, pi |- |mu| of chi_lam(rho) chi_mu(pi) chi_nu(rho u pi) / (z_rho z_pi)
     pad = lambda s: tuple(s) + (0,) * (3 - len(s))
     for a, b in itertools.product(range(5), repeat=2):
-        mus = kron._boxed(b, (b, b, b))
+        mus, at = kron._indexed(b, (b, b, b), {})
         for lam, nu in itertools.product(_three_rows(a), _three_rows(a + b)):
             expected = [sum(Fraction(character_value(lam, rho) * character_value(mu, pi)
                                      * character_value(nu, sorted(rho + pi, reverse=True)),
                                      centralizer_order(rho) * centralizer_order(pi))
                             for rho in partition_tuples(a) for pi in partition_tuples(b))
                         for mu in (tuple(p for p in mu if p) for mu in mus)]
-            row = kron._lr_row(pad(nu), pad(lam), mus)
-            assert row + [0] * (len(mus) - len(row)) == expected, (nu, lam)
+            off, row = kron._lr_row(pad(nu), pad(lam), mus, at)
+            assert [0] * off + row + [0] * (len(mus) - off - len(row)) == expected, (nu, lam)
 
 
 def test_lr_route_agrees_with_both_routes():
@@ -208,7 +236,7 @@ def test_lr_route_agrees_with_both_routes():
 
 
 @settings(max_examples=40, deadline=None)
-@given(shapes=st.integers(9, 18).flatmap(lambda n: st.tuples(*[st.sampled_from(_three_rows(n))] * 3)))
+@given(shapes=st.integers(9, 24).flatmap(lambda n: st.tuples(*[st.sampled_from(_three_rows(n))] * 3)))
 def test_lr_route_matches_both_oracles_past_the_exhaustive_range(shapes):
     ids = tuple(kron._sid(s) for s in shapes)
     value = kronecker(*shapes, method="lr")
