@@ -4,11 +4,12 @@ tensors of algebraic complexity (determinant, permanent, product of
 variables, power sums, unit tensor, matrix multiplication tensor).
 
 All arithmetic is exact: rationals everywhere, arbitrary-precision
-integers for signed counts.
+integers for signed counts.  Oracles that only check the library (the
+group action on tensors, the partition enumerations) live with its tests.
 """
 
 from .budget import BudgetExhausted, Deadline, scope
-from .exact import Partition, multinomial, partitions_of, perm_sign
+from .exact import Partition, multinomial, perm_sign
 from .kron import (
     MonoidReport,
     character_value,
@@ -29,7 +30,6 @@ from .spaces import (
     NamedObject,
     SparseForm,
     SparseTensor,
-    apply_action,
     form_to_tensor,
     parse_form,
     parse_tensor,

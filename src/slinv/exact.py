@@ -8,6 +8,7 @@ Floating point never appears on a value-bearing path.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -108,7 +109,7 @@ class Partition(Frozen):
     def of(parts: Union["Partition", Iterable[int]]) -> "Partition":
         if isinstance(parts, Partition):
             return parts
-        return Partition(tuple(int(p) for p in parts))
+        return Partition(tuple(map(operator.index, parts)))
 
     @property
     def n(self) -> int:
@@ -139,57 +140,15 @@ class Partition(Frozen):
         return Partition((width,) * rows)
 
 
-def partition_tuples(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of n as descending tuples, reverse-lexicographic order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if max_part is None or max_part > n:
-        max_part = n
-
-    def gen(remaining: int, cap: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield prefix
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            yield from gen(remaining - part, part, prefix + (part,))
-
-    yield from gen(n, max_part, ())
-
-
-def partitions_of(n: int) -> list[Partition]:
-    """All partitions of n, deterministic reverse-lexicographic order."""
-    return [Partition(t) for t in partition_tuples(n)]
-
-
-_PCOUNT_CACHE: dict[int, int] = {}
-
-
 def partition_count(n: int) -> int:
-    """p(n), via Euler's pentagonal recurrence (cached); 0 for n < 0."""
+    """p(n), the number of partitions of n, by a DP over the part sizes; 0 for n < 0."""
     if n < 0:
         return 0
-    got = _PCOUNT_CACHE.get(n)
-    if got is not None:
-        return got
-    table = [1]
-    for k in range(1, n + 1):
-        total = 0
-        j = 1
-        while True:
-            g1 = j * (3 * j - 1) // 2
-            g2 = j * (3 * j + 1) // 2
-            if g1 > k and g2 > k:
-                break
-            sign = -1 if j % 2 == 0 else 1
-            if g1 <= k:
-                total += sign * table[k - g1]
-            if g2 <= k:
-                total += sign * table[k - g2]
-            j += 1
-        table.append(total)
-    for k, v in enumerate(table):
-        _PCOUNT_CACHE[k] = v
-    return table[n]
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            ways[total] += ways[total - part]
+    return ways[n]
 
 
 def multinomial(alpha: Iterable[int]) -> int:

@@ -1,4 +1,4 @@
-"""Forms, tensors, the named instances, group actions, and text (de)serialization.
+"""Forms, tensors, the named instances, and text (de)serialization.
 
 A form of degree D in m variables is a sparse coefficient map
 exponent vector -> scalar; a tensor is a sparse map index tuple -> scalar.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -36,6 +37,27 @@ class ParseError(ValueError):
         self.line = line
 
 
+def _terms(items: Mapping[tuple[int, ...], object], key_error: Callable[[tuple[int, ...]], Optional[str]]
+           ) -> dict[tuple[int, ...], Fraction]:
+    """The nonzero terms of items as exact scalars, polling the deadline in effect per 1,024 terms.
+
+    Each key is read as a tuple of ints (a float in it raises TypeError) and
+    handed to key_error, which returns None or the message of the ValueError.
+    """
+    clean, deadline = {}, active()
+    for count, (key, value) in enumerate(items.items()):
+        if count & 0x3FF == 0x3FF:
+            deadline.check()
+        key = tuple(map(operator.index, key))
+        message = key_error(key)
+        if message:
+            raise ValueError(message)
+        value = as_scalar(value)
+        if value:
+            clean[key] = value
+    return clean
+
+
 class SparseForm:
     """Homogeneous form: coefficients keyed by exponent vectors of total degree D.  Building one checks
     every term and polls the deadline in effect per 1,024 terms."""
@@ -45,22 +67,16 @@ class SparseForm:
     def __init__(self, m: int, D: int, coeffs: Mapping[tuple[int, ...], object]):
         if m < 1 or D < 0:
             raise ValueError("need m >= 1 and D >= 0")
-        clean: dict[tuple[int, ...], Fraction] = {}
-        deadline = active()
-        for count, (alpha, value) in enumerate(coeffs.items()):
-            if count & 0x3FF == 0x3FF:
-                deadline.check()
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != m or any(a < 0 for a in alpha):
-                raise ValueError(f"bad exponent vector {alpha} for m={m}")
-            if sum(alpha) != D:
-                raise ValueError(f"exponent vector {alpha} has degree != {D}")
-            v = as_scalar(value)
-            if v != 0:
-                clean[alpha] = v
         self.m = m
         self.D = D
-        self.coeffs = clean
+        self.coeffs = _terms(coeffs, self._key_error)
+
+    def _key_error(self, alpha: tuple[int, ...]) -> Optional[str]:
+        if len(alpha) != self.m or min(alpha) < 0:
+            return f"bad exponent vector {alpha} for m={self.m}"
+        if sum(alpha) != self.D:
+            return f"exponent vector {alpha} has degree != {self.D}"
+        return None
 
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self.coeffs)
@@ -83,22 +99,15 @@ class SparseTensor:
     __slots__ = ("shape", "entries")
 
     def __init__(self, shape: Sequence[int], entries: Mapping[tuple[int, ...], object]):
-        shape = tuple(int(s) for s in shape)
-        if len(shape) < 1 or any(s < 1 for s in shape):
+        self.shape = shape = tuple(map(operator.index, shape))
+        if len(shape) < 1 or min(shape) < 1:
             raise ValueError(f"bad shape {shape}")
-        clean: dict[tuple[int, ...], Fraction] = {}
-        deadline = active()
-        for count, (idx, value) in enumerate(entries.items()):
-            if count & 0x3FF == 0x3FF:
-                deadline.check()
-            idx = tuple(int(i) for i in idx)
-            if len(idx) != len(shape) or any(not (1 <= i <= s) for i, s in zip(idx, shape)):
-                raise ValueError(f"index {idx} out of shape {shape}")
-            v = as_scalar(value)
-            if v != 0:
-                clean[idx] = v
-        self.shape = shape
-        self.entries = clean
+        self.entries = _terms(entries, self._key_error)
+
+    def _key_error(self, idx: tuple[int, ...]) -> Optional[str]:
+        if len(idx) != len(self.shape) or min(idx) < 1 or not all(map(operator.le, idx, self.shape)):
+            return f"index {idx} out of shape {self.shape}"
+        return None
 
     @property
     def order(self) -> int:
@@ -458,150 +467,97 @@ NamedObject.__doc__ = (
                 for kind, record in _KINDS.items()))
 
 
-Matrix = Sequence[Sequence[object]]
-
-
-def apply_action(v: SparseTensor, mats: Sequence[Matrix]) -> SparseTensor:
-    """Transform a tensor by one square matrix per axis, exactly.
-
-    w(mu) = sum_r v(r) prod_axis g_axis[mu_axis][r_axis]; matrices are
-    row-major with g[row][col], 0-based, entries coercible to Fraction.
-    """
-    if len(mats) != v.order:
-        raise ValueError(f"need {v.order} matrices, got {len(mats)}")
-    dims = v.shape
-    gs = []
-    for axis, g in enumerate(mats):
-        d = dims[axis]
-        if len(g) != d or any(len(row) != d for row in g):
-            raise ValueError(f"matrix for axis {axis} must be {d} x {d}")
-        gs.append([[as_scalar(x) for x in row] for row in g])
-
-    entries: dict[tuple[int, ...], Fraction] = dict(v.entries)
-    for axis, g in enumerate(gs):
-        d = dims[axis]
-        # nonzero column entries of g, indexed by the source coordinate
-        col_nonzero = [[(row + 1, g[row][col]) for row in range(d) if g[row][col] != 0] for col in range(d)]
-        new: dict[tuple[int, ...], Fraction] = {}
-        for idx, val in entries.items():
-            src = idx[axis] - 1
-            for target, coeff in col_nonzero[src]:
-                nidx = idx[:axis] + (target,) + idx[axis + 1 :]
-                acc = new.get(nidx)
-                acc = coeff * val if acc is None else acc + coeff * val
-                if acc == 0:
-                    new.pop(nidx, None)
-                else:
-                    new[nidx] = acc
-        entries = new
-    return SparseTensor(dims, entries)
-
-
 # ----------------------------------------------------------------------------
 # Text formats (UTF-8, line oriented).  Missing keys mean zero; duplicate
 # keys are an error; serialize(parse(x)) is byte-identical on canonical text.
 # ----------------------------------------------------------------------------
 
 
-def _parse_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line:
-            yield lineno, line
+def _read_header(text: str, usages: Mapping[str, tuple[str, str]]):
+    """(header word, its integer fields, its line number, the later non-blank (line number, line) pairs).
 
-
-def _parse_entry_line(line: str, lineno: int, nindices: int):
-    if ":" not in line:
-        raise ParseError("expected '<indices> : <value>'", lineno)
-    left, _, right = line.partition(":")
-    fields = left.split()
-    if len(fields) != nindices:
-        raise ParseError(f"expected {nindices} indices, got {len(fields)}", lineno)
-    try:
-        idx = tuple(int(f) for f in fields)
-    except ValueError:
-        raise ParseError("indices must be integers", lineno) from None
-    try:
-        value = Fraction(right.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational value {right.strip()!r}", lineno) from None
-    return idx, value
-
-
-def parse_form(text: str) -> SparseForm:
-    lines = list(_parse_lines(text))
+    usages maps each header word of the format to its usage, such as
+    'form <m> <D>' (one integer field per <...>), and the message for a
+    field that is no integer.
+    """
+    lines = [(lineno, line.strip()) for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise ParseError("empty input", 1)
     lineno, header = lines[0]
-    fields = header.split()
-    if len(fields) != 3 or fields[0] != "form":
-        raise ParseError("expected header 'form <m> <D>'", lineno)
+    word, *fields = header.split()
+    if word not in usages and len(usages) > 1:
+        raise ParseError(f"expected {' or '.join(map(repr, usages))} header", lineno)
+    usage, not_integer = usages.get(word) or next(iter(usages.values()))
+    if word not in usages or len(fields) != usage.count("<"):
+        raise ParseError(f"expected header '{usage}'", lineno)
     try:
-        m, D = int(fields[1]), int(fields[2])
+        return word, tuple(map(int, fields)), lineno, lines[1:]
     except ValueError:
-        raise ParseError("m and D must be integers", lineno) from None
-    coeffs: dict[tuple[int, ...], Fraction] = {}
-    for lineno, line in lines[1:]:
-        alpha, value = _parse_entry_line(line, lineno, m)
-        if alpha in coeffs:
-            raise ParseError(f"duplicate key {alpha}", lineno)
-        if any(a < 0 for a in alpha) or sum(alpha) != D:
-            raise ParseError(f"exponent vector {alpha} is not of degree {D}", lineno)
-        coeffs[alpha] = value
+        raise ParseError(not_integer, lineno) from None
+
+
+def _read_entries(lines, nindices: int, key_error: Callable[[tuple[int, ...]], Optional[str]]
+                  ) -> dict[tuple[int, ...], Fraction]:
+    """The '<indices> : <value>' lines after a header as a map; key_error(key) is None or why the format refuses key."""
+    entries: dict[tuple[int, ...], Fraction] = {}
+    for lineno, line in lines:
+        left, colon, right = line.partition(":")
+        if not colon:
+            raise ParseError("expected '<indices> : <value>'", lineno)
+        fields = left.split()
+        if len(fields) != nindices:
+            raise ParseError(f"expected {nindices} indices, got {len(fields)}", lineno)
+        try:
+            key = tuple(map(int, fields))
+        except ValueError:
+            raise ParseError("indices must be integers", lineno) from None
+        try:
+            value = Fraction(right.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad rational value {right.strip()!r}", lineno) from None
+        if key in entries:
+            raise ParseError(f"duplicate key {key}", lineno)
+        message = key_error(key)
+        if message:
+            raise ParseError(message, lineno)
+        entries[key] = value
+    return entries
+
+
+def _write_entries(header: str, entries: Mapping[tuple[int, ...], Fraction]) -> str:
+    """The header line, then one '<indices> : <value>' line per entry in key order."""
+    lines = [header] + [f"{' '.join(map(str, key))} : {format_scalar(entries[key])}" for key in sorted(entries)]
+    return "\n".join(lines) + "\n"
+
+
+def parse_form(text: str) -> SparseForm:
+    _, (m, D), _, lines = _read_header(text, {"form": ("form <m> <D>", "m and D must be integers")})
+    coeffs = _read_entries(lines, m, lambda alpha: None if min(alpha, default=0) >= 0 and sum(alpha) == D
+                           else f"exponent vector {alpha} is not of degree {D}")
     return SparseForm(m, D, coeffs)
 
 
 def serialize_form(f: SparseForm) -> str:
-    out = [f"form {f.m} {f.D}"]
-    for alpha in sorted(f.coeffs):
-        out.append(f"{' '.join(str(a) for a in alpha)} : {format_scalar(f.coeffs[alpha])}")
-    return "\n".join(out) + "\n"
+    return _write_entries(f"form {f.m} {f.D}", f.coeffs)
 
 
 def parse_tensor(text: str) -> SparseTensor:
-    lines = list(_parse_lines(text))
-    if not lines:
-        raise ParseError("empty input", 1)
-    lineno, header = lines[0]
-    fields = header.split()
-    if fields[0] == "tensor":
-        if len(fields) != 4:
-            raise ParseError("expected header 'tensor <m1> <m2> <m3>'", lineno)
-        try:
-            shape = tuple(int(f) for f in fields[1:])
-        except ValueError:
-            raise ParseError("axis dimensions must be integers", lineno) from None
-    elif fields[0] == "tensor-cubic":
-        if len(fields) != 3:
-            raise ParseError("expected header 'tensor-cubic <m> <D>'", lineno)
-        try:
-            m, D = int(fields[1]), int(fields[2])
-        except ValueError:
-            raise ParseError("m and D must be integers", lineno) from None
+    word, shape, lineno, lines = _read_header(text, {
+        "tensor": ("tensor <m1> <m2> <m3>", "axis dimensions must be integers"),
+        "tensor-cubic": ("tensor-cubic <m> <D>", "m and D must be integers")})
+    if word == "tensor-cubic":
+        m, D = shape
         if D < 1:
             raise ParseError("order D must be >= 1", lineno)
         shape = (m,) * D
-    else:
-        raise ParseError("expected 'tensor' or 'tensor-cubic' header", lineno)
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for lineno, line in lines[1:]:
-        idx, value = _parse_entry_line(line, lineno, len(shape))
-        if idx in entries:
-            raise ParseError(f"duplicate key {idx}", lineno)
-        if any(not (1 <= i <= s) for i, s in zip(idx, shape)):
-            raise ParseError(f"index {idx} out of shape {shape}", lineno)
-        entries[idx] = value
+    entries = _read_entries(lines, len(shape), lambda idx: None if all(1 <= i <= s for i, s in zip(idx, shape))
+                            else f"index {idx} out of shape {shape}")
     return SparseTensor(shape, entries)
 
 
 def serialize_tensor(t: SparseTensor) -> str:
-    if t.order != 3 and not t.is_cubic():
-        raise ValueError("only order-3 or cubic tensors have a text format")
     if t.order == 3:
-        header = f"tensor {t.shape[0]} {t.shape[1]} {t.shape[2]}"
-    else:
-        header = f"tensor-cubic {t.shape[0]} {t.order}"
-    out = [header]
-    for idx in sorted(t.entries):
-        out.append(f"{' '.join(str(i) for i in idx)} : {format_scalar(t.entries[idx])}")
-    return "\n".join(out) + "\n"
+        return _write_entries(f"tensor {t.shape[0]} {t.shape[1]} {t.shape[2]}", t.entries)
+    if t.is_cubic():
+        return _write_entries(f"tensor-cubic {t.shape[0]} {t.order}", t.entries)
+    raise ValueError("only order-3 or cubic tensors have a text format")

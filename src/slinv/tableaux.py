@@ -44,7 +44,7 @@ import itertools
 import math
 
 from .exact import Frozen, sequence_sign
-from .spaces import ParseError
+from .spaces import ParseError, _read_header
 
 
 class Tableau(Frozen):
@@ -145,21 +145,11 @@ def _point_steps(n1: int, n2: int, n3: int, candidates: list) -> list[tuple]:
 
 
 def parse_tableau(text: str) -> Tableau:
-    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines:
-        raise ParseError("empty input", 1)
-    lineno, header = lines[0]
-    fields = header.split()
-    if len(fields) != 3 or fields[0] != "tableau":
-        raise ParseError("expected header 'tableau <m> <s>'", lineno)
-    try:
-        m, s = int(fields[1]), int(fields[2])
-    except ValueError:
-        raise ParseError("m and s must be integers", lineno) from None
-    if len(lines) - 1 != m:
-        raise ParseError(f"expected {m} rows, got {len(lines) - 1}", lineno)
+    _, (m, s), header_line, lines = _read_header(text, {"tableau": ("tableau <m> <s>", "m and s must be integers")})
+    if len(lines) != m:
+        raise ParseError(f"expected {m} rows, got {len(lines)}", header_line)
     rows = []
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         try:
             row = tuple(int(x) for x in line.split())
         except ValueError:
@@ -171,7 +161,7 @@ def parse_tableau(text: str) -> Tableau:
     try:
         return Tableau(tuple(rows), d=d)
     except ValueError as exc:
-        raise ParseError(str(exc), lines[0][0]) from None
+        raise ParseError(str(exc), header_line) from None
 
 
 def serialize_tableau(T: Tableau) -> str:

@@ -21,6 +21,7 @@ entry here if it decides by a new evaluation) and its tests.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -395,7 +396,7 @@ def semigroup_report(generators: Sequence[int]) -> SemigroupReport:
     representable; that bound is provable and handles non-coprime pairs of
     smallest generators gracefully.
     """
-    gens = tuple(sorted(set(int(g) for g in generators)))
+    gens = tuple(sorted(set(map(operator.index, generators))))
     if not gens or gens[0] < 1:
         raise ValueError("generators must be positive integers")
     g = math.gcd(*gens)

@@ -12,7 +12,7 @@ import math
 import random
 from fractions import Fraction
 from collections import Counter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from slinv import kron
 from slinv.budget import active
@@ -78,6 +78,45 @@ def matrix_inverse(g):
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+Matrix = Sequence[Sequence[object]]
+
+
+def apply_action(v: SparseTensor, mats: Sequence[Matrix]) -> SparseTensor:
+    """Transform a tensor by one square matrix per axis, exactly.
+
+    w(mu) = sum_r v(r) prod_axis g_axis[mu_axis][r_axis]; matrices are
+    row-major with g[row][col], 0-based, entries coercible to Fraction.
+    """
+    if len(mats) != v.order:
+        raise ValueError(f"need {v.order} matrices, got {len(mats)}")
+    dims = v.shape
+    gs = []
+    for axis, g in enumerate(mats):
+        d = dims[axis]
+        if len(g) != d or any(len(row) != d for row in g):
+            raise ValueError(f"matrix for axis {axis} must be {d} x {d}")
+        gs.append([[as_scalar(x) for x in row] for row in g])
+
+    entries: dict[tuple[int, ...], Fraction] = dict(v.entries)
+    for axis, g in enumerate(gs):
+        d = dims[axis]
+        # nonzero column entries of g, indexed by the source coordinate
+        col_nonzero = [[(row + 1, g[row][col]) for row in range(d) if g[row][col] != 0] for col in range(d)]
+        new: dict[tuple[int, ...], Fraction] = {}
+        for idx, val in entries.items():
+            src = idx[axis] - 1
+            for target, coeff in col_nonzero[src]:
+                nidx = idx[:axis] + (target,) + idx[axis + 1 :]
+                acc = new.get(nidx)
+                acc = coeff * val if acc is None else acc + coeff * val
+                if acc == 0:
+                    new.pop(nidx, None)
+                else:
+                    new[nidx] = acc
+        entries = new
+    return SparseTensor(dims, entries)
 
 
 def brute_tableau_invariant(T: Tableau, v: SparseTensor) -> Fraction:
@@ -430,6 +469,28 @@ def power_sum_tableau(D: int, m: int) -> Tableau:
         row = [2 * r - 1 if j in chosen else 2 * r for j in range(1, 2 * D + 1)]
         rows.append(row)
     return Tableau(tuple(tuple(row) for row in rows), d=2 * m)
+
+
+def partition_tuples(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+    """All partitions of n as descending tuples, reverse-lexicographic order."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if max_part is None or max_part > n:
+        max_part = n
+
+    def gen(remaining: int, cap: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield prefix
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            yield from gen(remaining - part, part, prefix + (part,))
+
+    yield from gen(n, max_part, ())
+
+
+def partitions_of(n: int) -> list[Partition]:
+    """All partitions of n, deterministic reverse-lexicographic order."""
+    return [Partition(t) for t in partition_tuples(n)]
 
 
 def centralizer_order(rho: Partition | Sequence[int]) -> int:

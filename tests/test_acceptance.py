@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    apply_action,
     brute_signed_admissible_tables,
     brute_signed_latin_annuli,
     brute_signed_latin_squares,
@@ -37,7 +38,6 @@ from slinv.spaces import (
     NamedObject,
     SparseForm,
     SparseTensor,
-    apply_action,
     determinant_form,
     form_to_tensor,
     matmul_tensor,

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import centralizer_order
+from helpers import centralizer_order, partitions_of
 from slinv.exact import (
     Partition,
     as_scalar,
     format_scalar,
     multinomial,
     partition_count,
-    partitions_of,
     perm_sign,
     sequence_sign,
 )
@@ -51,6 +50,17 @@ def test_partitions_of_counts_and_order():
 def test_partition_count_against_enumeration():
     for n in range(13):
         assert partition_count(n) == len(partitions_of(n))
+
+
+def test_partition_count_at_100_and_200():
+    assert partition_count(100) == 190_569_292
+    assert partition_count(200) == 3_972_999_029_388
+    assert partition_count(-1) == 0
+
+
+def test_partition_of_refuses_a_float_part():
+    with pytest.raises(TypeError):
+        Partition.of([2.9, 1])
 
 
 def test_partition_validation_and_conjugate():

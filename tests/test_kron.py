@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import _cut_oracle, centralizer_order, classsum_oracle, lr3_oracle, lr_oracle
+from helpers import _cut_oracle, centralizer_order, classsum_oracle, lr3_oracle, lr_oracle, partition_tuples, partitions_of
 from slinv import kron
 from slinv.budget import BudgetExhausted, Deadline, scope
-from slinv.exact import Partition, partition_tuples, partitions_of
+from slinv.exact import Partition
 from slinv.kron import (
     character_value,
     exponent_monoid,
@@ -51,6 +51,12 @@ def test_kronecker_with_trivial_shape():
         for lam in partition_tuples(n):
             assert kronecker(lam, lam, (n,)) == 1
     assert kronecker((1, 1), (1, 1), (2,)) == 1
+
+
+def test_kronecker_refuses_a_float_part():
+    # truncating 2.5 would answer g((2,1),(2,1),(2,1)) = 1
+    with pytest.raises(TypeError):
+        kronecker([2.5, 1], [2, 1], [2, 1])
 
 
 def test_kronecker_strassen_uniqueness():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import matrix_inverse, random_integer_matrix, random_invertible_matrix
+from helpers import apply_action, matrix_inverse, random_integer_matrix, random_invertible_matrix
 from slinv.budget import BudgetExhausted, Deadline, scope
 from slinv.exact import multinomial
 from slinv.spaces import (
@@ -13,7 +13,6 @@ from slinv.spaces import (
     ParseError,
     SparseForm,
     SparseTensor,
-    apply_action,
     determinant_form,
     form_to_tensor,
     matmul_tensor,
@@ -26,6 +25,7 @@ from slinv.spaces import (
     serialize_tensor,
     unit_tensor,
 )
+from slinv.tableaux import parse_tableau
 
 
 def test_named_form_examples():
@@ -56,6 +56,16 @@ def test_form_rejects_bad_keys():
         SparseForm(2, 3, {(4, -1): 1})
     # zero coefficients are droppable, zero form is legal
     assert SparseForm(2, 3, {(2, 1): 0}).coeffs == {}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SparseForm(2, 2, {(1.7, 1): 3}),
+    lambda: SparseTensor((2, 2, 2), {(1.9, 1, 1): 1}),
+    lambda: SparseTensor((2.0, 2, 2), {}),
+], ids=["form-key", "tensor-key", "tensor-shape"])
+def test_a_float_key_or_shape_is_refused_not_truncated(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_form_to_tensor_known_values():
@@ -188,6 +198,50 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line == 2
     with pytest.raises(ParseError):
         parse_tensor("vector 2 2 2\n")
+
+
+_READER_CASES = {
+    "form": (parse_form, [
+        ("  \n\n", 1, "empty input"),
+        ("\nforms 2 2\n", 2, "expected header 'form <m> <D>'"),
+        ("form 2\n", 1, "expected header 'form <m> <D>'"),
+        ("\n\nform 2 x\n", 3, "m and D must be integers"),
+        ("form 2 2\n2 0 : 1\n\n2 0 : 3\n", 4, "duplicate key (2, 0)"),
+        ("form 2 2\n1 1 : 1\n3 -1 : 2\n", 3, "exponent vector (3, -1) is not of degree 2"),
+    ]),
+    "tensor": (parse_tensor, [
+        ("", 1, "empty input"),
+        ("vector 2 2 2\n", 1, "expected 'tensor' or 'tensor-cubic' header"),
+        ("\ntensor 2 2\n", 2, "expected header 'tensor <m1> <m2> <m3>'"),
+        ("tensor 2 2 two\n", 1, "axis dimensions must be integers"),
+        ("tensor 2 2 2\n1 1 1 : 1\n1 1 1 : 2\n", 3, "duplicate key (1, 1, 1)"),
+        ("tensor 2 3 2\n\n1 3 1 : 1\n1 1 3 : 1\n", 4, "index (1, 1, 3) out of shape (2, 3, 2)"),
+    ]),
+    "tensor-cubic": (parse_tensor, [
+        ("\n", 1, "empty input"),
+        ("tensor-cube 2 2\n", 1, "expected 'tensor' or 'tensor-cubic' header"),
+        ("tensor-cubic 2 3 4\n", 1, "expected header 'tensor-cubic <m> <D>'"),
+        ("\ntensor-cubic 2 1.5\n", 2, "m and D must be integers"),
+        ("tensor-cubic 2 0\n", 1, "order D must be >= 1"),
+        ("tensor-cubic 2 2\n1 2 : 1\n2 1 : 1\n1 2 : 1/2\n", 4, "duplicate key (1, 2)"),
+        ("tensor-cubic 2 2\n0 1 : 1\n", 2, "index (0, 1) out of shape (2, 2)"),
+    ]),
+    "tableau": (parse_tableau, [
+        (" \t\n", 1, "empty input"),
+        ("tableaux 2 2\n1 2\n2 1\n", 1, "expected header 'tableau <m> <s>'"),
+        ("\n\ntableau 2\n", 3, "expected header 'tableau <m> <s>'"),
+        ("tableau x 2\n", 1, "m and s must be integers"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("parse, text, line, message", [
+    pytest.param(parse, text, line, message, id=f"{name}-{number}")
+    for name, (parse, cases) in _READER_CASES.items() for number, (text, line, message) in enumerate(cases)])
+def test_every_reader_reports_the_same_message_and_line(parse, text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
 
 
 def test_named_object_validation():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    apply_action,
     brute_tableau_invariant,
     leibniz_det,
     power_sum_tableau,
@@ -23,7 +24,6 @@ from slinv.spaces import (
     ParseError,
     SparseForm,
     SparseTensor,
-    apply_action,
     form_to_tensor,
     power_sum_form,
     product_form,

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slinv
-from helpers import brute_tensor_invariant_format, dfs_signed_sum, leibniz_det, random_integer_matrix
+from helpers import apply_action, brute_tensor_invariant_format, dfs_signed_sum, leibniz_det, random_integer_matrix
 from slinv import kernel
 from slinv.kernel import _integer_weights
 from slinv.latin import invariant, signed_latin_cubes
-from slinv.spaces import SparseTensor, apply_action, matmul_tensor, pair_index, unit_tensor
+from slinv.spaces import SparseTensor, matmul_tensor, pair_index, unit_tensor
 from slinv.tableaux import _point_steps
 
 

@@ -432,6 +432,12 @@ def test_sylvester_property_on_random_coprime_pairs():
         checked += 1
 
 
+def test_semigroup_generators_must_be_integers():
+    # a float generator is refused, not truncated to the semigroup of (2, 5)
+    with pytest.raises(TypeError):
+        semigroup_report([2.5, 5])
+
+
 def test_semigroup_non_coprime_smallest_pair():
     # smallest two generators share a factor; the run-based sieve still works
     report = semigroup_report([6, 10, 15])
