@@ -15,9 +15,9 @@ Three independent exact routes produce Kronecker coefficients:
   of the call.  It accumulates chi*chi*chi times the class size;
 * a coupled strip recursion, the reference method: remove one border strip
   of equal length from all three shapes at once and divide by the
-  remaining size, memoized on the unordered shape triple.  Every memoized
-  value is itself a Kronecker coefficient, so nonnegativity and
-  divisibility are checked at each node;
+  remaining size, memoized on the sorted triple of beta-set bitmasks.
+  Every memoized value is itself a Kronecker coefficient, so
+  nonnegativity and divisibility are checked at each node;
 * a Littlewood-Richardson route for shapes of at most 3 rows: Jacobi-Trudi
   on s_nu and the expansion of s_lam * h_alpha (Garsia-Remmel 1985) give
   g(lam, mu, nu) = sum over sigma in S_3 of sgn(sigma) times
@@ -43,6 +43,10 @@ The coupled recursion is never dispatched: only an explicit
 method='triple' runs it.  An explicit method runs its route whatever the
 bounds say, so the three routes stay independent oracles; the test suite
 cross-checks them against each other and the bounds against the class sum.
+
+The class sum, the coupled recursion and `character_value` remove border
+strips by one rule, `_bead_moves` on beta-set bitmasks.  The tests keep an
+independent strip rule on beta-number lists (tests/helpers.py) as its oracle.
 """
 
 from __future__ import annotations
@@ -58,169 +62,14 @@ from .exact import Partition, partition_count
 
 PartitionLike = Union[Partition, Iterable[int]]
 
-# ----------------------------------------------------------------------------
-# Interned shapes and border-strip tables
-# ----------------------------------------------------------------------------
-
-_SHAPES: list[tuple[int, ...]] = []
-_SID: dict[tuple[int, ...], int] = {}
-_STRIPS: list[Optional[dict[int, tuple[tuple[int, int], ...]]]] = []
-# Triple-memo keys pack three shape ids into 21 bits each; past this many
-# interned shapes two different triples would share a key.
-_SID_LIMIT = 1 << 21
-
-
-def _sid(shape: tuple[int, ...]) -> int:
-    got = _SID.get(shape)
-    if got is not None:
-        return got
-    sid = len(_SHAPES)
-    if sid >= _SID_LIMIT:
-        raise OverflowError(
-            f"{_SID_LIMIT} shapes interned: the triple-memo key packing (21 bits per id) is exhausted")
-    _SID[shape] = sid
-    _SHAPES.append(shape)
-    _STRIPS.append(None)
-    return sid
-
-
-def _strips(sid: int) -> dict[int, tuple[tuple[int, int], ...]]:
-    """Border strips removable from a shape: length -> ((sub_sid, sign), ...).
-
-    Computed on first-column hook (beta) numbers: removing a strip of
-    length l replaces some beta by beta - l when that value is free; the
-    sign is (-1)^(rows crossed).
-    """
-    table = _STRIPS[sid]
-    if table is not None:
-        return table
-    shape = _SHAPES[sid]
-    r = len(shape)
-    beta = [shape[i] + (r - 1 - i) for i in range(r)]
-    beta_set = set(beta)
-    out: dict[int, list[tuple[int, int]]] = {}
-    for i, b in enumerate(beta):
-        for new in range(b - 1, -1, -1):
-            if new in beta_set:
-                continue
-            length = b - new
-            height = sum(1 for x in beta if new < x < b)
-            nb = sorted(beta_set - {b} | {new}, reverse=True)
-            parts = tuple(nb[k] - (r - 1 - k) for k in range(r))
-            parts = tuple(p for p in parts if p > 0)
-            out.setdefault(length, []).append((_sid(parts), -1 if height & 1 else 1))
-    frozen = {length: tuple(subs) for length, subs in out.items()}
-    _STRIPS[sid] = frozen
-    return frozen
-
 
 def _as_shape(p: PartitionLike) -> tuple[int, ...]:
     return Partition.of(p).parts
 
 
 # ----------------------------------------------------------------------------
-# Characters via Murnaghan-Nakayama
+# Beta-sets and border strips
 # ----------------------------------------------------------------------------
-
-_CHAR_MEMO: dict[tuple[int, tuple[int, ...]], int] = {}
-
-
-def _char(sid: int, cycles: tuple[int, ...]) -> int:
-    if not cycles:
-        return 1
-    key = (sid, cycles)
-    got = _CHAR_MEMO.get(key)
-    if got is not None:
-        return got
-    total = 0
-    rest = cycles[1:]
-    for sub, sign in _strips(sid).get(cycles[0], ()):
-        total += sign * _char(sub, rest)
-    _CHAR_MEMO[key] = total
-    return total
-
-
-def character_value(lam: PartitionLike, rho: PartitionLike) -> int:
-    """Irreducible character of S_N of shape lam at cycle type rho, exactly.
-
-    Border-strip recursion, memoized on (remaining shape, remaining cycle
-    multiset), cycles consumed largest-first.
-    """
-    lam = _as_shape(lam)
-    rho = _as_shape(rho)
-    if sum(lam) != sum(rho):
-        raise ValueError(f"|lam| = {sum(lam)} but |rho| = {sum(rho)}")
-    return _char(_sid(lam), tuple(sorted(rho, reverse=True)))
-
-
-# ----------------------------------------------------------------------------
-# Kronecker coefficients
-# ----------------------------------------------------------------------------
-
-_TRIPLE_MEMO: dict[int, int] = {}
-
-
-def _triple(a: int, b: int, c: int) -> int:
-    # canonical order: a <= b <= c
-    if a > b:
-        a, b = b, a
-    if b > c:
-        b, c = c, b
-    if a > b:
-        a, b = b, a
-    key = a | (b << 21) | (c << 42)
-    got = _TRIPLE_MEMO.get(key)
-    if got is not None:
-        return got
-    return _triple_compute(a, b, c, key)
-
-
-def _triple_compute(a: int, b: int, c: int, key: int) -> int:
-    # callers guarantee a <= b <= c and a cache miss on key
-    memo = _TRIPLE_MEMO
-    if not len(memo) & 1023:  # one memo entry per computed node
-        active().check()
-    s = sum(_SHAPES[a])
-    if s == 0:
-        memo[key] = 1
-        return 1
-    sa, sb, sc = _strips(a), _strips(b), _strips(c)
-    if len(sb) < len(sa):
-        sa, sb = sb, sa
-    if len(sc) < len(sa):
-        sa, sc = sc, sa
-    total = 0
-    for length, la in sa.items():
-        lb = sb.get(length)
-        if lb is None:
-            continue
-        lc = sc.get(length)
-        if lc is None:
-            continue
-        for sub_a, sign_a in la:
-            for sub_b, sign_b in lb:
-                sign_ab = sign_a * sign_b
-                for sub_c, sign_c in lc:
-                    # inline canonicalization + memo probe of the child
-                    x, y, z = sub_a, sub_b, sub_c
-                    if x > y:
-                        x, y = y, x
-                    if y > z:
-                        y, z = z, y
-                    if x > y:
-                        x, y = y, x
-                    child_key = x | (y << 21) | (z << 42)
-                    v = memo.get(child_key)
-                    if v is None:
-                        v = _triple_compute(x, y, z, child_key)
-                    total += sign_ab * sign_c * v
-    if total % s != 0:
-        raise AssertionError(f"strip recursion sum {total} not divisible by {s}")
-    value = total // s
-    if value < 0:
-        raise AssertionError(f"negative Kronecker value {value}")
-    memo[key] = value
-    return value
 
 
 def _beta_mask(shape: tuple[int, ...], rows: int) -> int:
@@ -231,11 +80,16 @@ def _beta_mask(shape: tuple[int, ...], rows: int) -> int:
     return mask
 
 
+def _beads(mask: int) -> tuple[list[int], int]:
+    """(bead positions of beta-set `mask`, ascending; its shape's size sum_i b_i - r(r-1)/2 for r beads)."""
+    beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    return beads, sum(beads) - len(beads) * (len(beads) - 1) // 2
+
+
 def _beta_dim(mask: int) -> int:
     """f^s = chi_s(1^n) of the shape with beta-set `mask`: n! prod_{i<j} (b_j - b_i) / prod_i b_i!."""
     mask >>= (~mask & (mask + 1)).bit_length() - 1  # the beads 0, 1, ... at the bottom are empty rows
-    beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
-    n = sum(beads) - len(beads) * (len(beads) - 1) // 2
+    beads, n = _beads(mask)
     gaps = math.prod(b - a for a, b in itertools.combinations(beads, 2))
     return math.factorial(n) * gaps // math.prod(map(math.factorial, beads))
 
@@ -255,6 +109,97 @@ def _bead_moves(mask: int, length: int) -> list[tuple[int, int]]:
         crossed = (mask & (top - 1) & ~((bottom << 1) - 1)).bit_count()
         out.append((mask ^ top ^ bottom, -1 if crossed & 1 else 1))
     return out
+
+
+# ----------------------------------------------------------------------------
+# Characters via Murnaghan-Nakayama
+# ----------------------------------------------------------------------------
+
+
+def character_value(lam: PartitionLike, rho: PartitionLike) -> int:
+    """Irreducible character of S_N of shape lam at cycle type rho, exactly.
+
+    Border-strip recursion on lam's beta-set, cycles consumed largest-first,
+    memoized for one call: after each cycle the shapes reached are one
+    coefficient vector, so a shape reached along several paths is expanded once.
+    """
+    lam = _as_shape(lam)
+    rho = _as_shape(rho)
+    if sum(lam) != sum(rho):
+        raise ValueError(f"|lam| = {sum(lam)} but |rho| = {sum(rho)}")
+    vec = {_beta_mask(lam, len(lam)): 1}
+    for length in rho:  # a partition's parts descend
+        out: dict[int, int] = {}
+        for mask, coeff in vec.items():
+            for sub, sign in _bead_moves(mask, length):
+                out[sub] = out.get(sub, 0) + sign * coeff
+        vec = {mask: c for mask, c in out.items() if c}
+    return sum(vec.values())  # the empty shape's coefficient, if any
+
+
+# ----------------------------------------------------------------------------
+# Kronecker coefficients
+# ----------------------------------------------------------------------------
+
+# the coupled recursion's memo on sorted beta-mask triples, and its strip tables: mask -> {length: moves}
+_TRIPLE_MEMO: dict[tuple[int, int, int], int] = {}
+_SHAPES: dict[int, dict[int, list[tuple[int, int]]]] = {}
+
+
+def _strip_table(mask: int) -> dict[int, list[tuple[int, int]]]:
+    table = _SHAPES.get(mask)
+    if table is None:
+        # a bead at b moves down by at most b
+        moves = ((length, _bead_moves(mask, length)) for length in range(1, mask.bit_length()))
+        table = _SHAPES[mask] = {length: subs for length, subs in moves if subs}
+    return table
+
+
+def _triple(a: int, b: int, c: int) -> int:
+    """g of the shapes with beta-masks a, b, c of one size and row count.  A mask's popcount is its row
+    count, so equal masks are equal shapes; two paddings of one shape only miss a memo hit."""
+    if a > b:
+        a, b = b, a
+    if b > c:
+        b, c = c, b
+    if a > b:
+        a, b = b, a
+    memo = _TRIPLE_MEMO
+    key = (a, b, c)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    if not len(memo) & 1023:  # one memo entry per computed node
+        active().check()
+    s = _beads(a)[1]
+    if s == 0:
+        memo[key] = 1
+        return 1
+    sa, sb, sc = sorted((_strip_table(a), _strip_table(b), _strip_table(c)), key=len)
+    total = 0
+    for length, la in sa.items():
+        lb, lc = sb.get(length), sc.get(length)
+        if lb is None or lc is None:
+            continue
+        for (x, sign_a), (y, sign_b), (z, sign_c) in itertools.product(la, lb, lc):
+            # the child's memo probe inline, in canonical order
+            if x > y:
+                x, y = y, x
+            if y > z:
+                y, z = z, y
+            if x > y:
+                x, y = y, x
+            v = memo.get((x, y, z))
+            if v is None:
+                v = _triple(x, y, z)
+            total += sign_a * sign_b * sign_c * v
+    if total % s != 0:
+        raise AssertionError(f"strip recursion sum {total} not divisible by {s}")
+    value = total // s
+    if value < 0:
+        raise AssertionError(f"negative Kronecker value {value}")
+    memo[key] = value
+    return value
 
 
 def _packed_dominoes(mask: int, width: int, table: dict[int, int]) -> int:
@@ -668,6 +613,8 @@ def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike, method: 
     "memo_entries" (triple-memo entries added) or "lr_terms" (3-row LR
     coefficients the LR route evaluated).
     """
+    if method not in ("auto", "lr", "triple", "class"):
+        raise ValueError(f"unknown method {method!r}")
     shapes = tuple(_as_shape(p) for p in (lam, mu, nu))
     sizes = {sum(s) for s in shapes}
     if len(sizes) != 1:
@@ -676,8 +623,6 @@ def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike, method: 
         method = None
     elif method == "auto":
         method = _route(shapes)
-    elif method not in ("lr", "triple", "class"):
-        raise ValueError(f"unknown method {method!r}")
     record()["route"] = method
     if method is None:
         return 1
@@ -687,8 +632,9 @@ def kronecker(lam: PartitionLike, mu: PartitionLike, nu: PartitionLike, method: 
         return _lr_route(shapes)
     if method == "class":
         return _classsum(shapes)
+    rows = max(map(len, shapes))
     before = len(_TRIPLE_MEMO)
-    value = _triple(*map(_sid, shapes))
+    value = _triple(*(_beta_mask(shape, rows) for shape in shapes))
     tally(memo_entries=len(_TRIPLE_MEMO) - before)
     return value
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .budget import active
-from .exact import Frozen, as_scalar, format_scalar, multinomial, perm_sign
+from .exact import Frozen, as_scalar, format_scalar, multinomial, sequence_sign
 
 
 class ParseError(ValueError):
@@ -145,21 +145,17 @@ def power_sum_form(D: int, m: int) -> SparseForm:
     return SparseForm(m, D, coeffs)
 
 
-def _matrix_var_index(i: int, j: int, n: int) -> int:
-    """0-based position of the variable X_{ij} among the n^2 matrix variables."""
-    return (i - 1) * n + (j - 1)
-
-
 def _matrix_form(n: int, signed: bool) -> SparseForm:
-    """det (signed) or per of an n x n matrix of variables; polls the deadline in effect per 1,024 permutations."""
+    """det (signed) or per of an n x n matrix of variables, X_ij the (i n + j)-th for 0-based i and j; polls
+    the deadline in effect per 1,024 permutations."""
     coeffs, deadline = {}, active()
-    for count, images in enumerate(itertools.permutations(range(1, n + 1))):
+    for count, images in enumerate(itertools.permutations(range(n))):
         if count & 0x3FF == 0x3FF:
             deadline.check()
         alpha = [0] * (n * n)
-        for i, j in enumerate(images, start=1):
-            alpha[_matrix_var_index(i, j, n)] = 1
-        coeffs[tuple(alpha)] = perm_sign(images) if signed else 1
+        for i, j in enumerate(images):
+            alpha[i * n + j] = 1
+        coeffs[tuple(alpha)] = sequence_sign(images) if signed else 1
     return SparseForm(n * n, n, coeffs)
 
 
@@ -531,7 +527,9 @@ def _write_entries(header: str, entries: Mapping[tuple[int, ...], Fraction]) -> 
 
 
 def parse_form(text: str) -> SparseForm:
-    _, (m, D), _, lines = _read_header(text, {"form": ("form <m> <D>", "m and D must be integers")})
+    _, (m, D), lineno, lines = _read_header(text, {"form": ("form <m> <D>", "m and D must be integers")})
+    if m < 1 or D < 0:
+        raise ParseError("need m >= 1 and D >= 0", lineno)
     coeffs = _read_entries(lines, m, lambda alpha: None if min(alpha, default=0) >= 0 and sum(alpha) == D
                            else f"exponent vector {alpha} is not of degree {D}")
     return SparseForm(m, D, coeffs)
@@ -550,6 +548,8 @@ def parse_tensor(text: str) -> SparseTensor:
         if D < 1:
             raise ParseError("order D must be >= 1", lineno)
         shape = (m,) * D
+    if min(shape) < 1:
+        raise ParseError(f"axis dimensions must be >= 1, got {shape}", lineno)
     entries = _read_entries(lines, len(shape), lambda idx: None if all(1 <= i <= s for i, s in zip(idx, shape))
                             else f"index {idx} out of shape {shape}")
     return SparseTensor(shape, entries)

@@ -59,6 +59,8 @@ class Tableau(Frozen):
         s = len(cells[0])
         if s == 0 or any(len(row) != s for row in cells):
             raise ValueError("rows must be nonempty and of equal length")
+        if d < 1:
+            raise ValueError(f"symbol count {d} must be >= 1")
         if (m * s) % d != 0:
             raise ValueError(f"cell count {m * s} not divisible by symbol count {d}")
         D = (m * s) // d
@@ -157,9 +159,8 @@ def parse_tableau(text: str) -> Tableau:
         if len(row) != s:
             raise ParseError(f"expected {s} entries, got {len(row)}", lineno)
         rows.append(row)
-    d = max(max(row) for row in rows)
     try:
-        return Tableau(tuple(rows), d=d)
+        return Tableau(tuple(rows), d=max((x for row in rows for x in row), default=0))
     except ValueError as exc:
         raise ParseError(str(exc), header_line) from None
 

@@ -519,34 +519,67 @@ def _hook_dim(shape: tuple[int, ...]) -> int:
     return math.factorial(sum(shape)) // hooks
 
 
-def _transfer(vec: dict[int, int], length: int) -> dict[int, int]:
-    out: dict[int, int] = {}
+# The border-strip rule on beta-number lists, independent of the bitmask rule `kron._bead_moves`.
+_STRIPS: dict[tuple[int, ...], dict[int, tuple[tuple[tuple[int, ...], int], ...]]] = {}
+
+
+def beta_list_strips(shape: tuple[int, ...]) -> dict[int, tuple[tuple[tuple[int, ...], int], ...]]:
+    """Border strips removable from a shape: length -> ((sub-shape, sign), ...).
+
+    Computed on first-column hook (beta) numbers: removing a strip of
+    length l replaces some beta by beta - l when that value is free; the
+    sign is (-1)^(rows crossed).
+    """
+    table = _STRIPS.get(shape)
+    if table is not None:
+        return table
+    r = len(shape)
+    beta = [shape[i] + (r - 1 - i) for i in range(r)]
+    beta_set = set(beta)
+    out: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for i, b in enumerate(beta):
+        for new in range(b - 1, -1, -1):
+            if new in beta_set:
+                continue
+            length = b - new
+            height = sum(1 for x in beta if new < x < b)
+            nb = sorted(beta_set - {b} | {new}, reverse=True)
+            parts = tuple(nb[k] - (r - 1 - k) for k in range(r))
+            parts = tuple(p for p in parts if p > 0)
+            out.setdefault(length, []).append((parts, -1 if height & 1 else 1))
+    frozen = {length: tuple(subs) for length, subs in out.items()}
+    _STRIPS[shape] = frozen
+    return frozen
+
+
+def _transfer(vec: dict[tuple[int, ...], int], length: int) -> dict[tuple[int, ...], int]:
+    out: dict[tuple[int, ...], int] = {}
     get = out.get
-    for sid, coeff in vec.items():
-        for sub, sign in kron._strips(sid).get(length, ()):
+    for shape, coeff in vec.items():
+        for sub, sign in beta_list_strips(shape).get(length, ()):
             out[sub] = get(sub, 0) + coeff * sign
-    return {sid: c for sid, c in out.items() if c}
+    return {shape: c for shape, c in out.items() if c}
 
 
-def classsum_oracle(ids: tuple[int, ...]) -> tuple[int, int]:
-    """The class sum over interned shape ids that closes only the 1-cycles: (value, DFS nodes).
+def classsum_oracle(shapes: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
+    """The class sum over three shapes of one size that closes only the 1-cycles: (value, DFS nodes).
 
     The DFS consumes the parts >= 2 of rho in descending order, carrying one
     coefficient vector per distinct shape (repeated shapes are raised to
-    their multiplicity); a transfer that empties a vector prunes the
-    subtree.  Every node closes one cycle type: its r remaining cells are
-    fixed points, chi_s(1^r) = f^s (hook lengths) and z_rho gains r!.  So a
-    node costs one Murnaghan-Nakayama transfer per distinct shape, and there
-    is at most one node per partition of N.  The accumulator holds sum over
-    classes of prod chi * |class|, an integer, and is divided by N! at the
-    end with an integrality assertion.
+    their multiplicity); a transfer (`beta_list_strips`) that empties a
+    vector prunes the subtree.  Every node closes one cycle type: its r
+    remaining cells are fixed points, chi_s(1^r) = f^s (hook lengths) and
+    z_rho gains r!.  So a node costs one Murnaghan-Nakayama transfer per
+    distinct shape, and there is at most one node per partition of N.  The
+    accumulator holds sum over classes of prod chi * |class|, an integer,
+    and is divided by N! at the end with an integrality assertion.
     """
-    n = sum(kron._SHAPES[ids[0]])
-    uniq = Counter(ids)  # distinct shape -> multiplicity
+    n = sum(shapes[0])
+    uniq = Counter(shapes)  # distinct shape -> multiplicity
     mults = list(uniq.values())
     facts = [math.factorial(r) for r in range(n + 1)]
     nfact = facts[n]
-    fdims: dict[int, int] = {}
+    fdims: dict[tuple[int, ...], int] = {}
     dl = active()
     total = 0
     nodes = 0
@@ -560,10 +593,10 @@ def classsum_oracle(ids: tuple[int, ...]) -> tuple[int, int]:
         term = nfact // (z * facts[remaining])
         for mult, vec in zip(mults, vecs):
             chi = 0
-            for sid, coeff in vec.items():
-                if sid not in fdims:
-                    fdims[sid] = _hook_dim(kron._SHAPES[sid])
-                chi += coeff * fdims[sid]
+            for shape, coeff in vec.items():
+                if shape not in fdims:
+                    fdims[shape] = _hook_dim(shape)
+                chi += coeff * fdims[shape]
             if chi == 0:
                 break
             term *= chi**mult
@@ -580,7 +613,7 @@ def classsum_oracle(ids: tuple[int, ...]) -> tuple[int, int]:
                 nrun = run + 1 if length == max_part else 1
                 descend(remaining - length, length, z * length * nrun, nrun, new_vecs)
 
-    descend(n, n, 1, 0, [{sid: 1} for sid in uniq])
+    descend(n, n, 1, 0, [{shape: 1} for shape in uniq])
     if total % nfact != 0:
         raise AssertionError("class sum is not integral")
     value = total // nfact

@@ -151,7 +151,7 @@ def test_certified_zero_reports_the_vanishing_route_and_no_work(capsys, monkeypa
         raise AssertionError("a route ran")
 
     monkeypatch.setattr(kron, "_classsum", boom)
-    monkeypatch.setattr(kron, "_triple_compute", boom)
+    monkeypatch.setattr(kron, "_triple", boom)
     code, out, _ = run(capsys, "kronecker", "--lam=24,3,1", "--mu=27,1", "--nu=16,11,1", "--json")
     assert code == 0 and json.loads(out) == {
         "value": "0", "meta": {"lam": [24, 3, 1], "mu": [27, 1], "nu": [16, 11, 1], "route": "vanishing",

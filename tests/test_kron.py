@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import _cut_oracle, centralizer_order, classsum_oracle, lr3_oracle, lr_oracle, partition_tuples, partitions_of
+from helpers import (_cut_oracle, beta_list_strips, centralizer_order, classsum_oracle, lr3_oracle, lr_oracle,
+                     partition_tuples, partitions_of)
 from slinv import kron
 from slinv.budget import BudgetExhausted, Deadline, scope
 from slinv.exact import Partition
@@ -68,6 +69,24 @@ def test_kronecker_size_mismatch():
         kronecker((2,), (1, 1), (3,))
 
 
+def test_kronecker_checks_the_method_before_the_empty_shapes():
+    assert kronecker((), (), ()) == 1
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        kronecker((), (), (), method="bogus")
+
+
+def test_bead_moves_agree_with_the_beta_list_rule():
+    # the one strip rule of src/, against the tests' independent rule on beta-number lists
+    for n in range(13):
+        for lam in partition_tuples(n):
+            strips = beta_list_strips(lam)
+            for rows in (len(lam), len(lam) + 2):
+                mask = kron._beta_mask(lam, rows)
+                for length in range(1, n + rows + 1):
+                    expected = {(kron._beta_mask(sub, rows), sign) for sub, sign in strips.get(length, ())}
+                    assert sorted(kron._bead_moves(mask, length)) == sorted(expected), (lam, rows, length)
+
+
 def test_kronecker_routes_agree():
     rng = random.Random(5)
     parts = list(partition_tuples(6))
@@ -83,9 +102,8 @@ def test_kronecker_routes_agree():
 def test_class_sum_matches_triple_route_on_every_small_triple():
     for n in range(1, 11):
         for shapes in itertools.combinations_with_replacement(partition_tuples(n), 3):
-            ids = tuple(kron._sid(s) for s in shapes)
             value = kron._classsum(shapes)
-            assert value == classsum_oracle(ids)[0] == kron._triple(*ids), shapes
+            assert value == classsum_oracle(shapes)[0] == kronecker(*shapes, method="triple"), shapes
             assert kron._route(shapes) != "triple", shapes  # a reference method only
 
 
@@ -99,8 +117,7 @@ def _shapes_of_different_lengths():
 @given(shapes=_shapes_of_different_lengths())
 def test_class_sum_matches_its_oracle_past_the_exhaustive_range(shapes):
     # the three beta-sets are padded to the most rows, so the shorter shapes gain empty rows
-    ids = tuple(kron._sid(s) for s in shapes)
-    assert kron._classsum(shapes) == classsum_oracle(ids)[0]
+    assert kron._classsum(shapes) == classsum_oracle(shapes)[0]
 
 
 def _domino_characters(lam):
@@ -137,7 +154,7 @@ def test_root_closure_decodes_f_lambda_at_the_tight_width(monkeypatch):
 
 
 def test_k_rect_7_7_class_sum_work_is_pinned():
-    # 81,262 nodes when only the 1-cycles were closed; the class sum interns no shape
+    # 81,262 nodes when only the 1-cycles were closed; the class sum fills no strip table of the recursion
     interned = len(kron._SHAPES)
     with scope() as work:
         assert k_rect(7, 7) == 125250433
@@ -244,9 +261,8 @@ def test_lr_route_agrees_with_both_routes():
 @settings(max_examples=40, deadline=None)
 @given(shapes=st.integers(9, 24).flatmap(lambda n: st.tuples(*[st.sampled_from(_three_rows(n))] * 3)))
 def test_lr_route_matches_both_oracles_past_the_exhaustive_range(shapes):
-    ids = tuple(kron._sid(s) for s in shapes)
     value = kronecker(*shapes, method="lr")
-    assert value == lr_oracle(shapes)[0] == classsum_oracle(ids)[0]
+    assert value == lr_oracle(shapes)[0] == classsum_oracle(shapes)[0]
 
 
 def test_lr_term_is_symmetric_in_its_sizes():
@@ -334,7 +350,7 @@ def test_certified_zero_runs_no_route_and_explicit_methods_still_do(monkeypatch)
     def boom(*args):
         raise AssertionError("a route ran")
 
-    for name in ("_classsum", "_triple_compute", "_lr_route"):
+    for name in ("_classsum", "_triple", "_lr_route"):
         monkeypatch.setattr(kron, name, boom)
     with scope() as work:
         assert kronecker(*shapes) == 0
@@ -383,15 +399,6 @@ def test_exponent_monoid_passes_its_deadline_into_each_delta():
     with scope(dl):
         exponent_monoid(3, 4)
     assert dl.checks > 4  # more than the one check per delta of the scan itself
-
-
-def test_shape_interning_guard(monkeypatch):
-    monkeypatch.setattr(kron, "_SID_LIMIT", len(kron._SHAPES))
-    n = 1 + max(sum(s) for s in kron._SHAPES)  # every partition of n is new
-    with pytest.raises(OverflowError):
-        kronecker((n,), (n,), (n - 1, 1), method="triple")
-    known = kron._SHAPES[-1]
-    assert kron._sid(known) == len(kron._SHAPES) - 1
 
 
 def test_kronecker_fully_symmetric():

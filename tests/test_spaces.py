@@ -208,6 +208,8 @@ _READER_CASES = {
         ("\n\nform 2 x\n", 3, "m and D must be integers"),
         ("form 2 2\n2 0 : 1\n\n2 0 : 3\n", 4, "duplicate key (2, 0)"),
         ("form 2 2\n1 1 : 1\n3 -1 : 2\n", 3, "exponent vector (3, -1) is not of degree 2"),
+        ("form 0 0\n : 1\n", 1, "need m >= 1 and D >= 0"),
+        ("\nform 2 -1\n", 2, "need m >= 1 and D >= 0"),
     ]),
     "tensor": (parse_tensor, [
         ("", 1, "empty input"),
@@ -216,6 +218,8 @@ _READER_CASES = {
         ("tensor 2 2 two\n", 1, "axis dimensions must be integers"),
         ("tensor 2 2 2\n1 1 1 : 1\n1 1 1 : 2\n", 3, "duplicate key (1, 1, 1)"),
         ("tensor 2 3 2\n\n1 3 1 : 1\n1 1 3 : 1\n", 4, "index (1, 1, 3) out of shape (2, 3, 2)"),
+        ("tensor 0 2 2\n", 1, "axis dimensions must be >= 1, got (0, 2, 2)"),
+        ("tensor 2 -1 2\n1 1 1 : 1\n", 1, "axis dimensions must be >= 1, got (2, -1, 2)"),
     ]),
     "tensor-cubic": (parse_tensor, [
         ("\n", 1, "empty input"),
@@ -225,12 +229,15 @@ _READER_CASES = {
         ("tensor-cubic 2 0\n", 1, "order D must be >= 1"),
         ("tensor-cubic 2 2\n1 2 : 1\n2 1 : 1\n1 2 : 1/2\n", 4, "duplicate key (1, 2)"),
         ("tensor-cubic 2 2\n0 1 : 1\n", 2, "index (0, 1) out of shape (2, 2)"),
+        ("tensor-cubic 0 2\n", 1, "axis dimensions must be >= 1, got (0, 0)"),
     ]),
     "tableau": (parse_tableau, [
         (" \t\n", 1, "empty input"),
         ("tableaux 2 2\n1 2\n2 1\n", 1, "expected header 'tableau <m> <s>'"),
         ("\n\ntableau 2\n", 3, "expected header 'tableau <m> <s>'"),
         ("tableau x 2\n", 1, "m and s must be integers"),
+        ("tableau 0 2\n", 1, "tableau needs at least one row"),
+        ("tableau 1 1\n0\n", 1, "symbol count 0 must be >= 1"),
     ]),
 }
 
