@@ -214,14 +214,14 @@ def _cmd_pleth_bound(args, work):
         if args.m is None:
             raise CliError("--sl needs --m")
         value = sl_invariant_bound(args.D, args.m, args.d)
-        return value, {"mode": "sl-invariants", "D": args.D, "m": args.m, "d": args.d}, None
+        return value, {"mode": "sl-invariants", "D": args.D, "m": args.m, "d": args.d, **_NO_STATES, **work}, None
     if not args.lam:
         raise CliError("need --lam (or --sl with --m)")
     if args.m is not None:
         raise CliError("--m applies with --sl")
     lam = _parse_partition(args.lam)
     value = pleth_upper_bound(lam, args.D, args.d)
-    return value, {"mode": "shape", "lam": list(lam.parts), "D": args.D, "d": args.d}, None
+    return value, {"mode": "shape", "lam": list(lam.parts), "D": args.D, "d": args.d, **_NO_STATES, **work}, None
 
 
 def _cmd_periods(args, work):

@@ -760,8 +760,11 @@ def pleth_upper_bound(lam: PartitionLike, D: int, d: int) -> int:
     Requires odd D and |lam| = D*d.  Each number i must lie in exactly
     (conjugate of lam)_i of the chosen subsets.  This count bounds from
     above the multiplicity of the shape in degree-d covariants of degree-D
-    forms, and is computed by exhaustive search over subsets in
-    lexicographic order with occurrence-count pruning.
+    forms.  A forward sweep over the D-subsets in lexicographic order counts
+    the families per state, the occurrences each number still needs, and
+    drops the states needing a number that no later subset covers.  The
+    deadline is polled every 1,024 state expansions; the work record adds
+    them to `states` and raises `peak_states` to the largest layer.
     """
     lam = Partition.of(lam)
     if D < 1 or D % 2 == 0:
@@ -770,47 +773,34 @@ def pleth_upper_bound(lam: PartitionLike, D: int, d: int) -> int:
         raise ValueError("need d >= 0")
     if lam.n != D * d:
         raise ValueError(f"|lam| = {lam.n} must equal D*d = {D * d}")
-    dl = active()
     if d == 0:
         return 1  # the empty set, only possible when lam is empty
     width = lam.parts[0]
-    target = list(lam.conjugate().parts)  # occurrences required per number
     if width < D:
         return 0
-    universe = list(itertools.combinations(range(1, width + 1), D))
-    nuniv = len(universe)
-    counts = [0] * (width + 1)
-    total = 0
-    nodes = 0
-
-    def choose(start: int, chosen: int) -> None:
-        nonlocal total, nodes
-        nodes += 1
-        if nodes % 2048 == 0:
-            dl.check()
-        if chosen == d:
-            if all(counts[i] == target[i - 1] for i in range(1, width + 1)):
-                total += 1
-            return
-        if nuniv - start < d - chosen:
-            return
-        for u in range(start, nuniv):
-            subset = universe[u]
-            ok = True
-            for i in subset:
-                if counts[i] + 1 > target[i - 1]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for i in subset:
-                counts[i] += 1
-            choose(u + 1, chosen + 1)
-            for i in subset:
-                counts[i] -= 1
-
-    choose(0, 0)
-    return total
+    deadline = active()
+    layer = {lam.conjugate().parts: 1}  # occurrences still needed per number -> families
+    first = expanded = peak = 0
+    for subset in itertools.combinations(range(width), D):
+        if subset[0] > first:  # no later subset covers the number `first`
+            layer = {state: n for state, n in layer.items() if not state[first]}
+            first = subset[0]
+            if not layer:
+                break
+        for state, n in list(layer.items()):
+            expanded += 1
+            if not expanded & 0x3FF:
+                deadline.check()
+            if all(map(state.__getitem__, subset)):
+                after = list(state)
+                for i in subset:
+                    after[i] -= 1
+                after = tuple(after)
+                layer[after] = layer.get(after, 0) + n
+        peak = max(peak, len(layer))
+    tally(states=expanded)
+    record()["peak_states"] = max(record().get("peak_states", 0), peak)
+    return layer.get((0,) * width, 0)
 
 
 def sl_invariant_bound(D: int, m: int, d: int) -> int:

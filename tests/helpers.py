@@ -712,3 +712,62 @@ def lr_oracle(shapes: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
     if total < 0:
         raise AssertionError(f"negative Kronecker value {total}")
     return total, terms
+
+
+def pleth_dfs_oracle(lam: Partition | Sequence[int], D: int, d: int) -> int:
+    """Number of d-element sets of D-subsets of {1..lam_1} with column counts lam^t.
+
+    Requires odd D and |lam| = D*d.  Each number i must lie in exactly
+    (conjugate of lam)_i of the chosen subsets.  Computed by exhaustive
+    search over subsets in lexicographic order with occurrence-count
+    pruning, one family at a time: the reference for the merged-state
+    sweep of `kron.pleth_upper_bound`.
+    """
+    lam = Partition.of(lam)
+    if D < 1 or D % 2 == 0:
+        raise ValueError("D must be odd")
+    if d < 0:
+        raise ValueError("need d >= 0")
+    if lam.n != D * d:
+        raise ValueError(f"|lam| = {lam.n} must equal D*d = {D * d}")
+    dl = active()
+    if d == 0:
+        return 1  # the empty set, only possible when lam is empty
+    width = lam.parts[0]
+    target = list(lam.conjugate().parts)  # occurrences required per number
+    if width < D:
+        return 0
+    universe = list(itertools.combinations(range(1, width + 1), D))
+    nuniv = len(universe)
+    counts = [0] * (width + 1)
+    total = 0
+    nodes = 0
+
+    def choose(start: int, chosen: int) -> None:
+        nonlocal total, nodes
+        nodes += 1
+        if nodes % 2048 == 0:
+            dl.check()
+        if chosen == d:
+            if all(counts[i] == target[i - 1] for i in range(1, width + 1)):
+                total += 1
+            return
+        if nuniv - start < d - chosen:
+            return
+        for u in range(start, nuniv):
+            subset = universe[u]
+            ok = True
+            for i in subset:
+                if counts[i] + 1 > target[i - 1]:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            for i in subset:
+                counts[i] += 1
+            choose(u + 1, chosen + 1)
+            for i in subset:
+                counts[i] -= 1
+
+    choose(0, 0)
+    return total

@@ -204,6 +204,13 @@ def test_monoid_verb(capsys):
 def test_pleth_bound_verb(capsys):
     code, out, _ = run(capsys, "pleth-bound", "--sl", "--D", "3", "--m", "2", "--d", "4")
     assert code == 0 and out.strip() == "75"
+    code, out, _ = run(capsys, "pleth-bound", "--sl", "--D", "3", "--m", "3", "--d", "9", "--json")
+    assert code == 0 and json.loads(out) == {
+        "value": "28787052", "meta": {"mode": "sl-invariants", "D": 3, "m": 3, "d": 9,
+                                      "states": 263_335, "peak_states": 10_438}}
+    code, out, _ = run(capsys, "pleth-bound", "--lam", "3,3", "--D", "3", "--d", "2", "--json")
+    assert code == 0 and json.loads(out)["meta"] == {"mode": "shape", "lam": [3, 3], "D": 3, "d": 2,
+                                                     "states": 1, "peak_states": 2}
 
 
 def test_periods_min_degree_normality(capsys):
@@ -498,7 +505,7 @@ _LONG_RUNS = {
     "kronecker": lambda tmp_path: ("--lam", "16,16,16,16", "--mu", "16,16,16,16", "--nu", "16,16,16,16"),
     "krect": lambda tmp_path: ("--m", "3", "--delta", "60"),
     "monoid": lambda tmp_path: ("--m", "16", "--delta-max", "4"),  # about 20 s
-    "pleth-bound": lambda tmp_path: ("--sl", "--D", "3", "--m", "3", "--d", "9"),  # over 15 s
+    "pleth-bound": lambda tmp_path: ("--sl", "--D", "3", "--m", "2", "--d", "10"),  # about 40 s
     "min-degree": lambda tmp_path: ("--kind", "determinant", "--n", "4"),
     "normality": lambda tmp_path: ("--kind", "power-sum", "--D", "4", "--m", "22"),  # about 17 s
     "polystable": lambda tmp_path: ("form", "--kind", "determinant", "--n", "8"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (_cut_oracle, beta_list_strips, centralizer_order, classsum_oracle, lr3_oracle, lr_oracle,
-                     partition_tuples, partitions_of)
+                     partition_tuples, partitions_of, pleth_dfs_oracle)
 from slinv import kron
 from slinv.budget import BudgetExhausted, Deadline, scope
 from slinv.exact import Partition
@@ -495,6 +495,9 @@ def test_pleth_upper_bound_examples():
     assert pleth_upper_bound(Partition((3, 3)), 3, 2) == 0
     # degree-4 bound is positive, consistent with the binary-cubic discriminant
     assert sl_invariant_bound(3, 2, 4) == 75
+    # pleth_dfs_oracle gives both too, in about 9 s
+    assert sl_invariant_bound(3, 2, 6) == 122_220
+    assert sl_invariant_bound(5, 2, 4) == 48_825
     with pytest.raises(ValueError):
         sl_invariant_bound(4, 2, 2)
     with pytest.raises(ValueError):
@@ -505,3 +508,21 @@ def test_pleth_upper_bound_examples():
 
 def test_pleth_upper_bound_degenerate():
     assert pleth_upper_bound(Partition(()), 3, 0) == 1
+
+
+def test_pleth_upper_bound_matches_the_family_search_on_every_small_shape():
+    shapes = 0
+    for D in (1, 3, 5, 7):
+        for d in range(12 // D + 1):
+            for lam in partitions_of(D * d):
+                assert pleth_upper_bound(lam, D, d) == pleth_dfs_oracle(lam, D, d), (lam, D, d)
+                shapes += 1
+    assert shapes == 460
+
+
+def test_pleth_upper_bound_polls_before_listing_the_subsets():
+    # C(360, 3) subsets: a search that lists them all first takes well over a second before it polls
+    started = time.monotonic()
+    with scope(0.2), pytest.raises(BudgetExhausted):
+        sl_invariant_bound(3, 1, 120)
+    assert time.monotonic() - started < 0.7
