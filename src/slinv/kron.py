@@ -757,14 +757,14 @@ def exponent_monoid(m: int, delta_max: int = 12) -> MonoidReport:
 def pleth_upper_bound(lam: PartitionLike, D: int, d: int) -> int:
     """Number of d-element sets of D-subsets of {1..lam_1} with column counts lam^t.
 
-    Requires odd D and |lam| = D*d.  Each number i must lie in exactly
-    (conjugate of lam)_i of the chosen subsets.  This count bounds from
-    above the multiplicity of the shape in degree-d covariants of degree-D
-    forms.  A forward sweep over the D-subsets in lexicographic order counts
-    the families per state, the occurrences each number still needs, and
-    drops the states needing a number that no later subset covers.  The
-    deadline is polled every 1,024 state expansions; the work record adds
-    them to `states` and raises `peak_states` to the largest layer.
+    Requires odd D and |lam| = D*d.  Each number i must lie in exactly need_i = (conjugate of lam)_i of the
+    chosen subsets; the count bounds the multiplicity of the shape in degree-d covariants of degree-D forms.
+    A forward sweep over the D-subsets in lexicographic order counts the families per state, one int where
+    number i owns bits b*i .. b*i + b - 1: what it still needs (b - 1 bits hold max(need)) under a guard bit,
+    G the sum of the guards.  A subset fits when state - sub (a 1 in each member's field) keeps every guard:
+    a count of 0 lends from its own guard only.  Once no later subset covers number f, states whose field f
+    is not 0 are dropped; the answer is the count at G.  The deadline is polled before a pass, at most
+    max(1,024, one layer) expansions after the last poll; `states` adds them, `peak_states` the largest layer.
     """
     lam = Partition.of(lam)
     if D < 1 or D % 2 == 0:
@@ -778,29 +778,29 @@ def pleth_upper_bound(lam: PartitionLike, D: int, d: int) -> int:
     width = lam.parts[0]
     if width < D:
         return 0
-    deadline = active()
-    layer = {lam.conjugate().parts: 1}  # occurrences still needed per number -> families
-    first = expanded = peak = 0
+    deadline, need = active(), lam.conjugate().parts
+    b = max(need).bit_length() + 1
+    G, count_bits = sum(1 << b * i + b - 1 for i in range(width)), (1 << b - 1) - 1
+    layer = {G + sum(k << b * i for i, k in enumerate(need)): 1}  # packed needs -> families
+    first = expanded = polled = peak = 0
     for subset in itertools.combinations(range(width), D):
         if subset[0] > first:  # no later subset covers the number `first`
-            layer = {state: n for state, n in layer.items() if not state[first]}
+            layer = {state: n for state, n in layer.items() if not state >> b * first & count_bits}
             first = subset[0]
             if not layer:
                 break
-        for state, n in list(layer.items()):
-            expanded += 1
-            if not expanded & 0x3FF:
-                deadline.check()
-            if all(map(state.__getitem__, subset)):
-                after = list(state)
-                for i in subset:
-                    after[i] -= 1
-                after = tuple(after)
-                layer[after] = layer.get(after, 0) + n
+        if expanded + len(layer) - polled > 0x400:
+            deadline.check()
+            polled = expanded
+        expanded += len(layer)
+        sub = sum(1 << b * i for i in subset)
+        fits = [(after, n) for state, n in layer.items() if (after := state - sub) & G == G]
+        for after, n in fits:
+            layer[after] = layer.get(after, 0) + n
         peak = max(peak, len(layer))
     tally(states=expanded)
     record()["peak_states"] = max(record().get("peak_states", 0), peak)
-    return layer.get((0,) * width, 0)
+    return layer.get(G, 0)
 
 
 def sl_invariant_bound(D: int, m: int, d: int) -> int:

@@ -520,6 +520,12 @@ def test_pleth_upper_bound_matches_the_family_search_on_every_small_shape():
     assert shapes == 460
 
 
+def test_sl_invariant_bound_pins_a_larger_sweep_and_its_work():
+    with scope() as work:
+        assert sl_invariant_bound(3, 2, 8) == 757_275_750
+    assert (work["states"], work["peak_states"]) == (1_178_888, 15_862)
+
+
 def test_pleth_upper_bound_polls_before_listing_the_subsets():
     # C(360, 3) subsets: a search that lists them all first takes well over a second before it polls
     started = time.monotonic()
