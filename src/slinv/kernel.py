@@ -52,18 +52,24 @@ def _signed_sum(steps: Sequence[tuple]) -> int:
     so what remains of the sum after t steps depends only on the packed line
     masks.  The sweep therefore carries one layer per step, a dict from
     state to the signed weight of every partial placement reaching it, and
-    merges the placements that meet.  Memory is bounded: when the layer
-    under construction reaches max(_CHUNK_FLOOR, _STATE_CAP - states held
-    by the layers above), that partial layer is finished by a recursive
-    sweep whose total adds to the sum, and the layer starts again.  A sweep
-    empties each layer it has expanded, the chunk it was handed included,
-    so only the counted layers stay alive.  The floor keeps a full cap from
-    degenerating into one dict per placement; so the peak may pass the cap
-    by one floor-sized partial layer per recursion level.  The deadline in
-    effect (`budget.active()`) is polled every 1,024 candidates of a step
-    while they are packed, and while a layer is expanded every
-    max(1, _POLL_TRIES // c) states, c the step's candidate count: at most
-    max(_POLL_TRIES, c) candidate tries pass between two polls.
+    merges the placements that meet.  The layer after the last step holds
+    the complete placements, and the sum is its total: it is built like
+    every other layer but never expanded, so `states` leaves it out while
+    `peak_states` counts it beside the layer it is built from.  It holds at
+    most one state when every line ends full, as every line of a tableau or
+    tensor invariant does (each is signed and receives every label).
+    Memory is bounded: when the layer under construction reaches
+    max(_CHUNK_FLOOR, _STATE_CAP - states held by the layers above), that
+    partial layer is finished by a recursive sweep whose total adds to the
+    sum, and the layer starts again.  A sweep empties each layer it has
+    expanded, the chunk it was handed included, so only the counted layers
+    stay alive.  The floor keeps a full cap from degenerating into one dict
+    per placement; so the peak may pass the cap by one floor-sized partial
+    layer per recursion level.  The deadline in effect (`budget.active()`)
+    is polled every 1,024 candidates of a step while they are packed, and
+    while a layer is expanded every max(1, _POLL_TRIES // c) states, c the
+    step's candidate count: at most max(_POLL_TRIES, c) candidate tries
+    pass between two polls.
     """
     deadline = active()
     width = 1 + max((max(labels) for _, _, cands in steps for labels, _ in cands), default=0)
@@ -84,14 +90,13 @@ def _signed_sum(steps: Sequence[tuple]) -> int:
             packed.append((bits, above, weight))
         plan.append(packed)
     periods = [max(1, _POLL_TRIES // max(1, len(packed))) for packed in plan]  # states between polls
-    last = len(plan) - 1
     expanded = peak = 0
 
     def sweep(t: int, layer: dict[int, int], held: int) -> int:
         """Sum over the placements of steps t.. that continue the states of `layer`."""
         nonlocal expanded, peak
         total = 0
-        while t < last:  # a loop, so a fully merged layer is released once the next is built
+        while t < len(plan):  # a loop, so a fully merged layer is released once the next is built
             limit = max(_CHUNK_FLOOR, _STATE_CAP - held - len(layer))
             following: dict[int, int] = {}
             get = following.get
@@ -108,7 +113,7 @@ def _signed_sum(steps: Sequence[tuple]) -> int:
                             following[key] = get(key, 0) + w * weight
                 if len(following) >= limit:
                     peak = max(peak, held + len(layer) + len(following))
-                    total += sweep(t + 1, following, held + len(layer))  # which empties the chunk
+                    total += sweep(t + 1, following, held + len(layer))  # which empties the chunk if it expands it
                     following = {}
                     get = following.get
             expanded += len(layer)
@@ -120,20 +125,7 @@ def _signed_sum(steps: Sequence[tuple]) -> int:
                 del following[state]
             layer = following
             t += 1
-        period = periods[last]
-        for i, (state, w) in enumerate(layer.items()):  # the last step adds straight to the sum
-            if not i % period:
-                deadline.check()
-            for bits, above, weight in plan[last]:
-                if not state & bits:
-                    if (state & above).bit_count() & 1:
-                        total -= w * weight
-                    else:
-                        total += w * weight
-        expanded += len(layer)
-        peak = max(peak, held + len(layer))
-        layer.clear()
-        return total
+        return total + sum(layer.values())
 
     total = sweep(0, {0: 1}, 0)
     work = record()

@@ -699,36 +699,23 @@ def exponent_monoid(m: int, delta_max: int = 12) -> MonoidReport:
     dl = active()
     values: dict[int, Optional[int]] = {0: 1}
     routes: dict[int, Optional[str]] = {0: None}
-    positive: list[int] = [0]
-    inferred: list[int] = []
-    gaps: list[int] = []
-    pos_set: set[int] = set()
     try:
         for delta in range(1, delta_max + 1):
             dl.check()
             shapes = ((delta,) * m,) * 3
             route = _route(shapes)
             cheap = route != "class" or partition_count(m * delta) <= _CHEAP_CLASSES
-            inferable = any(delta - a in pos_set for a in pos_set if 0 < a < delta)
-            if not cheap and inferable:
-                values[delta], routes[delta] = None, None
-                inferred.append(delta)
-                positive.append(delta)
-                pos_set.add(delta)
+            if not cheap and any(values[a] != 0 and values[delta - a] != 0 for a in range(1, delta)):
+                values[delta], routes[delta] = None, None  # positive by inference
                 continue
-            k = 0 if route == "vanishing" else kronecker(*shapes, method=route)
-            values[delta], routes[delta] = k, route
-            if k > 0:
-                positive.append(delta)
-                pos_set.add(delta)
-            else:
-                gaps.append(delta)
+            values[delta] = 0 if route == "vanishing" else kronecker(*shapes, method=route)
+            routes[delta] = route
     except BudgetExhausted:
         raise BudgetExhausted(
             f"budget exhausted at delta {delta} ({len(values)} of {delta_max + 1} values computed)") from None
-    pos_nonzero = [d for d in positive if d > 0]
-    e_prime = min(pos_nonzero) if pos_nonzero else None
-    gcd_pos = math.gcd(*pos_nonzero) if pos_nonzero else None
+    positive = [d for d, k in values.items() if k != 0]
+    e_prime = positive[1] if len(positive) > 1 else None
+    gcd_pos = math.gcd(*positive[1:]) if len(positive) > 1 else None
     note = ""
     if m == 2:
         note = ("positivity occurs exactly in even degrees; the exponent monoid "
@@ -741,8 +728,8 @@ def exponent_monoid(m: int, delta_max: int = 12) -> MonoidReport:
         values=values,
         routes=routes,
         positive=tuple(positive),
-        inferred=tuple(inferred),
-        gaps=tuple(gaps),
+        inferred=tuple(d for d, k in values.items() if k is None),
+        gaps=tuple(d for d, k in values.items() if k == 0),
         e_prime=e_prime,
         gcd_positive=gcd_pos,
         note=note,

@@ -460,6 +460,13 @@ def test_squares_and_annuli_below_the_refusal_thresholds_need_no_budget(capsys, 
     assert run(capsys, *argv) == (0, value + "\n", "")
 
 
+def test_min_degree_prints_a_vanishing_deciding_value_as_undecided(capsys, monkeypatch):
+    monkeypatch.setattr(theory, "signed_latin_squares", lambda n: 0)
+    code, out, _ = run(capsys, "min-degree", "--kind", "product", "--m", "4")
+    assert code == 0
+    assert "minimal degree undecided; certified lower bound 6\n" in out and "deciding value 0\n" in out
+
+
 def test_count_calls_its_counter_by_module_global_name(capsys, monkeypatch):
     # a rebound counter is the one called (the benchmark's tracer relies on it); squares of
     # order 9 are not refused, and their real run is among the runs that need no budget

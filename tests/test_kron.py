@@ -221,6 +221,17 @@ def test_k_rect_3_16_lr_work_is_pinned():
     assert work == {"route": "lr", "lr_terms": 38740}
 
 
+def test_k_rect_3_24_and_the_3_table_to_16_lr_work_is_pinned():
+    # 833,972 LR coefficients for k_rect(3, 24) before each row ran on its band only; the
+    # table is the benchmark's krect-3-16 verb (krect --m 3 --delta 16 --table), in one scope
+    with scope() as work:
+        assert k_rect(3, 24) == 19
+    assert work == {"route": "lr", "lr_terms": 317788}
+    with scope() as work:
+        assert [k_rect(3, delta) for delta in range(17)] == [1, 0, 1, 1, 2, 1, 3, 2, 4, 3, 5, 4, 7, 5, 8, 7, 10]
+    assert work == {"route": "lr", "lr_terms": 126187}
+
+
 def test_lr_route_leaves_no_module_container_grown():
     # the partition lists live as long as one call
     def sizes():

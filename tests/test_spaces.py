@@ -210,6 +210,9 @@ _READER_CASES = {
         ("form 2 2\n1 1 : 1\n3 -1 : 2\n", 3, "exponent vector (3, -1) is not of degree 2"),
         ("form 0 0\n : 1\n", 1, "need m >= 1 and D >= 0"),
         ("\nform 2 -1\n", 2, "need m >= 1 and D >= 0"),
+        ("form 2 2\n1 1 1\n", 2, "expected '<indices> : <value>'"),
+        ("form 2 2\n1 x : 1\n", 2, "indices must be integers"),
+        ("form 2 2\n1 1 : 1/0\n", 2, "bad rational value '1/0'"),
     ]),
     "tensor": (parse_tensor, [
         ("", 1, "empty input"),
@@ -238,6 +241,8 @@ _READER_CASES = {
         ("tableau x 2\n", 1, "m and s must be integers"),
         ("tableau 0 2\n", 1, "tableau needs at least one row"),
         ("tableau 1 1\n0\n", 1, "symbol count 0 must be >= 1"),
+        ("tableau 2 2\n1 x\n2 1\n", 2, "row entries must be integers"),
+        ("tableau 2 2\n1 2 1\n2 1\n", 2, "expected 2 entries, got 3"),
     ]),
 }
 

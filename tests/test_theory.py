@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from slinv import theory
 from slinv.budget import scope
 from slinv.kron import k_rect
 from slinv.spaces import (
@@ -271,6 +272,14 @@ def test_reports_without_a_deciding_run_are_pinned(obj, lower, exact, evidence, 
     report = minimal_degree_report(obj)
     assert (report.lower_bound, report.exact, report.evidence, report.value, report.undecided_reason) == \
         (lower, exact, evidence, None, reason)
+
+
+def test_a_vanishing_deciding_value_leaves_the_degree_undecided_above_the_bound(monkeypatch):
+    # every deciding value pinned above is nonzero, so the zero branch is reached through a rebound counter
+    monkeypatch.setattr(theory, "signed_latin_squares", lambda n: 0)
+    report = minimal_degree_report(NamedObject("product", m=4))
+    assert (report.lower_bound, report.exact, report.value, report.evidence, report.undecided_reason) == \
+        (6, None, 0, "signed Latin square count vanishes", "degree-m invariant vanishes; no decision above m")
 
 
 @pytest.mark.parametrize("m", range(3, 10))
