@@ -338,10 +338,10 @@ def _lr_row(nu: tuple[int, int, int], lam: tuple[int, int, int],
     """(offset, row): row[j] = c^nu_{lam mu} for mu = mus[offset + j], Littlewood-Richardson
     coefficients of 3-part shapes; c^nu_{lam mu} = 0 for every mu from mus[begin] on outside the band.
 
-    Needs |nu| = |lam| + |mu|, the mus in descending mu_1 as `_boxed` lists
-    them, and `at` as `_indexed` gives it: at[v] is the index of the first mu
-    with mu_1 < v.  An LR tableau of shape nu/lam and content mu has a_ij
-    entries j in row i: row 1 holds only 1s and row 2 only 1s and 2s, so
+    Needs |nu| = |lam| + |mu|, and the mus in descending mu_1 with `at` as
+    `_indexed` gives them: at[v] is the index of the first mu with mu_1 < v.
+    An LR tableau of shape nu/lam and content mu has a_ij entries j in row
+    i: row 1 holds only 1s and row 2 only 1s and 2s, so
     a11 = nu_1 - lam_1 and d2 = a21 + a22 = nu_2 - lam_2 are fixed, and so
     are a22, a31, a32, a33 by t = a21.  Column strictness and the lattice
     condition are linear in t, and the coefficient is the number of
@@ -412,35 +412,29 @@ def _lr_row(nu: tuple[int, int, int], lam: tuple[int, int, int],
     return start, row
 
 
-def _boxed(n: int, box: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-    """Partitions of n into at most 3 parts inside `box`, padded to 3 parts, in descending first part."""
-    b1, b2, b3 = box
-    out = []
-    for p1 in range(min(n, b1), -1, -1):
-        for p2 in range(min(p1, b2, n - p1), -1, -1):
-            p3 = n - p1 - p2
-            if p3 > p2:
-                break
-            if p3 <= b3:
-                out.append((p1, p2, p3))
-    return out
-
-
 def _indexed(n: int, box: tuple[int, int, int], memo: dict) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """(`_boxed(n, box)`, at) with at[v] the index of its first partition with first part < v, for
+    """(mus, at): mus the partitions of n into at most 3 parts inside `box`, padded to 3 parts, in
+    descending first part, and at[v] the index of the first with first part < v, for
     v = 0 .. (largest first part + 1); kept in `memo`, which lives as long as one `_lr_route` call."""
     b1, b2, b3 = box
     b1 = min(b1, n)
     b2 = min(b2, b1, n // 2)
-    box = (b1, b2, min(b3, b2, n // 3))  # the box every such partition fits, shared by more calls
-    hit = memo.get((n, box))
+    b3 = min(b3, b2, n // 3)  # (b1, b2, b3): the box every such partition fits, shared by more calls
+    hit = memo.get((n, b1, b2, b3))
     if hit is None:
-        mus = _boxed(n, box)
+        mus = []
+        for p1 in range(min(n, b1), -1, -1):
+            for p2 in range(min(p1, b2, n - p1), -1, -1):
+                p3 = n - p1 - p2
+                if p3 > p2:
+                    break
+                if p3 <= b3:
+                    mus.append((p1, p2, p3))
         counts = [0] * ((mus[0][0] if mus else -1) + 1)
         for p in mus:
             counts[p[0]] += 1
         at = list(itertools.accumulate(counts, operator.sub, initial=len(mus)))
-        hit = memo[(n, box)] = mus, at
+        hit = memo[(n, b1, b2, b3)] = mus, at
     return hit
 
 
@@ -456,8 +450,7 @@ def _add_band(off: int, band: list[int], o: int, row: list[int]) -> tuple[int, l
     return off, band
 
 
-def _lr_term(lam: tuple[int, int, int], mu: tuple[int, int, int], sizes: tuple[int, int, int],
-             memo: Optional[dict] = None) -> int:
+def _lr_term(lam: tuple[int, int, int], mu: tuple[int, int, int], sizes: tuple[int, int, int], memo: dict) -> int:
     """T(a) = sum over lam^i of size a_i of c^lam_{lam^1 lam^2 lam^3} c^mu_{lam^1 lam^2 lam^3}
     for a = `sizes` of 3-part lam and mu; the work record's `lr_terms` gets the LR coefficients evaluated.
 
@@ -472,17 +465,15 @@ def _lr_term(lam: tuple[int, int, int], mu: tuple[int, int, int], sizes: tuple[i
     The summand is symmetric in lam^1, lam^2 and lam^3, and the partition
     lists are in descending order.  So when a_1 = a_2 only the lam^2 at or
     after lam^1 are evaluated, and the others counted by symmetry; when all
-    three sizes are equal, also only the lam^1 at or after lam^3.  The
-    partition lists come from `memo` (`_indexed`), a new one when none is
-    given.
+    three sizes are equal, also only the lam^1 at or after lam^3.  Every
+    partition list, the lam^3 too, comes from `memo` (`_indexed`).
     """
     a1, a2, a3 = sizes
     square = a1 == a2  # then firsts is seconds
     cube = square and a2 == a3
-    memo = {} if memo is None else memo
     dl = active()
     acc = terms = 0
-    for inner in _boxed(a3, tuple(map(min, lam, mu))):
+    for inner in _indexed(a3, tuple(map(min, lam, mu)), memo)[0]:
         pair = []
         for outer in (lam, mu) if lam != mu else (lam,):
             taus, at = _indexed(sum(outer) - a3, outer, memo)
@@ -490,8 +481,6 @@ def _lr_term(lam: tuple[int, int, int], mu: tuple[int, int, int], sizes: tuple[i
             terms += len(row)
             pair.append([(taus[off + j], c) for j, c in enumerate(row) if c])
         cut_lam, cut_mu = pair[0], pair[-1]
-        if not cut_lam or not cut_mu:
-            continue
         box = tuple(min(max(t[i] for t, _ in cut_lam), max(t[i] for t, _ in cut_mu)) for i in range(3))
         firsts = _indexed(a1, box, memo)[0]
         seconds, at = _indexed(a2, box, memo)
@@ -586,11 +575,9 @@ def _route(shapes: tuple[tuple[int, ...], ...]) -> str:
     when every shape has at most 3 rows, and 'class' otherwise.  On 12
     random non-vanishing triples of at most 3 rows per N (timing tables in
     CHANGES.md; one process, 2 vCPUs), LR took 0.15, 0.28 and 4.5 s in all
-    at N = 36, 48 and 60 and the class sum 0.69, 8.0 and 69 s, measured
-    before the LR rows were cut to their bands; on another draw of 12 per N
-    the banded LR route took 0.21, 0.21 and 4.6 s, where it had taken 0.26,
-    0.34 and 6.5 s.  The coupled recursion still beats the class sum on some
-    long hook-like 4-row triples, none of them in the benchmark's workloads.
+    at N = 36, 48 and 60 and the class sum 0.69, 8.0 and 69 s.  The coupled
+    recursion still beats the class sum on some long hook-like 4-row
+    triples, none of them in the benchmark's workloads.
     """
     if _vanishes(shapes):
         return "vanishing"

@@ -401,7 +401,6 @@ def semigroup_report(generators: Sequence[int]) -> SemigroupReport:
         raise ValueError("generators must be positive integers")
     g = math.gcd(*gens)
     if g > 1:
-        scaled = semigroup_report([x // g for x in gens])
         return SemigroupReport(
             gens, False, None, None,
             note=(f"gcd {g} > 1: infinitely many gaps; the monoid is {g} times the "

@@ -9,17 +9,32 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from collections import Counter
 from typing import Iterator, Sequence
 
-from slinv import kron
-from slinv.budget import active
+from slinv.budget import BudgetExhausted, Deadline, active
 from slinv.exact import Partition, as_scalar, sequence_sign
 from slinv.simplex import FeasibilityResult
 from slinv.spaces import SparseTensor
 from slinv.tableaux import Tableau
+
+
+class CountingDeadline(Deadline):
+    """A deadline that counts its polls; with a cap, it expires on the poll after the cap-th."""
+
+    __slots__ = ("polls", "cap")
+
+    def __init__(self, cap: int | None = None):
+        super().__init__(None)
+        self.polls, self.cap = 0, cap
+
+    def check(self) -> None:
+        self.polls += 1
+        if self.cap is not None and self.polls > self.cap:
+            raise BudgetExhausted()
 
 
 def random_fraction(rng: random.Random, zero_ok: bool = False) -> Fraction:
@@ -649,6 +664,12 @@ def lr3_oracle(nu: tuple[int, int, int], lam: tuple[int, int, int], mu: tuple[in
     return hi - lo + 1 if hi >= lo else 0
 
 
+def _in_box(n: int, box: tuple[int, int, int]) -> list[tuple[int, int, int]]:
+    """The partitions of n into at most 3 parts inside `box`, padded to 3 parts."""
+    return [p + (0,) * (3 - len(p)) for p in partition_tuples(n, box[0])
+            if len(p) <= 3 and all(map(operator.le, p, box))]
+
+
 def _cut_oracle(lam: tuple[int, int, int], inner: tuple[int, int, int]) -> tuple[dict[tuple[int, int, int], int], int]:
     """({tau: c^lam_{tau inner}} over the nonzero coefficients, number of `lr3_oracle` evaluations).
 
@@ -656,7 +677,7 @@ def _cut_oracle(lam: tuple[int, int, int], inner: tuple[int, int, int]) -> tuple
     for a rectangle lam the only tau is the complement of `inner` in lam.
     """
     out = {}
-    taus = kron._boxed(sum(lam) - sum(inner), lam)
+    taus = _in_box(sum(lam) - sum(inner), lam)
     for tau in taus:
         c = lr3_oracle(lam, tau, inner)
         if c:
@@ -683,14 +704,14 @@ def lr_oracle(shapes: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
         if min(a1, a2, a3) < 0:
             continue
         acc = 0
-        for inner in kron._boxed(a3, meet):
+        for inner in _in_box(a3, meet):
             (cut_lam, lam_terms), (cut_mu, mu_terms) = _cut_oracle(lam, inner), _cut_oracle(mu, inner)
             terms += lam_terms + mu_terms
             if not cut_lam or not cut_mu:
                 continue
             same = cut_lam == cut_mu
             box = tuple(min(max(t[i] for t in cut_lam), max(t[i] for t in cut_mu)) for i in range(3))
-            firsts, seconds = kron._boxed(a1, box), kron._boxed(a2, box)
+            firsts, seconds = _in_box(a1, box), _in_box(a2, box)
             terms += len(firsts) * len(seconds) * len(cut_lam)
             for first in firsts:
                 dl.check()

@@ -199,6 +199,9 @@ def test_monoid_verb(capsys):
     assert "delta 1 k 0" in lines
     assert "gaps {1}" in lines
     assert "minimal positive element 2" in lines
+    code, out, _ = run(capsys, "monoid", "--m", "2", "--delta-max", "2")
+    assert code == 0 and out.splitlines()[-1] == ("note: positivity occurs exactly in even degrees; the exponent "
+                                                  "monoid of the m = 2 generic tensor is this set divided by 2")
 
 
 def test_pleth_bound_verb(capsys):
@@ -277,6 +280,11 @@ def test_semigroup_verb(capsys):
     code, out, _ = run(capsys, "semigroup", "2", "5")
     assert code == 0
     assert out.splitlines() == ["gaps {1, 3}", "frobenius 3"]
+    code, out, _ = run(capsys, "semigroup", "4", "6")
+    assert code == 0
+    assert out.splitlines() == ["not a numerical semigroup (gcd > 1); infinitely many gaps",
+                                "gcd 2 > 1: infinitely many gaps; the monoid is 2 times the numerical semigroup "
+                                "generated by (2, 3)"]
 
 
 def test_bad_inputs_exit_two(tmp_path, capsys):
@@ -324,6 +332,19 @@ def test_flag_the_verb_does_not_read_exits_two(tmp_path, monkeypatch, capsys, ar
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and message in err
     assert list(tmp_path.iterdir()) == []  # no file written
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("kronecker", "--lam", "3,x", "--mu", "3", "--nu", "3"), "bad partition '3,x'; "),
+    (("invariant", "form"), "need --kind or --file"),
+    (("invariant", "form", "--kind", "power-sum", "--D", "3", "--m", "2", "--cyclic"),
+     "--cyclic needs degree equal to the number of variables"),
+    (("pleth-bound", "--sl", "--D", "3", "--d", "2"), "--sl needs --m"),
+    (("pleth-bound", "--D", "3", "--d", "2"), "need --lam (or --sl with --m)"),
+])
+def test_a_missing_or_malformed_argument_exits_two(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and message in err
 
 
 def test_budget_gate_exits_two(capsys):

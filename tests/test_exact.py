@@ -107,6 +107,13 @@ def test_scalar_coercion_and_format():
     assert format_scalar(Fraction(-1, 3)) == "-1/3"
 
 
+def test_a_float_scalar_and_a_negative_rectangle_are_refused():
+    with pytest.raises(TypeError, match="not an exact scalar: 0.5"):
+        as_scalar(0.5)
+    with pytest.raises(ValueError, match="rectangle dimensions must be nonnegative"):
+        Partition.rectangle(-1, 2)
+
+
 def test_sequence_sign_matches_sortedness():
     assert sequence_sign([10, 20, 30]) == 1
     assert sequence_sign([2, 1]) == -1

@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (_cut_oracle, beta_list_strips, centralizer_order, classsum_oracle, lr3_oracle, lr_oracle,
-                     partition_tuples, partitions_of, pleth_dfs_oracle)
+from helpers import (CountingDeadline, _cut_oracle, beta_list_strips, centralizer_order, classsum_oracle, lr3_oracle,
+                     lr_oracle, partition_tuples, partitions_of, pleth_dfs_oracle)
 from slinv import kron
-from slinv.budget import BudgetExhausted, Deadline, scope
+from slinv.budget import BudgetExhausted, scope
 from slinv.exact import Partition
 from slinv.kron import (
     character_value,
@@ -285,7 +285,7 @@ def test_lr_term_is_symmetric_in_its_sizes():
         lam, mu = (pad(rng.choice(_three_rows(n))) for _ in range(2))
         cut = sorted(rng.sample(range(n + 2), 2))
         sizes = (cut[0], cut[1] - cut[0] - 1, n + 1 - cut[1])  # a random composition of n into 3 parts
-        terms = {order: kron._lr_term(lam, mu, order) for order in itertools.permutations(sizes)}
+        terms = {order: kron._lr_term(lam, mu, order, {}) for order in itertools.permutations(sizes)}
         assert len(set(terms.values())) == 1, (lam, mu, terms)
         nonzero += terms[sizes] != 0
     assert nonzero >= 10
@@ -396,20 +396,11 @@ def test_routes_poll_the_deadline(method, shape):
     assert time.monotonic() - started < 5
 
 
-class _CountingDeadline(Deadline):
-    def __init__(self):
-        super().__init__(None)
-        self.checks = 0
-
-    def check(self):
-        self.checks += 1
-
-
 def test_exponent_monoid_passes_its_deadline_into_each_delta():
-    dl = _CountingDeadline()
+    dl = CountingDeadline()
     with scope(dl):
         exponent_monoid(3, 4)
-    assert dl.checks > 4  # more than the one check per delta of the scan itself
+    assert dl.polls > 4  # more than the one poll per delta of the scan itself
 
 
 def test_kronecker_fully_symmetric():
@@ -496,6 +487,23 @@ def test_exponent_monoid_m2_caveat():
     assert report.gaps == (1, 3, 5)
     assert report.e_prime == 2
     assert "divided by 2" in report.note
+
+
+def test_exponent_monoid_m1_is_degenerate():
+    report = exponent_monoid(1, 3)
+    assert report.gaps == () and report.note == "m = 1 is degenerate (every degree carries an invariant)"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: exponent_monoid(0), "need m >= 1"),
+    (lambda: exponent_monoid(3, -1), "need delta_max >= 0"),
+    (lambda: pleth_upper_bound((2, 2), 2, 2), "D must be odd"),
+    (lambda: pleth_upper_bound((), 3, -1), "need d >= 0"),
+    (lambda: sl_invariant_bound(3, 0, 2), "need m >= 1 and d >= 0"),
+], ids=["monoid-m-0", "monoid-delta-max-minus-1", "pleth-even-D", "pleth-d-minus-1", "sl-m-0"])
+def test_the_monoid_scan_and_the_bounds_refuse_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_pleth_upper_bound_examples():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    CountingDeadline,
     brute_signed_admissible_tables,
     brute_signed_latin_annuli,
     brute_signed_latin_cubes,
@@ -17,7 +18,7 @@ from helpers import (
     enumerate_latin_cubes,
 )
 from slinv import kernel, latin
-from slinv.budget import BudgetExhausted, Deadline, scope
+from slinv.budget import BudgetExhausted, scope
 from slinv.exact import sequence_sign
 from slinv.latin import (
     invariant,
@@ -48,6 +49,12 @@ def test_signed_latin_squares_small_values():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_signed_latin_squares_against_brute_force(n):
     assert signed_latin_squares(n) == brute_signed_latin_squares(n)
+
+
+@pytest.mark.parametrize("count", [signed_latin_squares, signed_latin_cubes, signed_admissible_tables])
+def test_the_counts_need_n_at_least_1(count):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        count(0)
 
 
 def test_signed_latin_annuli_values_and_oracle():
@@ -235,19 +242,6 @@ def test_every_count_stops_in_its_symmetry_check_once_the_deadline_expires(monke
     assert len(entered) == 1
 
 
-class _CountingDeadline(Deadline):
-    """A deadline that never expires and counts how often it is polled."""
-
-    __slots__ = ("polls",)
-
-    def __init__(self):
-        super().__init__(None)
-        self.polls = 0
-
-    def check(self):
-        self.polls += 1
-
-
 def test_the_orbit_walk_polls_the_deadline():
     steps = _squares_steps(3)
     with scope(-1.0), pytest.raises(BudgetExhausted):  # no generators: nothing to check, so the walk itself raises
@@ -260,7 +254,7 @@ def test_the_orbit_walk_polls_the_deadline():
     (6, _product_symmetry(6), 3),  # 720 candidates: one poll per generator, one for the single orbit
 ], ids=["squares-7-no-generators", "squares-7", "squares-6"])
 def test_the_symmetry_check_and_walk_poll_every_1024_candidates(n, generators, polls):
-    steps, deadline = _squares_steps(n), _CountingDeadline()
+    steps, deadline = _squares_steps(n), CountingDeadline()
     with scope(deadline):
         kernel._first_step_orbits(steps, generators)
     assert deadline.polls == polls
@@ -269,7 +263,7 @@ def test_the_symmetry_check_and_walk_poll_every_1024_candidates(n, generators, p
 def test_the_sweep_polls_once_per_2_16_candidate_tries(monkeypatch):
     # squares 6 sweeps one orbit representative, then 720 candidates per step: 9,522 states, of which
     # every one past the lone empty state tries all 720; a poll per 1,024 states would allow ~737k tries
-    deadline, polls = _CountingDeadline(), []
+    deadline, polls = CountingDeadline(), []
 
     def counted(steps):
         before = deadline.polls
@@ -288,12 +282,12 @@ def test_the_sweep_polls_once_per_2_16_candidate_tries(monkeypatch):
 @pytest.mark.parametrize("build, chis", [(determinant_form, [-1, -1, 1, 1]), (permanent_form, [1, 1, 1, 1])],
                          ids=["det-7", "per-7"])
 def test_det_per_forms_and_their_symmetry_poll_every_1024_terms(build, chis):
-    deadline = _CountingDeadline()
+    deadline = CountingDeadline()
     with scope(deadline):
         form = build(7)
     # 5,040 permutations, on 1,023, 2,047, 3,071 and 4,095, and as many terms checked by SparseForm
     assert deadline.polls == 8
-    deadline = _CountingDeadline()
+    deadline = CountingDeadline()
     with scope(deadline):
         kept = latin._symmetry(form)
     # four polls for each of the four kept grid relabellings; the two index relabellings fail on their first term
@@ -540,6 +534,9 @@ def test_a_lone_cycle_gives_orbits_of_its_length_or_proves_zero(n, labels, sizes
     # the columns of the first three rows of a 4 x 4 square receive 3 of the 4 labels
     (_squares_steps(4)[:3], [(_swap(4, 1, 2), 1)], "not all 4 labels"),
     (_squares_steps(4), [(_swap(4, 1, 2), 1), (_swap(5, 1, 2), 1)], "one common label set"),
+    (_squares_steps(3), [(_swap(3, 1, 2), 2)], "weight character 2 is not"),
+    ([(lines, signed, cands + cands) for lines, signed, cands in _squares_steps(3)], [],
+     "a candidate list repeats labels"),
 ])
 def test_a_false_symmetry_raises_before_any_sweep(monkeypatch, steps, generators, message):
     def no_sweep(*args):

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import fraction_simplex
-from slinv.budget import BudgetExhausted, Deadline, scope
+from helpers import CountingDeadline, fraction_simplex
+from slinv.budget import BudgetExhausted, scope
 from slinv.simplex import _check_farkas, _check_point, solve_equality_feasibility
 
 
@@ -46,22 +46,14 @@ def test_degenerate_zero_row():
     assert res.x[0] == 1
 
 
+def test_an_empty_system_is_feasible():
+    res = solve_equality_feasibility([], [])
+    assert res.feasible and res.x == ()
+
+
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         solve_equality_feasibility([[1, 2], [1]], [1, 1])
-
-
-class _CountingDeadline(Deadline):
-    """Counts its polls; with a cap, expires on the poll after the cap-th."""
-
-    def __init__(self, cap=None):
-        super().__init__(None)
-        self.checks, self.cap = 0, cap
-
-    def check(self):
-        self.checks += 1
-        if self.cap is not None and self.checks > self.cap:
-            raise BudgetExhausted("pivot cap")
 
 
 def _solve(A, b):
@@ -73,12 +65,12 @@ def _solve(A, b):
 
 def test_pivot_loop_polls_the_deadline_in_scope_once_per_pivot():
     A, b = [[1, 1, 0], [1, -1, 1], [0, 2, 3]], [2, 0, 5]
-    deadline = _CountingDeadline()
+    deadline = CountingDeadline()
     with scope(deadline) as work:
         res = solve_equality_feasibility(A, b)
     assert res.feasible and work == {"pivots": 3}
     # once per row built, once per pivot, and once more to find no entering column
-    assert deadline.checks == len(A) + 3 + 1
+    assert deadline.polls == len(A) + 3 + 1
     with scope(-1), pytest.raises(BudgetExhausted):  # a deadline already passed
         solve_equality_feasibility(A, b)
     assert solve_equality_feasibility(A, b) == res  # outside every scope nothing is polled or recorded
@@ -87,10 +79,10 @@ def test_pivot_loop_polls_the_deadline_in_scope_once_per_pivot():
 def test_building_the_rows_polls_the_deadline_once_per_row():
     # a wide system whose pivots never start: the poll after the cap-th row stops it
     A, b = [[1] * 4000 for _ in range(8)], [1] * 8
-    deadline = _CountingDeadline(cap=5)
+    deadline = CountingDeadline(cap=5)
     with scope(deadline) as work, pytest.raises(BudgetExhausted):
         solve_equality_feasibility(A, b)
-    assert deadline.checks == 6 and work == {}
+    assert deadline.polls == 6 and work == {}
 
 
 def test_beales_cycling_example_is_decided():
@@ -101,7 +93,7 @@ def test_beales_cycling_example_is_decided():
     # basis, and again, forever; the lexicographic ratio test decides the system.
     A = [[Fraction(1, 4), -8, -1, 9], [Fraction(1, 2), -12, Fraction(-1, 2), 3], [0, 0, 1, 0], [0, 0, 1, -18]]
     b = [0, 0, 1, 100]
-    with scope(_CountingDeadline(cap=50)) as work:
+    with scope(CountingDeadline(cap=50)) as work:
         res = solve_equality_feasibility(A, b)
     assert not res.feasible and work == {"pivots": 2}
     assert (res, 2) == fraction_simplex(A, b)

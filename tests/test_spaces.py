@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import apply_action, matrix_inverse, random_integer_matrix, random_invertible_matrix
-from slinv.budget import BudgetExhausted, Deadline, scope
+from helpers import CountingDeadline, apply_action, matrix_inverse, random_integer_matrix, random_invertible_matrix
+from slinv.budget import BudgetExhausted, scope
 from slinv.exact import multinomial
 from slinv.spaces import (
     NamedObject,
@@ -65,6 +65,22 @@ def test_form_rejects_bad_keys():
 ], ids=["form-key", "tensor-key", "tensor-shape"])
 def test_a_float_key_or_shape_is_refused_not_truncated(build):
     with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SparseForm(0, 1, {}), "need m >= 1 and D >= 0"),
+    (lambda: SparseTensor((2, 0), {}), r"bad shape \(2, 0\)"),
+    # the parsers refuse this index before they build the tensor
+    (lambda: SparseTensor((2, 2), {(3, 1): 1}), r"index \(3, 1\) out of shape \(2, 2\)"),
+    (lambda: form_to_tensor(SparseForm(2, 0, {})), "degree must be >= 1 to build a tensor"),
+    (lambda: NamedObject("unit", m=2).form_degree(), "unit-tensor is not a form"),
+    (lambda: NamedObject("product", m=2).tensor_axis_dim(), "product is not a tensor"),
+    (lambda: serialize_tensor(SparseTensor((2, 3), {})), "only order-3 or cubic tensors have a text format"),
+], ids=["form-m-0", "tensor-shape-0", "tensor-index", "form-degree-0", "unit-form-degree", "product-axis-dim",
+        "serialize-order-2"])
+def test_a_malformed_form_or_tensor_or_a_wrong_question_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
         build()
 
 
@@ -289,27 +305,14 @@ def test_generic_kinds_build_nothing(obj):
         obj.build()
 
 
-class _CountingDeadline(Deadline):
-    """Counts its polls; with a cap, expires on the poll after the cap-th."""
-
-    def __init__(self, cap=None):
-        super().__init__(None)
-        self.polls, self.cap = 0, cap
-
-    def check(self):
-        self.polls += 1
-        if self.cap is not None and self.polls > self.cap:
-            raise BudgetExhausted()
-
-
 def test_building_a_form_or_tensor_polls_the_deadline_every_1024_terms():
     # 3,000 terms: one poll on each of the terms 1,023 and 2,047, so a cap of one poll stops the second
     coeffs = {(a, 3000 - a): 1 for a in range(3000)}
     entries = {(i, j, 1): 1 for i in range(1, 61) for j in range(1, 51)}
     for build in (lambda: SparseForm(2, 3000, coeffs), lambda: SparseTensor((60, 50, 1), entries)):
-        deadline = _CountingDeadline()
+        deadline = CountingDeadline()
         with scope(deadline):
             built = build()
         assert deadline.polls == 2 and built == build()
-        with scope(_CountingDeadline(cap=1)), pytest.raises(BudgetExhausted):
+        with scope(CountingDeadline(cap=1)), pytest.raises(BudgetExhausted):
             build()

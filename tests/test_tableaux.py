@@ -68,6 +68,8 @@ def test_tableau_validation():
         Tableau(((1, 1), (2, 3)), d=3)
     T = CYCLIC_3
     assert (T.m, T.s, T.d, T.D) == (3, 4, 4, 3)
+    with pytest.raises(ValueError, match="need D >= 1 and m >= 1"):
+        generic_tableau(0, 2)
 
 
 def test_positions_running_example():

@@ -420,6 +420,11 @@ def test_polystable_rejects_zero_input():
         polystable_tensor_support(SparseTensor((2, 2, 2), {}))
 
 
+def test_polystable_tensor_support_needs_a_cubic_order_3_tensor():
+    with pytest.raises(ValueError, match="support condition implemented for cubic order-3 tensors"):
+        polystable_tensor_support(SparseTensor((2, 2), {(1, 1): 1}))
+
+
 def test_semigroup_examples():
     report = semigroup_report([2, 5])
     assert report.gaps == (1, 3) and report.frobenius == 3
@@ -445,6 +450,22 @@ def test_semigroup_generators_must_be_integers():
     # a float generator is refused, not truncated to the semigroup of (2, 5)
     with pytest.raises(TypeError):
         semigroup_report([2.5, 5])
+    with pytest.raises(ValueError, match="generators must be positive integers"):
+        semigroup_report([0, 3])
+
+
+def test_a_non_numerical_semigroup_is_reported_without_a_sieve(monkeypatch):
+    # gcd 2: the note names the scaled generators, and no report of them is built
+    calls, report_of = [], theory.semigroup_report
+
+    def counted(generators):
+        calls.append(tuple(generators))
+        return report_of(generators)
+
+    monkeypatch.setattr(theory, "semigroup_report", counted)
+    report = theory.semigroup_report((4, 6))
+    assert calls == [(4, 6)] and not report.is_numerical and report.gaps is None
+    assert report.note.endswith("numerical semigroup generated by (2, 3)")
 
 
 def test_semigroup_non_coprime_smallest_pair():
