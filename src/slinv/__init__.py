@@ -9,7 +9,7 @@ group action on tensors, the partition enumerations) live with its tests.
 """
 
 from .budget import BudgetExhausted, Deadline, scope
-from .exact import Partition, multinomial, perm_sign
+from .exact import Partition, multinomial
 from .kron import (
     MonoidReport,
     character_value,

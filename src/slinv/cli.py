@@ -4,8 +4,8 @@ Every verb maps to exactly one library operation and prints exact values:
 rationals as p/q (integers as p).  Each verb takes only the flags it reads.
 --json (every verb) wraps the principal value and a meta dict.  --budget
 SECONDS (invariant, eval-tableau, count, kronecker, krect, monoid,
-pleth-bound, min-degree, normality, polystable; finite, >= 0) bounds the
-verb's wall-clock time from its start, as the one `budget.scope` that
+pleth-bound, min-degree, polystable; finite, >= 0) bounds the verb's
+wall-clock time from its start, as the one `budget.scope` that
 `main` opens around it, whose work record the verb's --json meta reads;
 when it is exhausted `main` prints "budget exhausted after X.Xs" (krect
 and monoid name the delta they stopped at first) and exits with code 3.
@@ -13,8 +13,8 @@ and monoid name the delta they stopped at first) and exits with code 3.
 n3) read off the shape (n2 n3, n1 n3, n1 n2).
 --threads K belongs to `count` only and goes after its structure; every
 count runs as one sweep in this process, so K (>= 1) changes nothing.
-Exit code 2 flags bad input, including a flag the verb does not take and
-refusal of the known week-long runs without a budget.
+Exit code 2 flags bad input, including an unreadable file, a flag the verb
+does not take and refusal of the known week-long runs without a budget.
 """
 
 from __future__ import annotations
@@ -373,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
          (("--d",), dict(type=int, required=True)))
     verb("periods", _cmd_periods, [named], "stabilizer and degree periods")
     verb("min-degree", _cmd_min_degree, [budget, named], "minimal invariant degree report")
-    verb("normality", _cmd_normality, [budget, named], "orbit-closure normality flag")
+    verb("normality", _cmd_normality, [named], "orbit-closure normality flag")
     verb("polystable", _cmd_polystable, [budget, source, named], "polystability support certificates")
     verb("semigroup", _cmd_semigroup, [], "numerical semigroup gaps and Frobenius number",
          (("generators",), dict(type=int, nargs="+")))
@@ -389,7 +389,7 @@ def main(argv=None) -> int:
     try:
         with scope(getattr(args, "budget", None)) as work:  # the verb's one budget, counted from here
             value, meta, lines = args.func(args, work)
-    except (CliError, ValueError, FileNotFoundError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except BudgetExhausted as exc:

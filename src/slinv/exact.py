@@ -50,13 +50,6 @@ def sequence_sign(seq: Sequence[int]) -> int:
     return -1 if inversions & 1 else 1
 
 
-def perm_sign(images: Sequence[int]) -> int:
-    """Sign of a permutation given as its 1-based image sequence."""
-    if sorted(images) != list(range(1, len(images) + 1)):
-        raise ValueError(f"not a permutation: {images}")
-    return sequence_sign(images)
-
-
 class Frozen:
     """An immutable value whose fields are its `__slots__`, each set once by `__init__`.
 

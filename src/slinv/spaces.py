@@ -300,7 +300,7 @@ def _generic_form_period(o):
 
 def _power_sum_decides(o):
     if o.D % 2 == 0:
-        return "generic-invariant", o.m, o.D
+        return Finished(o.m, "generic degree-m invariant evaluates to m! at the power sum")
     if 2 * o.m <= math.comb(2 * o.D, o.D):
         return Finished(2 * o.m, "degree-2m tableau invariant with pairwise distinct column supports evaluates to m!")
     return Finished(None, f"no invariant in degree 2m: fewer than 2m = {2 * o.m} distinct {o.D}-subsets of a "

@@ -37,7 +37,6 @@ from .latin import (
 )
 from .simplex import solve_equality_feasibility
 from .spaces import RECTANGLE_SCAN, Finished, NamedObject, SparseForm, SparseTensor
-from .tableaux import generic_tableau
 
 
 # ----------------------------------------------------------------------------
@@ -99,14 +98,6 @@ class MinimalDegreeReport(NamedTuple):
         return self.exact is not None
 
 
-def _power_sum_invariant(m: int, D: int) -> Fraction:
-    """The generic degree-m invariant at the power sum of degree D, which is m!."""
-    value = invariant(NamedObject("power-sum", D=D, m=m).build(), generic_tableau(D, m))
-    if value != math.factorial(m):
-        raise AssertionError(f"generic invariant at the power sum is {value}, not {m}!")
-    return value
-
-
 class Evaluation(NamedTuple):
     """An exact evaluation equal to a fundamental invariant at a named object, up to a nonzero factor.
 
@@ -160,11 +151,6 @@ EVALUATIONS = {
         lambda n, tensor: math.prod(_format(tensor.shape)) >= 27, None,  # its degree n1 n2 n3
         "fundamental tensor invariant is nonzero at the tensor", "fundamental tensor invariant vanishes",
         "matrix-multiplication evaluation not finished", _CANDIDATE_VANISHES),
-    "generic-invariant": Evaluation(
-        _power_sum_invariant, ("m", "D"), lambda m, D: False, None,
-        "generic degree-m invariant is nonzero at the power sum",
-        "generic degree-m invariant vanishes at the power sum", "generic degree-m invariant not finished",
-        "degree-m invariant vanishes; no decision above m"),
 }
 
 

@@ -249,6 +249,18 @@ def test_polystable_verbs(capsys):
     assert payload["meta"]["witness"] == {"1 1 1": "1/3", "2 2 2": "1/3", "3 3 3": "1/3"}
 
 
+def test_polystable_prints_the_separating_directions_of_a_failing_condition(tmp_path, capsys):
+    # x1^2 misses the all-ones vector; the tensor's support fixes the first two axes at 1
+    form = _write(tmp_path / "square.form", "form 2 2\n2 0 : 1\n")
+    assert run(capsys, "polystable", "form", "--file", form) == (0, "condition-fails\nseparating 1/2 -1/2\n", "")
+    code, out, _ = run(capsys, "polystable", "form", "--file", form, "--json")
+    assert code == 0 and json.loads(out) == {"value": "condition-fails", "meta": {
+        "witness": None, "separating": [["1/2", "-1/2"]], "reductive_condition": "not checked", "pivots": 1}}
+    tensor = _write(tmp_path / "line.tensor", "tensor 2 2 2\n1 1 1 : 1\n1 1 2 : 1\n")
+    code, out, err = run(capsys, "polystable", "tensor", "--file", tensor)
+    assert (code, out, err) == (0, "condition-fails\nseparating 0 0\nseparating 3/2 -3/2\nseparating 0 0\n", "")
+
+
 def test_polystable_json_reports_pinned_pivot_counts(capsys):
     # the pivot rule (Dantzig's entering column, lexicographic ratio test) fixes the pivot
     # sequence, so a change to it shows up here
@@ -301,6 +313,20 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
         assert code == 2 and out == "" and "--threads needs K >= 1" in err
 
 
+@pytest.mark.parametrize("flag", ["--file", "--tableau", "--tensor"])
+def test_a_file_that_cannot_be_read_exits_two(tmp_path, capsys, flag):
+    # a directory in place of the file
+    if flag == "--file":
+        argv = ("invariant", "form", "--file", str(tmp_path))
+    else:
+        files = {"--tableau": _write(tmp_path / "g.tableau", serialize_tableau(generic_tableau(2, 2))),
+                 "--tensor": _write(tmp_path / "q.tensor", serialize_tensor(form_to_tensor(power_sum_form(2, 2))))}
+        files[flag] = str(tmp_path)
+        argv = ("eval-tableau", "--tableau", files["--tableau"], "--tensor", files["--tensor"])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ") and str(tmp_path) in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (("invariant", "form", "--kind", "product", "--m", "3", "--checkpoint", "x", "--threads", "2"),
      "unrecognized arguments: --checkpoint x --threads 2"),
@@ -311,6 +337,7 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     (("periods", "--kind", "power-sum", "--D", "3", "--m", "3", "--budget", "0"), "unrecognized arguments: --budget 0"),
     (("polystable", "form", "--kind", "determinant", "--n", "3", "--threads", "2"), "unrecognized arguments: --threads 2"),
     (("semigroup", "2", "5", "--budget", "1"), "unrecognized arguments: --budget 1"),
+    (("normality", "--kind", "product", "--m", "4", "--budget", "1"), "unrecognized arguments: --budget 1"),
     # count flags belong after the structure
     (("count", "--threads", "2", "--json", "latin-squares", "3"), "invalid choice: '2'"),
     (("count", "--budget", "5", "latin-cubes", "3"), "invalid choice: '5'"),
@@ -535,7 +562,6 @@ _LONG_RUNS = {
     "monoid": lambda tmp_path: ("--m", "16", "--delta-max", "4"),  # about 20 s
     "pleth-bound": lambda tmp_path: ("--sl", "--D", "3", "--m", "2", "--d", "12"),  # unfinished after 20 s
     "min-degree": lambda tmp_path: ("--kind", "determinant", "--n", "4"),
-    "normality": lambda tmp_path: ("--kind", "power-sum", "--D", "4", "--m", "22"),  # about 17 s
     "polystable": lambda tmp_path: ("form", "--kind", "determinant", "--n", "8"),
 }
 
@@ -549,7 +575,7 @@ def test_every_budget_verb_stops_within_its_budget(tmp_path, capsys, verb):
     started = time.monotonic()
     code, out, err = run(capsys, *verb.split(), *_LONG_RUNS[verb](tmp_path), "--budget", "0.5")
     assert time.monotonic() - started < 5
-    if verb in ("min-degree", "normality"):  # an undecided report, printed
+    if verb == "min-degree":  # an undecided report, printed
         assert code == 0 and "undecided at budget" in out and err == ""
     else:
         detail = {"krect": r"at delta 60 \(0 of 1 values computed\) ",

@@ -156,7 +156,7 @@ def test_generic_evaluator_matches_tableau_evaluator_on_random_tensors(case):
 
 
 def test_generic_invariant_power_sum_values():
-    for D, m in [(2, 2), (4, 2), (4, 3), (6, 2)]:
+    for D, m in [(2, 2), (2, 5), (4, 2), (4, 3), (6, 2)]:
         v = form_to_tensor(power_sum_form(D, m))
         assert invariant(v, generic_tableau(D, m)) == math.factorial(m)
 

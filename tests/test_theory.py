@@ -114,7 +114,7 @@ def test_periods_rejects_degenerate_objects():
 
 def test_minimal_degree_power_sums():
     report = minimal_degree_report(NamedObject("power-sum", D=4, m=3))
-    assert report.exact == 3 and report.value == 6
+    assert report.exact == 3 and report.value is None  # even D: the closed form m!, not an evaluation
     report = minimal_degree_report(NamedObject("power-sum", D=3, m=2))
     assert report.exact == 4  # 2m with 2m <= C(6,3)
     report = minimal_degree_report(NamedObject("power-sum", D=3, m=11))
@@ -161,14 +161,6 @@ def test_generic_tensor_scan_honours_budget():
     assert time.monotonic() - started < 5
 
 
-def test_power_sum_scan_honours_budget():
-    # even D decides by the generic degree-m invariant; at m = 10 that search has 10! leaves
-    with scope(0):
-        report = minimal_degree_report(NamedObject("power-sum", D=2, m=10))
-    assert report.exact is None and report.lower_bound == 10
-    assert report.undecided_reason == "undecided at budget"
-
-
 # every kind at small sizes; the reports of these objects run within a few seconds
 REPORT_GRID = (
     [NamedObject("product", m=m) for m in range(2, 6)]
@@ -208,9 +200,6 @@ DECIDING_RUNS = [
     (NamedObject("product", m=6), ("latin-squares", 6), -199065600),
     (NamedObject("product", m=7), ("latin-annuli", 7), None),
     (NamedObject("product", m=8), ("latin-squares", 8), None),
-    (NamedObject("power-sum", D=4, m=3), ("generic-invariant", 3), 6),
-    (NamedObject("power-sum", D=2, m=5), ("generic-invariant", 5), 120),
-    (NamedObject("power-sum", D=6, m=2), ("generic-invariant", 2), 2),
     (NamedObject("determinant", n=2), ("admissible-tables", 2), 24),
     (NamedObject("determinant", n=4), ("admissible-tables", 4), None),
     (NamedObject("permanent", n=2), ("admissible-tables", 2), 24),
@@ -235,13 +224,14 @@ def test_deciding_runs_carry_every_argument_their_refusal_reads():
     assert deciding_run(NamedObject("product", m=7)) == ("latin-annuli", 7, 8)
     assert deciding_run(NamedObject("determinant", n=4)) == ("admissible-tables", 4, "det")
     assert deciding_run(NamedObject("permanent", n=6)) == ("admissible-tables", 6, "per")
-    assert deciding_run(NamedObject("power-sum", D=4, m=3)) == ("generic-invariant", 3, 4)
     assert deciding_run(NamedObject("matmul-tensor", n=3)) == ("tensor-invariant", 3, matmul_tensor(3))
 
 
 # (object, lower bound, exact, evidence, undecided reason) of the reports that run no
 # single evaluation: finished answers, and the generic-tensor rectangle scan (m >= 3)
 FINISHED_REPORTS = [
+    *[(NamedObject("power-sum", D=D, m=m), m, m, "generic degree-m invariant evaluates to m! at the power sum", None)
+      for D, m in [(4, 3), (2, 5), (6, 2), (4, 40)]],
     (NamedObject("power-sum", D=3, m=2), 4, 4,
      "degree-2m tableau invariant with pairwise distinct column supports evaluates to m!", None),
     (NamedObject("power-sum", D=3, m=11), 44, None,
