@@ -254,7 +254,7 @@ def _classsum(shapes: tuple[tuple[int, ...], ...]) -> int:
     to the most rows among the three; a strip removal that empties a vector
     prunes the subtree.  Each node closes every cycle type whose remaining
     r cells are 2- and 1-cycles at once.  The packed domino rows of its
-    vector's shapes (`_packed_dominoes`, built per call) sum to one integer
+    vector's shapes (`_packed_dominoes`) sum to one integer
     per distinct shape lam, whose digit j is chi_lam(prefix 2^j 1^(r - 2j))
     by Murnaghan-Nakayama, so |digit| <= f^lam.  The digit width w has
     2^(w - 1) > max f^lam, so `_digits` decodes every digit exactly.  z_rho
@@ -262,7 +262,10 @@ def _classsum(shapes: tuple[tuple[int, ...], ...]) -> int:
     is >= 3.  So there is at most one node per partition of a number up to
     N into parts >= 3.  The accumulator holds sum over classes of
     prod chi * |class|, an integer, and is divided by N! at the end with an
-    integrality check.  The work record gets the DFS `nodes`.
+    integrality check.  The work record gets the DFS `nodes`.  Both tables
+    live for one call: the packed rows by mask, and per strip length each
+    mask's `_bead_moves` sub-masks with the sign folded in (~sub for -1),
+    every mask one shared int object.
     """
     uniq = Counter(shapes)  # distinct shape -> multiplicity
     mults = list(uniq.values())
@@ -276,7 +279,8 @@ def _classsum(shapes: tuple[tuple[int, ...], ...]) -> int:
     pairings = [[facts[r] // (2**j * facts[j] * facts[r - 2 * j]) for j in range(r // 2 + 1)]
                 for r in range(n + 1)]
     dominoes: dict[int, int] = {}
-    strips: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    strips: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n + 1)]  # [length][mask] -> folded subs
+    shared = {}.setdefault  # shared(x, x): the one int object of value x
     dl = active()
     total = 0
     nodes = 0
@@ -297,16 +301,22 @@ def _classsum(shapes: tuple[tuple[int, ...], ...]) -> int:
             closed = [w * chi**mult for w, chi in zip(closed, _digits(packed, width, len(closed)))]
         total += nfact // (z * facts[remaining]) * sum(closed)
         for length in range(min(max_part, remaining), 2, -1):
+            table = strips[length]
             new_vecs = []
             for vec in vecs:
                 nv: dict[int, int] = {}
                 get = nv.get
                 for mask, coeff in vec.items():
-                    moves = strips.get((mask, length))
+                    moves = table.get(mask)
                     if moves is None:
-                        moves = strips[mask, length] = _bead_moves(mask, length)
-                    for sub, sign in moves:
-                        nv[sub] = get(sub, 0) + sign * coeff
+                        folded = (sub if sign > 0 else ~sub for sub, sign in _bead_moves(mask, length))
+                        moves = table[shared(mask, mask)] = tuple(shared(sub, sub) for sub in folded)
+                    for sub in moves:
+                        if sub < 0:
+                            sub = ~sub
+                            nv[sub] = get(sub, 0) - coeff
+                        else:
+                            nv[sub] = get(sub, 0) + coeff
                 nv = {mask: c for mask, c in nv.items() if c}
                 if not nv:
                     break

@@ -366,7 +366,8 @@ _KINDS = {
         counted_as=lambda o, cyclic: ("latin-annuli", o.m, o.m + 1) if cyclic else ("latin-squares", o.m)),
     "power-sum": Kind(
         ("D", "m"), True, power_sum_form, "power sum of degree {D} in {m} variables", _power_sum_period,
-        _power_sum_decides, normal=_quadric, bound=_power_sum_bound),
+        _power_sum_decides, normal=_quadric, bound=_power_sum_bound,
+        counted_as=lambda o, cyclic: None if cyclic else ("generic-invariant", o.D, o.m)),
     "determinant": Kind(
         ("n",), True, determinant_form, "determinant of size {n}", _determinant_period, **_tables("det")),
     "permanent": Kind(

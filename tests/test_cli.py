@@ -487,6 +487,18 @@ def test_long_square_and_annulus_runs_are_refused_without_budget(capsys, argv, w
         assert code == 3 and "budget exhausted" in err
 
 
+@pytest.mark.parametrize("D", [2, 4])
+def test_even_degree_power_sum_invariants_in_22_variables_are_refused_without_budget(capsys, D):
+    # the generic-invariant sweep peaks at C(m, m/2) states for any even D: m = 22 takes 10 s and 128 MB
+    argv = ("invariant", "form", "--kind", "power-sum", "--D", str(D), "--m", "22")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "the degree-22 invariant of power-sum_22" in err and "--budget" in err
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv, "--budget", "0.5")
+    assert code == 3 and out == "" and re.fullmatch(r"budget exhausted after \d+\.\ds\n", err)
+    assert time.monotonic() - started < 5
+
+
 @pytest.mark.parametrize("argv, value", [
     *[(("count", "latin-squares", str(n)), value)
       for n, value in [(1, "1"), (2, "-2"), (3, "0"), (4, "576"), (5, "0"), (6, "-199065600"), (7, "0"), (9, "0")]],
@@ -503,6 +515,9 @@ def test_long_square_and_annulus_runs_are_refused_without_budget(capsys, argv, w
     (("invariant", "form", "--kind", "product", "--m", "7"), "0"),
     (("invariant", "form", "--kind", "product", "--m", "9"), "0"),
     (("invariant", "form", "--kind", "product", "--m", "3", "--cyclic"), "1/54"),
+    # even-D power sums are refused from m = 22; odd D is 0 at any m, with no state expanded
+    (("invariant", "form", "--kind", "power-sum", "--D", "4", "--m", "16"), "20922789888000"),
+    (("invariant", "form", "--kind", "power-sum", "--D", "3", "--m", "24"), "0"),
 ])
 def test_squares_and_annuli_below_the_refusal_thresholds_need_no_budget(capsys, argv, value):
     assert run(capsys, *argv) == (0, value + "\n", "")
@@ -584,7 +599,7 @@ def test_every_budget_verb_stops_within_its_budget(tmp_path, capsys, verb):
 
 
 def test_krect_class_sum_stops_within_its_budget(capsys):
-    # k_rect(8, 8) takes the class sum for about half a minute without a budget
+    # k_rect(8, 8) takes the class sum about 9-11 s without a budget (2 vCPUs, Python 3.11)
     started = time.monotonic()
     code, out, err = run(capsys, "krect", "--m", "8", "--delta", "8", "--budget", "0.5")
     assert time.monotonic() - started < 2

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -154,12 +155,29 @@ def test_root_closure_decodes_f_lambda_at_the_tight_width(monkeypatch):
 
 
 def test_k_rect_7_7_class_sum_work_is_pinned():
-    # 81,262 nodes when only the 1-cycles were closed; the class sum fills no strip table of the recursion
+    # 81,262 nodes at 7 x 7 when only the 1-cycles were closed; the class sum fills no strip table of the
+    # recursion.  7 x 6 and 4 x 8 are the benchmark's two monoid scans' class sums
     interned = len(kron._SHAPES)
-    with scope() as work:
-        assert k_rect(7, 7) == 125250433
-    assert work == {"route": "class", "nodes": 19691}
+    for m, delta, value, nodes in [(7, 7, 125250433, 19691), (7, 6, 438744, 7458), (4, 8, 67, 1569)]:
+        with scope() as work:
+            assert k_rect(m, delta) == value
+        assert work == {"route": "class", "nodes": nodes}, (m, delta)
     assert len(kron._SHAPES) == interned
+
+
+def test_class_sum_tables_stay_small():
+    # k_rect(7, 6) raised the traced peak by 2.6 MB with strips as (sub, sign) lists keyed by (mask, length)
+    # tuples, and by 1.3 MB with per-length tables of sign-folded, shared masks
+    k_rect(7, 5)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert k_rect(7, 6) == 438744
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 1_800_000
 
 
 @pytest.mark.parametrize("m, deltas", [(4, range(1, 7)), (5, range(1, 6))])
