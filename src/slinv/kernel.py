@@ -2,7 +2,7 @@
 tableau and tensor invariant reduces to.
 
 A sum is a fixed sequence of steps, each placing a tuple of labels on a
-tuple of lines.  No label may repeat on a line; a signed line contributes
+tuple of lines.  No label may repeat on a line; every line contributes
 the sign of the permutation its labels form in placement order,
 accumulated as inversions against the labels already on it; each
 placement carries an integer weight.  `_signed_sum` evaluates that sum by
@@ -11,26 +11,27 @@ partial placements that reach the same state, in bounded memory; a
 candidate costs one test for reuse and one popcount for its inversions.
 Each sweep adds its work to the work record of the innermost
 `budget.scope`: `states` (state expansions, summed) and `peak_states`
-(live states, maximum).
+(live states, maximum), also when it stops early.
 
-A relabelling g of the labels that maps every candidate list onto itself,
-each weight times chi(g), maps complete placements to complete placements.
-When every signed line is full (it receives every label g permutes), g
-multiplies each placement's value by `_character`, chi(g)^(#steps) *
-sgn(g)^(#signed lines); `_first_step_orbits` reads it off the generators: one
-on which it is -1 proves the sum 0, and otherwise the sum is one subtree per
-orbit of the first step's candidates times the orbit's size.
+A relabelling g of the labels that maps the steps' one candidate list onto
+itself, each weight times chi(g), maps complete placements to complete
+placements.  When every line receives every label g permutes, g multiplies
+each placement's value by `_character`, chi(g)^(#steps) * sgn(g)^(#lines).
+`_first_step_orbits` checks each generator in its one walk over the
+candidates: one of character -1 proves the sum 0, and otherwise the sum is
+one subtree per orbit of the first step's candidates times the orbit's size.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Sequence
 
 from .budget import active, record
 from .exact import sequence_sign
 
-_CHECK_MASK = 0x3FF  # deadline polling period in candidates checked, packed or walked
+_CHECK_MASK = 0x3FF  # deadline polling period in candidates packed or walked
 _POLL_TRIES = 1 << 16  # most candidate tries a sweep makes between two deadline polls
 _STATE_CAP = 1 << 20  # live states across all the layers a sweep holds
 _CHUNK_FLOOR = 1 << 12  # no partial layer is finished on its own below this size
@@ -39,14 +40,13 @@ _CHUNK_FLOOR = 1 << 12  # no partial layer is finished on its own below this siz
 def _signed_sum(steps: Sequence[tuple]) -> int:
     """The sum over all placements of sign * product of candidate weights;
     the work record (`budget.record`) adds the state expansions to `states`
-    and raises `peak_states` to this run's peak.
+    and raises `peak_states` to this run's peak, also when the deadline stops it.
 
-    steps[t] = (lines, signed, candidates); a candidate (labels, weight)
-    puts the positive integer labels[k] on line lines[k] and multiplies the
-    term by the integer weight.  A placement picks one candidate per step
-    such that no line receives a label twice; its sign is (-1)^(inversions
-    on the lines whose signed[k] is true), each line read in step order.
-    steps must be nonempty.
+    steps[t] = (lines, candidates); a candidate (labels, weight) puts the
+    positive integer labels[k] on line lines[k] and multiplies the term by
+    the integer weight.  A placement picks one candidate per step such that
+    no line receives a label twice; its sign is (-1)^(inversions on all
+    lines), each line read in step order.  steps must be nonempty.
 
     A candidate's inversions depend only on the labels already on its lines,
     so what remains of the sum after t steps depends only on the packed line
@@ -57,7 +57,7 @@ def _signed_sum(steps: Sequence[tuple]) -> int:
     every other layer but never expanded, so `states` leaves it out while
     `peak_states` counts it beside the layer it is built from.  It holds at
     most one state when every line ends full, as every line of a tableau or
-    tensor invariant does (each is signed and receives every label).
+    tensor invariant does (each receives every label).
     Memory is bounded: when the layer under construction reaches
     max(_CHUNK_FLOOR, _STATE_CAP - states held by the layers above), that
     partial layer is finished by a recursive sweep whose total adds to the
@@ -72,21 +72,20 @@ def _signed_sum(steps: Sequence[tuple]) -> int:
     pass between two polls.
     """
     deadline = active()
-    width = 1 + max((max(labels) for _, _, cands in steps for labels, _ in cands), default=0)
+    width = 1 + max((max(labels) for _, cands in steps for labels, _ in cands), default=0)
     segment = (1 << width) - 1
     # Line l owns bits l*width .. l*width + width - 1 of the packed state.  Per
     # step: (bits the candidate sets, bits whose presence is an inversion, weight).
     plan = []
-    for lines, signed, cands in steps:
+    for lines, cands in steps:
         packed = []
         for i, (labels, weight) in enumerate(cands):
             if not i & _CHECK_MASK:
                 deadline.check()
             bits = above = 0
-            for line, flag, label in zip(lines, signed, labels):
+            for line, label in zip(lines, labels):
                 bits |= 1 << (line * width + label)
-                if flag:
-                    above |= (segment & -(2 << label)) << (line * width)
+                above |= (segment & -(2 << label)) << (line * width)
             packed.append((bits, above, weight))
         plan.append(packed)
     periods = [max(1, _POLL_TRIES // max(1, len(packed))) for packed in plan]  # states between polls
@@ -127,11 +126,12 @@ def _signed_sum(steps: Sequence[tuple]) -> int:
             t += 1
         return total + sum(layer.values())
 
-    total = sweep(0, {0: 1}, 0)
-    work = record()
-    work["states"] = work.get("states", 0) + expanded
-    work["peak_states"] = max(work.get("peak_states", 0), peak)
-    return total
+    try:
+        return sweep(0, {0: 1}, 0)
+    finally:
+        work = record()
+        work["states"] = work.get("states", 0) + expanded
+        work["peak_states"] = max(work.get("peak_states", 0), peak)
 
 
 def _integer_weights(entries: dict) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
@@ -144,10 +144,10 @@ def _integer_weights(entries: dict) -> tuple[int, list[tuple[tuple[int, ...], in
     return den, [(idx, int(w * den)) for idx, w in entries.items()]
 
 
-def _character(perm: dict, chi: int, steps: int, signed_lines: int) -> int:
-    """chi^steps * sgn(perm)^signed_lines: the factor by which a relabelling of weight character chi
-    multiplies a sum whose signed lines each receive every label it permutes."""
-    return chi**steps * sequence_sign([perm[label] for label in sorted(perm)]) ** signed_lines
+def _character(perm: dict, chi: int, steps: int, lines: int) -> int:
+    """chi^steps * sgn(perm)^lines: the factor by which a relabelling of weight character chi
+    multiplies a sum whose lines each receive every label it permutes."""
+    return chi**steps * sequence_sign([perm[label] for label in sorted(perm)]) ** lines
 
 
 def _first_step_orbits(steps: Sequence[tuple], generators: Sequence[tuple[dict, int]]) -> list[tuple[int, int]]:
@@ -155,56 +155,36 @@ def _first_step_orbits(steps: Sequence[tuple], generators: Sequence[tuple[dict, 
     multiplier times the sum with the first step fixed to that candidate.
 
     generators is a list of (label permutation as a dict, weight character
-    chi).  ValueError, before any sweep, unless every generator permutes one
-    common label set, has chi = +-1 and maps each distinct candidate list
-    onto itself with every weight times chi, and every line with a signed
-    placement is signed in all of them and receives one per label.  Then g
-    maps the whole sum S to f(g) * S with f = `_character`, and fixing the
-    first step to g.c gives f(g) times the sum at c.  So a generator with
-    f = -1 proves S = 0, and the result is [] with no orbit walked;
-    otherwise every candidate of an orbit has its first candidate's sum, and
-    the multiplier is the orbit's size.
-    The deadline in effect is polled every 1,024 candidates, in the check and the walk.
+    chi).  ValueError, before any sweep, unless every step shares the first
+    step's candidate list, which repeats no labels, and every generator
+    permutes one common label set, has chi = +-1 and maps that list onto
+    itself with every weight times chi, and every line receives one
+    placement per label.  The walk over the orbits checks each candidate's
+    image under each generator as it follows it.  Then g maps the whole sum
+    S to f(g) * S with f = `_character`, and fixing the first step to g.c
+    gives f(g) times the sum at c.  So a generator with f = -1 proves S = 0,
+    and the result is []; otherwise every candidate of an orbit has its
+    first candidate's sum, and the multiplier is the orbit's size.
+    The deadline in effect is polled every 1,024 candidates walked.
     """
     deadline = active()
+    candidates = steps[0][1]
+    if any(cands is not candidates for _, cands in steps):
+        raise ValueError("the steps do not share one candidate list")
+    index = {labels: i for i, (labels, _) in enumerate(candidates)}
+    if len(index) != len(candidates):
+        raise ValueError("a candidate list repeats labels")
     domain = set(generators[0][0]) if generators else set()
     for perm, chi in generators:
         if set(perm) != domain or set(perm.values()) != domain:
             raise ValueError("the generators do not permute one common label set")
         if chi not in (1, -1):
             raise ValueError(f"weight character {chi} is not +1 or -1")
-    checked = set()
-    for _, _, cands in steps:
-        if id(cands) in checked:
-            continue
-        checked.add(id(cands))
-        table = dict(cands)
-        if len(table) != len(cands):
-            raise ValueError("a candidate list repeats labels")
-        for perm, chi in generators:
-            for i, (labels, weight) in enumerate(cands):
-                if not i & _CHECK_MASK:
-                    deadline.check()
-                if table.get(tuple(perm.get(label) for label in labels)) != chi * weight:
-                    raise ValueError(f"relabelling does not map candidate {labels} with weight times {chi}")
-    placements: dict[int, list[int]] = {}  # line -> [placements, signed placements]
-    for lines, signed, _ in steps:
-        for line, flag in zip(lines, signed):
-            count = placements.setdefault(line, [0, 0])
-            count[0] += 1
-            count[1] += flag
-    signed_lines = 0
-    for total, flagged in placements.values():
-        if flagged and generators:
-            if flagged != total or total != len(domain):
-                raise ValueError(f"a signed line receives {flagged} signed of {total} placements, "
-                                 f"not all {len(domain)} labels")
-            signed_lines += 1
-    if any(_character(perm, chi, len(steps), signed_lines) == -1 for perm, chi in generators):
-        return []
+    placements = Counter(line for lines, _ in steps for line in lines)
+    for count in placements.values():
+        if generators and count != len(domain):
+            raise ValueError(f"a line receives {count} placements, not all {len(domain)} labels")
 
-    candidates = steps[0][2]
-    index = {labels: i for i, (labels, _) in enumerate(candidates)}
     seen = [False] * len(candidates)
     orbits, walked = [], 0
     for start in range(len(candidates)):
@@ -216,10 +196,15 @@ def _first_step_orbits(steps: Sequence[tuple], generators: Sequence[tuple[dict, 
             if not walked & _CHECK_MASK:
                 deadline.check()
             walked += 1
-            for perm, _ in generators:
-                j = index[tuple(perm[label] for label in candidates[i][0])]
+            labels, weight = candidates[i]
+            for perm, chi in generators:
+                j = index.get(tuple(map(perm.get, labels)))
+                if j is None or candidates[j][1] != chi * weight:
+                    raise ValueError(f"relabelling does not map candidate {labels} with weight times {chi}")
                 if not seen[j]:
                     seen[j] = True
                     orbit.append(j)
         orbits.append((start, len(orbit)))
+    if any(_character(perm, chi, len(steps), len(placements)) == -1 for perm, chi in generators):
+        return []
     return orbits

@@ -747,8 +747,9 @@ def pleth_upper_bound(lam: PartitionLike, D: int, d: int) -> int:
     number i owns bits b*i .. b*i + b - 1: what it still needs (b - 1 bits hold max(need)) under a guard bit,
     G the sum of the guards.  A subset fits when state - sub (a 1 in each member's field) keeps every guard:
     a count of 0 lends from its own guard only.  Once no later subset covers number f, states whose field f
-    is not 0 are dropped; the answer is the count at G.  The deadline is polled before a pass, at most
-    max(1,024, one layer) expansions after the last poll; `states` adds them, `peak_states` the largest layer.
+    is not 0 are dropped; the answer is the count at G.  A pass takes its layer in slices of 1,024 states,
+    and the deadline is polled before a slice that would take the expansions since the last poll past 1,024;
+    `states` adds the expansions, `peak_states` the largest layer, also when the deadline stops the sweep.
     """
     lam = Partition.of(lam)
     if D < 1 or D % 2 == 0:
@@ -767,23 +768,27 @@ def pleth_upper_bound(lam: PartitionLike, D: int, d: int) -> int:
     G, count_bits = sum(1 << b * i + b - 1 for i in range(width)), (1 << b - 1) - 1
     layer = {G + sum(k << b * i for i, k in enumerate(need)): 1}  # packed needs -> families
     first = expanded = polled = peak = 0
-    for subset in itertools.combinations(range(width), D):
-        if subset[0] > first:  # no later subset covers the number `first`
-            layer = {state: n for state, n in layer.items() if not state >> b * first & count_bits}
-            first = subset[0]
-            if not layer:
-                break
-        if expanded + len(layer) - polled > 0x400:
-            deadline.check()
-            polled = expanded
-        expanded += len(layer)
-        sub = sum(1 << b * i for i in subset)
-        fits = [(after, n) for state, n in layer.items() if (after := state - sub) & G == G]
-        for after, n in fits:
-            layer[after] = layer.get(after, 0) + n
-        peak = max(peak, len(layer))
-    tally(states=expanded)
-    record()["peak_states"] = max(record().get("peak_states", 0), peak)
+    try:
+        for subset in itertools.combinations(range(width), D):
+            if subset[0] > first:  # no later subset covers the number `first`
+                layer = {state: n for state, n in layer.items() if not state >> b * first & count_bits}
+                first = subset[0]
+                if not layer:
+                    break
+            sub, items, fits = sum(1 << b * i for i in subset), iter(layer.items()), []
+            for left in range(len(layer), 0, -0x400):  # the pass, in slices of at most 1,024 states
+                size = min(left, 0x400)
+                if expanded + size - polled > 0x400:
+                    deadline.check()
+                    polled = expanded
+                expanded += size
+                fits += [(after, n) for state, n in itertools.islice(items, 0x400) if (after := state - sub) & G == G]
+            for after, n in fits:
+                layer[after] = layer.get(after, 0) + n
+            peak = max(peak, len(layer))
+    finally:
+        tally(states=expanded)
+        record()["peak_states"] = max(record().get("peak_states", 0), peak)
     return layer.get(G, 0)
 
 

@@ -11,9 +11,10 @@ on the point steps of `tableaux`.  Of the relabellings of the index values
 that `_proposals` names (none at a tensor whose axes differ) it keeps each g
 mapping every term to chi times itself, chi = +-1 read off the first term.
 One that negates the whole sum, as at odd orders, proves it 0 before any
-candidate is built.  Otherwise `kernel._first_step_orbits` reduces the sum
-to one subtree per first-step orbit times its size, and `_run_tasks` sweeps
-them together; with nothing kept every candidate is its own orbit, and that
+candidate is built.  Otherwise `kernel._first_step_orbits` checks every
+kept g in its one walk over the candidates and reduces the sum to one
+subtree per first-step orbit times its size, and `_run_tasks` sweeps them
+together; with nothing kept every candidate is its own orbit, and that
 is the unreduced sweep.
 
 Every counter returns (#even) - (#odd) as an exact Python int: the kernel
@@ -46,17 +47,9 @@ def _run_tasks(steps: list[tuple], representatives: list[tuple[int, int]]) -> in
     """The sum over (i, multiplier) in `representatives` of multiplier times the kernel total of `steps`
     with the first step fixed to its i-th candidate: one sweep, whose first step holds each
     representative with its weight times its multiplier."""
-    lines, signed, candidates = steps[0]
+    lines, candidates = steps[0]
     first = [(candidates[i][0], multiplier * candidates[i][1]) for i, multiplier in representatives]
-    return _signed_sum([(lines, signed, first), *steps[1:]])
-
-
-def _count(sign: int, steps: list[tuple], generators: list) -> int:
-    """sign times the kernel total of `steps`, one subtree per first-step orbit times its multiplier;
-    the work record also gets `candidates` (of the first step) and `subtrees` (the orbit representatives)."""
-    orbits = _first_step_orbits(steps, generators)
-    record().update(candidates=len(steps[0][2]), subtrees=len(orbits))
-    return sign * _run_tasks(steps, orbits)
+    return _signed_sum([(lines, first), *steps[1:]])
 
 
 def _proposals(m: int) -> list[dict[int, int]]:
@@ -115,8 +108,9 @@ def _format(shape: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
 
 def _sum(source: SparseForm | SparseTensor, T: Optional[Tableau]) -> tuple[int, int]:
     """(S, q): T's invariant at source (the tensor invariant of the format `_format` reads off the
-    shape when T is None) is S / q, S the kernel total times the column sign.  ValueError unless
-    the invariant reads source's shape."""
+    shape when T is None) is S / q, S the kernel total times the column sign, one subtree per
+    first-step orbit times its size.  The work record also gets `candidates` (of the first step)
+    and `subtrees` (the orbit representatives).  ValueError unless the invariant reads source's shape."""
     form = isinstance(source, SparseForm)
     shape = (source.m,) * source.D if form else source.shape
     fmt = _format(shape) if T is None else None
@@ -124,13 +118,15 @@ def _sum(source: SparseForm | SparseTensor, T: Optional[Tableau]) -> tuple[int, 
         raise ValueError(f"the invariant does not read the shape {shape} of this {'form' if form else 'tensor'}")
     degree, lines = (math.prod(fmt), sum(fmt)) if T is None else (T.d, T.s)
     generators = _symmetry(source)
-    # every signed line (column or slice) gets each index value: g scales the sum by chi^degree sgn(g)^lines
+    # every line (column or slice) gets each index value: g scales the sum by chi^degree sgn(g)^lines
     if any(_character(g, chi, degree, lines) == -1 for g, chi in generators):
         record().update(candidates=0, subtrees=0)  # none built
         return 0, 1
     den, support = _integer_weights((form_to_tensor(source) if form else source).entries)
     sign, steps = (1, _point_steps(*fmt, support)) if T is None else _tableau_steps(T, support)
-    return _count(sign, steps, generators), den**degree
+    orbits = _first_step_orbits(steps, generators)
+    record().update(candidates=len(support), subtrees=len(orbits))
+    return sign * _run_tasks(steps, orbits), den**degree
 
 
 def invariant(source: SparseForm | SparseTensor, T: Optional[Tableau] = None) -> Fraction:

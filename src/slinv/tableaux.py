@@ -25,10 +25,11 @@ per tensor factor, each weighted by the product of its slice-permutation
 signs and by the product of tensor entries over all points; a labeling
 that is no bijection on some slice contributes 0.  `_point_steps` couples
 the three labelings point by point: each point is one step placing a
-support element (a, b, c) on the point's x-, y- and z-slice, all three
-signed.  The points are taken in lexicographic order of (x, y, z), which
-fixes how each slice is read off as a permutation; another order could
-flip the overall sign, so it is part of the external contract.
+support element (a, b, c) on the point's x-, y- and z-slice, the three
+lines whose permutations the kernel signs.  The points are taken in
+lexicographic order of (x, y, z), which fixes how each slice is read off
+as a permutation; another order could flip the overall sign, so it is
+part of the external contract.
 
 `latin.invariant` evaluates both from these steps, and the signed counts
 in `latin` are built from them: the generic tableau at the product tensor
@@ -127,20 +128,19 @@ def cyclic_tableau(D: int) -> Tableau:
 def _tableau_steps(T: Tableau, support: list) -> tuple[int, list[tuple]]:
     """(constant column sign, kernel steps) of the tableau invariant over integer candidates.
 
-    Step i = 1..d places a candidate nu on the signed columns holding
-    symbol i, its k-th occurrence (columnwise order) taking the label nu[k];
-    see the module docstring for the constant column sign.
+    Step i = 1..d places a candidate nu on the columns holding symbol i,
+    its k-th occurrence (columnwise order) taking the label nu[k]; every
+    step shares the one list `support`.  See the module docstring for the
+    constant column sign.
     """
-    steps = [(tuple(col - 1 for _, col in T.occurrences(i)), (True,) * T.D, support)
-             for i in range(1, T.d + 1)]
+    steps = [(tuple(col - 1 for _, col in T.occurrences(i)), support) for i in range(1, T.d + 1)]
     return math.prod(sequence_sign(column) for column in zip(*T.cells)), steps
 
 
 def _point_steps(n1: int, n2: int, n3: int, candidates: list) -> list[tuple]:
     """Kernel steps of the tensor invariant of format (n1, n2, n3): one per point (x, y, z) of
     [n1] x [n2] x [n3], in lexicographic order, on its x-, y- and z-slice; see the module docstring."""
-    return [((x, n1 + y, n1 + n2 + z), (True, True, True), candidates)
-            for x, y, z in itertools.product(range(n1), range(n2), range(n3))]
+    return [((x, n1 + y, n1 + n2 + z), candidates) for x, y, z in itertools.product(range(n1), range(n2), range(n3))]
 
 
 # -- tableau text format -------------------------------------------------------

@@ -152,7 +152,7 @@ EVALUATIONS = {
         lambda n, tensor: math.prod(_format(tensor.shape)) >= 27, None,  # its degree n1 n2 n3
         "fundamental tensor invariant is nonzero at the tensor", "fundamental tensor invariant vanishes",
         "matrix-multiplication evaluation not finished", _CANDIDATE_VANISHES),
-    "generic-invariant": Evaluation(  # min-degree knows its value m!; `invariant form` still runs it
+    "generic-invariant": Evaluation(  # min-degree knows its value m!; `invariant form` reads only its `long` rule
         lambda D, m: invariant(power_sum_form(D, m), generic_tableau(D, m)), ("D", "m"),
         lambda D, m: D % 2 == 0 and m >= 22,  # the sweep peaks at C(m, m/2) states: m = 22 takes 10 s, 128 MB
         None, "generic degree-m invariant is nonzero at the power sum",

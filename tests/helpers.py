@@ -279,34 +279,33 @@ def brute_signed_admissible_tables(n: int, weighting: str) -> int:
     return total
 
 
-# The backtracking search that `latin._signed_sum` replaced, kept as its oracle.
+# The backtracking search that `kernel._signed_sum` replaced, kept as its oracle.
 _CHECK_MASK = 0x3FF  # deadline polling period in DFS nodes
 
 
 def dfs_signed_sum(steps: Sequence[tuple]) -> int:
     """Sum over all placements of sign * product of candidate weights.
 
-    steps[t] = (lines, signed, candidates); a candidate (labels, weight)
-    puts the positive integer labels[k] on line lines[k] and multiplies the
-    term by the integer weight.  A placement picks one candidate per step
-    such that no line receives a label twice; its sign is (-1)^(inversions
-    on the lines whose signed[k] is true), each line read in step order.
+    steps[t] = (lines, candidates); a candidate (labels, weight) puts the
+    positive integer labels[k] on line lines[k] and multiplies the term by
+    the integer weight.  A placement picks one candidate per step such that
+    no line receives a label twice; its sign is (-1)^(inversions on all
+    lines), each line read in step order.
     Polls the deadline in effect.
     """
     deadline = active()
-    width = 1 + max((max(labels) for _, _, cands in steps for labels, _ in cands), default=0)
+    width = 1 + max((max(labels) for _, cands in steps for labels, _ in cands), default=0)
     segment = (1 << width) - 1
     # Line l owns bits l*width .. l*width + width - 1 of the packed state.  Per
     # step: (bits the candidate sets, bits whose presence is an inversion, weight).
     plan = []
-    for lines, signed, cands in steps:
+    for lines, cands in steps:
         packed = []
         for labels, weight in cands:
             bits = above = 0
-            for line, flag, label in zip(lines, signed, labels):
+            for line, label in zip(lines, labels):
                 bits |= 1 << (line * width + label)
-                if flag:
-                    above |= (segment & -(2 << label)) << (line * width)
+                above |= (segment & -(2 << label)) << (line * width)
             packed.append((bits, above, weight))
         plan.append(packed)
     last = len(plan) - 1

@@ -9,7 +9,9 @@ import re
 import pytest
 
 import slinv
+from helpers import CountingDeadline
 from slinv.budget import BudgetExhausted, Deadline, active, record, scope, tally
+from slinv.kron import sl_invariant_bound
 from slinv.latin import signed_latin_squares
 
 
@@ -112,3 +114,13 @@ def test_outside_every_scope_the_value_is_the_same_and_no_counts_are_kept():
     assert signed_latin_squares(4) == 576
     tally(states=1)
     assert before == {} and record() == {} and record() is not record()
+
+
+@pytest.mark.parametrize("count, cap, finished", [
+    (lambda: signed_latin_squares(6), 58, 9_522),  # of its 116 polls, as a run to the end makes them
+    (lambda: sl_invariant_bound(3, 2, 8), 600, 1_178_888),  # of 1,234
+], ids=["squares-6", "sl-bound-3-2-8"])
+def test_a_run_the_deadline_stops_keeps_the_work_it_did(count, cap, finished):
+    with scope(CountingDeadline(cap=cap)) as work, pytest.raises(BudgetExhausted):
+        count()
+    assert 0 < work["states"] < finished and work["peak_states"] > 0

@@ -563,6 +563,18 @@ def test_sl_invariant_bound_pins_a_larger_sweep_and_its_work():
     assert (work["states"], work["peak_states"]) == (1_178_888, 15_862)
 
 
+def test_pleth_upper_bound_polls_within_a_pass_but_not_once_per_small_pass():
+    # (3, 2, 8) passes over layers of up to 15,862 states; (3, 2, 6) makes at most 84 passes, over 432 states on average
+    polls = {}
+    for args in ((3, 2, 8), (3, 2, 6)):
+        deadline = CountingDeadline()
+        with scope(deadline) as work:
+            sl_invariant_bound(*args)
+        assert deadline.polls >= work["states"] // 2048
+        polls[args] = deadline.polls
+    assert polls[(3, 2, 6)] < math.comb(9, 3)
+
+
 def test_pleth_upper_bound_polls_before_listing_the_subsets():
     # C(360, 3) subsets: a search that lists them all first takes well over a second before it polls
     started = time.monotonic()

@@ -145,8 +145,19 @@ def _squares_steps(n):
 
 def _fix_first(steps, labels):
     """The steps with the first one reduced to its candidate carrying `labels`."""
-    lines, signed, candidates = steps[0]
-    return [(lines, signed, [c for c in candidates if c[0] == labels]), *steps[1:]]
+    lines, candidates = steps[0]
+    return [(lines, [c for c in candidates if c[0] == labels]), *steps[1:]]
+
+
+def _sharing(steps, candidates):
+    """The steps' lines, every one of them taking its candidates from the one list `candidates`."""
+    return [(lines, candidates) for lines, _ in steps]
+
+
+def _reduced(steps, generators):
+    """The kernel total of `steps` as `latin._sum` takes it: one sweep over the first-step orbit
+    representatives of `generators`, each weighted by its orbit's size."""
+    return latin._run_tasks(steps, kernel._first_step_orbits(steps, generators))
 
 
 def _subtree_value(steps, labels):
@@ -215,7 +226,7 @@ def test_an_expired_deadline_stops_the_orbit_walk_before_any_sweep(monkeypatch):
     monkeypatch.setattr(latin, "_signed_sum", no_sweep)
     steps, generators = _squares_steps(6), _product_symmetry(6)
     with scope(-1.0), pytest.raises(BudgetExhausted):
-        latin._count(1, steps, generators)
+        _reduced(steps, generators)
 
 
 @pytest.mark.parametrize("count", [
@@ -244,14 +255,14 @@ def test_every_count_stops_in_its_symmetry_check_once_the_deadline_expires(monke
 
 def test_the_orbit_walk_polls_the_deadline():
     steps = _squares_steps(3)
-    with scope(-1.0), pytest.raises(BudgetExhausted):  # no generators: nothing to check, so the walk itself raises
+    with scope(-1.0), pytest.raises(BudgetExhausted):  # no generators: the walk still polls
         kernel._first_step_orbits(steps, [])
 
 
 @pytest.mark.parametrize("n, generators, polls", [
     (7, [], 5),  # the walk over 5,040 first rows polls on candidates 0, 1024, ..., 4096
-    (7, _product_symmetry(7), 10),  # the rows share one list: 5 polls per generator, and no walk
-    (6, _product_symmetry(6), 3),  # 720 candidates: one poll per generator, one for the single orbit
+    (7, _product_symmetry(7), 5),  # the same walk checks both generators, then finds the character -1
+    (6, _product_symmetry(6), 1),  # 720 candidates in a single orbit
 ], ids=["squares-7-no-generators", "squares-7", "squares-6"])
 def test_the_symmetry_check_and_walk_poll_every_1024_candidates(n, generators, polls):
     steps, deadline = _squares_steps(n), CountingDeadline()
@@ -306,16 +317,15 @@ def _step_sequences(draw):
     steps = []
     for _ in range(draw(st.integers(1, 5))):
         lines = tuple(draw(st.permutations(range(n_lines)))[:draw(st.integers(1, n_lines))])
-        signed = tuple(draw(st.booleans()) for _ in lines)
         candidates = draw(st.lists(st.tuples(st.tuples(*[st.integers(1, 3)] * len(lines)),
                                              st.integers(-3, 3)), max_size=5))
-        steps.append((lines, signed, candidates))
+        steps.append((lines, candidates))
     return steps
 
 
 def _peak_bound(steps, cap, floor):
     # every recursion level may hold one partial layer of up to floor + (candidates - 1) states beyond the cap
-    return cap + len(steps) * (floor + max(len(cands) for _, _, cands in steps))
+    return cap + len(steps) * (floor + max(len(cands) for _, cands in steps))
 
 
 @settings(max_examples=300, deadline=None)
@@ -393,9 +403,9 @@ def _live_states_at_flushes(steps):
 def _grow_shrink_regrow_steps():
     # layers double, halve, then triple: a chunk's sweep moves past the chunk
     # and grows new layers while the sweep that handed it down is still running
-    grow = [((line,), (True,), [((1,), 1), ((2,), 2)]) for line in range(8)]
-    shrink = [((line,), (False,), [((1,), 1)]) for line in range(5)]
-    regrow = [((line,), (True,), [((1,), 1), ((2,), 1), ((3,), 1)]) for line in range(8, 14)]
+    grow = [((line,), [((1,), 1), ((2,), 2)]) for line in range(8)]
+    shrink = [((line,), [((1,), 1)]) for line in range(5)]
+    regrow = [((line,), [((1,), 1), ((2,), 1), ((3,), 1)]) for line in range(8, 14)]
     return grow + shrink + regrow
 
 
@@ -500,7 +510,7 @@ def test_a_lone_swap_gives_orbits_of_its_size_or_proves_zero(n, sizes, value):
     sign, steps = _tableau_steps(generic_tableau(n, n), _product_support(n))
     swap = [(_swap(n, 1, 2), 1)]
     assert [size for _, size in kernel._first_step_orbits(steps, swap)] == sizes
-    assert latin._count(sign, steps, swap) == _unreduced("squares", n) == value
+    assert sign * _reduced(steps, swap) == _unreduced("squares", n) == value
 
 
 def _cycle(k, labels):
@@ -516,13 +526,15 @@ def _cycle(k, labels):
     (5, [1, 2, 3, 4], [], 0),  # sgn -1 on each of 5 columns: the character is -1
     (5, [1, 2, 3, 4, 5], [5] * 24, 0),
 ])
-def test_a_lone_cycle_gives_orbits_of_its_length_or_proves_zero(n, labels, sizes, value):
+def test_a_lone_cycle_gives_orbits_of_its_length_or_proves_zero(monkeypatch, n, labels, sizes, value):
     sign, steps = _tableau_steps(generic_tableau(n, n), _product_support(n))
     cycle = [(_cycle(n, labels), 1)]
     assert [size for _, size in kernel._first_step_orbits(steps, cycle)] == sizes
-    with scope() as work:
-        assert latin._count(sign, steps, cycle) == _unreduced("squares", n) == value
-    assert work["candidates"] == math.factorial(n) and work["subtrees"] == len(sizes)
+    assert sign * _reduced(steps, cycle) == _unreduced("squares", n) == value
+    monkeypatch.setattr(latin, "_symmetry", lambda source: cycle)
+    with scope() as work:  # a count with this cycle as its only relabelling; character -1 builds no candidate
+        assert latin._sum(product_form(n), generic_tableau(n, n))[0] == value
+    assert work["candidates"] == (math.factorial(n) if sizes else 0) and work["subtrees"] == len(sizes)
 
 
 @pytest.mark.parametrize("steps, generators, message", [
@@ -535,8 +547,8 @@ def test_a_lone_cycle_gives_orbits_of_its_length_or_proves_zero(n, labels, sizes
     (_squares_steps(4)[:3], [(_swap(4, 1, 2), 1)], "not all 4 labels"),
     (_squares_steps(4), [(_swap(4, 1, 2), 1), (_swap(5, 1, 2), 1)], "one common label set"),
     (_squares_steps(3), [(_swap(3, 1, 2), 2)], "weight character 2 is not"),
-    ([(lines, signed, cands + cands) for lines, signed, cands in _squares_steps(3)], [],
-     "a candidate list repeats labels"),
+    (_sharing(_squares_steps(3), _squares_steps(3)[0][1] * 2), [], "a candidate list repeats labels"),
+    ([(lines, list(cands)) for lines, cands in _squares_steps(3)], [], "do not share one candidate list"),
 ])
 def test_a_false_symmetry_raises_before_any_sweep(monkeypatch, steps, generators, message):
     def no_sweep(*args):
@@ -544,7 +556,45 @@ def test_a_false_symmetry_raises_before_any_sweep(monkeypatch, steps, generators
 
     monkeypatch.setattr(latin, "_signed_sum", no_sweep)
     with pytest.raises(ValueError, match=message):
-        latin._count(1, steps, generators)
+        _reduced(steps, generators)
+
+
+@st.composite
+def _symmetric_sums(draw):
+    """(steps, g, chi): k steps that share one candidate list, each placing labels from 1..k on a
+    permutation of the same r lines, so every line receives one placement per label; the list is
+    closed under the relabelling g of 1..k, each candidate's image weighing chi times it."""
+    k, r, chi = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.sampled_from([1, -1]))
+    g = dict(zip(range(1, k + 1), draw(st.permutations(range(1, k + 1)))))
+    weights = {}
+    for seed in draw(st.lists(st.tuples(*[st.integers(1, k)] * r), min_size=1, max_size=8)):
+        orbit = [seed]
+        while (image := tuple(g[label] for label in orbit[-1])) != seed:
+            orbit.append(image)
+        if seed not in weights:  # going round an odd orbit multiplies by chi^len(orbit) = -1, so it weighs 0
+            weight = draw(st.integers(1, 3)) if chi == 1 or len(orbit) % 2 == 0 else 0
+            weights.update((labels, chi**i * weight) for i, labels in enumerate(orbit))
+    candidates = draw(st.permutations(list(weights.items())))
+    return [(tuple(draw(st.permutations(range(r)))), candidates) for _ in range(k)], g, chi
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_symmetric_sums(), data=st.data())
+def test_the_orbit_reduction_equals_the_unreduced_sum_and_checks_every_weight(case, data):
+    steps, g, chi = case
+    orbits, total = kernel._first_step_orbits(steps, [(g, chi)]), kernel._signed_sum(steps)
+    assert latin._run_tasks(steps, orbits) == total
+    if kernel._character(g, chi, len(steps), len(steps[0][0])) == -1:
+        assert orbits == [] and total == 0
+    # changing the weight of a candidate that g moves (every one when chi = -1) breaks the symmetry
+    candidates = steps[0][1]
+    moved = [i for i, (labels, _) in enumerate(candidates) if tuple(g[label] for label in labels) != labels]
+    if moved:
+        i = data.draw(st.sampled_from(moved))
+        changed = list(candidates)
+        changed[i] = (candidates[i][0], candidates[i][1] + 1)
+        with pytest.raises(ValueError, match="weight times"):
+            kernel._first_step_orbits(_sharing(steps, changed), [(g, chi)])
 
 
 # -- named invariants: the reduced path against the unreduced kernel sum ---------
